@@ -128,8 +128,10 @@ def sccs(g: DepGraph) -> list[frozenset[Atom]]:
     """
     order = sorted(g.vertices)
     adj: dict[Atom, list[Atom]] = {v: [] for v in order}
-    for u, v in sorted(g.edges):
+    for u, v in g.edges:
         adj[u].append(v)
+    for targets in adj.values():
+        targets.sort()
 
     index: dict[Atom, int] = {}
     lowlink: dict[Atom, int] = {}

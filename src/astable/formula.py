@@ -43,6 +43,15 @@ class Atom:
         for a in self.args:
             if not _IDENT_RE.match(a):
                 raise ValueError(f"invalid atom argument: {a!r}")
+        # atoms key every set and dict of the package, so hash them once
+        object.__setattr__(self, "_hash", hash((self.name, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: string hashes differ between processes
+        return (Atom, (self.name, self.args))
 
     def __str__(self) -> str:
         if not self.args:
@@ -75,6 +84,9 @@ def _sort_key(f: Formula):
 
 
 def _canonical(children: Iterable[Formula]) -> tuple[Formula, ...]:
+    children = tuple(children)
+    if len(children) < 2:
+        return children
     return tuple(sorted(set(children), key=_sort_key))
 
 
@@ -209,57 +221,131 @@ def _bit_pattern(bit: int, width: int) -> int:
     return v
 
 
+_AND, _OR, _IMPL = 0, 1, 2
+
+
+@dataclass(eq=False)
+class Program:
+    """A formula compiled to binary ops over int-indexed slots.
+
+    Slot 0 holds bot, slot 1 top, slot k + 2 the atom `atoms[k]` (sorted),
+    and op number n, a triple (kind, left slot, right slot), writes slot
+    len(atoms) + 2 + n; ops are in topological order and `root` is the
+    slot of the whole formula.  Structurally equal subtrees share a slot.
+    """
+
+    atoms: tuple[Atom, ...]
+    ops: list[tuple[int, int, int]]
+    root: int
+
+    def run(self, values: Sequence[int], ones: int, keep: int) -> int:
+        """The root's bit vector when `values[k]` is the vector of atoms[k].
+
+        `ones` is the all-true vector.  An implication whose vector has no
+        bit of `keep` is set to 0 everywhere: with keep = ones this is
+        classical truth, with keep the bit of an assignment I it is the
+        here-and-there value against I, where an implication false in I
+        is false.
+        """
+        v = [0, ones, *values]
+        push = v.append
+        for kind, left, right in self.ops:
+            if kind == _AND:
+                push(v[left] & v[right])
+            elif kind == _OR:
+                push(v[left] | v[right])
+            else:
+                x = (ones ^ v[left]) | v[right]
+                push(x if x & keep else 0)
+        return v[self.root]
+
+
+def compile_formula(f: Formula) -> Program:
+    """Compile f once, iteratively, so formulas of any depth compile.
+
+    Nodes are memoized by identity and by (kind, left slot, right slot),
+    so no formula is ever hashed; set-valued nodes fold into chains of
+    binary ops, with the empty conjunction top and the empty disjunction bot.
+    """
+    atoms = tuple(sorted(atoms_of(f)))
+    slot_of_atom = {a: k + 2 for k, a in enumerate(atoms)}
+    ops: list[tuple[int, int, int]] = []
+    shared: dict[tuple[int, int, int], int] = {}
+    slots: dict[int, int] = {}
+
+    def op(kind: int, left: int, right: int) -> int:
+        key = (kind, left, right)
+        slot = shared.get(key)
+        if slot is None:
+            slot = shared[key] = len(atoms) + 2 + len(ops)
+            ops.append(key)
+        return slot
+
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in slots:
+            stack.pop()
+            continue
+        if isinstance(g, AtomRef):
+            slots[id(g)] = slot_of_atom[g.atom]
+            stack.pop()
+            continue
+        kids = (g.lhs, g.rhs) if isinstance(g, Impl) else g.children
+        pending = [c for c in kids if id(c) not in slots]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        ks = [slots[id(c)] for c in kids]
+        if isinstance(g, Impl):
+            slot = op(_IMPL, ks[0], ks[1])
+        elif not ks:
+            slot = 1 if isinstance(g, Conj) else 0
+        else:
+            kind = _AND if isinstance(g, Conj) else _OR
+            slot = ks[0]
+            for k in ks[1:]:
+                slot = op(kind, slot, k)
+        slots[id(g)] = slot
+    return Program(atoms, ops, slots[id(f)])
+
+
 def truth_chunks(
-    f: Formula,
+    f: Formula | Program,
     var_atoms: Sequence[Atom],
     true_atoms: AbstractSet[Atom] = frozenset(),
     chunk_bits: int = 16,
 ) -> Iterator[int]:
     """Satisfaction of f over all assignments to `var_atoms`, as bit vectors.
 
-    Assignment index m makes var_atoms[b] true iff bit b of m is set.  Atoms
-    in `true_atoms` are always true, every other atom is false.  Yields
-    integers of 2**min(len(var_atoms), chunk_bits) bits each, lowest indexes
-    first, so that big signatures never materialize one huge vector.
+    f is a formula or its compiled `Program`.  Assignment index m makes
+    var_atoms[b] true iff bit b of m is set.  Atoms in `true_atoms` are
+    always true, every other atom is false.  Yields integers of
+    2**min(len(var_atoms), chunk_bits) bits each, lowest indexes first, so
+    that big signatures never materialize one huge vector.
     """
+    prog = f if isinstance(f, Program) else compile_formula(f)
     n = len(var_atoms)
     cb = min(n, chunk_bits)
     width = 1 << cb
-    all_ones = (1 << width) - 1
-    low = {a: _bit_pattern(b, width) for b, a in enumerate(var_atoms[:cb])}
-    high = list(var_atoms[cb:])
+    ones = (1 << width) - 1
+    index = {a: b for b, a in enumerate(var_atoms)}
+    values = [ones if a in true_atoms else 0 for a in prog.atoms]
+    high = []
+    for k, a in enumerate(prog.atoms):
+        b = index.get(a)
+        if b is None:
+            continue
+        if b < cb:
+            values[k] = _bit_pattern(b, width)
+        else:
+            high.append((k, b - cb))
 
     for hi in range(1 << (n - cb)):
-        env = dict(low)
-        for b, a in enumerate(high):
-            env[a] = all_ones if (hi >> b) & 1 else 0
-        memo: dict[Formula, int] = {}
-
-        def ev(g: Formula) -> int:
-            got = memo.get(g)
-            if got is not None:
-                return got
-            if isinstance(g, AtomRef):
-                v = env.get(g.atom, all_ones if g.atom in true_atoms else 0)
-            elif isinstance(g, Conj):
-                v = all_ones
-                for c in g.children:
-                    v &= ev(c)
-                    if not v:
-                        break
-            elif isinstance(g, Disj):
-                v = 0
-                for c in g.children:
-                    v |= ev(c)
-                    if v == all_ones:
-                        break
-            else:
-                assert isinstance(g, Impl)
-                v = ((all_ones ^ ev(g.lhs)) | ev(g.rhs)) & all_ones
-            memo[g] = v
-            return v
-
-        yield ev(f)
+        for k, b in high:
+            values[k] = ones if hi >> b & 1 else 0
+        yield prog.run(values, ones, ones)
 
 
 def equivalent(

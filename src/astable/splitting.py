@@ -229,12 +229,11 @@ def modular_solve(
     fallback.
     """
     a = frozenset(a)
-    whole = conj(conjuncts)
-    sig = frozenset(sigma) if sigma is not None else atoms_of(whole) | a
+    sig = frozenset(sigma) if sigma is not None else atoms_of(conj(conjuncts)) | a
 
     def fallback(reason: str) -> ModelSet:
         log.warning("modular solve falling back to brute force: %s", reason)
-        return enumerate_a_stable(whole, a, sig, max_atoms=max_atoms, workers=workers)
+        return enumerate_a_stable(conj(conjuncts), a, sig, max_atoms=max_atoms, workers=workers)
 
     try:
         plan = plan_split(conjuncts, a)

@@ -20,8 +20,11 @@ from .formula import (
     CapExceeded,
     Conj,
     Formula,
+    Program,
     SignatureError,
+    _bit_pattern,
     atoms_of,
+    compile_formula,
     disj,
     neg,
     reduct,
@@ -151,10 +154,10 @@ def _check_cap(n: int, max_atoms: int) -> None:
         )
 
 
-def _candidate_models(f: Formula, core: list[Atom]) -> Iterator[int]:
-    """Bitmasks over `core` (bit b <-> core[b]) that classically satisfy f."""
+def _candidate_models(prog: Program, core: list[Atom]) -> Iterator[int]:
+    """Bitmasks over `core` (bit b <-> core[b]) that classically satisfy prog."""
     offset = 0
-    for chunk in truth_chunks(f, core, chunk_bits=_CHUNK_BITS):
+    for chunk in truth_chunks(prog, core, chunk_bits=_CHUNK_BITS):
         base = offset
         while chunk:
             low = chunk & -chunk
@@ -163,30 +166,59 @@ def _candidate_models(f: Formula, core: list[Atom]) -> Iterator[int]:
         offset += 1 << min(len(core), _CHUNK_BITS)
 
 
-def _is_minimal(f: Formula, i: Interpretation, a_core: frozenset[Atom]) -> bool:
-    """True iff i satisfies its reduct and no allowed proper subset does."""
-    free = sorted(i & a_core)
-    r = reduct(f, i)
-    if not free:
-        return satisfies(i, r)
-    base = i - a_core
-    k = len(free)
-    cb = min(k, _CHUNK_BITS)
-    n_chunks = 1 << (k - cb)
-    full_bit = 1 << ((1 << cb) - 1)  # the assignment equal to i, in the last chunk
-    for idx, chunk in enumerate(truth_chunks(r, free, base, chunk_bits=_CHUNK_BITS)):
-        if idx == n_chunks - 1:
-            if not (chunk & full_bit):
-                return False
-            chunk ^= full_bit
-        if chunk:
+def _ht_minimal(prog: Program, mask: int, a_mask: int, patterns: dict[int, list[int]]) -> bool:
+    """True iff the interpretation I with bitmask `mask` over prog.atoms is
+    A-stable, A given by `a_mask`: one here-and-there sweep over J.
+    `patterns` caches the low free atoms' vectors per chunk width.
+
+    J ranges over I - A plus any subset of the free atoms I & A.  In
+    <J, I>, atoms outside I are 0, atoms of I - A are 1, and an implication
+    false in I is 0; J then satisfies the reduct of f w.r.t. I exactly
+    where the root vector is 1.  Every chunk carries one extra "here" bit
+    standing for J = I, so the sweep knows which implications I falsifies
+    in every chunk; I is A-stable iff the root is 1 there and nowhere else.
+    """
+    free_mask = mask & a_mask
+    free = [b for b in range(free_mask.bit_length()) if free_mask >> b & 1]
+    cb = min(len(free), _CHUNK_BITS)
+    width = 1 << cb
+    here = 1 << width
+    ones = (here << 1) - 1
+    values = [ones if mask >> b & 1 else 0 for b in range(len(prog.atoms))]
+    low = patterns.get(cb)
+    if low is None:
+        low = patterns[cb] = [_bit_pattern(j, width) | here for j in range(cb)]
+    for b, pattern in zip(free, low):
+        values[b] = pattern
+    high = free[cb:]
+    last = (1 << len(high)) - 1
+    for hi in range(last + 1):
+        for j, b in enumerate(high):
+            values[b] = ones if hi >> j & 1 else here
+        root = prog.run(values, ones, here)
+        # J = I is index width - 1 of the last chunk, as well as the here bit
+        if root != (here | here >> 1 if hi == last else here):
             return False
     return True
 
 
-def _stable_subset(args) -> list[Interpretation]:
-    f, a_core, candidates = args
-    return [i for i in candidates if _is_minimal(f, i, a_core)]
+def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) -> bool:
+    """Same answer as `is_a_stable`, by the fused here-and-there sweep that
+    `enumerate_a_stable` runs on every candidate."""
+    prog = compile_formula(f)
+    i = frozenset(interp)
+    a = frozenset(a)
+    if (i & a) - frozenset(prog.atoms):
+        return False  # an intensional atom f never mentions is unsupported
+    mask = sum(1 << b for b, x in enumerate(prog.atoms) if x in i)
+    a_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x in a)
+    return _ht_minimal(prog, mask, a_mask, {})
+
+
+def _stable_subset(args) -> list[int]:
+    prog, a_mask, candidates = args
+    patterns: dict[int, list[int]] = {}
+    return [m for m in candidates if _ht_minimal(prog, m, a_mask, patterns)]
 
 
 def enumerate_a_stable(
@@ -201,13 +233,16 @@ def enumerate_a_stable(
 
     sigma defaults to the atoms occurring in f plus a; extra extensional
     atoms must be supplied explicitly since they change the result.  Models
-    are found by a vectorized satisfiability sweep followed by a minimality
-    check per model; intensional atoms that never occur in f cannot appear
-    in any A-stable model and are pruned up front, while non-occurring
-    extensional atoms contribute a free product at the end.
+    are found by a vectorized satisfiability sweep of f compiled once,
+    followed by one here-and-there minimality sweep per model; intensional
+    atoms that never occur in f cannot appear in any A-stable model and are
+    pruned up front, while non-occurring extensional atoms contribute a free
+    product at the end.
     """
     a = frozenset(a)
-    occurring = atoms_of(f)
+    prog = compile_formula(f)
+    core = list(prog.atoms)
+    occurring = frozenset(core)
     sig = frozenset(sigma) if sigma is not None else occurring | a
     missing = (occurring | a) - sig
     if missing:
@@ -215,21 +250,18 @@ def enumerate_a_stable(
         raise SignatureError(f"signature omits occurring atoms: {names}")
     _check_cap(len(sig), max_atoms)
 
-    core = sorted(occurring)
-    a_core = a & occurring
+    a_mask = sum(1 << b for b, x in enumerate(core) if x in a)
     free_ext = sorted(sig - a - occurring)
 
-    candidates = [
-        frozenset(at for b, at in enumerate(core) if mask >> b & 1)
-        for mask in _candidate_models(f, core)
-    ]
+    candidates = list(_candidate_models(prog, core))
     if workers > 1 and len(candidates) > 1:
         step = (len(candidates) + workers - 1) // workers
-        batches = [(f, a_core, candidates[k : k + step]) for k in range(0, len(candidates), step)]
+        batches = [(prog, a_mask, candidates[k : k + step]) for k in range(0, len(candidates), step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            stable = [i for part in pool.map(_stable_subset, batches) for i in part]
+            masks = [m for part in pool.map(_stable_subset, batches) for m in part]
     else:
-        stable = [i for i in candidates if _is_minimal(f, i, a_core)]
+        masks = _stable_subset((prog, a_mask, candidates))
+    stable = [frozenset(x for b, x in enumerate(core) if m >> b & 1) for m in masks]
 
     if free_ext:
         models = [

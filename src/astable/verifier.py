@@ -61,6 +61,7 @@ from .stable import (
     enumerate_a_stable,
     format_interpretation,
     is_a_stable,
+    is_a_stable_ht,
     modred,
 )
 
@@ -555,6 +556,25 @@ def _suite_split_theorem(rng, cfg, unsound):
     )
 
 
+def _suite_stable_kernel(rng, cfg, unsound):
+    pool = _atom_pool(cfg.max_atoms)
+    f = _gen(rng, pool, rng.randint(0, cfg.max_depth), cfg)
+    i = _biased_interp(rng, f, frozenset(pool))
+    a = _rand_subset(rng, pool)
+    if rng.random() < 0.25:
+        a -= i  # I & A empty: stability reduces to satisfaction
+    fused = is_a_stable_ht(f, i, a)
+    reference = is_a_stable(f, i, a)
+    return fused == reference, _case_text(
+        suite="stable_kernel",
+        formula=format_formula(f),
+        i=format_interpretation(i),
+        a_set=format_interpretation(a),
+        fused=fused,
+        reference=reference,
+    )
+
+
 def _suite_definitions_theorem(rng, cfg, unsound):
     d = _gen_definition(rng, cfg)
     if isinstance(d, Rejection):
@@ -641,6 +661,7 @@ _SUITES: dict[str, Callable] = {
     "lemma9": _suite_lemma9,
     "split_lemma": _suite_split_lemma,
     "split_theorem": _suite_split_theorem,
+    "stable_kernel": _suite_stable_kernel,
     "definitions_theorem": _suite_definitions_theorem,
     "prop4_grounding": _suite_prop4_grounding,
 }

@@ -3,9 +3,13 @@ where satisfaction sweeps and minimality checks span several chunks."""
 
 import random
 
+import pytest
+
 from astable import (
+    TOP,
     Atom,
     AtomRef,
+    Impl,
     conj,
     disj,
     enumerate_a_stable,
@@ -16,6 +20,7 @@ from astable import (
     satisfies,
 )
 from astable.formula import truth_chunks
+from astable.stable import is_a_stable_ht
 
 ATS = [Atom(f"m{i:02d}") for i in range(18)]
 SIG = frozenset(ATS)
@@ -57,3 +62,40 @@ def test_chunked_equivalence_above_sixteen_atoms():
     not_all_false = neg(conj([neg(AtomRef(a)) for a in ATS[:17]]))
     assert equivalent(any_true, not_all_false, seventeen)
     assert not equivalent(any_true, disj([AtomRef(a) for a in ATS[:16]]), seventeen)
+
+
+@pytest.mark.parametrize("k", [0, 1, 16, 17])
+def test_fused_minimality_matches_reference_across_the_chunk_boundary(k):
+    # e is extensional and true, y extensional and false, x00.. the free
+    # atoms I & A; with 17 of them x16 selects the chunk.
+    e, y = AtomRef(Atom("e")), AtomRef(Atom("y"))
+    xs = [AtomRef(Atom(f"x{j:02d}")) for j in range(k)]
+    chain = [impl(xs[j], xs[j + 1]) for j in range(k - 1)]
+    i = frozenset({e.atom} | {x.atom for x in xs})
+    a = frozenset({x.atom for x in xs} | {y.atom})
+    feed_first = [impl(e, xs[0])] if xs else []
+    feed_last = [impl(e, xs[-1])] if xs else []
+    choice_first = [disj([xs[0], neg(xs[0])])] if xs else []
+    loop_back = [impl(xs[-1], xs[0])] if xs else []
+    cases = {
+        "supported chain": (conj([e, neg(y)] + feed_first + chain), True),
+        # not x00 is false in I, so it must stay false below I
+        "chosen chain": (conj([e] + choice_first + chain), True),
+        # {e} is the only smaller model, in the first chunk
+        "unsupported loop": (conj([e] + chain + loop_back), k == 0),
+        # {e, x_last} is smaller, in the last chunk
+        "only the last atom supported": (conj([e] + feed_last + chain[:-1]), k < 2),
+        "not a model": (conj([e, impl(e, y)]), False),
+    }
+    for name, (f, expected) in cases.items():
+        assert is_a_stable(f, i, a) == expected, name
+        assert is_a_stable_ht(f, i, a) == expected, name
+
+
+def test_deep_implication_chain_needs_no_recursion():
+    p = AtomRef(Atom("p"))
+    f = TOP
+    for _ in range(5000):
+        f = Impl(p, f)
+    assert enumerate_a_stable(f, {p.atom}).lines() == ["{}"]
+    assert equivalent(f, TOP, {p.atom})
