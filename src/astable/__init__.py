@@ -28,7 +28,6 @@ from .depgraph import (
     is_infinitely_separable,
     is_separable,
     neg_nonnegated,
-    occurs_in,
     pos_nonnegated,
     rules,
     sccs,

@@ -52,6 +52,7 @@ def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Ato
     """Read a program file (ground or first-order), returning its conjuncts,
     the signature, and the intensional set selected by the flags."""
     text = _read(args.file)
+    intensional_pred = getattr(args, "intensional_pred", None)
     if _is_fo_input(text):
         prog = fo.parse_fo_program(text)
         if not prog.domain:
@@ -60,26 +61,20 @@ def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Ato
         interp = fo.FOInterpretation.herbrand(prog.domain, arities=arities)
         conjuncts = fo.ground_program(list(prog.sentences), interp)
         sigma = set(fo.ground_signature(interp))
-        if getattr(args, "intensional_pred", None):
-            preds = [p.strip() for p in args.intensional_pred.split(",") if p.strip()]
-            intensional = set(fo.pred_atoms(preds, interp))
-        elif getattr(args, "intensional", None):
-            intensional = set(parse_atom_list(args.intensional))
-        elif getattr(args, "intensional_none", False):
-            intensional = set()
-        else:
-            intensional = set(sigma)
     else:
-        if getattr(args, "intensional_pred", None):
+        if intensional_pred:
             raise ParseError("--intensional-pred needs a first-order input with #domain", 1, 1)
         conjuncts = parse_program(text)
         sigma = set().union(*(atoms_of(c) for c in conjuncts)) if conjuncts else set()
-        if getattr(args, "intensional", None):
-            intensional = set(parse_atom_list(args.intensional))
-        elif getattr(args, "intensional_none", False):
-            intensional = set()
-        else:
-            intensional = set(sigma)
+    if intensional_pred:
+        preds = [p.strip() for p in intensional_pred.split(",") if p.strip()]
+        intensional = set(fo.pred_atoms(preds, interp))
+    elif getattr(args, "intensional", None):
+        intensional = set(parse_atom_list(args.intensional))
+    elif getattr(args, "intensional_none", False):
+        intensional = set()
+    else:
+        intensional = set(sigma)
     if getattr(args, "sigma", None):
         sigma |= set(parse_atom_list(args.sigma))
     sigma |= intensional

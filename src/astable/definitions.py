@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
-from .depgraph import occurs_in
 from .formula import Atom, AtomRef, Conj, Formula, Impl, TOP, atoms_of, conj, satisfies
 from .stable import (
     DEFAULT_MAX_ATOMS,
@@ -171,7 +170,7 @@ def check_conservativity(
     Requires that no defined atom occurs in f.  Returns the pairing, or the
     first interpretation witnessing a failure.
     """
-    present = sorted(x for x in d.q_set if occurs_in(x, f))
+    present = sorted(d.q_set & atoms_of(f))
     if present:
         raise DefinitionError(
             f"defined atom {present[0]} occurs in the base formula"

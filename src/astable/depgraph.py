@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator
+from typing import AbstractSet, Iterator, Sequence
 
-from .formula import Atom, AtomRef, BOT, Conj, Disj, Formula, Impl, atoms_of
+from .formula import Atom, AtomRef, Conj, Disj, Formula, Impl
 
 
 class PartitionError(ValueError):
@@ -27,12 +27,18 @@ class DepGraph:
     edges: frozenset[tuple[Atom, Atom]]
 
     def __post_init__(self) -> None:
+        succ: dict[Atom, list[Atom]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
+            if u not in succ or v not in succ:
                 raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
+            succ[u].append(v)
+        for targets in succ.values():
+            targets.sort()
+        # the sorted successor lists, built once and read by every graph routine
+        object.__setattr__(self, "_succ", succ)
 
     def successors(self, v: Atom) -> list[Atom]:
-        return sorted(w for u, w in self.edges if u == v)
+        return list(self._succ.get(v, ()))
 
 
 @dataclass(frozen=True)
@@ -49,38 +55,49 @@ class Partition2:
             raise PartitionError(f"partition parts overlap on: {names}")
 
 
+def _signed_atoms(f: Formula, positive: bool, antecedents: bool) -> frozenset[Atom]:
+    """Atoms reached with positive sign by an iterative walk of f that starts
+    with sign `positive` and flips it in every antecedent.
+
+    Without `antecedents` the walk stays out of them; with it, the walk enters
+    each antecedent whose consequent is not the structural bot, so negated
+    occurrences are never reached.
+    """
+    if type(f) is AtomRef:
+        return frozenset((f.atom,)) if positive else frozenset()
+    out: set[Atom] = set()
+    stack = [(f, positive)]
+    while stack:
+        g, sign = stack.pop()
+        t = type(g)
+        if t is AtomRef:
+            if sign:
+                out.add(g.atom)
+        elif t is Impl:
+            rhs = g.rhs
+            if antecedents:
+                if type(rhs) is Disj and not rhs.children:  # the structural bot
+                    continue
+                stack.append((g.lhs, not sign))
+            stack.append((rhs, sign))
+        else:
+            stack.extend((c, sign) for c in g.children)
+    return frozenset(out)
+
+
 def strictly_positive(f: Formula) -> frozenset[Atom]:
     """Atoms occurring under no implication antecedent."""
-    if isinstance(f, AtomRef):
-        return frozenset((f.atom,))
-    if isinstance(f, (Conj, Disj)):
-        return frozenset().union(*(strictly_positive(c) for c in f.children))
-    assert isinstance(f, Impl)
-    return strictly_positive(f.rhs)
+    return _signed_atoms(f, True, False)
 
 
 def pos_nonnegated(f: Formula) -> frozenset[Atom]:
     """Positive nonnegated atoms; the consequent-is-bot test is structural."""
-    if isinstance(f, AtomRef):
-        return frozenset((f.atom,))
-    if isinstance(f, (Conj, Disj)):
-        return frozenset().union(*(pos_nonnegated(c) for c in f.children))
-    assert isinstance(f, Impl)
-    if f.rhs == BOT:
-        return frozenset()
-    return neg_nonnegated(f.lhs) | pos_nonnegated(f.rhs)
+    return _signed_atoms(f, True, True)
 
 
 def neg_nonnegated(f: Formula) -> frozenset[Atom]:
-    """Negative nonnegated atoms, mutually recursive with pos_nonnegated."""
-    if isinstance(f, AtomRef):
-        return frozenset()
-    if isinstance(f, (Conj, Disj)):
-        return frozenset().union(*(neg_nonnegated(c) for c in f.children))
-    assert isinstance(f, Impl)
-    if f.rhs == BOT:
-        return frozenset()
-    return pos_nonnegated(f.lhs) | neg_nonnegated(f.rhs)
+    """Negative nonnegated atoms: under an odd number of antecedents."""
+    return _signed_atoms(f, False, True)
 
 
 def rules(f: Formula) -> list[Formula]:
@@ -102,10 +119,6 @@ def rules(f: Formula) -> list[Formula]:
     return out
 
 
-def occurs_in(p: Atom, f: Formula) -> bool:
-    return p in atoms_of(f)
-
-
 def dep_graph(f: Formula, a: AbstractSet[Atom]) -> DepGraph:
     """Positive dependency graph of f over the intensional atoms a."""
     a = frozenset(a)
@@ -120,70 +133,77 @@ def dep_graph(f: Formula, a: AbstractSet[Atom]) -> DepGraph:
     return DepGraph(a, frozenset(edges))
 
 
+def topological_order(succs: Sequence[AbstractSet[int]], keys: Sequence) -> list[int]:
+    """Indices 0..n-1, each before its successors, the smallest key first
+    among those ready.  Shorter than n when the successor sets are cyclic."""
+    indeg = [0] * len(keys)
+    for out in succs:
+        for k in out:
+            indeg[k] += 1
+    ready = [(keys[k], k) for k, d in enumerate(indeg) if d == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        _, k = heapq.heappop(ready)
+        order.append(k)
+        for nxt in succs[k]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                heapq.heappush(ready, (keys[nxt], nxt))
+    return order
+
+
 def sccs(g: DepGraph) -> list[frozenset[Atom]]:
     """Strongly connected components in condensation order.
 
     Every edge runs from an earlier-or-equal to a later-or-equal component;
     ties are broken by the smallest atom of each component.
     """
-    order = sorted(g.vertices)
-    adj: dict[Atom, list[Atom]] = {v: [] for v in order}
-    for u, v in g.edges:
-        adj[u].append(v)
-    for targets in adj.values():
-        targets.sort()
-
+    succ = g._succ
     index: dict[Atom, int] = {}
     lowlink: dict[Atom, int] = {}
-    on_stack: set[Atom] = set()
+    comp_of: dict[Atom, int] = {}
     stack: list[Atom] = []
-    counter = iter(range(len(order)))
     comps: list[frozenset[Atom]] = []
 
-    def connect(v: Atom) -> None:
-        index[v] = lowlink[v] = next(counter)
-        stack.append(v)
-        on_stack.add(v)
-        for w in adj[v]:
-            if w not in index:
-                connect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index[w])
-        if lowlink[v] == index[v]:
-            comp = set()
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.add(w)
-                if w == v:
+    # Tarjan's algorithm on an explicit stack of successor iterators.  A
+    # visited vertex stays on Tarjan's stack until comp_of assigns it.
+    for root in sorted(g.vertices):
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if w not in index:
+                    index[w] = lowlink[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-            comps.append(frozenset(comp))
+                if w not in comp_of and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                low = lowlink[v]
+                if work and low < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = low
+                if low == index[v]:
+                    comp = []
+                    w = None
+                    while w is not v:
+                        w = stack.pop()
+                        comp_of[w] = len(comps)
+                        comp.append(w)
+                    comps.append(frozenset(comp))
 
-    for v in order:
-        if v not in index:
-            connect(v)
-
-    # Condensation topological sort, smallest-atom tie-break.
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    succs: dict[int, set[int]] = {k: set() for k in range(len(comps))}
-    indeg = {k: 0 for k in range(len(comps))}
+    succs: list[set[int]] = [set() for _ in comps]
     for u, v in g.edges:
         cu, cv = comp_of[u], comp_of[v]
-        if cu != cv and cv not in succs[cu]:
+        if cu != cv:
             succs[cu].add(cv)
-            indeg[cv] += 1
-    ready = [(min(comps[k]), k) for k in indeg if indeg[k] == 0]
-    heapq.heapify(ready)
-    ordered: list[frozenset[Atom]] = []
-    while ready:
-        _, k = heapq.heappop(ready)
-        ordered.append(comps[k])
-        for nxt in succs[k]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, (min(comps[nxt]), nxt))
-    return ordered
+    return [comps[k] for k in topological_order(succs, [min(c) for c in comps])]
 
 
 def _check_cover(g: DepGraph, pi: Partition2) -> None:
@@ -218,7 +238,7 @@ def simple_cycles(g: DepGraph) -> Iterator[tuple[Atom, ...]]:
     smallest vertex of each cycle."""
     order = sorted(g.vertices)
     pos = {v: k for k, v in enumerate(order)}
-    adj = {v: g.successors(v) for v in order}
+    adj = g._succ
 
     def extend(root: Atom, path: list[Atom], seen: set[Atom]) -> Iterator[tuple[Atom, ...]]:
         for w in adj[path[-1]]:
@@ -257,7 +277,7 @@ def find_closed_subset(g: DepGraph, pi: Partition2) -> frozenset[Atom]:
     _check_cover(g, pi)
     if not g.vertices:
         raise ValueError("the graph has no vertices")
-    adj = {v: g.successors(v) for v in g.vertices}
+    adj = g._succ
     for v in sorted(g.vertices):
         reach = {v}
         frontier = [v]

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Sequence
 
-from .depgraph import DepGraph
+from .depgraph import DepGraph, dep_graph
 from .formula import Atom, AtomRef, BOT, Conj, Disj, Formula, Impl, TOP
 from .stable import is_a_stable
 from .syntax import ParseError, _Parser
@@ -297,79 +297,50 @@ def fo_predicates(f: FOSentence) -> frozenset[str]:
     return frozenset(out)
 
 
-def fo_strictly_positive(f: FOSentence) -> frozenset[str]:
-    """Predicates with an occurrence under no implication antecedent."""
-    if isinstance(f, FOAtom):
-        return frozenset((f.pred,))
-    if isinstance(f, (FOEq, FOTop, FOBot)):
-        return frozenset()
-    if isinstance(f, (FOAnd, FOOr)):
-        return fo_strictly_positive(f.lhs) | fo_strictly_positive(f.rhs)
-    if isinstance(f, FOImpl):
-        return fo_strictly_positive(f.rhs)
-    assert isinstance(f, (FOForall, FOExists))
-    return fo_strictly_positive(f.body)
+def _skeleton(f: FOSentence) -> Formula:
+    """The predicate skeleton of f as a ground formula.
 
-
-def fo_pos_nonnegated(f: FOSentence) -> frozenset[str]:
-    if isinstance(f, FOAtom):
-        return frozenset((f.pred,))
-    if isinstance(f, (FOEq, FOTop, FOBot)):
-        return frozenset()
-    if isinstance(f, (FOAnd, FOOr)):
-        return fo_pos_nonnegated(f.lhs) | fo_pos_nonnegated(f.rhs)
-    if isinstance(f, FOImpl):
-        if isinstance(f.rhs, FOBot):
-            return frozenset()
-        return fo_neg_nonnegated(f.lhs) | fo_pos_nonnegated(f.rhs)
-    assert isinstance(f, (FOForall, FOExists))
-    return fo_pos_nonnegated(f.body)
-
-
-def fo_neg_nonnegated(f: FOSentence) -> frozenset[str]:
-    if isinstance(f, (FOAtom, FOEq, FOTop, FOBot)):
-        return frozenset()
-    if isinstance(f, (FOAnd, FOOr)):
-        return fo_neg_nonnegated(f.lhs) | fo_neg_nonnegated(f.rhs)
-    if isinstance(f, FOImpl):
-        if isinstance(f.rhs, FOBot):
-            return frozenset()
-        return fo_pos_nonnegated(f.lhs) | fo_neg_nonnegated(f.rhs)
-    assert isinstance(f, (FOForall, FOExists))
-    return fo_neg_nonnegated(f.body)
-
-
-def fo_rules(f: FOSentence) -> list[FOSentence]:
-    """Strictly positive implication occurrences, outermost first."""
-    out: list[FOSentence] = []
-
-    def walk(g: FOSentence) -> None:
-        if isinstance(g, FOImpl):
-            if g not in out:
-                out.append(g)
-            walk(g.rhs)
-        elif isinstance(g, (FOAnd, FOOr)):
-            walk(g.lhs)
-            walk(g.rhs)
-        elif isinstance(g, (FOForall, FOExists)):
-            walk(g.body)
-
-    walk(f)
-    return out
+    Predicate atoms lose their arguments, equalities and top become TOP, bot
+    becomes BOT, connectives map through, and a quantifier becomes a
+    one-child conjunction or disjunction, so that `forall X (bot)` stays
+    distinct from the bot that the nonnegated analyses test for.
+    """
+    done: list[Formula] = []
+    stack: list[tuple[FOSentence, bool]] = [(f, False)]
+    while stack:
+        g, children_done = stack.pop()
+        t = type(g)
+        if t is FOAtom:
+            done.append(AtomRef(Atom(g.pred)))
+        elif t is FOBot:
+            done.append(BOT)
+        elif t is FOEq or t is FOTop:
+            done.append(TOP)
+        elif not children_done:
+            stack.append((g, True))
+            if t is FOForall or t is FOExists:
+                stack.append((g.body, False))
+            else:
+                stack.append((g.rhs, False))
+                stack.append((g.lhs, False))
+        elif t is FOForall:
+            done.append(Conj((done.pop(),)))
+        elif t is FOExists:
+            done.append(Disj((done.pop(),)))
+        else:
+            rhs = done.pop()
+            lhs = done.pop()
+            if t is FOImpl:
+                done.append(Impl(lhs, rhs))
+            else:
+                done.append((Conj if t is FOAnd else Disj)((lhs, rhs)))
+    return done.pop()
 
 
 def fo_dep_graph(f: FOSentence, preds: Sequence[str]) -> DepGraph:
-    """Predicate-level positive dependency graph; vertices are the predicate
-    names wrapped as argument-free atoms so graph utilities apply."""
-    verts = frozenset(Atom(p) for p in preds)
-    pred_set = frozenset(preds)
-    edges: set[tuple[Atom, Atom]] = set()
-    for r in fo_rules(f):
-        assert isinstance(r, FOImpl)
-        heads = fo_strictly_positive(r.rhs) & pred_set
-        bodies = fo_pos_nonnegated(r.lhs) & pred_set
-        edges.update((Atom(p), Atom(q)) for p in heads for q in bodies)
-    return DepGraph(verts, frozenset(edges))
+    """Predicate-level positive dependency graph: the ground dependency graph
+    of f's predicate skeleton, whose atoms are the predicate names."""
+    return dep_graph(_skeleton(f), {Atom(p) for p in preds})
 
 
 # --- parsing ---------------------------------------------------------------

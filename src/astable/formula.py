@@ -178,6 +178,14 @@ def atoms_of(f: Formula) -> frozenset[Atom]:
     return frozenset(out)
 
 
+def check_signature(occurring: AbstractSet[Atom], sigma: AbstractSet[Atom]) -> None:
+    """Raise SignatureError naming the atoms of `occurring` outside sigma."""
+    missing = frozenset(occurring).difference(sigma)
+    if missing:
+        names = ", ".join(str(a) for a in sorted(missing))
+        raise SignatureError(f"signature omits occurring atoms: {names}")
+
+
 def satisfies(interp: AbstractSet[Atom], f: Formula) -> bool:
     """Classical satisfaction of f by the set of true atoms `interp`."""
     if isinstance(f, AtomRef):
@@ -361,10 +369,7 @@ def equivalent(
     """
     occurring = atoms_of(f) | atoms_of(g)
     if sigma is not None:
-        missing = occurring - frozenset(sigma)
-        if missing:
-            names = ", ".join(str(a) for a in sorted(missing))
-            raise SignatureError(f"signature omits occurring atoms: {names}")
+        check_signature(occurring, sigma)
     varying = sorted(occurring)
     if len(varying) > max_atoms:
         raise CapExceeded(

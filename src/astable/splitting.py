@@ -12,7 +12,6 @@ brute force (with a warning) when a step cannot be validated.
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
 from typing import AbstractSet, Sequence
@@ -23,6 +22,7 @@ from .depgraph import (
     offending_scc,
     sccs,
     strictly_positive,
+    topological_order,
 )
 from .formula import Atom, Formula, atoms_of, conj, satisfies
 from .stable import (
@@ -179,23 +179,12 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     # kept and the modular solver will detect the unusable step itself.
     n = len(comps)
     succs: list[set[int]] = [set() for _ in range(n)]
-    indeg = [0] * n
     for j in range(n):
         for x in atoms_of(formulas[j]):
             k = comp_of.get(x)
-            if k is not None and k != j and k not in succs[j]:
+            if k is not None and k != j:
                 succs[j].add(k)
-                indeg[k] += 1
-    ready = [(min(comps[k]), k) for k in range(n) if indeg[k] == 0]
-    heapq.heapify(ready)
-    listing: list[int] = []
-    while ready:
-        _, k = heapq.heappop(ready)
-        listing.append(k)
-        for nxt in succs[k]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, (min(comps[nxt]), nxt))
+    listing = topological_order(succs, [min(comp) for comp in comps])
     if len(listing) < n:
         listing = list(range(n))
 

@@ -24,6 +24,7 @@ from .formula import (
     SignatureError,
     _bit_pattern,
     atoms_of,
+    check_signature,
     compile_formula,
     disj,
     neg,
@@ -135,10 +136,7 @@ def choice_extension(f: Formula, a: AbstractSet[Atom], sigma: AbstractSet[Atom])
     """
     a = frozenset(a)
     sig = frozenset(sigma)
-    missing = (atoms_of(f) | a) - sig
-    if missing:
-        names = ", ".join(str(x) for x in sorted(missing))
-        raise SignatureError(f"signature omits occurring atoms: {names}")
+    check_signature(atoms_of(f) | a, sig)
     extension = sorted(sig - a)
     if not extension:
         return f
@@ -244,10 +242,7 @@ def enumerate_a_stable(
     core = list(prog.atoms)
     occurring = frozenset(core)
     sig = frozenset(sigma) if sigma is not None else occurring | a
-    missing = (occurring | a) - sig
-    if missing:
-        names = ", ".join(str(x) for x in sorted(missing))
-        raise SignatureError(f"signature omits occurring atoms: {names}")
+    check_signature(occurring | a, sig)
     _check_cap(len(sig), max_atoms)
 
     a_mask = sum(1 << b for b, x in enumerate(core) if x in a)

@@ -179,6 +179,19 @@ class TestSplitSolve:
         assert out == "{p}\n{q}\n"
         assert "falling back" in err
 
+    def test_long_positive_chain(self, capsys, tmp_path):
+        # every block has width 1, but the dependency path is 1,500 deep
+        names = [f"v{i:05d}" for i in range(1500)]
+        path = tmp_path / "long_chain.lp"
+        path.write_text(
+            "".join(f"{names[i + 1]} -> {names[i]}.\n" for i in range(1499))
+            + f"{names[-1]}.\n"
+        )
+        code, out, err = run(capsys, "split-solve", str(path))
+        assert code == 0
+        assert out == "{" + ",".join(names) + "}\n"
+        assert err == ""
+
 
 class TestCheckDefinition:
     def test_conservative_definition(self, capsys, tmp_path):
@@ -238,12 +251,18 @@ class TestVerifyCommand:
 
 class TestConsoleScript:
     def test_output_identical_across_processes(self, guard_lp):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import astable
+
+        # the child imports the same package as this process
+        env = {**os.environ, "PYTHONPATH": str(Path(astable.__file__).resolve().parents[1])}
         cmd = [sys.executable, "-m", "astable.cli", "solve", guard_lp, "--intensional", "q"]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        first = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout == "{p(a)}\n{p(a),p(b)}\n{p(b)}\n{q}\n"
 

@@ -24,7 +24,6 @@ from astable import (
     is_separable,
     neg,
     neg_nonnegated,
-    occurs_in,
     pos_nonnegated,
     reduct,
     rules,
@@ -105,6 +104,17 @@ class TestOccurrenceAnalyses:
             assert pos_nonnegated(f) == pnn
             assert neg_nonnegated(f) == nnn
 
+    def test_deep_implication_chain(self):
+        # p -> (p -> (... -> q)) nested 5,000 deep: no recursion in the walk
+        f = Q
+        for _ in range(5000):
+            f = impl(P, f)
+        assert strictly_positive(f) == {Atom("q")}
+        assert pos_nonnegated(f) == {Atom("q")}
+        assert neg_nonnegated(f) == {Atom("p")}
+        assert pos_nonnegated(impl(f, R)) == {Atom("p"), Atom("r")}
+        assert neg_nonnegated(impl(f, R)) == {Atom("q")}
+
     def test_strictly_positive_not_always_within_pnn(self):
         # p is strictly positive in (p -> bot) -> p yet doubly guarded
         # occurrences can leave Pnn smaller than P elsewhere; exhibit a case
@@ -135,17 +145,6 @@ class TestRules:
         # before the implication
         f = conj([impl(P, Q), disj([impl(Q, R), P])])
         assert rules(f) == [impl(Q, R), impl(P, Q)]
-
-
-class TestOccursIn:
-    def test_positive_occurrence(self):
-        assert occurs_in(QA, guard_program())
-
-    def test_absent_atom(self):
-        assert not occurs_in(QA, conj([AtomRef(PA), AtomRef(PB)]))
-
-    def test_occurrence_under_negation(self):
-        assert occurs_in(PA, impl(neg(AtomRef(PA)), AtomRef(QA)))
 
 
 class TestDepGraph:
@@ -181,7 +180,32 @@ class TestDepGraph:
             assert dep_graph(conj([f, g]), a).edges >= dep_graph(f, a).edges
 
 
+class TestAdjacency:
+    def test_successors_are_sorted_edge_targets(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            verts = [Atom(f"v{i}") for i in range(rng.randint(1, 7))]
+            edges = frozenset(
+                (u, v) for u in verts for v in verts if rng.random() < 0.3
+            )
+            g = DepGraph(frozenset(verts), edges)
+            for u in verts:
+                assert g.successors(u) == sorted(w for x, w in edges if x == u)
+
+    def test_edge_outside_vertices_rejected(self):
+        p, q = Atom("p"), Atom("q")
+        with pytest.raises(ValueError):
+            DepGraph(frozenset({p}), frozenset({(p, q)}))
+
+
 class TestSccs:
+    def test_long_path_in_condensation_order(self):
+        # a depth-first search from the smallest vertex goes 5,000 deep
+        verts = [Atom(f"v{i:05d}") for i in range(5000)]
+        edges = frozenset((verts[i], verts[i + 1]) for i in range(4999))
+        g = DepGraph(frozenset(verts), edges)
+        assert sccs(g) == [frozenset({v}) for v in verts]
+
     def test_chain_graph(self):
         a, b, c = Atom("a"), Atom("b"), Atom("c")
         g = DepGraph(frozenset({a, b, c}), frozenset({(a, b), (b, c)}))

@@ -13,9 +13,13 @@ from astable import (
     atoms_of,
     equivalent,
     parse_formula,
+    pos_nonnegated,
+    rules,
     satisfies,
+    strictly_positive,
 )
 from astable.fo import (
+    _skeleton,
     Cst,
     FOAtom,
     FOBot,
@@ -29,11 +33,8 @@ from astable.fo import (
     extent_atoms,
     fo_dep_graph,
     fo_neg,
-    fo_pos_nonnegated,
     fo_predicates,
-    fo_rules,
     fo_satisfies,
-    fo_strictly_positive,
     ground,
     ground_program,
     ground_signature,
@@ -231,10 +232,23 @@ class TestPredicateLevelGraph:
         assert g.edges == {(Atom("r"), Atom("p"))}
 
     def test_analyses_mirror_ground_level(self):
-        s = parse_fo_sentence(GUARD)
-        assert fo_strictly_positive(s) == {"q"}
-        assert fo_pos_nonnegated(s) == {"q"}
-        assert len(fo_rules(s)) == 1
+        skeleton = _skeleton(parse_fo_sentence(GUARD))
+        assert skeleton == parse_formula("And{ not p } -> q")
+        assert strictly_positive(skeleton) == {Atom("q")}
+        assert pos_nonnegated(skeleton) == {Atom("q")}
+        assert len(rules(skeleton)) == 1
+
+    def test_skeleton_maps_equality_to_top_and_drops_arguments(self):
+        s = parse_fo_sentence("exists X (p(X, a) & X = a) | bot")
+        assert _skeleton(s) == parse_formula("Or{ p & top } | bot")
+
+    @pytest.mark.parametrize("quantifier", ["forall", "exists"])
+    def test_quantified_bot_is_not_bot(self, quantifier):
+        # a quantifier over bot is not the structural bot, so the antecedent
+        # p -> q stays nonnegated and yields the edge r -> p
+        s = parse_fo_sentence(f"((p -> q) -> {quantifier} X (bot)) -> r")
+        g = fo_dep_graph(s, ["p", "q", "r"])
+        assert g.edges == {(Atom("r"), Atom("p"))}
 
     def test_separable_predicate_partition_transfers_to_atoms(self):
         from astable import Partition2, closed_walk_infinitely_separable, dep_graph, is_separable
