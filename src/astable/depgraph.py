@@ -119,17 +119,35 @@ def rules(f: Formula) -> list[Formula]:
     return out
 
 
-def dep_graph(f: Formula, a: AbstractSet[Atom]) -> DepGraph:
-    """Positive dependency graph of f over the intensional atoms a."""
+def dep_graph(f: Formula | Sequence[Formula], a: AbstractSet[Atom]) -> DepGraph:
+    """Positive dependency graph of f over the intensional atoms a.
+
+    f may also be a sequence of formulas standing for their conjunction,
+    which spares building it.  One iterative walk down the strictly
+    positive spine (conjunction and disjunction children, implication
+    consequents) carries the positive nonnegated intensional atoms of the
+    antecedents passed on the way; each strictly positive intensional atom
+    reached gets an edge to each of them, which is the edge set `rules`
+    defines.  No formula is hashed, so any depth is safe.
+    """
     a = frozenset(a)
     edges: set[tuple[Atom, Atom]] = set()
-    for r in rules(f):
-        assert isinstance(r, Impl)
-        heads = strictly_positive(r.rhs) & a
-        if not heads:
-            continue
-        bodies = pos_nonnegated(r.lhs) & a
-        edges.update((p, q) for p in heads for q in bodies)
+    roots = (f,) if isinstance(f, Formula) else f
+    stack: list[tuple[Formula, frozenset[Atom]]] = [(g, frozenset()) for g in roots]
+    while stack:
+        g, bodies = stack.pop()
+        t = type(g)
+        if t is AtomRef:
+            if bodies and g.atom in a:
+                edges.update((g.atom, q) for q in bodies)
+        elif t is Impl:
+            rhs = g.rhs
+            if type(rhs) is Disj and not rhs.children:  # the structural bot
+                continue
+            body = pos_nonnegated(g.lhs) & a
+            stack.append((rhs, bodies | body if body - bodies else bodies))
+        else:
+            stack.extend((c, bodies) for c in g.children)
     return DepGraph(a, frozenset(edges))
 
 

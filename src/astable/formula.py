@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -26,37 +27,40 @@ class CapExceeded(RuntimeError):
     """An exhaustive enumeration would exceed the configured atom cap."""
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(tuple):
     """A propositional atom: a name plus a tuple of constant arguments.
 
     Atoms are totally ordered by (name, args); that order fixes all canonical
-    output in the package.
+    output in the package.  An atom is the tuple (name, args), so hashing,
+    equality and that order run in C: atoms key every set and dict of the
+    package.
     """
 
-    name: str
-    args: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name) or self.name in KEYWORDS:
-            raise ValueError(f"invalid atom name: {self.name!r}")
-        for a in self.args:
+    def __new__(cls, name: str, args: tuple[str, ...] = ()) -> "Atom":
+        if not _IDENT_RE.match(name) or name in KEYWORDS:
+            raise ValueError(f"invalid atom name: {name!r}")
+        for a in args:
             if not _IDENT_RE.match(a):
                 raise ValueError(f"invalid atom argument: {a!r}")
-        # atoms key every set and dict of the package, so hash them once
-        object.__setattr__(self, "_hash", hash((self.name, self.args)))
+        return tuple.__new__(cls, (name, args))
 
-    def __hash__(self) -> int:
-        return self._hash
+    name = property(itemgetter(0))
+    args = property(itemgetter(1))
 
     def __reduce__(self):
-        # rebuild through __init__: string hashes differ between processes
-        return (Atom, (self.name, self.args))
+        # tuple's own pickling would pass (name, args) as one argument
+        return (Atom, tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Atom(name={self[0]!r}, args={self[1]!r})"
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return f"{self.name}({','.join(self.args)})"
+        name, args = self
+        if not args:
+            return name
+        return f"{name}({','.join(args)})"
 
 
 class Formula:
@@ -74,7 +78,7 @@ class Formula:
 
 def _sort_key(f: Formula):
     if isinstance(f, AtomRef):
-        return (0, f.atom.name, f.atom.args)
+        return (0, f.atom)
     if isinstance(f, Conj):
         return (1, tuple(_sort_key(c) for c in f.children))
     if isinstance(f, Disj):
@@ -276,47 +280,46 @@ def compile_formula(f: Formula) -> Program:
     binary ops, with the empty conjunction top and the empty disjunction bot.
     """
     atoms = tuple(sorted(atoms_of(f)))
-    slot_of_atom = {a: k + 2 for k, a in enumerate(atoms)}
+    slot_of_atom = {a: k for k, a in enumerate(atoms, 2)}
+    base = len(atoms) + 2
     ops: list[tuple[int, int, int]] = []
     shared: dict[tuple[int, int, int], int] = {}
     slots: dict[int, int] = {}
-
-    def op(kind: int, left: int, right: int) -> int:
-        key = (kind, left, right)
-        slot = shared.get(key)
-        if slot is None:
-            slot = shared[key] = len(atoms) + 2 + len(ops)
-            ops.append(key)
-        return slot
+    expanded: set[int] = set()
 
     stack = [f]
     while stack:
         g = stack[-1]
-        if id(g) in slots:
+        t = type(g)
+        if t is AtomRef or id(g) in slots:
             stack.pop()
             continue
-        if isinstance(g, AtomRef):
-            slots[id(g)] = slot_of_atom[g.atom]
-            stack.pop()
-            continue
-        kids = (g.lhs, g.rhs) if isinstance(g, Impl) else g.children
-        pending = [c for c in kids if id(c) not in slots]
-        if pending:
-            stack.extend(pending)
+        kids = (g.lhs, g.rhs) if t is Impl else g.children
+        if id(g) not in expanded:
+            expanded.add(id(g))
+            stack.extend(kids)
             continue
         stack.pop()
-        ks = [slots[id(c)] for c in kids]
-        if isinstance(g, Impl):
-            slot = op(_IMPL, ks[0], ks[1])
-        elif not ks:
-            slot = 1 if isinstance(g, Conj) else 0
+        if t is Impl:
+            kind = _IMPL
         else:
-            kind = _AND if isinstance(g, Conj) else _OR
-            slot = ks[0]
-            for k in ks[1:]:
-                slot = op(kind, slot, k)
+            kind = _AND if t is Conj else _OR
+        slot = -1
+        for c in kids:
+            k = slot_of_atom[c.atom] if type(c) is AtomRef else slots[id(c)]
+            if slot < 0:
+                slot = k
+                continue
+            key = (kind, slot, k)
+            slot = shared.get(key, -1)
+            if slot < 0:
+                slot = shared[key] = base + len(ops)
+                ops.append(key)
+        if slot < 0:  # no children: the empty conjunction or disjunction
+            slot = 1 if t is Conj else 0
         slots[id(g)] = slot
-    return Program(atoms, ops, slots[id(f)])
+    root = slot_of_atom[f.atom] if type(f) is AtomRef else slots[id(f)]
+    return Program(atoms, ops, root)
 
 
 def truth_chunks(

@@ -24,14 +24,25 @@ from .depgraph import (
     strictly_positive,
     topological_order,
 )
-from .formula import Atom, Formula, atoms_of, conj, satisfies
+from .formula import (
+    Atom,
+    CapExceeded,
+    Formula,
+    Program,
+    atoms_of,
+    compile_formula,
+    conj,
+    satisfies,
+)
 from .stable import (
     DEFAULT_MAX_ATOMS,
     ModelSet,
+    _candidate_models,
     _check_cap,
+    _ht_minimal,
     enumerate_a_stable,
     format_interpretation,
-    is_a_stable,
+    is_a_stable,  # not called here; perfbench/spans.py wraps this name
 )
 
 log = logging.getLogger(__name__)
@@ -149,8 +160,7 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     what lets the modular solver run front to back.
     """
     a = frozenset(a)
-    whole = conj(conjuncts)
-    comps = sccs(dep_graph(whole, a))
+    comps = sccs(dep_graph(conjuncts, a))
     comp_of = {atom: k for k, comp in enumerate(comps) for atom in comp}
 
     assigned: list[list[Formula]] = [[] for _ in comps]
@@ -192,11 +202,64 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     return SplitPlan(blocks, tuple(residual))
 
 
-def _all_subsets(items: list[Atom]) -> list[frozenset[Atom]]:
-    out = [frozenset()]
-    for x in items:
-        out += [s | {x} for s in out]
-    return out
+def _extend_frontier(
+    frontier: list[int],
+    prog: Program,
+    block_atoms: frozenset[Atom],
+    bit: dict[Atom, int],
+    patterns: dict[int, list[int]],
+    max_atoms: int,
+) -> list[int]:
+    """Every frontier entry joined with each stable extension of the block
+    compiled as prog, all as bitmasks (`bit` maps atoms to their bits).
+
+    The extensions depend only on the context, the entry's values of the
+    non-block atoms prog mentions, so each distinct context costs one sweep
+    of prog over its block atoms and one here-and-there check, with A = the
+    block's atoms, per candidate that makes a block atom true.
+    """
+    var: list[Atom] = []
+    var_bits: list[tuple[int, int]] = []  # (bit over prog.atoms, bit over sigma)
+    context: list[tuple[int, int, Atom]] = []  # (bit over sigma, bit over prog.atoms, atom)
+    ctx_mask = a_mask = 0
+    for b, x in enumerate(prog.atoms):
+        if x in block_atoms:
+            var.append(x)
+            var_bits.append((1 << b, bit[x]))
+            a_mask |= 1 << b
+        else:
+            context.append((bit[x], 1 << b, x))
+            ctx_mask |= bit[x]
+
+    memo: dict[int, list[int]] = {}
+    size = 0
+    for m in frontier:
+        ctx = m & ctx_mask
+        exts = memo.get(ctx)
+        if exts is None:
+            exts = memo[ctx] = []
+            here = 0
+            true = set()
+            for sig_bit, prog_bit, x in context:
+                if ctx & sig_bit:
+                    here |= prog_bit
+                    true.add(x)
+            for c in _candidate_models(prog, var, true):
+                mask, ext = here, 0
+                for j, (prog_bit, sig_bit) in enumerate(var_bits):
+                    if c >> j & 1:
+                        mask |= prog_bit
+                        ext |= sig_bit
+                # with no block atom true, satisfying prog is all of A-stability
+                if not c or _ht_minimal(prog, mask, a_mask, patterns):
+                    exts.append(ext)
+        size += len(exts)
+    if size > 1 << max_atoms:
+        raise CapExceeded(
+            f"modular frontier of {size} interpretations exceeds the cap of 2**{max_atoms}; "
+            f"pass a larger max_atoms (or --max-atoms) if this is intended"
+        )
+    return [m | e for m in frontier for e in memo[m & ctx_mask]]
 
 
 def modular_solve(
@@ -213,47 +276,66 @@ def modular_solve(
     step extends the partial interpretations with every locally stable
     assignment to the block's atoms, so the cost is the sum of per-block
     enumerations times the surviving frontier instead of one sweep over the
-    whole signature.  Residual conjuncts are applied as satisfaction filters
-    at the end.  Any step that cannot be validated triggers a brute-force
-    fallback.
+    whole signature.  Each block formula is compiled once and solved once
+    per distinct context (see `_extend_frontier`).  Residual conjuncts
+    are applied as satisfaction filters at the end.  Any step that cannot
+    be validated triggers a brute-force fallback; a frontier of more than
+    2**max_atoms interpretations raises CapExceeded.
     """
     a = frozenset(a)
-    sig = frozenset(sigma) if sigma is not None else atoms_of(conj(conjuncts)) | a
 
     def fallback(reason: str) -> ModelSet:
         log.warning("modular solve falling back to brute force: %s", reason)
-        return enumerate_a_stable(conj(conjuncts), a, sig, max_atoms=max_atoms, workers=workers)
+        return enumerate_a_stable(conj(conjuncts), a, sigma, max_atoms=max_atoms, workers=workers)
 
     try:
         plan = plan_split(conjuncts, a)
     except SplitPlanError as exc:
         return fallback(str(exc))
 
+    steps = [(block_atoms, f, compile_formula(f)) for block_atoms, f in reversed(plan.blocks)]
+    if sigma is None:
+        sig = a.union(*(prog.atoms for _, _, prog in steps), *map(atoms_of, plan.residual))
+    else:
+        sig = frozenset(sigma)
+
     # The cap guards every exponential dimension: the extensional context
-    # enumerated up front and the largest single block.
+    # enumerated up front and the largest single block here, the frontier
+    # in _extend_frontier.
     widest = max((len(b) for b, _ in plan.blocks), default=0)
     _check_cap(max(len(sig - a), widest), max_atoms)
 
     decided = set(sig - a)
-    frontier = _all_subsets(sorted(decided))
-    for block_atoms, block_formula in reversed(plan.blocks):
-        occurring = atoms_of(block_formula)
-        if not occurring <= decided | block_atoms:
-            pending = ", ".join(str(x) for x in sorted(occurring - decided - block_atoms))
+    for block_atoms, block_formula, prog in steps:
+        pending = [x for x in prog.atoms if x not in decided and x not in block_atoms]
+        if pending:
+            names = ", ".join(str(x) for x in pending)
             return fallback(
-                f"block {format_interpretation(block_atoms)} mentions atoms not yet decided: {pending}"
+                f"block {format_interpretation(block_atoms)} mentions atoms not yet decided: {names}"
             )
-        stray = (strictly_positive(block_formula) & a) - block_atoms
-        if stray:
+        if (strictly_positive(block_formula) & a) - block_atoms:
             return fallback("conjunct assignment left strictly positive atoms outside the block")
-        extensions = _all_subsets(sorted(block_atoms))
-        frontier = [
-            m | e
-            for m in frontier
-            for e in extensions
-            if is_a_stable(block_formula, m | e, block_atoms)
-        ]
         decided |= block_atoms
+
+    # Partial interpretations are bitmasks over sigma (and over A, so that
+    # a model leaving sigma reaches ModelSet's signature check).
+    order = list(sig | a)
+    bit = {x: 1 << k for k, x in enumerate(order)}
+    frontier = [0]
+    for x in sig - a:
+        frontier += [m | bit[x] for m in frontier]
+    patterns: dict[int, list[int]] = {}
+    for block_atoms, _, prog in steps:
+        frontier = _extend_frontier(frontier, prog, block_atoms, bit, patterns, max_atoms)
+
+    models = []
+    for m in frontier:
+        true = []
+        while m:
+            low = m & -m
+            true.append(order[low.bit_length() - 1])
+            m ^= low
+        models.append(frozenset(true))
     for r in plan.residual:
-        frontier = [m for m in frontier if satisfies(m, r)]
-    return ModelSet.from_iter(frontier, sig)
+        models = [m for m in models if satisfies(m, r)]
+    return ModelSet.from_iter(models, sig)

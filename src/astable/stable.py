@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .formula import (
     Atom,
@@ -45,7 +45,7 @@ def format_interpretation(interp: AbstractSet[Atom]) -> str:
 
 def interpretation_key(interp: AbstractSet[Atom]) -> tuple:
     """Canonical sort key: lexicographic over the sorted atom sequence."""
-    return tuple((a.name, a.args) for a in sorted(interp))
+    return tuple(sorted(interp))
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,13 @@ def _check_cap(n: int, max_atoms: int) -> None:
         )
 
 
-def _candidate_models(prog: Program, core: list[Atom]) -> Iterator[int]:
-    """Bitmasks over `core` (bit b <-> core[b]) that classically satisfy prog."""
+def _candidate_models(
+    prog: Program, core: Sequence[Atom], true_atoms: AbstractSet[Atom] = frozenset()
+) -> Iterator[int]:
+    """Bitmasks over `core` (bit b <-> core[b]) that classically satisfy
+    prog, with the atoms of `true_atoms` true and all others false."""
     offset = 0
-    for chunk in truth_chunks(prog, core, chunk_bits=_CHUNK_BITS):
+    for chunk in truth_chunks(prog, core, true_atoms, chunk_bits=_CHUNK_BITS):
         base = offset
         while chunk:
             low = chunk & -chunk

@@ -11,6 +11,7 @@ to stay exact; nothing here is sampled approximately.
 from __future__ import annotations
 
 import itertools
+import logging
 import random
 import string
 from dataclasses import dataclass
@@ -55,8 +56,9 @@ from .formula import (
     reduct,
     satisfies,
 )
-from .splitting import PreconditionError, split_models_lemma, split_models_theorem
+from .splitting import PreconditionError, modular_solve, split_models_lemma, split_models_theorem
 from .stable import (
+    ModelSet,
     choice_extension,
     enumerate_a_stable,
     format_interpretation,
@@ -575,6 +577,39 @@ def _suite_stable_kernel(rng, cfg, unsound):
     )
 
 
+def _suite_stable_modular(rng, cfg, unsound):
+    pool = _atom_pool(min(cfg.max_atoms, 6))
+    sigma = frozenset(pool)
+    conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
+    for x in sorted(_rand_subset(rng, pool, 0.2)):
+        conjuncts.append(disj((AtomRef(x), neg(AtomRef(x)))))  # frontier entries per choice
+    if rng.random() < 0.2:
+        conjuncts.append(_gen(rng, pool, 2, cfg))
+    if len(pool) > 1 and rng.random() < 0.2:
+        # an even negative cycle: two blocks that mention each other, so the
+        # solver falls back to brute force
+        p, q = (AtomRef(x) for x in rng.sample(pool, 2))
+        conjuncts += [Impl(neg(p), q), Impl(neg(q), p)]
+    a = _rand_subset(rng, pool, 0.7)  # the rest are extensional: several contexts
+    split_log = logging.getLogger(modular_solve.__module__)
+    level = split_log.level
+    split_log.setLevel(logging.ERROR)  # fallback warnings are expected here
+    try:
+        got = modular_solve(conjuncts, a, sigma)
+    finally:
+        split_log.setLevel(level)
+    f = conj(conjuncts)
+    subsets = (frozenset(c) for k in range(len(pool) + 1) for c in itertools.combinations(pool, k))
+    want = ModelSet.from_iter((i for i in subsets if is_a_stable(f, i, a)), sigma)
+    return got == want, _case_text(
+        suite="stable_modular",
+        program=" ".join(format_formula(c) + "." for c in conjuncts),
+        a_set=format_interpretation(a),
+        modular_models=" ".join(got.lines()) or "(none)",
+        reference_models=" ".join(want.lines()) or "(none)",
+    )
+
+
 def _suite_definitions_theorem(rng, cfg, unsound):
     d = _gen_definition(rng, cfg)
     if isinstance(d, Rejection):
@@ -662,6 +697,7 @@ _SUITES: dict[str, Callable] = {
     "split_lemma": _suite_split_lemma,
     "split_theorem": _suite_split_theorem,
     "stable_kernel": _suite_stable_kernel,
+    "stable_modular": _suite_stable_modular,
     "definitions_theorem": _suite_definitions_theorem,
     "prop4_grounding": _suite_prop4_grounding,
 }

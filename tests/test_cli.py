@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -191,6 +192,26 @@ class TestSplitSolve:
         assert code == 0
         assert out == "{" + ",".join(names) + "}\n"
         assert err == ""
+
+    def test_five_thousand_atom_positive_chain(self, capsys, tmp_path):
+        names = [f"v{i:05d}" for i in range(5000)]
+        path = tmp_path / "long_chain.lp"
+        path.write_text(
+            "".join(f"{names[i + 1]} -> {names[i]}.\n" for i in range(4999))
+            + f"{names[-1]}.\n"
+        )
+        code, out, err = run(capsys, "split-solve", str(path))
+        assert (code, err) == (0, "")
+        assert out == "{" + ",".join(names) + "}\n"
+
+    def test_frontier_past_the_cap_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "choices18.lp"
+        path.write_text("".join(f"c{i:02d} | not c{i:02d}.\n" for i in range(18)))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "split-solve", str(path), "--max-atoms", "16")
+        assert time.perf_counter() - t0 < 5.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: modular frontier of") and err.count("\n") == 1
 
 
 class TestCheckDefinition:

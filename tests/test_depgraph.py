@@ -34,7 +34,7 @@ from astable import (
     to_dot,
     TOP,
 )
-from astable.verifier import GenConfig, gen_formula
+from astable.verifier import GenConfig, _gen_program, gen_formula
 
 from util import guard_program
 
@@ -178,6 +178,34 @@ class TestDepGraph:
             g = gen_formula(GenConfig(seed=900 + i, max_atoms=4, max_depth=3))
             a = atoms_of(f) | atoms_of(g)
             assert dep_graph(conj([f, g]), a).edges >= dep_graph(f, a).edges
+
+    def test_deep_implication_chain(self):
+        # p -> (p -> (... -> q)) nested 5,000 deep: no formula is hashed
+        f = Q
+        for _ in range(5000):
+            f = impl(P, f)
+        g = dep_graph(f, {Atom("p"), Atom("q")})
+        assert g.edges == {(Atom("q"), Atom("p"))}
+
+    def test_edges_match_rules_reference(self):
+        # the definition read off `rules`: heads of each strictly positive
+        # implication times the positive nonnegated atoms of its antecedent
+        def reference(f, a):
+            edges = set()
+            for r in rules(f):
+                heads = strictly_positive(r.rhs) & a
+                edges.update((p, q) for p in heads for q in pos_nonnegated(r.lhs) & a)
+            return edges
+
+        rng = random.Random(23)
+        pool = [Atom(c) for c in "abcde"]
+        for i in range(400):
+            f = gen_formula(GenConfig(seed=2_000 + i, max_atoms=5, max_depth=4))
+            a = frozenset(x for x in pool if rng.random() < 0.7)
+            assert dep_graph(f, a).edges == reference(f, a)
+            conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
+            assert dep_graph(conjuncts, a) == dep_graph(conj(conjuncts), a)
+            assert dep_graph(conj(conjuncts), a).edges == reference(conj(conjuncts), a)
 
 
 class TestAdjacency:

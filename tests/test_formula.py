@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -65,6 +66,15 @@ class TestAtom:
             Atom("not")
         with pytest.raises(ValueError):
             Atom("3bad")
+
+    def test_fields_repr_pickle_and_immutability(self):
+        a = Atom("p", ("a", "b"))
+        assert (a.name, a.args, str(a)) == ("p", ("a", "b"), "p(a,b)")
+        assert repr(a) == "Atom(name='p', args=('a', 'b'))"
+        b = pickle.loads(pickle.dumps(a))
+        assert type(b) is Atom and b == a and hash(b) == hash(a)
+        with pytest.raises(AttributeError):
+            a.name = "q"
 
 
 class TestCanonicalForm:

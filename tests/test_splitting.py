@@ -6,6 +6,7 @@ import pytest
 from astable import (
     Atom,
     AtomRef,
+    CapExceeded,
     PreconditionError,
     SplitPlanError,
     TOP,
@@ -248,6 +249,37 @@ class TestModularSolve:
             got = modular_solve(conjuncts, a, sigma)
             want = enumerate_a_stable(conj(conjuncts), a, sigma)
             assert got.as_set() == want.as_set()
+
+    def test_matches_oracle_with_extensional_atoms(self):
+        rng = random.Random(31)
+        pool = [Atom(c) for c in "abcde"]
+        for k in range(200):
+            conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
+            conjuncts += [disj([AtomRef(x), neg(AtomRef(x))]) for x in pool if rng.random() < 0.2]
+            sigma = frozenset(pool) | {Atom("z")}  # z occurs nowhere
+            a = frozenset(x for x in pool if rng.random() < 0.6)
+            got = modular_solve(conjuncts, a, sigma)
+            assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, a)
+
+    def test_block_wider_than_a_sweep_chunk(self):
+        # a 17-atom positive cycle seeded by the extensional atom e: the block
+        # sweep spans two chunks and the minimality check has 17 free atoms
+        e, qs = Atom("e"), [Atom(f"q{i:02d}") for i in range(17)]
+        conjuncts = [impl(AtomRef(qs[i]), AtomRef(qs[(i + 1) % 17])) for i in range(17)]
+        conjuncts.append(impl(AtomRef(e), AtomRef(qs[0])))
+        got = modular_solve(conjuncts, frozenset(qs), frozenset(qs) | {e}, max_atoms=17)
+        assert got.as_set() == {frozenset(), frozenset(qs) | {e}}
+
+    def test_frontier_past_the_cap_is_refused(self):
+        # 18 independent choices: |sigma - A| and every block fit the cap of
+        # 16, but 2**18 partial interpretations do not
+        cs = [Atom(f"c{i:02d}") for i in range(18)]
+        conjuncts = [disj([AtomRef(c), neg(AtomRef(c))]) for c in cs]
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match="frontier"):
+            modular_solve(conjuncts, frozenset(cs), frozenset(cs), max_atoms=16)
+        assert time.perf_counter() - t0 < 5.0
+        assert len(modular_solve(conjuncts[:10], frozenset(cs[:10]), max_atoms=10)) == 1024
 
     def test_layered_chain_family_exhaustive_to_sixteen_atoms(self):
         for blocks, width in [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (3, 5)]:
