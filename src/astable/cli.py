@@ -83,8 +83,8 @@ def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Ato
 
 def _print_models(models: ModelSet, as_json: bool) -> None:
     if as_json:
-        for m in models:
-            print(json.dumps({"atoms": [str(a) for a in sorted(m)]}))
+        for atoms in models.sorted_atoms:
+            print(json.dumps({"atoms": [str(a) for a in atoms]}))
     else:
         for line in models.lines():
             print(line)

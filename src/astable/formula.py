@@ -250,14 +250,17 @@ class Program:
     ops: list[tuple[int, int, int]]
     root: int
 
-    def run(self, values: Sequence[int], ones: int, keep: int) -> int:
+    def run(self, values: Sequence[int], ones: int, keep: int, seg: int = 0) -> int:
         """The root's bit vector when `values[k]` is the vector of atoms[k].
 
         `ones` is the all-true vector.  An implication whose vector has no
         bit of `keep` is set to 0 everywhere: with keep = ones this is
         classical truth, with keep the bit of an assignment I it is the
         here-and-there value against I, where an implication false in I
-        is false.
+        is false.  With `seg`, the vector is a row of seg-bit segments, one
+        per assignment I, keep holds the lowest bit of each, and that bit is
+        I itself: an implication is set to 0 on each segment whose keep bit
+        it lacks.
         """
         v = [0, ones, *values]
         push = v.append
@@ -268,7 +271,11 @@ class Program:
                 push(v[left] | v[right])
             else:
                 x = (ones ^ v[left]) | v[right]
-                push(x if x & keep else 0)
+                if seg:
+                    h = x & keep
+                    push(x & ((h << seg) - h))  # (h << seg) - h fills each kept segment
+                else:
+                    push(x if x & keep else 0)
         return v[self.root]
 
 

@@ -244,7 +244,7 @@ def _extend_frontier(
                 if ctx & sig_bit:
                     here |= prog_bit
                     true.add(x)
-            for c in _candidate_models(prog, var, true):
+            for c in _candidate_models(prog, var, true_atoms=true):
                 mask, ext = here, 0
                 for j, (prog_bit, sig_bit) in enumerate(var_bits):
                     if c >> j & 1:

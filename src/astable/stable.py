@@ -9,9 +9,10 @@ with A empty it is classical satisfaction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .formula import (
@@ -50,19 +51,28 @@ def interpretation_key(interp: AbstractSet[Atom]) -> tuple:
 
 @dataclass(frozen=True)
 class ModelSet:
-    """A canonically ordered set of interpretations over a fixed signature."""
+    """A canonically ordered set of interpretations over a fixed signature.
+
+    `sorted_atoms` holds each model's atoms in sorted order, parallel to
+    `models`: the canonical order is computed from them and output prints
+    from them, so no model is sorted twice.
+    """
 
     models: tuple[Interpretation, ...]
     signature: frozenset[Atom]
+    sorted_atoms: tuple[tuple[Atom, ...], ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_iter(cls, models: Iterable[AbstractSet[Atom]], signature: AbstractSet[Atom]) -> "ModelSet":
         sig = frozenset(signature)
-        ordered = sorted({frozenset(m) for m in models}, key=interpretation_key)
+        unique = list({frozenset(m) for m in models})
+        keys = list(map(interpretation_key, unique))
+        order = sorted(range(len(unique)), key=keys.__getitem__)
+        ordered = tuple(map(unique.__getitem__, order))
         for m in ordered:
             if not m <= sig:
                 raise SignatureError(f"model {format_interpretation(m)} leaves the signature")
-        return cls(tuple(ordered), sig)
+        return cls(ordered, sig, tuple(map(keys.__getitem__, order)))
 
     def __iter__(self) -> Iterator[Interpretation]:
         return iter(self.models)
@@ -77,7 +87,8 @@ class ModelSet:
         return frozenset(self.models)
 
     def lines(self) -> list[str]:
-        return [format_interpretation(m) for m in self.models]
+        text = {x: str(x) for x in self.signature}.__getitem__
+        return ["{" + ",".join(map(text, atoms)) + "}" for atoms in self.sorted_atoms]
 
     def intersection(self, other: "ModelSet") -> "ModelSet":
         if self.signature != other.signature:
@@ -152,13 +163,14 @@ def _check_cap(n: int, max_atoms: int) -> None:
         )
 
 
-def _candidate_models(
-    prog: Program, core: Sequence[Atom], true_atoms: AbstractSet[Atom] = frozenset()
-) -> Iterator[int]:
+def _candidate_models(prog: Program, core: Sequence[Atom], **context) -> Iterator[int]:
     """Bitmasks over `core` (bit b <-> core[b]) that classically satisfy
-    prog, with the atoms of `true_atoms` true and all others false."""
+    prog, with the atoms of the context `true_atoms=`, when given, true and
+    all others false.  The context reaches `truth_chunks` only by keyword,
+    which is how perfbench/spans.py tells a block's context sweep from the
+    candidate sweep of `enumerate_a_stable`."""
     offset = 0
-    for chunk in truth_chunks(prog, core, true_atoms, chunk_bits=_CHUNK_BITS):
+    for chunk in truth_chunks(prog, core, chunk_bits=_CHUNK_BITS, **context):
         base = offset
         while chunk:
             low = chunk & -chunk
@@ -205,7 +217,8 @@ def _ht_minimal(prog: Program, mask: int, a_mask: int, patterns: dict[int, list[
 
 def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) -> bool:
     """Same answer as `is_a_stable`, by the fused here-and-there sweep that
-    `enumerate_a_stable` runs on every candidate."""
+    `enumerate_a_stable` runs on every candidate its packed runs leave
+    undecided."""
     prog = compile_formula(f)
     i = frozenset(interp)
     a = frozenset(a)
@@ -216,10 +229,83 @@ def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) 
     return _ht_minimal(prog, mask, a_mask, {})
 
 
+@functools.cache  # width is a power of two up to 2**_CHUNK_BITS, k at most the atom count
+def _segment_layout(width: int, k: int) -> tuple[tuple[bytes, ...], bytes]:
+    """The segment of a candidate I with k free atoms in a packed run.
+
+    Segment bit i stands for J = I minus the free atoms in drops[i], with
+    drops[0] empty: every such J when 2**k bits fit in `width`, else those
+    that drop one or two atoms; bits past the drops are copies of J = I.
+    Returns, as `width`-bit little-endian bytes, the vector of the t-th free
+    atom for each t < k and the mask of the bits whose J is not I.
+    """
+    if 1 << k <= width:
+        drops = range(1 << k)
+    else:
+        pairs = itertools.combinations(range(k), 2)
+        drops = [0, *(1 << t for t in range(k)), *(1 << t | 1 << u for t, u in pairs)]
+    nbytes = width // 8
+    copies = (1 << width) - (1 << len(drops))
+    free = (copies | sum(1 << i for i, d in enumerate(drops) if not d >> t & 1) for t in range(k))
+    live = (1 << len(drops)) - 2
+    return tuple(v.to_bytes(nbytes, "little") for v in free), live.to_bytes(nbytes, "little")
+
+
+def _packed_minimal(
+    prog: Program, a_mask: int, candidates: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Split the classical models `candidates` of prog (bitmasks over
+    prog.atoms) into (A-stable, undecided); the rest are not A-stable.
+
+    Packed runs of `Program.run` give each candidate one segment of a fixed
+    width (see `_segment_layout`) and evaluate the here-and-there value of
+    every J in it for all candidates at once.  A candidate whose whole
+    J-space fits is decided exactly; any other is rejected when a J that
+    drops one or two free atoms satisfies the root, and left undecided when
+    none does.
+    """
+    counts = [(m & a_mask).bit_count() for m in candidates]
+    most = max(counts, default=0)
+    width = 8  # the narrowest power of two, at least a byte, that holds the widest probe
+    while width < 1 + most + most * (most - 1) // 2:
+        width <<= 1
+    nbytes = width // 8
+    zero, full = bytes(nbytes), b"\xff" * nbytes
+    first = (1).to_bytes(nbytes, "little")
+    per_run = (1 << _CHUNK_BITS) // width
+    stable: list[int] = []
+    undecided: list[int] = []
+    for start in range(0, len(candidates), per_run):
+        batch = candidates[start : start + per_run]
+        ks = counts[start : start + per_run]
+        layouts = [_segment_layout(width, k) for k in ks]
+        frees = [m & a_mask for m in batch]
+        values = []
+        for b in range(len(prog.atoms)):
+            bit = 1 << b
+            if a_mask & bit:  # the t-th free atom of a candidate takes its t-th vector
+                below = bit - 1
+                col = [vecs[(f & below).bit_count()] if f & bit else zero
+                       for f, (vecs, _) in zip(frees, layouts)]
+            else:
+                col = [full if m & bit else zero for m in batch]
+            values.append(int.from_bytes(b"".join(col), "little"))
+        size = len(batch) * width
+        keep = int.from_bytes(first * len(batch), "little")
+        root = prog.run(values, (1 << size) - 1, keep, width)
+        live = int.from_bytes(b"".join(mask for _, mask in layouts), "little")
+        hits = (root & live).to_bytes(size // 8, "little")
+        for j, (m, k) in enumerate(zip(batch, ks)):
+            if hits[j * nbytes : (j + 1) * nbytes] == zero:
+                (stable if 1 << k <= width else undecided).append(m)
+    return stable, undecided
+
+
 def _stable_subset(args) -> list[int]:
     prog, a_mask, candidates = args
+    stable, undecided = _packed_minimal(prog, a_mask, candidates)
     patterns: dict[int, list[int]] = {}
-    return [m for m in candidates if _ht_minimal(prog, m, a_mask, patterns)]
+    return stable + [m for m in undecided if _ht_minimal(prog, m, a_mask, patterns)]
 
 
 def enumerate_a_stable(

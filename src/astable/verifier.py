@@ -577,6 +577,13 @@ def _suite_stable_kernel(rng, cfg, unsound):
     )
 
 
+def _reference_models(f: Formula, a: frozenset[Atom], pool: Sequence[Atom]) -> ModelSet:
+    """The A-stable models of f over pool, by the reference `is_a_stable`
+    on every interpretation."""
+    subsets = (frozenset(c) for k in range(len(pool) + 1) for c in itertools.combinations(pool, k))
+    return ModelSet.from_iter((i for i in subsets if is_a_stable(f, i, a)), frozenset(pool))
+
+
 def _suite_stable_modular(rng, cfg, unsound):
     pool = _atom_pool(min(cfg.max_atoms, 6))
     sigma = frozenset(pool)
@@ -598,14 +605,53 @@ def _suite_stable_modular(rng, cfg, unsound):
         got = modular_solve(conjuncts, a, sigma)
     finally:
         split_log.setLevel(level)
-    f = conj(conjuncts)
-    subsets = (frozenset(c) for k in range(len(pool) + 1) for c in itertools.combinations(pool, k))
-    want = ModelSet.from_iter((i for i in subsets if is_a_stable(f, i, a)), sigma)
+    want = _reference_models(conj(conjuncts), a, pool)
     return got == want, _case_text(
         suite="stable_modular",
         program=" ".join(format_formula(c) + "." for c in conjuncts),
         a_set=format_interpretation(a),
         modular_models=" ".join(got.lines()) or "(none)",
+        reference_models=" ".join(want.lines()) or "(none)",
+    )
+
+
+def _suite_stable_packed(rng, cfg, unsound):
+    """Programs on 8 atoms built from choices, negative chains and positive
+    loops, mostly intensional, so that the packed runs of
+    `enumerate_a_stable` decide some candidates in the segment, reject some
+    by a one- or two-atom witness and leave some (loops of 3 or more atoms
+    with nothing feeding them, and wide stable models) to the chunked sweep."""
+    pool = _atom_pool(8)
+    rng.shuffle(pool)
+    conjuncts: list[Formula] = []
+    start = 0
+    while start < len(pool):
+        group = [AtomRef(x) for x in pool[start : start + rng.randint(1, 5)]]
+        start += len(group)
+        kind = rng.random()
+        if kind < 0.3 or len(group) < 2:
+            conjuncts += [disj((x, neg(x))) for x in group]
+        elif kind < 0.6 or len(group) < 3:
+            conjuncts.append(disj((group[0], neg(group[0]))))
+            conjuncts += [Impl(neg(x), y) for x, y in zip(group, group[1:])]
+        else:
+            conjuncts += [Impl(x, y) for x, y in zip(group, group[1:] + group[:1])]
+            feed = rng.random()
+            if feed < 0.3:
+                conjuncts.append(group[0])
+            elif feed < 0.6:
+                conjuncts.append(disj((group[0], neg(group[0]))))
+    if rng.random() < 0.2:
+        conjuncts.append(_gen(rng, pool, 2, cfg))
+    f = conj(conjuncts)
+    a = _rand_subset(rng, pool, 0.85)
+    got = enumerate_a_stable(f, a, frozenset(pool))
+    want = _reference_models(f, a, pool)
+    return got == want, _case_text(
+        suite="stable_packed",
+        formula=format_formula(f),
+        a_set=format_interpretation(a),
+        packed_models=" ".join(got.lines()) or "(none)",
         reference_models=" ".join(want.lines()) or "(none)",
     )
 
@@ -698,6 +744,7 @@ _SUITES: dict[str, Callable] = {
     "split_theorem": _suite_split_theorem,
     "stable_kernel": _suite_stable_kernel,
     "stable_modular": _suite_stable_modular,
+    "stable_packed": _suite_stable_packed,
     "definitions_theorem": _suite_definitions_theorem,
     "prop4_grounding": _suite_prop4_grounding,
 }

@@ -19,8 +19,17 @@ from astable import (
     leq_a,
     modred,
     neg,
+    parse_program,
     reduct,
     satisfies,
+)
+from astable.formula import compile_formula
+from astable.stable import (
+    _CHUNK_BITS,
+    _candidate_models,
+    _ht_minimal,
+    _packed_minimal,
+    _stable_subset,
 )
 from astable.verifier import GenConfig, gen_formula
 
@@ -136,6 +145,75 @@ class TestEnumerate:
         got1 = enumerate_a_stable(G, {Q}, SIG, workers=1)
         got2 = enumerate_a_stable(G, {Q}, SIG, workers=2)
         assert got1 == got2
+
+
+def _program(rules: list[str]):
+    return conj(parse_program("".join(r + ".\n" for r in rules)))
+
+
+def _negchain(n: int) -> list[str]:
+    return ["p0 | not p0"] + [f"not p{i} -> p{i + 1}" for i in range(n - 1)]
+
+
+def _choices(n: int) -> list[str]:
+    return [f"c{i} | not c{i}" for i in range(n)]
+
+
+def _packed_against_per_candidate(f):
+    """(candidates, A-stable, undecided) with everything intensional, after
+    checking the packed filter against one `_ht_minimal` per candidate."""
+    prog = compile_formula(f)
+    a_mask = (1 << len(prog.atoms)) - 1
+    candidates = list(_candidate_models(prog, prog.atoms))
+    reference = [m for m in candidates if _ht_minimal(prog, m, a_mask, {})]
+    assert sorted(_stable_subset((prog, a_mask, candidates))) == reference
+    stable, undecided = _packed_minimal(prog, a_mask, candidates)
+    assert set(stable) <= set(reference) <= set(stable) | set(undecided)
+    return candidates, stable, undecided
+
+
+class TestPackedMinimality:
+    def test_negative_chain_is_rejected_by_one_atom_witnesses(self):
+        candidates, stable, undecided = _packed_against_per_candidate(_program(_negchain(16)))
+        assert len(candidates) == 2584
+        assert len(stable) == 2 and not undecided  # the two alternating models
+
+    def test_twelve_choices_are_all_stable(self):
+        candidates, stable, undecided = _packed_against_per_candidate(_program(_choices(12)))
+        assert len(candidates) == 4096
+        assert len(stable) + len(undecided) == 4096
+
+    def test_probe_misses_an_unsupported_ring(self):
+        # s feeds a positive 10-ring; with s false the true ring has only
+        # the witness that drops all ten ring atoms
+        ring = [f"r{i} -> r{(i + 1) % 10}" for i in range(10)]
+        f = _program(ring + ["s | not s", "s -> r0"] + _choices(3))
+        prog = compile_formula(f)
+        ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
+        candidates, stable, undecided = _packed_against_per_candidate(f)
+        a_mask = (1 << len(prog.atoms)) - 1
+        missed = [m for m in undecided if not _ht_minimal(prog, m, a_mask, {})]
+        assert len(missed) == 8 and all(m & ring_mask == ring_mask for m in missed)
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, 3])
+    def test_unsupported_three_loop_needs_its_last_witness(self, extra):
+        # {a, b, c} plus every true choice: the only witness drops all three
+        # loop atoms, the last bit of a segment that the J-space fills
+        # exactly (extra = 0) or a probe past the exact range (extra >= 2)
+        f = _program(["a -> b", "b -> c", "c -> a"] + _choices(extra))
+        candidates, stable, undecided = _packed_against_per_candidate(f)
+        assert len(candidates) == 2 << extra
+
+    def test_candidates_past_one_run_agree_across_workers(self):
+        # more candidates than even 8-bit segments fit into one run
+        f = _program(_negchain(10) + _choices(7))
+        candidates, stable, undecided = _packed_against_per_candidate(f)
+        assert len(candidates) * 8 > 1 << _CHUNK_BITS
+        assert stable and undecided
+        sigma = atoms_of(f)
+        one = enumerate_a_stable(f, sigma, sigma, workers=1)
+        assert enumerate_a_stable(f, sigma, sigma, workers=2).lines() == one.lines()
+        assert len(one) == 2 * 128
 
 
 class TestModred:
