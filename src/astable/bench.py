@@ -83,7 +83,6 @@ def run_bench(
     instances: Sequence[BenchInstance] | None = None,
     *,
     max_naive_atoms: int = DEFAULT_MAX_ATOMS,
-    workers: int = 1,
 ) -> list[BenchRow]:
     rows = []
     for inst in instances if instances is not None else default_instances():
@@ -91,13 +90,13 @@ def run_bench(
         plan = plan_split(list(inst.conjuncts), sigma)
 
         t0 = time.perf_counter_ns()
-        modular = modular_solve(list(inst.conjuncts), sigma, sigma, workers=workers)
+        modular = modular_solve(list(inst.conjuncts), sigma, sigma)
         modular_us = (time.perf_counter_ns() - t0) // 1000
 
         naive_us: int | None = None
         if len(sigma) <= max_naive_atoms:
             t0 = time.perf_counter_ns()
-            naive = enumerate_a_stable(conj(inst.conjuncts), sigma, sigma, workers=workers)
+            naive = enumerate_a_stable(conj(inst.conjuncts), sigma, sigma)
             naive_us = (time.perf_counter_ns() - t0) // 1000
             if naive.as_set() != modular.as_set():
                 raise AssertionError(f"bench {inst.name}: modular and naive answers differ")

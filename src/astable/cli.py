@@ -108,9 +108,7 @@ def _cmd_ground(args) -> int:
 
 def _cmd_solve(args) -> int:
     conjuncts, sigma, intensional = _load_conjuncts(args)
-    models = enumerate_a_stable(
-        conj(conjuncts), intensional, sigma, max_atoms=args.max_atoms, workers=args.workers
-    )
+    models = enumerate_a_stable(conj(conjuncts), intensional, sigma, max_atoms=args.max_atoms)
     _print_models(models, args.json)
     return 0
 
@@ -137,13 +135,9 @@ def _cmd_split_solve(args) -> int:
             raise ParseError("--part1 and --part2 must be given together", 1, 1)
         p1 = frozenset(parse_atom_list(args.part1)) if args.part1.strip() else frozenset()
         p2 = frozenset(parse_atom_list(args.part2)) if args.part2.strip() else frozenset()
-        models = split_models_lemma(
-            conj(conjuncts), p1, p2, sigma, max_atoms=args.max_atoms, workers=args.workers
-        )
+        models = split_models_lemma(conj(conjuncts), p1, p2, sigma, max_atoms=args.max_atoms)
     else:
-        models = modular_solve(
-            conjuncts, intensional, sigma, max_atoms=args.max_atoms, workers=args.workers
-        )
+        models = modular_solve(conjuncts, intensional, sigma, max_atoms=args.max_atoms)
     _print_models(models, args.json)
     return 0
 
@@ -157,16 +151,17 @@ def _cmd_check_definition(args) -> int:
         print(f"not a definition: {recognized}", file=sys.stderr)
         return PRECONDITION_EXIT
     f = conj(base)
-    report = check_conservativity(f, recognized, max_atoms=args.max_atoms, workers=args.workers)
+    report = check_conservativity(f, recognized, max_atoms=args.max_atoms)
     if not report.bijection:
         print(f"counterexample: {report.counterexample}")
         return COUNTEREXAMPLE_EXIT
     assert report.pairs is not None
     print(f"definition for {len(q)} atoms: conservative ({len(report.pairs)} stable models)")
-    for full, projected in report.pairs:
-        full_text = "{" + ",".join(str(a) for a in sorted(full)) + "}"
-        proj_text = "{" + ",".join(str(a) for a in sorted(projected)) + "}"
-        print(f"{full_text} -> {proj_text}")
+    for full, _ in report.pairs:
+        atoms = sorted(full)
+        full_text = ",".join(map(str, atoms))
+        proj_text = ",".join(str(a) for a in atoms if a not in recognized.q_set)
+        print(f"{{{full_text}}} -> {{{proj_text}}}")
     return 0
 
 
@@ -179,7 +174,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    rows = bench_mod.run_bench(max_naive_atoms=args.max_atoms, workers=args.workers)
+    rows = bench_mod.run_bench(max_naive_atoms=args.max_atoms)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             bench_mod.write_csv(rows, fh)
@@ -188,24 +183,26 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, intensional: bool = True) -> None:
+def _add_intensional(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--intensional", metavar="ATOMS",
+                       help="comma-separated intensional ground atoms")
+    group.add_argument("--intensional-all", action="store_true",
+                       help="treat every atom as intensional (default)")
+    group.add_argument("--intensional-none", action="store_true",
+                       help="no intensional atoms: classical models")
+    group.add_argument("--intensional-pred", metavar="PREDS",
+                       help="intensional predicates, expanded over the domain "
+                            "(first-order inputs only)")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS,
                    help="enumeration cap (default %(default)s)")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers for enumeration")
     p.add_argument("--json", action="store_true", help="line-delimited JSON output")
     p.add_argument("--sigma", metavar="ATOMS",
                    help="extra extensional atoms to add to the signature")
-    if intensional:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--intensional", metavar="ATOMS",
-                           help="comma-separated intensional ground atoms")
-        group.add_argument("--intensional-all", action="store_true",
-                           help="treat every atom as intensional (default)")
-        group.add_argument("--intensional-none", action="store_true",
-                           help="no intensional atoms: classical models")
-        group.add_argument("--intensional-pred", metavar="PREDS",
-                           help="intensional predicates, expanded over the domain "
-                                "(first-order inputs only)")
+    _add_intensional(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--dot", action="store_true", help="emit DOT")
     p.add_argument("--part1", metavar="ATOMS", help="highlight these vertices (shape=box)")
-    _add_common(p)
+    _add_intensional(p)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("split-solve", help="solve block-by-block via the split plan")
@@ -246,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--defined", required=True, metavar="ATOMS",
                    help="comma-separated defined atoms")
     p.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_check_definition)
 
     p = sub.add_parser("verify", help="run a randomized property suite")
@@ -261,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark modular vs. brute-force solving (CSV)")
     p.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     p.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
 
     return top

@@ -162,7 +162,6 @@ def check_conservativity(
     sigma: AbstractSet[Atom] | None = None,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    workers: int = 1,
 ) -> ConservativityReport:
     """Certify that dropping the defined atoms maps the stable models of
     f & definition one-to-one onto the stable models of f.
@@ -177,8 +176,8 @@ def check_conservativity(
         )
     combined = conj((f, d.source))
     sig = frozenset(sigma) if sigma is not None else atoms_of(combined) | d.q_set
-    sm_both = enumerate_a_stable(combined, sig, sig, max_atoms=max_atoms, workers=workers)
-    sm_base = enumerate_a_stable(f, sig, sig, max_atoms=max_atoms, workers=workers)
+    sm_both = enumerate_a_stable(combined, sig, sig, max_atoms=max_atoms)
+    sm_base = enumerate_a_stable(f, sig, sig, max_atoms=max_atoms)
 
     base_set = sm_base.as_set()
     seen: dict[Interpretation, Interpretation] = {}

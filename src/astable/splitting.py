@@ -79,7 +79,6 @@ def split_models_lemma(
     sigma: AbstractSet[Atom] | None = None,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    workers: int = 1,
 ) -> ModelSet:
     """Models stable under p1 and under p2 at once; equals the p1|p2-stable
     models when {p1, p2} is infinitely separable on the dependency graph."""
@@ -94,8 +93,8 @@ def split_models_lemma(
     if violations:
         raise PreconditionError(violations)
     sig = frozenset(sigma) if sigma is not None else atoms_of(f) | p1 | p2
-    m1 = enumerate_a_stable(f, p1, sig, max_atoms=max_atoms, workers=workers)
-    m2 = enumerate_a_stable(f, p2, sig, max_atoms=max_atoms, workers=workers)
+    m1 = enumerate_a_stable(f, p1, sig, max_atoms=max_atoms)
+    m2 = enumerate_a_stable(f, p2, sig, max_atoms=max_atoms)
     return m1.intersection(m2)
 
 
@@ -107,7 +106,6 @@ def split_models_theorem(
     sigma: AbstractSet[Atom] | None = None,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    workers: int = 1,
 ) -> ModelSet:
     """Interpretations that are a1-stable for f and a2-stable for g; equals
     the (a1|a2)-stable models of f & g under the stated preconditions."""
@@ -131,8 +129,8 @@ def split_models_theorem(
     if violations:
         raise PreconditionError(violations)
     sig = frozenset(sigma) if sigma is not None else atoms_of(f) | atoms_of(g) | a1 | a2
-    mf = enumerate_a_stable(f, a1, sig, max_atoms=max_atoms, workers=workers)
-    mg = enumerate_a_stable(g, a2, sig, max_atoms=max_atoms, workers=workers)
+    mf = enumerate_a_stable(f, a1, sig, max_atoms=max_atoms)
+    mg = enumerate_a_stable(g, a2, sig, max_atoms=max_atoms)
     return mf.intersection(mg)
 
 
@@ -268,7 +266,6 @@ def modular_solve(
     sigma: AbstractSet[Atom] | None = None,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    workers: int = 1,
 ) -> ModelSet:
     """A-stable models of the conjunction, computed block by block.
 
@@ -286,7 +283,7 @@ def modular_solve(
 
     def fallback(reason: str) -> ModelSet:
         log.warning("modular solve falling back to brute force: %s", reason)
-        return enumerate_a_stable(conj(conjuncts), a, sigma, max_atoms=max_atoms, workers=workers)
+        return enumerate_a_stable(conj(conjuncts), a, sigma, max_atoms=max_atoms)
 
     try:
         plan = plan_split(conjuncts, a)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
@@ -301,8 +300,7 @@ def _packed_minimal(
     return stable, undecided
 
 
-def _stable_subset(args) -> list[int]:
-    prog, a_mask, candidates = args
+def _stable_subset(prog: Program, a_mask: int, candidates: Sequence[int]) -> list[int]:
     stable, undecided = _packed_minimal(prog, a_mask, candidates)
     patterns: dict[int, list[int]] = {}
     return stable + [m for m in undecided if _ht_minimal(prog, m, a_mask, patterns)]
@@ -314,17 +312,18 @@ def enumerate_a_stable(
     sigma: AbstractSet[Atom] | None = None,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    workers: int = 1,
 ) -> ModelSet:
     """All A-stable models of f over sigma, canonically ordered.
 
     sigma defaults to the atoms occurring in f plus a; extra extensional
     atoms must be supplied explicitly since they change the result.  Models
-    are found by a vectorized satisfiability sweep of f compiled once,
-    followed by one here-and-there minimality sweep per model; intensional
-    atoms that never occur in f cannot appear in any A-stable model and are
-    pruned up front, while non-occurring extensional atoms contribute a free
-    product at the end.
+    are found by a vectorized satisfiability sweep of f compiled once; the
+    classical models then share packed here-and-there runs, one segment
+    each (see `_packed_minimal`), and every candidate those runs leave
+    undecided gets its own sweep in `_ht_minimal`.  Intensional atoms that
+    never occur in f cannot appear in any A-stable model and are pruned up
+    front, while non-occurring extensional atoms contribute a free product
+    at the end.
     """
     a = frozenset(a)
     prog = compile_formula(f)
@@ -337,14 +336,7 @@ def enumerate_a_stable(
     a_mask = sum(1 << b for b, x in enumerate(core) if x in a)
     free_ext = sorted(sig - a - occurring)
 
-    candidates = list(_candidate_models(prog, core))
-    if workers > 1 and len(candidates) > 1:
-        step = (len(candidates) + workers - 1) // workers
-        batches = [(prog, a_mask, candidates[k : k + step]) for k in range(0, len(candidates), step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            masks = [m for part in pool.map(_stable_subset, batches) for m in part]
-    else:
-        masks = _stable_subset((prog, a_mask, candidates))
+    masks = _stable_subset(prog, a_mask, list(_candidate_models(prog, core)))
     stable = [frozenset(x for b, x in enumerate(core) if m >> b & 1) for m in masks]
 
     if free_ext:

@@ -70,11 +70,6 @@ class TestSolve:
         assert code == 0
         assert "{p(a),r}" in out.splitlines()
 
-    def test_byte_identical_across_workers(self, capsys, guard_lp):
-        _, out1, _ = run(capsys, "solve", guard_lp, "--intensional", "q", "--workers", "1")
-        _, out2, _ = run(capsys, "solve", guard_lp, "--intensional", "q", "--workers", "2")
-        assert out1 == out2
-
     def test_cap_exceeded_is_exit_two(self, capsys, tmp_path):
         path = tmp_path / "wide.lp"
         path.write_text(" & ".join(f"x{i}" for i in range(25)) + ".\n")
@@ -268,6 +263,30 @@ class TestVerifyCommand:
     def test_unknown_suite_usage_error(self, capsys):
         code = main(["verify", "--suite", "nope"])
         assert code == 1
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize(
+        "command, removed",
+        [
+            (["solve", "FILE"], ["--workers", "2"]),
+            (["split-solve", "FILE"], ["--workers", "2"]),
+            (["check-definition", "FILE", "FILE", "--defined", "q"], ["--workers", "2"]),
+            (["bench"], ["--workers", "2"]),
+            (["graph", "FILE"], ["--json"]),
+            (["graph", "FILE"], ["--max-atoms", "3"]),
+            (["graph", "FILE"], ["--sigma", "r"]),
+        ],
+    )
+    def test_is_one_usage_error(self, capsys, guard_lp, command, removed):
+        argv = [guard_lp if a == "FILE" else a for a in command + removed]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: astable ")
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"astable: error: unrecognized arguments: {' '.join(removed)}"]
 
 
 class TestConsoleScript:
