@@ -285,10 +285,11 @@ def compile_formula(f: Formula) -> Program:
     Nodes are memoized by identity and by (kind, left slot, right slot),
     so no formula is ever hashed; set-valued nodes fold into chains of
     binary ops, with the empty conjunction top and the empty disjunction bot.
+    The same walk collects the atoms: until it ends, op n has slot n and
+    the k-th atom met, top and bot have slots -3 - k, -2 and -1, and one
+    pass over the ops then moves every slot to its final place.
     """
-    atoms = tuple(sorted(atoms_of(f)))
-    slot_of_atom = {a: k for k, a in enumerate(atoms, 2)}
-    base = len(atoms) + 2
+    met: dict[Atom, int] = {}
     ops: list[tuple[int, int, int]] = []
     shared: dict[tuple[int, int, int], int] = {}
     slots: dict[int, int] = {}
@@ -311,22 +312,37 @@ def compile_formula(f: Formula) -> Program:
             kind = _IMPL
         else:
             kind = _AND if t is Conj else _OR
-        slot = -1
+        slot = None
         for c in kids:
-            k = slot_of_atom[c.atom] if type(c) is AtomRef else slots[id(c)]
-            if slot < 0:
+            if type(c) is AtomRef:
+                k = met.get(c.atom)
+                if k is None:
+                    k = met[c.atom] = -3 - len(met)
+            else:
+                k = slots[id(c)]
+            if slot is None:
                 slot = k
                 continue
             key = (kind, slot, k)
-            slot = shared.get(key, -1)
-            if slot < 0:
-                slot = shared[key] = base + len(ops)
+            slot = shared.get(key)
+            if slot is None:
+                slot = shared[key] = len(ops)
                 ops.append(key)
-        if slot < 0:  # no children: the empty conjunction or disjunction
-            slot = 1 if t is Conj else 0
+        if slot is None:  # no children: the empty conjunction or disjunction
+            slot = -2 if t is Conj else -1
         slots[id(g)] = slot
-    root = slot_of_atom[f.atom] if type(f) is AtomRef else slots[id(f)]
-    return Program(atoms, ops, root)
+    if type(f) is AtomRef:
+        met[f.atom] = root = -3
+    else:
+        root = slots[id(f)]
+
+    atoms = tuple(sorted(met))
+    base = len(atoms) + 2
+    rank = dict(zip(atoms, range(2, base)))
+    fix = [*range(base, base + len(ops)), *map(rank.__getitem__, reversed(met)), 1, 0]
+    for n, (kind, left, right) in enumerate(ops):
+        ops[n] = (kind, fix[left], fix[right])
+    return Program(atoms, ops, fix[root])
 
 
 def truth_chunks(

@@ -13,7 +13,7 @@ brute force (with a warning) when a step cannot be validated.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import AbstractSet, Sequence
 
 from .depgraph import (
@@ -35,11 +35,13 @@ from .formula import (
     satisfies,
 )
 from .stable import (
+    _NARROW,
     DEFAULT_MAX_ATOMS,
     ModelSet,
     _candidate_models,
     _check_cap,
     _ht_minimal,
+    _stable_assignments,
     enumerate_a_stable,
     format_interpretation,
     is_a_stable,  # not called here; perfbench/spans.py wraps this name
@@ -141,11 +143,13 @@ class SplitPlan:
     Block atom sets are pairwise disjoint and cover the intensional set; a
     block's formula is the conjunction of the conjuncts assigned to it.
     Conjuncts without strictly positive intensional atoms act as constraints
-    and stay in the residual.
+    and stay in the residual.  `programs` holds each block formula compiled,
+    parallel to `blocks`.
     """
 
     blocks: tuple[tuple[frozenset[Atom], Formula], ...]
     residual: tuple[Formula, ...]
+    programs: tuple[Program, ...] = field(compare=False, repr=False)
 
 
 def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
@@ -168,17 +172,19 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
         if not heads:
             residual.append(c)
             continue
-        targets = {comp_of[p] for p in heads}
-        if len(targets) > 1:
+        k = comp_of[next(iter(heads))]
+        if not heads <= comps[k]:
             names = ", ".join(str(p) for p in sorted(heads))
             raise SplitPlanError(
                 c,
                 f"conjunct '{c}' has strictly positive intensional atoms {names} "
                 "spanning multiple dependency blocks",
             )
-        assigned[targets.pop()].append(c)
+        assigned[k].append(c)
 
     formulas = [conj(group) for group in assigned]
+    # a one-conjunct block compiles to the same program as its conjunct
+    programs = [compile_formula(g[0] if len(g) == 1 else f) for g, f in zip(assigned, formulas)]
 
     # Listing order: block j before block k when the formula of j mentions an
     # atom of k (its dependencies come later in the listing, i.e. earlier in
@@ -188,7 +194,7 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     n = len(comps)
     succs: list[set[int]] = [set() for _ in range(n)]
     for j in range(n):
-        for x in atoms_of(formulas[j]):
+        for x in programs[j].atoms:
             k = comp_of.get(x)
             if k is not None and k != j:
                 succs[j].add(k)
@@ -197,7 +203,17 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
         listing = list(range(n))
 
     blocks = tuple((comps[k], formulas[k]) for k in listing)
-    return SplitPlan(blocks, tuple(residual))
+    return SplitPlan(blocks, tuple(residual), tuple(programs[k] for k in listing))
+
+
+def _spread(c: int, bits: Sequence[int]) -> int:
+    """The union of bits[j] over the bits j set in c."""
+    out = 0
+    for b in bits:
+        if c & 1:
+            out |= b
+        c >>= 1
+    return out
 
 
 def _extend_frontier(
@@ -212,21 +228,22 @@ def _extend_frontier(
     compiled as prog, all as bitmasks (`bit` maps atoms to their bits).
 
     The extensions depend only on the context, the entry's values of the
-    non-block atoms prog mentions, so each distinct context costs one sweep
-    of prog over its block atoms and one here-and-there check, with A = the
-    block's atoms, per candidate that makes a block atom true.
+    non-block atoms prog mentions, so each distinct context is solved once,
+    with A = the block's atoms: by one packed run over every assignment
+    when the block has at most `_NARROW` atoms, else by one sweep of prog
+    over the block atoms and one here-and-there check per candidate that
+    makes a block atom true.
     """
-    var: list[Atom] = []
-    var_bits: list[tuple[int, int]] = []  # (bit over prog.atoms, bit over sigma)
-    context: list[tuple[int, int, Atom]] = []  # (bit over sigma, bit over prog.atoms, atom)
-    ctx_mask = a_mask = 0
+    block: list[int] = []  # positions over prog.atoms
+    sig_bits: list[int] = []
+    context: list[tuple[int, int]] = []  # (bit over sigma, bit over prog.atoms)
+    ctx_mask = 0
     for b, x in enumerate(prog.atoms):
         if x in block_atoms:
-            var.append(x)
-            var_bits.append((1 << b, bit[x]))
-            a_mask |= 1 << b
+            block.append(b)
+            sig_bits.append(bit[x])
         else:
-            context.append((bit[x], 1 << b, x))
+            context.append((bit[x], 1 << b))
             ctx_mask |= bit[x]
 
     memo: dict[int, list[int]] = {}
@@ -235,22 +252,21 @@ def _extend_frontier(
         ctx = m & ctx_mask
         exts = memo.get(ctx)
         if exts is None:
-            exts = memo[ctx] = []
             here = 0
-            true = set()
-            for sig_bit, prog_bit, x in context:
+            for sig_bit, prog_bit in context:
                 if ctx & sig_bit:
                     here |= prog_bit
-                    true.add(x)
-            for c in _candidate_models(prog, var, true_atoms=true):
-                mask, ext = here, 0
-                for j, (prog_bit, sig_bit) in enumerate(var_bits):
-                    if c >> j & 1:
-                        mask |= prog_bit
-                        ext |= sig_bit
+            if len(block) <= _NARROW:
+                found = _stable_assignments(prog, block, here)
+            else:
+                var = [prog.atoms[b] for b in block]
+                true = {x for b, x in enumerate(prog.atoms) if here >> b & 1}
+                prog_bits = [1 << b for b in block]
+                a_mask = sum(prog_bits)
                 # with no block atom true, satisfying prog is all of A-stability
-                if not c or _ht_minimal(prog, mask, a_mask, patterns):
-                    exts.append(ext)
+                found = [c for c in _candidate_models(prog, var, true_atoms=true)
+                         if not c or _ht_minimal(prog, here | _spread(c, prog_bits), a_mask, patterns)]
+            exts = memo[ctx] = [_spread(c, sig_bits) for c in found]
         size += len(exts)
     if size > 1 << max_atoms:
         raise CapExceeded(
@@ -290,9 +306,9 @@ def modular_solve(
     except SplitPlanError as exc:
         return fallback(str(exc))
 
-    steps = [(block_atoms, f, compile_formula(f)) for block_atoms, f in reversed(plan.blocks)]
+    steps = list(zip((block_atoms for block_atoms, _ in reversed(plan.blocks)), reversed(plan.programs)))
     if sigma is None:
-        sig = a.union(*(prog.atoms for _, _, prog in steps), *map(atoms_of, plan.residual))
+        sig = a.union(*(prog.atoms for _, prog in steps), *map(atoms_of, plan.residual))
     else:
         sig = frozenset(sigma)
 
@@ -303,16 +319,13 @@ def modular_solve(
     _check_cap(max(len(sig - a), widest), max_atoms)
 
     decided = set(sig - a)
-    for block_atoms, block_formula, prog in steps:
-        pending = [x for x in prog.atoms if x not in decided and x not in block_atoms]
-        if pending:
-            names = ", ".join(str(x) for x in pending)
+    for block_atoms, prog in steps:
+        decided |= block_atoms
+        if not decided.issuperset(prog.atoms):
+            names = ", ".join(str(x) for x in prog.atoms if x not in decided)
             return fallback(
                 f"block {format_interpretation(block_atoms)} mentions atoms not yet decided: {names}"
             )
-        if (strictly_positive(block_formula) & a) - block_atoms:
-            return fallback("conjunct assignment left strictly positive atoms outside the block")
-        decided |= block_atoms
 
     # Partial interpretations are bitmasks over sigma (and over A, so that
     # a model leaving sigma reaches ModelSet's signature check).
@@ -322,7 +335,7 @@ def modular_solve(
     for x in sig - a:
         frontier += [m | bit[x] for m in frontier]
     patterns: dict[int, list[int]] = {}
-    for block_atoms, _, prog in steps:
+    for block_atoms, prog in steps:
         frontier = _extend_frontier(frontier, prog, block_atoms, bit, patterns, max_atoms)
 
     models = []

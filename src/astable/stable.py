@@ -12,8 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
+from .depgraph import dep_graph, sccs
 from .formula import (
     Atom,
     AtomRef,
@@ -72,6 +74,14 @@ class ModelSet:
             if not m <= sig:
                 raise SignatureError(f"model {format_interpretation(m)} leaves the signature")
         return cls(ordered, sig, tuple(map(keys.__getitem__, order)))
+
+    @classmethod
+    def from_sorted_atoms(cls, models: Iterable[tuple[Atom, ...]], signature: frozenset[Atom]) -> "ModelSet":
+        """From models given as their sorted atom tuples, which the caller
+        guarantees distinct and inside the signature: the canonical order
+        is then one sort of the tuples."""
+        ordered = sorted(models)
+        return cls(tuple(map(frozenset, ordered)), signature, tuple(ordered))
 
     def __iter__(self) -> Iterator[Interpretation]:
         return iter(self.models)
@@ -169,13 +179,17 @@ def _candidate_models(prog: Program, core: Sequence[Atom], **context) -> Iterato
     which is how perfbench/spans.py tells a block's context sweep from the
     candidate sweep of `enumerate_a_stable`."""
     offset = 0
+    step = 1 << min(len(core), _CHUNK_BITS)
     for chunk in truth_chunks(prog, core, chunk_bits=_CHUNK_BITS, **context):
-        base = offset
-        while chunk:
-            low = chunk & -chunk
-            yield base + low.bit_length() - 1
-            chunk ^= low
-        offset += 1 << min(len(core), _CHUNK_BITS)
+        if chunk:
+            # one scan of the binary text: position p holds bit top - p
+            text = bin(chunk)
+            top = offset + len(text) - 1
+            p = text.rfind("1", 2)
+            while p >= 0:
+                yield top - p
+                p = text.rfind("1", 2, p)
+        offset += step
 
 
 def _ht_minimal(prog: Program, mask: int, a_mask: int, patterns: dict[int, list[int]]) -> bool:
@@ -215,9 +229,9 @@ def _ht_minimal(prog: Program, mask: int, a_mask: int, patterns: dict[int, list[
 
 
 def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) -> bool:
-    """Same answer as `is_a_stable`, by the fused here-and-there sweep that
-    `enumerate_a_stable` runs on every candidate its packed runs leave
-    undecided."""
+    """Same answer as `is_a_stable`, by one fused here-and-there sweep over
+    every J between I - A and I: the check `enumerate_a_stable` runs for a
+    part of A too wide for a segment."""
     prog = compile_formula(f)
     i = frozenset(interp)
     a = frozenset(a)
@@ -228,82 +242,196 @@ def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) 
     return _ht_minimal(prog, mask, a_mask, {})
 
 
-@functools.cache  # width is a power of two up to 2**_CHUNK_BITS, k at most the atom count
-def _segment_layout(width: int, k: int) -> tuple[tuple[bytes, ...], bytes]:
-    """The segment of a candidate I with k free atoms in a packed run.
+_ONE_PART = 5  # at most this many intensional atoms form one part, with no graph built
+_NARROW = 6  # a part this small gets a slot for every nonempty subset of its atoms
+_RUN_BITS = 1 << _CHUNK_BITS  # bits of one packed run, and so the bound on a segment
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
-    Segment bit i stands for J = I minus the free atoms in drops[i], with
-    drops[0] empty: every such J when 2**k bits fit in `width`, else those
-    that drop one or two atoms; bits past the drops are copies of J = I.
-    Returns, as `width`-bit little-endian bytes, the vector of the t-th free
-    atom for each t < k and the mask of the bits whose J is not I.
+
+def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> list[int]:
+    """The parts of A & occurring, as bitmasks over prog.atoms: the strongly
+    connected components of the positive dependency graph of f over them.
+
+    By the splitting lemma a classical model I is A-stable iff it is
+    C-stable for every part C.  Any coarser partition into unions of whole
+    components is as good, so a few atoms form one part without a graph.
     """
-    if 1 << k <= width:
-        drops = range(1 << k)
-    else:
-        pairs = itertools.combinations(range(k), 2)
-        drops = [0, *(1 << t for t in range(k)), *(1 << t | 1 << u for t, u in pairs)]
-    nbytes = width // 8
-    copies = (1 << width) - (1 << len(drops))
-    free = (copies | sum(1 << i for i, d in enumerate(drops) if not d >> t & 1) for t in range(k))
-    live = (1 << len(drops)) - 2
-    return tuple(v.to_bytes(nbytes, "little") for v in free), live.to_bytes(nbytes, "little")
+    bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
+    if len(bit) <= _ONE_PART:
+        return [sum(bit.values())] if bit else []
+    return [sum(map(bit.__getitem__, comp)) for comp in sccs(dep_graph(f, bit.keys()))]
 
 
-def _packed_minimal(
-    prog: Program, a_mask: int, candidates: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """Split the classical models `candidates` of prog (bitmasks over
-    prog.atoms) into (A-stable, undecided); the rest are not A-stable.
+def _rows(masks: Iterable[int], n: int) -> bytes:
+    """Each bitmask over n >= 1 atoms as n bytes 0 or 1, atom n - 1 first."""
+    return "".join(map(format, masks, itertools.repeat(f"0{n}b"))).encode().translate(_BITS)
 
-    Packed runs of `Program.run` give each candidate one segment of a fixed
-    width (see `_segment_layout`) and evaluate the here-and-there value of
-    every J in it for all candidates at once.  A candidate whose whole
-    J-space fits is decided exactly; any other is rejected when a J that
-    drops one or two free atoms satisfies the root, and left undecided when
-    none does.
+
+@functools.cache  # sizes sorted, each at most 16: few distinct keys
+def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """The segment of one candidate I when its parts have these sizes.
+
+    Bit 0 stands for J = I.  A part of size s follows with 2**s - 1 slots,
+    slot S - 1 of its block standing for J = I minus the part's atoms at
+    the positions set in S.  Returns the width in bits, a multiple of 8;
+    per part, the drop vector of each position (the slots whose J drops
+    it); and the mask of every slot.
     """
-    counts = [(m & a_mask).bit_count() for m in candidates]
-    most = max(counts, default=0)
-    width = 8  # the narrowest power of two, at least a byte, that holds the widest probe
-    while width < 1 + most + most * (most - 1) // 2:
-        width <<= 1
-    nbytes = width // 8
-    zero, full = bytes(nbytes), b"\xff" * nbytes
-    first = (1).to_bytes(nbytes, "little")
-    per_run = (1 << _CHUNK_BITS) // width
-    stable: list[int] = []
-    undecided: list[int] = []
-    for start in range(0, len(candidates), per_run):
-        batch = candidates[start : start + per_run]
-        ks = counts[start : start + per_run]
-        layouts = [_segment_layout(width, k) for k in ks]
-        frees = [m & a_mask for m in batch]
-        values = []
-        for b in range(len(prog.atoms)):
-            bit = 1 << b
-            if a_mask & bit:  # the t-th free atom of a candidate takes its t-th vector
-                below = bit - 1
-                col = [vecs[(f & below).bit_count()] if f & bit else zero
-                       for f, (vecs, _) in zip(frees, layouts)]
+    drops = []
+    end = 1
+    for s in sizes:
+        drops.append(tuple(_bit_pattern(t, 1 << s) >> 1 << end for t in range(s)))
+        end += (1 << s) - 1
+    return -(-end // 8) * 8, tuple(drops), (1 << end) - 2
+
+
+def _segments_hit(hits: int, first: int, ones: int, width: int) -> int:
+    """Bit 0 of each `width`-bit segment (bits `first`) that holds a bit of
+    `hits`, where no bit 0 is set: adding every other bit carries into the
+    next segment's bit 0 exactly from such a segment."""
+    return ((hits + (ones ^ first)) >> width) & first
+
+
+@functools.cache  # k at most _NARROW
+def _every_assignment(k: int) -> tuple[int, tuple[int, ...], int, int]:
+    """One run over every assignment I to k atoms: segment I starts at bit
+    I * width and is laid out as `_layout((k,))`.  Returns the width, each
+    atom's vector, the mask of every segment's bit 0 and the mask of the
+    live slots, those whose J drops atoms of I only."""
+    width, (drops,), every_slot = _layout((k,))
+    fill = (1 << width) - 1
+    vecs, first, live = [0] * k, 0, 0
+    for i in range(1 << k):
+        at = i * width
+        first |= 1 << at
+        dead = 0
+        for t, d in enumerate(drops):
+            if i >> t & 1:
+                vecs[t] |= (fill ^ d) << at
             else:
-                col = [full if m & bit else zero for m in batch]
-            values.append(int.from_bytes(b"".join(col), "little"))
+                dead |= d
+        live |= (every_slot & ~dead) << at
+    return width, tuple(vecs), first, live
+
+
+def _stable_assignments(prog: Program, block: Sequence[int], here: int) -> list[int]:
+    """The assignments c to the atoms at positions `block` of prog.atoms
+    (bit j of c for block[j]), at most `_NARROW` of them, that make
+    prog true and are A-stable for A = those atoms, when the atoms of the
+    bitmask `here` are true and all others false: one packed run decides
+    classical truth and minimality for all of them."""
+    width, vecs, first, live = _every_assignment(len(block))
+    ones = (first << width) - first
+    values = [0] * len(prog.atoms)
+    for b in range(here.bit_length()):
+        if here >> b & 1:
+            values[b] = ones
+    for b, v in zip(block, vecs):
+        values[b] = v
+    root = prog.run(values, ones, first, width)
+    rejected = _segments_hit(root & live, first, ones, width)
+    count = 1 << len(block)
+    stable = (root & (first ^ rejected)).to_bytes(count * width // 8, "little")
+    return list(itertools.compress(range(count), stable[:: width // 8]))
+
+
+def _packed_stable(prog: Program, slotted: Sequence[tuple[int, int]], group: Sequence[int]) -> list[int]:
+    """The candidates of `group` that are C-stable for every part C of
+    `slotted`, a list of (part mask, size): one segment per candidate, many
+    segments per `Program.run`.
+
+    A part of at most `_NARROW` atoms has one position per atom, and a
+    slot whose J would drop an atom outside I is dead.  A wider part has
+    size k, the number of its atoms in every candidate of the group, and
+    position t is the candidate's t-th true atom of the part, counted by
+    bit-sliced counters over the run.  Every column is built for the whole
+    run at once from the candidates' binary rows.  A candidate is stable
+    iff the root is 0 on every live slot.
+    """
+    n = len(prog.atoms)
+    width, drops, every_slot = _layout(tuple(s for _, s in slotted))
+    nbytes = width // 8
+    per_run = _RUN_BITS // width
+    full = min(per_run, len(group))
+
+    def repeat(v: int) -> int:
+        return int.from_bytes(v.to_bytes(nbytes, "little") * full, "little")
+
+    first, slots = repeat(1), repeat(every_slot)
+    parts = [
+        ([b for b in range(n) if part >> b & 1], [repeat(d) for d in vecs])
+        for (part, _), vecs in zip(slotted, drops)
+    ]
+    stable: list[int] = []
+    for start in range(0, len(group), per_run):
+        batch = group[start : start + per_run]
         size = len(batch) * width
-        keep = int.from_bytes(first * len(batch), "little")
-        root = prog.run(values, (1 << size) - 1, keep, width)
-        live = int.from_bytes(b"".join(mask for _, mask in layouts), "little")
-        hits = (root & live).to_bytes(size // 8, "little")
-        for j, (m, k) in enumerate(zip(batch, ks)):
-            if hits[j * nbytes : (j + 1) * nbytes] == zero:
-                (stable if 1 << k <= width else undecided).append(m)
-    return stable, undecided
+        ones = (1 << size) - 1
+        keep = first & ones
+        rows = _rows(batch, n)
+        buf = bytearray(len(batch) * nbytes)
+        values = []
+        for b in range(n):
+            buf[::nbytes] = rows[n - 1 - b :: n]
+            starts = int.from_bytes(buf, "little")
+            values.append((starts << width) - starts)  # each segment of a true atom filled
+        dead = 0
+        for bits, vecs in parts:
+            if len(bits) <= _NARROW:
+                for b, d in zip(bits, vecs):
+                    fill = values[b]
+                    t = fill & d
+                    values[b] = fill ^ t
+                    dead |= d ^ t
+                continue
+            depth = (len(vecs) - 1).bit_length()
+            counter = [0] * depth  # bit q of each segment's count of true part atoms so far
+            vecs = vecs + [0] * ((1 << depth) - len(vecs))
+            for b in bits:
+                fill = values[b]
+                pick = vecs
+                for m in counter:
+                    pick = [x ^ ((x ^ y) & m) for x, y in zip(pick[::2], pick[1::2])]
+                values[b] = fill ^ (pick[0] & fill)
+                carry = fill
+                for q, c in enumerate(counter):
+                    counter[q], carry = c ^ carry, c & carry
+        hits = prog.run(values, ones, keep, width) & (slots ^ dead)
+        rejected = _segments_hit(hits, keep, ones, width)
+        stable += itertools.compress(batch, (keep ^ rejected).to_bytes(size // 8, "little")[::nbytes])
+    return stable
 
 
-def _stable_subset(prog: Program, a_mask: int, candidates: Sequence[int]) -> list[int]:
-    stable, undecided = _packed_minimal(prog, a_mask, candidates)
+def _stable_subset(prog: Program, parts: Sequence[int], candidates: Sequence[int]) -> list[int]:
+    """The A-stable ones among the classical models `candidates` of prog
+    (bitmasks over prog.atoms), A the union of `parts`.
+
+    Candidates are grouped by how many atoms of each part wider than
+    `_NARROW` they make true, and each group is checked in packed runs.
+    When a group's segment would pass the bits of one run, its widest parts
+    are left out of the segment and checked by one chunked sweep per
+    candidate that every other part passes.
+    """
+    narrow = [(p, p.bit_count()) for p in parts if p.bit_count() <= _NARROW]
+    wide = [p for p in parts if p.bit_count() > _NARROW]
+    if wide:
+        counts = zip(*(map(int.bit_count, map(p.__and__, candidates)) for p in wide))
+        pairs = sorted(zip(counts, candidates))
+        groups = [(k, [m for _, m in g]) for k, g in itertools.groupby(pairs, key=itemgetter(0))]
+    else:
+        groups = [((), candidates)]
     patterns: dict[int, list[int]] = {}
-    return stable + [m for m in undecided if _ht_minimal(prog, m, a_mask, patterns)]
+    stable: list[int] = []
+    for counts, group in groups:
+        slotted = sorted(narrow + [(p, k) for p, k in zip(wide, counts) if k], key=itemgetter(1))
+        swept = []
+        while sum(1 << s for _, s in slotted) - len(slotted) >= _RUN_BITS:
+            swept.append(slotted.pop()[0])
+        passed = _packed_stable(prog, slotted, group) if slotted else list(group)
+        for part in swept:
+            passed = [m for m in passed if _ht_minimal(prog, m, part, patterns)]
+        stable += passed
+    return stable
 
 
 def enumerate_a_stable(
@@ -317,10 +445,11 @@ def enumerate_a_stable(
 
     sigma defaults to the atoms occurring in f plus a; extra extensional
     atoms must be supplied explicitly since they change the result.  Models
-    are found by a vectorized satisfiability sweep of f compiled once; the
-    classical models then share packed here-and-there runs, one segment
-    each (see `_packed_minimal`), and every candidate those runs leave
-    undecided gets its own sweep in `_ht_minimal`.  Intensional atoms that
+    are found by a vectorized satisfiability sweep of f compiled once.
+    Minimality is checked one part of A at a time (see `_parts`): the
+    classical models share packed here-and-there runs, one segment each
+    (see `_packed_stable`), and only a part too wide for a segment gets a
+    chunked sweep per candidate in `_ht_minimal`.  Intensional atoms that
     never occur in f cannot appear in any A-stable model and are pruned up
     front, while non-occurring extensional atoms contribute a free product
     at the end.
@@ -333,19 +462,20 @@ def enumerate_a_stable(
     check_signature(occurring | a, sig)
     _check_cap(len(sig), max_atoms)
 
-    a_mask = sum(1 << b for b, x in enumerate(core) if x in a)
     free_ext = sorted(sig - a - occurring)
+    masks = _stable_subset(prog, _parts(f, prog, a), list(_candidate_models(prog, core)))
+    if core and not free_ext:
+        # core is sorted, so a reversed row lists a model's atoms in order
+        n = len(core)
+        rows = _rows(masks, n)[::-1]
+        models = [tuple(itertools.compress(core, rows[k : k + n])) for k in range(0, len(rows), n)]
+        return ModelSet.from_sorted_atoms(models, sig)
 
-    masks = _stable_subset(prog, a_mask, list(_candidate_models(prog, core)))
     stable = [frozenset(x for b, x in enumerate(core) if m >> b & 1) for m in masks]
-
-    if free_ext:
-        models = [
-            s | frozenset(extra)
-            for s in stable
-            for size in range(len(free_ext) + 1)
-            for extra in itertools.combinations(free_ext, size)
-        ]
-    else:
-        models = stable
+    models = [
+        s | frozenset(extra)
+        for s in stable
+        for size in range(len(free_ext) + 1)
+        for extra in itertools.combinations(free_ext, size)
+    ]
     return ModelSet.from_iter(models, sig)

@@ -656,6 +656,58 @@ def _suite_stable_packed(rng, cfg, unsound):
     )
 
 
+def _suite_stable_scc(rng, cfg, unsound):
+    """Programs on 6 to 8 atoms made of positive loops, linked across
+    components by positive and negative rules, with choices and extensional
+    atoms: `enumerate_a_stable` checks each strongly connected component of
+    the positive dependency graph as its own part of A.  A quarter of the
+    draws start with an intensional loop of 7 atoms, wider than a part with
+    a slot per subset, whose links may be switched by an atom outside it,
+    so that its classical models make any number of its atoms true."""
+    wide = rng.random() < 0.25
+    pool = _atom_pool(8 if wide else rng.randint(6, 8))
+    rng.shuffle(pool)
+    atoms = [AtomRef(x) for x in pool]
+    loops: list[list[Formula]] = []
+    start = 0
+    while start < len(atoms):
+        size = 7 if wide and not loops else rng.randint(1, 4)
+        loops.append(atoms[start : start + size])
+        start += size
+    conjuncts: list[Formula] = []
+    for loop in loops:
+        others = [x for x in atoms if x not in loop]
+        for x, y in zip(loop, loop[1:] + loop[:1]) if len(loop) > 1 else ():
+            switched = others and rng.random() < 0.3
+            conjuncts.append(Impl(conj((x, rng.choice(others))) if switched else x, y))
+        if len(loop) > 2 and rng.random() < 0.3:  # a rule inside the loop with a two-atom body
+            conjuncts.append(Impl(conj(rng.sample(loop, 2)), rng.choice(loop)))
+        for x in loop:
+            if rng.random() < (0.4 if x is loop[0] else 0.15):
+                conjuncts.append(disj((x, neg(x))))
+    for _ in range(rng.randint(0, 4) if len(loops) > 1 else 0):
+        src, dst = rng.sample(loops, 2)
+        body, head = rng.choice(src), rng.choice(dst)
+        kind = rng.random()
+        if kind < 0.4:
+            conjuncts.append(Impl(body, head))
+        elif kind < 0.8:
+            conjuncts.append(Impl(neg(body), head))
+        else:
+            conjuncts.append(Impl(conj((body, neg(rng.choice(src)))), head))
+    f = conj(conjuncts)
+    a = _rand_subset(rng, pool, 0.8) | (frozenset(pool[:7]) if wide else frozenset())
+    got = enumerate_a_stable(f, a, frozenset(pool))
+    want = _reference_models(f, a, pool)
+    return got == want, _case_text(
+        suite="stable_scc",
+        formula=format_formula(f),
+        a_set=format_interpretation(a),
+        scc_models=" ".join(got.lines()) or "(none)",
+        reference_models=" ".join(want.lines()) or "(none)",
+    )
+
+
 def _suite_definitions_theorem(rng, cfg, unsound):
     d = _gen_definition(rng, cfg)
     if isinstance(d, Rejection):
@@ -745,6 +797,7 @@ _SUITES: dict[str, Callable] = {
     "stable_kernel": _suite_stable_kernel,
     "stable_modular": _suite_stable_modular,
     "stable_packed": _suite_stable_packed,
+    "stable_scc": _suite_stable_scc,
     "definitions_theorem": _suite_definitions_theorem,
     "prop4_grounding": _suite_prop4_grounding,
 }

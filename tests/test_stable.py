@@ -23,14 +23,18 @@ from astable import (
     reduct,
     satisfies,
 )
+from astable.depgraph import dep_graph, sccs
 from astable.formula import compile_formula
 from astable.stable import (
     _CHUNK_BITS,
+    _NARROW,
     _candidate_models,
     _ht_minimal,
-    _packed_minimal,
+    _layout,
+    _parts,
     _stable_subset,
 )
+import astable.stable as stable_module
 from astable.verifier import GenConfig, gen_formula
 
 from util import all_subsets, brute_a_stable, guard_program
@@ -155,58 +159,120 @@ def _choices(n: int) -> list[str]:
 
 
 def _packed_against_per_candidate(f):
-    """(candidates, A-stable, undecided) with everything intensional, after
-    checking the packed filter against one `_ht_minimal` per candidate."""
+    """(candidates, A-stable) with everything intensional, after checking
+    the per-part packed filter against one `_ht_minimal` per candidate."""
     prog = compile_formula(f)
     a_mask = (1 << len(prog.atoms)) - 1
     candidates = list(_candidate_models(prog, prog.atoms))
     reference = [m for m in candidates if _ht_minimal(prog, m, a_mask, {})]
-    assert sorted(_stable_subset(prog, a_mask, candidates)) == reference
-    stable, undecided = _packed_minimal(prog, a_mask, candidates)
-    assert set(stable) <= set(reference) <= set(stable) | set(undecided)
-    return candidates, stable, undecided
+    stable = _stable_subset(prog, _parts(f, prog, frozenset(prog.atoms)), candidates)
+    assert sorted(stable) == reference
+    return candidates, stable
+
+
+def _scc_parts(f, prog, a):
+    """The parts of `_parts` for any size of A: the SCC bitmasks."""
+    bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
+    return [sum(bit[x] for x in comp) for comp in sccs(dep_graph(f, bit.keys()))]
+
+
+def _ring(names: list[str]) -> list[str]:
+    return [f"{x} -> {y}" for x, y in zip(names, names[1:] + names[:1])]
 
 
 class TestPackedMinimality:
     def test_negative_chain_is_rejected_by_one_atom_witnesses(self):
-        candidates, stable, undecided = _packed_against_per_candidate(_program(_negchain(16)))
+        candidates, stable = _packed_against_per_candidate(_program(_negchain(16)))
         assert len(candidates) == 2584
-        assert len(stable) == 2 and not undecided  # the two alternating models
+        assert len(stable) == 2  # the two alternating models
 
     def test_twelve_choices_are_all_stable(self):
-        candidates, stable, undecided = _packed_against_per_candidate(_program(_choices(12)))
-        assert len(candidates) == 4096
-        assert len(stable) + len(undecided) == 4096
+        candidates, stable = _packed_against_per_candidate(_program(_choices(12)))
+        assert len(candidates) == len(stable) == 4096
 
-    def test_probe_misses_an_unsupported_ring(self):
+    def test_unsupported_ring_takes_the_rank_path(self):
         # s feeds a positive 10-ring; with s false the true ring has only
-        # the witness that drops all ten ring atoms
-        ring = [f"r{i} -> r{(i + 1) % 10}" for i in range(10)]
-        f = _program(ring + ["s | not s", "s -> r0"] + _choices(3))
+        # the witness that drops all ten ring atoms, the last slot of a part
+        # wider than _NARROW
+        f = _program(_ring([f"r{i}" for i in range(10)]) + ["s | not s", "s -> r0"] + _choices(3))
         prog = compile_formula(f)
         ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
-        candidates, stable, undecided = _packed_against_per_candidate(f)
-        a_mask = (1 << len(prog.atoms)) - 1
-        missed = [m for m in undecided if not _ht_minimal(prog, m, a_mask, {})]
-        assert len(missed) == 8 and all(m & ring_mask == ring_mask for m in missed)
+        assert ring_mask in _parts(f, prog, frozenset(prog.atoms)) and ring_mask.bit_count() > _NARROW
+        candidates, stable = _packed_against_per_candidate(f)
+        rejected = set(candidates) - set(stable)
+        assert len(rejected) == 8 and all(m & ring_mask == ring_mask for m in rejected)
 
     @pytest.mark.parametrize("extra", [0, 1, 2, 3])
     def test_unsupported_three_loop_needs_its_last_witness(self, extra):
         # {a, b, c} plus every true choice: the only witness drops all three
-        # loop atoms, the last bit of a segment that the J-space fills
-        # exactly (extra = 0) or a probe past the exact range (extra >= 2)
+        # loop atoms, the last slot of the loop's block in the segment
         f = _program(["a -> b", "b -> c", "c -> a"] + _choices(extra))
-        candidates, stable, undecided = _packed_against_per_candidate(f)
+        candidates, stable = _packed_against_per_candidate(f)
         assert len(candidates) == 2 << extra
+        assert len(stable) == 1 << extra
 
     def test_candidates_past_one_run(self):
-        # more candidates than even 8-bit segments fit into one run
+        # 17 one-atom parts: 24-bit segments, more candidates than one run holds
         f = _program(_negchain(10) + _choices(7))
-        candidates, stable, undecided = _packed_against_per_candidate(f)
-        assert len(candidates) * 8 > 1 << _CHUNK_BITS
-        assert stable and undecided
+        candidates, stable = _packed_against_per_candidate(f)
+        assert len(candidates) * _layout((1,) * 17)[0] > 1 << _CHUNK_BITS
         sigma = atoms_of(f)
-        assert len(enumerate_a_stable(f, sigma, sigma)) == 2 * 128
+        assert len(stable) == len(enumerate_a_stable(f, sigma, sigma)) == 2 * 128
+
+    def test_ranks_inside_a_wide_part(self):
+        # a 9-atom component whose models make any number of its atoms true:
+        # x_i & c_i -> x_(i+1) and x_(i+1) -> x_i, each link switched by a
+        # choice c_i, so candidates differ in how many and which ring atoms
+        # they hold, and the rank of an atom varies from candidate to candidate
+        xs = [f"x{i}" for i in range(9)]
+        rules = [f"{x} & c{i} -> {y}" for i, (x, y) in enumerate(zip(xs, xs[1:] + xs[:1]))]
+        rules += [f"{y} -> {x}" for x, y in zip(xs, xs[1:])]
+        rules += _choices(9) + ["x4 | not x4", "x7 -> x2 | x8"]
+        f = _program(rules)
+        prog = compile_formula(f)
+        assert max(p.bit_count() for p in _parts(f, prog, frozenset(prog.atoms))) == 9
+        candidates, stable = _packed_against_per_candidate(f)
+        x_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("x"))
+        assert len({(m & x_mask).bit_count() for m in candidates}) == 10
+        assert 0 < len(stable) < len(candidates)
+
+    def test_seventeen_atom_part_takes_the_chunked_sweep(self, monkeypatch):
+        # a part of 17 true atoms needs 2**17 - 1 slots, past one run, so
+        # only the chunked sweep decides it, and only for candidates that
+        # every other part passes
+        calls = []
+
+        def spy(prog, mask, a_mask, patterns):
+            calls.append(a_mask)
+            return _ht_minimal(prog, mask, a_mask, patterns)
+
+        monkeypatch.setattr(stable_module, "_ht_minimal", spy)
+        ring = [f"r{i}" for i in range(17)]
+        f = _program(_ring(ring) + ["s | not s", "s -> r0", "not t -> u"])
+        sigma = atoms_of(f)
+        got = enumerate_a_stable(f, sigma, sigma)
+        ring_atoms = frozenset(Atom(r) for r in ring)
+        s, u = Atom("s"), Atom("u")
+        assert got.as_set() == {frozenset({u}), ring_atoms | {s, u}}
+        # the sweep ran on the two candidates with the whole ring true
+        # that pass the other parts, not on ones that fail them (t true)
+        assert len(calls) == 2 and {c.bit_count() for c in calls} == {17}
+
+    def test_one_part_agrees_with_the_component_parts(self):
+        # at most five intensional atoms form one part without a graph; the
+        # component parts must give the same stable candidates
+        rng = random.Random(23)
+        for k in range(300):
+            f = gen_formula(GenConfig(seed=9100 + k, max_atoms=5, max_depth=3))
+            prog = compile_formula(f)
+            a = frozenset(x for x in prog.atoms if rng.random() < 0.8)
+            (one,) = _parts(f, prog, a) or [0]
+            parts = _scc_parts(f, prog, a)
+            assert one == sum(parts)
+            candidates = list(_candidate_models(prog, prog.atoms))
+            assert sorted(_stable_subset(prog, [one] if one else [], candidates)) == sorted(
+                _stable_subset(prog, parts, candidates)
+            )
 
 
 class TestModred:
