@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import repeat
 from typing import AbstractSet, Iterator, Sequence
 
 from .formula import Atom, AtomRef, Conj, Disj, Formula, Impl
@@ -63,6 +64,9 @@ def _signed_atoms(f: Formula, positive: bool, antecedents: bool) -> frozenset[At
     each antecedent whose consequent is not the structural bot, so negated
     occurrences are never reached.
     """
+    if not antecedents:
+        while type(f) is Impl:  # the walk would only enter the consequent
+            f = f.rhs
     if type(f) is AtomRef:
         return frozenset((f.atom,)) if positive else frozenset()
     out: set[Atom] = set()
@@ -139,13 +143,20 @@ def dep_graph(f: Formula | Sequence[Formula], a: AbstractSet[Atom]) -> DepGraph:
         t = type(g)
         if t is AtomRef:
             if bodies and g.atom in a:
-                edges.update((g.atom, q) for q in bodies)
+                edges.update(zip(repeat(g.atom), bodies))
         elif t is Impl:
             rhs = g.rhs
             if type(rhs) is Disj and not rhs.children:  # the structural bot
                 continue
-            body = pos_nonnegated(g.lhs) & a
-            stack.append((rhs, bodies | body if body - bodies else bodies))
+            lhs = g.lhs
+            if type(lhs) is AtomRef:  # a one-atom body, the common case
+                if lhs.atom in a and lhs.atom not in bodies:
+                    bodies = bodies | {lhs.atom}
+            else:
+                body = pos_nonnegated(lhs) & a
+                if body - bodies:
+                    bodies = bodies | body
+            stack.append((rhs, bodies))
         else:
             stack.extend((c, bodies) for c in g.children)
     return DepGraph(a, frozenset(edges))
@@ -171,12 +182,9 @@ def topological_order(succs: Sequence[AbstractSet[int]], keys: Sequence) -> list
     return order
 
 
-def sccs(g: DepGraph) -> list[frozenset[Atom]]:
-    """Strongly connected components in condensation order.
-
-    Every edge runs from an earlier-or-equal to a later-or-equal component;
-    ties are broken by the smallest atom of each component.
-    """
+def components(g: DepGraph) -> tuple[list[frozenset[Atom]], dict[Atom, int]]:
+    """The strongly connected components, in the order Tarjan's algorithm
+    closes them, and the index of each vertex's component in that list."""
     succ = g._succ
     index: dict[Atom, int] = {}
     lowlink: dict[Atom, int] = {}
@@ -215,13 +223,26 @@ def sccs(g: DepGraph) -> list[frozenset[Atom]]:
                         comp_of[w] = len(comps)
                         comp.append(w)
                     comps.append(frozenset(comp))
+    return comps, comp_of
 
+
+def condensation_order(g: DepGraph, comps: Sequence[frozenset[Atom]], comp_of: dict[Atom, int]) -> list[int]:
+    """Indices into `comps`, the components of g, such that every edge runs
+    from an earlier-or-equal to a later-or-equal component; ties are broken
+    by the smallest atom of each component."""
     succs: list[set[int]] = [set() for _ in comps]
     for u, v in g.edges:
         cu, cv = comp_of[u], comp_of[v]
         if cu != cv:
             succs[cu].add(cv)
-    return [comps[k] for k in topological_order(succs, [min(c) for c in comps])]
+    return topological_order(succs, [min(c) for c in comps])
+
+
+def sccs(g: DepGraph) -> list[frozenset[Atom]]:
+    """Strongly connected components in condensation order (see
+    `condensation_order`)."""
+    comps, comp_of = components(g)
+    return [comps[k] for k in condensation_order(g, comps, comp_of)]
 
 
 def _check_cover(g: DepGraph, pi: Partition2) -> None:

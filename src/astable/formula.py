@@ -77,21 +77,22 @@ class Formula:
 
 
 def _sort_key(f: Formula):
-    if isinstance(f, AtomRef):
+    t = type(f)
+    if t is AtomRef:
         return (0, f.atom)
-    if isinstance(f, Conj):
-        return (1, tuple(_sort_key(c) for c in f.children))
-    if isinstance(f, Disj):
-        return (2, tuple(_sort_key(c) for c in f.children))
-    assert isinstance(f, Impl)
-    return (3, _sort_key(f.lhs), _sort_key(f.rhs))
+    if t is Impl:
+        return (3, _sort_key(f.lhs), _sort_key(f.rhs))
+    assert t is Conj or t is Disj
+    return (1 if t is Conj else 2, tuple([_sort_key(c) for c in f.children]))
 
 
 def _canonical(children: Iterable[Formula]) -> tuple[Formula, ...]:
     children = tuple(children)
     if len(children) < 2:
         return children
-    return tuple(sorted(set(children), key=_sort_key))
+    # a sort key spells out the whole formula, so it also finds duplicates
+    keyed = dict(zip(map(_sort_key, children), children))
+    return tuple(map(keyed.__getitem__, sorted(keyed)))
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,14 @@ def atoms_of(f: Formula) -> frozenset[Atom]:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, AtomRef):
+        t = type(g)
+        if t is AtomRef:
             out.add(g.atom)
-        elif isinstance(g, (Conj, Disj)):
-            stack.extend(g.children)
-        else:
-            assert isinstance(g, Impl)
+        elif t is Impl:
             stack.append(g.lhs)
             stack.append(g.rhs)
+        else:
+            stack.extend(g.children)
     return frozenset(out)
 
 
@@ -247,7 +248,7 @@ class Program:
     """
 
     atoms: tuple[Atom, ...]
-    ops: list[tuple[int, int, int]]
+    ops: tuple[tuple[int, int, int], ...]
     root: int
 
     def run(self, values: Sequence[int], ones: int, keep: int, seg: int = 0) -> int:
@@ -293,25 +294,29 @@ def compile_formula(f: Formula) -> Program:
     ops: list[tuple[int, int, int]] = []
     shared: dict[tuple[int, int, int], int] = {}
     slots: dict[int, int] = {}
-    expanded: set[int] = set()
 
+    # a node stays on the stack until every non-atom child has a slot
     stack = [f]
+    push = stack.append
     while stack:
         g = stack[-1]
         t = type(g)
         if t is AtomRef or id(g) in slots:
             stack.pop()
             continue
-        kids = (g.lhs, g.rhs) if t is Impl else g.children
-        if id(g) not in expanded:
-            expanded.add(id(g))
-            stack.extend(kids)
-            continue
-        stack.pop()
         if t is Impl:
+            kids = (g.lhs, g.rhs)
             kind = _IMPL
         else:
+            kids = g.children
             kind = _AND if t is Conj else _OR
+        depth = len(stack)
+        for c in kids:
+            if type(c) is not AtomRef and id(c) not in slots:
+                push(c)
+        if len(stack) > depth:
+            continue
+        stack.pop()
         slot = None
         for c in kids:
             if type(c) is AtomRef:
@@ -340,9 +345,7 @@ def compile_formula(f: Formula) -> Program:
     base = len(atoms) + 2
     rank = dict(zip(atoms, range(2, base)))
     fix = [*range(base, base + len(ops)), *map(rank.__getitem__, reversed(met)), 1, 0]
-    for n, (kind, left, right) in enumerate(ops):
-        ops[n] = (kind, fix[left], fix[right])
-    return Program(atoms, ops, fix[root])
+    return Program(atoms, tuple([(kind, fix[left], fix[right]) for kind, left, right in ops]), fix[root])
 
 
 def truth_chunks(

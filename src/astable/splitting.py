@@ -17,10 +17,13 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Sequence
 
 from .depgraph import (
+    DepGraph,
     Partition2,
+    components,
+    condensation_order,
     dep_graph,
     offending_scc,
-    sccs,
+    sccs,  # not called here; perfbench/spans.py wraps this name
     strictly_positive,
     topological_order,
 )
@@ -160,50 +163,83 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     atom occurrences allow, the order is refined so that a block's formula
     only mentions atoms of earlier-evaluated (later-listed) blocks, which is
     what lets the modular solver run front to back.
+
+    One block per atom of A is tried first: every edge of the dependency
+    graph runs from a conjunct's head to an atom that conjunct mentions, so
+    when those blocks can be listed the graph has no cycle and they are its
+    components, and it is never built.
     """
     a = frozenset(a)
-    comps = sccs(dep_graph(conjuncts, a))
-    comp_of = {atom: k for k, comp in enumerate(comps) for atom in comp}
+    heads = [strictly_positive(c) & a for c in conjuncts]
+    mentions = list(map(atoms_of, conjuncts))
+    if all(len(h) <= 1 for h in heads):
+        atoms = sorted(a)
+        comps = [frozenset((x,)) for x in atoms]
+        plan = _list_blocks(conjuncts, heads, mentions, comps, dict(zip(atoms, range(len(atoms)))))
+        if plan is not None:
+            return plan
+    graph = dep_graph(conjuncts, a)
+    comps, comp_of = components(graph)
+    return _list_blocks(conjuncts, heads, mentions, comps, comp_of, graph)
 
-    assigned: list[list[Formula]] = [[] for _ in comps]
+
+def _list_blocks(
+    conjuncts: Sequence[Formula],
+    heads: Sequence[frozenset[Atom]],
+    mentions: Sequence[frozenset[Atom]],
+    comps: list[frozenset[Atom]],
+    comp_of: dict[Atom, int],
+    graph: DepGraph | None = None,
+) -> SplitPlan | None:
+    """The plan whose blocks are `comps`, the components of `graph`, given
+    each conjunct's heads and atoms; with no graph, None when these blocks
+    cannot be listed, which is found before any block is compiled."""
+    assigned: list[list[int]] = [[] for _ in comps]
     residual: list[Formula] = []
-    for c in conjuncts:
-        heads = strictly_positive(c) & a
-        if not heads:
+    for i, (c, hs) in enumerate(zip(conjuncts, heads)):
+        if not hs:
             residual.append(c)
             continue
-        k = comp_of[next(iter(heads))]
-        if not heads <= comps[k]:
-            names = ", ".join(str(p) for p in sorted(heads))
+        k = comp_of[next(iter(hs))]
+        if not hs <= comps[k]:
+            names = ", ".join(str(p) for p in sorted(hs))
             raise SplitPlanError(
                 c,
                 f"conjunct '{c}' has strictly positive intensional atoms {names} "
                 "spanning multiple dependency blocks",
             )
-        assigned[k].append(c)
-
-    formulas = [conj(group) for group in assigned]
-    # a one-conjunct block compiles to the same program as its conjunct
-    programs = [compile_formula(g[0] if len(g) == 1 else f) for g, f in zip(assigned, formulas)]
+        assigned[k].append(i)
 
     # Listing order: block j before block k when the formula of j mentions an
     # atom of k (its dependencies come later in the listing, i.e. earlier in
-    # evaluation).  This refines, and never contradicts, condensation order;
-    # if occurrences are cyclic across blocks the plain condensation order is
-    # kept and the modular solver will detect the unusable step itself.
+    # evaluation).  Every edge between components comes from a rule of a
+    # conjunct assigned to the block of its head, which mentions the body,
+    # so this refines condensation order; if occurrences are cyclic across
+    # blocks the plain condensation order is kept and the modular solver
+    # will detect the unusable step itself.
     n = len(comps)
     succs: list[set[int]] = [set() for _ in range(n)]
-    for j in range(n):
-        for x in programs[j].atoms:
-            k = comp_of.get(x)
-            if k is not None and k != j:
-                succs[j].add(k)
+    for j, group in enumerate(assigned):
+        for i in group:
+            for x in mentions[i]:
+                k = comp_of.get(x)
+                if k is not None and k != j:
+                    succs[j].add(k)
     listing = topological_order(succs, [min(comp) for comp in comps])
     if len(listing) < n:
-        listing = list(range(n))
+        if graph is None:
+            return None
+        listing = condensation_order(graph, comps, comp_of)
 
-    blocks = tuple((comps[k], formulas[k]) for k in listing)
-    return SplitPlan(blocks, tuple(residual), tuple(programs[k] for k in listing))
+    blocks = []
+    programs = []
+    for k in listing:
+        group = [conjuncts[i] for i in assigned[k]]
+        f = conj(group)
+        blocks.append((comps[k], f))
+        # a one-conjunct block compiles to the same program as its conjunct
+        programs.append(compile_formula(group[0] if len(group) == 1 else f))
+    return SplitPlan(tuple(blocks), tuple(residual), tuple(programs))
 
 
 def _spread(c: int, bits: Sequence[int]) -> int:
@@ -216,12 +252,28 @@ def _spread(c: int, bits: Sequence[int]) -> int:
     return out
 
 
+def _solve_block(prog: Program, block: list[int], here: int) -> list[int]:
+    """The stable assignments c to the atoms at positions `block` of
+    prog.atoms (bit j of c for block[j]) when the atoms of the bitmask
+    `here` are true and all others false, A being the block's atoms."""
+    if len(block) <= _NARROW:
+        return _stable_assignments(prog, block, here)
+    var = [prog.atoms[b] for b in block]
+    true = {x for b, x in enumerate(prog.atoms) if here >> b & 1}
+    prog_bits = [1 << b for b in block]
+    a_mask = sum(prog_bits)
+    patterns: dict[int, list[int]] = {}
+    # with no block atom true, satisfying prog is all of A-stability
+    return [c for c in _candidate_models(prog, var, true_atoms=true)
+            if not c or _ht_minimal(prog, here | _spread(c, prog_bits), a_mask, patterns)]
+
+
 def _extend_frontier(
     frontier: list[int],
     prog: Program,
     block_atoms: frozenset[Atom],
     bit: dict[Atom, int],
-    patterns: dict[int, list[int]],
+    solved: dict[tuple, list[int]],
     max_atoms: int,
 ) -> list[int]:
     """Every frontier entry joined with each stable extension of the block
@@ -232,7 +284,10 @@ def _extend_frontier(
     with A = the block's atoms: by one packed run over every assignment
     when the block has at most `_NARROW` atoms, else by one sweep of prog
     over the block atoms and one here-and-there check per candidate that
-    makes a block atom true.
+    makes a block atom true.  The solution depends only on the shape of the
+    program, where the block atoms sit in it and which others are true, so
+    `solved` shares it between isomorphic blocks, such as the ground
+    instances of one rule.
     """
     block: list[int] = []  # positions over prog.atoms
     sig_bits: list[int] = []
@@ -246,6 +301,7 @@ def _extend_frontier(
             context.append((bit[x], 1 << b))
             ctx_mask |= bit[x]
 
+    shape_block = tuple(block)
     memo: dict[int, list[int]] = {}
     size = 0
     for m in frontier:
@@ -256,16 +312,10 @@ def _extend_frontier(
             for sig_bit, prog_bit in context:
                 if ctx & sig_bit:
                     here |= prog_bit
-            if len(block) <= _NARROW:
-                found = _stable_assignments(prog, block, here)
-            else:
-                var = [prog.atoms[b] for b in block]
-                true = {x for b, x in enumerate(prog.atoms) if here >> b & 1}
-                prog_bits = [1 << b for b in block]
-                a_mask = sum(prog_bits)
-                # with no block atom true, satisfying prog is all of A-stability
-                found = [c for c in _candidate_models(prog, var, true_atoms=true)
-                         if not c or _ht_minimal(prog, here | _spread(c, prog_bits), a_mask, patterns)]
+            shape = (prog.ops, prog.root, len(prog.atoms), shape_block, here)
+            found = solved.get(shape)
+            if found is None:
+                found = solved[shape] = _solve_block(prog, block, here)
             exts = memo[ctx] = [_spread(c, sig_bits) for c in found]
         size += len(exts)
     if size > 1 << max_atoms:
@@ -334,9 +384,9 @@ def modular_solve(
     frontier = [0]
     for x in sig - a:
         frontier += [m | bit[x] for m in frontier]
-    patterns: dict[int, list[int]] = {}
+    solved: dict[tuple, list[int]] = {}
     for block_atoms, prog in steps:
-        frontier = _extend_frontier(frontier, prog, block_atoms, bit, patterns, max_atoms)
+        frontier = _extend_frontier(frontier, prog, block_atoms, bit, solved, max_atoms)
 
     models = []
     for m in frontier:

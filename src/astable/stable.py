@@ -267,6 +267,14 @@ def _rows(masks: Iterable[int], n: int) -> bytes:
     return "".join(map(format, masks, itertools.repeat(f"0{n}b"))).encode().translate(_BITS)
 
 
+def _atom_tuples(masks: Sequence[int], atoms: Sequence[Atom]) -> list[tuple[Atom, ...]]:
+    """Each bitmask over `atoms` (bit b <-> atoms[b]) as the tuple of its
+    atoms in the order of `atoms`, from one reversed row per bitmask."""
+    n = len(atoms)
+    rows = _rows(masks, n)[::-1] if n else b""
+    return [tuple(itertools.compress(atoms, rows[k * n : k * n + n])) for k in range(len(masks))]
+
+
 @functools.cache  # sizes sorted, each at most 16: few distinct keys
 def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """The segment of one candidate I when its parts have these sizes.
@@ -285,33 +293,87 @@ def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...], i
     return -(-end // 8) * 8, tuple(drops), (1 << end) - 2
 
 
-def _segments_hit(hits: int, first: int, ones: int, width: int) -> int:
-    """Bit 0 of each `width`-bit segment (bits `first`) that holds a bit of
-    `hits`, where no bit 0 is set: adding every other bit carries into the
-    next segment's bit 0 exactly from such a segment."""
-    return ((hits + (ones ^ first)) >> width) & first
+def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -> tuple[list[int], int, int, int]:
+    """Every atom's column for one packed run over `batch` (bitmasks over
+    n atoms), one segment per member laid out as `_layout` of the sizes in
+    `slotted`, a list of (part mask, size).
+
+    A part of at most `_NARROW` atoms has one position per atom, and a
+    slot whose J would drop an atom outside I is dead.  A wider part has
+    size k, the number of its atoms in every member of the batch, and
+    position t is the member's t-th true atom of the part, counted by
+    bit-sliced counters over the run.  Every column is built for the whole
+    batch at once from the members' binary rows.  Returns the columns, the
+    mask of the live slots, the mask of every segment's bit 0 and the
+    segment width.
+    """
+    width, drops, every_slot = _layout(tuple(s for _, s in slotted))
+    nbytes = width // 8
+
+    def repeat(v: int) -> int:
+        return int.from_bytes(v.to_bytes(nbytes, "little") * len(batch), "little")
+
+    rows = _rows(batch, n) if n else b""
+    buf = bytearray(len(batch) * nbytes)
+    values = []
+    for b in range(n):
+        buf[::nbytes] = rows[n - 1 - b :: n]
+        starts = int.from_bytes(buf, "little")
+        values.append((starts << width) - starts)  # each segment of a true atom filled
+    dead = 0
+    for (part, _), vecs in zip(slotted, drops):
+        bits = [b for b in range(n) if part >> b & 1]
+        vecs = [repeat(d) for d in vecs]
+        if len(bits) <= _NARROW:
+            for b, d in zip(bits, vecs):
+                fill = values[b]
+                t = fill & d
+                values[b] = fill ^ t
+                dead |= d ^ t
+            continue
+        depth = (len(vecs) - 1).bit_length()
+        counter = [0] * depth  # bit q of each segment's count of true part atoms so far
+        vecs += [0] * ((1 << depth) - len(vecs))
+        for b in bits:
+            fill = values[b]
+            pick = vecs
+            for m in counter:
+                pick = [x ^ ((x ^ y) & m) for x, y in zip(pick[::2], pick[1::2])]
+            values[b] = fill ^ (pick[0] & fill)
+            carry = fill
+            for q, c in enumerate(counter):
+                counter[q], carry = c ^ carry, c & carry
+    return values, repeat(every_slot) ^ dead, repeat(1), width
 
 
-@functools.cache  # k at most _NARROW
-def _every_assignment(k: int) -> tuple[int, tuple[int, ...], int, int]:
-    """One run over every assignment I to k atoms: segment I starts at bit
-    I * width and is laid out as `_layout((k,))`.  Returns the width, each
-    atom's vector, the mask of every segment's bit 0 and the mask of the
-    live slots, those whose J drops atoms of I only."""
-    width, (drops,), every_slot = _layout((k,))
-    fill = (1 << width) - 1
-    vecs, first, live = [0] * k, 0, 0
-    for i in range(1 << k):
-        at = i * width
-        first |= 1 << at
-        dead = 0
-        for t, d in enumerate(drops):
-            if i >> t & 1:
-                vecs[t] |= (fill ^ d) << at
-            else:
-                dead |= d
-        live |= (every_slot & ~dead) << at
-    return width, tuple(vecs), first, live
+def _verdicts(prog: Program, values: list[int], live: int, first: int, width: int, batch: Sequence[int]) -> list[int]:
+    """The members of `batch` whose segment of one run of prog over these
+    columns (see `_columns`) has the root true at J = I, its bit 0, and
+    false on every live slot.
+
+    `root & live` sets no bit 0, so adding every other bit to it carries
+    into the next segment's bit 0 exactly from each segment it hits."""
+    ones = (first << width) - first
+    root = prog.run(values, ones, first, width)
+    rejected = ((root & live) + (ones ^ first)) >> width & first
+    stable = (root & (first ^ rejected)).to_bytes(len(batch) * width // 8, "little")
+    return list(itertools.compress(batch, stable[:: width // 8]))
+
+
+def _packed_stable(prog: Program, slotted: Sequence[tuple[int, int]], group: Sequence[int]) -> list[int]:
+    """The candidates of `group` that are C-stable for every part C of
+    `slotted`: one segment per candidate, as many segments per
+    `Program.run` as fit in `_RUN_BITS`."""
+    per_run = _RUN_BITS // _layout(tuple(s for _, s in slotted))[0]
+    stable: list[int] = []
+    for start in range(0, len(group), per_run):
+        batch = group[start : start + per_run]
+        stable += _verdicts(prog, *_columns(len(prog.atoms), slotted, batch), batch)
+    return stable
+
+
+# per k <= _NARROW, `_columns` of one run over every assignment to k atoms as one part
+_ASSIGNMENTS = tuple(_columns(k, (((1 << k) - 1, k),), range(1 << k)) for k in range(_NARROW + 1))
 
 
 def _stable_assignments(prog: Program, block: Sequence[int], here: int) -> list[int]:
@@ -320,86 +382,12 @@ def _stable_assignments(prog: Program, block: Sequence[int], here: int) -> list[
     prog true and are A-stable for A = those atoms, when the atoms of the
     bitmask `here` are true and all others false: one packed run decides
     classical truth and minimality for all of them."""
-    width, vecs, first, live = _every_assignment(len(block))
+    columns, live, first, width = _ASSIGNMENTS[len(block)]
     ones = (first << width) - first
-    values = [0] * len(prog.atoms)
-    for b in range(here.bit_length()):
-        if here >> b & 1:
-            values[b] = ones
-    for b, v in zip(block, vecs):
+    values = [ones if here >> b & 1 else 0 for b in range(len(prog.atoms))]
+    for b, v in zip(block, columns):
         values[b] = v
-    root = prog.run(values, ones, first, width)
-    rejected = _segments_hit(root & live, first, ones, width)
-    count = 1 << len(block)
-    stable = (root & (first ^ rejected)).to_bytes(count * width // 8, "little")
-    return list(itertools.compress(range(count), stable[:: width // 8]))
-
-
-def _packed_stable(prog: Program, slotted: Sequence[tuple[int, int]], group: Sequence[int]) -> list[int]:
-    """The candidates of `group` that are C-stable for every part C of
-    `slotted`, a list of (part mask, size): one segment per candidate, many
-    segments per `Program.run`.
-
-    A part of at most `_NARROW` atoms has one position per atom, and a
-    slot whose J would drop an atom outside I is dead.  A wider part has
-    size k, the number of its atoms in every candidate of the group, and
-    position t is the candidate's t-th true atom of the part, counted by
-    bit-sliced counters over the run.  Every column is built for the whole
-    run at once from the candidates' binary rows.  A candidate is stable
-    iff the root is 0 on every live slot.
-    """
-    n = len(prog.atoms)
-    width, drops, every_slot = _layout(tuple(s for _, s in slotted))
-    nbytes = width // 8
-    per_run = _RUN_BITS // width
-    full = min(per_run, len(group))
-
-    def repeat(v: int) -> int:
-        return int.from_bytes(v.to_bytes(nbytes, "little") * full, "little")
-
-    first, slots = repeat(1), repeat(every_slot)
-    parts = [
-        ([b for b in range(n) if part >> b & 1], [repeat(d) for d in vecs])
-        for (part, _), vecs in zip(slotted, drops)
-    ]
-    stable: list[int] = []
-    for start in range(0, len(group), per_run):
-        batch = group[start : start + per_run]
-        size = len(batch) * width
-        ones = (1 << size) - 1
-        keep = first & ones
-        rows = _rows(batch, n)
-        buf = bytearray(len(batch) * nbytes)
-        values = []
-        for b in range(n):
-            buf[::nbytes] = rows[n - 1 - b :: n]
-            starts = int.from_bytes(buf, "little")
-            values.append((starts << width) - starts)  # each segment of a true atom filled
-        dead = 0
-        for bits, vecs in parts:
-            if len(bits) <= _NARROW:
-                for b, d in zip(bits, vecs):
-                    fill = values[b]
-                    t = fill & d
-                    values[b] = fill ^ t
-                    dead |= d ^ t
-                continue
-            depth = (len(vecs) - 1).bit_length()
-            counter = [0] * depth  # bit q of each segment's count of true part atoms so far
-            vecs = vecs + [0] * ((1 << depth) - len(vecs))
-            for b in bits:
-                fill = values[b]
-                pick = vecs
-                for m in counter:
-                    pick = [x ^ ((x ^ y) & m) for x, y in zip(pick[::2], pick[1::2])]
-                values[b] = fill ^ (pick[0] & fill)
-                carry = fill
-                for q, c in enumerate(counter):
-                    counter[q], carry = c ^ carry, c & carry
-        hits = prog.run(values, ones, keep, width) & (slots ^ dead)
-        rejected = _segments_hit(hits, keep, ones, width)
-        stable += itertools.compress(batch, (keep ^ rejected).to_bytes(size // 8, "little")[::nbytes])
-    return stable
+    return _verdicts(prog, values, live, first, width, range(1 << len(block)))
 
 
 def _stable_subset(prog: Program, parts: Sequence[int], candidates: Sequence[int]) -> list[int]:
@@ -464,12 +452,8 @@ def enumerate_a_stable(
 
     free_ext = sorted(sig - a - occurring)
     masks = _stable_subset(prog, _parts(f, prog, a), list(_candidate_models(prog, core)))
-    if core and not free_ext:
-        # core is sorted, so a reversed row lists a model's atoms in order
-        n = len(core)
-        rows = _rows(masks, n)[::-1]
-        models = [tuple(itertools.compress(core, rows[k : k + n])) for k in range(0, len(rows), n)]
-        return ModelSet.from_sorted_atoms(models, sig)
+    if not free_ext:
+        return ModelSet.from_sorted_atoms(_atom_tuples(masks, core), sig)  # core is sorted
 
     stable = [frozenset(x for b, x in enumerate(core) if m >> b & 1) for m in masks]
     models = [

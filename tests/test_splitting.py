@@ -25,6 +25,8 @@ from astable import (
     split_models_theorem,
     strictly_positive,
 )
+from astable import splitting
+from astable.depgraph import components
 from astable.verifier import _gen_program, _scc_aligned_partition
 from astable.bench import (
     BenchInstance,
@@ -207,6 +209,47 @@ class TestPlanSplit:
                 assert not (b & seen)
                 seen |= b
 
+    def test_one_atom_blocks_agree_with_the_component_blocks(self, monkeypatch):
+        # the plan built from one-atom blocks, without the dependency graph,
+        # equals the one built from the graph's components
+        built = []
+        real_dep_graph = splitting.dep_graph
+        monkeypatch.setattr(splitting, "dep_graph", lambda *args: built.append(1) or real_dep_graph(*args))
+        rng = random.Random(11)
+        pool = [Atom(c) for c in "abcdef"]
+        paths = {True: 0, False: 0}
+        for k in range(300):
+            conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
+            a = frozenset(x for x in pool if rng.random() < 0.8)
+            heads = [strictly_positive(c) & a for c in conjuncts]
+            mentions = [atoms_of(c) for c in conjuncts]
+            graph = real_dep_graph(conjuncts, a)
+            comps, comp_of = components(graph)
+            try:
+                expected = splitting._list_blocks(conjuncts, heads, mentions, comps, comp_of, graph)
+            except SplitPlanError:
+                with pytest.raises(SplitPlanError):
+                    plan_split(conjuncts, a)
+                continue
+            built.clear()
+            plan = plan_split(conjuncts, a)
+            assert plan == expected
+            assert [p.atoms for p in plan.programs] == [p.atoms for p in expected.programs]
+            paths[bool(built)] += 1
+            assert built or all(len(b) == 1 for b, _ in plan.blocks)
+        assert paths[True] > 20 and paths[False] > 20
+
+    def test_graph_is_built_only_for_a_cycle(self, monkeypatch):
+        built = []
+        real_dep_graph = splitting.dep_graph
+        monkeypatch.setattr(splitting, "dep_graph", lambda *args: built.append(1) or real_dep_graph(*args))
+        ats, chain = chain_program(5)
+        plan_split(chain, set(ats))
+        assert built == []
+        ring = chain + [impl(AtomRef(ats[0]), AtomRef(ats[5]))]
+        plan = plan_split(ring, set(ats))
+        assert built == [1] and [b for b, _ in plan.blocks] == [frozenset(ats)]
+
 
 class TestModularSolve:
     def test_sixteen_atom_chain_matches_brute_force_and_is_faster(self):
@@ -220,6 +263,22 @@ class TestModularSolve:
         t_naive = time.perf_counter() - t0
         assert modular.as_set() == brute.as_set() == {frozenset()}
         assert t_mod < t_naive
+
+    def test_isomorphic_blocks_share_solutions(self, monkeypatch):
+        # q1 -> q0 ... q5 -> q4 and r1 -> r0 ... r5 -> r4 with the fact r5:
+        # the blocks of both chains compile to the same shape, and each
+        # shape is solved once per context, q's false and r's true
+        solves = []
+        real = splitting._solve_block
+        monkeypatch.setattr(splitting, "_solve_block", lambda *args: solves.append(1) or real(*args))
+        q = [Atom(f"q{i}") for i in range(6)]
+        r = [Atom(f"r{i}") for i in range(6)]
+        conjuncts = [impl(AtomRef(x[k + 1]), AtomRef(x[k])) for x in (q, r) for k in range(5)]
+        conjuncts.append(AtomRef(r[5]))
+        sigma = frozenset(q + r)
+        got = modular_solve(conjuncts, sigma, sigma)
+        assert got.as_set() == enumerate_a_stable(conj(conjuncts), sigma, sigma).as_set() == {frozenset(r)}
+        assert len(solves) < len(sigma)
 
     def test_guard_plus_facts_example(self):
         conjuncts = [G, AtomRef(PA), AtomRef(PB)]
