@@ -38,13 +38,11 @@ from .formula import (
     satisfies,
 )
 from .stable import (
-    _NARROW,
     DEFAULT_MAX_ATOMS,
     ModelSet,
-    _candidate_models,
     _check_cap,
-    _ht_minimal,
-    _stable_assignments,
+    _spread,
+    _stable_models,
     enumerate_a_stable,
     format_interpretation,
     is_a_stable,  # not called here; perfbench/spans.py wraps this name
@@ -242,32 +240,6 @@ def _list_blocks(
     return SplitPlan(tuple(blocks), tuple(residual), tuple(programs))
 
 
-def _spread(c: int, bits: Sequence[int]) -> int:
-    """The union of bits[j] over the bits j set in c."""
-    out = 0
-    for b in bits:
-        if c & 1:
-            out |= b
-        c >>= 1
-    return out
-
-
-def _solve_block(prog: Program, block: list[int], here: int) -> list[int]:
-    """The stable assignments c to the atoms at positions `block` of
-    prog.atoms (bit j of c for block[j]) when the atoms of the bitmask
-    `here` are true and all others false, A being the block's atoms."""
-    if len(block) <= _NARROW:
-        return _stable_assignments(prog, block, here)
-    var = [prog.atoms[b] for b in block]
-    true = {x for b, x in enumerate(prog.atoms) if here >> b & 1}
-    prog_bits = [1 << b for b in block]
-    a_mask = sum(prog_bits)
-    patterns: dict[int, list[int]] = {}
-    # with no block atom true, satisfying prog is all of A-stability
-    return [c for c in _candidate_models(prog, var, true_atoms=true)
-            if not c or _ht_minimal(prog, here | _spread(c, prog_bits), a_mask, patterns)]
-
-
 def _extend_frontier(
     frontier: list[int],
     prog: Program,
@@ -280,14 +252,13 @@ def _extend_frontier(
     compiled as prog, all as bitmasks (`bit` maps atoms to their bits).
 
     The extensions depend only on the context, the entry's values of the
-    non-block atoms prog mentions, so each distinct context is solved once,
-    with A = the block's atoms: by one packed run over every assignment
-    when the block has at most `_NARROW` atoms, else by one sweep of prog
-    over the block atoms and one here-and-there check per candidate that
-    makes a block atom true.  The solution depends only on the shape of the
-    program, where the block atoms sit in it and which others are true, so
-    `solved` shares it between isomorphic blocks, such as the ground
-    instances of one rule.
+    non-block atoms prog mentions, so each distinct context is solved once:
+    the block's A-stable assignments, A = the block's atoms, with the
+    context fixed, which is the enumerator's job and is done by the
+    enumerator's routine, `stable._stable_models`.  The solution depends
+    only on the shape of the program, where the block atoms sit in it and
+    which others are true, so `solved` shares it between isomorphic blocks,
+    such as the ground instances of one rule.
     """
     block: list[int] = []  # positions over prog.atoms
     sig_bits: list[int] = []
@@ -315,7 +286,7 @@ def _extend_frontier(
             shape = (prog.ops, prog.root, len(prog.atoms), shape_block, here)
             found = solved.get(shape)
             if found is None:
-                found = solved[shape] = _solve_block(prog, block, here)
+                found = solved[shape] = _stable_models(prog, block, here, [(1 << len(block)) - 1])
             exts = memo[ctx] = [_spread(c, sig_bits) for c in found]
         size += len(exts)
     if size > 1 << max_atoms:
@@ -340,10 +311,11 @@ def modular_solve(
     assignment to the block's atoms, so the cost is the sum of per-block
     enumerations times the surviving frontier instead of one sweep over the
     whole signature.  Each block formula is compiled once and solved once
-    per distinct context (see `_extend_frontier`).  Residual conjuncts
-    are applied as satisfaction filters at the end.  Any step that cannot
-    be validated triggers a brute-force fallback; a frontier of more than
-    2**max_atoms interpretations raises CapExceeded.
+    per distinct context by the enumerator's own routine, with A = the
+    block's atoms and the context fixed (see `_extend_frontier`).  Residual
+    conjuncts are applied as satisfaction filters at the end.  Any step
+    that cannot be validated triggers a brute-force fallback; a frontier of
+    more than 2**max_atoms interpretations raises CapExceeded.
     """
     a = frozenset(a)
 

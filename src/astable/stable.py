@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from .depgraph import dep_graph, sccs
+from .depgraph import components, dep_graph
 from .formula import (
     Atom,
     AtomRef,
@@ -172,15 +172,20 @@ def _check_cap(n: int, max_atoms: int) -> None:
         )
 
 
-def _candidate_models(prog: Program, core: Sequence[Atom], **context) -> Iterator[int]:
-    """Bitmasks over `core` (bit b <-> core[b]) that classically satisfy
-    prog, with the atoms of the context `true_atoms=`, when given, true and
-    all others false.  The context reaches `truth_chunks` only by keyword,
-    which is how perfbench/spans.py tells a block's context sweep from the
-    candidate sweep of `enumerate_a_stable`."""
+def _candidate_models(prog: Program, var: Sequence[int], here: int) -> Iterator[int]:
+    """The assignments c to the atoms at positions `var` of prog.atoms (bit
+    j of c for var[j]) that classically satisfy prog when the atoms of the
+    bitmask `here` are true and all others false.  A sweep that fixes some
+    atoms hands the true ones to `truth_chunks` as `true_atoms=`, only by
+    keyword, which is how perfbench/spans.py tells a block's context sweep
+    from the candidate sweep of `enumerate_a_stable`."""
+    atoms = prog.atoms
+    context = {}
+    if len(var) < len(atoms):
+        context["true_atoms"] = {x for b, x in enumerate(atoms) if here >> b & 1}
     offset = 0
-    step = 1 << min(len(core), _CHUNK_BITS)
-    for chunk in truth_chunks(prog, core, chunk_bits=_CHUNK_BITS, **context):
+    step = 1 << min(len(var), _CHUNK_BITS)
+    for chunk in truth_chunks(prog, [atoms[b] for b in var], chunk_bits=_CHUNK_BITS, **context):
         if chunk:
             # one scan of the binary text: position p holds bit top - p
             text = bin(chunk)
@@ -243,7 +248,7 @@ def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) 
 
 
 _ONE_PART = 5  # at most this many intensional atoms form one part, with no graph built
-_NARROW = 6  # a part this small gets a slot for every nonempty subset of its atoms
+_NARROW = 6  # a part this small gets a slot per nonempty subset; so few atoms take one run in all
 _RUN_BITS = 1 << _CHUNK_BITS  # bits of one packed run, and so the bound on a segment
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
@@ -254,12 +259,14 @@ def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> list[int]:
 
     By the splitting lemma a classical model I is A-stable iff it is
     C-stable for every part C.  Any coarser partition into unions of whole
-    components is as good, so a few atoms form one part without a graph.
+    components is as good, so a few atoms form one part without a graph,
+    and so do all of them in a program of at most `_NARROW` atoms, which
+    `_stable_models` decides in one run that reads only their union.
     """
     bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
-    if len(bit) <= _ONE_PART:
+    if len(bit) <= _ONE_PART or len(prog.atoms) <= _NARROW:
         return [sum(bit.values())] if bit else []
-    return [sum(map(bit.__getitem__, comp)) for comp in sccs(dep_graph(f, bit.keys()))]
+    return [sum(map(bit.__getitem__, comp)) for comp in components(dep_graph(f, bit.keys()))[0]]
 
 
 def _rows(masks: Iterable[int], n: int) -> bytes:
@@ -293,7 +300,7 @@ def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...], i
     return -(-end // 8) * 8, tuple(drops), (1 << end) - 2
 
 
-def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -> tuple[list[int], int, int, int]:
+def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -> tuple[tuple[int, ...], int, int, int]:
     """Every atom's column for one packed run over `batch` (bitmasks over
     n atoms), one segment per member laid out as `_layout` of the sizes in
     `slotted`, a list of (part mask, size).
@@ -343,62 +350,64 @@ def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -
             carry = fill
             for q, c in enumerate(counter):
                 counter[q], carry = c ^ carry, c & carry
-    return values, repeat(every_slot) ^ dead, repeat(1), width
+    return tuple(values), repeat(every_slot) ^ dead, repeat(1), width
 
 
-def _verdicts(prog: Program, values: list[int], live: int, first: int, width: int, batch: Sequence[int]) -> list[int]:
-    """The members of `batch` whose segment of one run of prog over these
-    columns (see `_columns`) has the root true at J = I, its bit 0, and
-    false on every live slot.
+def _spread(c: int, bits: Sequence[int]) -> int:
+    """The union of bits[j] over the bits j set in c."""
+    out = 0
+    for b in bits:
+        if c & 1:
+            out |= b
+        c >>= 1
+    return out
+
+
+def _verdicts(prog: Program, var: Sequence[int], here: int, run: tuple, batch: Sequence[int]) -> list[int]:
+    """The members of `batch` whose segment of one run of prog has the root
+    true at J = I, its bit 0, and false on every live slot, when the atoms
+    at positions `var` of prog.atoms take the columns of `run` (see
+    `_columns`), those of the bitmask `here` are true and all others false.
 
     `root & live` sets no bit 0, so adding every other bit to it carries
     into the next segment's bit 0 exactly from each segment it hits."""
+    columns, live, first, width = run
     ones = (first << width) - first
+    values = [ones if here >> b & 1 else 0 for b in range(len(prog.atoms))]
+    for b, v in zip(var, columns):
+        values[b] = v
     root = prog.run(values, ones, first, width)
     rejected = ((root & live) + (ones ^ first)) >> width & first
     stable = (root & (first ^ rejected)).to_bytes(len(batch) * width // 8, "little")
     return list(itertools.compress(batch, stable[:: width // 8]))
 
 
-def _packed_stable(prog: Program, slotted: Sequence[tuple[int, int]], group: Sequence[int]) -> list[int]:
-    """The candidates of `group` that are C-stable for every part C of
-    `slotted`: one segment per candidate, as many segments per
-    `Program.run` as fit in `_RUN_BITS`."""
-    per_run = _RUN_BITS // _layout(tuple(s for _, s in slotted))[0]
-    stable: list[int] = []
-    for start in range(0, len(group), per_run):
-        batch = group[start : start + per_run]
-        stable += _verdicts(prog, *_columns(len(prog.atoms), slotted, batch), batch)
-    return stable
+@functools.cache  # k at most _NARROW: fewer than 2**(_NARROW + 1) keys
+def _assignment_run(k: int, a: int) -> tuple[tuple[int, ...], int, int, int]:
+    """`_columns` of one run over every assignment to k atoms, the atoms
+    set in the bitmask `a` forming one part."""
+    return _columns(k, ((a, a.bit_count()),), range(1 << k))
 
 
-# per k <= _NARROW, `_columns` of one run over every assignment to k atoms as one part
-_ASSIGNMENTS = tuple(_columns(k, (((1 << k) - 1, k),), range(1 << k)) for k in range(_NARROW + 1))
+# built at import: the tables of every modular block, whose atoms are all of A
+[_assignment_run(k, (1 << k) - 1) for k in range(_NARROW + 1)]
 
 
-def _stable_assignments(prog: Program, block: Sequence[int], here: int) -> list[int]:
-    """The assignments c to the atoms at positions `block` of prog.atoms
-    (bit j of c for block[j]), at most `_NARROW` of them, that make
-    prog true and are A-stable for A = those atoms, when the atoms of the
-    bitmask `here` are true and all others false: one packed run decides
-    classical truth and minimality for all of them."""
-    columns, live, first, width = _ASSIGNMENTS[len(block)]
-    ones = (first << width) - first
-    values = [ones if here >> b & 1 else 0 for b in range(len(prog.atoms))]
-    for b, v in zip(block, columns):
-        values[b] = v
-    return _verdicts(prog, values, live, first, width, range(1 << len(block)))
-
-
-def _stable_subset(prog: Program, parts: Sequence[int], candidates: Sequence[int]) -> list[int]:
-    """The A-stable ones among the classical models `candidates` of prog
-    (bitmasks over prog.atoms), A the union of `parts`.
+def _stable_subset(
+    prog: Program, var: Sequence[int], here: int, parts: Sequence[int], candidates: Sequence[int]
+) -> list[int]:
+    """The A-stable ones among `candidates`, classical models of prog given
+    as assignments to the atoms at positions `var` of prog.atoms with the
+    context `here`, as in `_stable_models`; A is the union of `parts`.
 
     Candidates are grouped by how many atoms of each part wider than
-    `_NARROW` they make true, and each group is checked in packed runs.
-    When a group's segment would pass the bits of one run, its widest parts
-    are left out of the segment and checked by one chunked sweep per
-    candidate that every other part passes.
+    `_NARROW` they make true, and each group is checked in packed runs, one
+    segment per candidate and as many segments per run as fit in
+    `_RUN_BITS`.  When a group's segment would pass the bits of one run,
+    its widest parts are left out of the segment and checked by one chunked
+    sweep per candidate that every other part passes; so are all parts of
+    a group of one candidate, for which building columns costs more than
+    the sweeps.
     """
     narrow = [(p, p.bit_count()) for p in parts if p.bit_count() <= _NARROW]
     wide = [p for p in parts if p.bit_count() > _NARROW]
@@ -413,13 +422,35 @@ def _stable_subset(prog: Program, parts: Sequence[int], candidates: Sequence[int
     for counts, group in groups:
         slotted = sorted(narrow + [(p, k) for p, k in zip(wide, counts) if k], key=itemgetter(1))
         swept = []
-        while sum(1 << s for _, s in slotted) - len(slotted) >= _RUN_BITS:
+        while slotted and (len(group) == 1 or sum(1 << s for _, s in slotted) - len(slotted) >= _RUN_BITS):
             swept.append(slotted.pop()[0])
-        passed = _packed_stable(prog, slotted, group) if slotted else list(group)
+        passed = []
+        per_run = _RUN_BITS // _layout(tuple(s for _, s in slotted))[0]
+        for start in range(0, len(group), per_run):
+            batch = group[start : start + per_run]
+            passed += _verdicts(prog, var, here, _columns(len(var), slotted, batch), batch) if slotted else batch
         for part in swept:
-            passed = [m for m in passed if _ht_minimal(prog, m, part, patterns)]
+            bits = [1 << b for b in var]
+            a_mask = _spread(part, bits)
+            passed = [c for c in passed if _ht_minimal(prog, here | _spread(c, bits), a_mask, patterns)]
         stable += passed
     return stable
+
+
+def _stable_models(prog: Program, var: Sequence[int], here: int, parts: Sequence[int]) -> list[int]:
+    """The assignments c to the atoms at positions `var` of prog.atoms (bit
+    j of c for var[j]) that are A-stable models of prog when the atoms of
+    the bitmask `here` are true and all others false, A the union of
+    `parts`, bitmasks over `var` (see `_parts`).
+
+    Up to `_NARROW` atoms, one packed run over every assignment decides
+    classical truth and minimality together.  More atoms take a classical
+    sweep, and `_stable_subset` keeps the stable models it finds.
+    """
+    k = len(var)
+    if k <= _NARROW:
+        return _verdicts(prog, var, here, _assignment_run(k, sum(parts)), range(1 << k))
+    return _stable_subset(prog, var, here, parts, list(_candidate_models(prog, var, here)))
 
 
 def enumerate_a_stable(
@@ -432,15 +463,17 @@ def enumerate_a_stable(
     """All A-stable models of f over sigma, canonically ordered.
 
     sigma defaults to the atoms occurring in f plus a; extra extensional
-    atoms must be supplied explicitly since they change the result.  Models
-    are found by a vectorized satisfiability sweep of f compiled once.
-    Minimality is checked one part of A at a time (see `_parts`): the
-    classical models share packed here-and-there runs, one segment each
-    (see `_packed_stable`), and only a part too wide for a segment gets a
-    chunked sweep per candidate in `_ht_minimal`.  Intensional atoms that
-    never occur in f cannot appear in any A-stable model and are pruned up
-    front, while non-occurring extensional atoms contribute a free product
-    at the end.
+    atoms must be supplied explicitly since they change the result.  f is
+    compiled once, and `_stable_models` finds the A-stable assignments to
+    all of its atoms, the routine that also solves every block of
+    `splitting.modular_solve`: with at most `_NARROW` atoms by one packed
+    run over every assignment, else by a vectorized satisfiability sweep
+    whose classical models are checked one part of A at a time (see
+    `_parts`) in shared packed here-and-there runs, where only a part too
+    wide for a segment gets a chunked sweep per candidate in `_ht_minimal`.
+    Intensional atoms that never occur in f cannot appear in any A-stable
+    model and are pruned up front, while non-occurring extensional atoms
+    contribute a free product at the end.
     """
     a = frozenset(a)
     prog = compile_formula(f)
@@ -451,7 +484,7 @@ def enumerate_a_stable(
     _check_cap(len(sig), max_atoms)
 
     free_ext = sorted(sig - a - occurring)
-    masks = _stable_subset(prog, _parts(f, prog, a), list(_candidate_models(prog, core)))
+    masks = _stable_models(prog, range(len(core)), 0, _parts(f, prog, a))
     if not free_ext:
         return ModelSet.from_sorted_atoms(_atom_tuples(masks, core), sig)  # core is sorted
 

@@ -22,7 +22,7 @@ def _load_workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["enumerate", "modular"])
+@pytest.mark.parametrize("workload", ["enumerate", "modular", "many_small"])
 def test_one_pass_matches_the_benchmark_oracles(workload, tmp_path, capsys):
     workloads = _load_workloads()
     (commands,) = workloads.build(workload, 7, tmp_path, 1)

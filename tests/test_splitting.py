@@ -20,6 +20,7 @@ from astable import (
     modular_solve,
     neg,
     plan_split,
+    satisfies,
     sccs,
     split_models_lemma,
     split_models_theorem,
@@ -37,7 +38,7 @@ from astable.bench import (
     write_csv,
 )
 
-from util import brute_a_stable, guard_program
+from util import all_subsets, brute_a_stable, guard_program
 
 PA, PB, Q = Atom("p", ("a",)), Atom("p", ("b",)), Atom("q")
 SIG = frozenset({PA, PB, Q})
@@ -269,8 +270,8 @@ class TestModularSolve:
         # the blocks of both chains compile to the same shape, and each
         # shape is solved once per context, q's false and r's true
         solves = []
-        real = splitting._solve_block
-        monkeypatch.setattr(splitting, "_solve_block", lambda *args: solves.append(1) or real(*args))
+        real = splitting._stable_models
+        monkeypatch.setattr(splitting, "_stable_models", lambda *args: solves.append(1) or real(*args))
         q = [Atom(f"q{i}") for i in range(6)]
         r = [Atom(f"r{i}") for i in range(6)]
         conjuncts = [impl(AtomRef(x[k + 1]), AtomRef(x[k])) for x in (q, r) for k in range(5)]
@@ -328,6 +329,30 @@ class TestModularSolve:
         conjuncts.append(impl(AtomRef(e), AtomRef(qs[0])))
         got = modular_solve(conjuncts, frozenset(qs), frozenset(qs) | {e}, max_atoms=17)
         assert got.as_set() == {frozenset(), frozenset(qs) | {e}}
+
+    @pytest.mark.parametrize("n", [7, 8, 10])
+    def test_switched_ring_block_matches_the_oracle(self, n, monkeypatch):
+        # one block of n ring atoms, too wide for one run over every
+        # assignment; its even links x_i & e_(i mod 3) -> x_(i+1) are switched
+        # by extensional atoms, and e0 seeds the ring at x_(n // 2): across the
+        # 8 contexts its classical models make any number of ring atoms true,
+        # and with e0 false the stable one makes none true
+        solves = []
+        real = splitting._stable_models
+        monkeypatch.setattr(splitting, "_stable_models", lambda *args: solves.append(args[1]) or real(*args))
+        xs = [Atom(f"x{i:02d}") for i in range(n)]
+        es = [Atom(f"e{j}") for j in range(3)]
+        conjuncts = [impl(AtomRef(es[0]), AtomRef(xs[n // 2]))]
+        for i in range(n):
+            x, y = AtomRef(xs[i]), AtomRef(xs[(i + 1) % n])
+            conjuncts.append(impl(conj([x, AtomRef(es[i % 3])]) if i % 2 == 0 else x, y))
+        ring, sigma = frozenset(xs), frozenset(xs + es)
+        f = conj(conjuncts)
+        want = brute_a_stable(f, sigma, ring)
+        assert modular_solve(conjuncts, ring, sigma).as_set() == want
+        assert [len(block) for block in solves] == [n] * 8  # one solve per context
+        assert {len(i & ring) for i in all_subsets(sigma) if satisfies(i, f)} == set(range(n + 1))
+        assert {not (m & ring) for m in want} == {True, False}
 
     def test_frontier_past_the_cap_is_refused(self):
         # 18 independent choices: |sigma - A| and every block fit the cap of

@@ -135,6 +135,30 @@ class TestEnumerate:
         with pytest.raises(SignatureError):
             enumerate_a_stable(G, {Q}, {Q})
 
+    def test_every_intensional_set_on_narrow_programs(self):
+        # a program of at most _NARROW atoms takes one packed run over every
+        # assignment, laid out per atom count k and set of intensional atoms;
+        # every A over these programs, atoms outside A occurring as
+        # extensional ones, checks each such layout against the oracle
+        programs = [
+            _program(["top"]),
+            _program(["a -> b", "b -> a", "not c -> d", "a | not a"]),
+            _program(["a -> b", "b -> c", "c -> a", "a & not c -> b"]),
+            # two components, the loops {a, b, c} and {d, e, f}, linked by a negative and a positive rule
+            _program(["a -> b", "b -> c", "c -> a", "d -> e", "e -> f", "f -> d",
+                      "not a -> d", "c -> e", "a | not a", "not (b & f)"]),
+        ]
+        for k in range(1, _NARROW + 1):
+            forms = (gen_formula(GenConfig(seed=9400 + 50 * k + s, max_atoms=k, max_depth=3)) for s in range(50))
+            programs += [f for f in forms if len(atoms_of(f)) == k][:3]
+        sizes = set()
+        for f in programs:
+            sigma = atoms_of(f)
+            sizes.add(len(sigma))
+            for a in all_subsets(sigma):
+                assert enumerate_a_stable(f, a, sigma).as_set() == brute_a_stable(f, sigma, a)
+        assert sizes == set(range(_NARROW + 1))
+
     def test_matches_reference_predicate_on_random_inputs(self):
         rng = random.Random(31)
         for i in range(150):
@@ -163,9 +187,10 @@ def _packed_against_per_candidate(f):
     the per-part packed filter against one `_ht_minimal` per candidate."""
     prog = compile_formula(f)
     a_mask = (1 << len(prog.atoms)) - 1
-    candidates = list(_candidate_models(prog, prog.atoms))
+    every = range(len(prog.atoms))
+    candidates = list(_candidate_models(prog, every, 0))
     reference = [m for m in candidates if _ht_minimal(prog, m, a_mask, {})]
-    stable = _stable_subset(prog, _parts(f, prog, frozenset(prog.atoms)), candidates)
+    stable = _stable_subset(prog, every, 0, _parts(f, prog, frozenset(prog.atoms)), candidates)
     assert sorted(stable) == reference
     return candidates, stable
 
@@ -269,9 +294,10 @@ class TestPackedMinimality:
             (one,) = _parts(f, prog, a) or [0]
             parts = _scc_parts(f, prog, a)
             assert one == sum(parts)
-            candidates = list(_candidate_models(prog, prog.atoms))
-            assert sorted(_stable_subset(prog, [one] if one else [], candidates)) == sorted(
-                _stable_subset(prog, parts, candidates)
+            every = range(len(prog.atoms))
+            candidates = list(_candidate_models(prog, every, 0))
+            assert sorted(_stable_subset(prog, every, 0, [one] if one else [], candidates)) == sorted(
+                _stable_subset(prog, every, 0, parts, candidates)
             )
 
 
