@@ -237,18 +237,21 @@ def _bit_pattern(bit: int, width: int) -> int:
 _AND, _OR, _IMPL = 0, 1, 2
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Program:
     """A formula compiled to binary ops over int-indexed slots.
 
     Slot 0 holds bot, slot 1 top, slot k + 2 the atom `atoms[k]` (sorted),
-    and op number n, a triple (kind, left slot, right slot), writes slot
-    len(atoms) + 2 + n; ops are in topological order and `root` is the
-    slot of the whole formula.  Structurally equal subtrees share a slot.
+    and the slots after them op results: op number n, a quadruple (kind,
+    left slot, right slot, out slot), writes the slot of a result whose
+    last reader has run, else slot len(atoms) + 2 + n, so a run holds only
+    the vectors still to be read.  Ops are in topological order and `root`
+    is the slot of the whole formula.  Structurally equal subtrees share a
+    slot.
     """
 
     atoms: tuple[Atom, ...]
-    ops: tuple[tuple[int, int, int], ...]
+    ops: tuple[tuple[int, int, int, int], ...]
     root: int
 
     def run(self, values: Sequence[int], ones: int, keep: int, seg: int = 0) -> int:
@@ -263,20 +266,19 @@ class Program:
         I itself: an implication is set to 0 on each segment whose keep bit
         it lacks.
         """
-        v = [0, ones, *values]
-        push = v.append
-        for kind, left, right in self.ops:
+        v = [0, ones, *values] + [0] * len(self.ops)
+        for kind, left, right, out in self.ops:
             if kind == _AND:
-                push(v[left] & v[right])
+                v[out] = v[left] & v[right]
             elif kind == _OR:
-                push(v[left] | v[right])
+                v[out] = v[left] | v[right]
             else:
                 x = (ones ^ v[left]) | v[right]
                 if seg:
                     h = x & keep
-                    push(x & ((h << seg) - h))  # (h << seg) - h fills each kept segment
+                    v[out] = x & ((h << seg) - h)  # (h << seg) - h fills each kept segment
                 else:
-                    push(x if x & keep else 0)
+                    v[out] = x if x & keep else 0
         return v[self.root]
 
 
@@ -286,53 +288,57 @@ def compile_formula(f: Formula) -> Program:
     Nodes are memoized by identity and by (kind, left slot, right slot),
     so no formula is ever hashed; set-valued nodes fold into chains of
     binary ops, with the empty conjunction top and the empty disjunction bot.
-    The same walk collects the atoms: until it ends, op n has slot n and
-    the k-th atom met, top and bot have slots -3 - k, -2 and -1, and one
-    pass over the ops then moves every slot to its final place.
+    Each child is folded in as soon as it is compiled, so a conjunction of
+    many rules keeps one rule's vectors at a time besides the fold, not
+    every rule's.  The same walk collects the atoms: until it ends, op n
+    has slot n and the k-th atom met, top and bot have slots -3 - k, -2 and
+    -1, and one pass over the ops then gives every op its out slot.
     """
     met: dict[Atom, int] = {}
-    ops: list[tuple[int, int, int]] = []
+    ops: list[tuple[int, ...]] = []
     shared: dict[tuple[int, int, int], int] = {}
     slots: dict[int, int] = {}
 
-    # a node stays on the stack until every non-atom child has a slot
-    stack = [f]
-    push = stack.append
+    # the nodes being compiled, each with how many of its children are
+    # folded so far and their slot; a node waits while its next non-atom
+    # child compiles
+    stack = [] if type(f) is AtomRef else [f]
+    folded = [0]
+    acc: list[int | None] = [None]
     while stack:
         g = stack[-1]
+        i = folded[-1]
+        slot = acc[-1]
         t = type(g)
-        if t is AtomRef or id(g) in slots:
-            stack.pop()
-            continue
-        if t is Impl:
-            kids = (g.lhs, g.rhs)
-            kind = _IMPL
-        else:
-            kids = g.children
-            kind = _AND if t is Conj else _OR
-        depth = len(stack)
-        for c in kids:
-            if type(c) is not AtomRef and id(c) not in slots:
-                push(c)
-        if len(stack) > depth:
-            continue
-        stack.pop()
-        slot = None
-        for c in kids:
+        kids, kind = ((g.lhs, g.rhs), _IMPL) if t is Impl else (g.children, _AND if t is Conj else _OR)
+        while i < len(kids):
+            c = kids[i]
             if type(c) is AtomRef:
                 k = met.get(c.atom)
                 if k is None:
                     k = met[c.atom] = -3 - len(met)
             else:
-                k = slots[id(c)]
-            if slot is None:
-                slot = k
-                continue
-            key = (kind, slot, k)
-            slot = shared.get(key)
-            if slot is None:
-                slot = shared[key] = len(ops)
-                ops.append(key)
+                k = slots.get(id(c))
+                if k is None:
+                    break
+            i += 1
+            if slot is not None:
+                key = (kind, slot, k)
+                k = shared.get(key)
+                if k is None:
+                    k = shared[key] = len(ops)
+                    ops.append(key)
+            slot = k
+        if i < len(kids):
+            folded[-1] = i
+            acc[-1] = slot
+            stack.append(kids[i])
+            folded.append(0)
+            acc.append(None)
+            continue
+        stack.pop()
+        folded.pop()
+        acc.pop()
         if slot is None:  # no children: the empty conjunction or disjunction
             slot = -2 if t is Conj else -1
         slots[id(g)] = slot
@@ -344,8 +350,20 @@ def compile_formula(f: Formula) -> Program:
     atoms = tuple(sorted(met))
     base = len(atoms) + 2
     rank = dict(zip(atoms, range(2, base)))
-    fix = [*range(base, base + len(ops)), *map(rank.__getitem__, reversed(met)), 1, 0]
-    return Program(atoms, tuple([(kind, fix[left], fix[right]) for kind, left, right in ops]), fix[root])
+    last = {}  # each slot's last reader; the root's comes after every op
+    for n, (_, left, right) in enumerate(ops):
+        last[left] = last[right] = n
+    last[root] = len(ops)
+    fix = [0] * len(ops) + [*map(rank.__getitem__, reversed(met)), 1, 0]
+    free: list[int] = []  # out slots whose last reader has run
+    for n, (kind, left, right) in enumerate(ops):
+        if last[left] == n and left >= 0:
+            free.append(fix[left])
+        if last[right] == n and right >= 0 and right != left:
+            free.append(fix[right])
+        out = fix[n] = free.pop() if free else base + n
+        ops[n] = (kind, fix[left], fix[right], out)
+    return Program(atoms, tuple(ops), fix[root])
 
 
 def truth_chunks(
@@ -395,20 +413,19 @@ def equivalent(
 
     `sigma`, when given, must cover every atom occurring in f or g; atoms of
     sigma occurring in neither cannot influence the answer and are skipped.
+    One sweep checks that (f -> g) -> not (g -> f), true exactly where f
+    and g differ, is true nowhere; it is built of implications only, so no
+    child list is ever put in canonical order.
     """
-    occurring = atoms_of(f) | atoms_of(g)
+    prog = compile_formula(Impl(Impl(f, g), neg(Impl(g, f))))
     if sigma is not None:
-        check_signature(occurring, sigma)
-    varying = sorted(occurring)
-    if len(varying) > max_atoms:
+        check_signature(frozenset(prog.atoms), sigma)
+    if len(prog.atoms) > max_atoms:
         raise CapExceeded(
-            f"equivalence check over {len(varying)} atoms exceeds the cap of "
+            f"equivalence check over {len(prog.atoms)} atoms exceeds the cap of "
             f"{max_atoms}; raise max_atoms explicitly if this is intended"
         )
-    for cf, cg in zip(truth_chunks(f, varying), truth_chunks(g, varying)):
-        if cf != cg:
-            return False
-    return True
+    return not any(truth_chunks(prog, prog.atoms))
 
 
 _LVL_IMPL, _LVL_DISJ, _LVL_CONJ, _LVL_UNARY = 0, 1, 2, 3

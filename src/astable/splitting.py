@@ -35,7 +35,7 @@ from .formula import (
     atoms_of,
     compile_formula,
     conj,
-    satisfies,
+    satisfies,  # not called here; perfbench/spans.py wraps this name
 )
 from .stable import (
     DEFAULT_MAX_ATOMS,
@@ -144,7 +144,8 @@ class SplitPlan:
     Block atom sets are pairwise disjoint and cover the intensional set; a
     block's formula is the conjunction of the conjuncts assigned to it.
     Conjuncts without strictly positive intensional atoms act as constraints
-    and stay in the residual.  `programs` holds each block formula compiled,
+    and stay in the residual; the modular solver solves each of them last,
+    as a block with no atoms.  `programs` holds each block formula compiled,
     parallel to `blocks`.
     """
 
@@ -249,7 +250,8 @@ def _extend_frontier(
     max_atoms: int,
 ) -> list[int]:
     """Every frontier entry joined with each stable extension of the block
-    compiled as prog, all as bitmasks (`bit` maps atoms to their bits).
+    compiled as prog, all as bitmasks (`bit` maps atoms to their bits; an
+    atom prog mentions without a bit is always false).
 
     The extensions depend only on the context, the entry's values of the
     non-block atoms prog mentions, so each distinct context is solved once:
@@ -269,8 +271,8 @@ def _extend_frontier(
             block.append(b)
             sig_bits.append(bit[x])
         else:
-            context.append((bit[x], 1 << b))
-            ctx_mask |= bit[x]
+            context.append((bit.get(x, 0), 1 << b))
+            ctx_mask |= bit.get(x, 0)
 
     shape_block = tuple(block)
     memo: dict[int, list[int]] = {}
@@ -313,9 +315,12 @@ def modular_solve(
     whole signature.  Each block formula is compiled once and solved once
     per distinct context by the enumerator's own routine, with A = the
     block's atoms and the context fixed (see `_extend_frontier`).  Residual
-    conjuncts are applied as satisfaction filters at the end.  Any step
-    that cannot be validated triggers a brute-force fallback; a frontier of
-    more than 2**max_atoms interpretations raises CapExceeded.
+    conjuncts, which have no strictly positive intensional atoms, only
+    filter the models classically: each is a block with no atoms, solved
+    the same way after all the others, on the few contexts its own atoms
+    give.  Any step that cannot be validated triggers a brute-force
+    fallback; a frontier of more than 2**max_atoms interpretations raises
+    CapExceeded.
     """
     a = frozenset(a)
 
@@ -329,8 +334,9 @@ def modular_solve(
         return fallback(str(exc))
 
     steps = list(zip((block_atoms for block_atoms, _ in reversed(plan.blocks)), reversed(plan.programs)))
+    residual = [(frozenset(), compile_formula(r)) for r in plan.residual]
     if sigma is None:
-        sig = a.union(*(prog.atoms for _, prog in steps), *map(atoms_of, plan.residual))
+        sig = a.union(*(prog.atoms for _, prog in steps + residual))
     else:
         sig = frozenset(sigma)
 
@@ -350,24 +356,14 @@ def modular_solve(
             )
 
     # Partial interpretations are bitmasks over sigma (and over A, so that
-    # a model leaving sigma reaches ModelSet's signature check).
-    order = list(sig | a)
+    # a model leaving sigma reaches ModelSet's signature check); a residual
+    # atom outside both stays false.
+    order = sorted(sig | a)
     bit = {x: 1 << k for k, x in enumerate(order)}
     frontier = [0]
     for x in sig - a:
         frontier += [m | bit[x] for m in frontier]
     solved: dict[tuple, list[int]] = {}
-    for block_atoms, prog in steps:
+    for block_atoms, prog in steps + residual:
         frontier = _extend_frontier(frontier, prog, block_atoms, bit, solved, max_atoms)
-
-    models = []
-    for m in frontier:
-        true = []
-        while m:
-            low = m & -m
-            true.append(order[low.bit_length() - 1])
-            m ^= low
-        models.append(frozenset(true))
-    for r in plan.residual:
-        models = [m for m in models if satisfies(m, r)]
-    return ModelSet.from_iter(models, sig)
+    return ModelSet.from_masks(frontier, order, sig)

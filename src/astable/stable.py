@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
@@ -50,60 +50,72 @@ def interpretation_key(interp: AbstractSet[Atom]) -> tuple:
     return tuple(sorted(interp))
 
 
+def _check_inside(models: Iterable[tuple[Atom, ...]], signature: frozenset[Atom]) -> None:
+    """Raise SignatureError naming the first of `models` that leaves the signature."""
+    for m in models:
+        if not signature.issuperset(m):
+            raise SignatureError(f"model {format_interpretation(m)} leaves the signature")
+
+
 @dataclass(frozen=True)
 class ModelSet:
     """A canonically ordered set of interpretations over a fixed signature.
 
-    `sorted_atoms` holds each model's atoms in sorted order, parallel to
-    `models`: the canonical order is computed from them and output prints
-    from them, so no model is sorted twice.
+    Each model is held as the tuple of its atoms in sorted order, and the
+    canonical order of the models is the order of these tuples: output
+    prints from them, and the frozensets of `models`, iteration and
+    `as_set` are built from them only when asked for.
     """
 
-    models: tuple[Interpretation, ...]
+    sorted_atoms: tuple[tuple[Atom, ...], ...]
     signature: frozenset[Atom]
-    sorted_atoms: tuple[tuple[Atom, ...], ...] = field(compare=False, repr=False)
 
     @classmethod
     def from_iter(cls, models: Iterable[AbstractSet[Atom]], signature: AbstractSet[Atom]) -> "ModelSet":
+        """From any interpretations, each sorted once; duplicates merge."""
         sig = frozenset(signature)
-        unique = list({frozenset(m) for m in models})
-        keys = list(map(interpretation_key, unique))
-        order = sorted(range(len(unique)), key=keys.__getitem__)
-        ordered = tuple(map(unique.__getitem__, order))
-        for m in ordered:
-            if not m <= sig:
-                raise SignatureError(f"model {format_interpretation(m)} leaves the signature")
-        return cls(ordered, sig, tuple(map(keys.__getitem__, order)))
+        ordered = sorted(map(interpretation_key, {frozenset(m) for m in models}))
+        _check_inside(ordered, sig)
+        return cls(tuple(ordered), sig)
 
     @classmethod
-    def from_sorted_atoms(cls, models: Iterable[tuple[Atom, ...]], signature: frozenset[Atom]) -> "ModelSet":
-        """From models given as their sorted atom tuples, which the caller
-        guarantees distinct and inside the signature: the canonical order
-        is then one sort of the tuples."""
-        ordered = sorted(models)
-        return cls(tuple(map(frozenset, ordered)), signature, tuple(ordered))
+    def from_masks(cls, masks: Sequence[int], atoms: Sequence[Atom], signature: frozenset[Atom]) -> "ModelSet":
+        """From distinct bitmasks over the sorted `atoms` (bit b <-> atoms[b]):
+        one reversed row per bitmask gives its atoms in sorted order, and
+        the tuples are sorted once."""
+        n = len(atoms)
+        rows = _rows(masks, n)[::-1] if n else b""
+        ordered = sorted(tuple(itertools.compress(atoms, rows[k * n : k * n + n])) for k in range(len(masks)))
+        if not signature.issuperset(atoms):
+            _check_inside(ordered, signature)
+        return cls(tuple(ordered), signature)
+
+    @property
+    def models(self) -> tuple[Interpretation, ...]:
+        return tuple(map(frozenset, self.sorted_atoms))
 
     def __iter__(self) -> Iterator[Interpretation]:
-        return iter(self.models)
+        return map(frozenset, self.sorted_atoms)
 
     def __len__(self) -> int:
-        return len(self.models)
+        return len(self.sorted_atoms)
 
     def __contains__(self, interp: AbstractSet[Atom]) -> bool:
-        return frozenset(interp) in set(self.models)
+        return interpretation_key(frozenset(interp)) in self.sorted_atoms
 
     def as_set(self) -> frozenset[Interpretation]:
-        return frozenset(self.models)
+        return frozenset(map(frozenset, self.sorted_atoms))
 
     def lines(self) -> list[str]:
         text = {x: str(x) for x in self.signature}.__getitem__
         return ["{" + ",".join(map(text, atoms)) + "}" for atoms in self.sorted_atoms]
 
     def intersection(self, other: "ModelSet") -> "ModelSet":
+        """The models of both, in the canonical order of `self`."""
         if self.signature != other.signature:
             raise SignatureError("model sets over different signatures cannot be intersected")
-        common = self.as_set() & other.as_set()
-        return ModelSet.from_iter(common, self.signature)
+        common = set(other.sorted_atoms)
+        return ModelSet(tuple(m for m in self.sorted_atoms if m in common), self.signature)
 
 
 def leq_a(i: AbstractSet[Atom], j: AbstractSet[Atom], a: AbstractSet[Atom]) -> bool:
@@ -247,7 +259,6 @@ def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) 
     return _ht_minimal(prog, mask, a_mask, {})
 
 
-_ONE_PART = 5  # at most this many intensional atoms form one part, with no graph built
 _NARROW = 6  # a part this small gets a slot per nonempty subset; so few atoms take one run in all
 _RUN_BITS = 1 << _CHUNK_BITS  # bits of one packed run, and so the bound on a segment
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -259,12 +270,12 @@ def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> list[int]:
 
     By the splitting lemma a classical model I is A-stable iff it is
     C-stable for every part C.  Any coarser partition into unions of whole
-    components is as good, so a few atoms form one part without a graph,
-    and so do all of them in a program of at most `_NARROW` atoms, which
-    `_stable_models` decides in one run that reads only their union.
+    components is as good, so one atom, or all of them in a program of at
+    most `_NARROW` atoms, which `_stable_models` decides in one run that
+    reads only their union, form one part without a graph.
     """
     bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
-    if len(bit) <= _ONE_PART or len(prog.atoms) <= _NARROW:
+    if len(bit) <= 1 or len(prog.atoms) <= _NARROW:
         return [sum(bit.values())] if bit else []
     return [sum(map(bit.__getitem__, comp)) for comp in components(dep_graph(f, bit.keys()))[0]]
 
@@ -272,14 +283,6 @@ def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> list[int]:
 def _rows(masks: Iterable[int], n: int) -> bytes:
     """Each bitmask over n >= 1 atoms as n bytes 0 or 1, atom n - 1 first."""
     return "".join(map(format, masks, itertools.repeat(f"0{n}b"))).encode().translate(_BITS)
-
-
-def _atom_tuples(masks: Sequence[int], atoms: Sequence[Atom]) -> list[tuple[Atom, ...]]:
-    """Each bitmask over `atoms` (bit b <-> atoms[b]) as the tuple of its
-    atoms in the order of `atoms`, from one reversed row per bitmask."""
-    n = len(atoms)
-    rows = _rows(masks, n)[::-1] if n else b""
-    return [tuple(itertools.compress(atoms, rows[k * n : k * n + n])) for k in range(len(masks))]
 
 
 @functools.cache  # sizes sorted, each at most 16: few distinct keys
@@ -472,27 +475,28 @@ def enumerate_a_stable(
     `_parts`) in shared packed here-and-there runs, where only a part too
     wide for a segment gets a chunked sweep per candidate in `_ht_minimal`.
     Intensional atoms that never occur in f cannot appear in any A-stable
-    model and are pruned up front, while non-occurring extensional atoms
-    contribute a free product at the end.
+    model and are pruned up front.  Extensional atoms of sigma that do not
+    occur are free: each stable bitmask is spread once to the sorted order
+    of all the atoms a model may hold, and every subset of the free atoms'
+    bits is joined to it, so the models reach `ModelSet.from_masks` as
+    bitmasks in every case.
     """
     a = frozenset(a)
     prog = compile_formula(f)
-    core = list(prog.atoms)
-    occurring = frozenset(core)
+    occurring = frozenset(prog.atoms)
     sig = frozenset(sigma) if sigma is not None else occurring | a
     check_signature(occurring | a, sig)
     _check_cap(len(sig), max_atoms)
 
-    free_ext = sorted(sig - a - occurring)
-    masks = _stable_models(prog, range(len(core)), 0, _parts(f, prog, a))
-    if not free_ext:
-        return ModelSet.from_sorted_atoms(_atom_tuples(masks, core), sig)  # core is sorted
-
-    stable = [frozenset(x for b, x in enumerate(core) if m >> b & 1) for m in masks]
-    models = [
-        s | frozenset(extra)
-        for s in stable
-        for size in range(len(free_ext) + 1)
-        for extra in itertools.combinations(free_ext, size)
-    ]
-    return ModelSet.from_iter(models, sig)
+    masks = _stable_models(prog, range(len(prog.atoms)), 0, _parts(f, prog, a))
+    order: Sequence[Atom] = prog.atoms
+    free = sig - a - occurring
+    if free:
+        order = sorted(occurring | free)
+        bit = {x: 1 << k for k, x in enumerate(order)}
+        core = [bit[x] for x in prog.atoms]
+        joins = [0]
+        for x in free:
+            joins += [j | bit[x] for j in joins]
+        masks = [m | j for m in [_spread(c, core) for c in masks] for j in joins]
+    return ModelSet.from_masks(masks, order, sig)

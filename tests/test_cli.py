@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -207,6 +208,23 @@ class TestSplitSolve:
         assert time.perf_counter() - t0 < 5.0
         assert (code, out) == (2, "")
         assert err.startswith("error: modular frontier of") and err.count("\n") == 1
+
+
+class TestMemory:
+    @pytest.mark.parametrize("command", ["solve", "split-solve"])
+    def test_twelve_choices_peak_under_two_megabytes(self, capsys, tmp_path, command):
+        # 4,096 models, each held once as its sorted atom tuple on the way out
+        path = tmp_path / "choices12.lp"
+        path.write_text("".join(f"c{i} | not c{i}.\n" for i in range(12)))
+        tracemalloc.start()
+        try:
+            code = main([command, str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4096
+        assert peak < 2_000_000
 
 
 class TestCheckDefinition:

@@ -24,6 +24,7 @@ from astable import (
     reduct,
     satisfies,
 )
+from astable.formula import compile_formula, truth_chunks
 from astable.verifier import GenConfig, gen_formula
 
 from util import guard_program
@@ -172,6 +173,12 @@ class TestEquivalent:
     def test_distinguishable_formulas(self):
         assert not equivalent(P, Q, {Atom("p"), Atom("q")})
 
+    def test_one_way_implication_is_not_enough(self):
+        # p -> p | q holds everywhere, p | q -> p does not: both directions count
+        assert not equivalent(P, disj([P, Q]))
+        assert not equivalent(disj([P, Q]), P)
+        assert equivalent(disj([P, conj([P, Q])]), P)
+
     def test_signature_must_cover_occurring_atoms(self):
         with pytest.raises(SignatureError):
             equivalent(P, Q, {Atom("p")})
@@ -180,6 +187,32 @@ class TestEquivalent:
         f = conj([atom(f"x{i}") for i in range(30)])
         with pytest.raises(CapExceeded):
             equivalent(f, TOP, max_atoms=24)
+
+
+class TestCompile:
+    def test_many_rules_reuse_a_few_slots(self):
+        xs = [atom(f"x{i}") for i in range(300)]
+        rules = [impl(conj([neg(xs[i]), neg(xs[i + 1])]), xs[i + 2]) for i in range(298)]
+        rules += [neg(conj([xs[i], xs[i + 3]])) for i in range(297)]
+        prog = compile_formula(conj(rules))
+        assert len(prog.ops) > 2000
+        assert len({out for *_, out in prog.ops}) < 10  # each rule's vectors die once folded in
+
+    def test_shared_and_repeated_subtrees_keep_their_values(self):
+        rng = random.Random(4242)
+        atoms = [Atom(x) for x in "abcd"]
+        for seed in range(300):
+            g = gen_formula(GenConfig(seed=seed, max_atoms=4, max_depth=3))
+            h = gen_formula(GenConfig(seed=seed + 1000, max_atoms=4, max_depth=2))
+            e = gen_formula(GenConfig(seed=seed + 2000, max_atoms=4, max_depth=2))
+            # one object read far apart, an implication whose equal sides
+            # are read there last, and distinct nodes that compile to one slot
+            f = conj([g, impl(impl(e, e), impl(h, g)), impl(h, conj([g, conj([TOP]), TOP])), neg(g)])
+            f = rng.choice([f, impl(f, g), disj([f, h])])
+            (chunk,) = truth_chunks(f, atoms)
+            for m in range(16):
+                i = frozenset(x for b, x in enumerate(atoms) if m >> b & 1)
+                assert (chunk >> m & 1) == satisfies(i, f)
 
 
 class TestFormulaProperties:

@@ -8,6 +8,7 @@ from astable import (
     AtomRef,
     CapExceeded,
     PreconditionError,
+    SignatureError,
     SplitPlanError,
     TOP,
     atom,
@@ -320,6 +321,79 @@ class TestModularSolve:
             a = frozenset(x for x in pool if rng.random() < 0.6)
             got = modular_solve(conjuncts, a, sigma)
             assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, a)
+
+    def test_model_leaving_sigma_is_named(self):
+        # r is intensional but outside sigma, and both models make it true:
+        # the first of them in canonical order is named
+        p, r = Atom("p"), Atom("r")
+        with pytest.raises(SignatureError, match=r"^model \{p,r\} leaves the signature$"):
+            modular_solve([disj([AtomRef(p), neg(AtomRef(p))]), AtomRef(r)], {p, r}, {p})
+        # with r false in every model, nothing leaves sigma
+        assert modular_solve([disj([AtomRef(p), neg(AtomRef(p))]), neg(AtomRef(r))], {p, r}, {p}).lines() == ["{}", "{p}"]
+
+    def test_residual_atom_outside_sigma_and_a_stays_false(self):
+        # x is in neither sigma nor A, so `x | not p` reads as `not p`, and
+        # `not (p & x)` always holds
+        p, q, x = Atom("p"), Atom("q"), Atom("x")
+        choice = disj([AtomRef(p), neg(AtomRef(p))])
+        sigma = frozenset({p, q})
+        for residual, want in (
+            (disj([AtomRef(x), neg(AtomRef(p))]), ["{}", "{q}"]),
+            (neg(conj([AtomRef(p), AtomRef(x)])), ["{}", "{p}", "{p,q}", "{q}"]),
+        ):
+            conjuncts = [choice, residual]
+            got = modular_solve(conjuncts, {p}, sigma)
+            assert got.lines() == want
+            assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, {p})
+
+    def test_constraints_across_extensional_contexts_match_the_oracle(self):
+        # residual constraints over intensional and extensional atoms are
+        # blocks with no atoms, each solved once per context it reads
+        rng = random.Random(47)
+        es = [Atom(f"e{i}") for i in range(3)]
+        p, q, r = Atom("p"), Atom("q"), Atom("r")
+        ats = es + [p, q, r]
+        rules = [
+            impl(AtomRef(es[0]), AtomRef(p)),
+            impl(conj([neg(AtomRef(p)), AtomRef(es[1])]), AtomRef(q)),
+            impl(conj([AtomRef(q), neg(AtomRef(es[2]))]), AtomRef(r)),
+            disj([AtomRef(r), neg(AtomRef(r))]),
+        ]
+
+        def literal():
+            x = AtomRef(rng.choice(ats))
+            return x if rng.random() < 0.5 else neg(x)
+
+        sigma = frozenset(ats)
+        a = frozenset({p, q, r})
+        for k in range(60):
+            constraints = [neg(conj([literal() for _ in range(rng.randint(1, 3))])) for _ in range(rng.randint(1, 3))]
+            conjuncts = rules + constraints
+            plan = plan_split(conjuncts, a)
+            assert set(constraints) <= set(plan.residual)
+            got = modular_solve(conjuncts, a, sigma)
+            assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, a)
+            assert list(got.sorted_atoms) == sorted(got.sorted_atoms)
+
+    def test_each_constraint_is_solved_on_its_own_contexts(self, monkeypatch):
+        # six constraints not (c_2i & c_2i+1) on twelve choices: each is a
+        # block with no atoms whose contexts are its own two atoms, and all
+        # six share one shape, so at most four contexts are ever solved
+        empty = []
+        real = splitting._stable_models
+
+        def spy(prog, var, *rest):
+            if not var:
+                empty.append(rest)
+            return real(prog, var, *rest)
+
+        monkeypatch.setattr(splitting, "_stable_models", spy)
+        cs = [Atom(f"c{i:02d}") for i in range(12)]
+        conjuncts = [disj([AtomRef(c), neg(AtomRef(c))]) for c in cs]
+        conjuncts += [neg(conj([AtomRef(cs[2 * i]), AtomRef(cs[2 * i + 1])])) for i in range(6)]
+        got = modular_solve(conjuncts, frozenset(cs), frozenset(cs))
+        assert len(got) == 3**6
+        assert 0 < len(empty) <= 4
 
     def test_block_wider_than_a_sweep_chunk(self):
         # a 17-atom positive cycle seeded by the extensional atom e: the block

@@ -6,6 +6,7 @@ from astable import (
     Atom,
     AtomRef,
     CapExceeded,
+    ModelSet,
     SignatureError,
     atom,
     atoms_of,
@@ -134,6 +135,20 @@ class TestEnumerate:
     def test_signature_must_cover_formula(self):
         with pytest.raises(SignatureError):
             enumerate_a_stable(G, {Q}, {Q})
+
+    @pytest.mark.parametrize("free", ["a", "c", "e", "ace", "aez"])
+    def test_free_extensional_atoms_anywhere_in_the_order(self, free):
+        # b and d occur; free extensional atoms sort before, between and
+        # after them, and each model is spread to the merged order once
+        forms = [_program(rules) for rules in (["b | not b", "not b -> d"], ["b -> d", "d -> b"], ["(b -> d) -> b"])]
+        extra = frozenset(Atom(x) for x in free)
+        for f in forms:
+            sigma = atoms_of(f) | extra
+            for a in all_subsets(sigma):
+                got = enumerate_a_stable(f, a, sigma)
+                want = brute_a_stable(f, sigma, a)
+                assert got.as_set() == want
+                assert list(got.sorted_atoms) == sorted(tuple(sorted(m)) for m in want)
 
     def test_every_intensional_set_on_narrow_programs(self):
         # a program of at most _NARROW atoms takes one packed run over every
@@ -283,9 +298,26 @@ class TestPackedMinimality:
         # that pass the other parts, not on ones that fail them (t true)
         assert len(calls) == 2 and {c.bit_count() for c in calls} == {17}
 
+    @pytest.mark.parametrize("extra, count", [([], 5), (["p1 -> p2", "p2 -> p1"], 4)])
+    def test_wide_program_gets_one_part_per_component(self, extra, count):
+        # a program of more than _NARROW atoms with two or more intensional
+        # atoms takes its parts from the components, one atom each on the
+        # negative chain, unless a positive cycle joins two of them
+        f = _program(_negchain(20) + extra)
+        prog = compile_formula(f)
+        a = frozenset(Atom(f"p{i}") for i in range(5))
+        parts = _parts(f, prog, a)
+        assert len(parts) == count
+        assert sorted(parts) == sorted(_scc_parts(f, prog, a))
+        every = range(len(prog.atoms))
+        candidates = list(_candidate_models(prog, every, 0))
+        assert sorted(_stable_subset(prog, every, 0, parts, candidates)) == sorted(
+            _stable_subset(prog, every, 0, [sum(parts)], candidates)
+        )
+
     def test_one_part_agrees_with_the_component_parts(self):
-        # at most five intensional atoms form one part without a graph; the
-        # component parts must give the same stable candidates
+        # a program of at most _NARROW atoms forms one part without a graph;
+        # the component parts must give the same stable candidates
         rng = random.Random(23)
         for k in range(300):
             f = gen_formula(GenConfig(seed=9100 + k, max_atoms=5, max_depth=3))
@@ -299,6 +331,51 @@ class TestPackedMinimality:
             assert sorted(_stable_subset(prog, every, 0, [one] if one else [], candidates)) == sorted(
                 _stable_subset(prog, every, 0, parts, candidates)
             )
+
+
+class TestModelSet:
+    P, R = Atom("p"), Atom("r")
+    SIG = frozenset({P, Q, R})
+    MODELS = [{Q, P}, set(), {R}, {P}, {P, Q}]  # a duplicate, out of order
+
+    def test_collection_semantics(self):
+        got = ModelSet.from_iter(self.MODELS, self.SIG)
+        canonical = ((), (self.P,), (self.P, Q), (self.R,))
+        assert got.sorted_atoms == canonical
+        assert got.models == tuple(map(frozenset, canonical))
+        assert list(got) == list(got.models) and len(got) == 4
+        assert got.as_set() == frozenset(map(frozenset, self.MODELS))
+        assert {Q, self.P} in got and frozenset() in got and [self.R] in got
+        assert {Q} not in got and {self.P, self.R} not in got
+        assert got.lines() == ["{}", "{p}", "{p,q}", "{r}"]
+
+    def test_equality_and_hash_follow_the_set(self):
+        bits = {self.P: 1, Q: 2, self.R: 4}
+        masks = [sum(map(bits.__getitem__, m)) for m in map(frozenset, self.MODELS)]
+        via_masks = ModelSet.from_masks(list(dict.fromkeys(masks)), sorted(self.SIG), self.SIG)
+        via_iter = ModelSet.from_iter(reversed(self.MODELS), self.SIG)
+        assert via_masks == via_iter and hash(via_masks) == hash(via_iter)
+        assert via_iter != ModelSet.from_iter(self.MODELS, self.SIG | {Atom("s")})
+        assert via_iter != ModelSet.from_iter(self.MODELS[1:3], self.SIG)
+
+    def test_intersection_keeps_the_canonical_order(self):
+        left = ModelSet.from_iter([{self.R}, {self.P, Q}, set(), {Q}, {self.P}], self.SIG)
+        right = ModelSet.from_iter([{self.P}, {Q}, {self.R}, {self.P, self.R}], self.SIG)
+        both = left.intersection(right)
+        assert both.sorted_atoms == ((self.P,), (Q,), (self.R,))
+        assert both == right.intersection(left)
+        with pytest.raises(SignatureError, match="different signatures"):
+            left.intersection(ModelSet.from_iter([], {Q}))
+
+    def test_a_model_leaving_the_signature_is_named(self):
+        # the first such model in canonical order, from either constructor
+        for make in (
+            lambda: ModelSet.from_iter([{self.R}, {self.P, self.R}, {Q}], {self.P, Q}),
+            lambda: ModelSet.from_masks([4, 5, 2], [self.P, Q, self.R], frozenset({self.P, Q})),
+        ):
+            with pytest.raises(SignatureError, match=r"^model \{p,r\} leaves the signature$"):
+                make()
+        assert len(ModelSet.from_masks([0, 2], [self.P, Q, self.R], frozenset({Q}))) == 2
 
 
 class TestModred:
