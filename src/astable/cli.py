@@ -10,7 +10,6 @@ precondition or cap, 3 verification counterexample found.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -82,12 +81,9 @@ def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Ato
 
 
 def _print_models(models: ModelSet, as_json: bool) -> None:
-    if as_json:
-        for atoms in models.sorted_atoms:
-            print(json.dumps({"atoms": [str(a) for a in atoms]}))
-    else:
-        for line in models.lines():
-            print(line)
+    lines = models.lines(as_json=as_json)
+    lines.append("")
+    sys.stdout.write("\n".join(lines))
 
 
 def _cmd_parse(args) -> int:
@@ -155,13 +151,9 @@ def _cmd_check_definition(args) -> int:
     if not report.bijection:
         print(f"counterexample: {report.counterexample}")
         return COUNTEREXAMPLE_EXIT
-    assert report.pairs is not None
-    print(f"definition for {len(q)} atoms: conservative ({len(report.pairs)} stable models)")
-    for full, _ in report.pairs:
-        atoms = sorted(full)
-        full_text = ",".join(map(str, atoms))
-        proj_text = ",".join(str(a) for a in atoms if a not in recognized.q_set)
-        print(f"{{{full_text}}} -> {{{proj_text}}}")
+    pairs = report.lines()
+    head = f"definition for {len(q)} atoms: conservative ({len(pairs)} stable models)"
+    sys.stdout.write("\n".join([head, *pairs, ""]))
     return 0
 
 

@@ -20,9 +20,10 @@ from .formula import Atom, AtomRef, Conj, Formula, Impl, TOP, atoms_of, conj, sa
 from .stable import (
     DEFAULT_MAX_ATOMS,
     Interpretation,
+    ModelSet,
     _check_cap,
     enumerate_a_stable,
-    format_interpretation,
+    format_masks,
 )
 
 
@@ -146,14 +147,34 @@ def intersection_oracle(
 
 @dataclass(frozen=True)
 class ConservativityReport:
-    """Either a certified pairing of stable models or a counterexample."""
+    """Either a certified pairing of stable models or a counterexample.
 
-    pairs: tuple[tuple[Interpretation, Interpretation], ...] | None
+    When certified, `models` holds the stable models of f & definition and
+    `q_mask` the bits of the defined atoms over `models.atoms`: each model
+    pairs with its bitmask outside them.
+    """
+
+    models: ModelSet | None
+    q_mask: int
     counterexample: str | None
 
     @property
     def bijection(self) -> bool:
         return self.counterexample is None
+
+    @property
+    def pairs(self) -> tuple[tuple[Interpretation, Interpretation], ...] | None:
+        if self.models is None:
+            return None
+        q = frozenset(x for b, x in enumerate(self.models.atoms) if self.q_mask >> b & 1)
+        return tuple((full, full - q) for full in self.models)
+
+    def lines(self) -> list[str]:
+        """Each pair as `{full} -> {projection}`, in the canonical order of
+        the full models."""
+        full = self.models
+        projected = list(map((~self.q_mask).__and__, full.masks))
+        return list(map("{} -> {}".format, full.lines(), format_masks(projected, full.atoms)))
 
 
 def check_conservativity(
@@ -167,7 +188,8 @@ def check_conservativity(
     f & definition one-to-one onto the stable models of f.
 
     Requires that no defined atom occurs in f.  Returns the pairing, or the
-    first interpretation witnessing a failure.
+    first interpretation witnessing a failure.  Models are compared as
+    bitmasks over the atoms of the stable models of f & definition.
     """
     present = sorted(d.q_set & atoms_of(f))
     if present:
@@ -179,30 +201,24 @@ def check_conservativity(
     sm_both = enumerate_a_stable(combined, sig, sig, max_atoms=max_atoms)
     sm_base = enumerate_a_stable(f, sig, sig, max_atoms=max_atoms)
 
-    base_set = sm_base.as_set()
-    seen: dict[Interpretation, Interpretation] = {}
-    pairs = []
-    for full in sm_both:
-        projected = full - d.q_set
-        if projected not in base_set:
+    atoms = sm_both.atoms
+    q_mask = sum(1 << b for b, x in enumerate(atoms) if x in d.q_set)
+    base = {m: k for k, m in enumerate(sm_base.over(atoms))}  # to its index in canonical order
+    seen: dict[int, int] = {}
+    for full in sm_both.masks:
+        projected = full & ~q_mask
+        if projected not in base:
+            full_text, projected_text = format_masks([full, projected], atoms)
             return ConservativityReport(
-                None,
-                f"stable model {format_interpretation(full)} projects to "
-                f"{format_interpretation(projected)}, which is not stable for the base",
+                None, 0,
+                f"stable model {full_text} projects to {projected_text}, which is not stable for the base",
             )
         if projected in seen:
-            return ConservativityReport(
-                None,
-                f"stable models {format_interpretation(seen[projected])} and "
-                f"{format_interpretation(full)} project to the same base model",
-            )
+            first, second = format_masks([seen[projected], full], atoms)
+            return ConservativityReport(None, 0, f"stable models {first} and {second} project to the same base model")
         seen[projected] = full
-        pairs.append((full, projected))
-    uncovered = base_set - set(seen)
+    uncovered = base.keys() - seen.keys()
     if uncovered:
-        missing = min(uncovered, key=lambda m: sorted(m))
-        return ConservativityReport(
-            None,
-            f"base stable model {format_interpretation(missing)} has no completion",
-        )
-    return ConservativityReport(tuple(pairs), None)
+        missing = sm_base.lines()[min(map(base.__getitem__, uncovered))]
+        return ConservativityReport(None, 0, f"base stable model {missing} has no completion")
+    return ConservativityReport(sm_both, q_mask, None)

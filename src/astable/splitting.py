@@ -246,7 +246,7 @@ def _extend_frontier(
     prog: Program,
     block_atoms: frozenset[Atom],
     bit: dict[Atom, int],
-    solved: dict[tuple, list[int]],
+    solved: dict[tuple, dict[int, list[int]]],
     max_atoms: int,
 ) -> list[int]:
     """Every frontier entry joined with each stable extension of the block
@@ -274,7 +274,7 @@ def _extend_frontier(
             context.append((bit.get(x, 0), 1 << b))
             ctx_mask |= bit.get(x, 0)
 
-    shape_block = tuple(block)
+    shape = solved.setdefault((prog.ops, prog.root, len(prog.atoms), tuple(block)), {})
     memo: dict[int, list[int]] = {}
     size = 0
     for m in frontier:
@@ -285,10 +285,9 @@ def _extend_frontier(
             for sig_bit, prog_bit in context:
                 if ctx & sig_bit:
                     here |= prog_bit
-            shape = (prog.ops, prog.root, len(prog.atoms), shape_block, here)
-            found = solved.get(shape)
+            found = shape.get(here)
             if found is None:
-                found = solved[shape] = _stable_models(prog, block, here, [(1 << len(block)) - 1])
+                found = shape[here] = _stable_models(prog, block, here, [(1 << len(block)) - 1])
             exts = memo[ctx] = [_spread(c, sig_bits) for c in found]
         size += len(exts)
     if size > 1 << max_atoms:
@@ -363,7 +362,7 @@ def modular_solve(
     frontier = [0]
     for x in sig - a:
         frontier += [m | bit[x] for m in frontier]
-    solved: dict[tuple, list[int]] = {}
+    solved: dict[tuple, dict[int, list[int]]] = {}
     for block_atoms, prog in steps + residual:
         frontier = _extend_frontier(frontier, prog, block_atoms, bit, solved, max_atoms)
     return ModelSet.from_masks(frontier, order, sig)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .depgraph import components, dep_graph
@@ -50,45 +51,142 @@ def interpretation_key(interp: AbstractSet[Atom]) -> tuple:
     return tuple(sorted(interp))
 
 
-def _check_inside(models: Iterable[tuple[Atom, ...]], signature: frozenset[Atom]) -> None:
-    """Raise SignatureError naming the first of `models` that leaves the signature."""
-    for m in models:
-        if not signature.issuperset(m):
-            raise SignatureError(f"model {format_interpretation(m)} leaves the signature")
+_FEW = 16  # up to this many bitmasks are decoded one at a time, more through tables
+_BYTE_BITS = [bytes(m >> j & 1 for j in range(8)) for m in range(256)]  # bit j of m at byte j
 
 
-@dataclass(frozen=True)
+def _selectors(masks: Sequence[int], n: int) -> Iterable[bytes]:
+    """Each bitmask over n >= 1 atoms as bytes 0 or 1, atom 0 first."""
+    if n <= 8:
+        return map(_BYTE_BITS.__getitem__, masks)
+    rows = _rows(masks, n)[::-1]  # the last bitmask first
+    return reversed([rows[k : k + n] for k in range(0, len(rows), n)])
+
+
+def _tables(pieces: Sequence, join) -> list[list]:
+    """Per byte of a bitmask over len(pieces) atoms, the join of the pieces
+    of each subset of its (up to 8) atoms, indexed by the subset's bits."""
+    out = []
+    for g in range(0, max(len(pieces), 1), 8):
+        table = [join(())]
+        for piece in pieces[g : g + 8]:
+            unit = join((piece,))
+            table += [t + unit for t in table]
+        out.append(table)
+    return out
+
+
+def _lookup(masks: Sequence[int], tables: Sequence[list]) -> list:
+    """Per bitmask, the sum of its bytes' entries in `tables` (see `_tables`)."""
+    if len(tables) == 1:
+        return list(map(tables[0].__getitem__, masks))
+    nbytes = len(tables)
+    flat = b"".join(map(int.to_bytes, masks, itertools.repeat(nbytes), itertools.repeat("little")))
+    out = map(tables[0].__getitem__, flat[::nbytes])
+    for g in range(1, nbytes):
+        out = map(add, out, map(tables[g].__getitem__, flat[g::nbytes]))
+    return list(out)
+
+
+@functools.cache  # one per 8 atoms of the widest model set decoded
+def _rank_table(g: int) -> list[str]:
+    """`_tables` of the rank string of atoms 8g to 8g + 7: the character
+    of rank b + 1 stands for atom b."""
+    return _tables([chr(b + 1) for b in range(8 * g, 8 * g + 8)], "".join)[0]
+
+
+# built at import: the rank tables of every model set within the default cap
+[_rank_table(g) for g in range(-(-DEFAULT_MAX_ATOMS // 8))]
+
+
+def _decode(masks: Sequence[int], pieces: Sequence, join) -> list:
+    """Per bitmask over len(pieces) atoms, in the order given, `join` of
+    the pieces of the bits it sets, in increasing order: `join` takes an
+    iterable, such as `tuple`, `"".join` or `sum`, and adding two of its
+    results must give the join of their pieces.
+
+    A handful of bitmasks are decoded one at a time; more through
+    `_tables`, one lookup and one addition per 8 atoms, all in C.
+    """
+    if len(masks) > _FEW or not pieces:
+        return _lookup(masks, _tables(pieces, join))
+    return list(map(join, map(itertools.compress, itertools.repeat(pieces), _selectors(masks, len(pieces)))))
+
+
+def format_masks(masks: Sequence[int], atoms: Sequence[Atom], *, as_json: bool = False) -> list[str]:
+    """Each bitmask over the sorted `atoms` (bit b <-> atoms[b]), in the
+    order given, as the text of its interpretation, `{a,b}`, or with
+    `as_json` as the object `{"atoms": ["a", "b"]}`."""
+    if not masks:
+        return []
+    if as_json:
+        head, sep, tail = '{"atoms": [', ", ", "]}"
+        pieces = [sep + json.dumps(str(x)) for x in atoms]
+    else:
+        head, sep, tail = "{", ",", "}"
+        pieces = [sep + str(x) for x in atoms]
+    texts = map(itemgetter(slice(len(sep), None)), _decode(masks, pieces, "".join))
+    return (head + (tail + "\n" + head).join(texts) + tail).split("\n")
+
+
+@dataclass(frozen=True, eq=False)
 class ModelSet:
     """A canonically ordered set of interpretations over a fixed signature.
 
-    Each model is held as the tuple of its atoms in sorted order, and the
-    canonical order of the models is the order of these tuples: output
-    prints from them, and the frozensets of `models`, iteration and
-    `as_set` are built from them only when asked for.
+    Each model is held as a bitmask over `atoms`, sorted and distinct (bit
+    b <-> atoms[b]), and `masks` lists the models in canonical order: the
+    order of their sorted atom tuples.  Since the atoms are sorted, that is
+    the order of the strings with the character of rank b + 1 for each bit
+    b, which `from_masks` sorts by.  `sorted_atoms` (cached), `models`,
+    iteration, `in`, `as_set` and the printed `lines` are decoded from the
+    bitmasks when asked for; two model sets are equal when they hold the
+    same models over the same signature.
     """
 
-    sorted_atoms: tuple[tuple[Atom, ...], ...]
+    atoms: tuple[Atom, ...]
+    masks: tuple[int, ...]
     signature: frozenset[Atom]
 
     @classmethod
     def from_iter(cls, models: Iterable[AbstractSet[Atom]], signature: AbstractSet[Atom]) -> "ModelSet":
         """From any interpretations, each sorted once; duplicates merge."""
         sig = frozenset(signature)
-        ordered = sorted(map(interpretation_key, {frozenset(m) for m in models}))
-        _check_inside(ordered, sig)
-        return cls(tuple(ordered), sig)
+        ordered = tuple(sorted(map(interpretation_key, {frozenset(m) for m in models})))
+        for m in ordered:
+            if not sig.issuperset(m):
+                raise SignatureError(f"model {format_interpretation(m)} leaves the signature")
+        atoms = tuple(sorted(sig))
+        bit = {x: 1 << b for b, x in enumerate(atoms)}
+        found = cls(atoms, tuple(sum(map(bit.__getitem__, m)) for m in ordered), sig)
+        found.__dict__["_sorted_atoms"] = ordered
+        return found
 
     @classmethod
     def from_masks(cls, masks: Sequence[int], atoms: Sequence[Atom], signature: frozenset[Atom]) -> "ModelSet":
-        """From distinct bitmasks over the sorted `atoms` (bit b <-> atoms[b]):
-        one reversed row per bitmask gives its atoms in sorted order, and
-        the tuples are sorted once."""
-        n = len(atoms)
-        rows = _rows(masks, n)[::-1] if n else b""
-        ordered = sorted(tuple(itertools.compress(atoms, rows[k * n : k * n + n])) for k in range(len(masks)))
+        """From distinct bitmasks over the sorted `atoms` (bit b <-> atoms[b]),
+        sorted by their rank strings."""
+        atoms = tuple(atoms)
+        tables = [_rank_table(g) for g in range(-(-len(atoms) // 8) or 1)]
+        if len(tables) == 1:
+            ordered = tuple(sorted(masks, key=tables[0].__getitem__))
+        else:
+            keys = _lookup(masks, tables)
+            ordered = tuple(map(masks.__getitem__, sorted(range(len(masks)), key=keys.__getitem__)))
         if not signature.issuperset(atoms):
-            _check_inside(ordered, signature)
-        return cls(tuple(ordered), signature)
+            outside = sum(1 << b for b, x in enumerate(atoms) if x not in signature)
+            for m in ordered:
+                if m & outside:
+                    raise SignatureError(f"model {format_masks([m], atoms)[0]} leaves the signature")
+        return cls(atoms, ordered, signature)
+
+    @property
+    def sorted_atoms(self) -> tuple[tuple[Atom, ...], ...]:
+        """Each model as its atoms in sorted order, decoded once."""
+        cache = self.__dict__
+        found = cache.get("_sorted_atoms")
+        if found is None:
+            found = cache["_sorted_atoms"] = tuple(_decode(self.masks, self.atoms, tuple))
+        return found
 
     @property
     def models(self) -> tuple[Interpretation, ...]:
@@ -98,24 +196,41 @@ class ModelSet:
         return map(frozenset, self.sorted_atoms)
 
     def __len__(self) -> int:
-        return len(self.sorted_atoms)
+        return len(self.masks)
 
     def __contains__(self, interp: AbstractSet[Atom]) -> bool:
         return interpretation_key(frozenset(interp)) in self.sorted_atoms
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModelSet):
+            return NotImplemented
+        return self.signature == other.signature and self.sorted_atoms == other.sorted_atoms
+
+    def __hash__(self) -> int:
+        return hash((self.sorted_atoms, self.signature))
+
     def as_set(self) -> frozenset[Interpretation]:
         return frozenset(map(frozenset, self.sorted_atoms))
 
-    def lines(self) -> list[str]:
-        text = {x: str(x) for x in self.signature}.__getitem__
-        return ["{" + ",".join(map(text, atoms)) + "}" for atoms in self.sorted_atoms]
+    def lines(self, *, as_json: bool = False) -> list[str]:
+        """Each model's text, in canonical order (see `format_masks`)."""
+        return format_masks(self.masks, self.atoms, as_json=as_json)
+
+    def over(self, atoms: Sequence[Atom]) -> list[int]:
+        """Each model, in canonical order, as a bitmask over the sorted
+        `atoms` (bit b <-> atoms[b]); an atom outside them sets bit
+        len(atoms), which no bitmask over them has."""
+        if tuple(atoms) == self.atoms:
+            return list(self.masks)
+        bit = {x: 1 << b for b, x in enumerate(atoms)}
+        return _decode(self.masks, [bit.get(x, 1 << len(bit)) for x in self.atoms], sum)
 
     def intersection(self, other: "ModelSet") -> "ModelSet":
         """The models of both, in the canonical order of `self`."""
         if self.signature != other.signature:
             raise SignatureError("model sets over different signatures cannot be intersected")
-        common = set(other.sorted_atoms)
-        return ModelSet(tuple(m for m in self.sorted_atoms if m in common), self.signature)
+        common = set(other.over(self.atoms))
+        return ModelSet(self.atoms, tuple(filter(common.__contains__, self.masks)), self.signature)
 
 
 def leq_a(i: AbstractSet[Atom], j: AbstractSet[Atom], a: AbstractSet[Atom]) -> bool:
@@ -317,12 +432,10 @@ def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -
     mask of the live slots, the mask of every segment's bit 0 and the
     segment width.
     """
-    width, drops, every_slot = _layout(tuple(s for _, s in slotted))
+    sizes = tuple(s for _, s in slotted)
+    width = _layout(sizes)[0]
     nbytes = width // 8
-
-    def repeat(v: int) -> int:
-        return int.from_bytes(v.to_bytes(nbytes, "little") * len(batch), "little")
-
+    drops, every_slot, first = _replicated(sizes, len(batch))
     rows = _rows(batch, n) if n else b""
     buf = bytearray(len(batch) * nbytes)
     values = []
@@ -333,7 +446,6 @@ def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -
     dead = 0
     for (part, _), vecs in zip(slotted, drops):
         bits = [b for b in range(n) if part >> b & 1]
-        vecs = [repeat(d) for d in vecs]
         if len(bits) <= _NARROW:
             for b, d in zip(bits, vecs):
                 fill = values[b]
@@ -343,7 +455,7 @@ def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -
             continue
         depth = (len(vecs) - 1).bit_length()
         counter = [0] * depth  # bit q of each segment's count of true part atoms so far
-        vecs += [0] * ((1 << depth) - len(vecs))
+        vecs = [*vecs, *[0] * ((1 << depth) - len(vecs))]
         for b in bits:
             fill = values[b]
             pick = vecs
@@ -353,7 +465,21 @@ def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -
             carry = fill
             for q, c in enumerate(counter):
                 counter[q], carry = c ^ carry, c & carry
-    return tuple(values), repeat(every_slot) ^ dead, repeat(1), width
+    return tuple(values), every_slot ^ dead, first, width
+
+
+@functools.lru_cache(maxsize=16)  # each vector at most one run, 8 KB: a few MB in all
+def _replicated(sizes: tuple[int, ...], count: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """`_layout(sizes)` repeated over `count` segments: per part, the drop
+    vector of each position; the mask of every slot; and the mask of every
+    segment's bit 0."""
+    width, drops, every_slot = _layout(sizes)
+    nbytes = width // 8
+
+    def repeat(v: int) -> int:
+        return int.from_bytes(v.to_bytes(nbytes, "little") * count, "little")
+
+    return tuple(tuple(map(repeat, vecs)) for vecs in drops), repeat(every_slot), repeat(1)
 
 
 def _spread(c: int, bits: Sequence[int]) -> int:
@@ -393,7 +519,7 @@ def _assignment_run(k: int, a: int) -> tuple[tuple[int, ...], int, int, int]:
 
 
 # built at import: the tables of every modular block, whose atoms are all of A
-[_assignment_run(k, (1 << k) - 1) for k in range(_NARROW + 1)]
+[_assignment_run(k, (1 << k) - 1) for k in range(1, _NARROW + 1)]
 
 
 def _stable_subset(
@@ -451,6 +577,8 @@ def _stable_models(prog: Program, var: Sequence[int], here: int, parts: Sequence
     sweep, and `_stable_subset` keeps the stable models it finds.
     """
     k = len(var)
+    if not k:  # classical truth of prog in the one interpretation `here`
+        return [0] if prog.run([here >> b & 1 for b in range(len(prog.atoms))], 1, 1) else []
     if k <= _NARROW:
         return _verdicts(prog, var, here, _assignment_run(k, sum(parts)), range(1 << k))
     return _stable_subset(prog, var, here, parts, list(_candidate_models(prog, var, here)))

@@ -719,7 +719,7 @@ def _suite_definitions_theorem(rng, cfg, unsound):
         suite="definitions_theorem",
         base_formula=format_formula(f),
         definition=format_formula(d.source),
-        outcome=report.counterexample or f"bijection of size {len(report.pairs or ())}",
+        outcome=report.counterexample or f"bijection of size {len(report.models or ())}",
     )
 
 

@@ -244,6 +244,21 @@ class TestCheckDefinition:
         assert "conservative" in out
         assert "{p(a,b),q(a,b)} -> {p(a,b)}" in out
 
+    def test_pairs_print_in_canonical_order(self, capsys, tmp_path):
+        base = tmp_path / "base.lp"
+        base.write_text("p(a) | not p(a).\np1 | not p1.\n")
+        module = tmp_path / "def.lp"
+        module.write_text("p(a) -> q(a).\nq(a) & p1 -> r.\n")
+        code, out, err = run(capsys, "check-definition", str(base), str(module), "--defined", "q(a),r")
+        assert (code, err) == (0, "")
+        assert out == (
+            "definition for 2 atoms: conservative (4 stable models)\n"
+            "{} -> {}\n"
+            "{p(a),p1,q(a),r} -> {p(a),p1}\n"
+            "{p(a),q(a)} -> {p(a)}\n"
+            "{p1} -> {p1}\n"
+        )
+
     def test_rejection_is_exit_two(self, capsys, tmp_path):
         base = tmp_path / "base.lp"
         base.write_text("p.\n")

@@ -6,12 +6,14 @@ from astable import (
     Atom,
     AtomRef,
     DefinitionError,
+    DefinitionModule,
     Rejection,
     TOP,
     atom,
     atoms_of,
     check_conservativity,
     conj,
+    disj,
     impl,
     intersection_oracle,
     is_a_stable,
@@ -189,6 +191,21 @@ class TestConservativity:
         for full, projected in report.pairs:
             assert projected == full - q_set
             assert unique_q_stable(d, projected) == full
+
+
+    def test_each_failure_is_named(self):
+        # modules built by hand, so that none is a definition
+        p, qa = AtomRef(Atom("p")), AtomRef(Atom("q", ("a",)))
+        choice = lambda x: disj((x, neg(x)))
+        cases = [
+            (TOP, p, "stable model {p} projects to {p}, which is not stable for the base"),
+            (TOP, choice(qa), "stable models {} and {q(a)} project to the same base model"),
+            (choice(p), neg(p), "base stable model {p} has no completion"),
+            (choice(p), conj((choice(qa), choice(p))), "stable models {p} and {p,q(a)} project to the same base model"),
+        ]
+        for f, source, message in cases:
+            report = check_conservativity(f, DefinitionModule((), frozenset({qa.atom}), source))
+            assert (report.counterexample, report.pairs) == (message, None)
 
 
 class TestProjectionLemma:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -462,3 +463,63 @@ class TestThreeCharacterizations:
     def test_format_interpretation(self):
         assert format_interpretation({PB, Q, PA}) == "{p(a),p(b),q}"
         assert format_interpretation(frozenset()) == "{}"
+
+
+class TestModelSetDecode:
+    """`from_masks` against an independent oracle: sort each model's atoms,
+    then sort the tuples."""
+
+    # text order and atom order are both exercised: p1 < p10 < p2, p < p(a),
+    # p(a) < p(a,b) < p(b), and a model {p(a)} before {p(a),q} although
+    # "}" sorts after ","
+    NAMES = [Atom("p"), Atom("p1"), Atom("p10"), Atom("p2"), Atom("p", ("a",)), Atom("p", ("a", "b")),
+             Atom("p", ("b",)), Atom("p", ("ab",)), Atom("q"), Atom("Q"), Atom("q_1"), Atom("r", ("a", "a")),
+             Atom("a0"), Atom("z")]
+
+    def check(self, masks, atoms, signature):
+        got = ModelSet.from_masks(masks, atoms, signature)
+        models = [frozenset(x for b, x in enumerate(atoms) if m >> b & 1) for m in masks]
+        want = sorted(tuple(sorted(m)) for m in models)
+        assert got.sorted_atoms == tuple(want)
+        assert got.as_set() == frozenset(models) and len(got) == len(masks)
+        assert got.lines() == ["{" + ",".join(map(str, t)) + "}" for t in want]
+        assert got.lines(as_json=True) == [json.dumps({"atoms": [str(x) for x in t]}) for t in want]
+        return got
+
+    def test_random_mask_sets_match_the_oracle(self):
+        rng = random.Random(41)
+        for _ in range(400):
+            atoms = sorted(rng.sample(self.NAMES, rng.randint(0, len(self.NAMES))))
+            count = rng.choice([1, 2, 3, rng.randint(0, 40)])  # a handful, and more than one decodes at a time
+            masks = rng.sample(range(1 << len(atoms)), min(count, 1 << len(atoms)))
+            self.check(masks, atoms, frozenset(atoms) | {Atom("s")})
+
+    def test_empty_sets_and_no_atoms(self):
+        sig = frozenset(self.NAMES[:3])
+        assert self.check([], sorted(sig), sig).lines() == []
+        assert self.check([0], sorted(sig), sig).lines() == ["{}"]
+        assert self.check([0], [], sig).lines(as_json=True) == ['{"atoms": []}']
+        assert len(self.check([], [], frozenset())) == 0
+
+    def test_more_than_255_atoms(self):
+        # ranks past one byte: the rank string is not limited to bytes
+        atoms = sorted(Atom(f"x{k}") for k in range(300))
+        rng = random.Random(43)
+        for count in (1, 3, 40):
+            masks = list({rng.getrandbits(300) >> rng.randrange(300) for _ in range(count)})
+            masks += [1 << 299, (1 << 299) | 1, 1 << 255, 1 << 256]
+            self.check(list(dict.fromkeys(masks)), atoms, frozenset(atoms))
+
+    def test_intersection_over_different_atoms(self):
+        rng = random.Random(47)
+        sig = frozenset(self.NAMES)
+        for _ in range(200):
+            sets = []
+            for _ in range(2):
+                atoms = sorted(rng.sample(self.NAMES, rng.randint(0, 6)))
+                masks = rng.sample(range(1 << len(atoms)), min(rng.choice([2, 30]), 1 << len(atoms)))
+                sets.append(ModelSet.from_masks(masks, atoms, sig))
+            left, right = sets
+            both = left.intersection(right)
+            assert both.as_set() == left.as_set() & right.as_set()
+            assert list(both.sorted_atoms) == sorted(both.sorted_atoms)
