@@ -3,17 +3,20 @@
 Two checked strategies: intersecting the A-stable model sets of one formula
 under the two halves of an infinitely separable partition, and intersecting
 the model sets of two formulas whose strictly positive atoms avoid the other
-half.  On top of them, a planner groups the conjuncts of a program along the
-strongly connected components of its dependency graph and a modular solver
-evaluates the blocks in dependency order, carrying partial interpretations.
-Both strategies verify their preconditions; the modular solver falls back to
-brute force (with a warning) when a step cannot be validated.
+half.  On top of them, a planner groups the conjuncts of a program into
+units, the strongly connected components of the graph of which atoms each
+rule head mentions, and a modular solver evaluates the units in condensation
+order, carrying partial interpretations.  Units may depend on each other
+through negation; positive dependency stays inside a unit, as the symmetric
+splitting theorem asks.  Both strategies verify their preconditions; the
+modular solver falls back to brute force (with a warning) when a conjunct's
+strictly positive intensional atoms span dependency blocks.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
 from .depgraph import (
@@ -38,9 +41,11 @@ from .formula import (
     satisfies,  # not called here; perfbench/spans.py wraps this name
 )
 from .stable import (
+    _NARROW,
     DEFAULT_MAX_ATOMS,
     ModelSet,
     _check_cap,
+    _parts,
     _spread,
     _stable_models,
     enumerate_a_stable,
@@ -139,142 +144,117 @@ def split_models_theorem(
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Conjuncts grouped per dependency block, in condensation order.
+    """Conjuncts grouped per evaluation unit, in condensation order.
 
-    Block atom sets are pairwise disjoint and cover the intensional set; a
-    block's formula is the conjunction of the conjuncts assigned to it.
-    Conjuncts without strictly positive intensional atoms act as constraints
-    and stay in the residual; the modular solver solves each of them last,
-    as a block with no atoms.  `programs` holds each block formula compiled,
-    parallel to `blocks`.
+    A unit is a strongly connected component of the mention graph over the
+    intensional set, which has an edge from each strictly positive
+    intensional atom of a conjunct (its head) to each intensional atom that
+    conjunct mentions.  Unit atom sets are pairwise disjoint and cover the
+    intensional set; a unit's formula is the conjunction of the conjuncts
+    whose heads lie in it, and mentions only the unit's own atoms, atoms of
+    later-listed units and atoms outside the intensional set.  Conjuncts
+    without heads act as constraints and stay in the residual; the modular
+    solver solves each of them last, as a unit with no atoms.
     """
 
     blocks: tuple[tuple[frozenset[Atom], Formula], ...]
     residual: tuple[Formula, ...]
-    programs: tuple[Program, ...] = field(compare=False, repr=False)
 
 
 def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
-    """Assign each conjunct to the dependency block holding all of its
-    strictly positive intensional atoms.
+    """The units of the conjuncts over the intensional set a (see
+    `SplitPlan`), each listed before the units its formula mentions.
 
-    Blocks are listed topologically for the positive dependency graph; when
-    atom occurrences allow, the order is refined so that a block's formula
-    only mentions atoms of earlier-evaluated (later-listed) blocks, which is
-    what lets the modular solver run front to back.
-
-    One block per atom of A is tried first: every edge of the dependency
-    graph runs from a conjunct's head to an atom that conjunct mentions, so
-    when those blocks can be listed the graph has no cycle and they are its
-    components, and it is never built.
+    Every edge of the positive dependency graph is a mention edge, so a
+    unit is a union of dependency blocks, the graph's strongly connected
+    components, and the units of any program can be listed.  When the
+    mention graph has no cycle each atom is a unit and no graph object is
+    built.  The dependency graph is built only when some conjunct has two
+    or more heads: they must share a dependency block, else SplitPlanError.
     """
     a = frozenset(a)
+    atoms = sorted(a)
+    index = {x: k for k, x in enumerate(atoms)}
     heads = [strictly_positive(c) & a for c in conjuncts]
-    mentions = list(map(atoms_of, conjuncts))
-    if all(len(h) <= 1 for h in heads):
-        atoms = sorted(a)
-        comps = [frozenset((x,)) for x in atoms]
-        plan = _list_blocks(conjuncts, heads, mentions, comps, dict(zip(atoms, range(len(atoms)))))
-        if plan is not None:
-            return plan
-    graph = dep_graph(conjuncts, a)
-    comps, comp_of = components(graph)
-    return _list_blocks(conjuncts, heads, mentions, comps, comp_of, graph)
+    succs: list[set[int]] = [set() for _ in atoms]
+    for c, hs in zip(conjuncts, heads):
+        if hs:
+            mentioned = {index[x] for x in atoms_of(c) & a}
+            for h in hs:
+                succs[index[h]] |= mentioned
+    for k, out in enumerate(succs):
+        out.discard(k)
+    listing = topological_order(succs, atoms)
+    if len(listing) == len(atoms):
+        units, unit_of = [frozenset((x,)) for x in atoms], index
+    else:
+        mention = DepGraph(a, frozenset((atoms[j], atoms[k]) for j, out in enumerate(succs) for k in out))
+        units, unit_of = components(mention)
+        listing = condensation_order(mention, units, unit_of)
 
-
-def _list_blocks(
-    conjuncts: Sequence[Formula],
-    heads: Sequence[frozenset[Atom]],
-    mentions: Sequence[frozenset[Atom]],
-    comps: list[frozenset[Atom]],
-    comp_of: dict[Atom, int],
-    graph: DepGraph | None = None,
-) -> SplitPlan | None:
-    """The plan whose blocks are `comps`, the components of `graph`, given
-    each conjunct's heads and atoms; with no graph, None when these blocks
-    cannot be listed, which is found before any block is compiled."""
-    assigned: list[list[int]] = [[] for _ in comps]
-    residual: list[Formula] = []
-    for i, (c, hs) in enumerate(zip(conjuncts, heads)):
-        if not hs:
+    if any(len(hs) > 1 for hs in heads):
+        _, block_of = components(dep_graph(conjuncts, a))
+        for c, hs in zip(conjuncts, heads):
+            if len({block_of[x] for x in hs}) > 1:
+                names = ", ".join(str(p) for p in sorted(hs))
+                raise SplitPlanError(
+                    c,
+                    f"conjunct '{c}' has strictly positive intensional atoms {names} "
+                    "spanning multiple dependency blocks",
+                )
+    assigned: list[list[Formula]] = [[] for _ in units]
+    residual = []
+    for c, hs in zip(conjuncts, heads):
+        if hs:
+            assigned[unit_of[next(iter(hs))]].append(c)
+        else:
             residual.append(c)
-            continue
-        k = comp_of[next(iter(hs))]
-        if not hs <= comps[k]:
-            names = ", ".join(str(p) for p in sorted(hs))
-            raise SplitPlanError(
-                c,
-                f"conjunct '{c}' has strictly positive intensional atoms {names} "
-                "spanning multiple dependency blocks",
-            )
-        assigned[k].append(i)
-
-    # Listing order: block j before block k when the formula of j mentions an
-    # atom of k (its dependencies come later in the listing, i.e. earlier in
-    # evaluation).  Every edge between components comes from a rule of a
-    # conjunct assigned to the block of its head, which mentions the body,
-    # so this refines condensation order; if occurrences are cyclic across
-    # blocks the plain condensation order is kept and the modular solver
-    # will detect the unusable step itself.
-    n = len(comps)
-    succs: list[set[int]] = [set() for _ in range(n)]
-    for j, group in enumerate(assigned):
-        for i in group:
-            for x in mentions[i]:
-                k = comp_of.get(x)
-                if k is not None and k != j:
-                    succs[j].add(k)
-    listing = topological_order(succs, [min(comp) for comp in comps])
-    if len(listing) < n:
-        if graph is None:
-            return None
-        listing = condensation_order(graph, comps, comp_of)
-
-    blocks = []
-    programs = []
-    for k in listing:
-        group = [conjuncts[i] for i in assigned[k]]
-        f = conj(group)
-        blocks.append((comps[k], f))
-        # a one-conjunct block compiles to the same program as its conjunct
-        programs.append(compile_formula(group[0] if len(group) == 1 else f))
-    return SplitPlan(tuple(blocks), tuple(residual), tuple(programs))
+    return SplitPlan(tuple((units[k], conj(assigned[k])) for k in listing), tuple(residual))
 
 
 def _extend_frontier(
     frontier: list[int],
+    f: Formula,
     prog: Program,
-    block_atoms: frozenset[Atom],
+    unit_atoms: frozenset[Atom],
     bit: dict[Atom, int],
-    solved: dict[tuple, dict[int, list[int]]],
+    solved: dict[tuple, tuple[list[int], dict[int, list[int]]]],
     max_atoms: int,
 ) -> list[int]:
-    """Every frontier entry joined with each stable extension of the block
-    compiled as prog, all as bitmasks (`bit` maps atoms to their bits; an
-    atom prog mentions without a bit is always false).
+    """Every frontier entry joined with each stable extension of the unit
+    whose formula f compiles as prog, all as bitmasks (`bit` maps atoms to
+    their bits; an atom prog mentions without a bit is always false).
 
     The extensions depend only on the context, the entry's values of the
-    non-block atoms prog mentions, so each distinct context is solved once:
-    the block's A-stable assignments, A = the block's atoms, with the
-    context fixed, which is the enumerator's job and is done by the
-    enumerator's routine, `stable._stable_models`.  The solution depends
-    only on the shape of the program, where the block atoms sit in it and
-    which others are true, so `solved` shares it between isomorphic blocks,
-    such as the ground instances of one rule.
+    non-unit atoms prog mentions, so each distinct context is solved once:
+    the unit's A-stable assignments, A = the unit's atoms, with the context
+    fixed, which is the enumerator's job and is done by the enumerator's
+    routine, `stable._stable_models`, with the unit's dependency blocks as
+    its parts (see `stable._parts`).  The parts and the solutions depend
+    only on the shape of the program, where the unit atoms sit in it and
+    which others are true, so `solved` shares them between isomorphic
+    units, such as the ground instances of one rule.
     """
-    block: list[int] = []  # positions over prog.atoms
+    unit: list[int] = []  # positions over prog.atoms
     sig_bits: list[int] = []
     context: list[tuple[int, int]] = []  # (bit over sigma, bit over prog.atoms)
     ctx_mask = 0
     for b, x in enumerate(prog.atoms):
-        if x in block_atoms:
-            block.append(b)
+        if x in unit_atoms:
+            unit.append(b)
             sig_bits.append(bit[x])
         else:
             context.append((bit.get(x, 0), 1 << b))
             ctx_mask |= bit.get(x, 0)
 
-    shape = solved.setdefault((prog.ops, prog.root, len(prog.atoms), tuple(block)), {})
+    key = (prog.ops, prog.root, len(prog.atoms), tuple(unit))
+    entry = solved.get(key)
+    if entry is None:
+        parts = [(1 << len(unit)) - 1]  # a narrow unit is decided in one run, whatever its parts
+        if len(unit) > _NARROW:  # its dependency blocks, over the unit's positions
+            parts = [sum(1 << j for j, b in enumerate(unit) if p >> b & 1) for p in _parts(f, prog, unit_atoms)]
+        entry = solved[key] = (parts, {})
+    parts, shape = entry
     memo: dict[int, list[int]] = {}
     size = 0
     for m in frontier:
@@ -287,7 +267,7 @@ def _extend_frontier(
                     here |= prog_bit
             found = shape.get(here)
             if found is None:
-                found = shape[here] = _stable_models(prog, block, here, [(1 << len(block)) - 1])
+                found = shape[here] = _stable_models(prog, unit, here, parts)
             exts = memo[ctx] = [_spread(c, sig_bits) for c in found]
         size += len(exts)
     if size > 1 << max_atoms:
@@ -305,64 +285,55 @@ def modular_solve(
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> ModelSet:
-    """A-stable models of the conjunction, computed block by block.
+    """A-stable models of the conjunction, computed unit by unit.
 
-    Blocks are evaluated in reverse listing order (dependencies first); each
-    step extends the partial interpretations with every locally stable
-    assignment to the block's atoms, so the cost is the sum of per-block
-    enumerations times the surviving frontier instead of one sweep over the
-    whole signature.  Each block formula is compiled once and solved once
-    per distinct context by the enumerator's own routine, with A = the
-    block's atoms and the context fixed (see `_extend_frontier`).  Residual
-    conjuncts, which have no strictly positive intensional atoms, only
-    filter the models classically: each is a block with no atoms, solved
-    the same way after all the others, on the few contexts its own atoms
-    give.  Any step that cannot be validated triggers a brute-force
-    fallback; a frontier of more than 2**max_atoms interpretations raises
-    CapExceeded.
+    Units (see `SplitPlan`) are evaluated in reverse listing order, so a
+    unit's formula only reads atoms already decided; each step extends the
+    partial interpretations with every locally stable assignment to the
+    unit's atoms, so the cost is the sum of per-unit enumerations times the
+    surviving frontier instead of one sweep over the whole signature.  This
+    is the symmetric splitting theorem: units may depend on each other
+    through negation, only positive dependency stays inside a unit.  Each
+    unit formula is compiled once, a one-conjunct unit as its conjunct, and
+    solved once per distinct context by the enumerator's own routine, with
+    A = the unit's atoms and the context fixed (see `_extend_frontier`).
+    Residual conjuncts, which have no strictly positive intensional atoms,
+    only filter the models classically: each is a unit with no atoms,
+    solved the same way after all the others, on the few contexts its own
+    atoms give.  A conjunct whose strictly positive intensional atoms span
+    dependency blocks triggers a logged brute-force fallback; a unit or an
+    extensional context wider than max_atoms atoms, or a frontier of more
+    than 2**max_atoms interpretations, raises CapExceeded.
     """
     a = frozenset(a)
-
-    def fallback(reason: str) -> ModelSet:
-        log.warning("modular solve falling back to brute force: %s", reason)
-        return enumerate_a_stable(conj(conjuncts), a, sigma, max_atoms=max_atoms)
-
     try:
         plan = plan_split(conjuncts, a)
     except SplitPlanError as exc:
-        return fallback(str(exc))
+        log.warning("modular solve falling back to brute force: %s", exc)
+        return enumerate_a_stable(conj(conjuncts), a, sigma, max_atoms=max_atoms)
 
-    steps = list(zip((block_atoms for block_atoms, _ in reversed(plan.blocks)), reversed(plan.programs)))
-    residual = [(frozenset(), compile_formula(r)) for r in plan.residual]
+    units = [(atoms, f.children[0] if len(f.children) == 1 else f) for atoms, f in reversed(plan.blocks)]
+    steps = [(atoms, f, compile_formula(f)) for atoms, f in units + [(frozenset(), r) for r in plan.residual]]
     if sigma is None:
-        sig = a.union(*(prog.atoms for _, prog in steps + residual))
+        sig = a.union(*(prog.atoms for *_, prog in steps))
     else:
         sig = frozenset(sigma)
 
     # The cap guards every exponential dimension: the extensional context
-    # enumerated up front and the largest single block here, the frontier
-    # in _extend_frontier.
+    # enumerated up front and the widest unit here, the frontier in
+    # _extend_frontier.
     widest = max((len(b) for b, _ in plan.blocks), default=0)
     _check_cap(max(len(sig - a), widest), max_atoms)
 
-    decided = set(sig - a)
-    for block_atoms, prog in steps:
-        decided |= block_atoms
-        if not decided.issuperset(prog.atoms):
-            names = ", ".join(str(x) for x in prog.atoms if x not in decided)
-            return fallback(
-                f"block {format_interpretation(block_atoms)} mentions atoms not yet decided: {names}"
-            )
-
     # Partial interpretations are bitmasks over sigma (and over A, so that
-    # a model leaving sigma reaches ModelSet's signature check); a residual
-    # atom outside both stays false.
+    # a model leaving sigma reaches ModelSet's signature check); an atom a
+    # unit mentions outside both stays false.
     order = sorted(sig | a)
     bit = {x: 1 << k for k, x in enumerate(order)}
     frontier = [0]
     for x in sig - a:
         frontier += [m | bit[x] for m in frontier]
-    solved: dict[tuple, dict[int, list[int]]] = {}
-    for block_atoms, prog in steps + residual:
-        frontier = _extend_frontier(frontier, prog, block_atoms, bit, solved, max_atoms)
+    solved: dict[tuple, tuple[list[int], dict[int, list[int]]]] = {}
+    for unit_atoms, f, prog in steps:
+        frontier = _extend_frontier(frontier, f, prog, unit_atoms, bit, solved, max_atoms)
     return ModelSet.from_masks(frontier, order, sig)

@@ -593,8 +593,8 @@ def _suite_stable_modular(rng, cfg, unsound):
     if rng.random() < 0.2:
         conjuncts.append(_gen(rng, pool, 2, cfg))
     if len(pool) > 1 and rng.random() < 0.2:
-        # an even negative cycle: two blocks that mention each other, so the
-        # solver falls back to brute force
+        # an even negative cycle: two atoms that mention each other only
+        # through negation, one unit of two dependency blocks
         p, q = (AtomRef(x) for x in rng.sample(pool, 2))
         conjuncts += [Impl(neg(p), q), Impl(neg(q), p)]
     a = _rand_subset(rng, pool, 0.7)  # the rest are extensional: several contexts

@@ -169,12 +169,32 @@ class TestSplitSolve:
         assert "strongly connected component" in err
 
     def test_fallback_warns_but_answers(self, capsys, tmp_path):
-        path = tmp_path / "even.lp"
-        path.write_text("not q -> p.\nnot p -> q.\n")
+        # the heads x, y of one conjunct sit in two dependency blocks
+        path = tmp_path / "span.lp"
+        path.write_text("x | y.\nx -> u.\ny -> v.\n")
         code, out, err = run(capsys, "split-solve", str(path))
         assert code == 0
-        assert out == "{p}\n{q}\n"
-        assert "falling back" in err
+        assert out == "{u,x}\n{v,y}\n"
+        assert err.count("\n") == err.count("falling back") == 1
+
+    def test_even_negative_cycle_answers_without_fallback(self, capsys, tmp_path):
+        path = tmp_path / "even.lp"
+        path.write_text("not q -> p.\nnot p -> q.\n")
+        assert run(capsys, "split-solve", str(path)) == (0, "{p}\n{q}\n", "")
+
+    def test_negative_pairs_past_the_sweep_cap(self, capsys, tmp_path):
+        # 13 pairs, 26 atoms: each pair is one unit of 2 atoms, and there
+        # is one model per choice of an atom from each pair
+        path = tmp_path / "pairs13.lp"
+        path.write_text("".join(f"not q{i:02d} -> p{i:02d}.\nnot p{i:02d} -> q{i:02d}.\n" for i in range(13)))
+        code, out, err = run(capsys, "split-solve", str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == len(set(lines)) == 2**13
+        assert all(line.count(",") == 12 for line in lines)
+        code, out, err = run(capsys, "split-solve", str(path), "--max-atoms", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: enumeration over 2 atoms exceeds the cap of 1") and err.count("\n") == 1
 
     def test_long_positive_chain(self, capsys, tmp_path):
         # every block has width 1, but the dependency path is 1,500 deep

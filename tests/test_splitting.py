@@ -212,46 +212,64 @@ class TestPlanSplit:
                 assert not (b & seen)
                 seen |= b
 
-    def test_one_atom_blocks_agree_with_the_component_blocks(self, monkeypatch):
-        # the plan built from one-atom blocks, without the dependency graph,
-        # equals the one built from the graph's components
-        built = []
-        real_dep_graph = splitting.dep_graph
-        monkeypatch.setattr(splitting, "dep_graph", lambda *args: built.append(1) or real_dep_graph(*args))
+    def test_units_are_the_mention_graph_components(self):
+        # the units are the strongly connected components of the mention
+        # graph, found here by plain reachability; each is a union of
+        # dependency blocks, and each unit's formula mentions only its own
+        # atoms, atoms of later-listed units and atoms outside A
         rng = random.Random(11)
         pool = [Atom(c) for c in "abcdef"]
-        paths = {True: 0, False: 0}
+        cyclic = spanning = 0
         for k in range(300):
             conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
+            if rng.random() < 0.2:
+                conjuncts.append(disj([AtomRef(x) for x in rng.sample(pool, 2)]))
             a = frozenset(x for x in pool if rng.random() < 0.8)
             heads = [strictly_positive(c) & a for c in conjuncts]
-            mentions = [atoms_of(c) for c in conjuncts]
-            graph = real_dep_graph(conjuncts, a)
-            comps, comp_of = components(graph)
-            try:
-                expected = splitting._list_blocks(conjuncts, heads, mentions, comps, comp_of, graph)
-            except SplitPlanError:
+            blocks = sccs(dep_graph(conjuncts, a))
+            if any(sum(1 for b in blocks if b & hs) > 1 for hs in heads):
+                spanning += 1
                 with pytest.raises(SplitPlanError):
                     plan_split(conjuncts, a)
                 continue
-            built.clear()
+            succ = {x: set() for x in a}
+            for c, hs in zip(conjuncts, heads):
+                for h in hs:
+                    succ[h] |= atoms_of(c) & a
+            reach = {}
+            for x in a:
+                seen, todo = {x}, [x]
+                while todo:
+                    for y in succ[todo.pop()] - seen:
+                        seen.add(y)
+                        todo.append(y)
+                reach[x] = seen
+            want = {frozenset(y for y in a if x in reach[y] and y in reach[x]) for x in a}
             plan = plan_split(conjuncts, a)
-            assert plan == expected
-            assert [p.atoms for p in plan.programs] == [p.atoms for p in expected.programs]
-            paths[bool(built)] += 1
-            assert built or all(len(b) == 1 for b, _ in plan.blocks)
-        assert paths[True] > 20 and paths[False] > 20
+            units = [u for u, _ in plan.blocks]
+            assert len(units) == len(want) and set(units) == want
+            for u in units:
+                assert all(b <= u or not (b & u) for b in blocks)
+            for j, (u, f) in enumerate(plan.blocks):
+                assert atoms_of(f) & a <= u.union(*units[j + 1 :])
+                assert all(strictly_positive(c) & a <= u for c in f.children)
+            assert list(plan.residual) == [c for c, hs in zip(conjuncts, heads) if not hs]
+            cyclic += any(len(u) > 1 for u in units)
+        assert cyclic > 20 and spanning > 10
 
-    def test_graph_is_built_only_for_a_cycle(self, monkeypatch):
+    def test_dependency_graph_is_built_only_for_several_heads(self, monkeypatch):
         built = []
         real_dep_graph = splitting.dep_graph
         monkeypatch.setattr(splitting, "dep_graph", lambda *args: built.append(1) or real_dep_graph(*args))
         ats, chain = chain_program(5)
         plan_split(chain, set(ats))
-        assert built == []
         ring = chain + [impl(AtomRef(ats[0]), AtomRef(ats[5]))]
         plan = plan_split(ring, set(ats))
-        assert built == [1] and [b for b, _ in plan.blocks] == [frozenset(ats)]
+        assert built == [] and [b for b, _ in plan.blocks] == [frozenset(ats)]
+        x, y = Atom("x"), Atom("y")
+        with pytest.raises(SplitPlanError):
+            plan_split([disj([AtomRef(x), AtomRef(y)])], {x, y})
+        assert built == [1]
 
 
 class TestModularSolve:
@@ -295,13 +313,44 @@ class TestModularSolve:
         got = modular_solve([AtomRef(q), neg(AtomRef(q))], {q}, {q})
         assert got.as_set() == set()
 
-    def test_negative_two_cycle_falls_back(self, caplog):
+    def test_negative_two_cycle_is_one_unit(self, caplog):
         p, q = Atom("p"), Atom("q")
         conjuncts = [impl(neg(AtomRef(q)), AtomRef(p)), impl(neg(AtomRef(p)), AtomRef(q))]
+        assert [b for b, _ in plan_split(conjuncts, {p, q}).blocks] == [frozenset({p, q})]
         with caplog.at_level("WARNING"):
             got = modular_solve(conjuncts, {p, q}, {p, q})
-        assert "falling back" in caplog.text
+        assert caplog.text == ""
         assert got.as_set() == {frozenset({p}), frozenset({q})}
+
+    def test_negative_ring_is_solved_with_one_atom_parts(self, monkeypatch):
+        # not x_i -> x_(i+1) around 20 atoms: one unit with no positive
+        # dependency, so its parts are its 20 atoms, and the two
+        # alternating interpretations are its stable models
+        parts = []
+        real = splitting._stable_models
+        monkeypatch.setattr(splitting, "_stable_models", lambda *args: parts.append(args[3]) or real(*args))
+        xs = [Atom(f"x{i:02d}") for i in range(20)]
+        conjuncts = [impl(neg(AtomRef(xs[i])), AtomRef(xs[(i + 1) % 20])) for i in range(20)]
+        got = modular_solve(conjuncts, frozenset(xs), frozenset(xs))
+        assert got.as_set() == {frozenset(xs[0::2]), frozenset(xs[1::2])}
+        assert len(parts) == 1 and sorted(parts[0]) == [1 << j for j in range(20)]
+
+    def test_negative_pairs_have_every_choice(self):
+        # n pairs not q_i -> p_i, not p_i -> q_i: 2**n models, one atom of
+        # each pair, past what one sweep over the 2n atoms may enumerate
+        n = 13
+        ps = [Atom(f"p{i:02d}") for i in range(n)]
+        qs = [Atom(f"q{i:02d}") for i in range(n)]
+        conjuncts = []
+        for p, q in zip(ps, qs):
+            conjuncts += [impl(neg(AtomRef(q)), AtomRef(p)), impl(neg(AtomRef(p)), AtomRef(q))]
+        sigma = frozenset(ps + qs)
+        assert len(sigma) > 24
+        got = modular_solve(conjuncts, sigma, sigma)
+        assert len(got) == 2**n
+        assert all(len(m) == n and all((p in m) != (q in m) for p, q in zip(ps, qs)) for m in got)
+        with pytest.raises(CapExceeded, match="over 2 atoms"):
+            modular_solve(conjuncts, sigma, sigma, max_atoms=1)
 
     def test_matches_enumeration_on_random_programs(self):
         rng = random.Random(10)
@@ -348,6 +397,8 @@ class TestModularSolve:
             got = modular_solve(conjuncts, {p}, sigma)
             assert got.lines() == want
             assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, {p})
+        # so is such an atom in a rule: `not x -> p` reads as `p`
+        assert modular_solve([impl(neg(AtomRef(x)), AtomRef(p))], {p}, sigma).lines() == ["{p}", "{p,q}"]
 
     def test_constraints_across_extensional_contexts_match_the_oracle(self):
         # residual constraints over intensional and extensional atoms are

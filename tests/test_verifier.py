@@ -96,6 +96,20 @@ class TestRunSuite:
         assert report.fails == 0
         assert report.passes == 40
 
+    def test_modular_falls_back_only_for_heads_spanning_blocks(self, monkeypatch):
+        # the suite mutes the solver's logger, so its warnings are caught
+        # where they are made
+        from astable import splitting
+
+        reasons = []
+        monkeypatch.setattr(splitting.log, "warning", lambda fmt, *args: reasons.append(fmt % args))
+        report = run_suite("stable_modular", GenConfig(iterations=200))
+        assert report.fails == 0
+        assert reasons
+        for reason in reasons:
+            assert reason.startswith("modular solve falling back to brute force: conjunct '")
+            assert reason.endswith("spanning multiple dependency blocks")
+
     def test_unsound_split_lemma_finds_counterexample(self):
         report = run_suite("split_lemma", GenConfig(iterations=200), unsound=True)
         assert report.fails >= 1
