@@ -47,18 +47,23 @@ def _is_fo_input(text: str) -> bool:
     return any(line.lstrip().startswith("#domain") for line in text.splitlines())
 
 
+def _ground_fo(text: str) -> tuple[list[Formula], fo.FOInterpretation]:
+    """Ground a first-order program over its #domain, naming each element by itself."""
+    prog = fo.parse_fo_program(text)
+    if not prog.domain:
+        raise ParseError("first-order input needs a #domain declaration", 1, 1)
+    arities = fo.infer_arities(prog.sentences)
+    interp = fo.FOInterpretation.herbrand(prog.domain, arities=arities)
+    return fo.ground_program(list(prog.sentences), interp), interp
+
+
 def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Atom]]:
     """Read a program file (ground or first-order), returning its conjuncts,
     the signature, and the intensional set selected by the flags."""
     text = _read(args.file)
     intensional_pred = getattr(args, "intensional_pred", None)
     if _is_fo_input(text):
-        prog = fo.parse_fo_program(text)
-        if not prog.domain:
-            raise ParseError("first-order input needs a #domain declaration", 1, 1)
-        arities = fo.infer_arities(prog.sentences)
-        interp = fo.FOInterpretation.herbrand(prog.domain, arities=arities)
-        conjuncts = fo.ground_program(list(prog.sentences), interp)
+        conjuncts, interp = _ground_fo(text)
         sigma = set(fo.ground_signature(interp))
     else:
         if intensional_pred:
@@ -93,12 +98,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_ground(args) -> int:
-    prog = fo.parse_fo_program(_read(args.file))
-    if not prog.domain:
-        raise ParseError("first-order input needs a #domain declaration", 1, 1)
-    arities = fo.infer_arities(prog.sentences)
-    interp = fo.FOInterpretation.herbrand(prog.domain, arities=arities)
-    sys.stdout.write(format_program(fo.ground_program(list(prog.sentences), interp)))
+    sys.stdout.write(format_program(_ground_fo(_read(args.file))[0]))
     return 0
 
 
@@ -273,6 +273,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (PreconditionError, PartitionError, SignatureError, CapExceeded,
             DefinitionError, fo.GroundingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return PRECONDITION_EXIT
+    except RecursionError:
+        # parsing has no depth limit, but the printer, canonical ordering,
+        # grounding and the reference checks still recurse
+        print("error: formula nested too deeply for this command", file=sys.stderr)
         return PRECONDITION_EXIT
 
 

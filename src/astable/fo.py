@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from typing import AbstractSet, Iterable, Sequence
 
 from .depgraph import DepGraph, dep_graph
 from .formula import Atom, AtomRef, BOT, Conj, Disj, Formula, Impl, TOP
 from .stable import is_a_stable
-from .syntax import ParseError, _Parser
+from .syntax import ParseError, _Grammar, _Group, _Parser
 
 
 class GroundingError(ValueError):
@@ -346,84 +347,38 @@ def fo_dep_graph(f: FOSentence, preds: Sequence[str]) -> DepGraph:
 # --- parsing ---------------------------------------------------------------
 
 
-class _FOParser(_Parser):
-    """Recursive-descent parser for the first-order input format."""
+def _term(p: _Parser) -> Term:
+    _, text, line, col = p.expect("ident")
+    if text in ("not", "top", "bot", "forall", "exists"):
+        raise ParseError(f"{text!r} is reserved", line, col)
+    return Var(text) if text[0].isupper() else Cst(text)
 
-    def sentence(self) -> FOSentence:
-        lhs = self.fo_disj()
-        if self.peek().kind == "->":
-            self.next()
-            return FOImpl(lhs, self.sentence())
-        return lhs
 
-    def fo_disj(self) -> FOSentence:
-        out = self.fo_conj()
-        while self.peek().kind == "|":
-            self.next()
-            out = FOOr(out, self.fo_conj())
-        return out
+def _operand(p: _Parser) -> FOSentence | _Group:
+    text = p.peek()[1]
+    if text in ("forall", "exists"):
+        p.pos += 1
+        _, var, line, col = p.expect("ident")
+        if not var[0].isupper():
+            raise ParseError(f"quantified variable must be uppercase: {var!r}", line, col)
+        p.expect("(")
+        return _Group(")", partial(FOForall if text == "forall" else FOExists, var))
+    if text == "top":
+        p.pos += 1
+        return FOTop()
+    if text == "bot":
+        p.pos += 1
+        return FOBot()
+    first = _term(p)
+    if p.peek()[0] == "=":
+        p.pos += 1
+        return FOEq(first, _term(p))
+    if isinstance(first, Var):
+        p.fail(f"a bare variable is not a sentence: {first.name}")
+    return FOAtom(first.name, p.arguments(_term))
 
-    def fo_conj(self) -> FOSentence:
-        out = self.fo_unary()
-        while self.peek().kind == "&":
-            self.next()
-            out = FOAnd(out, self.fo_unary())
-        return out
 
-    def fo_unary(self) -> FOSentence:
-        t = self.peek()
-        if t.kind == "ident" and t.text == "not":
-            self.next()
-            return fo_neg(self.fo_unary())
-        if t.kind == "ident" and t.text in ("forall", "exists"):
-            self.next()
-            v = self.expect("ident")
-            if not v.text[0].isupper():
-                raise ParseError(f"quantified variable must be uppercase: {v.text!r}", v.line, v.col)
-            self.expect("(")
-            body = self.sentence()
-            self.expect(")")
-            return FOForall(v.text, body) if t.text == "forall" else FOExists(v.text, body)
-        return self.fo_primary()
-
-    def fo_primary(self) -> FOSentence:
-        t = self.peek()
-        if t.kind == "(":
-            self.next()
-            f = self.sentence()
-            self.expect(")")
-            return f
-        if t.kind != "ident":
-            self.fail(f"expected a sentence, found {t.text or 'end of input'!r}")
-        if t.text == "top":
-            self.next()
-            return FOTop()
-        if t.text == "bot":
-            self.next()
-            return FOBot()
-        first = self.fo_term()
-        if self.peek().kind == "=":
-            self.next()
-            return FOEq(first, self.fo_term())
-        if isinstance(first, Var):
-            self.fail(f"a bare variable is not a sentence: {first.name}")
-        # predicate atom
-        pred = first.name
-        args: list[Term] = []
-        if self.peek().kind == "(":
-            self.next()
-            args.append(self.fo_term())
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.fo_term())
-            self.expect(")")
-        return FOAtom(pred, tuple(args))
-
-    def fo_term(self) -> Term:
-        t = self.expect("ident")
-        if t.text in ("not", "top", "bot", "forall", "exists"):
-            raise ParseError(f"{t.text!r} is reserved", t.line, t.col)
-        return Var(t.text) if t.text[0].isupper() else Cst(t.text)
+_FO = _Grammar("sentence", _operand, fo_neg, FOImpl, partial(reduce, FOOr), partial(reduce, FOAnd))
 
 
 def parse_fo_program(text: str) -> FOProgram:
@@ -442,6 +397,8 @@ def parse_fo_program(text: str) -> FOProgram:
                     raise ParseError("empty domain element", lineno, 1)
                 if not name[0].islower():
                     raise ParseError(f"domain elements must be lowercase: {name!r}", lineno, 1)
+                if not (name.isascii() and name.isidentifier()):
+                    raise ParseError(f"invalid domain element: {name!r}", lineno, 1)
                 if name not in domain:
                     domain.append(name)
             sentence_lines.append("")
@@ -449,17 +406,11 @@ def parse_fo_program(text: str) -> FOProgram:
             sentence_lines.append(raw)
     body = "\n".join(sentence_lines)
 
-    parser = _FOParser(body)
-    sentences: list[FOSentence] = []
-    while not parser.at_eof():
-        sentences.append(parser.sentence())
-        parser.expect(".")
-    return FOProgram(tuple(domain), tuple(sentences))
+    return FOProgram(tuple(domain), tuple(_Parser(body).program(_FO)))
 
 
 def parse_fo_sentence(text: str) -> FOSentence:
-    parser = _FOParser(text)
-    s = parser.sentence()
-    if not parser.at_eof():
-        parser.fail("trailing input after sentence")
+    p = _Parser(text)
+    s = p.formula(_FO)
+    p.end("sentence")
     return s

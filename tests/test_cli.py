@@ -1,10 +1,15 @@
 import json
+import random
 import time
 import tracemalloc
 
 import pytest
 
+from astable import fo
 from astable.cli import main
+from astable.formula import format_formula
+from astable.syntax import parse_formula
+from astable.verifier import GenConfig, _atom_pool, _gen, _gen_fo
 
 GUARD_LP = "% q holds when every p(t) fails\nAnd{ not p(a); not p(b) } -> q.\n"
 GUARD_FO = "#domain a, b.\nforall X (not p(X)) -> q.\n"
@@ -118,6 +123,87 @@ class TestParseGround:
         lp.write_text(grounded)
         code, out, _ = run(capsys, "solve", str(lp), "--intensional-all")
         assert out == "{q}\n"
+
+    def test_domain_element_that_is_no_identifier_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "dom.fo"
+        path.write_text("#domain a-b, c.\nq.\n")
+        code, out, err = run(capsys, "ground", str(path))
+        assert (code, out) == (1, "")
+        assert err == "parse error: 1:1: invalid domain element: 'a-b'\n"
+
+
+def _single_error_line(err: str) -> bool:
+    return len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestDepth:
+    """Parsing has no depth limit; what still recurses ends in one error line."""
+
+    N = 5000
+
+    def test_long_implication_chain(self, capsys, tmp_path):
+        path = tmp_path / "chain.lp"
+        path.write_text(" -> ".join(["p"] * self.N + ["q"]) + ".\n")
+        code, out, err = run(capsys, "parse", str(path))
+        assert (code, out) == (2, "")
+        assert _single_error_line(err)
+        assert run(capsys, "solve", str(path)) == (0, "{}\n", "")
+
+    def test_deep_first_order_negation(self, capsys, tmp_path):
+        path = tmp_path / "deep.fo"
+        path.write_text("#domain a.\n" + "not " * self.N + "q.\n")
+        code, out, err = run(capsys, "ground", str(path))
+        assert (code, out) == (2, "")
+        assert _single_error_line(err)
+
+
+def _fo_text(s: fo.FOSentence) -> str:
+    """Fully parenthesized text of a first-order sentence."""
+    t = type(s)
+    if t is fo.FOAtom:
+        return s.pred + (f"({','.join(a.name for a in s.args)})" if s.args else "")
+    if t is fo.FOEq:
+        return f"{s.lhs.name} = {s.rhs.name}"
+    if t is fo.FOTop or t is fo.FOBot:
+        return "top" if t is fo.FOTop else "bot"
+    if t is fo.FOForall or t is fo.FOExists:
+        return f"{'forall' if t is fo.FOForall else 'exists'} {s.var} ({_fo_text(s.body)})"
+    op = {fo.FOAnd: "&", fo.FOOr: "|", fo.FOImpl: "->"}[t]
+    return f"({_fo_text(s.lhs)} {op} {_fo_text(s.rhs)})"
+
+
+class TestFuzz:
+    """Seeded round trips over the verifier's generators: parsing inverts
+    printing, and every run, also on the text with one character dropped,
+    ends with a known exit code and no traceback."""
+
+    def check_runs(self, capsys, path, text, commands, rng):
+        broken = rng.randrange(len(text))
+        for body in (text, text[:broken] + text[broken + 1:]):
+            path.write_text(body)
+            for command in commands:
+                code, _, err = run(capsys, command, str(path))
+                assert code in (0, 1, 2, 3), body
+                assert "Traceback" not in err, body
+
+    @pytest.mark.parametrize("cfg", [GenConfig(max_depth=5), GenConfig(max_depth=2, max_branch=8)])
+    def test_ground(self, capsys, tmp_path, cfg):
+        pool = _atom_pool(cfg.max_atoms)
+        for seed in range(60):
+            rng = random.Random(seed)
+            f = _gen(rng, pool, cfg.max_depth, cfg)
+            text = format_formula(f)
+            assert parse_formula(text) == f
+            self.check_runs(capsys, tmp_path / "f.lp", text + ".\n", ("parse", "solve", "split-solve"), rng)
+
+    def test_first_order(self, capsys, tmp_path):
+        for seed in range(120):
+            rng = random.Random(seed)
+            s = _gen_fo(rng, 4, ())
+            text = _fo_text(s)
+            assert fo.parse_fo_sentence(text) == s
+            program = "#domain a, b.\n" + text + ".\n"
+            self.check_runs(capsys, tmp_path / "s.fo", program, ("ground", "solve"), rng)
 
 
 class TestGraph:

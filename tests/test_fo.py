@@ -82,6 +82,77 @@ class TestParseFO:
         with pytest.raises(ParseError):
             parse_fo_program("#domain A, b.\np(a).\n")
 
+    @pytest.mark.parametrize("directive", ["#domain a-b, c.", "#domain a b.", "#domain é."])
+    def test_domain_elements_must_be_identifiers(self, directive):
+        with pytest.raises(ParseError) as err:
+            parse_fo_program("q.\n" + directive + "\nq.\n")
+        assert err.value.line == 2
+        assert "invalid domain element" in str(err.value)
+
+
+# Error texts of malformed first-order programs, as the parser has always
+# reported them.
+MALFORMED = [
+    ("#domain a.\np(X) & % c", "2:8: expected a sentence, found 'end of input'"),
+    ("#domain a.\nforall x (p(x)).", "2:8: quantified variable must be uppercase: 'x'"),
+    ("#domain a.\nforall X p(X).", "2:10: expected '(', found 'p'"),
+    ("#domain a.\nexists (p).", "2:8: expected 'ident', found '('"),
+    ("#domain a.\nX.", "2:2: a bare variable is not a sentence: X"),
+    ("#domain a.\np(X) & Y.", "2:9: a bare variable is not a sentence: Y"),
+    ("#domain a.\nAnd.", "2:4: a bare variable is not a sentence: And"),
+    ("#domain a.\np(not).", "2:3: 'not' is reserved"),
+    ("#domain a.\nX = forall.", "2:5: 'forall' is reserved"),
+    ("#domain a.\ntop = a.", "2:5: expected '.', found '='"),
+    ("#domain a.\nforall X (p(X).", "2:15: expected ')', found '.'"),
+    ("#domain a.\nforall X (forall Y (p(X, Y))", "2:29: expected ')', found 'end of input'"),
+    ("#domain a.\nnot exists Y.", "2:13: expected '(', found '.'"),
+    ("#domain a.\nq.\nforall", "3:7: expected 'ident', found 'end of input'"),
+    ("#domain a.\np(a) | \tq(", "2:11: expected 'ident', found 'end of input'"),
+    ("#domain a.\np(X,).", "2:5: expected 'ident', found ')'"),
+    ("#domain a.\np(a) -> bot).", "2:12: expected '.', found ')'"),
+    ("#domain a.\np(²).", "2:3: unexpected character '²'"),
+    ("#domain a.\nq(a) & é @.", "2:10: unexpected character '@'"),
+    ("#domain a, .\nq.", "1:1: empty domain element"),
+    ("#domain a, B.\nq.", "1:1: domain elements must be lowercase: 'B'"),
+    ("#domain _a.\nq.", "1:1: domain elements must be lowercase: '_a'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED)
+def test_malformed_program_error_text(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_fo_program(text)
+    assert str(err.value) == message
+
+
+class TestParseDepth:
+    """Parsing keeps no Python frame per nesting level."""
+
+    N = 5000
+
+    def test_nested_quantifiers(self):
+        s = parse_fo_program("#domain a.\n" + "forall X (exists Y (" * self.N + "e(X,Y)" + "))" * self.N + ".\n")
+        s = s.sentences[0]
+        for _ in range(self.N):
+            assert type(s) is FOForall and type(s.body) is FOExists
+            s = s.body.body
+        assert s == FOAtom("e", (Var("X"), Var("Y")))
+
+    def test_negations_in_parentheses(self):
+        s = parse_fo_sentence("not (" * self.N + "q" + ")" * self.N)
+        depth = 0
+        while type(s) is FOImpl and s.rhs == FOBot():
+            s, depth = s.lhs, depth + 1
+        assert (s, depth) == (FOAtom("q"), self.N)
+
+    def test_implication_chain_is_right_nested(self):
+        s = parse_fo_sentence(" -> ".join(["q"] * (self.N + 1)))
+        depth = 0
+        while type(s) is FOImpl:
+            assert s.lhs == FOAtom("q")
+            s, depth = s.rhs, depth + 1
+        assert (s, depth) == (FOAtom("q"), self.N)
+
 
 class TestGround:
     def test_guard_over_two_elements(self):

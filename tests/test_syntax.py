@@ -4,6 +4,7 @@ from astable import (
     Atom,
     Conj,
     Disj,
+    Impl,
     ParseError,
     atom,
     conj,
@@ -79,6 +80,86 @@ class TestParse:
     def test_missing_terminator(self):
         with pytest.raises(ParseError):
             parse_program("p")
+
+
+# Error texts of malformed programs, as the parser has always reported them.
+MALFORMED = [
+    ("a % c", "1:3: expected '.', found 'end of input'"),
+    ("p.\na % c", "2:3: expected '.', found 'end of input'"),
+    ("p.\n% x\nq", "3:2: expected '.', found 'end of input'"),
+    ("p &\tq @.", "1:7: unexpected character '@'"),
+    ("p\t&\t", "1:5: expected a formula, found 'end of input'"),
+    ("x\r\ny &.", "2:1: expected '.', found 'y'"),
+    ("p -> % c\n.", "2:1: expected a formula, found '.'"),
+    ("é(a", "1:4: expected ')', found 'end of input'"),
+    ("é.", "invalid atom name: 'é'"),
+    ("pé -> q.", "invalid atom name: 'pé'"),
+    ("p(²).", "1:3: unexpected character '²'"),
+    ("Ⅻ.", "1:1: unexpected character 'Ⅻ'"),
+    ("1p.", "1:1: unexpected character '1'"),
+    ("p.\nq ->.\n", "2:5: expected a formula, found '.'"),
+    ("p & And.", "1:8: expected '{', found '.'"),
+    ("And p.", "1:5: expected '{', found 'p'"),
+    ("not And.", "1:8: expected '{', found '.'"),
+    ("Or", "1:3: expected '{', found 'end of input'"),
+    ("And{p; q.", "1:9: expected '}', found '.'"),
+    ("And{p q}.", "1:7: expected '}', found 'q'"),
+    ("And{p;}.", "1:7: expected a formula, found '}'"),
+    ("Or{;}.", "1:4: expected a formula, found ';'"),
+    ("And{} & Or{.", "1:12: expected a formula, found '.'"),
+    ("(p.", "1:3: expected ')', found '.'"),
+    ("p).", "1:2: expected '.', found ')'"),
+    ("p q.", "1:3: expected '.', found 'q'"),
+    ("p;", "1:2: expected '.', found ';'"),
+    ("p = q.", "1:3: expected '.', found '='"),
+    ("not.", "1:4: expected a formula, found '.'"),
+    ("p & not.", "1:8: expected a formula, found '.'"),
+    ("->.", "1:1: expected a formula, found '->'"),
+    ("top(a).", "1:4: expected '.', found '('"),
+    ("p & top(a).", "1:8: expected '.', found '('"),
+    ("p(a,).", "1:5: expected 'ident', found ')'"),
+    ("p(,a).", "1:3: expected 'ident', found ','"),
+    ("e(a,b.", "1:6: expected ')', found '.'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED)
+def test_malformed_program_error_text(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+
+
+class TestDepth:
+    """Parsing keeps no Python frame per nesting level."""
+
+    N = 5000
+
+    def test_nested_parentheses(self):
+        assert parse_formula("(" * self.N + "p" + ")" * self.N) == P
+        with pytest.raises(ParseError, match="expected '\\)', found 'end of input'"):
+            parse_formula("(" * self.N + "p" + ")" * (self.N - 1))
+
+    def test_not_chain(self):
+        f = parse_program("not " * self.N + "p.")[0]
+        depth = 0
+        while type(f) is Impl:
+            assert f.rhs == Disj(())
+            f, depth = f.lhs, depth + 1
+        assert (f, depth) == (P, self.N)
+
+    def test_implication_chain_is_right_nested(self):
+        f = parse_formula(" -> ".join(["p"] * self.N + ["q"]))
+        depth = 0
+        while type(f) is Impl:
+            assert f.lhs == P
+            f, depth = f.rhs, depth + 1
+        assert (f, depth) == (Q, self.N)
+
+    def test_unclosed_deep_bracket_reports_its_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_formula("And{" * self.N + "p")
+        assert str(err.value) == f"1:{4 * self.N + 2}: expected '}}', found 'end of input'"
 
 
 class TestPrint:
