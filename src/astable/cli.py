@@ -275,8 +275,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
     except RecursionError:
-        # parsing has no depth limit, but the printer, canonical ordering,
-        # grounding and the reference checks still recurse
+        # parsing, ordering, printing and grounding take any depth; only the
+        # reference checks behind `verify` recurse, on shallow generated formulas
         print("error: formula nested too deeply for this command", file=sys.stderr)
         return PRECONDITION_EXIT
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import AbstractSet, Iterator, Sequence
 
-from .formula import Atom, AtomRef, Conj, Disj, Formula, Impl
+from .formula import Atom, AtomRef, Disj, Formula, Impl
 
 
 class PartitionError(ValueError):
@@ -105,21 +105,26 @@ def neg_nonnegated(f: Formula) -> frozenset[Atom]:
 
 
 def rules(f: Formula) -> list[Formula]:
-    """Strictly positive implications, outermost first, without duplicates."""
+    """Strictly positive implications, outermost first, without duplicates.
+
+    An implication reached through no set node of two or more children
+    has only its ancestors and descendants among the others, so none
+    equals it and it is never hashed.
+    """
     out: list[Formula] = []
     seen: set[Formula] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Impl):
-            if g not in seen:
-                seen.add(g)
+    stack = [(f, False)]
+    while stack:
+        g, branched = stack.pop()
+        t = type(g)
+        if t is Impl:
+            if not branched or g not in seen:
                 out.append(g)
-            walk(g.rhs)
-        elif isinstance(g, (Conj, Disj)):
-            for c in g.children:
-                walk(c)
-
-    walk(f)
+                if branched:
+                    seen.add(g)
+            stack.append((g.rhs, branched))
+        elif t is not AtomRef:
+            stack += [(c, branched or len(g.children) > 1) for c in reversed(g.children)]
     return out
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .depgraph import DepGraph, dep_graph
 from .formula import Atom, AtomRef, BOT, Conj, Disj, Formula, Impl, TOP
@@ -166,26 +166,65 @@ def _eval_term(t: Term, env: dict[str, str], m: FOInterpretation) -> str:
         raise GroundingError(f"constant {t.name} is not interpreted") from None
 
 
+def _fo_atoms(sentences: Iterable[FOSentence]) -> Iterator[FOAtom]:
+    """Every predicate atom of the sentences, by one explicit-stack walk."""
+    stack: list[FOSentence] = list(sentences)
+    while stack:
+        g = stack.pop()
+        if isinstance(g, FOAtom):
+            yield g
+        elif isinstance(g, (FOAnd, FOOr, FOImpl)):
+            stack += (g.lhs, g.rhs)
+        elif isinstance(g, (FOForall, FOExists)):
+            stack.append(g.body)
+
+
 def infer_arities(
     sentences: Iterable[FOSentence], known: dict[str, int] | None = None
 ) -> dict[str, int]:
     """Predicate arities used by the sentences; inconsistent use is an error."""
     out = dict(known or {})
-    stack: list[FOSentence] = list(sentences)
-    while stack:
-        g = stack.pop()
-        if isinstance(g, FOAtom):
-            k = out.setdefault(g.pred, len(g.args))
-            if k != len(g.args):
-                raise GroundingError(
-                    f"predicate {g.pred} used with arity {len(g.args)}, expected {k}"
-                )
-        elif isinstance(g, (FOAnd, FOOr, FOImpl)):
-            stack.append(g.lhs)
-            stack.append(g.rhs)
-        elif isinstance(g, (FOForall, FOExists)):
-            stack.append(g.body)
+    for g in _fo_atoms(sentences):
+        k = out.setdefault(g.pred, len(g.args))
+        if k != len(g.args):
+            raise GroundingError(
+                f"predicate {g.pred} used with arity {len(g.args)}, expected {k}"
+            )
     return out
+
+
+def _build(
+    f: FOSentence,
+    leaf: Callable[[FOSentence, dict[str, str]], Formula],
+    scope: Callable[[dict[str, str], str], Sequence[dict[str, str]]],
+) -> Formula:
+    """The ground formula that f maps to, built bottom-up by one
+    explicit-stack walk.
+
+    `leaf(g, env)` maps an atom, equality, top or bot under the variable
+    binding env, and `scope(env, var)` gives the bindings under which a
+    quantifier's body is built, one body each.  An implication maps to an
+    implication, a conjunction and a forall to a conjunction of their parts,
+    a disjunction and an exists to a disjunction.  Parts are built left to
+    right, bodies in the order of their bindings.
+    """
+    done: list[Formula] = []
+    stack: list[tuple] = [(f, {})]
+    while stack:
+        g, env = stack.pop()
+        t = type(g)
+        if t is int:  # the last g parts are done and env is the kind of their node
+            parts = tuple(done[-g:])
+            del done[-g:]
+            done.append(Impl(*parts) if env is FOImpl else (Conj if env in (FOAnd, FOForall) else Disj)(parts))
+        elif t is FOImpl or t is FOAnd or t is FOOr:
+            stack += ((2, t), (g.rhs, env), (g.lhs, env))
+        elif t is FOForall or t is FOExists:
+            envs = scope(env, g.var)
+            stack += [(len(envs), t)] + [(g.body, e) for e in reversed(envs)]
+        else:
+            done.append(leaf(g, env))
+    return done[0]
 
 
 def ground(f: FOSentence, m: FOInterpretation) -> Formula:
@@ -196,28 +235,16 @@ def ground(f: FOSentence, m: FOInterpretation) -> Formula:
     conjunctions or disjunctions over the domain.
     """
     infer_arities([f], m.arities)
-    return _ground(f, m, {})
 
+    def leaf(g: FOSentence, env: dict[str, str]) -> Formula:
+        t = type(g)
+        if t is FOAtom:
+            return AtomRef(Atom(g.pred, tuple([_eval_term(a, env, m) for a in g.args])))
+        if t is FOEq:
+            return TOP if _eval_term(g.lhs, env, m) == _eval_term(g.rhs, env, m) else BOT
+        return TOP if t is FOTop else BOT
 
-def _ground(f: FOSentence, m: FOInterpretation, env: dict[str, str]) -> Formula:
-    if isinstance(f, FOAtom):
-        return AtomRef(Atom(f.pred, tuple(_eval_term(t, env, m) for t in f.args)))
-    if isinstance(f, FOEq):
-        return TOP if _eval_term(f.lhs, env, m) == _eval_term(f.rhs, env, m) else BOT
-    if isinstance(f, FOTop):
-        return TOP
-    if isinstance(f, FOBot):
-        return BOT
-    if isinstance(f, FOAnd):
-        return Conj((_ground(f.lhs, m, env), _ground(f.rhs, m, env)))
-    if isinstance(f, FOOr):
-        return Disj((_ground(f.lhs, m, env), _ground(f.rhs, m, env)))
-    if isinstance(f, FOImpl):
-        return Impl(_ground(f.lhs, m, env), _ground(f.rhs, m, env))
-    if isinstance(f, FOForall):
-        return Conj(tuple(_ground(f.body, m, {**env, f.var: u}) for u in m.domain))
-    assert isinstance(f, FOExists)
-    return Disj(tuple(_ground(f.body, m, {**env, f.var: u}) for u in m.domain))
+    return _build(f, leaf, lambda env, var: [{**env, var: u} for u in m.domain])
 
 
 def ground_program(sentences: Sequence[FOSentence], m: FOInterpretation) -> list[Formula]:
@@ -284,18 +311,7 @@ def is_p_stable_fo(f: FOSentence, preds: Sequence[str], m: FOInterpretation) -> 
 
 
 def fo_predicates(f: FOSentence) -> frozenset[str]:
-    out: set[str] = set()
-    stack: list[FOSentence] = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, FOAtom):
-            out.add(g.pred)
-        elif isinstance(g, (FOAnd, FOOr, FOImpl)):
-            stack.append(g.lhs)
-            stack.append(g.rhs)
-        elif isinstance(g, (FOForall, FOExists)):
-            stack.append(g.body)
-    return frozenset(out)
+    return frozenset(g.pred for g in _fo_atoms([f]))
 
 
 def _skeleton(f: FOSentence) -> Formula:
@@ -306,36 +322,10 @@ def _skeleton(f: FOSentence) -> Formula:
     one-child conjunction or disjunction, so that `forall X (bot)` stays
     distinct from the bot that the nonnegated analyses test for.
     """
-    done: list[Formula] = []
-    stack: list[tuple[FOSentence, bool]] = [(f, False)]
-    while stack:
-        g, children_done = stack.pop()
-        t = type(g)
-        if t is FOAtom:
-            done.append(AtomRef(Atom(g.pred)))
-        elif t is FOBot:
-            done.append(BOT)
-        elif t is FOEq or t is FOTop:
-            done.append(TOP)
-        elif not children_done:
-            stack.append((g, True))
-            if t is FOForall or t is FOExists:
-                stack.append((g.body, False))
-            else:
-                stack.append((g.rhs, False))
-                stack.append((g.lhs, False))
-        elif t is FOForall:
-            done.append(Conj((done.pop(),)))
-        elif t is FOExists:
-            done.append(Disj((done.pop(),)))
-        else:
-            rhs = done.pop()
-            lhs = done.pop()
-            if t is FOImpl:
-                done.append(Impl(lhs, rhs))
-            else:
-                done.append((Conj if t is FOAnd else Disj)((lhs, rhs)))
-    return done.pop()
+    def leaf(g: FOSentence, env: dict[str, str]) -> Formula:
+        return AtomRef(Atom(g.pred)) if type(g) is FOAtom else BOT if type(g) is FOBot else TOP
+
+    return _build(f, leaf, lambda env, var: (env,))
 
 
 def fo_dep_graph(f: FOSentence, preds: Sequence[str]) -> DepGraph:

@@ -64,34 +64,84 @@ class Atom(tuple):
 
 
 class Formula:
-    """Base class for formula nodes.  Instances are immutable values."""
+    """Base class for formula nodes.  Instances are immutable values.
+
+    Set nodes and implications compare and hash by their canonical key
+    (`_key`), which an explicit-stack walk computes at any depth.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Formula) and _key(self) == _key(other)
+
+    def __hash__(self) -> int:
+        return hash(_key(self))
+
     @property
     def rank(self) -> int:
-        raise NotImplementedError
+        """0 for atoms, top and bot; otherwise one more than the highest
+        rank among the children (both sides of an implication): the
+        greatest depth of a node, by one explicit-stack walk."""
+        rank, stack = 0, [(self, 0)]
+        while stack:
+            g, depth = stack.pop()
+            rank = max(rank, depth)
+            t = type(g)
+            kids = (g.lhs, g.rhs) if t is Impl else () if t is AtomRef else g.children
+            stack += [(c, depth + 1) for c in kids]
+        return rank
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-def _sort_key(f: Formula):
-    t = type(f)
-    if t is AtomRef:
-        return (0, f.atom)
-    if t is Impl:
-        return (3, _sort_key(f.lhs), _sort_key(f.rhs))
-    assert t is Conj or t is Disj
-    return (1 if t is Conj else 2, tuple([_sort_key(c) for c in f.children]))
+def _key(f: Formula) -> str:
+    """The canonical key of f, written in preorder by one explicit-stack walk.
+
+    An atom is `0`, its name, `,` and an argument for each argument, and
+    `!`; a conjunction is `1`, then its children's keys, then `!`; a
+    disjunction the same with `2`; an implication is `3` and the keys of
+    its sides.  Each key ends where its node ends, and `!` and `,` sort
+    below every identifier character and `!` below every tag, so comparing
+    keys as strings orders formulas by node kind, then atoms by name and
+    arguments, set nodes by their children and implications by their
+    sides, shorter child lists first: the canonical order.
+    """
+    if type(f) is AtomRef:
+        name, args = f.atom
+        return f"0{name},{','.join(args)}!" if args else f"0{name}!"
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is AtomRef:
+            out.append(_key(g))  # one call deep
+        elif t is Impl:
+            out.append("3")
+            stack.append(g.rhs)
+            stack.append(g.lhs)
+        elif t is str:  # the end of a set node
+            out.append(g)
+        else:
+            out.append(_TAGS[t])
+            stack.append("!")
+            stack.extend(reversed(g.children))
+    return "".join(out)
 
 
 def _canonical(children: Iterable[Formula]) -> tuple[Formula, ...]:
     children = tuple(children)
     if len(children) < 2:
         return children
-    # a sort key spells out the whole formula, so it also finds duplicates
-    keyed = dict(zip(map(_sort_key, children), children))
+    kinds = list(map(type, children))
+    lone: dict[type, bool] = {}
+    for t in kinds:
+        lone[t] = t not in lone
+    # a key spells out the whole formula, so it also finds duplicates; a
+    # child alone of its kind needs only the tag its key begins with
+    keyed = {_TAGS[t] if lone[t] else _key(c): c for c, t in zip(children, kinds)}
     return tuple(map(keyed.__getitem__, sorted(keyed)))
 
 
@@ -99,44 +149,30 @@ def _canonical(children: Iterable[Formula]) -> tuple[Formula, ...]:
 class AtomRef(Formula):
     atom: Atom
 
-    @property
-    def rank(self) -> int:
-        return 0
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conj(Formula):
     children: tuple[Formula, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", _canonical(self.children))
 
-    @property
-    def rank(self) -> int:
-        return max((c.rank for c in self.children), default=-1) + 1
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Disj(Formula):
     children: tuple[Formula, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", _canonical(self.children))
 
-    @property
-    def rank(self) -> int:
-        return max((c.rank for c in self.children), default=-1) + 1
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Impl(Formula):
     lhs: Formula
     rhs: Formula
 
-    @property
-    def rank(self) -> int:
-        return max(self.lhs.rank, self.rhs.rank) + 1
 
+_TAGS = {AtomRef: "0", Conj: "1", Disj: "2", Impl: "3"}  # the first character of a key
 
 TOP: Formula = Conj(())
 BOT: Formula = Disj(())
@@ -432,34 +468,48 @@ _LVL_IMPL, _LVL_DISJ, _LVL_CONJ, _LVL_UNARY = 0, 1, 2, 3
 
 
 def format_formula(f: Formula) -> str:
-    """Canonical text form; `parse_formula` inverts it exactly."""
-    return _fmt(f, _LVL_IMPL)
+    """Canonical text form; `parse_formula` inverts it exactly.
+
+    One explicit-stack walk writes the text: the stack holds the nodes
+    still to write, each with the binding level of its context, and the
+    text between them.
+    """
+    out: list[str] = []
+    stack: list = [(f, _LVL_IMPL)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, ctx = item
+        t = type(g)
+        if t is AtomRef:
+            out.append(str(g.atom))
+        elif t is Impl:
+            if type(g.rhs) is Disj and not g.rhs.children:
+                out.append("not ")
+                stack.append((g.lhs, _LVL_UNARY))
+                continue
+            if ctx != _LVL_IMPL:
+                out.append("(")
+                stack.append(")")
+            stack += ((g.rhs, _LVL_IMPL), " -> ", (g.lhs, _LVL_DISJ))
+        elif not g.children:
+            out.append("top" if t is Conj else "bot")
+        elif len(g.children) == 1:
+            out.append("And{" if t is Conj else "Or{")
+            stack += ("}", (g.children[0], _LVL_IMPL))
+        else:
+            own, sep, level = (_LVL_CONJ, " & ", _LVL_UNARY) if t is Conj else (_LVL_DISJ, " | ", _LVL_CONJ)
+            if ctx > own:  # the context binds tighter
+                out.append("(")
+                stack.append(")")
+            for c in reversed(g.children):
+                stack.append((c, level))
+                stack.append(sep)
+            stack.pop()  # no separator before the first child
+    return "".join(out)
 
 
 def format_program(formulas: Iterable[Formula]) -> str:
     return "".join(format_formula(f) + ".\n" for f in formulas)
-
-
-def _fmt(f: Formula, ctx: int) -> str:
-    if isinstance(f, AtomRef):
-        return str(f.atom)
-    if isinstance(f, Conj):
-        if not f.children:
-            return "top"
-        if len(f.children) == 1:
-            return "And{" + _fmt(f.children[0], _LVL_IMPL) + "}"
-        s = " & ".join(_fmt(c, _LVL_UNARY) for c in f.children)
-        return s if ctx <= _LVL_CONJ else "(" + s + ")"
-    if isinstance(f, Disj):
-        if not f.children:
-            return "bot"
-        if len(f.children) == 1:
-            return "Or{" + _fmt(f.children[0], _LVL_IMPL) + "}"
-        s = " | ".join(_fmt(c, _LVL_CONJ) for c in f.children)
-        return s if ctx <= _LVL_DISJ else "(" + s + ")"
-    assert isinstance(f, Impl)
-    if f.rhs == BOT:
-        s = "not " + _fmt(f.lhs, _LVL_UNARY)
-        return s if ctx <= _LVL_UNARY else "(" + s + ")"
-    s = _fmt(f.lhs, _LVL_DISJ) + " -> " + _fmt(f.rhs, _LVL_IMPL)
-    return s if ctx == _LVL_IMPL else "(" + s + ")"

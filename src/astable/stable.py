@@ -46,11 +46,6 @@ def format_interpretation(interp: AbstractSet[Atom]) -> str:
     return "{" + ",".join(str(a) for a in sorted(interp)) + "}"
 
 
-def interpretation_key(interp: AbstractSet[Atom]) -> tuple:
-    """Canonical sort key: lexicographic over the sorted atom sequence."""
-    return tuple(sorted(interp))
-
-
 _FEW = 16  # up to this many bitmasks are decoded one at a time, more through tables
 _BYTE_BITS = [bytes(m >> j & 1 for j in range(8)) for m in range(256)]  # bit j of m at byte j
 
@@ -149,17 +144,13 @@ class ModelSet:
 
     @classmethod
     def from_iter(cls, models: Iterable[AbstractSet[Atom]], signature: AbstractSet[Atom]) -> "ModelSet":
-        """From any interpretations, each sorted once; duplicates merge."""
+        """From any interpretations, as bitmasks over the signature and the
+        atoms of the models; duplicates merge."""
         sig = frozenset(signature)
-        ordered = tuple(sorted(map(interpretation_key, {frozenset(m) for m in models})))
-        for m in ordered:
-            if not sig.issuperset(m):
-                raise SignatureError(f"model {format_interpretation(m)} leaves the signature")
-        atoms = tuple(sorted(sig))
+        distinct = {frozenset(m) for m in models}
+        atoms = sorted(sig.union(*distinct))
         bit = {x: 1 << b for b, x in enumerate(atoms)}
-        found = cls(atoms, tuple(sum(map(bit.__getitem__, m)) for m in ordered), sig)
-        found.__dict__["_sorted_atoms"] = ordered
-        return found
+        return cls.from_masks([sum(map(bit.__getitem__, m)) for m in distinct], atoms, sig)
 
     @classmethod
     def from_masks(cls, masks: Sequence[int], atoms: Sequence[Atom], signature: frozenset[Atom]) -> "ModelSet":
@@ -199,7 +190,8 @@ class ModelSet:
         return len(self.masks)
 
     def __contains__(self, interp: AbstractSet[Atom]) -> bool:
-        return interpretation_key(frozenset(interp)) in self.sorted_atoms
+        bit = {x: 1 << b for b, x in enumerate(self.atoms)}
+        return all(map(bit.__contains__, interp)) and sum(map(bit.__getitem__, interp)) in self.masks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModelSet):

@@ -38,9 +38,10 @@ class ParseError(ValueError):
 
 
 # Groups: 1 a newline, 2 a word, 3 punctuation, 4 any other character;
-# blanks and comments match no group.  A word is an identifier only if it
+# blanks and comments match no group.  Words are ASCII, so a non-ASCII
+# letter is an unexpected character; a word is an identifier only if it
 # starts with a letter or `_`, which `\w` alone does not check.
-_TOKEN_RE = re.compile(r"(\n)|[ \t\r]+|%[^\n]*|(\w+)|(->|[&|(){};,.=])|(.)")
+_TOKEN_RE = re.compile(r"(\n)|[ \t\r]+|%[^\n]*|(\w+)|(->|[&|(){};,.=])|(.)", re.ASCII)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:

@@ -131,30 +131,93 @@ class TestParseGround:
         assert (code, out) == (1, "")
         assert err == "parse error: 1:1: invalid domain element: 'a-b'\n"
 
+    def test_non_ascii_identifier_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "word.lp"
+        path.write_text("pé -> q.\n", encoding="utf-8")
+        assert run(capsys, "parse", str(path)) == (1, "", "parse error: 1:2: unexpected character 'é'\n")
 
-def _single_error_line(err: str) -> bool:
-    return len(err.splitlines()) == 1 and err.startswith("error: ")
+
+def _depth_cases(n: int) -> dict[str, tuple[str, dict[str, str]]]:
+    """Programs nested n deep, each with the stdout of every command on it.
+    A ground program is canonical text, so `parse` prints it back, and so
+    does `ground` under `#domain a.`; `check-definition` pairs it with the
+    module `q -> d.`."""
+    chain = " -> ".join(["p"] * n + ["q"])
+    prefix = " -> ".join(["p"] * (n - 1))
+    alternating = "p & (q | " * (n // 2) + "r" + ")" * (n // 2)
+    quantified = "forall X (exists Y (" * (n // 2) + "p(X) -> q(Y)" + "))" * (n // 2)
+    return {
+        "chain": (chain + ".\np.\n", {
+            "solve": "{p,q}\n",
+            "split-solve": "{p,q}\n",
+            "graph": "vertices: p q\nedges: q->p\n",
+            "check-definition": "definition for 1 atoms: conservative (1 stable models)\n"
+                                "{d,p,q} -> {p,q}\n",
+        }),
+        "not": ("not " * n + "q.\nq.\n", {
+            "solve": "{q}\n",
+            "split-solve": "{q}\n",
+            "graph": "vertices: q\nedges: (none)\n",
+            "check-definition": "definition for 1 atoms: conservative (1 stable models)\n"
+                                "{d,q} -> {q}\n",
+        }),
+        "alternating": (alternating + " -> s.\np.\nq.\n", {
+            "solve": "{p,q,s}\n",
+            "split-solve": "{p,q,s}\n",
+            "graph": "vertices: p q r s\nedges: s->p; s->q; s->r\n",
+            "check-definition": "definition for 1 atoms: conservative (1 stable models)\n"
+                                "{d,p,q,s} -> {p,q,s}\n",
+        }),
+        "shared prefix": (prefix + " -> q.\n" + prefix + " -> r.\np.\n", {
+            "solve": "{p,q,r}\n",
+            "split-solve": "{p,q,r}\n",
+            "graph": "vertices: p q r\nedges: q->p; r->p\n",
+            "check-definition": "definition for 1 atoms: conservative (1 stable models)\n"
+                                "{d,p,q,r} -> {p,q,r}\n",
+        }),
+        "quantifiers": ("#domain a.\n" + quantified + ".\np(a).\n", {
+            "ground": "And{Or{" * (n // 2) + "p(a) -> q(a)" + "}}" * (n // 2) + ".\np(a).\n",
+            "solve": "{p(a),q(a)}\n",
+            "split-solve": "{p(a),q(a)}\n",
+            "graph": "vertices: p(a) q(a)\nedges: q(a)->p(a)\n",
+        }),
+    }
+
+
+_DEPTH_CASES = _depth_cases(5000)
 
 
 class TestDepth:
-    """Parsing has no depth limit; what still recurses ends in one error line."""
+    """Every command answers on input nested 5,000 deep."""
 
     N = 5000
 
     def test_long_implication_chain(self, capsys, tmp_path):
         path = tmp_path / "chain.lp"
-        path.write_text(" -> ".join(["p"] * self.N + ["q"]) + ".\n")
-        code, out, err = run(capsys, "parse", str(path))
-        assert (code, out) == (2, "")
-        assert _single_error_line(err)
+        text = " -> ".join(["p"] * self.N + ["q"]) + ".\n"
+        path.write_text(text)
+        assert run(capsys, "parse", str(path)) == (0, text, "")
         assert run(capsys, "solve", str(path)) == (0, "{}\n", "")
 
     def test_deep_first_order_negation(self, capsys, tmp_path):
         path = tmp_path / "deep.fo"
         path.write_text("#domain a.\n" + "not " * self.N + "q.\n")
-        code, out, err = run(capsys, "ground", str(path))
-        assert (code, out) == (2, "")
-        assert _single_error_line(err)
+        assert run(capsys, "ground", str(path)) == (0, "not " * self.N + "q.\n", "")
+
+    @pytest.mark.parametrize("case", _DEPTH_CASES)
+    def test_every_command_answers(self, capsys, tmp_path, case):
+        text, expected = _DEPTH_CASES[case]
+        first_order = text.startswith("#domain")
+        (tmp_path / "deep.lp").write_text(text)
+        (tmp_path / "deep.fo").write_text(text if first_order else "#domain a.\n" + text)
+        (tmp_path / "module.lp").write_text("q -> d.\n")
+        if not first_order:
+            expected = {"parse": text, "ground": text, **expected}
+        for command, out in expected.items():
+            args = [command, str(tmp_path / ("deep.fo" if command == "ground" else "deep.lp"))]
+            if command == "check-definition":
+                args += [str(tmp_path / "module.lp"), "--defined", "d"]
+            assert run(capsys, *args) == (0, out, ""), command
 
 
 def _fo_text(s: fo.FOSentence) -> str:

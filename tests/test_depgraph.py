@@ -146,6 +146,16 @@ class TestRules:
         f = conj([impl(P, Q), disj([impl(Q, R), P])])
         assert rules(f) == [impl(Q, R), impl(P, Q)]
 
+    def test_deep_chain(self):
+        # p -> (p -> (... -> q)) nested 5,000 deep: every implication, outermost first
+        chain = [Q]
+        for _ in range(5000):
+            chain.append(impl(P, chain[-1]))
+        assert rules(chain[-1]) == chain[:0:-1]
+        # below a set node of two children, a shared implication is listed once
+        twin = impl(Q, chain[199])
+        assert rules(conj([twin, chain[200]])) == [*chain[200:0:-1], twin]
+
 
 class TestDepGraph:
     def test_guard_program_has_no_edges(self):

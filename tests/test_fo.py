@@ -90,8 +90,8 @@ class TestParseFO:
         assert "invalid domain element" in str(err.value)
 
 
-# Error texts of malformed first-order programs, as the parser has always
-# reported them.
+# Error texts of malformed first-order programs; identifiers are ASCII, so a
+# non-ASCII letter is an unexpected character.
 MALFORMED = [
     ("#domain a.\np(X) & % c", "2:8: expected a sentence, found 'end of input'"),
     ("#domain a.\nforall x (p(x)).", "2:8: quantified variable must be uppercase: 'x'"),
@@ -111,7 +111,7 @@ MALFORMED = [
     ("#domain a.\np(X,).", "2:5: expected 'ident', found ')'"),
     ("#domain a.\np(a) -> bot).", "2:12: expected '.', found ')'"),
     ("#domain a.\np(²).", "2:3: unexpected character '²'"),
-    ("#domain a.\nq(a) & é @.", "2:10: unexpected character '@'"),
+    ("#domain a.\nq(a) & é @.", "2:8: unexpected character 'é'"),
     ("#domain a, .\nq.", "1:1: empty domain element"),
     ("#domain a, B.\nq.", "1:1: domain elements must be lowercase: 'B'"),
     ("#domain _a.\nq.", "1:1: domain elements must be lowercase: '_a'"),

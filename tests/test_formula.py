@@ -24,8 +24,8 @@ from astable import (
     reduct,
     satisfies,
 )
-from astable.formula import compile_formula, truth_chunks
-from astable.verifier import GenConfig, gen_formula
+from astable.formula import _key, compile_formula, truth_chunks
+from astable.verifier import GenConfig, _gen, gen_formula
 
 from util import guard_program
 
@@ -45,6 +45,15 @@ def rank_oracle(f):
     while rank_oracle(f.lhs) >= r or rank_oracle(f.rhs) >= r:
         r += 1
     return r
+
+
+def sort_key_oracle(f):
+    """Independent restatement of the canonical order as nested tuples."""
+    if isinstance(f, AtomRef):
+        return (0, f.atom)
+    if isinstance(f, Impl):
+        return (3, sort_key_oracle(f.lhs), sort_key_oracle(f.rhs))
+    return (1 if isinstance(f, Conj) else 2, tuple(sort_key_oracle(c) for c in f.children))
 
 
 class TestAtom:
@@ -97,6 +106,45 @@ class TestCanonicalForm:
         # {p, p} collapses to a singleton set; rank sees one child.
         assert conj([P, P]).rank == 1
         assert conj([P, conj([P, P])]).rank == 2
+
+
+class TestCanonicalOrder:
+    # names that are prefixes of each other, with and without arguments
+    ATOMS = [Atom(name, args) for name in ("p", "pq", "q", "Q", "p_1")
+             for args in ((), ("a",), ("a", "b"), ("ab",))]
+
+    def random_formulas(self, seed, n=2000):
+        rng = random.Random(seed)
+        cfg = GenConfig(max_atoms=4, max_depth=3)
+        return [_gen(rng, rng.sample(self.ATOMS, 4), rng.randint(0, 3), cfg) for _ in range(n)]
+
+    def test_key_order_equality_and_hash_match_the_oracle(self):
+        formulas = self.random_formulas(31)
+        twins = self.random_formulas(31, 200)  # equal to the first 200, as other objects
+        pairs = list(zip(formulas, formulas[1:])) + list(zip(formulas, twins))
+        for f, g in pairs:
+            want = sort_key_oracle(f), sort_key_oracle(g)
+            assert (_key(f) < _key(g)) == (want[0] < want[1])
+            assert (f == g) == (_key(f) == _key(g)) == (want[0] == want[1])
+            if f == g:
+                assert hash(f) == hash(g)
+        assert sum(f == g for f, g in pairs) >= 200
+
+    def test_set_nodes_sort_and_deduplicate_like_the_oracle(self):
+        formulas = self.random_formulas(32)
+        rng = random.Random(33)
+        for _ in range(2000):
+            kids = rng.choices(formulas[:300], k=rng.randint(0, 6))
+            for node in (conj(kids), disj(kids)):
+                got = [sort_key_oracle(c) for c in node.children]
+                assert got == sorted({sort_key_oracle(c) for c in kids})
+
+    def test_deep_chain_rank_and_order(self):
+        f = Q
+        for _ in range(5000):
+            f = impl(P, f)
+        assert f.rank == 5000
+        assert conj([f, P]).children == (P, f)
 
 
 class TestRank:

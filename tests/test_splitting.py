@@ -308,6 +308,19 @@ class TestModularSolve:
         got = modular_solve(conjuncts, SIG, SIG)
         assert got.as_set() == {frozenset({PA, PB})}
 
+    def test_deep_conjunct_shares_a_block(self):
+        # p -> (p -> (... -> q)) nested 5,000 deep and p -> q head the same block
+        p, q = atom("p"), atom("q")
+        deep = q
+        for _ in range(5000):
+            deep = impl(p, deep)
+        conjuncts = [deep, impl(p, q), p]
+        sigma = {p.atom, q.atom}
+        got = modular_solve(conjuncts, sigma, sigma)
+        assert got == enumerate_a_stable(conj(conjuncts), sigma, sigma)
+        assert got.as_set() == {frozenset(sigma)}
+        assert modular_solve(conjuncts[:2], sigma, sigma).as_set() == {frozenset()}
+
     def test_unsatisfiable_constraint_gives_empty(self):
         q = Atom("q")
         got = modular_solve([AtomRef(q), neg(AtomRef(q))], {q}, {q})

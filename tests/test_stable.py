@@ -378,6 +378,11 @@ class TestModelSet:
                 make()
         assert len(ModelSet.from_masks([0, 2], [self.P, Q, self.R], frozenset({Q}))) == 2
 
+    def test_membership_reads_the_bitmasks(self):
+        ms = ModelSet.from_iter([{self.P, Q}, set()], self.SIG)
+        assert {self.P, Q} in ms and frozenset() in ms
+        assert {self.P} not in ms and {Q, Atom("s")} not in ms
+
 
 class TestModred:
     def test_direct_construction(self):

@@ -82,7 +82,8 @@ class TestParse:
             parse_program("p")
 
 
-# Error texts of malformed programs, as the parser has always reported them.
+# Error texts of malformed programs; identifiers are ASCII, so a non-ASCII
+# letter is an unexpected character.
 MALFORMED = [
     ("a % c", "1:3: expected '.', found 'end of input'"),
     ("p.\na % c", "2:3: expected '.', found 'end of input'"),
@@ -91,9 +92,9 @@ MALFORMED = [
     ("p\t&\t", "1:5: expected a formula, found 'end of input'"),
     ("x\r\ny &.", "2:1: expected '.', found 'y'"),
     ("p -> % c\n.", "2:1: expected a formula, found '.'"),
-    ("é(a", "1:4: expected ')', found 'end of input'"),
-    ("é.", "invalid atom name: 'é'"),
-    ("pé -> q.", "invalid atom name: 'pé'"),
+    ("é(a", "1:1: unexpected character 'é'"),
+    ("é.", "1:1: unexpected character 'é'"),
+    ("pé -> q.", "1:2: unexpected character 'é'"),
     ("p(²).", "1:3: unexpected character '²'"),
     ("Ⅻ.", "1:1: unexpected character 'Ⅻ'"),
     ("1p.", "1:1: unexpected character '1'"),
