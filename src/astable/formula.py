@@ -402,6 +402,48 @@ def compile_formula(f: Formula) -> Program:
     return Program(atoms, tuple(ops), fix[root])
 
 
+def live_prefixes(prog: Program, var_atoms: Sequence[Atom], true_atoms: AbstractSet[Atom], chunk_bits: int) -> int:
+    """The chunks of `truth_chunks` that may hold a model, as a bitmask
+    with bit hi for the chunk whose high atoms, var_atoms[chunk_bits:],
+    take the bits of hi.
+
+    One Kleene (three-valued) run of prog over vectors of one bit per
+    chunk: each slot holds the pair (surely true, possibly true).  A low
+    atom is unknown, (0, all ones), a high atom takes its prefix pattern
+    on both sides and every other atom is fixed as in `truth_chunks`.
+    Conjunction and disjunction act on each side separately, and an
+    implication is surely true where its left side is surely false or
+    its right side surely true, possibly true where its left side is
+    possibly false or its right side possibly true.  Where the root is
+    not possibly true, no assignment of the low atoms satisfies prog
+    (ternary simulation; Bryant, JACM 1991).
+    """
+    n = len(var_atoms)
+    cb = min(n, chunk_bits)
+    width = 1 << (n - cb)
+    ones = (1 << width) - 1
+    index = {a: b for b, a in enumerate(var_atoms)}
+    sure = [0, ones] + [0] * (len(prog.atoms) + len(prog.ops))
+    maybe = sure.copy()
+    for k, a in enumerate(prog.atoms, 2):
+        b = index.get(a)
+        if b is None:
+            sure[k] = maybe[k] = ones if a in true_atoms else 0
+        elif b < cb:
+            maybe[k] = ones
+        else:
+            sure[k] = maybe[k] = _bit_pattern(b - cb, width)
+    for kind, left, right, out in prog.ops:
+        # both sides are read before either is written: out may be left or right
+        if kind == _AND:
+            sure[out], maybe[out] = sure[left] & sure[right], maybe[left] & maybe[right]
+        elif kind == _OR:
+            sure[out], maybe[out] = sure[left] | sure[right], maybe[left] | maybe[right]
+        else:
+            sure[out], maybe[out] = (ones ^ maybe[left]) | sure[right], (ones ^ sure[left]) | maybe[right]
+    return maybe[prog.root]
+
+
 def truth_chunks(
     f: Formula | Program,
     var_atoms: Sequence[Atom],
@@ -414,7 +456,10 @@ def truth_chunks(
     var_atoms[b] true iff bit b of m is set.  Atoms in `true_atoms` are
     always true, every other atom is false.  Yields integers of
     2**min(len(var_atoms), chunk_bits) bits each, lowest indexes first, so
-    that big signatures never materialize one huge vector.
+    that big signatures never materialize one huge vector.  When there are
+    high atoms, var_atoms[chunk_bits:], one Kleene run (`live_prefixes`)
+    first finds the chunks that cannot hold a model, and each of them
+    yields 0 without a run of the program.
     """
     prog = f if isinstance(f, Program) else compile_formula(f)
     n = len(var_atoms)
@@ -433,7 +478,11 @@ def truth_chunks(
         else:
             high.append((k, b - cb))
 
+    live = live_prefixes(prog, var_atoms, true_atoms, cb) if n > cb else 1
     for hi in range(1 << (n - cb)):
+        if not live >> hi & 1:
+            yield 0
+            continue
         for k, b in high:
             values[k] = ones if hi >> b & 1 else 0
         yield prog.run(values, ones, ones)

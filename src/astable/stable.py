@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
@@ -30,6 +31,7 @@ from .formula import (
     check_signature,
     compile_formula,
     disj,
+    live_prefixes,
     neg,
     reduct,
     satisfies,
@@ -291,29 +293,52 @@ def _check_cap(n: int, max_atoms: int) -> None:
         )
 
 
-def _candidate_models(prog: Program, var: Sequence[int], here: int) -> Iterator[int]:
+def _candidate_models(prog: Program, var: Sequence[int], here: int) -> list[int]:
     """The assignments c to the atoms at positions `var` of prog.atoms (bit
     j of c for var[j]) that classically satisfy prog when the atoms of the
     bitmask `here` are true and all others false.  A sweep that fixes some
     atoms hands the true ones to `truth_chunks` as `true_atoms=`, only by
     keyword, which is how perfbench/spans.py tells a block's context sweep
-    from the candidate sweep of `enumerate_a_stable`."""
+    from the candidate sweep of `enumerate_a_stable`.
+
+    The sweep skips every chunk that the Kleene run of `live_prefixes`
+    rules out.  With more than `_CHUNK_BITS` atoms, the atoms that the most
+    ops read go last, so that they are the high atoms that fix each chunk,
+    when that order leaves fewer live chunks than the given one; the
+    candidates are then mapped back to the bits of `var`.
+    """
     atoms = prog.atoms
     context = {}
     if len(var) < len(atoms):
         context["true_atoms"] = {x for b, x in enumerate(atoms) if here >> b & 1}
+    order = var
+    if len(var) > _CHUNK_BITS:
+        reads = Counter(slot for _, left, right, _ in prog.ops for slot in (left, right))
+        by_reads = sorted(var, key=lambda b: reads[b + 2])  # atoms[b] sits in slot b + 2
+        true = context.get("true_atoms", frozenset())
+
+        def live(order: Sequence[int]) -> int:
+            return live_prefixes(prog, [atoms[b] for b in order], true, _CHUNK_BITS).bit_count()
+
+        if live(by_reads) < live(var):
+            order = by_reads
+    candidates = []
     offset = 0
     step = 1 << min(len(var), _CHUNK_BITS)
-    for chunk in truth_chunks(prog, [atoms[b] for b in var], chunk_bits=_CHUNK_BITS, **context):
+    for chunk in truth_chunks(prog, [atoms[b] for b in order], chunk_bits=_CHUNK_BITS, **context):
         if chunk:
             # one scan of the binary text: position p holds bit top - p
             text = bin(chunk)
             top = offset + len(text) - 1
             p = text.rfind("1", 2)
             while p >= 0:
-                yield top - p
+                candidates.append(top - p)
                 p = text.rfind("1", 2, p)
         offset += step
+    if order is not var:
+        position = {b: j for j, b in enumerate(var)}
+        candidates = _decode(candidates, [1 << position[b] for b in order], sum)
+    return candidates
 
 
 def _ht_minimal(prog: Program, mask: int, a_mask: int, patterns: dict[int, list[int]]) -> bool:
@@ -573,7 +598,7 @@ def _stable_models(prog: Program, var: Sequence[int], here: int, parts: Sequence
         return [0] if prog.run([here >> b & 1 for b in range(len(prog.atoms))], 1, 1) else []
     if k <= _NARROW:
         return _verdicts(prog, var, here, _assignment_run(k, sum(parts)), range(1 << k))
-    return _stable_subset(prog, var, here, parts, list(_candidate_models(prog, var, here)))
+    return _stable_subset(prog, var, here, parts, _candidate_models(prog, var, here))
 
 
 def enumerate_a_stable(
@@ -594,6 +619,10 @@ def enumerate_a_stable(
     whose classical models are checked one part of A at a time (see
     `_parts`) in shared packed here-and-there runs, where only a part too
     wide for a segment gets a chunked sweep per candidate in `_ht_minimal`.
+    The sweep (`_candidate_models`) skips every chunk that one Kleene run
+    of the program rules out, and past `_CHUNK_BITS` atoms it makes the
+    atoms read by the most ops the high atoms, which fix each chunk, when
+    that leaves fewer chunks alive.
     Intensional atoms that never occur in f cannot appear in any A-stable
     model and are pruned up front.  Extensional atoms of sigma that do not
     occur are free: each stable bitmask is spread once to the sorted order

@@ -10,6 +10,7 @@ to stay exact; nothing here is sampled approximately.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import random
@@ -55,6 +56,7 @@ from .formula import (
     neg,
     reduct,
     satisfies,
+    truth_chunks,
 )
 from .splitting import PreconditionError, modular_solve, split_models_lemma, split_models_theorem
 from .stable import (
@@ -223,7 +225,7 @@ def _suite_prop1(rng, cfg, unsound):
     )
     via_choice = i in enumerate_a_stable(choice_extension(f, a, sigma), sigma, sigma)
     ok = direct == minimal == via_choice
-    return ok, _case_text(
+    return ok, lambda: _case_text(
         suite="prop1",
         formula=format_formula(f),
         i=format_interpretation(i),
@@ -241,7 +243,7 @@ def _suite_prop3(rng, cfg, unsound):
     fast = is_separable(g, pi)
     oracle = closed_walk_infinitely_separable(g, pi)
     ok = fast == oracle == is_infinitely_separable(g, pi)
-    return ok, _case_text(
+    return ok, lambda: _case_text(
         suite="prop3",
         vertices=format_interpretation(g.vertices),
         edges=_format_edges(g),
@@ -288,7 +290,7 @@ def _suite_lemma1(rng, cfg, unsound):
     if satisfies(i, f):
         return None
     ok = equivalent(reduct(f, i), BOT, sigma)
-    return ok, _case_text(suite="lemma1", formula=format_formula(f), i=format_interpretation(i))
+    return ok, lambda: _case_text(suite="lemma1", formula=format_formula(f), i=format_interpretation(i))
 
 
 def _suite_lemma2(rng, cfg, unsound):
@@ -300,7 +302,7 @@ def _suite_lemma2(rng, cfg, unsound):
         return None
     a = _rand_subset(rng, sorted(sigma - strictly_positive(f)))
     ok = satisfies(i - a, reduct(f, i))
-    return ok, _case_text(
+    return ok, lambda: _case_text(
         suite="lemma2",
         formula=format_formula(f),
         i=format_interpretation(i),
@@ -319,7 +321,7 @@ def _suite_lemma3(rng, cfg, unsound):
     b2_neg = _rand_subset(rng, sorted(sigma - b1 - neg_nonnegated(f)), 0.5)
     ok_fwd = (not satisfies(i - b1, r)) or satisfies(i - (b1 | b2_pos), r)
     ok_bwd = (not satisfies(i - (b1 | b2_neg), r)) or satisfies(i - b1, r)
-    return ok_fwd and ok_bwd, _case_text(
+    return ok_fwd and ok_bwd, lambda: _case_text(
         suite="lemma3",
         formula=format_formula(f),
         i=format_interpretation(i),
@@ -343,7 +345,7 @@ def _suite_lemma4(rng, cfg, unsound):
     if not satisfies(i - (b | c), r):
         return None
     ok = satisfies(i - b, r)
-    return ok, _case_text(
+    return ok, lambda: _case_text(
         suite="lemma4",
         formula=format_formula(f),
         i=format_interpretation(i),
@@ -358,13 +360,13 @@ def _suite_lemma5(rng, cfg, unsound):
     try:
         b = find_closed_subset(g, pi)
     except ValueError as exc:
-        return False, _case_text(suite="lemma5", edges=_format_edges(g), error=str(exc))
+        return False, functools.partial(_case_text, suite="lemma5", edges=_format_edges(g), error=str(exc))
     ok = (
         bool(b)
         and (b <= pi.part1 or b <= pi.part2)
         and not any(u in b and v not in b for u, v in g.edges)
     )
-    return ok, _case_text(
+    return ok, lambda: _case_text(
         suite="lemma5",
         vertices=format_interpretation(g.vertices),
         edges=_format_edges(g),
@@ -381,7 +383,7 @@ def _suite_lemma6(rng, cfg, unsound):
     i = _rand_subset(rng, pool)
     joint = is_a_stable(conj((f, g)), i, a)
     split = is_a_stable(f, i, a) and satisfies(i, g)
-    return joint == split, _case_text(
+    return joint == split, lambda: _case_text(
         suite="lemma6",
         formula_f=format_formula(f),
         formula_g=format_formula(g),
@@ -400,7 +402,7 @@ def _suite_lemma7(rng, cfg, unsound):
     i = _rand_subset(rng, pool)
     relative = is_a_stable(f, i, a)
     projected_stable = is_a_stable(f, i & a, sigma)
-    return relative == projected_stable, _case_text(
+    return relative == projected_stable, lambda: _case_text(
         suite="lemma7",
         formula=format_formula(f),
         i=format_interpretation(i),
@@ -428,15 +430,15 @@ def _gen_definition(rng: random.Random, cfg: GenConfig) -> DefinitionModule | Re
 def _suite_lemma8(rng, cfg, unsound):
     d = _gen_definition(rng, cfg)
     if isinstance(d, Rejection):
-        return False, _case_text(suite="lemma8", rejected=str(d))
+        return False, lambda: _case_text(suite="lemma8", rejected=str(d))
     sigma = atoms_of(d.source) | d.q_set | frozenset(_atom_pool(2))
     models = _models_of(d.source, sigma)
     if not models:
-        return False, _case_text(suite="lemma8", definition=format_formula(d.source), error="no models")
+        return False, lambda: _case_text(suite="lemma8", definition=format_formula(d.source), error="no models")
     i = rng.choice(models)
     k = (i - d.q_set) | _rand_subset(rng, sorted(i & d.q_set))
     ok = satisfies(k, reduct(d.source, i)) == satisfies(k, d.source)
-    return ok, _case_text(
+    return ok, lambda: _case_text(
         suite="lemma8",
         definition=format_formula(d.source),
         i=format_interpretation(i),
@@ -447,7 +449,7 @@ def _suite_lemma8(rng, cfg, unsound):
 def _suite_lemma9(rng, cfg, unsound):
     d = _gen_definition(rng, cfg)
     if isinstance(d, Rejection):
-        return False, _case_text(suite="lemma9", rejected=str(d))
+        return False, lambda: _case_text(suite="lemma9", rejected=str(d))
     base = sorted(atoms_of(d.source) - d.q_set)
     ctx = _rand_subset(rng, base)
     fix = unique_q_stable(d, ctx)
@@ -459,7 +461,7 @@ def _suite_lemma9(rng, cfg, unsound):
         if is_a_stable(d.source, ctx | frozenset(combo), d.q_set)
     ]
     ok = fix == meet and stable_completions == [fix]
-    return ok, _case_text(
+    return ok, lambda: _case_text(
         suite="lemma9",
         definition=format_formula(d.source),
         context=format_interpretation(ctx),
@@ -494,7 +496,7 @@ def _suite_split_lemma(rng, cfg, unsound):
         joint = enumerate_a_stable(f, a, sigma)
         split = split_models_lemma(f, p1, p2, sigma)
     ok = joint.as_set() == split.as_set()
-    return ok, _case_text(
+    return ok, lambda: _case_text(
         suite="split_lemma",
         formula=format_formula(f),
         part1=format_interpretation(p1),
@@ -541,13 +543,13 @@ def _suite_split_theorem(rng, cfg, unsound):
         try:
             split = split_models_theorem(f, g, a1, a2, sigma)
         except PreconditionError as exc:
-            return False, _case_text(
-                suite="split_theorem", formula_f=format_formula(f),
+            return False, functools.partial(
+                _case_text, suite="split_theorem", formula_f=format_formula(f),
                 formula_g=format_formula(g), error=str(exc),
             )
     joint = enumerate_a_stable(conj((f, g)), a1 | a2, sigma)
     ok = joint.as_set() == split.as_set()
-    return ok, _case_text(
+    return ok, lambda: _case_text(
         suite="split_theorem",
         formula_f=format_formula(f),
         formula_g=format_formula(g),
@@ -567,7 +569,7 @@ def _suite_stable_kernel(rng, cfg, unsound):
         a -= i  # I & A empty: stability reduces to satisfaction
     fused = is_a_stable_ht(f, i, a)
     reference = is_a_stable(f, i, a)
-    return fused == reference, _case_text(
+    return fused == reference, lambda: _case_text(
         suite="stable_kernel",
         formula=format_formula(f),
         i=format_interpretation(i),
@@ -606,7 +608,7 @@ def _suite_stable_modular(rng, cfg, unsound):
     finally:
         split_log.setLevel(level)
     want = _reference_models(conj(conjuncts), a, pool)
-    return got == want, _case_text(
+    return got == want, lambda: _case_text(
         suite="stable_modular",
         program=" ".join(format_formula(c) + "." for c in conjuncts),
         a_set=format_interpretation(a),
@@ -647,7 +649,7 @@ def _suite_stable_packed(rng, cfg, unsound):
     a = _rand_subset(rng, pool, 0.85)
     got = enumerate_a_stable(f, a, frozenset(pool))
     want = _reference_models(f, a, pool)
-    return got == want, _case_text(
+    return got == want, lambda: _case_text(
         suite="stable_packed",
         formula=format_formula(f),
         a_set=format_interpretation(a),
@@ -699,7 +701,7 @@ def _suite_stable_scc(rng, cfg, unsound):
     a = _rand_subset(rng, pool, 0.8) | (frozenset(pool[:7]) if wide else frozenset())
     got = enumerate_a_stable(f, a, frozenset(pool))
     want = _reference_models(f, a, pool)
-    return got == want, _case_text(
+    return got == want, lambda: _case_text(
         suite="stable_scc",
         formula=format_formula(f),
         a_set=format_interpretation(a),
@@ -708,14 +710,44 @@ def _suite_stable_scc(rng, cfg, unsound):
     )
 
 
+def _suite_sweep_kleene(rng, cfg, unsound):
+    """A formula or a rule-shaped program on up to 8 atoms, swept by
+    `truth_chunks` over a random order of some of its atoms at a random
+    chunk width, the other atoms fixed by a random context (which may also
+    name swept atoms), so that most draws have high atoms and a Kleene run
+    that skips chunks: every bit must be classical truth by `satisfies`."""
+    pool = _atom_pool(rng.randint(2, 8))
+    if rng.random() < 0.5:
+        f = _gen(rng, pool, rng.randint(1, cfg.max_depth), cfg)
+    else:
+        f = conj(_gen_program(rng, pool, rng.randint(1, 8)))
+    var = rng.sample(pool, rng.randint(1, len(pool)))
+    true = _rand_subset(rng, pool)
+    chunk_bits = rng.randint(0, len(var))
+    width = 1 << chunk_bits
+    swept = sum(c << k * width for k, c in enumerate(truth_chunks(f, var, true, chunk_bits)))
+    fixed = true.difference(var)
+    assignments = [fixed | frozenset(x for b, x in enumerate(var) if m >> b & 1) for m in range(1 << len(var))]
+    reference = sum(satisfies(i, f) << m for m, i in enumerate(assignments))
+    diff = swept ^ reference
+    return not diff, lambda: _case_text(
+        suite="sweep_kleene",
+        formula=format_formula(f),
+        swept_atoms=",".join(map(str, var)),
+        true_atoms=format_interpretation(true),
+        chunk_bits=chunk_bits,
+        first_difference=format_interpretation(assignments[(diff & -diff).bit_length() - 1]),
+    )
+
+
 def _suite_definitions_theorem(rng, cfg, unsound):
     d = _gen_definition(rng, cfg)
     if isinstance(d, Rejection):
-        return False, _case_text(suite="definitions_theorem", rejected=str(d))
+        return False, lambda: _case_text(suite="definitions_theorem", rejected=str(d))
     base = _atom_pool(3)
     f = _gen(rng, base, rng.randint(0, 3), cfg)
     report = check_conservativity(f, d)
-    return report.bijection, _case_text(
+    return report.bijection, lambda: _case_text(
         suite="definitions_theorem",
         base_formula=format_formula(f),
         definition=format_formula(d.source),
@@ -771,7 +803,7 @@ def _suite_prop4_grounding(rng, cfg, unsound):
     ok = is_infinitely_separable(atom_graph, atom_pi) and closed_walk_infinitely_separable(
         atom_graph, atom_pi
     )
-    return ok, _case_text(
+    return ok, lambda: _case_text(
         suite="prop4_grounding",
         ground_formula=format_formula(g),
         part1_preds=",".join(p1) or "(none)",
@@ -798,6 +830,7 @@ _SUITES: dict[str, Callable] = {
     "stable_modular": _suite_stable_modular,
     "stable_packed": _suite_stable_packed,
     "stable_scc": _suite_stable_scc,
+    "sweep_kleene": _suite_sweep_kleene,
     "definitions_theorem": _suite_definitions_theorem,
     "prop4_grounding": _suite_prop4_grounding,
 }
@@ -812,6 +845,10 @@ def run_suite(name: str, cfg: GenConfig, unsound: bool = False) -> SuiteReport:
     With unsound=True (splitting suites only) the preconditions are dropped
     and violating instances are searched instead; failures then demonstrate
     that the preconditions are load-bearing.
+
+    A suite returns None for a draw that misses its precondition, else
+    (ok, text), where text() renders the case; only the first failure's
+    text is rendered.
     """
     try:
         suite = _SUITES[name]
@@ -838,5 +875,5 @@ def run_suite(name: str, cfg: GenConfig, unsound: bool = False) -> SuiteReport:
         else:
             fails += 1
             if first is None:
-                first = f"case {attempts - 1}\n{text}"
+                first = f"case {attempts - 1}\n{text()}"
     return SuiteReport(name, passes, fails, skipped, first)

@@ -24,8 +24,8 @@ from astable import (
     reduct,
     satisfies,
 )
-from astable.formula import _key, compile_formula, truth_chunks
-from astable.verifier import GenConfig, _gen, gen_formula
+from astable.formula import Program, _key, compile_formula, live_prefixes, truth_chunks
+from astable.verifier import GenConfig, _gen, _gen_program, gen_formula
 
 from util import guard_program
 
@@ -261,6 +261,53 @@ class TestCompile:
             for m in range(16):
                 i = frozenset(x for b, x in enumerate(atoms) if m >> b & 1)
                 assert (chunk >> m & 1) == satisfies(i, f)
+
+
+class TestKleenePruning:
+    """`truth_chunks` skips the chunks that one Kleene run rules out.  With
+    `chunk_bits` at least the number of swept atoms there are no high atoms
+    and nothing is skipped: the unpruned reference."""
+
+    def test_pruned_and_unpruned_chunks_agree(self):
+        rng = random.Random(5150)
+        skipped = 0
+        for seed in range(600):
+            pool = [Atom(x) for x in "abcdefgh"[: rng.randint(2, 8)]]
+            if seed % 2:
+                f = gen_formula(GenConfig(seed=seed, max_atoms=len(pool), max_depth=4))
+            else:
+                f = conj(_gen_program(rng, pool, rng.randint(1, 10)))
+            var = rng.sample(pool, rng.randint(1, len(pool)))
+            true = frozenset(x for x in pool if rng.random() < 0.5)  # may hold swept atoms too
+            chunk_bits = rng.randrange(len(var))  # below n, so there are high atoms
+            pruned = list(truth_chunks(f, var, true, chunk_bits))
+            (whole,) = truth_chunks(f, var, true, len(var))
+            width = 1 << chunk_bits
+            assert pruned == [whole >> k * width & ((1 << width) - 1) for k in range(len(pruned))]
+            live = live_prefixes(compile_formula(f), var, true, chunk_bits)
+            skipped += sum(not live >> k & 1 for k in range(len(pruned)))
+        assert skipped > 500
+
+    def test_skipped_chunks_run_nothing(self, monkeypatch):
+        # h is false in every model: the chunks with h true are never run
+        f = conj([neg(atom("h")), disj([P, neg(P)]), impl(Q, R), impl(conj([atom("h"), S]), P)])
+        var = [Atom("p"), Atom("q"), Atom("r"), Atom("s"), Atom("h")]
+        runs = []
+        real = Program.run
+        monkeypatch.setattr(Program, "run", lambda *args: runs.append(1) or real(*args))
+        assert list(truth_chunks(f, var, chunk_bits=2))[4:] == [0, 0, 0, 0]
+        assert len(runs) == 4
+
+    def test_implication_bounds_and_context(self):
+        # (p -> q) -> s with q fixed true by the context is true exactly
+        # where s is: only the chunks with s true are live
+        f = impl(impl(P, Q), S)
+        var = [Atom("p"), Atom("s")]
+        prog = compile_formula(f)
+        assert live_prefixes(prog, var, {Atom("q")}, 1) == 0b10
+        assert live_prefixes(prog, var, frozenset(), 1) == 0b11  # p unknown: p -> q may be false
+        # s -> p with s true and p unknown may be true: no chunk is dead
+        assert live_prefixes(compile_formula(impl(S, P)), var, frozenset(), 1) == 0b11
 
 
 class TestFormulaProperties:

@@ -26,7 +26,7 @@ from astable import (
     satisfies,
 )
 from astable.depgraph import dep_graph, sccs
-from astable.formula import compile_formula
+from astable.formula import compile_formula, live_prefixes, truth_chunks
 from astable.stable import (
     _CHUNK_BITS,
     _NARROW,
@@ -37,7 +37,7 @@ from astable.stable import (
     _stable_subset,
 )
 import astable.stable as stable_module
-from astable.verifier import GenConfig, gen_formula
+from astable.verifier import GenConfig, _gen_program, gen_formula
 
 from util import all_subsets, brute_a_stable, guard_program
 
@@ -332,6 +332,104 @@ class TestPackedMinimality:
             assert sorted(_stable_subset(prog, every, 0, [one] if one else [], candidates)) == sorted(
                 _stable_subset(prog, every, 0, parts, candidates)
             )
+
+
+def _cycle_colouring(n: int) -> list[str]:
+    """3-colouring of the cycle C_n: a vertex takes a colour when it has
+    neither other one, and adjacent vertices differ."""
+    col = [[f"k{v}_{c}" for c in range(3)] for v in range(n)]
+    rules = []
+    for v in range(n):
+        for c in range(3):
+            o1, o2 = (col[v][d] for d in range(3) if d != c)
+            rules.append(f"not {o1} & not {o2} -> {col[v][c]}")
+        rules += [f"not ({col[v][c]} & {col[(v + 1) % n][c]})" for c in range(3)]
+    return rules
+
+
+class TestHighAtoms:
+    """A sweep of more than `_CHUNK_BITS` atoms puts the atoms read by the
+    most ops high when that leaves fewer live chunks."""
+
+    @staticmethod
+    def _orders(monkeypatch) -> list[list[Atom]]:
+        """The atom order of every sweep `stable` makes from now on."""
+        orders = []
+        real = stable_module.truth_chunks
+
+        def spy(prog, var_atoms, *args, **kwargs):
+            orders.append(list(var_atoms))
+            return real(prog, var_atoms, *args, **kwargs)
+
+        monkeypatch.setattr(stable_module, "truth_chunks", spy)
+        return orders
+
+    @staticmethod
+    def _classical(f, prog, var, here, rng) -> list[int]:
+        """Every assignment to the atoms at `var` that satisfies f with the
+        context `here`, by one run over all of them, which has no high
+        atoms to prune or reorder, spot-checked against `satisfies`."""
+        atoms = prog.atoms
+        true = {x for b, x in enumerate(atoms) if here >> b & 1}
+        (whole,) = truth_chunks(prog, [atoms[b] for b in var], true, len(var))
+        for c in rng.sample(range(1 << len(var)), 200):
+            i = frozenset(true) | {atoms[b] for j, b in enumerate(var) if c >> j & 1}
+            assert satisfies(i, f) == bool(whole >> c & 1)
+        return [c for c, bit in enumerate(bin(whole)[:1:-1]) if bit == "1"]
+
+    def test_random_wide_sweeps_match_every_assignment(self, monkeypatch):
+        rng = random.Random(1776)
+        orders = self._orders(monkeypatch)
+        kept = reordered = 0
+        for _ in range(30):
+            pool = [Atom(f"x{i}") for i in range(rng.randint(17, 19))]
+            rules = _gen_program(rng, pool, rng.randint(8, 30))
+            rules += [disj((AtomRef(x), neg(AtomRef(x)))) for x in pool if rng.random() < 0.3]
+            missing = set(pool) - atoms_of(conj(rules))
+            rules += [disj((AtomRef(x), neg(AtomRef(x)))) for x in sorted(missing)]
+            f = conj(rules)
+            prog = compile_formula(f)
+            var = rng.sample(range(len(pool)), rng.randint(17, len(pool)))  # any order of positions
+            here = sum(1 << b for b in range(len(pool)) if b not in var and rng.random() < 0.5)
+            got = _candidate_models(prog, var, here)
+            assert sorted(got) == self._classical(f, prog, var, here, rng)
+            if orders.pop() == [prog.atoms[b] for b in var]:
+                kept += 1
+            else:
+                reordered += 1
+        assert kept and reordered
+
+    def test_most_read_atom_goes_high_only_when_it_prunes_more(self, monkeypatch):
+        rng = random.Random(3)
+        orders = self._orders(monkeypatch)
+        xs = [f"x{i}" for i in range(16)]
+        # c is read the most, yet with c high as many chunks stay live as
+        # in sorted order, where the constraint on zh prunes: kept
+        kept = _program([f"c -> {x}" for x in xs] + ["not zh"])
+        # with c high, c -> x9 kills the chunks with c true and x9 false
+        moved = _program([f"c -> {x}" for x in xs] + ["c | not c", "not h"])
+        for f, same in ((kept, True), (moved, False)):
+            prog = compile_formula(f)
+            every = range(len(prog.atoms))
+            got = _candidate_models(prog, every, 0)
+            assert sorted(got) == self._classical(f, prog, every, 0, rng)
+            order = orders.pop()
+            assert (order == list(prog.atoms)) == same
+            assert order[-1] == (Atom("zh") if same else Atom("c"))
+
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_cycle_colourings_match_the_closed_form(self, n):
+        # the chromatic polynomial of C_n at 3 colours: 2**n + 2 (-1)**n;
+        # from 6 vertices on (18 atoms) the sweep has high atoms, and the
+        # Kleene run skips some of its chunks
+        f = _program(_cycle_colouring(n))
+        sigma = atoms_of(f)
+        got = enumerate_a_stable(f, sigma, sigma)
+        assert len(got) == 2**n + 2 * (-1) ** n
+        assert all(len(m) == n for m in got)
+        if n == 8:
+            live = live_prefixes(compile_formula(f), sorted(sigma), frozenset(), _CHUNK_BITS)
+            assert live.bit_count() < 256
 
 
 class TestModelSet:
