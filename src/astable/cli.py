@@ -158,7 +158,15 @@ def _cmd_check_definition(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = GenConfig(seed=args.seed, iterations=args.iters)
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("ASTABLE_SEED")
+        try:
+            seed = DEFAULT_SEED if raw is None else int(raw)
+        except ValueError:
+            print(f"error: ASTABLE_SEED must be an integer, not {raw!r}", file=sys.stderr)
+            return USAGE_EXIT
+    cfg = GenConfig(seed=seed, iterations=args.iters)
     report = run_suite(args.suite, cfg, unsound=args.unsound)
     for line in report.lines():
         print(line)
@@ -198,6 +206,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand.  Building it reads no
+    environment, so main() builds it once per process and reuses it."""
     top = _Parser(prog="astable", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -240,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a randomized property suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("ASTABLE_SEED", DEFAULT_SEED)))
+    p.add_argument("--seed", type=int)  # else ASTABLE_SEED, read when verify runs
     p.add_argument("--unsound", action="store_true",
                    help="drop the splitting preconditions and hunt for counterexamples")
     p.set_defaults(func=_cmd_verify)
@@ -254,12 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    global _parser
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s: %(message)s", force=True)
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:

@@ -55,6 +55,15 @@ from .stable import (
 
 log = logging.getLogger(__name__)
 
+# a SplitPlanError shows at most this many characters of its conjunct and
+# of its list of heads, so the fallback warning stays one short line on a
+# deep or wide formula
+_SHOWN_CHARS = 200
+
+
+def _clipped(text: str) -> str:
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
 
 class PreconditionError(ValueError):
     """One or more splitting preconditions are violated."""
@@ -196,10 +205,10 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
         _, block_of = components(dep_graph(conjuncts, a))
         for c, hs in zip(conjuncts, heads):
             if len({block_of[x] for x in hs}) > 1:
-                names = ", ".join(str(p) for p in sorted(hs))
+                names = _clipped(", ".join(str(p) for p in sorted(hs)))
                 raise SplitPlanError(
                     c,
-                    f"conjunct '{c}' has strictly positive intensional atoms {names} "
+                    f"conjunct '{_clipped(str(c))}' has strictly positive intensional atoms {names} "
                     "spanning multiple dependency blocks",
                 )
     assigned: list[list[Formula]] = [[] for _ in units]

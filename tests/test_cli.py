@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from astable import fo
+from astable import cli, fo
 from astable.cli import main
 from astable.formula import format_formula
 from astable.syntax import parse_formula
@@ -326,6 +326,17 @@ class TestSplitSolve:
         assert out == "{u,x}\n{v,y}\n"
         assert err.count("\n") == err.count("falling back") == 1
 
+    def test_deep_fallback_warning_is_one_short_line(self, capsys, tmp_path):
+        # the conjunct prints as over 50,000 characters; the warning shows a prefix
+        path = tmp_path / "deep.lp"
+        path.write_text("p & (q | " * 5000 + "p" + ")" * 5000 + ".\n")
+        code, out, err = run(capsys, "split-solve", str(path))
+        assert (code, out) == (0, "{p}\n")
+        assert err.count("\n") == err.count("falling back") == 1
+        assert err.endswith("...' has strictly positive intensional atoms p, q "
+                            "spanning multiple dependency blocks\n")
+        assert len(err) < 400
+
     def test_even_negative_cycle_answers_without_fallback(self, capsys, tmp_path):
         path = tmp_path / "even.lp"
         path.write_text("not q -> p.\nnot p -> q.\n")
@@ -455,16 +466,81 @@ class TestVerifyCommand:
         assert "counterexample" in out
 
     def test_env_seed_default(self, capsys, monkeypatch):
+        # ASTABLE_SEED is read when verify runs, not when the parser is built
+        argv = ["verify", "--suite", "lemma1", "--iters", "20"]
+        seeded = run(capsys, *argv, "--seed", "99")
+        assert seeded[0] == 0
         monkeypatch.setenv("ASTABLE_SEED", "99")
-        code, out1, _ = run(capsys, "verify", "--suite", "lemma1", "--iters", "20")
-        assert code == 0
-        monkeypatch.setenv("ASTABLE_SEED", "99")
-        _, out2, _ = run(capsys, "verify", "--suite", "lemma1", "--iters", "20")
-        assert out1 == out2
+        assert run(capsys, *argv) == seeded
+        monkeypatch.delenv("ASTABLE_SEED")
+        assert run(capsys, *argv) == run(capsys, *argv, "--seed", str(cli.DEFAULT_SEED))
+
+    def test_non_integer_env_seed_is_a_usage_error(self, capsys, monkeypatch, guard_lp):
+        monkeypatch.setenv("ASTABLE_SEED", "abc")
+        assert run(capsys, "verify", "--suite", "lemma1", "--iters", "5") == (
+            1, "", "error: ASTABLE_SEED must be an integer, not 'abc'\n")
+        # --seed wins, and no other command reads the variable
+        assert run(capsys, "verify", "--suite", "lemma1", "--iters", "5", "--seed", "3")[0] == 0
+        assert run(capsys, "parse", guard_lp)[0] == 0
 
     def test_unknown_suite_usage_error(self, capsys):
         code = main(["verify", "--suite", "nope"])
         assert code == 1
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; a reused parser answers
+    every call as a freshly built one does."""
+
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys, monkeypatch, guard_lp):
+        calls = [
+            (["--help"], {}),
+            (["solve", guard_lp, "--intensional", "q"], {}),
+            (["verify", "--suite", "nope"], {}),
+            (["solve", guard_lp, "--intensional-all", "--intensional-none"], {}),
+            (["solve", guard_lp, "--workers", "2"], {}),
+            (["solve", guard_lp, "--json"], {}),
+            (["solve", "--help"], {"COLUMNS": "40"}),
+            (["solve", guard_lp], {}),
+            (["verify", "--suite", "lemma1", "--iters", "20"], {"ASTABLE_SEED": "99"}),
+            (["verify", "--suite", "lemma1", "--iters", "20"], {}),
+            (["split-solve", guard_lp, "--part1", "q"], {}),
+            (["graph", guard_lp, "--dot"], {}),
+            ([], {}),
+        ]
+
+        def answer(argv, env):
+            for name in ("ASTABLE_SEED", "COLUMNS"):
+                monkeypatch.delenv(name, raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            return run(capsys, *argv)
+
+        monkeypatch.setattr(cli, "_parser", None)
+        reused = [answer(argv, env) for argv, env in calls]
+        fresh = []
+        for argv, env in calls:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(answer(argv, env))
+        for (argv, _), got, want in zip(calls, reused, fresh):
+            assert got == want, argv
+        codes = [code for code, _, _ in fresh]
+        assert codes == [0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 1]
+        assert fresh[8] != fresh[9]  # the seed from the environment is read
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch, guard_lp):
+        built, build = [], cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        assert run(capsys, "parse", guard_lp)[0] == 0
+        assert run(capsys, "solve", guard_lp)[0] == 0
+        assert run(capsys, "verify", "--suite", "nope")[0] == 1
+        assert len(built) == 1
 
 
 class TestRemovedOptions:
@@ -507,6 +583,24 @@ class TestConsoleScript:
         second = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout == "{p(a)}\n{p(a),p(b)}\n{p(b)}\n{q}\n"
+
+    def test_non_integer_env_seed_exits_one_without_traceback(self, guard_lp):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import astable
+
+        env = {**os.environ, "ASTABLE_SEED": "abc",
+               "PYTHONPATH": str(Path(astable.__file__).resolve().parents[1])}
+        cli_cmd = [sys.executable, "-m", "astable.cli"]
+        done = subprocess.run(cli_cmd + ["verify", "--suite", "lemma1", "--iters", "5"],
+                              capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: ASTABLE_SEED must be an integer, not 'abc'\n"
+        done = subprocess.run(cli_cmd + ["parse", guard_lp], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestBenchCommand:

@@ -192,8 +192,19 @@ class TestPlanSplit:
 
     def test_head_spanning_blocks_is_an_error(self):
         p, q = Atom("p"), Atom("q")
-        with pytest.raises(SplitPlanError):
+        with pytest.raises(SplitPlanError) as caught:
             plan_split([conj([AtomRef(p), AtomRef(q)])], {p, q})
+        assert str(caught.value) == (
+            "conjunct 'p & q' has strictly positive intensional atoms p, q "
+            "spanning multiple dependency blocks")
+        # a wide conjunct is kept whole but shown as a prefix, as are its heads
+        wide = [Atom(f"a{i}") for i in range(300)]
+        f = disj([AtomRef(x) for x in wide])
+        with pytest.raises(SplitPlanError) as caught:
+            plan_split([f], set(wide))
+        assert caught.value.conjunct is f
+        assert len(str(caught.value)) < 500
+        assert str(caught.value).count("...") == 2
 
     def test_blocks_cover_intensional_set_disjointly(self):
         rng = random.Random(4)
