@@ -11,8 +11,9 @@ can visit both parts infinitely often once components are monochromatic).
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import AbstractSet, Iterator, Sequence
 
 from .formula import Atom, AtomRef, Disj, Formula, Impl
@@ -167,53 +168,33 @@ def dep_graph(f: Formula | Sequence[Formula], a: AbstractSet[Atom]) -> DepGraph:
     return DepGraph(a, frozenset(edges))
 
 
-def topological_order(succs: Sequence[AbstractSet[int]], keys: Sequence) -> list[int]:
-    """Indices 0..n-1, each before its successors, the smallest key first
-    among those ready.  Shorter than n when the successor sets are cyclic."""
-    indeg = [0] * len(keys)
-    for out in succs:
-        for k in out:
-            indeg[k] += 1
-    ready = [(keys[k], k) for k, d in enumerate(indeg) if d == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        _, k = heapq.heappop(ready)
-        order.append(k)
-        for nxt in succs[k]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, (keys[nxt], nxt))
-    return order
+def strong_components(succs: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """The strongly connected components of the graph over 0..n-1 with
+    successor lists succs, in the order Tarjan's algorithm closes them from
+    roots in index order, and the index of each vertex's component there."""
+    index = [-1] * len(succs)
+    lowlink = [0] * len(succs)
+    comp_of = [-1] * len(succs)
+    visits = count()
+    stack: list[int] = []
+    comps: list[list[int]] = []
 
-
-def components(g: DepGraph) -> tuple[list[frozenset[Atom]], dict[Atom, int]]:
-    """The strongly connected components, in the order Tarjan's algorithm
-    closes them, and the index of each vertex's component in that list."""
-    succ = g._succ
-    index: dict[Atom, int] = {}
-    lowlink: dict[Atom, int] = {}
-    comp_of: dict[Atom, int] = {}
-    stack: list[Atom] = []
-    comps: list[frozenset[Atom]] = []
-
-    # Tarjan's algorithm on an explicit stack of successor iterators.  A
-    # visited vertex stays on Tarjan's stack until comp_of assigns it.
-    for root in sorted(g.vertices):
-        if root in index:
+    # a visited vertex stays on Tarjan's stack until comp_of assigns it
+    for root in range(len(succs)):
+        if index[root] >= 0:
             continue
-        index[root] = lowlink[root] = len(index)
+        index[root] = lowlink[root] = next(visits)
         stack.append(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(succs[root]))]
         while work:
             v, targets = work[-1]
             for w in targets:
-                if w not in index:
-                    index[w] = lowlink[w] = len(index)
+                if index[w] < 0:
+                    index[w] = lowlink[w] = next(visits)
                     stack.append(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(succs[w])))
                     break
-                if w not in comp_of and index[w] < lowlink[v]:
+                if comp_of[w] < 0 and index[w] < lowlink[v]:
                     lowlink[v] = index[w]
             else:
                 work.pop()
@@ -222,32 +203,56 @@ def components(g: DepGraph) -> tuple[list[frozenset[Atom]], dict[Atom, int]]:
                     lowlink[work[-1][0]] = low
                 if low == index[v]:
                     comp = []
-                    w = None
-                    while w is not v:
+                    w = -1
+                    while w != v:
                         w = stack.pop()
                         comp_of[w] = len(comps)
                         comp.append(w)
-                    comps.append(frozenset(comp))
+                    comps.append(comp)
     return comps, comp_of
 
 
-def condensation_order(g: DepGraph, comps: Sequence[frozenset[Atom]], comp_of: dict[Atom, int]) -> list[int]:
-    """Indices into `comps`, the components of g, such that every edge runs
-    from an earlier-or-equal to a later-or-equal component; ties are broken
-    by the smallest atom of each component."""
-    succs: list[set[int]] = [set() for _ in comps]
-    for u, v in g.edges:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv:
-            succs[cu].add(cv)
-    return topological_order(succs, [min(c) for c in comps])
+def topological_order(succs: list[list[int]], comps: list[list[int]], comp_of: list[int]) -> list[int]:
+    """Indices into comps, the strongly connected components of the graph
+    with successor lists succs (see `strong_components`), in condensation
+    order: each before the others its edges enter, the one with the
+    smallest vertex first among those ready."""
+    indeg = Counter(comp_of[w] for v, out in enumerate(succs) for w in out if comp_of[w] != comp_of[v])
+    ready = [min(c) for k, c in enumerate(comps) if not indeg[k]]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        k = comp_of[heapq.heappop(ready)]
+        order.append(k)
+        for j in [comp_of[w] for v in comps[k] for w in succs[v]]:
+            if j != k:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heapq.heappush(ready, min(comps[j]))
+    return order
+
+
+def _numbered_components(g: DepGraph) -> tuple[list[Atom], list[list[int]], list[list[int]], list[int]]:
+    """g's vertices sorted, its successor lists over their positions, and their components."""
+    verts = sorted(g.vertices)
+    index = {v: k for k, v in enumerate(verts)}
+    succs = [[index[w] for w in g._succ[v]] for v in verts]
+    return verts, succs, *strong_components(succs)
+
+
+def components(g: DepGraph) -> tuple[list[frozenset[Atom]], dict[Atom, int]]:
+    """The strongly connected components, in the order Tarjan's algorithm
+    closes them from the vertices in sorted order, and the index of each
+    vertex's component in that list."""
+    verts, _, comps, comp_of = _numbered_components(g)
+    return [frozenset(map(verts.__getitem__, c)) for c in comps], dict(zip(verts, comp_of))
 
 
 def sccs(g: DepGraph) -> list[frozenset[Atom]]:
-    """Strongly connected components in condensation order (see
-    `condensation_order`)."""
-    comps, comp_of = components(g)
-    return [comps[k] for k in condensation_order(g, comps, comp_of)]
+    """Strongly connected components in condensation order, the one with the
+    smallest atom first among those ready (see `topological_order`)."""
+    verts, succs, comps, comp_of = _numbered_components(g)
+    return [frozenset(map(verts.__getitem__, comps[k])) for k in topological_order(succs, comps, comp_of)]
 
 
 def _check_cover(g: DepGraph, pi: Partition2) -> None:

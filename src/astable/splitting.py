@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
 from .depgraph import (
-    DepGraph,
     Partition2,
     components,
-    condensation_order,
     dep_graph,
     offending_scc,
     sccs,  # not called here; perfbench/spans.py wraps this name
     strictly_positive,
+    strong_components,
     topological_order,
 )
 from .formula import (
@@ -156,9 +155,9 @@ class SplitPlan:
     """Conjuncts grouped per evaluation unit, in condensation order.
 
     A unit is a strongly connected component of the mention graph over the
-    intensional set, which has an edge from each strictly positive
-    intensional atom of a conjunct (its head) to each intensional atom that
-    conjunct mentions.  Unit atom sets are pairwise disjoint and cover the
+    intensional set, in which each strictly positive intensional atom of a
+    conjunct (its head) reaches each intensional atom that conjunct
+    mentions.  Unit atom sets are pairwise disjoint and cover the
     intensional set; a unit's formula is the conjunction of the conjuncts
     whose heads lie in it, and mentions only the unit's own atoms, atoms of
     later-listed units and atoms outside the intensional set.  Conjuncts
@@ -174,33 +173,16 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     """The units of the conjuncts over the intensional set a (see
     `SplitPlan`), each listed before the units its formula mentions.
 
-    Every edge of the positive dependency graph is a mention edge, so a
-    unit is a union of dependency blocks, the graph's strongly connected
-    components, and the units of any program can be listed.  When the
-    mention graph has no cycle each atom is a unit and no graph object is
-    built.  The dependency graph is built only when some conjunct has two
-    or more heads: they must share a dependency block, else SplitPlanError.
+    When some conjunct has two or more heads, the dependency graph is
+    built first: each conjunct's heads must share a dependency block, else
+    SplitPlanError.  The mention graph has a vertex per intensional atom,
+    sorted, then a hub per headed conjunct, which its heads point to and
+    which points to each intensional atom it mentions: a conjunct costs
+    heads + mentions edges, and its hub lies in its heads' unit.  A
+    dependency edge is a mention path, so a unit is a union of blocks.
     """
     a = frozenset(a)
-    atoms = sorted(a)
-    index = {x: k for k, x in enumerate(atoms)}
     heads = [strictly_positive(c) & a for c in conjuncts]
-    succs: list[set[int]] = [set() for _ in atoms]
-    for c, hs in zip(conjuncts, heads):
-        if hs:
-            mentioned = {index[x] for x in atoms_of(c) & a}
-            for h in hs:
-                succs[index[h]] |= mentioned
-    for k, out in enumerate(succs):
-        out.discard(k)
-    listing = topological_order(succs, atoms)
-    if len(listing) == len(atoms):
-        units, unit_of = [frozenset((x,)) for x in atoms], index
-    else:
-        mention = DepGraph(a, frozenset((atoms[j], atoms[k]) for j, out in enumerate(succs) for k in out))
-        units, unit_of = components(mention)
-        listing = condensation_order(mention, units, unit_of)
-
     if any(len(hs) > 1 for hs in heads):
         _, block_of = components(dep_graph(conjuncts, a))
         for c, hs in zip(conjuncts, heads):
@@ -211,14 +193,26 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
                     f"conjunct '{_clipped(str(c))}' has strictly positive intensional atoms {names} "
                     "spanning multiple dependency blocks",
                 )
-    assigned: list[list[Formula]] = [[] for _ in units]
+    atoms = sorted(a)
+    index = {x: k for k, x in enumerate(atoms)}
+    succs: list[list[int]] = [[] for _ in atoms]
+    headed: list[Formula] = []
     residual = []
     for c, hs in zip(conjuncts, heads):
         if hs:
-            assigned[unit_of[next(iter(hs))]].append(c)
+            for h in hs:
+                succs[index[h]].append(len(succs))
+            succs.append([index[x] for x in atoms_of(c) & a])
+            headed.append(c)
         else:
             residual.append(c)
-    return SplitPlan(tuple((units[k], conj(assigned[k])) for k in listing), tuple(residual))
+    comps, comp_of = strong_components(succs)
+    assigned: list[list[Formula]] = [[] for _ in comps]
+    for hub, c in enumerate(headed, len(atoms)):
+        assigned[comp_of[hub]].append(c)
+    listing = topological_order(succs, comps, comp_of)
+    blocks = tuple((frozenset(atoms[v] for v in comps[k] if v < len(atoms)), conj(assigned[k])) for k in listing)
+    return SplitPlan(blocks, tuple(residual))
 
 
 def _extend_frontier(

@@ -34,6 +34,7 @@ from astable import (
     to_dot,
     TOP,
 )
+from astable.depgraph import components
 from astable.verifier import GenConfig, _gen_program, gen_formula
 
 from util import guard_program
@@ -273,6 +274,24 @@ class TestSccs:
             index = {v: k for k, comp in enumerate(comps) for v in comp}
             for u, v in edges:
                 assert index[u] <= index[v]
+            # each component is a mutual-reachability class, found by BFS
+            # over edges that may include self-loops
+            reach = {}
+            for v in verts:
+                queue = [v]
+                for u in queue:
+                    queue += [w for x, w in edges if x == u and w not in queue]
+                reach[v] = set(queue)
+            classes = {frozenset(w for w in verts if w in reach[v] and v in reach[w]) for v in verts}
+            plain, comp_of = components(g)
+            assert len(comps) == len(plain) == len(classes)
+            assert set(comps) == set(plain) == classes
+            assert all(v in plain[k] for v, k in comp_of.items()) and comp_of.keys() == g.vertices
+            # among the components whose predecessors are all listed, the
+            # one with the smallest atom comes next
+            for k, comp in enumerate(comps):
+                ready = [c for c in comps[k:] if all(index[u] < k for u, v in edges if v in c and u not in c)]
+                assert min(comp) == min(min(c) for c in ready)
 
 
 class TestSeparability:

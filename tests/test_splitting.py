@@ -28,7 +28,7 @@ from astable import (
     split_models_theorem,
     strictly_positive,
 )
-from astable import splitting
+from astable import depgraph, splitting
 from astable.depgraph import components
 from astable.verifier import _gen_program, _scc_aligned_partition
 from astable.bench import (
@@ -269,32 +269,69 @@ class TestPlanSplit:
         assert cyclic > 20 and spanning > 10
 
     def test_dependency_graph_is_built_only_for_several_heads(self, monkeypatch):
-        built = []
-        real_dep_graph = splitting.dep_graph
-        monkeypatch.setattr(splitting, "dep_graph", lambda *args: built.append(1) or real_dep_graph(*args))
+        # the spy sees each dependency graph built and the vertex count of
+        # each graph the SCC routine gets, in the order they happen
+        calls = []
+        real_dep_graph, real_scc = splitting.dep_graph, depgraph.strong_components
+        monkeypatch.setattr(splitting, "dep_graph", lambda *args: calls.append("dep_graph") or real_dep_graph(*args))
+        spy = lambda succs: calls.append(len(succs)) or real_scc(succs)
+        monkeypatch.setattr(depgraph, "strong_components", spy)
+        monkeypatch.setattr(splitting, "strong_components", spy)
         ats, chain = chain_program(5)
         plan_split(chain, set(ats))
         ring = chain + [impl(AtomRef(ats[0]), AtomRef(ats[5]))]
         plan = plan_split(ring, set(ats))
-        assert built == [] and [b for b, _ in plan.blocks] == [frozenset(ats)]
+        # 6 atoms and a hub per rule
+        assert calls == [6 + 5, 6 + 6] and [b for b, _ in plan.blocks] == [frozenset(ats)]
+        calls.clear()
         x, y = Atom("x"), Atom("y")
         with pytest.raises(SplitPlanError):
             plan_split([disj([AtomRef(x), AtomRef(y)])], {x, y})
-        assert built == [1]
+        # refused on the dependency graph, before the mention graph's 2 + 1 vertices
+        assert calls == ["dep_graph", 2]
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_mention_graph_grows_linearly(self, n, monkeypatch):
+        graphs = []  # (vertices, successor entries) of each graph the SCC routine gets
+        real = depgraph.strong_components
+        spy = lambda succs: graphs.append((len(succs), sum(map(len, succs)))) or real(succs)
+        monkeypatch.setattr(depgraph, "strong_components", spy)
+        monkeypatch.setattr(splitting, "strong_components", spy)
+        ats = [Atom(f"a{i}") for i in range(n)]
+        wide = disj([AtomRef(x) for x in ats])
+        with pytest.raises(SplitPlanError):
+            plan_split([wide], set(ats))
+        assert graphs == [(n, 0)]  # the edgeless dependency graph, no mention graph
+        graphs.clear()
+        ring = [impl(AtomRef(ats[i]), AtomRef(ats[(i + 1) % n])) for i in range(n)]
+        plan = plan_split([wide] + ring, set(ats))
+        assert [b for b, _ in plan.blocks] == [frozenset(ats)]
+        # the ring's n dependency edges, then the mention graph: the
+        # disjunction's n heads to its hub and the hub to n atoms, and
+        # per ring rule one head to its hub and the hub to two atoms
+        dependency, mention = graphs
+        assert dependency == (n, n)
+        assert mention[0] == n + 1 + n and mention[1] <= 5 * n
 
 
 class TestModularSolve:
     def test_sixteen_atom_chain_matches_brute_force_and_is_faster(self):
         ats, conjuncts = chain_program(15)
         sigma = frozenset(ats)
-        gc.collect()  # so that where a collection falls does not depend on what ran before
-        t0 = time.perf_counter()
-        modular = modular_solve(conjuncts, sigma, sigma)
-        t_mod = time.perf_counter() - t0
-        gc.collect()
-        t0 = time.perf_counter()
-        brute = enumerate_a_stable(conj(conjuncts), sigma, sigma)
-        t_naive = time.perf_counter() - t0
+
+        def fastest(solve):
+            # the least of 5 readings, each after a collection so that where
+            # one falls does not depend on what ran before
+            times = []
+            for _ in range(5):
+                gc.collect()
+                t0 = time.perf_counter()
+                models = solve()
+                times.append(time.perf_counter() - t0)
+            return models, min(times)
+
+        modular, t_mod = fastest(lambda: modular_solve(conjuncts, sigma, sigma))
+        brute, t_naive = fastest(lambda: enumerate_a_stable(conj(conjuncts), sigma, sigma))
         assert modular.as_set() == brute.as_set() == {frozenset()}
         assert t_mod < t_naive
 
