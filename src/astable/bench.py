@@ -4,6 +4,8 @@ The instance family is a layered chain: each layer is a positive cycle of
 `width` atoms forming one dependency block, seeded from the previous layer
 through a negated link, with a fact anchoring layer zero.  Truncating keeps
 a prefix of the atoms (layer-major order) and every conjunct that fits.
+One more instance is a transitive closure over chosen edges, whose closure
+atoms are a definition: both solvers decide it by its least fixpoint.
 Results go to CSV; the brute-force column stays empty for instances whose
 signature exceeds the enumeration cap.
 """
@@ -11,11 +13,12 @@ signature exceeds the enumeration cap.
 from __future__ import annotations
 
 import csv
+import itertools
 import time
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from .formula import Atom, AtomRef, Formula, Impl, atoms_of, conj, neg
+from .formula import Atom, AtomRef, Formula, Impl, atoms_of, conj, disj, neg
 from .splitting import modular_solve, plan_split
 from .stable import DEFAULT_MAX_ATOMS, enumerate_a_stable
 
@@ -36,6 +39,23 @@ def layered_chain(blocks: int, width: int) -> list[Formula]:
             out.append(Impl(at(layer, k - 1), at(layer, k)))
         if width > 1:
             out.append(Impl(at(layer, width - 1), at(layer, 0)))
+    return out
+
+
+def closure_program(n: int) -> list[Formula]:
+    """Edge choices `e(x,y) | not e(x,y)` over n elements and the
+    transitive closure `t` of the edges, a definition for the t atoms:
+    one stable model per set of edges, 2**(n*n) in all."""
+    elements = [f"d{k}" for k in range(n)]
+
+    def at(name: str, *args: str) -> AtomRef:
+        return AtomRef(Atom(name, args))
+
+    pairs = list(itertools.product(elements, repeat=2))
+    out: list[Formula] = [disj((at("e", x, y), neg(at("e", x, y)))) for x, y in pairs]
+    out += [Impl(at("e", x, y), at("t", x, y)) for x, y in pairs]
+    triples = itertools.product(elements, repeat=3)
+    out += [Impl(conj((at("t", x, y), at("t", y, z))), at("t", x, z)) for x, y, z in triples]
     return out
 
 
@@ -76,6 +96,7 @@ def default_instances() -> list[BenchInstance]:
     full = layered_chain(8, 5)
     out.append(BenchInstance("chain8x5_trunc16", tuple(truncate_chain(full, chain_atoms(8, 5)[:16]))))
     out.append(BenchInstance("chain8x5", tuple(full)))
+    out.append(BenchInstance("closure3", tuple(closure_program(3))))
     return out
 
 

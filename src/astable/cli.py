@@ -57,11 +57,14 @@ def _ground_fo(text: str) -> tuple[list[Formula], fo.FOInterpretation]:
     return fo.ground_program(list(prog.sentences), interp), interp
 
 
-def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Atom]]:
+def _load_conjuncts(args) -> tuple[list[Formula], list[frozenset[Atom]] | None, frozenset[Atom], frozenset[Atom]]:
     """Read a program file (ground or first-order), returning its conjuncts,
-    the signature, and the intensional set selected by the flags."""
+    the atoms of each conjunct when reading the signature needed them (a
+    ground input) or else None, the signature, and the intensional set
+    selected by the flags."""
     text = _read(args.file)
     intensional_pred = getattr(args, "intensional_pred", None)
+    mentions = None
     if _is_fo_input(text):
         conjuncts, interp = _ground_fo(text)
         sigma = set(fo.ground_signature(interp))
@@ -69,7 +72,8 @@ def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Ato
         if intensional_pred:
             raise ParseError("--intensional-pred needs a first-order input with #domain", 1, 1)
         conjuncts = parse_program(text)
-        sigma = set().union(*(atoms_of(c) for c in conjuncts)) if conjuncts else set()
+        mentions = list(map(atoms_of, conjuncts))
+        sigma = set().union(*mentions)
     if intensional_pred:
         preds = [p.strip() for p in intensional_pred.split(",") if p.strip()]
         intensional = set(fo.pred_atoms(preds, interp))
@@ -82,7 +86,7 @@ def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Ato
     if getattr(args, "sigma", None):
         sigma |= set(parse_atom_list(args.sigma))
     sigma |= intensional
-    return conjuncts, frozenset(sigma), frozenset(intensional)
+    return conjuncts, mentions, frozenset(sigma), frozenset(intensional)
 
 
 def _print_models(models: ModelSet, as_json: bool) -> None:
@@ -103,14 +107,14 @@ def _cmd_ground(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    conjuncts, sigma, intensional = _load_conjuncts(args)
+    conjuncts, _, sigma, intensional = _load_conjuncts(args)
     models = enumerate_a_stable(conj(conjuncts), intensional, sigma, max_atoms=args.max_atoms)
     _print_models(models, args.json)
     return 0
 
 
 def _cmd_graph(args) -> int:
-    conjuncts, _, intensional = _load_conjuncts(args)
+    conjuncts, _, _, intensional = _load_conjuncts(args)
     g = dep_graph(conj(conjuncts), intensional)
     pi = None
     if args.part1:
@@ -125,7 +129,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_split_solve(args) -> int:
-    conjuncts, sigma, intensional = _load_conjuncts(args)
+    conjuncts, mentions, sigma, intensional = _load_conjuncts(args)
     if args.part1 is not None or args.part2 is not None:
         if args.part1 is None or args.part2 is None:
             raise ParseError("--part1 and --part2 must be given together", 1, 1)
@@ -133,7 +137,7 @@ def _cmd_split_solve(args) -> int:
         p2 = frozenset(parse_atom_list(args.part2)) if args.part2.strip() else frozenset()
         models = split_models_lemma(conj(conjuncts), p1, p2, sigma, max_atoms=args.max_atoms)
     else:
-        models = modular_solve(conjuncts, intensional, sigma, max_atoms=args.max_atoms)
+        models = modular_solve(conjuncts, intensional, sigma, max_atoms=args.max_atoms, mentions=mentions)
     _print_models(models, args.json)
     return 0
 

@@ -16,12 +16,14 @@ import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
-from .formula import Atom, AtomRef, Conj, Formula, Impl, TOP, atoms_of, conj, satisfies
+from .formula import Atom, AtomRef, Conj, Formula, Impl, atoms_of, conj, satisfies
 from .stable import (
     DEFAULT_MAX_ATOMS,
     Interpretation,
     ModelSet,
     _check_cap,
+    _least_fixpoint,
+    _split_antecedent,
     enumerate_a_stable,
     format_masks,
 )
@@ -76,19 +78,7 @@ def recognize_definition(g: Formula, q: AbstractSet[Atom]) -> DefinitionModule |
         head = c.rhs
         if not isinstance(head, AtomRef) or head.atom not in q:
             return Rejection(c, "consequent is not a defined atom")
-        ante = c.lhs
-        if isinstance(ante, Conj):
-            pos_q = frozenset(
-                d.atom for d in ante.children if isinstance(d, AtomRef) and d.atom in q
-            )
-            rest = [d for d in ante.children if not (isinstance(d, AtomRef) and d.atom in q)]
-            body = rest[0] if len(rest) == 1 else conj(rest)
-        elif isinstance(ante, AtomRef) and ante.atom in q:
-            pos_q = frozenset((ante.atom,))
-            body = TOP
-        else:
-            pos_q = frozenset()
-            body = ante
+        body, pos_q = _split_antecedent(c.lhs, q)
         offending = sorted(q & atoms_of(body))
         if offending:
             return Rejection(
@@ -101,24 +91,19 @@ def recognize_definition(g: Formula, q: AbstractSet[Atom]) -> DefinitionModule |
 def unique_q_stable(d: DefinitionModule, context: AbstractSet[Atom]) -> Interpretation:
     """The unique q-stable model of d whose q-free part equals `context`.
 
-    Least fixpoint: bodies are q-free, so their truth is fixed by the
-    context; a clause fires once its q-atom conjuncts have been derived.
-    Terminates within len(q_set) rounds, each adding at least one atom.
+    Least fixpoint, by the routine that decides definition parts and units
+    for the solvers (`stable._least_fixpoint`) on one lane: bodies are
+    q-free, so their truth is fixed by the context; a clause fires once its
+    q-atom conjuncts have been derived.
     """
     ctx = frozenset(context)
     if ctx & d.q_set:
         names = ", ".join(str(a) for a in sorted(ctx & d.q_set))
         raise DefinitionError(f"context must not mention defined atoms: {names}")
-    live = [c for c in d.clauses if satisfies(ctx, c.body)]
-    derived: set[Atom] = set()
-    changed = True
-    while changed:
-        changed = False
-        for c in live:
-            if c.head not in derived and c.pos_q <= derived:
-                derived.add(c.head)
-                changed = True
-    return ctx | derived
+    index = {x: k for k, x in enumerate(d.q_set)}
+    fired = [(1, tuple(map(index.__getitem__, c.pos_q)), index[c.head]) for c in d.clauses if satisfies(ctx, c.body)]
+    derived = _least_fixpoint(fired, len(index))
+    return ctx.union(x for x, k in index.items() if derived[k])
 
 
 def intersection_oracle(

@@ -42,8 +42,13 @@ from .formula import (
 from .stable import (
     _NARROW,
     DEFAULT_MAX_ATOMS,
+    Clause,
     ModelSet,
+    Part,
     _check_cap,
+    _conjuncts,
+    _definition,
+    _definition_models,
     _parts,
     _spread,
     _stable_models,
@@ -169,9 +174,15 @@ class SplitPlan:
     residual: tuple[Formula, ...]
 
 
-def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
+def plan_split(
+    conjuncts: Sequence[Formula],
+    a: AbstractSet[Atom],
+    mentions: Sequence[AbstractSet[Atom]] | None = None,
+) -> SplitPlan:
     """The units of the conjuncts over the intensional set a (see
     `SplitPlan`), each listed before the units its formula mentions.
+    `mentions`, when the caller has them, are the atoms of each conjunct
+    (`atoms_of`), which are then not computed again.
 
     When some conjunct has two or more heads, the dependency graph is
     built first: each conjunct's heads must share a dependency block, else
@@ -198,11 +209,13 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     succs: list[list[int]] = [[] for _ in atoms]
     headed: list[Formula] = []
     residual = []
-    for c, hs in zip(conjuncts, heads):
+    if mentions is None:
+        mentions = map(atoms_of, conjuncts)
+    for c, hs, mentioned in zip(conjuncts, heads, mentions):
         if hs:
             for h in hs:
                 succs[index[h]].append(len(succs))
-            succs.append([index[x] for x in atoms_of(c) & a])
+            succs.append([index[x] for x in mentioned & a])
             headed.append(c)
         else:
             residual.append(c)
@@ -221,7 +234,7 @@ def _extend_frontier(
     prog: Program,
     unit_atoms: frozenset[Atom],
     bit: dict[Atom, int],
-    solved: dict[tuple, tuple[list[int], dict[int, list[int]]]],
+    solved: dict[tuple, tuple[list[Part], tuple[Clause, ...] | None, dict[int, list[int]]]],
     max_atoms: int,
 ) -> list[int]:
     """Every frontier entry joined with each stable extension of the unit
@@ -231,12 +244,16 @@ def _extend_frontier(
     The extensions depend only on the context, the entry's values of the
     non-unit atoms prog mentions, so each distinct context is solved once:
     the unit's A-stable assignments, A = the unit's atoms, with the context
-    fixed, which is the enumerator's job and is done by the enumerator's
-    routine, `stable._stable_models`, with the unit's dependency blocks as
-    its parts (see `stable._parts`).  The parts and the solutions depend
-    only on the shape of the program, where the unit atoms sit in it and
-    which others are true, so `solved` shares them between isomorphic
-    units, such as the ground instances of one rule.
+    fixed.  A unit wider than `_NARROW` whose whole formula is a definition
+    for its atoms has exactly one, the least fixpoint of its clauses, and
+    one fixpoint run over its new contexts, one lane each, finds them all
+    (`stable._definition_models`).  Every other unit is the enumerator's
+    job and is done by the enumerator's routine, `stable._stable_models`,
+    with the unit's dependency blocks as its parts (see `stable._parts`).
+    The parts, the clauses and the solutions depend only on the shape of
+    the program, where the unit atoms sit in it and which others are true,
+    so `solved` shares them between isomorphic units, such as the ground
+    instances of one rule.
     """
     unit: list[int] = []  # positions over prog.atoms
     sig_bits: list[int] = []
@@ -253,26 +270,35 @@ def _extend_frontier(
     key = (prog.ops, prog.root, len(prog.atoms), tuple(unit))
     entry = solved.get(key)
     if entry is None:
-        parts = [(1 << len(unit)) - 1]  # a narrow unit is decided in one run, whatever its parts
-        if len(unit) > _NARROW:  # its dependency blocks, over the unit's positions
-            parts = [sum(1 << j for j, b in enumerate(unit) if p >> b & 1) for p in _parts(f, prog, unit_atoms)]
-        entry = solved[key] = (parts, {})
-    parts, shape = entry
-    memo: dict[int, list[int]] = {}
-    size = 0
+        parts: list[Part] = [((1 << len(unit)) - 1, None)]  # a narrow unit is decided in one run, whatever its parts
+        clauses = None
+        if len(unit) > _NARROW:
+            clauses = _definition(_conjuncts(f), prog, sum(1 << b for b in unit))
+            if clauses is None:  # its dependency blocks, over the unit's positions
+                parts = [
+                    (sum(1 << j for j, b in enumerate(unit) if p >> b & 1), part_clauses)
+                    for p, part_clauses in _parts(f, prog, unit_atoms)
+                ]
+        entry = solved[key] = (parts, clauses, {})
+    parts, clauses, shape = entry
+    heres: dict[int, int] = {}  # each distinct context, over prog.atoms
     for m in frontier:
         ctx = m & ctx_mask
-        exts = memo.get(ctx)
-        if exts is None:
+        if ctx not in heres:
             here = 0
             for sig_bit, prog_bit in context:
                 if ctx & sig_bit:
                     here |= prog_bit
-            found = shape.get(here)
-            if found is None:
-                found = shape[here] = _stable_models(prog, unit, here, parts)
-            exts = memo[ctx] = [_spread(c, sig_bits) for c in found]
-        size += len(exts)
+            heres[ctx] = here
+    new = [here for here in dict.fromkeys(heres.values()) if here not in shape]
+    if clauses is None:
+        for here in new:
+            shape[here] = _stable_models(prog, unit, here, parts)
+    elif new:
+        for here, c in zip(new, _definition_models(prog, unit, clauses, new)):
+            shape[here] = [c]
+    memo = {ctx: [_spread(c, sig_bits) for c in shape[here]] for ctx, here in heres.items()}
+    size = sum(len(memo[m & ctx_mask]) for m in frontier)
     if size > 1 << max_atoms:
         raise CapExceeded(
             f"modular frontier of {size} interpretations exceeds the cap of 2**{max_atoms}; "
@@ -287,6 +313,7 @@ def modular_solve(
     sigma: AbstractSet[Atom] | None = None,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
+    mentions: Sequence[AbstractSet[Atom]] | None = None,
 ) -> ModelSet:
     """A-stable models of the conjunction, computed unit by unit.
 
@@ -306,11 +333,12 @@ def modular_solve(
     atoms give.  A conjunct whose strictly positive intensional atoms span
     dependency blocks triggers a logged brute-force fallback; a unit or an
     extensional context wider than max_atoms atoms, or a frontier of more
-    than 2**max_atoms interpretations, raises CapExceeded.
+    than 2**max_atoms interpretations, raises CapExceeded.  `mentions`, the
+    atoms of each conjunct when the caller has them, go to `plan_split`.
     """
     a = frozenset(a)
     try:
-        plan = plan_split(conjuncts, a)
+        plan = plan_split(conjuncts, a, mentions)
     except SplitPlanError as exc:
         log.warning("modular solve falling back to brute force: %s", exc)
         return enumerate_a_stable(conj(conjuncts), a, sigma, max_atoms=max_atoms)

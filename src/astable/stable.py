@@ -17,13 +17,15 @@ from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from .depgraph import components, dep_graph
+from .depgraph import components, dep_graph, strictly_positive
 from .formula import (
+    TOP,
     Atom,
     AtomRef,
     CapExceeded,
     Conj,
     Formula,
+    Impl,
     Program,
     SignatureError,
     _bit_pattern,
@@ -394,22 +396,192 @@ def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) 
 _NARROW = 6  # a part this small gets a slot per nonempty subset; so few atoms take one run in all
 _RUN_BITS = 1 << _CHUNK_BITS  # bits of one packed run, and so the bound on a segment
 _BITS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+# A compiled clause `H & C -> h` of a definition: the program of H, the
+# positions of its atoms, the positions of C and the position of h, all
+# positions into the columns of one fixpoint run (see `_least_fixpoint`).
+Clause = tuple[Program, tuple[int, ...], tuple[int, ...], int]
+Part = tuple[int, tuple[Clause, ...] | None]  # (bitmask, clauses when the part is a definition)
 
 
-def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> list[int]:
+def _conjuncts(f: Formula) -> list[Formula]:
+    """The conjuncts of f, every nested conjunction opened, in order."""
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Conj:
+            stack.extend(reversed(g.children))
+        else:
+            out.append(g)
+    return out
+
+
+def _split_antecedent(ante: Formula, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom]]:
+    """The antecedent of a clause as (H, C): C the atoms of q that are its
+    direct conjuncts (or the antecedent itself), H the conjunction of the
+    rest, top when nothing is left."""
+    if type(ante) is Conj:
+        pos_q = frozenset(d.atom for d in ante.children if type(d) is AtomRef and d.atom in q)
+        rest = [d for d in ante.children if not (type(d) is AtomRef and d.atom in q)]
+        return (rest[0] if len(rest) == 1 else Conj(tuple(rest))), pos_q
+    if type(ante) is AtomRef and ante.atom in q:
+        return TOP, frozenset((ante.atom,))
+    return ante, frozenset()
+
+
+def _clause(c: Formula, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom], Atom] | None:
+    """c as a clause `H & C -> h` of a definition for q, (H, C, h): h in q,
+    C the atoms of q that are direct conjuncts of the antecedent, H the rest
+    of it, which must mention no atom of q.  An atom of q is the clause
+    `top -> h`.  None when c is no such clause, such as a disjunctive head."""
+    if type(c) is AtomRef:
+        return (TOP, frozenset(), c.atom) if c.atom in q else None
+    if type(c) is not Impl or type(c.rhs) is not AtomRef or c.rhs.atom not in q:
+        return None
+    body, pos_q = _split_antecedent(c.lhs, q)
+    if not atoms_of(body).isdisjoint(q):
+        return None
+    return body, pos_q, c.rhs.atom
+
+
+def _definition(conjuncts: Iterable[Formula], prog: Program, part: int) -> tuple[Clause, ...] | None:
+    """The conjuncts as the compiled clauses of a definition for the atoms
+    of the bitmask `part` over prog.atoms, at their positions there, or
+    None when one of them is no clause of such a definition."""
+    q = {x for b, x in enumerate(prog.atoms) if part >> b & 1}
+    found = []
+    for c in conjuncts:
+        clause = _clause(c, q)
+        if clause is None:
+            return None
+        found.append(clause)
+    position = {x: b for b, x in enumerate(prog.atoms)}.__getitem__
+    out = []
+    for body, pos_q, head in found:
+        body_prog = compile_formula(body)
+        out.append((body_prog, tuple(map(position, body_prog.atoms)), tuple(map(position, pos_q)), position(head)))
+    return tuple(out)
+
+
+def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> list[Part]:
     """The parts of A & occurring, as bitmasks over prog.atoms: the strongly
-    connected components of the positive dependency graph of f over them.
+    connected components of the positive dependency graph of f over them,
+    each with its clauses when it is wider than `_NARROW` and a definition.
 
     By the splitting lemma a classical model I is A-stable iff it is
     C-stable for every part C.  Any coarser partition into unions of whole
     components is as good, so one atom, or all of them in a program of at
     most `_NARROW` atoms, which `_stable_models` decides in one run that
     reads only their union, form one part without a graph.
+
+    The defining conjuncts of a part C are those of f, nested conjunctions
+    opened, in which an atom of C is strictly positive.  When they form a
+    definition for C (see `_clause`), the part comes with their compiled
+    clauses (see `_definition`), and `_stable_subset` decides it by one
+    least fixpoint; otherwise, and for every part of at most `_NARROW`
+    atoms, with None.  No part of a program of at most `_NARROW` atoms is
+    ever recognized.
     """
     bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
     if len(bit) <= 1 or len(prog.atoms) <= _NARROW:
-        return [sum(bit.values())] if bit else []
-    return [sum(map(bit.__getitem__, comp)) for comp in components(dep_graph(f, bit.keys()))[0]]
+        return [(sum(bit.values()), None)] if bit else []
+    masks = [sum(map(bit.__getitem__, comp)) for comp in components(dep_graph(f, bit.keys()))[0]]
+    if all(m.bit_count() <= _NARROW for m in masks):
+        return [(m, None) for m in masks]
+    conjuncts = _conjuncts(f)
+    heads = [sum(map(bit.__getitem__, bit.keys() & strictly_positive(c))) for c in conjuncts]
+    return [
+        (m, _definition([c for c, h in zip(conjuncts, heads) if h & m], prog, m) if m.bit_count() > _NARROW else None)
+        for m in masks
+    ]
+
+
+def _least_fixpoint(fired: Iterable[tuple[int, Sequence[int], int]], size: int) -> list[int]:
+    """The least fixpoint of a definition's clauses on every lane at once.
+
+    A lane is one interpretation of the atoms outside the defined set Q,
+    and a vector holds one byte 0 or 1 per lane, or a bit for one lane.
+    Each clause `H & C -> h` comes as (the lanes where H holds, the
+    positions of C, the position of h), positions below `size`; since H
+    mentions no atom of Q, its truth is fixed before the first round.  A
+    round derives each clause's head on the lanes where its body holds and
+    every atom of C is derived, and rounds repeat until one derives nothing
+    new.  A lane short of its fixpoint derives an atom in every round, so
+    there are at most |Q| + 1 rounds.  Returns the derived lanes of each
+    position, 0 for a position no clause derives.
+    """
+    fired = list(fired)
+    derived = [0] * size
+    changed = True
+    while changed:
+        changed = False
+        for live, pos, head in fired:
+            new = live & ~derived[head]
+            for b in pos:
+                new &= derived[b]
+            if new:
+                derived[head] |= new
+                changed = True
+    return derived
+
+
+def _fire(clauses: Iterable[Clause], columns: Sequence[int], ones: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """Each clause as `_least_fixpoint` takes it, its body's lanes from one
+    classical run of its program over the columns (`ones` sets every lane)."""
+    for body, body_pos, pos, head in clauses:
+        yield body.run([columns[b] for b in body_pos], ones, ones), pos, head
+
+
+def _lanes(masks: Sequence[int], n: int) -> list[int]:
+    """Per atom b < n, the vector whose byte k is 1 iff masks[k] sets bit
+    b: the layout of a fixpoint run, one byte per lane."""
+    rows = _rows(masks, n)
+    return [int.from_bytes(rows[n - 1 - b :: n], "little") for b in range(n)]
+
+
+def _definition_passed(
+    prog: Program, var: Sequence[int], here: int, defined: Sequence[Part], candidates: Sequence[int]
+) -> list[int]:
+    """The candidates, as in `_stable_subset`, that are C-stable for every
+    part C of `defined`, each a definition with its clauses: those whose
+    atoms of C are the least fixpoint of C's clauses over their other
+    atoms.  One run per part checks up to `_RUN_BITS` candidates, one lane
+    each."""
+    passed: list[int] = []
+    for start in range(0, len(candidates), _RUN_BITS):
+        batch = candidates[start : start + _RUN_BITS]
+        ones = int.from_bytes(b"\1" * len(batch), "little")
+        columns = [ones if here >> b & 1 else 0 for b in range(len(prog.atoms))]
+        for b, v in zip(var, _lanes(batch, len(var))):
+            columns[b] = v
+        wrong = 0
+        for part, clauses in defined:
+            derived = _least_fixpoint(_fire(clauses, columns, ones), len(columns))
+            for j, b in enumerate(var):
+                if part >> j & 1:
+                    wrong |= derived[b] ^ columns[b]
+        passed += itertools.compress(batch, (ones ^ wrong).to_bytes(len(batch), "little"))
+    return passed
+
+
+def _definition_models(prog: Program, var: Sequence[int], clauses: Sequence[Clause], heres: Sequence[int]) -> list[int]:
+    """Per context, the bitmask `here` over prog.atoms of the true atoms
+    outside `var`, the one assignment c to the atoms at positions `var`
+    (bit j of c for var[j]) that is a var-stable model of prog, when prog
+    is the conjunction of `clauses`, a definition for those atoms: their
+    least fixpoint.  One fixpoint run decides every context, one lane each.
+    """
+    lanes = len(heres)
+    ones = int.from_bytes(b"\1" * lanes, "little")
+    derived = _least_fixpoint(_fire(clauses, _lanes(heres, len(prog.atoms)), ones), len(prog.atoms))
+    k = len(var)
+    rows = bytearray(lanes * k)  # the rows of `_rows`, read back
+    for j, b in enumerate(var):
+        rows[k - 1 - j :: k] = derived[b].to_bytes(lanes, "little")
+    text = rows.translate(_DIGITS)
+    return [int(text[i : i + k], 2) for i in range(0, lanes * k, k)]
 
 
 def _rows(masks: Iterable[int], n: int) -> bytes:
@@ -540,23 +712,43 @@ def _assignment_run(k: int, a: int) -> tuple[tuple[int, ...], int, int, int]:
 
 
 def _stable_subset(
-    prog: Program, var: Sequence[int], here: int, parts: Sequence[int], candidates: Sequence[int]
+    prog: Program, var: Sequence[int], here: int, parts: Sequence[Part], candidates: Sequence[int]
 ) -> list[int]:
     """The A-stable ones among `candidates`, classical models of prog given
     as assignments to the atoms at positions `var` of prog.atoms with the
     context `here`, as in `_stable_models`; A is the union of `parts`.
 
-    Candidates are grouped by how many atoms of each part wider than
-    `_NARROW` they make true, and each group is checked in packed runs, one
-    segment per candidate and as many segments per run as fit in
-    `_RUN_BITS`.  When a group's segment would pass the bits of one run,
-    its widest parts are left out of the segment and checked by one chunked
-    sweep per candidate that every other part passes; so are all parts of
-    a group of one candidate, for which building columns costs more than
-    the sweeps.
+    By the splitting lemma a candidate I is A-stable iff it is C-stable for
+    every part C.  Split prog as G & R, G its defining conjuncts for C,
+    those in which an atom of C is strictly positive.  No atom of C is
+    strictly positive in R, so by the symmetric splitting theorem
+    (Ferraris, Lee, Lifschitz & Palla, IJCAI 2009) with the second part
+    empty, SM_C[G & R] is SM_C[G] & R, and I satisfies R: I is C-stable for
+    prog iff it is C-stable for G.  When G is a definition for C, clauses
+    `H & C' -> q` with q in C, C' atoms of C and H free of C, it has exactly
+    one C-stable model per interpretation of the other atoms, its least
+    fixpoint (the paper's theorem on definitions).  So a part that comes
+    with its clauses (see `_parts`) is decided first, for every candidate
+    at once, by comparing its atoms with that fixpoint
+    (`_definition_passed`); no subset J of I is ever inspected for it.
+
+    The survivors are checked for the other parts.  They are grouped by
+    how many atoms of each part wider than `_NARROW` they make true, and
+    each group is checked in packed runs, one segment per candidate and as
+    many segments per run as fit in `_RUN_BITS`.  When a group's segment
+    would pass the bits of one run, its widest parts are left out of the
+    segment and checked by one chunked sweep per candidate that every other
+    part passes; so are all parts of a group of one candidate, for which
+    building columns costs more than the sweeps.
     """
-    narrow = [(p, p.bit_count()) for p in parts if p.bit_count() <= _NARROW]
-    wide = [p for p in parts if p.bit_count() > _NARROW]
+    defined = [part for part in parts if part[1] is not None]
+    if defined:
+        candidates = _definition_passed(prog, var, here, defined, candidates)
+        if len(defined) == len(parts):
+            return candidates
+    masks = [p for p, clauses in parts if clauses is None]
+    narrow = [(p, p.bit_count()) for p in masks if p.bit_count() <= _NARROW]
+    wide = [p for p in masks if p.bit_count() > _NARROW]
     if wide:
         counts = zip(*(map(int.bit_count, map(p.__and__, candidates)) for p in wide))
         pairs = sorted(zip(counts, candidates))
@@ -583,11 +775,11 @@ def _stable_subset(
     return stable
 
 
-def _stable_models(prog: Program, var: Sequence[int], here: int, parts: Sequence[int]) -> list[int]:
+def _stable_models(prog: Program, var: Sequence[int], here: int, parts: Sequence[Part]) -> list[int]:
     """The assignments c to the atoms at positions `var` of prog.atoms (bit
     j of c for var[j]) that are A-stable models of prog when the atoms of
-    the bitmask `here` are true and all others false, A the union of
-    `parts`, bitmasks over `var` (see `_parts`).
+    the bitmask `here` are true and all others false, A the union of the
+    bitmasks over `var` of `parts` (see `_parts`).
 
     Up to `_NARROW` atoms, one packed run over every assignment decides
     classical truth and minimality together.  More atoms take a classical
@@ -597,7 +789,7 @@ def _stable_models(prog: Program, var: Sequence[int], here: int, parts: Sequence
     if not k:  # classical truth of prog in the one interpretation `here`
         return [0] if prog.run([here >> b & 1 for b in range(len(prog.atoms))], 1, 1) else []
     if k <= _NARROW:
-        return _verdicts(prog, var, here, _assignment_run(k, sum(parts)), range(1 << k))
+        return _verdicts(prog, var, here, _assignment_run(k, sum(p for p, _ in parts)), range(1 << k))
     return _stable_subset(prog, var, here, parts, _candidate_models(prog, var, here))
 
 
@@ -617,9 +809,17 @@ def enumerate_a_stable(
     `splitting.modular_solve`: with at most `_NARROW` atoms by one packed
     run over every assignment, else by a vectorized satisfiability sweep
     whose classical models are checked one part of A at a time (see
-    `_parts`) in shared packed here-and-there runs, where only a part too
-    wide for a segment gets a chunked sweep per candidate in `_ht_minimal`.
-    The sweep (`_candidate_models`) skips every chunk that one Kleene run
+    `_parts`).  A part is a strongly connected component of the positive
+    dependency graph; by the splitting lemma and the symmetric splitting
+    theorem a classical model is C-stable for f iff it is C-stable for the
+    conjuncts in which an atom of C is strictly positive.  When those form
+    a definition for C, it has one C-stable model per interpretation of
+    the other atoms, the least fixpoint of its clauses, so a part wider
+    than `_NARROW` that is a definition is decided for every candidate by
+    one bit-parallel fixpoint run (see `_stable_subset`).  The other parts
+    are decided in shared packed here-and-there runs, where only a part
+    too wide for a segment gets a chunked sweep per candidate in
+    `_ht_minimal`.  The sweep (`_candidate_models`) skips every chunk that one Kleene run
     of the program rules out, and past `_CHUNK_BITS` atoms it makes the
     atoms read by the most ops the high atoms, which fix each chunk, when
     that leaves fewer chunks alive.

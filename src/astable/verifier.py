@@ -581,9 +581,10 @@ def _suite_stable_kernel(rng, cfg, unsound):
 
 def _reference_models(f: Formula, a: frozenset[Atom], pool: Sequence[Atom]) -> ModelSet:
     """The A-stable models of f over pool, by the reference `is_a_stable`
-    on every interpretation."""
+    on every classical model (I satisfies the reduct of f w.r.t. I iff it
+    satisfies f, so no other interpretation is A-stable)."""
     subsets = (frozenset(c) for k in range(len(pool) + 1) for c in itertools.combinations(pool, k))
-    return ModelSet.from_iter((i for i in subsets if is_a_stable(f, i, a)), frozenset(pool))
+    return ModelSet.from_iter((i for i in subsets if satisfies(i, f) and is_a_stable(f, i, a)), frozenset(pool))
 
 
 def _suite_stable_modular(rng, cfg, unsound):
@@ -710,6 +711,87 @@ def _suite_stable_scc(rng, cfg, unsound):
     )
 
 
+def _suite_stable_definition(rng, cfg, unsound):
+    """Programs on 8 to 10 atoms with a part of 7 or 8 intensional atoms,
+    wider than a part with a slot per subset: a positive ring, some links
+    switched by context atoms, closure-like chords `x & y -> z`, facts and
+    seeds from context atoms and their negations.  The other atoms are its
+    context: extensional, choices, or derived, some from ring atoms, which
+    may pull them into the ring's unit or component.  Constraints are
+    added.  A quarter of the draws spoil the ring, so that it is not a
+    definition: a context atom w gets no rule of its own, and a clause
+    with a context body, or a fact, derives a ring atom or w, a
+    disjunctive head.  `enumerate_a_stable` then decides a definition part
+    by one fixpoint over its candidates, `modular_solve` a definition unit
+    by one fixpoint over its contexts; both must give the models of the
+    reference `is_a_stable`."""
+    pool = _atom_pool(rng.randint(8, 10))
+    rng.shuffle(pool)
+    width = rng.randint(7, min(8, len(pool) - 1))
+    ring = [AtomRef(x) for x in pool[:width]]
+    context = [AtomRef(x) for x in pool[width:]]
+    spoil = context[-1] if rng.random() < 0.25 else None
+
+    def literal() -> Formula:
+        x = rng.choice(context)
+        return neg(x) if rng.random() < 0.4 else x
+
+    conjuncts: list[Formula] = []
+    for x, y in zip(ring, ring[1:] + ring[:1]):
+        conjuncts.append(Impl(conj((x, literal())), y) if rng.random() < 0.3 else Impl(x, y))
+    for _ in range(rng.randint(0, 3)):  # a chord of the closure
+        x, y, z = rng.sample(ring, 3)
+        conjuncts.append(Impl(conj((x, y, literal())) if rng.random() < 0.3 else conj((x, y)), z))
+    for _ in range(rng.randint(0 if spoil else 1, 2)):  # a seed
+        seed = rng.random()
+        head = rng.choice(ring)
+        if seed < 0.2:
+            conjuncts.append(head)
+        else:
+            conjuncts.append(Impl(literal() if seed < 0.7 else conj((literal(), literal())), head))
+    a = frozenset(pool[:width])
+    for x in context:
+        kind = rng.random()
+        if x is spoil or kind >= 0.3:
+            a |= {x.atom}
+        if x is spoil or kind < 0.3:
+            continue  # extensional, or derived only by the disjunctive head
+        if kind < 0.6:
+            conjuncts.append(disj((x, neg(x))))
+        else:
+            body = rng.choice(ring + [y for y in context if y is not x])
+            conjuncts.append(Impl(neg(body) if rng.random() < 0.5 else body, x))
+    for _ in range(rng.randint(0, 2)):
+        lits = [rng.choice(ring + context) for _ in range(2)]
+        conjuncts.append(neg(conj(neg(x) if rng.random() < 0.3 else x for x in lits)))
+    if spoil is not None:
+        head = disj((rng.choice(ring), spoil))
+        others = context[:-1]
+        if others and rng.random() < 0.7:
+            x = rng.choice(others)
+            conjuncts.append(Impl(neg(x) if rng.random() < 0.4 else x, head))
+        else:
+            conjuncts.append(head)
+    split_log = logging.getLogger(modular_solve.__module__)
+    level = split_log.level
+    split_log.setLevel(logging.ERROR)  # fallback warnings are expected here
+    try:
+        modular = modular_solve(conjuncts, a, frozenset(pool))
+    finally:
+        split_log.setLevel(level)
+    f = conj(conjuncts)
+    enumerated = enumerate_a_stable(f, a, frozenset(pool))
+    want = _reference_models(f, a, pool)
+    return enumerated == want == modular, lambda: _case_text(
+        suite="stable_definition",
+        program=" ".join(format_formula(c) + "." for c in conjuncts),
+        a_set=format_interpretation(a),
+        enumerated_models=" ".join(enumerated.lines()) or "(none)",
+        modular_models=" ".join(modular.lines()) or "(none)",
+        reference_models=" ".join(want.lines()) or "(none)",
+    )
+
+
 def _suite_sweep_kleene(rng, cfg, unsound):
     """A formula or a rule-shaped program on up to 8 atoms, swept by
     `truth_chunks` over a random order of some of its atoms at a random
@@ -830,6 +912,7 @@ _SUITES: dict[str, Callable] = {
     "stable_modular": _suite_stable_modular,
     "stable_packed": _suite_stable_packed,
     "stable_scc": _suite_stable_scc,
+    "stable_definition": _suite_stable_definition,
     "sweep_kleene": _suite_sweep_kleene,
     "definitions_theorem": _suite_definitions_theorem,
     "prop4_grounding": _suite_prop4_grounding,

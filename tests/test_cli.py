@@ -299,6 +299,20 @@ class TestSplitSolve:
         _, split, _ = run(capsys, "split-solve", str(path))
         assert direct == split == "{p0,p1,p2}\n"
 
+    def test_atoms_of_each_conjunct_are_computed_once(self, capsys, tmp_path, monkeypatch):
+        # the loader's atom sets reach the planner, which computes none
+        from astable import formula, splitting
+
+        calls = []
+        real = formula.atoms_of
+        monkeypatch.setattr(cli, "atoms_of", lambda f: calls.append("cli") or real(f))
+        monkeypatch.setattr(splitting, "atoms_of", lambda f: calls.append("plan") or real(f))
+        path = tmp_path / "chain.lp"
+        path.write_text("p1 -> p0.\np2 -> p1.\np2.\nnot (p0 & q).\nq | not q.\n")
+        code, out, _ = run(capsys, "split-solve", str(path))
+        assert (code, out) == (0, "{p0,p1,p2}\n")
+        assert calls == ["cli"] * 5
+
     def test_lemma_mode_with_parts(self, capsys, tmp_path):
         path = tmp_path / "guard_fact.lp"
         path.write_text("And{ not p(a) } -> q.\np(a).\n")

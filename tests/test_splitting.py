@@ -28,7 +28,7 @@ from astable import (
     split_models_theorem,
     strictly_positive,
 )
-from astable import depgraph, splitting
+from astable import depgraph, splitting, stable
 from astable.depgraph import components
 from astable.verifier import _gen_program, _scc_aligned_partition
 from astable.bench import (
@@ -40,7 +40,7 @@ from astable.bench import (
     write_csv,
 )
 
-from util import all_subsets, brute_a_stable, guard_program
+from util import all_subsets, brute_a_stable, guard_program, tc_definition
 
 PA, PB, Q = Atom("p", ("a",)), Atom("p", ("b",)), Atom("q")
 SIG = frozenset({PA, PB, Q})
@@ -394,7 +394,7 @@ class TestModularSolve:
         conjuncts = [impl(neg(AtomRef(xs[i])), AtomRef(xs[(i + 1) % 20])) for i in range(20)]
         got = modular_solve(conjuncts, frozenset(xs), frozenset(xs))
         assert got.as_set() == {frozenset(xs[0::2]), frozenset(xs[1::2])}
-        assert len(parts) == 1 and sorted(parts[0]) == [1 << j for j in range(20)]
+        assert len(parts) == 1 and sorted(parts[0]) == [(1 << j, None) for j in range(20)]
 
     def test_negative_pairs_have_every_choice(self):
         # n pairs not q_i -> p_i, not p_i -> q_i: 2**n models, one atom of
@@ -525,10 +525,21 @@ class TestModularSolve:
         # assignment; its even links x_i & e_(i mod 3) -> x_(i+1) are switched
         # by extensional atoms, and e0 seeds the ring at x_(n // 2): across the
         # 8 contexts its classical models make any number of ring atoms true,
-        # and with e0 false the stable one makes none true
-        solves = []
+        # and with e0 false the stable one makes none true.  The block is a
+        # definition for its atoms, so one fixpoint run decides all 8
+        # contexts, one lane each, and nothing sweeps it
+        solves, runs, lanes = [], [], []
         real = splitting._stable_models
         monkeypatch.setattr(splitting, "_stable_models", lambda *args: solves.append(args[1]) or real(*args))
+        real_models = splitting._definition_models
+
+        def definition_models(prog, var, clauses, heres):
+            lanes.append((len(var), len(heres)))
+            return real_models(prog, var, clauses, heres)
+
+        monkeypatch.setattr(splitting, "_definition_models", definition_models)
+        real_fixpoint = stable._least_fixpoint
+        monkeypatch.setattr(stable, "_least_fixpoint", lambda *args: runs.append(1) or real_fixpoint(*args))
         xs = [Atom(f"x{i:02d}") for i in range(n)]
         es = [Atom(f"e{j}") for j in range(3)]
         conjuncts = [impl(AtomRef(es[0]), AtomRef(xs[n // 2]))]
@@ -539,9 +550,49 @@ class TestModularSolve:
         f = conj(conjuncts)
         want = brute_a_stable(f, sigma, ring)
         assert modular_solve(conjuncts, ring, sigma).as_set() == want
-        assert [len(block) for block in solves] == [n] * 8  # one solve per context
+        assert len(runs) == 1 and lanes == [(n, 8)] and not solves  # one fixpoint run per unit
         assert {len(i & ring) for i in all_subsets(sigma) if satisfies(i, f)} == set(range(n + 1))
         assert {not (m & ring) for m in want} == {True, False}
+
+    def test_closure_unit_takes_one_fixpoint_over_its_contexts(self, monkeypatch):
+        # edge choices and their transitive closure over 3 elements: each
+        # edge is a unit of one atom, the 9 closure atoms one definition
+        # unit, solved by one fixpoint run over the 512 edge contexts
+        lanes, solves = [], []
+        real_models = splitting._definition_models
+
+        def definition_models(prog, var, clauses, heres):
+            lanes.append((len(var), len(heres)))
+            return real_models(prog, var, clauses, heres)
+
+        monkeypatch.setattr(splitting, "_definition_models", definition_models)
+        real = splitting._stable_models
+        monkeypatch.setattr(splitting, "_stable_models", lambda *args: solves.append(len(args[1])) or real(*args))
+        clauses, q_set = tc_definition("abc")
+        pairs = [(x, y) for x in "abc" for y in "abc"]
+        conjuncts = [clauses] + [disj([atom("p", x, y), neg(atom("p", x, y))]) for x, y in pairs]
+        sigma = atoms_of(conj(conjuncts))
+        got = modular_solve(conjuncts, sigma, sigma)
+        assert got == enumerate_a_stable(conj(conjuncts), sigma, sigma)
+        assert len(got) == 512 and all(len(m & q_set) >= len(m - q_set) for m in got)
+        assert lanes == [(9, 512)] and set(solves) == {1}
+
+    def test_definition_unit_with_a_constraint_inside_takes_the_parts(self, monkeypatch):
+        # a conjunct of the unit holds a constraint beside a ring rule, so
+        # the unit is no definition as a whole: it is swept, and its ring
+        # part, a definition, is decided by the fixpoint on the candidates
+        lanes = []
+        real_models = splitting._definition_models
+        monkeypatch.setattr(splitting, "_definition_models", lambda *args: lanes.append(1) or real_models(*args))
+        xs = [Atom(f"x{i}") for i in range(8)]
+        e = Atom("e")
+        ring = [impl(AtomRef(xs[i]), AtomRef(xs[(i + 1) % 8])) for i in range(8)]
+        seeded = [impl(AtomRef(e), AtomRef(xs[0])), conj([ring[0], neg(conj([AtomRef(xs[3]), neg(AtomRef(e))]))])]
+        conjuncts = ring[1:] + seeded
+        sigma = frozenset(xs) | {e}
+        got = modular_solve(conjuncts, frozenset(xs), sigma)
+        assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, frozenset(xs)) == {frozenset(), sigma}
+        assert not lanes
 
     def test_frontier_past_the_cap_is_refused(self):
         # 18 independent choices: |sigma - A| and every block fit the cap of

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -39,7 +40,7 @@ from astable.stable import (
 import astable.stable as stable_module
 from astable.verifier import GenConfig, _gen_program, gen_formula
 
-from util import all_subsets, brute_a_stable, guard_program
+from util import all_subsets, brute_a_stable, guard_program, tc_definition
 
 PA, PB, Q = Atom("p", ("a",)), Atom("p", ("b",)), Atom("q")
 G = guard_program()
@@ -217,6 +218,11 @@ def _scc_parts(f, prog, a):
     return [sum(bit[x] for x in comp) for comp in sccs(dep_graph(f, bit.keys()))]
 
 
+def _masks(parts):
+    """The bitmasks of `_parts`, without their clauses."""
+    return [p for p, _ in parts]
+
+
 def _ring(names: list[str]) -> list[str]:
     return [f"{x} -> {y}" for x, y in zip(names, names[1:] + names[:1])]
 
@@ -234,11 +240,12 @@ class TestPackedMinimality:
     def test_unsupported_ring_takes_the_rank_path(self):
         # s feeds a positive 10-ring; with s false the true ring has only
         # the witness that drops all ten ring atoms, the last slot of a part
-        # wider than _NARROW
-        f = _program(_ring([f"r{i}" for i in range(10)]) + ["s | not s", "s -> r0"] + _choices(3))
+        # wider than _NARROW; the disjunctive head r3 -> r5 | r7 makes the
+        # ring no definition, so the rank path decides it
+        f = _program(_ring([f"r{i}" for i in range(10)]) + ["s | not s", "s -> r0", "r3 -> r5 | r7"] + _choices(3))
         prog = compile_formula(f)
         ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
-        assert ring_mask in _parts(f, prog, frozenset(prog.atoms)) and ring_mask.bit_count() > _NARROW
+        assert (ring_mask, None) in _parts(f, prog, frozenset(prog.atoms)) and ring_mask.bit_count() > _NARROW
         candidates, stable = _packed_against_per_candidate(f)
         rejected = set(candidates) - set(stable)
         assert len(rejected) == 8 and all(m & ring_mask == ring_mask for m in rejected)
@@ -271,7 +278,9 @@ class TestPackedMinimality:
         rules += _choices(9) + ["x4 | not x4", "x7 -> x2 | x8"]
         f = _program(rules)
         prog = compile_formula(f)
-        assert max(p.bit_count() for p in _parts(f, prog, frozenset(prog.atoms))) == 9
+        # x7 -> x2 | x8 makes the component no definition
+        parts = _parts(f, prog, frozenset(prog.atoms))
+        assert [(p.bit_count(), clauses) for p, clauses in parts if p.bit_count() > 1] == [(9, None)]
         candidates, stable = _packed_against_per_candidate(f)
         x_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("x"))
         assert len({(m & x_mask).bit_count() for m in candidates}) == 10
@@ -280,7 +289,8 @@ class TestPackedMinimality:
     def test_seventeen_atom_part_takes_the_chunked_sweep(self, monkeypatch):
         # a part of 17 true atoms needs 2**17 - 1 slots, past one run, so
         # only the chunked sweep decides it, and only for candidates that
-        # every other part passes
+        # every other part passes; the disjunctive head r3 -> r5 | r7 makes
+        # the ring no definition, which the fixpoint would decide instead
         calls = []
 
         def spy(prog, mask, a_mask, patterns):
@@ -289,7 +299,7 @@ class TestPackedMinimality:
 
         monkeypatch.setattr(stable_module, "_ht_minimal", spy)
         ring = [f"r{i}" for i in range(17)]
-        f = _program(_ring(ring) + ["s | not s", "s -> r0", "not t -> u"])
+        f = _program(_ring(ring) + ["s | not s", "s -> r0", "not t -> u", "r3 -> r5 | r7"])
         sigma = atoms_of(f)
         got = enumerate_a_stable(f, sigma, sigma)
         ring_atoms = frozenset(Atom(r) for r in ring)
@@ -309,11 +319,11 @@ class TestPackedMinimality:
         a = frozenset(Atom(f"p{i}") for i in range(5))
         parts = _parts(f, prog, a)
         assert len(parts) == count
-        assert sorted(parts) == sorted(_scc_parts(f, prog, a))
+        assert sorted(_masks(parts)) == sorted(_scc_parts(f, prog, a))
         every = range(len(prog.atoms))
         candidates = list(_candidate_models(prog, every, 0))
         assert sorted(_stable_subset(prog, every, 0, parts, candidates)) == sorted(
-            _stable_subset(prog, every, 0, [sum(parts)], candidates)
+            _stable_subset(prog, every, 0, [(sum(_masks(parts)), None)], candidates)
         )
 
     def test_one_part_agrees_with_the_component_parts(self):
@@ -324,14 +334,141 @@ class TestPackedMinimality:
             f = gen_formula(GenConfig(seed=9100 + k, max_atoms=5, max_depth=3))
             prog = compile_formula(f)
             a = frozenset(x for x in prog.atoms if rng.random() < 0.8)
-            (one,) = _parts(f, prog, a) or [0]
+            (one,) = _masks(_parts(f, prog, a)) or [0]
             parts = _scc_parts(f, prog, a)
             assert one == sum(parts)
             every = range(len(prog.atoms))
             candidates = list(_candidate_models(prog, every, 0))
-            assert sorted(_stable_subset(prog, every, 0, [one] if one else [], candidates)) == sorted(
-                _stable_subset(prog, every, 0, parts, candidates)
+            assert sorted(_stable_subset(prog, every, 0, [(one, None)] if one else [], candidates)) == sorted(
+                _stable_subset(prog, every, 0, [(p, None) for p in parts], candidates)
             )
+
+
+def _closure_with_choices(elements):
+    """Choices p(x,y) | not p(x,y) and the transitive closure q of p, a
+    definition for the q atoms, and the A-stable models of the whole by the
+    closure of each subset of the p atoms."""
+    clauses, q_set = tc_definition(elements)
+    pairs = list(itertools.product(elements, repeat=2))
+    f = conj([clauses] + [disj([atom("p", x, y), neg(atom("p", x, y))]) for x, y in pairs])
+    models = set()
+    for edges in all_subsets(pairs):
+        closure = set(edges)
+        while True:
+            more = {(x, z) for x, y in closure for y2, z in closure if y == y2} - closure
+            if not more:
+                break
+            closure |= more
+        models.add(frozenset(Atom("p", e) for e in edges) | frozenset(Atom("q", e) for e in closure))
+    return f, q_set, models
+
+
+class TestDefinitionParts:
+    def test_clauses_of_a_wide_part(self):
+        # the 9 q atoms are one part, its 9 + 27 defining conjuncts clauses;
+        # every p atom is a part of one atom, with no clauses
+        f, q_set, _ = _closure_with_choices("abc")
+        prog = compile_formula(f)
+        parts = _parts(f, prog, frozenset(prog.atoms))
+        defined = [(p, clauses) for p, clauses in parts if clauses is not None]
+        assert len(parts) == 10 and len(defined) == 1
+        q_mask, clauses = defined[0]
+        assert {x for b, x in enumerate(prog.atoms) if q_mask >> b & 1} == q_set
+        assert len(clauses) == 9 + 27
+        for body, body_pos, pos, head in clauses:
+            assert prog.atoms[head] in q_set and {prog.atoms[b] for b in pos} <= q_set
+            assert [prog.atoms[b] for b in body_pos] == list(body.atoms)
+            assert not q_set & set(body.atoms)
+        # q(x,x) & q(x,x) -> q(x,x) is the one-atom body of the 3 clauses with x = y = z
+        assert sorted(len(pos) for _, _, pos, _ in clauses) == [0] * 9 + [1] * 3 + [2] * 24
+
+    @pytest.mark.parametrize(
+        "extra, defined",
+        [
+            ([], True),
+            (["r2"], True),  # a fact is the clause top -> r2
+            (["s & r1 & r4 -> r2"], True),  # C = {r1, r4}, H = s
+            (["r3 -> r5 | r7"], False),  # a disjunctive head
+            (["not r4 -> r2"], False),  # H mentions the part
+            (["s -> (r4 -> r2)"], False),  # a nested implication
+            (["r1 & (r2 | s) -> r3"], False),  # the part inside H
+        ],
+    )
+    def test_definition_recognition(self, extra, defined):
+        f = _program(_ring([f"r{i}" for i in range(8)]) + ["s | not s", "s -> r0"] + extra)
+        prog = compile_formula(f)
+        ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
+        (clauses,) = [c for p, c in _parts(f, prog, frozenset(prog.atoms)) if p == ring_mask]
+        assert (clauses is not None) == defined
+        candidates, stable = _packed_against_per_candidate(f)
+        assert stable
+
+    def test_narrow_programs_and_parts_are_never_recognized(self, monkeypatch):
+        # no definition recognition on a program of at most _NARROW atoms,
+        # nor for a part of at most _NARROW atoms
+        calls = []
+        real = stable_module._definition
+        monkeypatch.setattr(stable_module, "_definition", lambda *args: calls.append(args) or real(*args))
+        small = _program(_ring([f"r{i}" for i in range(_NARROW)]))
+        prog = compile_formula(small)
+        assert _parts(small, prog, frozenset(prog.atoms)) == [((1 << _NARROW) - 1, None)]
+        wide = _program(_ring([f"r{i}" for i in range(_NARROW)]) + _choices(4))
+        prog = compile_formula(wide)
+        assert all(clauses is None for _, clauses in _parts(wide, prog, frozenset(prog.atoms)))
+        assert not calls
+
+    def test_wide_definition_part_builds_no_counters_and_no_sweep(self, monkeypatch):
+        # the 17-ring seeded by s: a definition, so one fixpoint run decides
+        # it for every candidate; no segment holds it (no rank counters)
+        # and no chunked sweep checks it
+        sweeps, runs, widest = [], [], []
+        monkeypatch.setattr(stable_module, "_ht_minimal", lambda *args: sweeps.append(args) or _ht_minimal(*args))
+        real_columns = stable_module._columns
+
+        def columns(n, slotted, batch):
+            widest.append(max(s for _, s in slotted))
+            return real_columns(n, slotted, batch)
+
+        monkeypatch.setattr(stable_module, "_columns", columns)
+        real_fixpoint = stable_module._least_fixpoint
+        monkeypatch.setattr(stable_module, "_least_fixpoint", lambda *args: runs.append(1) or real_fixpoint(*args))
+        ring = [f"r{i}" for i in range(17)]
+        f = _program(_ring(ring) + ["s | not s", "s -> r0", "not t -> u"])
+        sigma = atoms_of(f)
+        got = enumerate_a_stable(f, sigma, sigma)
+        ring_atoms = frozenset(Atom(r) for r in ring)
+        s, u = Atom("s"), Atom("u")
+        assert got.as_set() == {frozenset({u}), ring_atoms | {s, u}}
+        assert not sweeps and len(runs) == 1
+        assert widest and max(widest) <= _NARROW
+
+    def test_closure_part_matches_the_models_and_the_per_candidate_check(self, monkeypatch):
+        sweeps, widest = [], []
+        monkeypatch.setattr(stable_module, "_ht_minimal", lambda *args: sweeps.append(args) or _ht_minimal(*args))
+        real_columns = stable_module._columns
+
+        def columns(n, slotted, batch):
+            widest.append(max(s for _, s in slotted))
+            return real_columns(n, slotted, batch)
+
+        monkeypatch.setattr(stable_module, "_columns", columns)
+        f, _, models = _closure_with_choices("abc")
+        sigma = atoms_of(f)
+        assert enumerate_a_stable(f, sigma, sigma).as_set() == models
+        assert not sweeps and max(widest) == 1
+        # the fixpoint against one here-and-there sweep per candidate
+        monkeypatch.undo()
+        candidates, stable = _packed_against_per_candidate(f)
+        assert len(stable) == len(models) == 512 < len(candidates)
+
+    def test_definition_parts_inside_extensional_context(self):
+        # some p atoms extensional, the rest chosen: the closure part is
+        # decided with the p atoms as its context
+        f, q_set, models = _closure_with_choices("ab")
+        sigma = atoms_of(f)
+        for k in range(5):
+            a = q_set | frozenset(x for x in sigma - q_set if (hash(x) >> k) & 1)
+            assert enumerate_a_stable(f, a, sigma).as_set() == brute_a_stable(f, sigma, a)
 
 
 def _cycle_colouring(n: int) -> list[str]:

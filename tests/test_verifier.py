@@ -144,3 +144,66 @@ class TestProp3Exhaustive:
         # n=1: 2 graphs * 2 partitions; n=2: 16 graphs * 4 partitions
         assert cases == 2 * 2 + 16 * 4
         assert failures == 0
+
+
+class TestStableDefinitionMutations:
+    """Each mutation of the definition route, patched in here, fails the
+    `stable_definition` suite: the suite sees the fixpoint, the lane
+    layout and the clause recognition."""
+
+    CFG = GenConfig(iterations=40)  # as test_every_suite_green_at_default_seed, which passes
+
+    def test_dropping_one_fixpoint_round_fails(self, monkeypatch):
+        from astable import stable
+
+        def one_round_short(fired, size):
+            # the derived lanes before the last round that derived anything
+            fired = list(fired)
+            derived, before = [0] * size, [0] * size
+            while True:
+                start = list(derived)
+                for live, pos, head in fired:
+                    new = live & ~derived[head]
+                    for b in pos:
+                        new &= derived[b]
+                    derived[head] |= new
+                if derived == start:
+                    return before
+                before = start
+
+        monkeypatch.setattr(stable, "_least_fixpoint", one_round_short)
+        assert run_suite("stable_definition", self.CFG).fails > 0
+
+    def test_swapping_two_context_columns_fails(self, monkeypatch):
+        from astable import stable
+
+        real = stable._lanes
+
+        def swapped(masks, n):
+            # the first two columns that differ trade places
+            cols = real(masks, n)
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if cols[i] != cols[j]), None)
+            if pair:
+                i, j = pair
+                cols[i], cols[j] = cols[j], cols[i]
+            return cols
+
+        monkeypatch.setattr(stable, "_lanes", swapped)
+        assert run_suite("stable_definition", self.CFG).fails > 0
+
+    def test_accepting_a_disjunctive_head_fails(self, monkeypatch):
+        from astable import stable
+
+        real = stable._clause
+
+        def first_disjunct(c, q):
+            # `H -> y | w`, or the fact `y | w`, read as `H -> y` for the first y in q
+            ante, head = (c.lhs, c.rhs) if isinstance(c, Impl) else (None, c)
+            if isinstance(head, Disj):
+                heads = [d for d in head.children if isinstance(d, AtomRef) and d.atom in q]
+                if heads:
+                    return real(heads[0] if ante is None else Impl(ante, heads[0]), q)
+            return real(c, q)
+
+        monkeypatch.setattr(stable, "_clause", first_disjunct)
+        assert run_suite("stable_definition", self.CFG).fails > 0
