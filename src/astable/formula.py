@@ -10,10 +10,11 @@ empty conjunction, `bot` the empty disjunction, and `not F` abbreviates
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 KEYWORDS = frozenset({"not", "top", "bot", "And", "Or"})
@@ -331,14 +332,67 @@ def compile_formula(f: Formula) -> Program:
     -1, and one pass over the ops then gives every op its out slot.
     """
     met: dict[Atom, int] = {}
-    ops: list[tuple[int, ...]] = []
+    ops: list[tuple[int, int, int]] = []
+    return _finish(met, ops, _walk(f, met, ops, {}, {}))
+
+
+def compile_extensible(f: Formula) -> tuple[Program, Callable[[Sequence[Formula]], Program]]:
+    """f's program (see `compile_formula`), and a function that gives the
+    program of f conjoined with more formulas, folded in in the order given.
+
+    The function continues the walk that compiled f instead of compiling f
+    again, so a subformula of f met again, the very object, costs no op.
+    f's ops come first, so f's program is a prefix of the extension, and
+    an extension over atoms of f only has f's atoms, at the same positions.
+    The walk memoizes nodes by identity, so call the function at most
+    once, while f is alive.
+    """
+    met: dict[Atom, int] = {}
+    ops: list[tuple[int, int, int]] = []
     shared: dict[tuple[int, int, int], int] = {}
     slots: dict[int, int] = {}
+    root = _walk(f, met, ops, shared, slots)
+    return _finish(met, ops, root), functools.partial(_conjoin, met, ops, shared, slots, root)
+
+
+def _conjoin(
+    met: dict[Atom, int],
+    ops: list[tuple[int, int, int]],
+    shared: dict[tuple[int, int, int], int],
+    slots: dict[int, int],
+    slot: int,
+    more: Sequence[Formula],
+) -> Program:
+    """The program of the formula at `slot` conjoined with `more`, each
+    folded in by continuing the walk (see `compile_extensible`)."""
+    for g in more:
+        key = (_AND, slot, _walk(g, met, ops, shared, slots))
+        slot = shared.get(key)
+        if slot is None:
+            slot = shared[key] = len(ops)
+            ops.append(key)
+    return _finish(met, ops, slot)
+
+
+def _walk(
+    f: Formula,
+    met: dict[Atom, int],
+    ops: list[tuple[int, int, int]],
+    shared: dict[tuple[int, int, int], int],
+    slots: dict[int, int],
+) -> int:
+    """The temporary slot of f, appending the ops of each node not met yet
+    (see `compile_formula`)."""
+    if type(f) is AtomRef:
+        k = met.get(f.atom)
+        if k is None:
+            k = met[f.atom] = -3 - len(met)
+        return k
 
     # the nodes being compiled, each with how many of its children are
     # folded so far and their slot; a node waits while its next non-atom
     # child compiles
-    stack = [] if type(f) is AtomRef else [f]
+    stack = [f]
     folded = [0]
     acc: list[int | None] = [None]
     while stack:
@@ -378,11 +432,13 @@ def compile_formula(f: Formula) -> Program:
         if slot is None:  # no children: the empty conjunction or disjunction
             slot = -2 if t is Conj else -1
         slots[id(g)] = slot
-    if type(f) is AtomRef:
-        met[f.atom] = root = -3
-    else:
-        root = slots[id(f)]
+    return slots[id(f)]
 
+
+def _finish(met: dict[Atom, int], ops: Sequence[tuple[int, int, int]], root: int) -> Program:
+    """The program of the walked ops with the given root: the atoms
+    sorted, and each op's out slot the slot of a result whose last reader
+    has run, else a fresh one."""
     atoms = tuple(sorted(met))
     base = len(atoms) + 2
     rank = dict(zip(atoms, range(2, base)))
@@ -392,14 +448,15 @@ def compile_formula(f: Formula) -> Program:
     last[root] = len(ops)
     fix = [0] * len(ops) + [*map(rank.__getitem__, reversed(met)), 1, 0]
     free: list[int] = []  # out slots whose last reader has run
+    out_ops = []
     for n, (kind, left, right) in enumerate(ops):
         if last[left] == n and left >= 0:
             free.append(fix[left])
         if last[right] == n and right >= 0 and right != left:
             free.append(fix[right])
         out = fix[n] = free.pop() if free else base + n
-        ops[n] = (kind, fix[left], fix[right], out)
-    return Program(atoms, tuple(ops), fix[root])
+        out_ops.append((kind, fix[left], fix[right], out))
+    return Program(atoms, tuple(out_ops), fix[root])
 
 
 def live_prefixes(prog: Program, var_atoms: Sequence[Atom], true_atoms: AbstractSet[Atom], chunk_bits: int) -> int:

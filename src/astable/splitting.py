@@ -35,6 +35,7 @@ from .formula import (
     Formula,
     Program,
     atoms_of,
+    compile_extensible,
     compile_formula,
     conj,
     satisfies,  # not called here; perfbench/spans.py wraps this name
@@ -234,7 +235,7 @@ def _extend_frontier(
     prog: Program,
     unit_atoms: frozenset[Atom],
     bit: dict[Atom, int],
-    solved: dict[tuple, tuple[list[Part], tuple[Clause, ...] | None, dict[int, list[int]]]],
+    solved: dict[tuple, tuple[list[Part], tuple[Clause, ...] | None, Program | None, dict[int, list[int]]]],
     max_atoms: int,
 ) -> list[int]:
     """Every frontier entry joined with each stable extension of the unit
@@ -271,16 +272,16 @@ def _extend_frontier(
     entry = solved.get(key)
     if entry is None:
         parts: list[Part] = [((1 << len(unit)) - 1, None)]  # a narrow unit is decided in one run, whatever its parts
-        clauses = None
+        clauses = swept = None
         if len(unit) > _NARROW:
             clauses = _definition(_conjuncts(f), prog, sum(1 << b for b in unit))
             if clauses is None:  # its dependency blocks, over the unit's positions
-                parts = [
-                    (sum(1 << j for j, b in enumerate(unit) if p >> b & 1), part_clauses)
-                    for p, part_clauses in _parts(f, prog, unit_atoms)
-                ]
-        entry = solved[key] = (parts, clauses, {})
-    parts, clauses, shape = entry
+                found, support = _parts(f, prog, unit_atoms)
+                parts = [(sum(1 << j for j, b in enumerate(unit) if p >> b & 1), part_clauses) for p, part_clauses in found]
+                if support:
+                    swept = compile_extensible(f)[1](support)
+        entry = solved[key] = (parts, clauses, swept, {})
+    parts, clauses, swept, shape = entry
     heres: dict[int, int] = {}  # each distinct context, over prog.atoms
     for m in frontier:
         ctx = m & ctx_mask
@@ -293,7 +294,7 @@ def _extend_frontier(
     new = [here for here in dict.fromkeys(heres.values()) if here not in shape]
     if clauses is None:
         for here in new:
-            shape[here] = _stable_models(prog, unit, here, parts)
+            shape[here] = _stable_models(prog, unit, here, parts, swept)
     elif new:
         for here, c in zip(new, _definition_models(prog, unit, clauses, new)):
             shape[here] = [c]
@@ -364,7 +365,7 @@ def modular_solve(
     frontier = [0]
     for x in sig - a:
         frontier += [m | bit[x] for m in frontier]
-    solved: dict[tuple, tuple[list[int], dict[int, list[int]]]] = {}
+    solved: dict[tuple, tuple] = {}  # see _extend_frontier
     for unit_atoms, f, prog in steps:
         frontier = _extend_frontier(frontier, f, prog, unit_atoms, bit, solved, max_atoms)
     return ModelSet.from_masks(frontier, order, sig)

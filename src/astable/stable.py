@@ -24,6 +24,7 @@ from .formula import (
     AtomRef,
     CapExceeded,
     Conj,
+    Disj,
     Formula,
     Impl,
     Program,
@@ -31,6 +32,7 @@ from .formula import (
     _bit_pattern,
     atoms_of,
     check_signature,
+    compile_extensible,
     compile_formula,
     disj,
     live_prefixes,
@@ -421,9 +423,12 @@ def _conjuncts(f: Formula) -> list[Formula]:
 def _split_antecedent(ante: Formula, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom]]:
     """The antecedent of a clause as (H, C): C the atoms of q that are its
     direct conjuncts (or the antecedent itself), H the conjunction of the
-    rest, top when nothing is left."""
+    rest, top when nothing is left.  With C empty, H is the antecedent
+    itself, the very object."""
     if type(ante) is Conj:
         pos_q = frozenset(d.atom for d in ante.children if type(d) is AtomRef and d.atom in q)
+        if not pos_q:
+            return ante, pos_q
         rest = [d for d in ante.children if not (type(d) is AtomRef and d.atom in q)]
         return (rest[0] if len(rest) == 1 else Conj(tuple(rest))), pos_q
     if type(ante) is AtomRef and ante.atom in q:
@@ -465,37 +470,77 @@ def _definition(conjuncts: Iterable[Formula], prog: Program, part: int) -> tuple
     return tuple(out)
 
 
-def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> list[Part]:
-    """The parts of A & occurring, as bitmasks over prog.atoms: the strongly
-    connected components of the positive dependency graph of f over them,
-    each with its clauses when it is wider than `_NARROW` and a definition.
+def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> tuple[list[Part], list[Formula]]:
+    """The parts of A & occurring that are left to check, as bitmasks over
+    prog.atoms, and the support conjuncts that decide all the others.  The
+    parts are the strongly connected components of the positive dependency
+    graph of f over those atoms, each with its clauses when it is wider
+    than `_NARROW` and a definition.
 
     By the splitting lemma a classical model I is A-stable iff it is
     C-stable for every part C.  Any coarser partition into unions of whole
-    components is as good, so one atom, or all of them in a program of at
-    most `_NARROW` atoms, which `_stable_models` decides in one run that
-    reads only their union, form one part without a graph.
+    components is as good, so all the atoms of a program of at most
+    `_NARROW` atoms, which `_stable_models` decides in one run that reads
+    only their union, form one part without a graph, and nothing in such a
+    program is ever recognized.
 
     The defining conjuncts of a part C are those of f, nested conjunctions
     opened, in which an atom of C is strictly positive.  When they form a
-    definition for C (see `_clause`), the part comes with their compiled
-    clauses (see `_definition`), and `_stable_subset` decides it by one
-    least fixpoint; otherwise, and for every part of at most `_NARROW`
-    atoms, with None.  No part of a program of at most `_NARROW` atoms is
-    ever recognized.
+    definition for C (see `_clause`), I is C-stable iff its atoms of C are
+    the least fixpoint of their clauses.  For a part of more than `_NARROW`
+    atoms the part comes with its compiled clauses (see `_definition`), and
+    `_stable_subset` runs that fixpoint.  A part {q} of one atom is not
+    returned: its fixpoint holds q iff some body H of a clause `H -> q`
+    holds (a clause `H & q -> q` derives nothing from the empty start),
+    and I satisfies every clause, so I is {q}-stable iff it satisfies the
+    support conjunct `q -> Or{H}`, the other half of Clark's completion
+    (Fages 1994; Erdem & Lifschitz, TPLP 2003).  The bodies are the very
+    objects of f, so that compiling f with its support conjuncts shares
+    their ops; with no clause the conjunct is `not q`, and a fact needs
+    none.  Every other part comes with None.
     """
     bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
-    if len(bit) <= 1 or len(prog.atoms) <= _NARROW:
-        return [(sum(bit.values()), None)] if bit else []
-    masks = [sum(map(bit.__getitem__, comp)) for comp in components(dep_graph(f, bit.keys()))[0]]
-    if all(m.bit_count() <= _NARROW for m in masks):
-        return [(m, None) for m in masks]
+    if len(prog.atoms) <= _NARROW or not bit:
+        return ([(sum(bit.values()), None)] if bit else []), []
+    masks = list(bit.values())
+    if len(bit) > 1:
+        masks = [sum(map(bit.__getitem__, comp)) for comp in components(dep_graph(f, bit.keys()))[0]]
     conjuncts = _conjuncts(f)
-    heads = [sum(map(bit.__getitem__, bit.keys() & strictly_positive(c))) for c in conjuncts]
-    return [
+    heads = []  # per conjunct, the bitmask of its strictly positive atoms of A
+    for c in conjuncts:
+        g = c
+        while type(g) is Impl:  # only a consequent holds strictly positive atoms
+            g = g.rhs
+        if type(g) is AtomRef:
+            heads.append(bit.get(g.atom, 0))
+        else:
+            heads.append(sum(map(bit.__getitem__, bit.keys() & strictly_positive(g))))
+    # per one-atom part, the bodies of its clauses, None once a defining conjunct is no clause
+    atom_at = {m: x for x, m in bit.items()}
+    bodies: dict[int, list[Formula] | None] = {m: [] for m in masks if not m & (m - 1)}
+    for c, h in zip(conjuncts, heads):
+        if h in bodies:
+            found = bodies[h]
+            if found is not None:
+                clause = _clause(c, {atom_at[h]})
+                if clause is None:
+                    bodies[h] = None
+                elif not clause[1]:  # `H & q -> q` is left out
+                    found.append(clause[0])
+        elif h & (h - 1):  # two or more heads: no clause for any of them
+            for m in bodies:
+                if m & h:
+                    bodies[m] = None
+    support = []
+    for m, found in bodies.items():
+        if found is not None and not any(type(b) is Conj and not b.children for b in found):
+            support.append(Impl(AtomRef(atom_at[m]), found[0] if len(found) == 1 else Disj(tuple(found))))
+    parts = [
         (m, _definition([c for c, h in zip(conjuncts, heads) if h & m], prog, m) if m.bit_count() > _NARROW else None)
         for m in masks
+        if bodies.get(m) is None
     ]
+    return parts, support
 
 
 def _least_fixpoint(fired: Iterable[tuple[int, Sequence[int], int]], size: int) -> list[int]:
@@ -717,6 +762,8 @@ def _stable_subset(
     """The A-stable ones among `candidates`, classical models of prog given
     as assignments to the atoms at positions `var` of prog.atoms with the
     context `here`, as in `_stable_models`; A is the union of `parts`.
+    prog must be the program itself, never the one conjoined with support
+    conjuncts that the candidates may come from (see `_stable_models`).
 
     By the splitting lemma a candidate I is A-stable iff it is C-stable for
     every part C.  Split prog as G & R, G its defining conjuncts for C,
@@ -775,22 +822,31 @@ def _stable_subset(
     return stable
 
 
-def _stable_models(prog: Program, var: Sequence[int], here: int, parts: Sequence[Part]) -> list[int]:
+def _stable_models(
+    prog: Program, var: Sequence[int], here: int, parts: Sequence[Part], swept: Program | None = None
+) -> list[int]:
     """The assignments c to the atoms at positions `var` of prog.atoms (bit
     j of c for var[j]) that are A-stable models of prog when the atoms of
     the bitmask `here` are true and all others false, A the union of the
-    bitmasks over `var` of `parts` (see `_parts`).
+    parts (see `_parts`) and of the one-atom parts that the support
+    conjuncts decide; `swept`, when there are support conjuncts, is the
+    program of prog's formula conjoined with them, over the same atoms.
 
     Up to `_NARROW` atoms, one packed run over every assignment decides
     classical truth and minimality together.  More atoms take a classical
-    sweep, and `_stable_subset` keeps the stable models it finds.
+    sweep of `swept`, whose models are exactly the classical models of
+    prog that are stable for every decided part, and `_stable_subset`
+    keeps those that are stable for the parts left, checked against prog
+    itself: a support conjunct makes the atoms of its bodies strictly
+    positive, so it must not take part in any minimality check.
     """
     k = len(var)
     if not k:  # classical truth of prog in the one interpretation `here`
         return [0] if prog.run([here >> b & 1 for b in range(len(prog.atoms))], 1, 1) else []
     if k <= _NARROW:
         return _verdicts(prog, var, here, _assignment_run(k, sum(p for p, _ in parts)), range(1 << k))
-    return _stable_subset(prog, var, here, parts, _candidate_models(prog, var, here))
+    candidates = _candidate_models(swept or prog, var, here)
+    return _stable_subset(prog, var, here, parts, candidates) if parts else candidates
 
 
 def enumerate_a_stable(
@@ -814,15 +870,20 @@ def enumerate_a_stable(
     theorem a classical model is C-stable for f iff it is C-stable for the
     conjuncts in which an atom of C is strictly positive.  When those form
     a definition for C, it has one C-stable model per interpretation of
-    the other atoms, the least fixpoint of its clauses, so a part wider
-    than `_NARROW` that is a definition is decided for every candidate by
-    one bit-parallel fixpoint run (see `_stable_subset`).  The other parts
-    are decided in shared packed here-and-there runs, where only a part
-    too wide for a segment gets a chunked sweep per candidate in
-    `_ht_minimal`.  The sweep (`_candidate_models`) skips every chunk that one Kleene run
-    of the program rules out, and past `_CHUNK_BITS` atoms it makes the
-    atoms read by the most ops the high atoms, which fix each chunk, when
-    that leaves fewer chunks alive.
+    the other atoms, the least fixpoint of its clauses.  For a part {q} of
+    one atom that is the support condition `q -> Or{H}` over the bodies H
+    of q's clauses, so those support conjuncts are conjoined to f in the
+    walk that compiled it, and the sweep runs on f with them: its models
+    are the candidates stable for every such part, and when no part is
+    left they are the answer.  A part wider than `_NARROW` that is a
+    definition is decided for every candidate by one bit-parallel
+    fixpoint run (see `_stable_subset`).  The other parts are decided in
+    shared packed here-and-there runs on f itself, where only a part too
+    wide for a segment gets a chunked sweep per candidate in
+    `_ht_minimal`.  The sweep (`_candidate_models`) skips every chunk that
+    one Kleene run of the program rules out, and past `_CHUNK_BITS` atoms
+    it makes the atoms read by the most ops the high atoms, which fix each
+    chunk, when that leaves fewer chunks alive.
     Intensional atoms that never occur in f cannot appear in any A-stable
     model and are pruned up front.  Extensional atoms of sigma that do not
     occur are free: each stable bitmask is spread once to the sorted order
@@ -831,13 +892,15 @@ def enumerate_a_stable(
     bitmasks in every case.
     """
     a = frozenset(a)
-    prog = compile_formula(f)
+    prog, conjoin = compile_extensible(f)
     occurring = frozenset(prog.atoms)
     sig = frozenset(sigma) if sigma is not None else occurring | a
     check_signature(occurring | a, sig)
     _check_cap(len(sig), max_atoms)
 
-    masks = _stable_models(prog, range(len(prog.atoms)), 0, _parts(f, prog, a))
+    parts, support = _parts(f, prog, a)
+    swept = conjoin(support) if support else None
+    masks = _stable_models(prog, range(len(prog.atoms)), 0, parts, swept)
     order: Sequence[Atom] = prog.atoms
     free = sig - a - occurring
     if free:

@@ -792,6 +792,90 @@ def _suite_stable_definition(rng, cfg, unsound):
     )
 
 
+def _suite_stable_support(rng, cfg, unsound):
+    """Programs on 7 to 10 atoms, past one run over every assignment, so
+    that `enumerate_a_stable` decides each one-atom part that is a
+    definition by its support conjunct in the sweep.  Pieces: negative
+    chains, colouring-style rules `not o1 & not o2 -> c`, choices, facts,
+    atoms with no rule, disjunctive heads, and positive cycles of 2 atoms
+    (or of 9, when the pool has room), some seeded; then self-supporting
+    clauses `q & H -> q`, rules linking the pieces, constraints and
+    `not not q`.  Both `enumerate_a_stable` and `modular_solve` must give
+    the models of the reference `is_a_stable`."""
+    pool = _atom_pool(rng.randint(7, 10))
+    rng.shuffle(pool)
+    atoms = [AtomRef(x) for x in pool]
+
+    def literal(*avoid: Formula) -> Formula:
+        x = rng.choice([y for y in atoms if y not in avoid])
+        return neg(x) if rng.random() < 0.4 else x
+
+    conjuncts: list[Formula] = []
+    start = 0
+    while start < len(atoms):
+        kind = rng.random()
+        size = 9 if kind < 0.15 and len(atoms) - start >= 9 else rng.randint(1, 3)
+        group = atoms[start : start + size]
+        start += len(group)
+        if len(group) == 9 or (len(group) == 2 and kind < 0.5):  # a positive cycle
+            conjuncts += [Impl(x, y) for x, y in zip(group, group[1:] + group[:1])]
+            if len(group) < len(atoms) and rng.random() < 0.6:
+                conjuncts.append(Impl(literal(*group), rng.choice(group)))
+        elif len(group) == 3 and kind < 0.6:  # one vertex's colours
+            for c in group:
+                o1, o2 = (neg(o) for o in group if o is not c)
+                conjuncts.append(Impl(conj((o1, o2)), c))
+        elif len(group) > 1:  # a negative chain
+            first = rng.random()
+            if first < 0.4:
+                conjuncts.append(disj((group[0], neg(group[0]))))
+            elif first < 0.6:
+                conjuncts.append(group[0])
+            for x, y in zip(group, group[1:]):
+                conjuncts.append(Impl(conj((neg(x), literal(x, y))) if rng.random() < 0.2 else neg(x), y))
+        else:
+            (x,) = group
+            one = rng.random()
+            if one < 0.3:
+                conjuncts.append(disj((x, neg(x))))
+            elif one < 0.45:
+                conjuncts.append(x)
+            elif one < 0.6:
+                conjuncts.append(Impl(literal(x), disj((x, rng.choice([y for y in atoms if y is not x])))))
+            # otherwise no rule of its own
+    for _ in range(rng.randint(0, 2)):  # q & H -> q
+        q = rng.choice(atoms)
+        conjuncts.append(Impl(conj((q, literal(q))), q))
+    for _ in range(rng.randint(0, 3)):  # a link between pieces
+        head = rng.choice(atoms)
+        body = literal(head) if rng.random() < 0.6 else conj((literal(head), literal(head)))
+        conjuncts.append(Impl(body, head))
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.4:
+            conjuncts.append(neg(neg(rng.choice(atoms))))
+        else:
+            conjuncts.append(neg(conj((literal(), literal()))))
+    a = frozenset(pool) if rng.random() < 0.7 else _rand_subset(rng, pool, 0.85)
+    split_log = logging.getLogger(modular_solve.__module__)
+    level = split_log.level
+    split_log.setLevel(logging.ERROR)  # fallback warnings are expected here
+    try:
+        modular = modular_solve(conjuncts, a, frozenset(pool))
+    finally:
+        split_log.setLevel(level)
+    f = conj(conjuncts)
+    enumerated = enumerate_a_stable(f, a, frozenset(pool))
+    want = _reference_models(f, a, pool)
+    return enumerated == want == modular, lambda: _case_text(
+        suite="stable_support",
+        program=" ".join(format_formula(c) + "." for c in conjuncts),
+        a_set=format_interpretation(a),
+        enumerated_models=" ".join(enumerated.lines()) or "(none)",
+        modular_models=" ".join(modular.lines()) or "(none)",
+        reference_models=" ".join(want.lines()) or "(none)",
+    )
+
+
 def _suite_sweep_kleene(rng, cfg, unsound):
     """A formula or a rule-shaped program on up to 8 atoms, swept by
     `truth_chunks` over a random order of some of its atoms at a random
@@ -913,6 +997,7 @@ _SUITES: dict[str, Callable] = {
     "stable_packed": _suite_stable_packed,
     "stable_scc": _suite_stable_scc,
     "stable_definition": _suite_stable_definition,
+    "stable_support": _suite_stable_support,
     "sweep_kleene": _suite_sweep_kleene,
     "definitions_theorem": _suite_definitions_theorem,
     "prop4_grounding": _suite_prop4_grounding,

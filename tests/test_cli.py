@@ -5,11 +5,13 @@ import tracemalloc
 
 import pytest
 
-from astable import cli, fo
+from astable import ModelSet, atoms_of, cli, conj, fo, parse_program
 from astable.cli import main
 from astable.formula import format_formula
 from astable.syntax import parse_formula
 from astable.verifier import GenConfig, _atom_pool, _gen, _gen_fo
+
+from util import brute_a_stable
 
 GUARD_LP = "% q holds when every p(t) fails\nAnd{ not p(a); not p(b) } -> q.\n"
 GUARD_FO = "#domain a, b.\nforall X (not p(X)) -> q.\n"
@@ -312,6 +314,22 @@ class TestSplitSolve:
         code, out, _ = run(capsys, "split-solve", str(path))
         assert (code, out) == (0, "{p0,p1,p2}\n")
         assert calls == ["cli"] * 5
+
+    def test_negative_cycle_with_a_choice_matches_solve_and_the_reference(self, capsys, tmp_path):
+        # one unit of 10 atoms, wider than one run: its one-atom parts are
+        # definitions decided by their support conjuncts in the unit's
+        # sweep, except x0, which the choice leaves to the segment check
+        rules = [f"not x{i} -> x{(i + 1) % 10}" for i in range(10)] + ["x0 | not x0"]
+        path = tmp_path / "cycle.lp"
+        path.write_text("".join(r + ".\n" for r in rules))
+        _, direct, _ = run(capsys, "solve", str(path))
+        code, split, err = run(capsys, "split-solve", str(path))
+        f = conj(parse_program(path.read_text()))
+        sigma = atoms_of(f)
+        want = ModelSet.from_iter(brute_a_stable(f, sigma, sigma), sigma).lines()
+        assert (code, err) == (0, "")
+        assert split == direct == "".join(line + "\n" for line in want)
+        assert len(want) == 2
 
     def test_lemma_mode_with_parts(self, capsys, tmp_path):
         path = tmp_path / "guard_fact.lp"

@@ -24,7 +24,7 @@ from astable import (
     reduct,
     satisfies,
 )
-from astable.formula import Program, _key, compile_formula, live_prefixes, truth_chunks
+from astable.formula import Program, _key, compile_extensible, compile_formula, live_prefixes, truth_chunks
 from astable.verifier import GenConfig, _gen, _gen_program, gen_formula
 
 from util import guard_program
@@ -261,6 +261,35 @@ class TestCompile:
             for m in range(16):
                 i = frozenset(x for b, x in enumerate(atoms) if m >> b & 1)
                 assert (chunk >> m & 1) == satisfies(i, f)
+
+
+    def test_extension_continues_the_walk(self):
+        # f conjoined with formulas made of f's own subformulas, compiled
+        # by continuing f's walk: f's program and every extension keep
+        # their truth tables, and a subformula met again costs no op
+        atoms = [Atom(x) for x in "abcd"]
+        for seed in range(200):
+            f = gen_formula(GenConfig(seed=5000 + seed, max_atoms=4, max_depth=3))
+            subs = [f]
+            stack = [f]
+            while stack:
+                g = stack.pop()
+                kids = (g.lhs, g.rhs) if type(g) is Impl else () if type(g) is AtomRef else g.children
+                subs += kids
+                stack += kids
+            pick = random.Random(seed).choice
+            more = [impl(pick(subs), pick(subs)), neg(subs[-1])]
+            prog, conjoin = compile_extensible(f)
+            extended = conjoin(more)
+            assert extended.atoms == prog.atoms == compile_formula(f).atoms
+            assert len(extended.ops) <= len(prog.ops) + 2 * len(more)
+            whole = conj([f, *more])
+            for p, g in ((prog, f), (extended, whole)):
+                var = list(p.atoms)
+                (chunk,) = truth_chunks(p, var)
+                for m in range(1 << len(var)):
+                    i = frozenset(x for b, x in enumerate(var) if m >> b & 1)
+                    assert (chunk >> m & 1) == satisfies(i, g)
 
 
 class TestKleenePruning:

@@ -385,16 +385,56 @@ class TestModularSolve:
 
     def test_negative_ring_is_solved_with_one_atom_parts(self, monkeypatch):
         # not x_i -> x_(i+1) around 20 atoms: one unit with no positive
-        # dependency, so its parts are its 20 atoms, and the two
-        # alternating interpretations are its stable models
-        parts = []
+        # dependency, so its parts are its 20 atoms, each a definition
+        # decided by its support conjunct x_(i+1) -> not x_i in the sweep,
+        # which leaves no part to check and keeps the two alternating
+        # interpretations, its stable models
+        calls = []
         real = splitting._stable_models
-        monkeypatch.setattr(splitting, "_stable_models", lambda *args: parts.append(args[3]) or real(*args))
+        monkeypatch.setattr(splitting, "_stable_models", lambda *args: calls.append(args[3:]) or real(*args))
         xs = [Atom(f"x{i:02d}") for i in range(20)]
         conjuncts = [impl(neg(AtomRef(xs[i])), AtomRef(xs[(i + 1) % 20])) for i in range(20)]
         got = modular_solve(conjuncts, frozenset(xs), frozenset(xs))
         assert got.as_set() == {frozenset(xs[0::2]), frozenset(xs[1::2])}
-        assert len(parts) == 1 and sorted(parts[0]) == [(1 << j, None) for j in range(20)]
+        ((parts, swept),) = calls
+        assert parts == [] and len(stable._candidate_models(swept, range(20), 0)) == 2
+
+    def test_random_wide_units_match_solve_and_the_reference(self, monkeypatch):
+        # a negative cycle through 7 to 9 atoms makes them one unit, wider
+        # than one run and no definition as a whole, and random rules,
+        # choices and extensional atoms around it: its one-atom parts that
+        # are definitions are decided by the support sweep, the rest by
+        # the segment checks against the unit's own formula
+        supported = []
+        real = splitting.compile_extensible
+        monkeypatch.setattr(splitting, "compile_extensible", lambda f: supported.append(f) or real(f))
+        rng = random.Random(18)
+        for _ in range(25):
+            n = rng.randint(7, 9)
+            xs = [Atom(f"x{i}") for i in range(n)]
+            es = [Atom(f"e{j}") for j in range(rng.randint(0, 2))]
+            conjuncts = [impl(neg(AtomRef(xs[i])), AtomRef(xs[(i + 1) % n])) for i in range(n)]
+            conjuncts += _gen_program(rng, xs + es, rng.randint(0, 4))
+            conjuncts += [disj([AtomRef(x), neg(AtomRef(x))]) for x in xs if rng.random() < 0.15]
+            sigma = frozenset(xs + es)
+            a = frozenset(xs) if rng.random() < 0.6 else frozenset(x for x in xs if rng.random() < 0.8)
+            got = modular_solve(conjuncts, a, sigma)
+            assert got == enumerate_a_stable(conj(conjuncts), a, sigma)
+            assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, a)
+        assert len(supported) >= 10
+
+    def test_isomorphic_units_share_one_swept_program(self, monkeypatch):
+        # two negative 8-cycles over x and y: units of one shape, each
+        # decided by its support sweep, whose program is compiled once
+        supported = []
+        real = splitting.compile_extensible
+        monkeypatch.setattr(splitting, "compile_extensible", lambda f: supported.append(f) or real(f))
+        cycles = [[Atom(f"{name}{i}") for i in range(8)] for name in "xy"]
+        conjuncts = [impl(neg(AtomRef(c[i])), AtomRef(c[(i + 1) % 8])) for c in cycles for i in range(8)]
+        sigma = frozenset(cycles[0] + cycles[1])
+        got = modular_solve(conjuncts, sigma, sigma)
+        assert got.as_set() == {frozenset(cycles[0][i::2] + cycles[1][j::2]) for i in (0, 1) for j in (0, 1)}
+        assert len(supported) == 1
 
     def test_negative_pairs_have_every_choice(self):
         # n pairs not q_i -> p_i, not p_i -> q_i: 2**n models, one atom of

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from astable import (
+    BOT,
     Atom,
     AtomRef,
     CapExceeded,
+    Impl,
     ModelSet,
     SignatureError,
     atom,
@@ -16,6 +18,7 @@ from astable import (
     conj,
     disj,
     enumerate_a_stable,
+    format_formula,
     format_interpretation,
     impl,
     is_a_stable,
@@ -27,14 +30,16 @@ from astable import (
     satisfies,
 )
 from astable.depgraph import dep_graph, sccs
-from astable.formula import compile_formula, live_prefixes, truth_chunks
+from astable.formula import compile_extensible, compile_formula, live_prefixes, truth_chunks
 from astable.stable import (
     _CHUNK_BITS,
     _NARROW,
     _candidate_models,
+    _conjuncts,
     _ht_minimal,
     _layout,
     _parts,
+    _stable_models,
     _stable_subset,
 )
 import astable.stable as stable_module
@@ -200,14 +205,17 @@ def _choices(n: int) -> list[str]:
 
 
 def _packed_against_per_candidate(f):
-    """(candidates, A-stable) with everything intensional, after checking
-    the per-part packed filter against one `_ht_minimal` per candidate."""
-    prog = compile_formula(f)
+    """(classical models, A-stable) with everything intensional, after
+    checking the sweep with the support conjuncts and the per-part packed
+    filter of the parts left against one `_ht_minimal` per classical model."""
+    prog, conjoin = compile_extensible(f)
     a_mask = (1 << len(prog.atoms)) - 1
     every = range(len(prog.atoms))
     candidates = list(_candidate_models(prog, every, 0))
     reference = [m for m in candidates if _ht_minimal(prog, m, a_mask, {})]
-    stable = _stable_subset(prog, every, 0, _parts(f, prog, frozenset(prog.atoms)), candidates)
+    parts, support = _parts(f, prog, frozenset(prog.atoms))
+    swept = _candidate_models(conjoin(support), every, 0) if support else candidates
+    stable = _stable_subset(prog, every, 0, parts, swept)
     assert sorted(stable) == reference
     return candidates, stable
 
@@ -245,7 +253,7 @@ class TestPackedMinimality:
         f = _program(_ring([f"r{i}" for i in range(10)]) + ["s | not s", "s -> r0", "r3 -> r5 | r7"] + _choices(3))
         prog = compile_formula(f)
         ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
-        assert (ring_mask, None) in _parts(f, prog, frozenset(prog.atoms)) and ring_mask.bit_count() > _NARROW
+        assert (ring_mask, None) in _parts(f, prog, frozenset(prog.atoms))[0] and ring_mask.bit_count() > _NARROW
         candidates, stable = _packed_against_per_candidate(f)
         rejected = set(candidates) - set(stable)
         assert len(rejected) == 8 and all(m & ring_mask == ring_mask for m in rejected)
@@ -279,7 +287,7 @@ class TestPackedMinimality:
         f = _program(rules)
         prog = compile_formula(f)
         # x7 -> x2 | x8 makes the component no definition
-        parts = _parts(f, prog, frozenset(prog.atoms))
+        parts, _ = _parts(f, prog, frozenset(prog.atoms))
         assert [(p.bit_count(), clauses) for p, clauses in parts if p.bit_count() > 1] == [(9, None)]
         candidates, stable = _packed_against_per_candidate(f)
         x_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("x"))
@@ -290,7 +298,10 @@ class TestPackedMinimality:
         # a part of 17 true atoms needs 2**17 - 1 slots, past one run, so
         # only the chunked sweep decides it, and only for candidates that
         # every other part passes; the disjunctive head r3 -> r5 | r7 makes
-        # the ring no definition, which the fixpoint would decide instead
+        # the ring no definition, which the fixpoint would decide instead.
+        # The one-atom parts {t} and {u} are decided by their support
+        # conjuncts in the sweep; the part {s} of `s | not s` is left, and
+        # the candidate {u}, alone in its group, is swept for it
         calls = []
 
         def spy(prog, mask, a_mask, patterns):
@@ -305,25 +316,30 @@ class TestPackedMinimality:
         ring_atoms = frozenset(Atom(r) for r in ring)
         s, u = Atom("s"), Atom("u")
         assert got.as_set() == {frozenset({u}), ring_atoms | {s, u}}
-        # the sweep ran on the two candidates with the whole ring true
-        # that pass the other parts, not on ones that fail them (t true)
-        assert len(calls) == 2 and {c.bit_count() for c in calls} == {17}
+        # the sweep ran for the ring on the two candidates with the whole
+        # ring true that pass the other parts, not on ones that fail them
+        # (t true); the one other call checks {s} alone
+        assert sorted(c.bit_count() for c in calls) == [1, 17, 17]
 
     @pytest.mark.parametrize("extra, count", [([], 5), (["p1 -> p2", "p2 -> p1"], 4)])
     def test_wide_program_gets_one_part_per_component(self, extra, count):
         # a program of more than _NARROW atoms with two or more intensional
         # atoms takes its parts from the components, one atom each on the
-        # negative chain, unless a positive cycle joins two of them
+        # negative chain, unless a positive cycle joins two of them; a
+        # one-atom part `not p_i -> p_(i+1)` is a definition, so it comes as
+        # its support conjunct `p_(i+1) -> not p_i` instead of a part
         f = _program(_negchain(20) + extra)
-        prog = compile_formula(f)
+        prog, conjoin = compile_extensible(f)
         a = frozenset(Atom(f"p{i}") for i in range(5))
-        parts = _parts(f, prog, a)
-        assert len(parts) == count
-        assert sorted(_masks(parts)) == sorted(_scc_parts(f, prog, a))
+        parts, support = _parts(f, prog, a)
+        assert len(parts) + len(support) == count
+        bit = {x: 1 << b for b, x in enumerate(prog.atoms)}
+        supported = [bit[c.lhs.atom] for c in support]
+        assert sorted(_masks(parts) + supported) == sorted(_scc_parts(f, prog, a))
         every = range(len(prog.atoms))
         candidates = list(_candidate_models(prog, every, 0))
-        assert sorted(_stable_subset(prog, every, 0, parts, candidates)) == sorted(
-            _stable_subset(prog, every, 0, [(sum(_masks(parts)), None)], candidates)
+        assert sorted(_stable_models(prog, every, 0, parts, conjoin(support))) == sorted(
+            _stable_subset(prog, every, 0, [(sum(_masks(parts)) | sum(supported), None)], candidates)
         )
 
     def test_one_part_agrees_with_the_component_parts(self):
@@ -334,7 +350,9 @@ class TestPackedMinimality:
             f = gen_formula(GenConfig(seed=9100 + k, max_atoms=5, max_depth=3))
             prog = compile_formula(f)
             a = frozenset(x for x in prog.atoms if rng.random() < 0.8)
-            (one,) = _masks(_parts(f, prog, a)) or [0]
+            parts, support = _parts(f, prog, a)
+            assert not support
+            (one,) = _masks(parts) or [0]
             parts = _scc_parts(f, prog, a)
             assert one == sum(parts)
             every = range(len(prog.atoms))
@@ -369,8 +387,9 @@ class TestDefinitionParts:
         # every p atom is a part of one atom, with no clauses
         f, q_set, _ = _closure_with_choices("abc")
         prog = compile_formula(f)
-        parts = _parts(f, prog, frozenset(prog.atoms))
+        parts, support = _parts(f, prog, frozenset(prog.atoms))
         defined = [(p, clauses) for p, clauses in parts if clauses is not None]
+        assert not support
         assert len(parts) == 10 and len(defined) == 1
         q_mask, clauses = defined[0]
         assert {x for b, x in enumerate(prog.atoms) if q_mask >> b & 1} == q_set
@@ -398,7 +417,7 @@ class TestDefinitionParts:
         f = _program(_ring([f"r{i}" for i in range(8)]) + ["s | not s", "s -> r0"] + extra)
         prog = compile_formula(f)
         ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
-        (clauses,) = [c for p, c in _parts(f, prog, frozenset(prog.atoms)) if p == ring_mask]
+        (clauses,) = [c for p, c in _parts(f, prog, frozenset(prog.atoms))[0] if p == ring_mask]
         assert (clauses is not None) == defined
         candidates, stable = _packed_against_per_candidate(f)
         assert stable
@@ -411,10 +430,11 @@ class TestDefinitionParts:
         monkeypatch.setattr(stable_module, "_definition", lambda *args: calls.append(args) or real(*args))
         small = _program(_ring([f"r{i}" for i in range(_NARROW)]))
         prog = compile_formula(small)
-        assert _parts(small, prog, frozenset(prog.atoms)) == [((1 << _NARROW) - 1, None)]
+        assert _parts(small, prog, frozenset(prog.atoms)) == ([((1 << _NARROW) - 1, None)], [])
         wide = _program(_ring([f"r{i}" for i in range(_NARROW)]) + _choices(4))
         prog = compile_formula(wide)
-        assert all(clauses is None for _, clauses in _parts(wide, prog, frozenset(prog.atoms)))
+        assert _parts(wide, prog, frozenset(prog.atoms))[1] == []
+        assert all(clauses is None for _, clauses in _parts(wide, prog, frozenset(prog.atoms))[0])
         assert not calls
 
     def test_wide_definition_part_builds_no_counters_and_no_sweep(self, monkeypatch):
@@ -469,6 +489,62 @@ class TestDefinitionParts:
         for k in range(5):
             a = q_set | frozenset(x for x in sigma - q_set if (hash(x) >> k) & 1)
             assert enumerate_a_stable(f, a, sigma).as_set() == brute_a_stable(f, sigma, a)
+
+
+class TestSupportSweep:
+    """A one-atom part that is a definition is decided by its support
+    conjunct in the candidate sweep and never reaches `_stable_subset`."""
+
+    @staticmethod
+    def _spy(monkeypatch, name: str) -> list:
+        calls = []
+        real = getattr(stable_module, name)
+        monkeypatch.setattr(stable_module, name, lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        return calls
+
+    def test_negative_chain_sweeps_only_its_stable_models(self, monkeypatch):
+        # not p_i -> p_(i+1) over 18 atoms with p0 extensional: every part
+        # is a definition, so the sweep's two models are the answer and no
+        # segment is ever built
+        swept = []
+        real = stable_module._candidate_models
+        monkeypatch.setattr(stable_module, "_candidate_models", lambda *args: swept.append(real(*args)) or swept[-1])
+        columns = self._spy(monkeypatch, "_columns")
+        f = _program([f"not p{i} -> p{i + 1}" for i in range(17)])
+        sigma = atoms_of(f)
+        got = enumerate_a_stable(f, sigma - {Atom("p0")}, sigma)
+        assert got.as_set() == {frozenset(Atom(f"p{i}") for i in range(s, 18, 2)) for s in (0, 1)}
+        assert [len(c) for c in swept] == [2] and not columns
+
+    def test_support_conjuncts_of_a_program(self):
+        # the bodies are the very objects of the program; a self-supporting
+        # clause is left out, an atom with no clause must be false, a fact
+        # needs no conjunct, and `not q -> q` or a choice leaves a part
+        f = _program(["not a -> b", "c & b -> b", "d -> b", "e", "not f -> f", "g | not g", "h -> i", "i -> h"])
+        prog = compile_formula(f)
+        parts, support = _parts(f, prog, frozenset(prog.atoms))
+        bit = {x: 1 << k for k, x in enumerate(prog.atoms)}
+        assert sorted(_masks(parts)) == sorted([bit[Atom("f")], bit[Atom("g")], bit[Atom("h")] | bit[Atom("i")]])
+        by_head = {c.lhs.atom: c.rhs for c in support}
+        assert set(by_head) == {Atom(x) for x in "abcd"}
+        bodies = [c.lhs for c in _conjuncts(f) if type(c) is Impl and c.rhs == atom("b")]
+        assert set(map(id, by_head[Atom("b")].children)) <= set(map(id, bodies))
+        assert format_formula(by_head[Atom("b")]) == "d | not a"
+        assert all(by_head[Atom(x)] == BOT for x in "acd")
+
+    def test_narrow_programs_never_call_clause(self, monkeypatch):
+        # a program of at most _NARROW atoms takes one run over every
+        # assignment and recognizes nothing; one atom more does
+        calls = self._spy(monkeypatch, "_clause")
+        for k in range(200):
+            f = gen_formula(GenConfig(seed=9700 + k, max_atoms=_NARROW, max_depth=3))
+            sigma = atoms_of(f)
+            assert enumerate_a_stable(f, sigma, sigma).as_set() == brute_a_stable(f, sigma, sigma)
+        f = _program(_negchain(_NARROW))
+        enumerate_a_stable(f, atoms_of(f))
+        assert not calls
+        enumerate_a_stable(_program(_negchain(_NARROW + 1)), {Atom("p1")})
+        assert calls
 
 
 def _cycle_colouring(n: int) -> list[str]:

@@ -8,9 +8,11 @@ from astable import (
     Disj,
     Impl,
     atoms_of,
+    conj,
     enumerate_a_stable,
     parse_formula,
     parse_interpretation,
+    parse_program,
 )
 from astable.verifier import (
     GenConfig,
@@ -207,3 +209,61 @@ class TestStableDefinitionMutations:
 
         monkeypatch.setattr(stable, "_clause", first_disjunct)
         assert run_suite("stable_definition", self.CFG).fails > 0
+
+
+class TestStableSupportMutations:
+    """Each mutation of the support route, patched in here, fails the
+    `stable_support` suite: the suite sees which clauses a support conjunct
+    keeps, which parts it decides, and which program the parts left are
+    checked against."""
+
+    CFG = GenConfig(iterations=40)  # as test_every_suite_green_at_default_seed, which passes
+
+    # r and t support each other only, so no model makes them true, and
+    # `not not q` asks for q; the chain past x1 pads the program past one
+    # run over every assignment
+    PADDED = "r -> t. t -> r. r -> q. not not q. x1 | not x1. not x1 -> x2. not x2 -> x3. not x3 -> x4."
+
+    def test_keeping_self_supporting_clauses_fails(self, monkeypatch):
+        from astable import stable
+
+        real = stable._clause
+
+        def kept(c, q):
+            # `H & q -> q` read as `H -> q` for a part of one atom
+            clause = real(c, q)
+            return (clause[0], frozenset(), clause[2]) if clause is not None and len(q) == 1 else clause
+
+        monkeypatch.setattr(stable, "_clause", kept)
+        assert run_suite("stable_support", self.CFG).fails > 0
+
+    def test_deciding_a_two_atom_cycle_by_its_support_fails(self, monkeypatch):
+        from astable import stable
+
+        real = stable.components
+
+        def split(g):
+            # each two-atom component as two parts of one atom, which
+            # then count as definitions decided by their support conjuncts
+            comps, _ = real(g)
+            out = [piece for c in comps for piece in ([frozenset((x,)) for x in c] if len(c) == 2 else [c])]
+            return out, {x: k for k, c in enumerate(out) for x in c}
+
+        monkeypatch.setattr(stable, "components", split)
+        assert run_suite("stable_support", self.CFG).fails > 0
+
+    def test_checking_the_parts_left_against_the_swept_program_fails(self, monkeypatch):
+        from astable import splitting, stable
+
+        real = stable._stable_models
+
+        def swept_only(prog, var, here, parts, swept=None):
+            return real(swept or prog, var, here, parts, swept)
+
+        f = conj(parse_program(self.PADDED))
+        assert len(atoms_of(f)) > stable._NARROW
+        assert len(enumerate_a_stable(f, atoms_of(f))) == 0
+        monkeypatch.setattr(stable, "_stable_models", swept_only)
+        monkeypatch.setattr(splitting, "_stable_models", swept_only)
+        assert len(enumerate_a_stable(f, atoms_of(f))) == 2
+        assert run_suite("stable_support", self.CFG).fails > 0
