@@ -271,6 +271,15 @@ def _bit_pattern(bit: int, width: int) -> int:
     return v
 
 
+@functools.cache  # one per chunk width: up to 2**16 bits, about 256 KB in all
+def _chunk_patterns(cb: int) -> tuple[int, ...]:
+    """`_bit_pattern(b, 2**cb)` for each b < cb: the vectors of the low
+    atoms of a chunk of 2**cb assignments, built on first use and shared
+    by every sweep of that width."""
+    width = 1 << cb
+    return tuple(_bit_pattern(b, width) for b in range(cb))
+
+
 _AND, _OR, _IMPL = 0, 1, 2
 
 
@@ -525,13 +534,14 @@ def truth_chunks(
     ones = (1 << width) - 1
     index = {a: b for b, a in enumerate(var_atoms)}
     values = [ones if a in true_atoms else 0 for a in prog.atoms]
+    low = _chunk_patterns(cb)
     high = []
     for k, a in enumerate(prog.atoms):
         b = index.get(a)
         if b is None:
             continue
         if b < cb:
-            values[k] = _bit_pattern(b, width)
+            values[k] = low[b]
         else:
             high.append((k, b - cb))
 

@@ -48,10 +48,10 @@ from .stable import (
     Part,
     _check_cap,
     _conjuncts,
+    _decode,
     _definition,
     _definition_models,
     _parts,
-    _spread,
     _stable_models,
     enumerate_a_stable,
     format_interpretation,
@@ -251,10 +251,13 @@ def _extend_frontier(
     (`stable._definition_models`).  Every other unit is the enumerator's
     job and is done by the enumerator's routine, `stable._stable_models`,
     with the unit's dependency blocks as its parts (see `stable._parts`).
-    The parts, the clauses and the solutions depend only on the shape of
-    the program, where the unit atoms sit in it and which others are true,
-    so `solved` shares them between isomorphic units, such as the ground
-    instances of one rule.
+    `stable._decode` spreads the extensions to the bits over sigma, one
+    call per context, or one for every context of a definition unit,
+    which may have thousands with one extension each.  The parts, the
+    clauses and the solutions depend only on the shape of the program,
+    where the unit atoms sit in it and which others are true, so `solved`
+    shares them between isomorphic units, such as the ground instances of
+    one rule.
     """
     unit: list[int] = []  # positions over prog.atoms
     sig_bits: list[int] = []
@@ -291,14 +294,16 @@ def _extend_frontier(
                 if ctx & sig_bit:
                     here |= prog_bit
             heres[ctx] = here
-    new = [here for here in dict.fromkeys(heres.values()) if here not in shape]
+    new = [here for here in heres.values() if here not in shape]  # contexts and heres correspond one to one
     if clauses is None:
         for here in new:
             shape[here] = _stable_models(prog, unit, here, parts, swept)
-    elif new:
-        for here, c in zip(new, _definition_models(prog, unit, clauses, new)):
-            shape[here] = [c]
-    memo = {ctx: [_spread(c, sig_bits) for c in shape[here]] for ctx, here in heres.items()}
+        memo = {ctx: _decode(shape[here], sig_bits, sum) for ctx, here in heres.items()}
+    else:  # one extension per context: all of them over sigma in one decoding
+        if new:
+            for here, c in zip(new, _definition_models(prog, unit, clauses, new)):
+                shape[here] = [c]
+        memo = dict(zip(heres, zip(_decode([shape[here][0] for here in heres.values()], sig_bits, sum))))
     size = sum(len(memo[m & ctx_mask]) for m in frontier)
     if size > 1 << max_atoms:
         raise CapExceeded(

@@ -30,6 +30,7 @@ from .formula import (
     Program,
     SignatureError,
     _bit_pattern,
+    _chunk_patterns,
     atoms_of,
     check_signature,
     compile_extensible,
@@ -345,10 +346,10 @@ def _candidate_models(prog: Program, var: Sequence[int], here: int) -> list[int]
     return candidates
 
 
-def _ht_minimal(prog: Program, mask: int, a_mask: int, patterns: dict[int, list[int]]) -> bool:
+def _ht_minimal(prog: Program, mask: int, a_mask: int) -> bool:
     """True iff the interpretation I with bitmask `mask` over prog.atoms is
-    A-stable, A given by `a_mask`: one here-and-there sweep over J.
-    `patterns` caches the low free atoms' vectors per chunk width.
+    A-stable, A given by `a_mask`: one here-and-there sweep over J, the
+    low free atoms taking the shared vectors of `_chunk_patterns`.
 
     J ranges over I - A plus any subset of the free atoms I & A.  In
     <J, I>, atoms outside I are 0, atoms of I - A are 1, and an implication
@@ -364,11 +365,8 @@ def _ht_minimal(prog: Program, mask: int, a_mask: int, patterns: dict[int, list[
     here = 1 << width
     ones = (here << 1) - 1
     values = [ones if mask >> b & 1 else 0 for b in range(len(prog.atoms))]
-    low = patterns.get(cb)
-    if low is None:
-        low = patterns[cb] = [_bit_pattern(j, width) | here for j in range(cb)]
-    for b, pattern in zip(free, low):
-        values[b] = pattern
+    for b, pattern in zip(free, _chunk_patterns(cb)):
+        values[b] = pattern | here
     high = free[cb:]
     last = (1 << len(high)) - 1
     for hi in range(last + 1):
@@ -384,7 +382,7 @@ def _ht_minimal(prog: Program, mask: int, a_mask: int, patterns: dict[int, list[
 def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) -> bool:
     """Same answer as `is_a_stable`, by one fused here-and-there sweep over
     every J between I - A and I: the check `enumerate_a_stable` runs for a
-    part of A too wide for a segment."""
+    part of A wider than `_NARROW` that is no definition."""
     prog = compile_formula(f)
     i = frozenset(interp)
     a = frozenset(a)
@@ -392,7 +390,7 @@ def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) 
         return False  # an intensional atom f never mentions is unsupported
     mask = sum(1 << b for b, x in enumerate(prog.atoms) if x in i)
     a_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x in a)
-    return _ht_minimal(prog, mask, a_mask, {})
+    return _ht_minimal(prog, mask, a_mask)
 
 
 _NARROW = 6  # a part this small gets a slot per nonempty subset; so few atoms take one run in all
@@ -634,7 +632,7 @@ def _rows(masks: Iterable[int], n: int) -> bytes:
     return "".join(map(format, masks, itertools.repeat(f"0{n}b"))).encode().translate(_BITS)
 
 
-@functools.cache  # sizes sorted, each at most 16: few distinct keys
+@functools.cache  # sizes sorted, each at most _NARROW: few distinct keys
 def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """The segment of one candidate I when its parts have these sizes.
 
@@ -655,16 +653,14 @@ def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...], i
 def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -> tuple[tuple[int, ...], int, int, int]:
     """Every atom's column for one packed run over `batch` (bitmasks over
     n atoms), one segment per member laid out as `_layout` of the sizes in
-    `slotted`, a list of (part mask, size).
+    `slotted`, a list of (part mask, size), each part of at most `_NARROW`
+    atoms and its size their number.
 
-    A part of at most `_NARROW` atoms has one position per atom, and a
-    slot whose J would drop an atom outside I is dead.  A wider part has
-    size k, the number of its atoms in every member of the batch, and
-    position t is the member's t-th true atom of the part, counted by
-    bit-sliced counters over the run.  Every column is built for the whole
-    batch at once from the members' binary rows.  Returns the columns, the
-    mask of the live slots, the mask of every segment's bit 0 and the
-    segment width.
+    A part has one position per atom, and a slot whose J would drop an
+    atom outside I is dead.  Every column is built for the whole batch at
+    once from the members' binary rows.  Returns the columns, the mask of
+    the live slots, the mask of every segment's bit 0 and the segment
+    width.
     """
     sizes = tuple(s for _, s in slotted)
     width = _layout(sizes)[0]
@@ -680,25 +676,11 @@ def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -
     dead = 0
     for (part, _), vecs in zip(slotted, drops):
         bits = [b for b in range(n) if part >> b & 1]
-        if len(bits) <= _NARROW:
-            for b, d in zip(bits, vecs):
-                fill = values[b]
-                t = fill & d
-                values[b] = fill ^ t
-                dead |= d ^ t
-            continue
-        depth = (len(vecs) - 1).bit_length()
-        counter = [0] * depth  # bit q of each segment's count of true part atoms so far
-        vecs = [*vecs, *[0] * ((1 << depth) - len(vecs))]
-        for b in bits:
+        for b, d in zip(bits, vecs):
             fill = values[b]
-            pick = vecs
-            for m in counter:
-                pick = [x ^ ((x ^ y) & m) for x, y in zip(pick[::2], pick[1::2])]
-            values[b] = fill ^ (pick[0] & fill)
-            carry = fill
-            for q, c in enumerate(counter):
-                counter[q], carry = c ^ carry, c & carry
+            t = fill & d
+            values[b] = fill ^ t
+            dead |= d ^ t
     return tuple(values), every_slot ^ dead, first, width
 
 
@@ -714,16 +696,6 @@ def _replicated(sizes: tuple[int, ...], count: int) -> tuple[tuple[tuple[int, ..
         return int.from_bytes(v.to_bytes(nbytes, "little") * count, "little")
 
     return tuple(tuple(map(repeat, vecs)) for vecs in drops), repeat(every_slot), repeat(1)
-
-
-def _spread(c: int, bits: Sequence[int]) -> int:
-    """The union of bits[j] over the bits j set in c."""
-    out = 0
-    for b in bits:
-        if c & 1:
-            out |= b
-        c >>= 1
-    return out
 
 
 def _verdicts(prog: Program, var: Sequence[int], here: int, run: tuple, batch: Sequence[int]) -> list[int]:
@@ -779,14 +751,16 @@ def _stable_subset(
     at once, by comparing its atoms with that fixpoint
     (`_definition_passed`); no subset J of I is ever inspected for it.
 
-    The survivors are checked for the other parts.  They are grouped by
-    how many atoms of each part wider than `_NARROW` they make true, and
-    each group is checked in packed runs, one segment per candidate and as
-    many segments per run as fit in `_RUN_BITS`.  When a group's segment
-    would pass the bits of one run, its widest parts are left out of the
-    segment and checked by one chunked sweep per candidate that every other
-    part passes; so are all parts of a group of one candidate, for which
-    building columns costs more than the sweeps.
+    The survivors are checked for the other parts.  A part of at most
+    `_NARROW` atoms takes the slots of its nonempty subsets in a segment
+    per candidate, and the candidates are checked in packed runs, as many
+    segments per run as fit in `_RUN_BITS`.  Every wider part, and a part
+    whose segment would pass the bits of one run (the widest first), is
+    checked by one chunked sweep, `_ht_minimal`, per candidate that every
+    other part passes; so are all parts of a lone candidate, for which
+    building columns costs more than the sweeps.  A candidate that holds
+    no atom of a swept part has no J below it for that part and is
+    C-stable for it without a sweep.
     """
     defined = [part for part in parts if part[1] is not None]
     if defined:
@@ -794,32 +768,24 @@ def _stable_subset(
         if len(defined) == len(parts):
             return candidates
     masks = [p for p, clauses in parts if clauses is None]
-    narrow = [(p, p.bit_count()) for p in masks if p.bit_count() <= _NARROW]
-    wide = [p for p in masks if p.bit_count() > _NARROW]
-    if wide:
-        counts = zip(*(map(int.bit_count, map(p.__and__, candidates)) for p in wide))
-        pairs = sorted(zip(counts, candidates))
-        groups = [(k, [m for _, m in g]) for k, g in itertools.groupby(pairs, key=itemgetter(0))]
-    else:
-        groups = [((), candidates)]
-    patterns: dict[int, list[int]] = {}
-    stable: list[int] = []
-    for counts, group in groups:
-        slotted = sorted(narrow + [(p, k) for p, k in zip(wide, counts) if k], key=itemgetter(1))
-        swept = []
-        while slotted and (len(group) == 1 or sum(1 << s for _, s in slotted) - len(slotted) >= _RUN_BITS):
-            swept.append(slotted.pop()[0])
+    swept = [p for p in masks if p.bit_count() > _NARROW]
+    slotted = sorted(((p, p.bit_count()) for p in masks if p.bit_count() <= _NARROW), key=itemgetter(1))
+    while slotted and (len(candidates) == 1 or sum(1 << s for _, s in slotted) - len(slotted) >= _RUN_BITS):
+        swept.append(slotted.pop()[0])
+    passed = candidates
+    if slotted:
         passed = []
         per_run = _RUN_BITS // _layout(tuple(s for _, s in slotted))[0]
-        for start in range(0, len(group), per_run):
-            batch = group[start : start + per_run]
-            passed += _verdicts(prog, var, here, _columns(len(var), slotted, batch), batch) if slotted else batch
-        for part in swept:
-            bits = [1 << b for b in var]
-            a_mask = _spread(part, bits)
-            passed = [c for c in passed if _ht_minimal(prog, here | _spread(c, bits), a_mask, patterns)]
-        stable += passed
-    return stable
+        for start in range(0, len(candidates), per_run):
+            batch = candidates[start : start + per_run]
+            passed += _verdicts(prog, var, here, _columns(len(var), slotted, batch), batch)
+    if swept and passed:
+        bits = [1 << b for b in var]
+        pairs = list(zip(passed, _decode(passed, bits, sum)))  # each with its bitmask over prog.atoms
+        for a_mask in _decode(swept, bits, sum):
+            pairs = [(c, m) for c, m in pairs if not m & a_mask or _ht_minimal(prog, here | m, a_mask)]
+        passed = [c for c, _ in pairs]
+    return passed
 
 
 def _stable_models(
@@ -877,10 +843,11 @@ def enumerate_a_stable(
     are the candidates stable for every such part, and when no part is
     left they are the answer.  A part wider than `_NARROW` that is a
     definition is decided for every candidate by one bit-parallel
-    fixpoint run (see `_stable_subset`).  The other parts are decided in
-    shared packed here-and-there runs on f itself, where only a part too
-    wide for a segment gets a chunked sweep per candidate in
-    `_ht_minimal`.  The sweep (`_candidate_models`) skips every chunk that
+    fixpoint run (see `_stable_subset`).  The other parts of at most
+    `_NARROW` atoms are decided in shared packed here-and-there runs on f
+    itself, and a wider one by a chunked sweep in `_ht_minimal` for each
+    candidate that holds one of its atoms and passes every other part.
+    The sweep (`_candidate_models`) skips every chunk that
     one Kleene run of the program rules out, and past `_CHUNK_BITS` atoms
     it makes the atoms read by the most ops the high atoms, which fix each
     chunk, when that leaves fewer chunks alive.
@@ -910,5 +877,5 @@ def enumerate_a_stable(
         joins = [0]
         for x in free:
             joins += [j | bit[x] for j in joins]
-        masks = [m | j for m in [_spread(c, core) for c in masks] for j in joins]
+        masks = [m | j for m in _decode(masks, core, sum) for j in joins]
     return ModelSet.from_masks(masks, order, sig)

@@ -149,6 +149,22 @@ def _case_text(**fields) -> str:
     return "\n".join(f"{k}: {v}" for k, v in fields.items())
 
 
+def _models_text(models: ModelSet) -> str:
+    """The models on one line, or `(none)`."""
+    return " ".join(models.lines()) or "(none)"
+
+
+def _quiet_modular_solve(conjuncts: Sequence[Formula], a: frozenset[Atom], sigma: frozenset[Atom]) -> ModelSet:
+    """`modular_solve` with its fallback warnings, expected in a suite, muted."""
+    split_log = logging.getLogger(modular_solve.__module__)
+    level = split_log.level
+    split_log.setLevel(logging.ERROR)
+    try:
+        return modular_solve(conjuncts, a, sigma)
+    finally:
+        split_log.setLevel(level)
+
+
 def _format_edges(g: DepGraph) -> str:
     return "; ".join(f"{u}->{v}" for u, v in sorted(g.edges)) or "(none)"
 
@@ -501,8 +517,8 @@ def _suite_split_lemma(rng, cfg, unsound):
         formula=format_formula(f),
         part1=format_interpretation(p1),
         part2=format_interpretation(p2),
-        joint_models=" ".join(joint.lines()) or "(none)",
-        split_models=" ".join(split.lines()) or "(none)",
+        joint_models=_models_text(joint),
+        split_models=_models_text(split),
     )
 
 
@@ -555,8 +571,8 @@ def _suite_split_theorem(rng, cfg, unsound):
         formula_g=format_formula(g),
         a1=format_interpretation(a1),
         a2=format_interpretation(a2),
-        joint_models=" ".join(joint.lines()) or "(none)",
-        split_models=" ".join(split.lines()) or "(none)",
+        joint_models=_models_text(joint),
+        split_models=_models_text(split),
     )
 
 
@@ -601,20 +617,14 @@ def _suite_stable_modular(rng, cfg, unsound):
         p, q = (AtomRef(x) for x in rng.sample(pool, 2))
         conjuncts += [Impl(neg(p), q), Impl(neg(q), p)]
     a = _rand_subset(rng, pool, 0.7)  # the rest are extensional: several contexts
-    split_log = logging.getLogger(modular_solve.__module__)
-    level = split_log.level
-    split_log.setLevel(logging.ERROR)  # fallback warnings are expected here
-    try:
-        got = modular_solve(conjuncts, a, sigma)
-    finally:
-        split_log.setLevel(level)
+    got = _quiet_modular_solve(conjuncts, a, sigma)
     want = _reference_models(conj(conjuncts), a, pool)
     return got == want, lambda: _case_text(
         suite="stable_modular",
         program=" ".join(format_formula(c) + "." for c in conjuncts),
         a_set=format_interpretation(a),
-        modular_models=" ".join(got.lines()) or "(none)",
-        reference_models=" ".join(want.lines()) or "(none)",
+        modular_models=_models_text(got),
+        reference_models=_models_text(want),
     )
 
 
@@ -654,8 +664,8 @@ def _suite_stable_packed(rng, cfg, unsound):
         suite="stable_packed",
         formula=format_formula(f),
         a_set=format_interpretation(a),
-        packed_models=" ".join(got.lines()) or "(none)",
-        reference_models=" ".join(want.lines()) or "(none)",
+        packed_models=_models_text(got),
+        reference_models=_models_text(want),
     )
 
 
@@ -706,8 +716,8 @@ def _suite_stable_scc(rng, cfg, unsound):
         suite="stable_scc",
         formula=format_formula(f),
         a_set=format_interpretation(a),
-        scc_models=" ".join(got.lines()) or "(none)",
-        reference_models=" ".join(want.lines()) or "(none)",
+        scc_models=_models_text(got),
+        reference_models=_models_text(want),
     )
 
 
@@ -772,13 +782,7 @@ def _suite_stable_definition(rng, cfg, unsound):
             conjuncts.append(Impl(neg(x) if rng.random() < 0.4 else x, head))
         else:
             conjuncts.append(head)
-    split_log = logging.getLogger(modular_solve.__module__)
-    level = split_log.level
-    split_log.setLevel(logging.ERROR)  # fallback warnings are expected here
-    try:
-        modular = modular_solve(conjuncts, a, frozenset(pool))
-    finally:
-        split_log.setLevel(level)
+    modular = _quiet_modular_solve(conjuncts, a, frozenset(pool))
     f = conj(conjuncts)
     enumerated = enumerate_a_stable(f, a, frozenset(pool))
     want = _reference_models(f, a, pool)
@@ -786,9 +790,9 @@ def _suite_stable_definition(rng, cfg, unsound):
         suite="stable_definition",
         program=" ".join(format_formula(c) + "." for c in conjuncts),
         a_set=format_interpretation(a),
-        enumerated_models=" ".join(enumerated.lines()) or "(none)",
-        modular_models=" ".join(modular.lines()) or "(none)",
-        reference_models=" ".join(want.lines()) or "(none)",
+        enumerated_models=_models_text(enumerated),
+        modular_models=_models_text(modular),
+        reference_models=_models_text(want),
     )
 
 
@@ -856,13 +860,7 @@ def _suite_stable_support(rng, cfg, unsound):
         else:
             conjuncts.append(neg(conj((literal(), literal()))))
     a = frozenset(pool) if rng.random() < 0.7 else _rand_subset(rng, pool, 0.85)
-    split_log = logging.getLogger(modular_solve.__module__)
-    level = split_log.level
-    split_log.setLevel(logging.ERROR)  # fallback warnings are expected here
-    try:
-        modular = modular_solve(conjuncts, a, frozenset(pool))
-    finally:
-        split_log.setLevel(level)
+    modular = _quiet_modular_solve(conjuncts, a, frozenset(pool))
     f = conj(conjuncts)
     enumerated = enumerate_a_stable(f, a, frozenset(pool))
     want = _reference_models(f, a, pool)
@@ -870,9 +868,9 @@ def _suite_stable_support(rng, cfg, unsound):
         suite="stable_support",
         program=" ".join(format_formula(c) + "." for c in conjuncts),
         a_set=format_interpretation(a),
-        enumerated_models=" ".join(enumerated.lines()) or "(none)",
-        modular_models=" ".join(modular.lines()) or "(none)",
-        reference_models=" ".join(want.lines()) or "(none)",
+        enumerated_models=_models_text(enumerated),
+        modular_models=_models_text(modular),
+        reference_models=_models_text(want),
     )
 
 

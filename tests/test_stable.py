@@ -43,7 +43,7 @@ from astable.stable import (
     _stable_subset,
 )
 import astable.stable as stable_module
-from astable.verifier import GenConfig, _gen_program, gen_formula
+from astable.verifier import GenConfig, _gen_program, _reference_models, gen_formula
 
 from util import all_subsets, brute_a_stable, guard_program, tc_definition
 
@@ -212,7 +212,7 @@ def _packed_against_per_candidate(f):
     a_mask = (1 << len(prog.atoms)) - 1
     every = range(len(prog.atoms))
     candidates = list(_candidate_models(prog, every, 0))
-    reference = [m for m in candidates if _ht_minimal(prog, m, a_mask, {})]
+    reference = [m for m in candidates if _ht_minimal(prog, m, a_mask)]
     parts, support = _parts(f, prog, frozenset(prog.atoms))
     swept = _candidate_models(conjoin(support), every, 0) if support else candidates
     stable = _stable_subset(prog, every, 0, parts, swept)
@@ -247,9 +247,9 @@ class TestPackedMinimality:
 
     def test_unsupported_ring_takes_the_rank_path(self):
         # s feeds a positive 10-ring; with s false the true ring has only
-        # the witness that drops all ten ring atoms, the last slot of a part
-        # wider than _NARROW; the disjunctive head r3 -> r5 | r7 makes the
-        # ring no definition, so the rank path decides it
+        # the witness that drops all ten ring atoms; the disjunctive head
+        # r3 -> r5 | r7 makes the ring, a part wider than _NARROW, no
+        # definition, so its own chunked sweep decides it
         f = _program(_ring([f"r{i}" for i in range(10)]) + ["s | not s", "s -> r0", "r3 -> r5 | r7"] + _choices(3))
         prog = compile_formula(f)
         ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
@@ -279,7 +279,7 @@ class TestPackedMinimality:
         # a 9-atom component whose models make any number of its atoms true:
         # x_i & c_i -> x_(i+1) and x_(i+1) -> x_i, each link switched by a
         # choice c_i, so candidates differ in how many and which ring atoms
-        # they hold, and the rank of an atom varies from candidate to candidate
+        # they hold, and each candidate's sweep frees a different set of them
         xs = [f"x{i}" for i in range(9)]
         rules = [f"{x} & c{i} -> {y}" for i, (x, y) in enumerate(zip(xs, xs[1:] + xs[:1]))]
         rules += [f"{y} -> {x}" for x, y in zip(xs, xs[1:])]
@@ -301,12 +301,12 @@ class TestPackedMinimality:
         # the ring no definition, which the fixpoint would decide instead.
         # The one-atom parts {t} and {u} are decided by their support
         # conjuncts in the sweep; the part {s} of `s | not s` is left, and
-        # the candidate {u}, alone in its group, is swept for it
+        # it keeps its slot in the packed segment of every candidate
         calls = []
 
-        def spy(prog, mask, a_mask, patterns):
+        def spy(prog, mask, a_mask):
             calls.append(a_mask)
-            return _ht_minimal(prog, mask, a_mask, patterns)
+            return _ht_minimal(prog, mask, a_mask)
 
         monkeypatch.setattr(stable_module, "_ht_minimal", spy)
         ring = [f"r{i}" for i in range(17)]
@@ -318,8 +318,8 @@ class TestPackedMinimality:
         assert got.as_set() == {frozenset({u}), ring_atoms | {s, u}}
         # the sweep ran for the ring on the two candidates with the whole
         # ring true that pass the other parts, not on ones that fail them
-        # (t true); the one other call checks {s} alone
-        assert sorted(c.bit_count() for c in calls) == [1, 17, 17]
+        # (t true), nor on {u}, which holds no ring atom
+        assert sorted(c.bit_count() for c in calls) == [17, 17]
 
     @pytest.mark.parametrize("extra, count", [([], 5), (["p1 -> p2", "p2 -> p1"], 4)])
     def test_wide_program_gets_one_part_per_component(self, extra, count):
@@ -360,6 +360,90 @@ class TestPackedMinimality:
             assert sorted(_stable_subset(prog, every, 0, [(one, None)] if one else [], candidates)) == sorted(
                 _stable_subset(prog, every, 0, [(p, None) for p in parts], candidates)
             )
+
+
+def _switched_ring(n: int) -> list[str]:
+    """The program of `test_ranks_inside_a_wide_part` over an n-ring:
+    x_i & c_i -> x_(i+1) and x_(i+1) -> x_i, each link switched by a
+    choice c_i, the choice x4 | not x4, and x7 -> x2 | x8, which makes the
+    ring no definition."""
+    xs = [f"x{i}" for i in range(n)]
+    rules = [f"{x} & c{i} -> {y}" for i, (x, y) in enumerate(zip(xs, xs[1:] + xs[:1]))]
+    rules += [f"{y} -> {x}" for x, y in zip(xs, xs[1:])]
+    return rules + _choices(n) + ["x4 | not x4", "x7 -> x2 | x8"]
+
+
+def _sparse_cycle(n: int, unchosen: set[int]) -> list[str]:
+    """An n-cycle of x_i & x_(i+1) -> x_(i+1), one positive component,
+    with no two neighbours true and a choice for every x_i but the
+    unchosen ones: its candidates hold a few of its atoms, and one with an
+    unchosen atom true is unsupported.  The choices make it no definition."""
+    xs = [f"x{i}" for i in range(n)]
+    rules = [f"{x} & {y} -> {y}" for x, y in zip(xs, xs[1:] + xs[:1])]
+    rules += [f"not ({x} & {y})" for x, y in zip(xs, xs[1:] + xs[:1])]
+    return rules + [f"{x} | not {x}" for i, x in enumerate(xs) if i not in unchosen]
+
+
+def _unsupported_ring() -> list[str]:
+    """The program of `test_unsupported_ring_takes_the_rank_path`."""
+    return _ring([f"r{i}" for i in range(10)]) + ["s | not s", "s -> r0", "r3 -> r5 | r7"] + _choices(3)
+
+
+def _wide_parts(f):
+    """The bitmasks of the parts of f, everything intensional, that are
+    wider than `_NARROW` and no definition."""
+    prog = compile_formula(f)
+    return [p for p, clauses in _parts(f, prog, frozenset(prog.atoms))[0] if clauses is None and p.bit_count() > _NARROW]
+
+
+class TestWidePartsAgainstTheReference:
+    """A part wider than `_NARROW` that is no definition is decided by one
+    `_ht_minimal` sweep per candidate that holds one of its atoms; these
+    check whole enumerations against the reference `is_a_stable`."""
+
+    def test_unsupported_ring(self):
+        f = _program(_unsupported_ring())
+        pool = sorted(atoms_of(f))
+        assert len(_wide_parts(f)) == 1
+        got = enumerate_a_stable(f, frozenset(pool), frozenset(pool))
+        assert got == _reference_models(f, frozenset(pool), pool) and len(got) == 16
+
+    def test_sparse_cycle(self):
+        f = _program(_sparse_cycle(14, {2, 5, 9, 12}))
+        pool = sorted(atoms_of(f))
+        assert [p.bit_count() for p in _wide_parts(f)] == [14]
+        got = enumerate_a_stable(f, frozenset(pool), frozenset(pool))
+        assert got == _reference_models(f, frozenset(pool), pool) and len(got) == 225
+
+    def test_switched_ring(self):
+        # the reference over all 18 atoms takes minutes, so A is the ring
+        # and the choices are extensional: the part stays the 9-atom ring,
+        # and the classical models come from one sweep, not from `satisfies`
+        # on each of the 2**18 interpretations as in `_reference_models`
+        f = _program(_switched_ring(9))
+        prog = compile_formula(f)
+        ring = frozenset(x for x in prog.atoms if x.name.startswith("x"))
+        classical = ModelSet.from_masks(_candidate_models(prog, range(len(prog.atoms)), 0), prog.atoms, ring | atoms_of(f))
+        want = {i for i in classical if is_a_stable(f, i, ring)}
+        got = enumerate_a_stable(f, ring, atoms_of(f))
+        assert [p.bit_count() for p in _wide_parts(f)] == [9]
+        assert got.as_set() == want and len(want) == 1024
+
+    def test_no_sweep_for_a_candidate_without_the_part(self, monkeypatch):
+        # the 10-ring's candidates with no ring atom true are stable for the
+        # ring as they are: every sweep checks a candidate holding ring atoms
+        calls = []
+        monkeypatch.setattr(
+            stable_module, "_ht_minimal", lambda prog, mask, a_mask: calls.append((mask, a_mask)) or _ht_minimal(prog, mask, a_mask)
+        )
+        f = _program(_unsupported_ring())
+        prog = compile_formula(f)
+        (ring,) = _wide_parts(f)
+        candidates = _candidate_models(prog, range(len(prog.atoms)), 0)
+        sigma = atoms_of(f)
+        assert len(enumerate_a_stable(f, sigma, sigma)) == 16
+        assert calls and all(mask & a_mask for mask, a_mask in calls) and {a_mask for _, a_mask in calls} == {ring}
+        assert len(calls) == sum(1 for m in candidates if m & ring) < len(candidates)
 
 
 def _closure_with_choices(elements):
@@ -439,8 +523,8 @@ class TestDefinitionParts:
 
     def test_wide_definition_part_builds_no_counters_and_no_sweep(self, monkeypatch):
         # the 17-ring seeded by s: a definition, so one fixpoint run decides
-        # it for every candidate; no segment holds it (no rank counters)
-        # and no chunked sweep checks it
+        # it for every candidate; no segment holds it and no chunked sweep
+        # checks it
         sweeps, runs, widest = [], [], []
         monkeypatch.setattr(stable_module, "_ht_minimal", lambda *args: sweeps.append(args) or _ht_minimal(*args))
         real_columns = stable_module._columns
