@@ -230,16 +230,22 @@ def _build(
 def ground(f: FOSentence, m: FOInterpretation) -> Formula:
     """Ground formula of the closed sentence f under m.
 
-    Predicate atoms become ground atoms over element names, equalities become
-    top or bot, connectives map through, and quantifiers expand to set-valued
-    conjunctions or disjunctions over the domain.
+    Predicate atoms become ground atoms over element names, one `AtomRef`
+    per distinct ground atom shared by its occurrences; equalities become
+    top or bot, connectives map through, and quantifiers expand to
+    set-valued conjunctions or disjunctions over the domain.
     """
     infer_arities([f], m.arities)
+    atoms: dict[tuple[str, tuple[str, ...]], AtomRef] = {}  # one per distinct ground atom
 
     def leaf(g: FOSentence, env: dict[str, str]) -> Formula:
         t = type(g)
         if t is FOAtom:
-            return AtomRef(Atom(g.pred, tuple([_eval_term(a, env, m) for a in g.args])))
+            key = (g.pred, tuple([_eval_term(a, env, m) for a in g.args]))
+            ref = atoms.get(key)
+            if ref is None:
+                ref = atoms[key] = AtomRef(Atom(*key))
+            return ref
         if t is FOEq:
             return TOP if _eval_term(g.lhs, env, m) == _eval_term(g.rhs, env, m) else BOT
         return TOP if t is FOTop else BOT
@@ -338,19 +344,21 @@ def fo_dep_graph(f: FOSentence, preds: Sequence[str]) -> DepGraph:
 
 
 def _term(p: _Parser) -> Term:
-    _, text, line, col = p.expect("ident")
+    at = p.pos
+    text = p.expect("ident")
     if text in ("not", "top", "bot", "forall", "exists"):
-        raise ParseError(f"{text!r} is reserved", line, col)
+        p.fail(f"{text!r} is reserved", at)
     return Var(text) if text[0].isupper() else Cst(text)
 
 
 def _operand(p: _Parser) -> FOSentence | _Group:
-    text = p.peek()[1]
+    text = p.texts[p.pos]
     if text in ("forall", "exists"):
         p.pos += 1
-        _, var, line, col = p.expect("ident")
+        at = p.pos
+        var = p.expect("ident")
         if not var[0].isupper():
-            raise ParseError(f"quantified variable must be uppercase: {var!r}", line, col)
+            p.fail(f"quantified variable must be uppercase: {var!r}", at)
         p.expect("(")
         return _Group(")", partial(FOForall if text == "forall" else FOExists, var))
     if text == "top":
@@ -360,7 +368,7 @@ def _operand(p: _Parser) -> FOSentence | _Group:
         p.pos += 1
         return FOBot()
     first = _term(p)
-    if p.peek()[0] == "=":
+    if p.kinds[p.pos] == "=":
         p.pos += 1
         return FOEq(first, _term(p))
     if isinstance(first, Var):

@@ -331,7 +331,9 @@ def _candidate_models(prog: Program, var: Sequence[int], here: int) -> list[int]
     offset = 0
     step = 1 << min(len(var), _CHUNK_BITS)
     for chunk in truth_chunks(prog, [atoms[b] for b in order], chunk_bits=_CHUNK_BITS, **context):
-        if chunk:
+        if chunk and not chunk & (chunk - 1):  # one model
+            candidates.append(offset + chunk.bit_length() - 1)
+        elif chunk:
             # one scan of the binary text: position p holds bit top - p
             text = bin(chunk)
             top = offset + len(text) - 1

@@ -16,18 +16,24 @@ Grammar (UTF-8, `%` starts a line comment):
 `&`/`|` chains collapse into one set-valued node, `not f` into `f -> bot`.
 A program denotes the conjunction of its formulas.
 
-One compiled regex splits the text into tokens, and one loop with an
+The text becomes two flat lists, token texts and token kinds, by one
+`findall` of the token regex over the text with its comments removed; a
+stray character shows as a gap that the tokens and blanks leave, which
+one count finds.  Line and column are computed only for an error, by a
+walk over the same regex up to the token at fault.  One loop with an
 explicit stack of open brackets parses formulas of this grammar and
 sentences of the first-order one in `fo`, so nesting depth is bounded by
-memory, not by Python's recursion limit.
+memory, not by Python's recursion limit.  A parse builds one `AtomRef`
+per distinct atom and shares it between the atom's occurrences.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from itertools import islice, repeat
+from typing import Callable, NamedTuple, NoReturn
 
-from .formula import KEYWORDS, Atom, AtomRef, BOT, Conj, Disj, Formula, Impl, TOP, neg
+from .formula import KEYWORDS, Atom, AtomRef, BOT, Conj, Disj, Formula, Impl, TOP, conj, disj, neg
 
 
 class ParseError(ValueError):
@@ -37,35 +43,54 @@ class ParseError(ValueError):
         self.col = col
 
 
-# Groups: 1 a newline, 2 a word, 3 punctuation, 4 any other character;
-# blanks and comments match no group.  Words are ASCII, so a non-ASCII
-# letter is an unexpected character; a word is an identifier only if it
-# starts with a letter or `_`, which `\w` alone does not check.
-_TOKEN_RE = re.compile(r"(\n)|[ \t\r]+|%[^\n]*|(\w+)|(->|[&|(){};,.=])|(.)", re.ASCII)
+# A token is an identifier (ASCII, starting with a letter or `_`), `->` or
+# one punctuation character.  Outside comments, which run from `%` to the
+# end of their line, blanks are the only other characters allowed.
+_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|->|[&|(){};,.=]", re.ASCII)
+_COMMENT_RE = re.compile(r"%[^\n]*")
+_BLANKS = " \t\r\n"
+_KINDS = {p: p for p in ("->", "&", "|", "(", ")", "{", "}", ";", ",", ".", "=")}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """Tokens as (kind, text, line, column) tuples, ending with an "eof"
-    token; kind is "ident" or the punctuation itself."""
-    toks = []
-    line, bol = 1, 0  # bol: the offset where the current line begins
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group is None:
-            continue
-        at = m.start()
-        if group == 1:
-            line += 1
-            bol = at + 1
-            continue
-        word = m.group(group)
-        if group == 4 or (group == 2 and not (word[0].isalpha() or word[0] == "_")):
-            raise ParseError(f"unexpected character {word[0]!r}", line, at - bol + 1)
-        toks.append(("ident" if group == 2 else word, word, line, at - bol + 1))
-    # a comment that ends the input leaves the end-of-input column where it starts
-    end = text.find("%", bol)
-    toks.append(("eof", "", line, (len(text) if end < 0 else end) - bol + 1))
-    return toks
+def _tokenize(text: str) -> tuple[str, list[str], list[str]]:
+    """The text without its comments, then its token texts and kinds, both
+    ending with the end-of-input token ("" of kind "eof"); a kind is
+    "ident" or the punctuation itself.
+
+    Removing a comment moves no token to another line or column, and it
+    leaves the end of input where a comment that ends the input starts, so
+    a position in the returned text is the position in the input.  The
+    tokens and blanks cover the text unless it holds a stray character.
+    """
+    if "%" in text:
+        text = _COMMENT_RE.sub("", text)
+    texts = _TOKEN_RE.findall(text)
+    if sum(map(len, texts)) + sum(map(text.count, _BLANKS)) != len(text):
+        _stray(text)
+    kinds = list(map(_KINDS.get, texts, repeat("ident")))
+    texts.append("")
+    kinds.append("eof")
+    return text, texts, kinds
+
+
+def _stray(text: str) -> NoReturn:
+    """Raise the error of the first character of text that is neither a
+    blank nor part of a token: the first one left when one walk over the
+    token regex blanks out every token."""
+    blanked = _TOKEN_RE.sub(lambda m: " " * len(m[0]), text)
+    at = len(blanked) - len(blanked.lstrip(_BLANKS))
+    raise ParseError(f"unexpected character {text[at]!r}", *_line_col(text, at))
+
+
+def _locate(text: str, index: int) -> tuple[int, int]:
+    """Line and column of token `index` of a comment-free text, by one walk
+    over the token regex; the end of input when index counts every token."""
+    m = next(islice(_TOKEN_RE.finditer(text), index, None), None)
+    return _line_col(text, len(text) if m is None else m.start())
+
+
+def _line_col(text: str, at: int) -> tuple[int, int]:
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 class _Group:
@@ -85,8 +110,9 @@ class _Grammar(NamedTuple):
     """What a grammar gives the shared parse loop: the noun of its errors,
     its operand reader (called on an identifier other than `not`, it
     returns a node or opens a `_Group`), and its node builders for `not`,
-    `->` and the `|` and `&` chains; the loop reuses the list it passes to a
-    chain builder, so the builder must not keep it."""
+    `->` and the `|` and `&` chains of at least two operands; the loop
+    reuses the list it passes to a chain builder, so the builder must not
+    keep it."""
 
     noun: str
     operand: Callable[["_Parser"], object]
@@ -101,41 +127,37 @@ _BINDS = {"->": 0, "|": 1, "&": 2}
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text, self.texts, self.kinds = _tokenize(text)
         self.pos = 0
+        self.atoms: dict[tuple[str, tuple[str, ...]], AtomRef] = {}  # one per distinct atom
 
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.toks[self.pos]
+    def fail(self, message: str, at: int | None = None) -> NoReturn:
+        """Raise message at token `at`, by default the current token."""
+        raise ParseError(message, *_locate(self.text, self.pos if at is None else at))
 
-    def expect(self, kind: str) -> tuple[str, str, int, int]:
-        t = self.toks[self.pos]
-        if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {t[1] or 'end of input'!r}", t[2], t[3])
-        self.pos += 1
-        return t
-
-    def fail(self, message: str):
-        t = self.toks[self.pos]
-        raise ParseError(message, t[2], t[3])
-
-    def at_eof(self) -> bool:
-        return self.toks[self.pos][0] == "eof"
+    def expect(self, kind: str) -> str:
+        """The text of the current token, which must be of this kind."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.fail(f"expected {kind!r}, found {self.texts[pos] or 'end of input'!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def end(self, what: str) -> None:
-        if not self.at_eof():
+        if self.kinds[self.pos] != "eof":
             self.fail(f"trailing input after {what}")
 
     def commas(self, item: Callable[["_Parser"], object]) -> list:
         """`item { "," item }`."""
         out = [item(self)]
-        while self.toks[self.pos][0] == ",":
+        while self.kinds[self.pos] == ",":
             self.pos += 1
             out.append(item(self))
         return out
 
     def arguments(self, item: Callable[["_Parser"], object]) -> tuple:
         """An optional `"(" item { "," item } ")"` after a name."""
-        if self.toks[self.pos][0] != "(":
+        if self.kinds[self.pos] != "(":
             return ()
         self.pos += 1
         out = self.commas(item)
@@ -143,24 +165,33 @@ class _Parser:
         return tuple(out)
 
     def name(self) -> str:
-        return self.expect("ident")[1]
+        return self.expect("ident")
+
+    def atom_ref(self) -> AtomRef:
+        """An atom, as the one `AtomRef` of this parse for it."""
+        at = self.pos
+        name = self.expect("ident")
+        if name in KEYWORDS:
+            self.fail(f"{name!r} is reserved and cannot name an atom", at)
+        key = (name, self.arguments(_Parser.name))
+        ref = self.atoms.get(key)
+        if ref is None:
+            ref = self.atoms[key] = AtomRef(Atom(*key))
+        return ref
 
     def atom(self) -> Atom:
-        _, text, line, col = self.expect("ident")
-        if text in KEYWORDS:
-            raise ParseError(f"{text!r} is reserved and cannot name an atom", line, col)
-        return Atom(text, self.arguments(_Parser.name))
+        return self.atom_ref().atom
 
     def formula(self, g: _Grammar) -> object:
         """One formula of grammar g.  Each open bracket keeps the operand
         chains of the formula around it and the `not`s before it."""
-        toks = self.toks
+        kinds = self.kinds
         groups: list[tuple[_Group, tuple[list, list, list], int]] = []
         chains: tuple[list, list, list] = ([], [], [])  # operands of `&`, `|`, `->`
         nots = 0
         while True:
-            kind, text, line, col = toks[self.pos]
-            if kind == "ident" and text == "not":
+            kind = kinds[self.pos]
+            if kind == "ident" and self.texts[self.pos] == "not":
                 self.pos += 1
                 nots += 1
                 continue
@@ -170,29 +201,38 @@ class _Parser:
             elif kind == "ident":
                 node = g.operand(self)
             else:
-                raise ParseError(f"expected a {g.noun}, found {text or 'end of input'!r}", line, col)
+                self.fail(f"expected a {g.noun}, found {self.texts[self.pos] or 'end of input'!r}")
             if type(node) is _Group:
                 groups.append((node, chains, nots))
                 chains, nots = ([], [], []), 0
                 continue
             while True:  # node is a finished operand
-                for _ in range(nots):
+                while nots:
                     node = g.neg(node)
-                nots = 0
+                    nots -= 1
                 conjs, disjs, impls = chains
-                conjs.append(node)
-                level = _BINDS.get(toks[self.pos][0], -1)
-                if level < 2:  # the `&` chain ends
-                    disjs.append(g.conj(conjs))
+                level = _BINDS.get(kinds[self.pos], -1)
+                if level == 2:
+                    conjs.append(node)
+                    self.pos += 1
+                    break
+                if conjs:  # the `&` chain ends
+                    conjs.append(node)
+                    node = g.conj(conjs)
                     conjs.clear()
-                if level < 1:  # the `|` chain ends
-                    impls.append(g.disj(disjs))
+                if level == 1:
+                    disjs.append(node)
+                    self.pos += 1
+                    break
+                if disjs:  # the `|` chain ends
+                    disjs.append(node)
+                    node = g.disj(disjs)
                     disjs.clear()
-                if level >= 0:
+                if level == 0:
+                    impls.append(node)
                     self.pos += 1
                     break
                 # the formula ends: `->` nests to the right, then its bracket closes
-                node = impls.pop()
                 while impls:
                     node = g.impl(impls.pop(), node)
                 if not groups:
@@ -200,7 +240,7 @@ class _Parser:
                 group, outer, outer_nots = groups[-1]
                 if group.items is not None:
                     group.items.append(node)
-                    if toks[self.pos][0] == ";":
+                    if kinds[self.pos] == ";":
                         self.pos += 1
                         break
                 self.expect(group.closer)
@@ -214,18 +254,14 @@ class _Parser:
     def program(self, g: _Grammar) -> list:
         """A sequence of '.'-terminated formulas of grammar g."""
         out = []
-        while not self.at_eof():
+        while self.kinds[self.pos] != "eof":
             out.append(self.formula(g))
             self.expect(".")
         return out
 
 
-def _set_node(node: type) -> Callable[[list], Formula]:
-    return lambda parts: parts[0] if len(parts) == 1 else node(tuple(parts))
-
-
 def _operand(p: _Parser) -> Formula | _Group:
-    text = p.peek()[1]
+    text = p.texts[p.pos]
     if text == "top":
         p.pos += 1
         return TOP
@@ -236,14 +272,14 @@ def _operand(p: _Parser) -> Formula | _Group:
         p.pos += 1
         p.expect("{")
         node = Conj if text == "And" else Disj
-        if p.peek()[0] == "}":
+        if p.kinds[p.pos] == "}":
             p.pos += 1
             return node(())
         return _Group("}", node, [])
-    return AtomRef(p.atom())
+    return p.atom_ref()
 
 
-_GROUND = _Grammar("formula", _operand, neg, Impl, _set_node(Disj), _set_node(Conj))
+_GROUND = _Grammar("formula", _operand, neg, Impl, disj, conj)
 
 
 def parse_formula(text: str) -> Formula:
@@ -278,7 +314,7 @@ def parse_interpretation(text: str) -> frozenset[Atom]:
     """Parse the `{a,b,c}` rendering of an interpretation."""
     p = _Parser(text.strip())
     p.expect("{")
-    atoms = [] if p.peek()[0] == "}" else p.commas(_Parser.atom)
+    atoms = [] if p.kinds[p.pos] == "}" else p.commas(_Parser.atom)
     p.expect("}")
     p.end("interpretation")
     return frozenset(atoms)

@@ -53,6 +53,7 @@ from .formula import (
     disj,
     equivalent,
     format_formula,
+    format_program,
     neg,
     reduct,
     satisfies,
@@ -68,6 +69,7 @@ from .stable import (
     is_a_stable_ht,
     modred,
 )
+from .syntax import ParseError, parse_program
 
 DEFAULT_SEED = 1729
 
@@ -904,6 +906,87 @@ def _suite_sweep_kleene(rng, cfg, unsound):
     )
 
 
+# The characters of a one-character edit: those of tokens and blanks, and
+# some that no token may hold, or not where they land.
+_EDIT_CHARS = "abept_ \t->&|(){};,.=@\u00e91%\n"
+
+
+def _stray_index(text: str) -> int | None:
+    """The index of the first character outside every comment that no
+    token may hold where it stands, found by a scan of the characters: a
+    character that is no ASCII letter, digit, `_`, blank or punctuation, a
+    digit that starts a word, a `-` before anything but `>`, or a `>` after
+    anything but `-`."""
+    in_comment = False
+    for i, c in enumerate(text):
+        if in_comment:
+            in_comment = c != "\n"
+        elif c == "%":
+            in_comment = True
+        elif c.isascii() and c.isdigit():
+            before = text[i - 1] if i else " "
+            if not (before.isascii() and (before.isalnum() or before == "_")):
+                return i
+        elif c == "-":
+            if text[i + 1 : i + 2] != ">":
+                return i
+        elif c == ">":
+            if text[i - 1 : i] != "-":
+                return i
+        elif not (c in " \t\r\n&|(){};,.=_" or c.isascii() and c.isalpha()):
+            return i
+    return None
+
+
+def _edit_problem(text: str) -> str | None:
+    """None when text parses, or when its `ParseError` is the one that the
+    characters confirm: for a stray character, the error names it at its
+    position; otherwise the reported token starts at the position, or the
+    input ends there or a trailing comment starts there."""
+    stray = _stray_index(text)
+    try:
+        parse_program(text)
+    except ParseError as exc:
+        lines = text.split("\n")
+        at = sum(len(ln) + 1 for ln in lines[: exc.line - 1]) + exc.col - 1
+        message = str(exc).split(": ", 1)[1]
+        if stray is not None:
+            want = f"unexpected character {text[stray]!r}"
+            return None if (at, message) == (stray, want) else f"want {want} at index {stray}: {exc}"
+        # the token the message quotes, after "found" or else first; every
+        # token's repr is the token in single quotes
+        quoted = message.rsplit("found ", 1)[1] if "found " in message else message.split(" ", 1)[0]
+        token = quoted[1:-1]
+        if token == "end of input":
+            rest = text[at:]
+            ok = at == len(text) or rest.startswith("%") and "\n" not in rest
+        else:
+            ok = text.startswith(token, at)
+        return None if ok else f"{token!r} is not at index {at}: {exc}"
+    return None if stray is None else f"parsed with a stray {text[stray]!r} at index {stray}"
+
+
+def _suite_syntax_roundtrip(rng, cfg, unsound):
+    """Random formulas or a rule-shaped program, some of whose atoms have
+    arguments, must print and parse back equal; then one random insertion,
+    deletion or replacement of a character in the printed text must parse
+    or fail where a scan of its characters confirms (`_edit_problem`)."""
+    pool = _atom_pool(rng.randint(1, 4)) + [Atom("p", ("a",)), Atom("e", ("a", "b"))][: rng.randint(0, 2)]
+    if rng.random() < 0.5:
+        formulas = [_gen(rng, pool, rng.randint(0, cfg.max_depth), cfg) for _ in range(rng.randint(1, 3))]
+    else:
+        formulas = _gen_program(rng, pool, rng.randint(1, 6))
+    text = format_program(formulas)
+    i = rng.randint(0, len(text))
+    op = rng.choice(("insert", "delete", "replace"))
+    edited = text[:i] + ("" if op == "delete" else rng.choice(_EDIT_CHARS)) + text[i + (op != "insert") :]
+    back = parse_program(text)
+    problem = "the printed text parses to other formulas" if back != formulas else _edit_problem(edited)
+    return problem is None, lambda: _case_text(
+        suite="syntax_roundtrip", text=repr(text), edited=repr(edited), problem=problem
+    )
+
+
 def _suite_definitions_theorem(rng, cfg, unsound):
     d = _gen_definition(rng, cfg)
     if isinstance(d, Rejection):
@@ -999,6 +1082,7 @@ _SUITES: dict[str, Callable] = {
     "sweep_kleene": _suite_sweep_kleene,
     "definitions_theorem": _suite_definitions_theorem,
     "prop4_grounding": _suite_prop4_grounding,
+    "syntax_roundtrip": _suite_syntax_roundtrip,
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))

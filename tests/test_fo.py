@@ -115,6 +115,13 @@ MALFORMED = [
     ("#domain a, .\nq.", "1:1: empty domain element"),
     ("#domain a, B.\nq.", "1:1: domain elements must be lowercase: 'B'"),
     ("#domain _a.\nq.", "1:1: domain elements must be lowercase: '_a'"),
+    ("#domain a.\r\np(X) &\r\n\tq(", "3:4: expected 'ident', found 'end of input'"),
+    ("#domain a.\np(a) ->\t\t@.", "2:10: unexpected character '@'"),
+    ("#domain a.\nforall X (p(X)) % trailing", "2:17: expected '.', found 'end of input'"),
+    ("#domain a.\n" + "p(a).\n" * 998 + "q(a) r.", "1000:6: expected '.', found 'r'"),
+    ("#domain a, b.\ne(a, b) & e(a, b) -> e(a, b) e(a, b).", "2:30: expected '.', found 'e'"),
+    ("#domain a.\nnot (", "2:6: expected a sentence, found 'end of input'"),
+    ("#domain a.\np(a,", "2:5: expected 'ident', found 'end of input'"),
 ]
 
 
@@ -183,6 +190,23 @@ class TestGround:
         s = parse_fo_sentence("p(a) & p(a, b)")
         with pytest.raises(GroundingError, match="arity"):
             ground(s, FOInterpretation.herbrand(("a", "b")))
+
+    def test_each_distinct_ground_atom_is_built_once_per_call(self, monkeypatch):
+        s = parse_fo_sentence("forall X (forall Y (forall Z (e(X,Y) & t(Y,Z) -> t(X,Z))))")
+        m = FOInterpretation.herbrand(("a", "b", "c"))
+        want = ground(s, m)
+        built = []
+        new = Atom.__new__
+
+        def counting(cls, name, args=()):
+            built.append((name, args))
+            return new(cls, name, args)
+
+        monkeypatch.setattr(Atom, "__new__", counting)
+        for _ in range(2):  # 81 occurrences of 18 distinct atoms
+            assert ground(s, m) == want
+            assert len(built) == 18
+            built.clear()
 
     def test_rank_bounded_by_syntax_depth(self):
         def depth(s):

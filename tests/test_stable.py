@@ -714,6 +714,17 @@ class TestHighAtoms:
             assert (order == list(prog.atoms)) == same
             assert order[-1] == (Atom("zh") if same else Atom("c"))
 
+    def test_a_chunk_of_one_model_is_read_without_its_binary_text(self, monkeypatch):
+        texts = []
+        monkeypatch.setattr(stable_module, "bin", lambda c: texts.append(c) or bin(c), raising=False)
+        # one model, all 18 atoms true, in the last of four chunks
+        chain = compile_formula(_program(["p0"] + [f"p{i} -> p{i + 1}" for i in range(17)]))
+        assert _candidate_models(chain, range(18), 0) == [(1 << 18) - 1]
+        assert texts == []
+        choices = compile_formula(_program([f"x{i} | not x{i}" for i in range(3)]))
+        assert sorted(_candidate_models(choices, range(3), 0)) == list(range(8))
+        assert len(texts) == 1
+
     @pytest.mark.parametrize("n", [5, 6, 8])
     def test_cycle_colourings_match_the_closed_form(self, n):
         # the chromatic polynomial of C_n at 3 colours: 2**n + 2 (-1)**n;

@@ -1,5 +1,6 @@
 import pytest
 
+from astable import syntax
 from astable import (
     Atom,
     Conj,
@@ -19,6 +20,7 @@ from astable import (
     parse_interpretation,
     parse_program,
 )
+from astable.fo import parse_fo_program
 from astable.verifier import GenConfig, gen_formula
 
 P, Q, R = atom("p"), atom("q"), atom("r")
@@ -121,6 +123,17 @@ MALFORMED = [
     ("p(a,).", "1:5: expected 'ident', found ')'"),
     ("p(,a).", "1:3: expected 'ident', found ','"),
     ("e(a,b.", "1:6: expected ')', found '.'"),
+    ("p.\r\nq &\r\n\tr s.", "3:4: expected '.', found 's'"),
+    ("p.\r\n\tq ->\t@.", "2:7: unexpected character '@'"),
+    ("\tp\t&\tq\t(", "1:9: expected 'ident', found 'end of input'"),
+    ("p.\nq -> % no newline at the end", "2:6: expected a formula, found 'end of input'"),
+    ("p.\n" * 999 + "q r.", "1000:3: expected '.', found 'r'"),
+    ("e(a,b) & e(a,b) -> e(a,b) | p(c).\ne(a,b) & p(c) p(c).", "2:15: expected '.', found 'p'"),
+    ("p(a) & p(a) & p(a) -> p(a) ->.", "1:30: expected a formula, found '.'"),
+    ("not (", "1:6: expected a formula, found 'end of input'"),
+    ("p -> not (", "1:11: expected a formula, found 'end of input'"),
+    ("p(a,", "1:5: expected 'ident', found 'end of input'"),
+    ("q | p(a,", "1:9: expected 'ident', found 'end of input'"),
 ]
 
 
@@ -161,6 +174,50 @@ class TestDepth:
         with pytest.raises(ParseError) as err:
             parse_formula("And{" * self.N + "p")
         assert str(err.value) == f"1:{4 * self.N + 2}: expected '}}', found 'end of input'"
+
+
+_ATOMS = ["p", "q(a)", "r(a,b)", "s", "t(b)"]
+
+
+class TestScaling:
+    """Parse cost is checked by deterministic counts, never by wall time."""
+
+    TEXT = "".join(f"{a} & {b}.\n" for a, b in zip(_ATOMS * 500, _ATOMS[1:] * 625))  # 5,000 atoms
+
+    def test_each_distinct_atom_is_built_once_per_parse(self, monkeypatch):
+        built = []
+        new = Atom.__new__
+
+        def counting(cls, name, args=()):
+            built.append((name, args))
+            return new(cls, name, args)
+
+        monkeypatch.setattr(Atom, "__new__", counting)
+        for _ in range(2):
+            formulas = parse_program(self.TEXT)
+            assert len(formulas) == 2500 and len(built) == 5
+            built.clear()
+        atoms = parse_atom_list("p(a),q,p(a)")
+        assert len(built) == 2
+        assert atoms == [Atom("p", ("a",)), Atom("q"), Atom("p", ("a",))]
+
+    def test_occurrences_share_one_atom_node(self):
+        first, second = parse_program("p(a) & q. p(a).")
+        assert first.children[0] is second
+
+    def test_a_valid_parse_never_locates_a_token(self, monkeypatch):
+        located = []
+        for name in ("_locate", "_line_col"):
+            monkeypatch.setattr(syntax, name, lambda *args: located.append(args) or (1, 1))
+        parse_program(self.TEXT + "% a comment\r\n\tnot (p -> And{q(a); Or{}}).")
+        parse_formula("p & (q -> r)")
+        parse_atom_list("p(a), q")
+        parse_interpretation("{p, q(a,b)}")
+        parse_fo_program("#domain a.\nforall X (p(X) -> q). % c")
+        assert located == []
+        with pytest.raises(ParseError):
+            parse_program(self.TEXT + "p q.")
+        assert len(located) == 1
 
 
 class TestPrint:

@@ -267,3 +267,37 @@ class TestStableSupportMutations:
         monkeypatch.setattr(splitting, "_stable_models", swept_only)
         assert len(enumerate_a_stable(f, atoms_of(f))) == 2
         assert run_suite("stable_support", self.CFG).fails > 0
+
+
+class TestSyntaxRoundtripMutations:
+    """Each fault of the parser, patched in here, fails the
+    `syntax_roundtrip` suite: the suite sees the grammar, the positions of
+    errors and the stray-character check."""
+
+    CFG = GenConfig(iterations=40)  # as test_every_suite_green_at_default_seed, which passes
+
+    def test_swapping_the_binding_of_and_and_or_fails(self, monkeypatch):
+        from astable import syntax
+
+        monkeypatch.setattr(syntax, "_BINDS", {"->": 0, "|": 2, "&": 1})
+        assert run_suite("syntax_roundtrip", self.CFG).fails > 0
+
+    def test_a_column_one_too_far_fails(self, monkeypatch):
+        from astable import syntax
+
+        real = syntax._line_col
+        monkeypatch.setattr(syntax, "_line_col", lambda text, at: (real(text, at)[0], real(text, at)[1] + 1))
+        assert run_suite("syntax_roundtrip", self.CFG).fails > 0
+
+    def test_locating_the_next_token_fails(self, monkeypatch):
+        from astable import syntax
+
+        real = syntax._locate
+        monkeypatch.setattr(syntax, "_locate", lambda text, index: real(text, index + 1))
+        assert run_suite("syntax_roundtrip", self.CFG).fails > 0
+
+    def test_skipping_stray_characters_fails(self, monkeypatch):
+        from astable import syntax
+
+        monkeypatch.setattr(syntax, "_stray", lambda text: None)
+        assert run_suite("syntax_roundtrip", self.CFG).fails > 0
