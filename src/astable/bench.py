@@ -12,13 +12,12 @@ signature exceeds the enumeration cap.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import time
-from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .formula import Atom, AtomRef, Formula, Impl, atoms_of, conj, disj, neg
+from .records import Record
 from .splitting import modular_solve, plan_split
 from .stable import DEFAULT_MAX_ATOMS, enumerate_a_stable
 
@@ -70,20 +69,26 @@ def truncate_chain(conjuncts: Sequence[Formula], prefix_atoms: Sequence[Atom]) -
     return [c for c in conjuncts if atoms_of(c) <= keep]
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    instance: str
-    atoms: int
-    blocks: int
-    naive_micros: int | None
-    modular_micros: int
-    models: int
+class BenchRow(Record):
+    __slots__ = ("instance", "atoms", "blocks", "naive_micros", "modular_micros", "models")
+
+    def __init__(
+        self, instance: str, atoms: int, blocks: int, naive_micros: int | None, modular_micros: int, models: int
+    ) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "naive_micros", naive_micros)
+        object.__setattr__(self, "modular_micros", modular_micros)
+        object.__setattr__(self, "models", models)
 
 
-@dataclass(frozen=True)
-class BenchInstance:
-    name: str
-    conjuncts: tuple[Formula, ...]
+class BenchInstance(Record):
+    __slots__ = ("name", "conjuncts")
+
+    def __init__(self, name: str, conjuncts: tuple[Formula, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "conjuncts", conjuncts)
 
     @property
     def signature(self) -> frozenset[Atom]:
@@ -138,6 +143,8 @@ CSV_COLUMNS = ("instance", "atoms", "blocks", "naive_micros", "modular_micros", 
 
 
 def write_csv(rows: Sequence[BenchRow], out: IO[str]) -> None:
+    import csv  # only `astable bench` writes CSV: other CLI runs do not load it
+
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
     for r in rows:

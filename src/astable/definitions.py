@@ -13,10 +13,10 @@ stable models in one-to-one correspondence (drop the Q atoms to go back).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
 from .formula import Atom, AtomRef, Conj, Formula, Impl, atoms_of, conj, satisfies
+from .records import Record
 from .stable import (
     DEFAULT_MAX_ATOMS,
     Interpretation,
@@ -33,27 +33,38 @@ class DefinitionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Clause:
-    body: Formula
-    pos_q: frozenset[Atom]
-    head: Atom
+class Clause(Record):
+    __slots__ = ("body", "pos_q", "head")
+
+    def __init__(self, body: Formula, pos_q: frozenset[Atom], head: Atom) -> None:
+        _set_body(self, body)
+        _set_pos_q(self, pos_q)
+        _set_head(self, head)
 
 
-@dataclass(frozen=True)
-class Rejection:
-    offender: Formula
-    reason: str
+_set_body = Clause.body.__set__
+_set_pos_q = Clause.pos_q.__set__
+_set_head = Clause.head.__set__
+
+
+class Rejection(Record):
+    __slots__ = ("offender", "reason")
+
+    def __init__(self, offender: Formula, reason: str) -> None:
+        object.__setattr__(self, "offender", offender)
+        object.__setattr__(self, "reason", reason)
 
     def __str__(self) -> str:
         return f"{self.reason}: {self.offender}"
 
 
-@dataclass(frozen=True)
-class DefinitionModule:
-    clauses: tuple[Clause, ...]
-    q_set: frozenset[Atom]
-    source: Formula
+class DefinitionModule(Record):
+    __slots__ = ("clauses", "q_set", "source")
+
+    def __init__(self, clauses: tuple[Clause, ...], q_set: frozenset[Atom], source: Formula) -> None:
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "q_set", q_set)
+        object.__setattr__(self, "source", source)
 
     @property
     def is_explicit(self) -> bool:
@@ -130,8 +141,7 @@ def intersection_oracle(
     return frozenset(meet)
 
 
-@dataclass(frozen=True)
-class ConservativityReport:
+class ConservativityReport(Record):
     """Either a certified pairing of stable models or a counterexample.
 
     When certified, `models` holds the stable models of f & definition and
@@ -139,9 +149,12 @@ class ConservativityReport:
     pairs with its bitmask outside them.
     """
 
-    models: ModelSet | None
-    q_mask: int
-    counterexample: str | None
+    __slots__ = ("models", "q_mask", "counterexample")
+
+    def __init__(self, models: ModelSet | None, q_mask: int, counterexample: str | None) -> None:
+        object.__setattr__(self, "models", models)
+        object.__setattr__(self, "q_mask", q_mask)
+        object.__setattr__(self, "counterexample", counterexample)
 
     @property
     def bijection(self) -> bool:

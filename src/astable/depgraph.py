@@ -12,49 +12,56 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count, repeat
 from typing import AbstractSet, Iterator, Sequence
 
 from .formula import Atom, AtomRef, Disj, Formula, Impl
+from .records import Record
 
 
 class PartitionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DepGraph:
-    vertices: frozenset[Atom]
-    edges: frozenset[tuple[Atom, Atom]]
+class DepGraph(Record):
+    __slots__ = ("vertices", "edges", "_succ")
 
-    def __post_init__(self) -> None:
-        succ: dict[Atom, list[Atom]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
+    def __init__(self, vertices: frozenset[Atom], edges: frozenset[tuple[Atom, Atom]]) -> None:
+        succ: dict[Atom, list[Atom]] = {v: [] for v in vertices}
+        for u, v in edges:
             if u not in succ or v not in succ:
                 raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
             succ[u].append(v)
         for targets in succ.values():
             targets.sort()
+        _set_vertices(self, vertices)
+        _set_edges(self, edges)
         # the sorted successor lists, built once and read by every graph routine
-        object.__setattr__(self, "_succ", succ)
+        _set_succ(self, succ)
 
     def successors(self, v: Atom) -> list[Atom]:
         return list(self._succ.get(v, ()))
 
 
-@dataclass(frozen=True)
-class Partition2:
+class Partition2(Record):
     """Two disjoint (possibly empty) atom sets."""
 
-    part1: frozenset[Atom]
-    part2: frozenset[Atom]
+    __slots__ = ("part1", "part2")
 
-    def __post_init__(self) -> None:
-        overlap = self.part1 & self.part2
+    def __init__(self, part1: frozenset[Atom], part2: frozenset[Atom]) -> None:
+        overlap = part1 & part2
         if overlap:
             names = ", ".join(str(a) for a in sorted(overlap))
             raise PartitionError(f"partition parts overlap on: {names}")
+        _set_part1(self, part1)
+        _set_part2(self, part2)
+
+
+_set_vertices = DepGraph.vertices.__set__
+_set_edges = DepGraph.edges.__set__
+_set_succ = DepGraph._succ.__set__
+_set_part1 = Partition2.part1.__set__
+_set_part2 = Partition2.part2.__set__
 
 
 def _signed_atoms(f: Formula, positive: bool, antecedents: bool) -> frozenset[Atom]:

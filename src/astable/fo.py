@@ -21,12 +21,12 @@ predicates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .depgraph import DepGraph, dep_graph
 from .formula import Atom, AtomRef, BOT, Conj, Disj, Formula, Impl, TOP
+from .records import Record
 from .stable import is_a_stable
 from .syntax import ParseError, _Grammar, _Group, _Parser
 
@@ -35,90 +35,113 @@ class GroundingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Term(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Cst:
-    name: str
+class Var(_Term):
+    __slots__ = ()
+
+
+class Cst(_Term):
+    __slots__ = ()
 
 
 Term = Var | Cst
 
 
-class FOSentence:
+class FOSentence(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FOAtom(FOSentence):
-    pred: str
-    args: tuple[Term, ...] = ()
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[Term, ...] = ()) -> None:
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
 class FOEq(FOSentence):
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Term, rhs: Term) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
 class FOTop(FOSentence):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FOBot(FOSentence):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FOAnd(FOSentence):
-    lhs: FOSentence
-    rhs: FOSentence
+class _FOConnective(FOSentence):
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: FOSentence, rhs: FOSentence) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class FOOr(FOSentence):
-    lhs: FOSentence
-    rhs: FOSentence
+class FOAnd(_FOConnective):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FOImpl(FOSentence):
-    lhs: FOSentence
-    rhs: FOSentence
+class FOOr(_FOConnective):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FOForall(FOSentence):
-    var: str
-    body: FOSentence
+class FOImpl(_FOConnective):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FOExists(FOSentence):
-    var: str
-    body: FOSentence
+class _FOQuantifier(FOSentence):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: FOSentence) -> None:
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
+
+
+class FOForall(_FOQuantifier):
+    __slots__ = ()
+
+
+class FOExists(_FOQuantifier):
+    __slots__ = ()
 
 
 def fo_neg(f: FOSentence) -> FOImpl:
     return FOImpl(f, FOBot())
 
 
-@dataclass
-class FOInterpretation:
+class FOInterpretation(Record):
     """A finite interpretation: named domain elements, a constant map, and
-    one extent per predicate."""
+    one extent per predicate.  Unlike the other records it is mutable and
+    unhashable."""
 
-    domain: tuple[str, ...]
-    const_map: dict[str, str] = field(default_factory=dict)
-    extents: dict[str, frozenset[tuple[str, ...]]] = field(default_factory=dict)
-    arities: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("domain", "const_map", "extents", "arities")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        domain: tuple[str, ...],
+        const_map: dict[str, str] | None = None,
+        extents: dict[str, frozenset[tuple[str, ...]]] | None = None,
+        arities: dict[str, int] | None = None,
+    ) -> None:
+        self.domain = domain
+        self.const_map = {} if const_map is None else const_map
+        self.extents = {} if extents is None else extents
+        self.arities = {} if arities is None else arities
         if not self.domain:
             raise GroundingError("the domain must be non-empty")
         if len(set(self.domain)) != len(self.domain):
@@ -148,10 +171,12 @@ class FOInterpretation:
         return cls(dom, {e: e for e in dom}, ext, dict(arities or {}))
 
 
-@dataclass(frozen=True)
-class FOProgram:
-    domain: tuple[str, ...]
-    sentences: tuple[FOSentence, ...]
+class FOProgram(Record):
+    __slots__ = ("domain", "sentences")
+
+    def __init__(self, domain: tuple[str, ...], sentences: tuple[FOSentence, ...]) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "sentences", sentences)
 
 
 def _eval_term(t: Term, env: dict[str, str], m: FOInterpretation) -> str:
@@ -227,16 +252,20 @@ def _build(
     return done[0]
 
 
-def ground(f: FOSentence, m: FOInterpretation) -> Formula:
+def ground(
+    f: FOSentence, m: FOInterpretation, atoms: dict[tuple[str, tuple[str, ...]], AtomRef] | None = None
+) -> Formula:
     """Ground formula of the closed sentence f under m.
 
     Predicate atoms become ground atoms over element names, one `AtomRef`
-    per distinct ground atom shared by its occurrences; equalities become
-    top or bot, connectives map through, and quantifiers expand to
-    set-valued conjunctions or disjunctions over the domain.
+    per distinct ground atom shared by its occurrences and kept in `atoms`
+    (a fresh cache when not given); equalities become top or bot,
+    connectives map through, and quantifiers expand to set-valued
+    conjunctions or disjunctions over the domain.
     """
     infer_arities([f], m.arities)
-    atoms: dict[tuple[str, tuple[str, ...]], AtomRef] = {}  # one per distinct ground atom
+    if atoms is None:
+        atoms = {}
 
     def leaf(g: FOSentence, env: dict[str, str]) -> Formula:
         t = type(g)
@@ -254,7 +283,10 @@ def ground(f: FOSentence, m: FOInterpretation) -> Formula:
 
 
 def ground_program(sentences: Sequence[FOSentence], m: FOInterpretation) -> list[Formula]:
-    return [ground(s, m) for s in sentences]
+    """Each sentence grounded under m, all sharing one `AtomRef` per
+    distinct ground atom."""
+    atoms: dict[tuple[str, tuple[str, ...]], AtomRef] = {}
+    return [ground(s, m, atoms) for s in sentences]
 
 
 def fo_satisfies(m: FOInterpretation, f: FOSentence) -> bool:

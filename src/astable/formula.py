@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+
+from .records import Record
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 KEYWORDS = frozenset({"not", "top", "bot", "And", "Or"})
@@ -64,11 +65,13 @@ class Atom(tuple):
         return f"{name}({','.join(args)})"
 
 
-class Formula:
+class Formula(Record):
     """Base class for formula nodes.  Instances are immutable values.
 
     Set nodes and implications compare and hash by their canonical key
-    (`_key`), which an explicit-stack walk computes at any depth.
+    (`_key`), which an explicit-stack walk computes at any depth.  Each
+    node's `__init__` writes its slots through their descriptors, past the
+    `__setattr__` that refuses every assignment.
     """
 
     __slots__ = ()
@@ -146,32 +149,50 @@ def _canonical(children: Iterable[Formula]) -> tuple[Formula, ...]:
     return tuple(map(keyed.__getitem__, sorted(keyed)))
 
 
-@dataclass(frozen=True)
 class AtomRef(Formula):
-    atom: Atom
+    """An atom as a formula; equal to an `AtomRef` of the same atom only."""
+
+    __slots__ = ("atom",)
+
+    def __init__(self, atom: Atom) -> None:
+        _set_atom(self, atom)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is AtomRef:
+            return self.atom == other.atom
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.atom,))
 
 
-@dataclass(frozen=True, eq=False)
-class Conj(Formula):
-    children: tuple[Formula, ...]
+class _SetNode(Formula):
+    __slots__ = ("children",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", _canonical(self.children))
-
-
-@dataclass(frozen=True, eq=False)
-class Disj(Formula):
-    children: tuple[Formula, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", _canonical(self.children))
+    def __init__(self, children: Iterable[Formula]) -> None:
+        _set_children(self, _canonical(children))
 
 
-@dataclass(frozen=True, eq=False)
+class Conj(_SetNode):
+    __slots__ = ()
+
+
+class Disj(_SetNode):
+    __slots__ = ()
+
+
 class Impl(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = ("lhs", "rhs")
 
+    def __init__(self, lhs: Formula, rhs: Formula) -> None:
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+
+
+_set_atom = AtomRef.atom.__set__
+_set_children = _SetNode.children.__set__
+_set_lhs = Impl.lhs.__set__
+_set_rhs = Impl.rhs.__set__
 
 _TAGS = {AtomRef: "0", Conj: "1", Disj: "2", Impl: "3"}  # the first character of a key
 
@@ -283,8 +304,7 @@ def _chunk_patterns(cb: int) -> tuple[int, ...]:
 _AND, _OR, _IMPL = 0, 1, 2
 
 
-@dataclass(eq=False, slots=True)
-class Program:
+class Program(Record):
     """A formula compiled to binary ops over int-indexed slots.
 
     Slot 0 holds bot, slot 1 top, slot k + 2 the atom `atoms[k]` (sorted),
@@ -293,12 +313,17 @@ class Program:
     last reader has run, else slot len(atoms) + 2 + n, so a run holds only
     the vectors still to be read.  Ops are in topological order and `root`
     is the slot of the whole formula.  Structurally equal subtrees share a
-    slot.
+    slot.  Programs compare and hash by identity.
     """
 
-    atoms: tuple[Atom, ...]
-    ops: tuple[tuple[int, int, int, int], ...]
-    root: int
+    __slots__ = ("atoms", "ops", "root")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, atoms: tuple[Atom, ...], ops: tuple[tuple[int, int, int, int], ...], root: int) -> None:
+        _set_atoms(self, atoms)
+        _set_ops(self, ops)
+        _set_root(self, root)
 
     def run(self, values: Sequence[int], ones: int, keep: int, seg: int = 0) -> int:
         """The root's bit vector when `values[k]` is the vector of atoms[k].
@@ -326,6 +351,11 @@ class Program:
                 else:
                     v[out] = x if x & keep else 0
         return v[self.root]
+
+
+_set_atoms = Program.atoms.__set__
+_set_ops = Program.ops.__set__
+_set_root = Program.root.__set__
 
 
 def compile_formula(f: Formula) -> Program:

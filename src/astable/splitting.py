@@ -16,7 +16,6 @@ strictly positive intensional atoms span dependency blocks.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
 from .depgraph import (
@@ -40,6 +39,7 @@ from .formula import (
     conj,
     satisfies,  # not called here; perfbench/spans.py wraps this name
 )
+from .records import Record
 from .stable import (
     _NARROW,
     DEFAULT_MAX_ATOMS,
@@ -156,8 +156,7 @@ def split_models_theorem(
     return mf.intersection(mg)
 
 
-@dataclass(frozen=True)
-class SplitPlan:
+class SplitPlan(Record):
     """Conjuncts grouped per evaluation unit, in condensation order.
 
     A unit is a strongly connected component of the mention graph over the
@@ -171,8 +170,11 @@ class SplitPlan:
     solver solves each of them last, as a unit with no atoms.
     """
 
-    blocks: tuple[tuple[frozenset[Atom], Formula], ...]
-    residual: tuple[Formula, ...]
+    __slots__ = ("blocks", "residual")
+
+    def __init__(self, blocks: tuple[tuple[frozenset[Atom], Formula], ...], residual: tuple[Formula, ...]) -> None:
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "residual", residual)
 
 
 def plan_split(
@@ -313,6 +315,16 @@ def _extend_frontier(
     return [m | e for m in frontier for e in memo[m & ctx_mask]]
 
 
+def _enumerated(unit_atoms: frozenset[Atom], f: Formula, prog: Program) -> bool:
+    """Whether `_extend_frontier` enumerates the unit's atoms: every unit
+    does but one wider than `_NARROW` whose formula is a definition for
+    them, which one fixpoint run per context decides, whatever its width."""
+    if len(unit_atoms) <= _NARROW:
+        return True
+    part = sum(1 << b for b, x in enumerate(prog.atoms) if x in unit_atoms)
+    return _definition(_conjuncts(f), prog, part) is None
+
+
 def modular_solve(
     conjuncts: Sequence[Formula],
     a: AbstractSet[Atom],
@@ -339,8 +351,10 @@ def modular_solve(
     atoms give.  A conjunct whose strictly positive intensional atoms span
     dependency blocks triggers a logged brute-force fallback; a unit or an
     extensional context wider than max_atoms atoms, or a frontier of more
-    than 2**max_atoms interpretations, raises CapExceeded.  `mentions`, the
-    atoms of each conjunct when the caller has them, go to `plan_split`.
+    than 2**max_atoms interpretations, raises CapExceeded; a definition
+    unit is not enumerated (see `_enumerated`), so it may be wider.
+    `mentions`, the atoms of each conjunct when the caller has them, go to
+    `plan_split`.
     """
     a = frozenset(a)
     try:
@@ -357,9 +371,10 @@ def modular_solve(
         sig = frozenset(sigma)
 
     # The cap guards every exponential dimension: the extensional context
-    # enumerated up front and the widest unit here, the frontier in
-    # _extend_frontier.
-    widest = max((len(b) for b, _ in plan.blocks), default=0)
+    # enumerated up front and the widest enumerated unit here, the frontier
+    # in _extend_frontier.  Only a unit past the cap needs the definition
+    # test, so no other unit pays for it.
+    widest = max((len(b) for b, f, prog in steps if len(b) > max_atoms and _enumerated(b, f, prog)), default=0)
     _check_cap(max(len(sig - a), widest), max_atoms)
 
     # Partial interpretations are bitmasks over sigma (and over A, so that

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from collections import Counter
-from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
@@ -42,6 +40,7 @@ from .formula import (
     satisfies,
     truth_chunks,
 )
+from .records import Record
 
 Interpretation = frozenset[Atom]
 
@@ -122,6 +121,8 @@ def format_masks(masks: Sequence[int], atoms: Sequence[Atom], *, as_json: bool =
     if not masks:
         return []
     if as_json:
+        import json  # only --json needs it: a CLI run without it does not load it
+
         head, sep, tail = '{"atoms": [', ", ", "]}"
         pieces = [sep + json.dumps(str(x)) for x in atoms]
     else:
@@ -131,8 +132,7 @@ def format_masks(masks: Sequence[int], atoms: Sequence[Atom], *, as_json: bool =
     return (head + (tail + "\n" + head).join(texts) + tail).split("\n")
 
 
-@dataclass(frozen=True, eq=False)
-class ModelSet:
+class ModelSet(Record):
     """A canonically ordered set of interpretations over a fixed signature.
 
     Each model is held as a bitmask over `atoms`, sorted and distinct (bit
@@ -145,9 +145,13 @@ class ModelSet:
     same models over the same signature.
     """
 
-    atoms: tuple[Atom, ...]
-    masks: tuple[int, ...]
-    signature: frozenset[Atom]
+    __slots__ = ("atoms", "masks", "signature", "_sorted_atoms")
+
+    def __init__(self, atoms: tuple[Atom, ...], masks: tuple[int, ...], signature: frozenset[Atom]) -> None:
+        _set_atoms(self, atoms)
+        _set_masks(self, masks)
+        _set_signature(self, signature)
+        _set_sorted_atoms(self, None)
 
     @classmethod
     def from_iter(cls, models: Iterable[AbstractSet[Atom]], signature: AbstractSet[Atom]) -> "ModelSet":
@@ -180,10 +184,10 @@ class ModelSet:
     @property
     def sorted_atoms(self) -> tuple[tuple[Atom, ...], ...]:
         """Each model as its atoms in sorted order, decoded once."""
-        cache = self.__dict__
-        found = cache.get("_sorted_atoms")
+        found = self._sorted_atoms
         if found is None:
-            found = cache["_sorted_atoms"] = tuple(_decode(self.masks, self.atoms, tuple))
+            found = tuple(_decode(self.masks, self.atoms, tuple))
+            _set_sorted_atoms(self, found)
         return found
 
     @property
@@ -230,6 +234,12 @@ class ModelSet:
             raise SignatureError("model sets over different signatures cannot be intersected")
         common = set(other.over(self.atoms))
         return ModelSet(self.atoms, tuple(filter(common.__contains__, self.masks)), self.signature)
+
+
+_set_atoms = ModelSet.atoms.__set__
+_set_masks = ModelSet.masks.__set__
+_set_signature = ModelSet.signature.__set__
+_set_sorted_atoms = ModelSet._sorted_atoms.__set__
 
 
 def leq_a(i: AbstractSet[Atom], j: AbstractSet[Atom], a: AbstractSet[Atom]) -> bool:

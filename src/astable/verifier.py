@@ -15,7 +15,6 @@ import itertools
 import logging
 import random
 import string
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import fo
@@ -59,6 +58,7 @@ from .formula import (
     satisfies,
     truth_chunks,
 )
+from .records import Record
 from .splitting import PreconditionError, modular_solve, split_models_lemma, split_models_theorem
 from .stable import (
     ModelSet,
@@ -74,34 +74,44 @@ from .syntax import ParseError, parse_program
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Record):
     """Bounds and probabilities for the random generators."""
 
-    seed: int = DEFAULT_SEED
-    max_atoms: int = 5
-    max_depth: int = 4
-    max_branch: int = 3
-    impl_prob: float = 0.3
-    neg_prob: float = 0.15
-    iterations: int = 500
+    __slots__ = ("seed", "max_atoms", "max_depth", "max_branch", "impl_prob", "neg_prob", "iterations")
 
-    def __post_init__(self) -> None:
-        if min(self.max_atoms, self.max_depth + 1, self.max_branch, self.iterations) <= 0:
+    def __init__(
+        self,
+        seed: int = DEFAULT_SEED,
+        max_atoms: int = 5,
+        max_depth: int = 4,
+        max_branch: int = 3,
+        impl_prob: float = 0.3,
+        neg_prob: float = 0.15,
+        iterations: int = 500,
+    ) -> None:
+        if min(max_atoms, max_depth + 1, max_branch, iterations) <= 0:
             raise ValueError("bounds must be positive")
-        if not (0.0 <= self.impl_prob <= 1.0 and 0.0 <= self.neg_prob <= 1.0):
+        if not (0.0 <= impl_prob <= 1.0 and 0.0 <= neg_prob <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
-        if self.impl_prob + self.neg_prob > 1.0:
+        if impl_prob + neg_prob > 1.0:
             raise ValueError("impl_prob + neg_prob must not exceed 1")
+        for name, value in zip(self._fields, (seed, max_atoms, max_depth, max_branch, impl_prob, neg_prob, iterations)):
+            object.__setattr__(self, name, value)
+
+    def replace(self, **changes: object) -> "GenConfig":
+        """A copy with the named fields changed, validated again."""
+        return GenConfig(**{**dict(zip(self._fields, self._values())), **changes})
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    passes: int
-    fails: int
-    skipped_draws: int
-    first_counterexample: str | None
+class SuiteReport(Record):
+    __slots__ = ("suite", "passes", "fails", "skipped_draws", "first_counterexample")
+
+    def __init__(self, suite: str, passes: int, fails: int, skipped_draws: int, first_counterexample: str | None) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "passes", passes)
+        object.__setattr__(self, "fails", fails)
+        object.__setattr__(self, "skipped_draws", skipped_draws)
+        object.__setattr__(self, "first_counterexample", first_counterexample)
 
     @property
     def ok(self) -> bool:

@@ -301,6 +301,19 @@ class TestSplitSolve:
         _, split, _ = run(capsys, "split-solve", str(path))
         assert direct == split == "{p0,p1,p2}\n"
 
+    def test_definition_unit_wider_than_the_cap_answers(self, capsys, tmp_path):
+        # one 100-atom unit that is a definition for its atoms: solve
+        # refuses its 101 atoms, split-solve decides it by its fixpoint
+        rules = ["s | not s", "s -> x0"] + [f"x{i} -> x{(i + 1) % 100}" for i in range(100)]
+        path = tmp_path / "cycle.lp"
+        path.write_text("".join(r + ".\n" for r in rules))
+        everything = "{" + ",".join(sorted(["s"] + [f"x{i}" for i in range(100)])) + "}\n"
+        assert run(capsys, "split-solve", str(path)) == (0, "{}\n" + everything, "")
+        assert run(capsys, "split-solve", str(path), "--max-atoms", "101") == (0, "{}\n" + everything, "")
+        code, out, err = run(capsys, "solve", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: enumeration over 101 atoms exceeds the cap of 24")
+
     def test_atoms_of_each_conjunct_are_computed_once(self, capsys, tmp_path, monkeypatch):
         # the loader's atom sets reach the planner, which computes none
         from astable import formula, splitting

@@ -5,9 +5,11 @@ import pytest
 
 from astable import (
     Atom,
+    AtomRef,
     BOT,
     Conj,
     Disj,
+    Impl,
     ParseError,
     TOP,
     atoms_of,
@@ -207,6 +209,36 @@ class TestGround:
             assert ground(s, m) == want
             assert len(built) == 18
             built.clear()
+
+    def test_sentences_of_a_program_share_their_ground_atoms(self, monkeypatch):
+        prog = parse_fo_program(
+            "#domain a, b, c.\n"
+            "forall X (forall Y (e(X,Y) -> t(X,Y))).\n"
+            "forall X (forall Y (forall Z (e(X,Y) & t(Y,Z) -> t(X,Z)))).\n"
+        )
+        m = FOInterpretation.herbrand(prog.domain)
+        first, second = ground_program(list(prog.sentences), m)
+
+        def refs(f):
+            out, stack = {}, [f]
+            while stack:
+                g = stack.pop()
+                if isinstance(g, AtomRef):
+                    out.setdefault(g.atom, set()).add(id(g))
+                else:
+                    stack.extend((g.lhs, g.rhs) if isinstance(g, Impl) else g.children)
+            return out
+
+        one, two = refs(first), refs(second)
+        assert one.keys() == two.keys() and len(one) == 18
+        for x in one:  # the very same object in both formulas
+            assert len(one[x] | two[x]) == 1
+
+        built = []
+        new = Atom.__new__
+        monkeypatch.setattr(Atom, "__new__", lambda cls, name, args=(): built.append(name) or new(cls, name, args))
+        assert ground_program(list(prog.sentences), m) == [first, second]
+        assert len(built) == 18  # 36 when each sentence had its own cache
 
     def test_rank_bounded_by_syntax_depth(self):
         def depth(s):

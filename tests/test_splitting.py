@@ -645,6 +645,23 @@ class TestModularSolve:
         assert time.perf_counter() - t0 < 5.0
         assert len(modular_solve(conjuncts[:10], frozenset(cs[:10]), max_atoms=10)) == 1024
 
+    def test_definition_unit_wider_than_the_cap_is_solved(self):
+        # the 100-atom positive cycle x_i -> x_(i+1), seeded by the choice
+        # s: one unit that is a definition for its atoms, decided by one
+        # fixpoint run per context, so the cap does not count its width
+        xs = [Atom(f"x{i:02d}") for i in range(100)]
+        s = Atom("s")
+        conjuncts = [impl(AtomRef(xs[i]), AtomRef(xs[(i + 1) % 100])) for i in range(100)]
+        conjuncts += [disj([AtomRef(s), neg(AtomRef(s))]), impl(AtomRef(s), AtomRef(xs[0]))]
+        sigma = frozenset(xs) | {s}
+        want = {frozenset(), sigma}
+        assert modular_solve(conjuncts, sigma, sigma).as_set() == want
+        assert modular_solve(conjuncts, sigma, sigma, max_atoms=101).as_set() == want
+        # a unit that is no definition still counts: a disjunctive link
+        wide = conjuncts + [impl(AtomRef(xs[5]), disj([AtomRef(xs[6]), AtomRef(xs[7])]))]
+        with pytest.raises(CapExceeded, match="enumeration over 100 atoms"):
+            modular_solve(wide, sigma, sigma)
+
     def test_layered_chain_family_exhaustive_to_sixteen_atoms(self):
         for blocks, width in [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (3, 5)]:
             conjuncts = layered_chain(blocks, width)

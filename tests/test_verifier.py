@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from astable import (
@@ -73,7 +71,7 @@ class TestGenFormula:
         cfg = GenConfig(max_atoms=6)
         seen = set()
         for i in range(1000):
-            seen |= atoms_of(gen_formula(dataclasses.replace(cfg, seed=cfg.seed + i)))
+            seen |= atoms_of(gen_formula(cfg.replace(seed=cfg.seed + i)))
         assert len(seen) == 6
 
 
