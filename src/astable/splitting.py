@@ -281,10 +281,10 @@ def _extend_frontier(
         if len(unit) > _NARROW:
             clauses = _definition(_conjuncts(f), prog, sum(1 << b for b in unit))
             if clauses is None:  # its dependency blocks, over the unit's positions
-                found, support = _parts(f, prog, unit_atoms)
+                found, loop_formulas = _parts(f, prog, unit_atoms)
                 parts = [(sum(1 << j for j, b in enumerate(unit) if p >> b & 1), part_clauses) for p, part_clauses in found]
-                if support:
-                    swept = compile_extensible(f)[1](support)
+                if loop_formulas:
+                    swept = compile_extensible(f)[1](loop_formulas)
         entry = solved[key] = (parts, clauses, swept, {})
     parts, clauses, swept, shape = entry
     heres: dict[int, int] = {}  # each distinct context, over prog.atoms

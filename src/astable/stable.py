@@ -12,11 +12,12 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from operator import add, itemgetter
+from operator import add, is_, itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from .depgraph import components, dep_graph, strictly_positive
+from .depgraph import DepGraph, components, dep_graph, strictly_positive, strong_components
 from .formula import (
+    BOT,
     TOP,
     Atom,
     AtomRef,
@@ -27,8 +28,8 @@ from .formula import (
     Impl,
     Program,
     SignatureError,
-    _bit_pattern,
     _chunk_patterns,
+    _set_children,
     atoms_of,
     check_signature,
     compile_extensible,
@@ -405,8 +406,8 @@ def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) 
     return _ht_minimal(prog, mask, a_mask)
 
 
-_NARROW = 6  # a part this small gets a slot per nonempty subset; so few atoms take one run in all
-_RUN_BITS = 1 << _CHUNK_BITS  # bits of one packed run, and so the bound on a segment
+_NARROW = 6  # a part this small is decided by its loop formulas, at most 63; so few atoms take one run in all
+_RUN_BITS = 1 << _CHUNK_BITS  # candidates of one fixpoint run, a byte each
 _BITS = bytes.maketrans(b"01", b"\0\1")
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
@@ -481,76 +482,157 @@ def _definition(conjuncts: Iterable[Formula], prog: Program, part: int) -> tuple
 
 
 def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> tuple[list[Part], list[Formula]]:
-    """The parts of A & occurring that are left to check, as bitmasks over
-    prog.atoms, and the support conjuncts that decide all the others.  The
-    parts are the strongly connected components of the positive dependency
-    graph of f over those atoms, each with its clauses when it is wider
-    than `_NARROW` and a definition.
+    """The parts of A & occurring wider than `_NARROW` atoms, as bitmasks
+    over prog.atoms, each with its clauses when it is a definition, else
+    None; and the loop formulas that decide every other part in the sweep.
+    The parts are the strongly connected components of the positive
+    dependency graph of f over those atoms.  All the atoms of a program of
+    at most `_NARROW` atoms, which `_stable_models` decides in one run,
+    form one part instead, with no graph and no loop formula.
 
-    By the splitting lemma a classical model I is A-stable iff it is
-    C-stable for every part C.  Any coarser partition into unions of whole
-    components is as good, so all the atoms of a program of at most
-    `_NARROW` atoms, which `_stable_models` decides in one run that reads
-    only their union, form one part without a graph, and nothing in such a
-    program is ever recognized.
-
-    The defining conjuncts of a part C are those of f, nested conjunctions
-    opened, in which an atom of C is strictly positive.  When they form a
-    definition for C (see `_clause`), I is C-stable iff its atoms of C are
-    the least fixpoint of their clauses.  For a part of more than `_NARROW`
-    atoms the part comes with its compiled clauses (see `_definition`), and
-    `_stable_subset` runs that fixpoint.  A part {q} of one atom is not
-    returned: its fixpoint holds q iff some body H of a clause `H -> q`
-    holds (a clause `H & q -> q` derives nothing from the empty start),
-    and I satisfies every clause, so I is {q}-stable iff it satisfies the
-    support conjunct `q -> Or{H}`, the other half of Clark's completion
-    (Fages 1994; Erdem & Lifschitz, TPLP 2003).  The bodies are the very
-    objects of f, so that compiling f with its support conjuncts shares
-    their ops; with no clause the conjunct is `not q`, and a fact needs
-    none.  Every other part comes with None.
+    Why a classical model I of f is C-stable for a part C of at most
+    `_NARROW` atoms iff I satisfies the loop formulas of C:
+    1. By the splitting lemma I is A-stable iff it is C-stable for every
+       part C (any coarser partition into whole components is as good).
+    2. Let G be the defining conjuncts of C, those of f (nested
+       conjunctions opened) in which an atom of C is strictly positive,
+       and R the rest.  No atom of C is strictly positive in R, so by the
+       symmetric splitting theorem (Ferraris, Lee, Lifschitz & Palla,
+       IJCAI 2009) with the second part empty, SM_C[G & R] is SM_C[G] & R:
+       I is C-stable for f iff it is C-stable for G.
+    3. By the generalized Lin-Zhao theorem (Ferraris, Lee & Lifschitz,
+       AMAI 2006) I is then C-stable iff no loop Y of C inside I, a
+       nonempty set whose subgraph is strongly connected (see `_loops`),
+       has <I - Y, I> satisfying G in here-and-there.  For Y inside I,
+       <I - Y, I> falsifies G iff I satisfies the loop formula
+       `And{Y, here_Y(c) per c in G that is no rule} -> Or{here_Y(B) per
+       rule B -> h in G with h in Y}`, here_Y as in `_here`, because a
+       rule with h in Y holds in <I - Y, I> iff here_Y(B) is false.
+    4. A rule B -> h with h outside Y holds in <I - Y, I>: when here_Y(B)
+       is true, so is B in I, hence h, which I - Y keeps.  A fact counts
+       as the rule `top -> h`, so a fact in Y leaves Y no formula; a
+       conjunct c with here_Y(c) = c holds in I and is left out.  For a
+       one-atom part {q} with clauses only this is the support
+       conjunct `q -> Or{H}`, the other half of Clark's completion (Fages
+       1994; Erdem & Lifschitz, TPLP 2003): a body `H & q` becomes bot.
+    5. By the here-equals-there lemma, here_Y(B) is true in I iff B is
+       when no atom of Y is positive nonnegated in B, so B itself, the
+       very object, stands for it, and compiling f with its loop formulas
+       shares B's ops.
+    A wider part that is a definition (see `_clause`) comes with its
+    compiled clauses (see `_definition`): by step 2 and the paper's theorem
+    on definitions, I is C-stable iff its atoms of C are the least fixpoint
+    of their clauses, which `_stable_subset` runs.
     """
     bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
     if len(prog.atoms) <= _NARROW or not bit:
         return ([(sum(bit.values()), None)] if bit else []), []
-    masks = list(bit.values())
-    if len(bit) > 1:
-        masks = [sum(map(bit.__getitem__, comp)) for comp in components(dep_graph(f, bit.keys()))[0]]
-    conjuncts = _conjuncts(f)
-    heads = []  # per conjunct, the bitmask of its strictly positive atoms of A
-    for c in conjuncts:
+    graph = dep_graph(f, bit.keys())
+    comps, comp_of = components(graph)
+    defining: list[list[Formula]] = [[] for _ in comps]  # per part, in the order of f
+    for c in _conjuncts(f):
         g = c
         while type(g) is Impl:  # only a consequent holds strictly positive atoms
             g = g.rhs
-        if type(g) is AtomRef:
-            heads.append(bit.get(g.atom, 0))
+        for k in {comp_of[x] for x in ((g.atom,) if type(g) is AtomRef else strictly_positive(g)) if x in comp_of}:
+            defining[k].append(c)
+    parts, loop_formulas = [], []
+    for comp, conjuncts in zip(comps, defining):
+        if len(comp) > _NARROW:
+            mask = sum(map(bit.__getitem__, comp))
+            parts.append((mask, _definition(conjuncts, prog, mask)))
         else:
-            heads.append(sum(map(bit.__getitem__, bit.keys() & strictly_positive(g))))
-    # per one-atom part, the bodies of its clauses, None once a defining conjunct is no clause
-    atom_at = {m: x for x, m in bit.items()}
-    bodies: dict[int, list[Formula] | None] = {m: [] for m in masks if not m & (m - 1)}
-    for c, h in zip(conjuncts, heads):
-        if h in bodies:
-            found = bodies[h]
-            if found is not None:
-                clause = _clause(c, {atom_at[h]})
-                if clause is None:
-                    bodies[h] = None
-                elif not clause[1]:  # `H & q -> q` is left out
-                    found.append(clause[0])
-        elif h & (h - 1):  # two or more heads: no clause for any of them
-            for m in bodies:
-                if m & h:
-                    bodies[m] = None
-    support = []
-    for m, found in bodies.items():
-        if found is not None and not any(type(b) is Conj and not b.children for b in found):
-            support.append(Impl(AtomRef(atom_at[m]), found[0] if len(found) == 1 else Disj(tuple(found))))
-    parts = [
-        (m, _definition([c for c, h in zip(conjuncts, heads) if h & m], prog, m) if m.bit_count() > _NARROW else None)
-        for m in masks
-        if bodies.get(m) is None
-    ]
-    return parts, support
+            loop_formulas += _loop_formulas(comp, conjuncts, graph)
+    return parts, loop_formulas
+
+
+@functools.cache  # keyed by the subgraph of a part of at most _NARROW atoms
+def _loops(succs: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The loops of the digraph over 0..k-1 with these successor lists, as
+    bitmasks: the nonempty vertex sets whose subgraph is strongly
+    connected, every singleton among them."""
+    found = []
+    for y in range(1, 1 << len(succs)):
+        index = {v: j for j, v in enumerate(v for v in range(len(succs)) if y >> v & 1)}
+        if len(strong_components([[index[w] for w in succs[v] if w in index] for v in index])[0]) == 1:
+            found.append(y)
+    return tuple(found)
+
+
+def _node(kind: type, children: Sequence[Formula]) -> Formula:
+    """A conjunction or disjunction of the children in the order given,
+    for a loop formula, which is only compiled: putting a here-copy in
+    canonical order would spell out its key, a walk of the copy as a tree,
+    and its tree can grow with the square of its depth."""
+    node = object.__new__(kind)
+    _set_children(node, tuple(children))
+    return node
+
+
+def _here(f: Formula, y: Sequence[Atom]) -> Formula:
+    """A formula true in an interpretation I that holds every atom of Y iff
+    <I - Y, I> satisfies f in here-and-there: an atom of Y becomes bot, and
+    an implication G -> H becomes (G -> H) & (here G -> here H), because an
+    implication also needs its there-value.  A subformula that does not
+    change is kept as the very object, so that the compile walk shares its
+    ops, and bot is folded: a conjunction with it is bot, a disjunction
+    drops it, and an implication from it keeps only its there-value, which
+    is H itself for `q -> H` with q in Y.  One explicit-stack walk, so any
+    depth is safe."""
+    done: dict[int, Formula] = {}
+    stack: list = [f]  # a node below None has its children above it
+    while stack:
+        g = stack.pop()
+        if g is not None:
+            if type(g) is AtomRef:
+                done[id(g)] = BOT if g.atom in y else g
+            elif type(g) is Impl and type(g.lhs) is AtomRef and g.lhs.atom in y:
+                done[id(g)] = g.rhs
+            elif id(g) not in done:
+                stack += (g, None, *((g.lhs, g.rhs) if type(g) is Impl else g.children))
+            continue
+        g = stack.pop()
+        kids = (g.lhs, g.rhs) if type(g) is Impl else g.children
+        new = [done[id(c)] for c in kids]
+        if all(map(is_, new, kids)):
+            done[id(g)] = g
+        elif type(g) is Impl:
+            done[id(g)] = g if new[0] is BOT else _node(Conj, (g, Impl(*new)))
+        elif type(g) is Conj:
+            done[id(g)] = BOT if any(c is BOT for c in new) else _node(Conj, new)
+        else:
+            new = [c for c in new if c is not BOT]
+            done[id(g)] = (new[0] if len(new) == 1 else _node(Disj, new)) if new else BOT
+    return done[id(f)]
+
+
+def _loop_formulas(comp: AbstractSet[Atom], conjuncts: Sequence[Formula], graph: DepGraph) -> list[Formula]:
+    """The loop formulas of a part of at most `_NARROW` atoms with its
+    defining conjuncts (see `_parts`), one per loop that no fact derives
+    and whose antecedent is not bot.  The body of a rule is copied only
+    when the graph has an edge from the rule's head into the loop."""
+    atoms = sorted(comp)
+    succs = tuple([tuple([atoms.index(w) for w in graph.successors(x) if w in comp]) for x in atoms])
+    facts, rules, others = 0, [], []  # rules as (body, the head's position)
+    for c in conjuncts:
+        if type(c) is AtomRef:
+            facts |= 1 << atoms.index(c.atom)
+        elif type(c) is Impl and type(c.rhs) is AtomRef:
+            rules.append((c.lhs, atoms.index(c.rhs.atom)))
+        else:
+            others.append(c)
+    out: list[Formula] = []
+    for y in _loops(succs):
+        ys = [x for j, x in enumerate(atoms) if y >> j & 1]
+        copies = [_here(c, ys) for c in others]
+        if y & facts or any(h is BOT for h in copies):
+            continue
+        ante = [*map(AtomRef, ys), *(h for h, c in zip(copies, others) if h is not c)]
+        bodies = [_here(b, ys) if any(y >> w & 1 for w in succs[j]) else b for b, j in rules if y >> j & 1]
+        bodies = [b for b in bodies if b is not BOT]
+        support = bodies[0] if len(bodies) == 1 else _node(Disj, bodies)
+        out.append(Impl(ante[0] if len(ante) == 1 else _node(Conj, ante), support))
+    return out
 
 
 def _least_fixpoint(fired: Iterable[tuple[int, Sequence[int], int]], size: int) -> list[int]:
@@ -644,100 +726,52 @@ def _rows(masks: Iterable[int], n: int) -> bytes:
     return "".join(map(format, masks, itertools.repeat(f"0{n}b"))).encode().translate(_BITS)
 
 
-@functools.cache  # sizes sorted, each at most _NARROW: few distinct keys
-def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-    """The segment of one candidate I when its parts have these sizes.
+@functools.cache  # k at most _NARROW: fewer than 2**(_NARROW + 1) keys
+def _assignment_run(k: int, a: int) -> tuple[tuple[int, ...], int, int, int]:
+    """One packed run over every assignment c < 2**k to k atoms, segment c
+    for c, when the atoms set in the bitmask `a` form the part: the
+    columns, the mask of the live slots, the mask of every segment's bit 0
+    and the segment width.
 
-    Bit 0 stands for J = I.  A part of size s follows with 2**s - 1 slots,
-    slot S - 1 of its block standing for J = I minus the part's atoms at
-    the positions set in S.  Returns the width in bits, a multiple of 8;
-    per part, the drop vector of each position (the slots whose J drops
-    it); and the mask of every slot.
-    """
-    drops = []
-    end = 1
-    for s in sizes:
-        drops.append(tuple(_bit_pattern(t, 1 << s) >> 1 << end for t in range(s)))
-        end += (1 << s) - 1
-    return -(-end // 8) * 8, tuple(drops), (1 << end) - 2
-
-
-def _columns(n: int, slotted: Sequence[tuple[int, int]], batch: Sequence[int]) -> tuple[tuple[int, ...], int, int, int]:
-    """Every atom's column for one packed run over `batch` (bitmasks over
-    n atoms), one segment per member laid out as `_layout` of the sizes in
-    `slotted`, a list of (part mask, size), each part of at most `_NARROW`
-    atoms and its size their number.
-
-    A part has one position per atom, and a slot whose J would drop an
-    atom outside I is dead.  Every column is built for the whole batch at
-    once from the members' binary rows.  Returns the columns, the mask of
-    the live slots, the mask of every segment's bit 0 and the segment
-    width.
-    """
-    sizes = tuple(s for _, s in slotted)
-    width = _layout(sizes)[0]
-    nbytes = width // 8
-    drops, every_slot, first = _replicated(sizes, len(batch))
-    rows = _rows(batch, n) if n else b""
-    buf = bytearray(len(batch) * nbytes)
-    values = []
-    for b in range(n):
-        buf[::nbytes] = rows[n - 1 - b :: n]
-        starts = int.from_bytes(buf, "little")
-        values.append((starts << width) - starts)  # each segment of a true atom filled
-    dead = 0
-    for (part, _), vecs in zip(slotted, drops):
-        bits = [b for b in range(n) if part >> b & 1]
-        for b, d in zip(bits, vecs):
-            fill = values[b]
-            t = fill & d
-            values[b] = fill ^ t
-            dead |= d ^ t
-    return tuple(values), every_slot ^ dead, first, width
+    Bit 0 of a segment stands for J = I.  A part of s atoms follows with
+    2**s - 1 slots, slot S for J = I minus the part's atoms at the
+    positions set in S, and the slot is dead when one of them is outside
+    I.  An atom's column is 1 on each segment whose I holds it, except on
+    the slots that drop it."""
+    s = a.bit_count()
+    drops = dict(zip((b for b in range(k) if a >> b & 1), _chunk_patterns(s)))
+    n = max(1, (1 << s) // 8)  # bytes per segment
+    dead = [0]  # per segment, the slots that drop an atom outside its I
+    for b in range(k):
+        dead = [d | drops.get(b, 0) for d in dead] + dead
+    live = int.from_bytes(b"".join((((1 << (1 << s)) - 2) & ~d).to_bytes(n, "little") for d in dead), "little")
+    # bit b of c is 0 on 2**b segments, then 1 on the next 2**b, and so on
+    on = [((1 << 8 * n) - 1 ^ drops.get(b, 0)).to_bytes(n, "little") for b in range(k)]
+    columns = tuple(int.from_bytes((bytes(n << b) + on[b] * (1 << b)) * (1 << k >> b >> 1), "little") for b in range(k))
+    return columns, live, int.from_bytes((b"\1" + bytes(n - 1)) * (1 << k), "little"), 8 * n
 
 
-@functools.lru_cache(maxsize=16)  # each vector at most one run, 8 KB: a few MB in all
-def _replicated(sizes: tuple[int, ...], count: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """`_layout(sizes)` repeated over `count` segments: per part, the drop
-    vector of each position; the mask of every slot; and the mask of every
-    segment's bit 0."""
-    width, drops, every_slot = _layout(sizes)
-    nbytes = width // 8
-
-    def repeat(v: int) -> int:
-        return int.from_bytes(v.to_bytes(nbytes, "little") * count, "little")
-
-    return tuple(tuple(map(repeat, vecs)) for vecs in drops), repeat(every_slot), repeat(1)
+# built at import: the tables of every modular block, whose atoms are all of A
+[_assignment_run(k, (1 << k) - 1) for k in range(1, _NARROW + 1)]
 
 
-def _verdicts(prog: Program, var: Sequence[int], here: int, run: tuple, batch: Sequence[int]) -> list[int]:
-    """The members of `batch` whose segment of one run of prog has the root
-    true at J = I, its bit 0, and false on every live slot, when the atoms
-    at positions `var` of prog.atoms take the columns of `run` (see
-    `_columns`), those of the bitmask `here` are true and all others false.
+def _verdicts(prog: Program, var: Sequence[int], here: int, a: int) -> list[int]:
+    """The assignments c to the k atoms at positions `var` of prog.atoms
+    whose segment of one run of prog over `_assignment_run(k, a)` has the
+    root true at J = I, its bit 0, and false on every live slot, when the
+    atoms of the bitmask `here` are true and all others false.
 
     `root & live` sets no bit 0, so adding every other bit to it carries
     into the next segment's bit 0 exactly from each segment it hits."""
-    columns, live, first, width = run
+    columns, live, first, width = _assignment_run(len(var), a)
     ones = (first << width) - first
     values = [ones if here >> b & 1 else 0 for b in range(len(prog.atoms))]
     for b, v in zip(var, columns):
         values[b] = v
     root = prog.run(values, ones, first, width)
     rejected = ((root & live) + (ones ^ first)) >> width & first
-    stable = (root & (first ^ rejected)).to_bytes(len(batch) * width // 8, "little")
-    return list(itertools.compress(batch, stable[:: width // 8]))
-
-
-@functools.cache  # k at most _NARROW: fewer than 2**(_NARROW + 1) keys
-def _assignment_run(k: int, a: int) -> tuple[tuple[int, ...], int, int, int]:
-    """`_columns` of one run over every assignment to k atoms, the atoms
-    set in the bitmask `a` forming one part."""
-    return _columns(k, ((a, a.bit_count()),), range(1 << k))
-
-
-# built at import: the tables of every modular block, whose atoms are all of A
-[_assignment_run(k, (1 << k) - 1) for k in range(1, _NARROW + 1)]
+    stable = (root & (first ^ rejected)).to_bytes(width << len(var) >> 3, "little")
+    return list(itertools.compress(range(1 << len(var)), stable[:: width // 8]))
 
 
 def _stable_subset(
@@ -745,59 +779,28 @@ def _stable_subset(
 ) -> list[int]:
     """The A-stable ones among `candidates`, classical models of prog given
     as assignments to the atoms at positions `var` of prog.atoms with the
-    context `here`, as in `_stable_models`; A is the union of `parts`.
-    prog must be the program itself, never the one conjoined with support
-    conjuncts that the candidates may come from (see `_stable_models`).
+    context `here`, as in `_stable_models`; A is the union of `parts`, the
+    parts of `_parts` wider than `_NARROW`.  prog must be the program
+    itself, never the one conjoined with loop formulas that the candidates
+    come from (see `_stable_models`).
 
     By the splitting lemma a candidate I is A-stable iff it is C-stable for
-    every part C.  Split prog as G & R, G its defining conjuncts for C,
-    those in which an atom of C is strictly positive.  No atom of C is
-    strictly positive in R, so by the symmetric splitting theorem
-    (Ferraris, Lee, Lifschitz & Palla, IJCAI 2009) with the second part
-    empty, SM_C[G & R] is SM_C[G] & R, and I satisfies R: I is C-stable for
-    prog iff it is C-stable for G.  When G is a definition for C, clauses
-    `H & C' -> q` with q in C, C' atoms of C and H free of C, it has exactly
-    one C-stable model per interpretation of the other atoms, its least
-    fixpoint (the paper's theorem on definitions).  So a part that comes
-    with its clauses (see `_parts`) is decided first, for every candidate
-    at once, by comparing its atoms with that fixpoint
-    (`_definition_passed`); no subset J of I is ever inspected for it.
-
-    The survivors are checked for the other parts.  A part of at most
-    `_NARROW` atoms takes the slots of its nonempty subsets in a segment
-    per candidate, and the candidates are checked in packed runs, as many
-    segments per run as fit in `_RUN_BITS`.  Every wider part, and a part
-    whose segment would pass the bits of one run (the widest first), is
-    checked by one chunked sweep, `_ht_minimal`, per candidate that every
-    other part passes; so are all parts of a lone candidate, for which
-    building columns costs more than the sweeps.  A candidate that holds
-    no atom of a swept part has no J below it for that part and is
-    C-stable for it without a sweep.
+    every part C.  A part that comes with its clauses, a definition, is
+    decided first, for every candidate at once, by comparing its atoms
+    with their least fixpoint (`_definition_passed`, see `_parts`); no
+    subset J of I is ever inspected for it.  Every other part is checked
+    by one chunked sweep, `_ht_minimal`, per candidate that every earlier
+    part passes.  A candidate that holds no atom of such a part has no J
+    below it for that part and is C-stable for it without a sweep.
     """
     defined = [part for part in parts if part[1] is not None]
     if defined:
         candidates = _definition_passed(prog, var, here, defined, candidates)
-        if len(defined) == len(parts):
-            return candidates
-    masks = [p for p, clauses in parts if clauses is None]
-    swept = [p for p in masks if p.bit_count() > _NARROW]
-    slotted = sorted(((p, p.bit_count()) for p in masks if p.bit_count() <= _NARROW), key=itemgetter(1))
-    while slotted and (len(candidates) == 1 or sum(1 << s for _, s in slotted) - len(slotted) >= _RUN_BITS):
-        swept.append(slotted.pop()[0])
-    passed = candidates
-    if slotted:
-        passed = []
-        per_run = _RUN_BITS // _layout(tuple(s for _, s in slotted))[0]
-        for start in range(0, len(candidates), per_run):
-            batch = candidates[start : start + per_run]
-            passed += _verdicts(prog, var, here, _columns(len(var), slotted, batch), batch)
-    if swept and passed:
-        bits = [1 << b for b in var]
-        pairs = list(zip(passed, _decode(passed, bits, sum)))  # each with its bitmask over prog.atoms
-        for a_mask in _decode(swept, bits, sum):
-            pairs = [(c, m) for c, m in pairs if not m & a_mask or _ht_minimal(prog, here | m, a_mask)]
-        passed = [c for c, _ in pairs]
-    return passed
+    bits = [1 << b for b in var]
+    for a_mask in _decode([p for p, clauses in parts if clauses is None], bits, sum):
+        masks = _decode(candidates, bits, sum)  # over prog.atoms
+        candidates = [c for c, m in zip(candidates, masks) if not m & a_mask or _ht_minimal(prog, here | m, a_mask)]
+    return candidates
 
 
 def _stable_models(
@@ -806,23 +809,24 @@ def _stable_models(
     """The assignments c to the atoms at positions `var` of prog.atoms (bit
     j of c for var[j]) that are A-stable models of prog when the atoms of
     the bitmask `here` are true and all others false, A the union of the
-    parts (see `_parts`) and of the one-atom parts that the support
-    conjuncts decide; `swept`, when there are support conjuncts, is the
-    program of prog's formula conjoined with them, over the same atoms.
+    parts (see `_parts`) and of the parts that the loop formulas decide;
+    `swept`, when there are loop formulas, is the program of prog's
+    formula conjoined with them, over the same atoms.
 
     Up to `_NARROW` atoms, one packed run over every assignment decides
     classical truth and minimality together.  More atoms take a classical
     sweep of `swept`, whose models are exactly the classical models of
-    prog that are stable for every decided part, and `_stable_subset`
-    keeps those that are stable for the parts left, checked against prog
-    itself: a support conjunct makes the atoms of its bodies strictly
-    positive, so it must not take part in any minimality check.
+    prog that are stable for every part of at most `_NARROW` atoms, and
+    `_stable_subset` keeps those that are stable for the wider parts,
+    checked against prog itself: a loop formula makes the atoms of its
+    bodies strictly positive, so it must not take part in any minimality
+    check.
     """
     k = len(var)
     if not k:  # classical truth of prog in the one interpretation `here`
         return [0] if prog.run([here >> b & 1 for b in range(len(prog.atoms))], 1, 1) else []
     if k <= _NARROW:
-        return _verdicts(prog, var, here, _assignment_run(k, sum(p for p, _ in parts)), range(1 << k))
+        return _verdicts(prog, var, here, sum(p for p, _ in parts))
     candidates = _candidate_models(swept or prog, var, here)
     return _stable_subset(prog, var, here, parts, candidates) if parts else candidates
 
@@ -846,19 +850,16 @@ def enumerate_a_stable(
     `_parts`).  A part is a strongly connected component of the positive
     dependency graph; by the splitting lemma and the symmetric splitting
     theorem a classical model is C-stable for f iff it is C-stable for the
-    conjuncts in which an atom of C is strictly positive.  When those form
-    a definition for C, it has one C-stable model per interpretation of
-    the other atoms, the least fixpoint of its clauses.  For a part {q} of
-    one atom that is the support condition `q -> Or{H}` over the bodies H
-    of q's clauses, so those support conjuncts are conjoined to f in the
-    walk that compiled it, and the sweep runs on f with them: its models
-    are the candidates stable for every such part, and when no part is
-    left they are the answer.  A part wider than `_NARROW` that is a
-    definition is decided for every candidate by one bit-parallel
-    fixpoint run (see `_stable_subset`).  The other parts of at most
-    `_NARROW` atoms are decided in shared packed here-and-there runs on f
-    itself, and a wider one by a chunked sweep in `_ht_minimal` for each
-    candidate that holds one of its atoms and passes every other part.
+    conjuncts in which an atom of C is strictly positive.  A part of at
+    most `_NARROW` atoms is decided by its loop formulas, which are
+    conjoined to f in the walk that compiled it, and the sweep runs on f
+    with them: its models are the candidates stable for every such part,
+    and when no part is left they are the answer.  A wider part that is a
+    definition, whose one C-stable model per interpretation of the other
+    atoms is the least fixpoint of its clauses, is decided for every
+    candidate by one bit-parallel fixpoint run, and any other by a chunked
+    sweep in `_ht_minimal` for each candidate that holds one of its atoms
+    and passes every other part (see `_stable_subset`).
     The sweep (`_candidate_models`) skips every chunk that
     one Kleene run of the program rules out, and past `_CHUNK_BITS` atoms
     it makes the atoms read by the most ops the high atoms, which fix each
@@ -877,8 +878,8 @@ def enumerate_a_stable(
     check_signature(occurring | a, sig)
     _check_cap(len(sig), max_atoms)
 
-    parts, support = _parts(f, prog, a)
-    swept = conjoin(support) if support else None
+    parts, loop_formulas = _parts(f, prog, a)
+    swept = conjoin(loop_formulas) if loop_formulas else None
     masks = _stable_models(prog, range(len(prog.atoms)), 0, parts, swept)
     order: Sequence[Atom] = prog.atoms
     free = sig - a - occurring

@@ -615,9 +615,39 @@ def _reference_models(f: Formula, a: frozenset[Atom], pool: Sequence[Atom]) -> M
     return ModelSet.from_iter((i for i in subsets if satisfies(i, f) and is_a_stable(f, i, a)), frozenset(pool))
 
 
+def _enumerator_verdict(suite: str, f: Formula, a: frozenset[Atom], pool: Sequence[Atom]):
+    """A suite's verdict on a formula that `enumerate_a_stable` must solve
+    as the reference `is_a_stable` does."""
+    got = enumerate_a_stable(f, a, frozenset(pool))
+    want = _reference_models(f, a, pool)
+    return got == want, lambda: _case_text(
+        suite=suite,
+        formula=format_formula(f),
+        a_set=format_interpretation(a),
+        enumerated_models=_models_text(got),
+        reference_models=_models_text(want),
+    )
+
+
+def _both_solvers(suite: str, conjuncts: list[Formula], a: frozenset[Atom], pool: Sequence[Atom]):
+    """A suite's verdict on a program that both `enumerate_a_stable` and
+    `modular_solve` must solve as the reference `is_a_stable` does."""
+    modular = _quiet_modular_solve(conjuncts, a, frozenset(pool))
+    f = conj(conjuncts)
+    enumerated = enumerate_a_stable(f, a, frozenset(pool))
+    want = _reference_models(f, a, pool)
+    return enumerated == want == modular, lambda: _case_text(
+        suite=suite,
+        program=" ".join(format_formula(c) + "." for c in conjuncts),
+        a_set=format_interpretation(a),
+        enumerated_models=_models_text(enumerated),
+        modular_models=_models_text(modular),
+        reference_models=_models_text(want),
+    )
+
+
 def _suite_stable_modular(rng, cfg, unsound):
     pool = _atom_pool(min(cfg.max_atoms, 6))
-    sigma = frozenset(pool)
     conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
     for x in sorted(_rand_subset(rng, pool, 0.2)):
         conjuncts.append(disj((AtomRef(x), neg(AtomRef(x)))))  # frontier entries per choice
@@ -629,23 +659,15 @@ def _suite_stable_modular(rng, cfg, unsound):
         p, q = (AtomRef(x) for x in rng.sample(pool, 2))
         conjuncts += [Impl(neg(p), q), Impl(neg(q), p)]
     a = _rand_subset(rng, pool, 0.7)  # the rest are extensional: several contexts
-    got = _quiet_modular_solve(conjuncts, a, sigma)
-    want = _reference_models(conj(conjuncts), a, pool)
-    return got == want, lambda: _case_text(
-        suite="stable_modular",
-        program=" ".join(format_formula(c) + "." for c in conjuncts),
-        a_set=format_interpretation(a),
-        modular_models=_models_text(got),
-        reference_models=_models_text(want),
-    )
+    return _both_solvers("stable_modular", conjuncts, a, pool)
 
 
 def _suite_stable_packed(rng, cfg, unsound):
     """Programs on 8 atoms built from choices, negative chains and positive
-    loops, mostly intensional, so that the packed runs of
-    `enumerate_a_stable` decide some candidates in the segment, reject some
-    by a one- or two-atom witness and leave some (loops of 3 or more atoms
-    with nothing feeding them, and wide stable models) to the chunked sweep."""
+    rings of up to 5 atoms, mostly intensional, so that `enumerate_a_stable`
+    decides each part by its loop formulas in the sweep: a choice needs
+    none, a chain atom takes its support conjunct, and a ring one formula
+    per atom and one for the whole ring, unless a fact derives them."""
     pool = _atom_pool(8)
     rng.shuffle(pool)
     conjuncts: list[Formula] = []
@@ -670,25 +692,18 @@ def _suite_stable_packed(rng, cfg, unsound):
         conjuncts.append(_gen(rng, pool, 2, cfg))
     f = conj(conjuncts)
     a = _rand_subset(rng, pool, 0.85)
-    got = enumerate_a_stable(f, a, frozenset(pool))
-    want = _reference_models(f, a, pool)
-    return got == want, lambda: _case_text(
-        suite="stable_packed",
-        formula=format_formula(f),
-        a_set=format_interpretation(a),
-        packed_models=_models_text(got),
-        reference_models=_models_text(want),
-    )
+    return _enumerator_verdict("stable_packed", f, a, pool)
 
 
 def _suite_stable_scc(rng, cfg, unsound):
     """Programs on 6 to 8 atoms made of positive loops, linked across
     components by positive and negative rules, with choices and extensional
     atoms: `enumerate_a_stable` checks each strongly connected component of
-    the positive dependency graph as its own part of A.  A quarter of the
-    draws start with an intensional loop of 7 atoms, wider than a part with
-    a slot per subset, whose links may be switched by an atom outside it,
-    so that its classical models make any number of its atoms true."""
+    the positive dependency graph as its own part of A, one of at most 6
+    atoms by its loop formulas in the sweep.  A quarter of the draws start
+    with an intensional loop of 7 atoms, wider than a part with loop
+    formulas, whose links may be switched by an atom outside it, so that
+    its classical models make any number of its atoms true."""
     wide = rng.random() < 0.25
     pool = _atom_pool(8 if wide else rng.randint(6, 8))
     rng.shuffle(pool)
@@ -722,15 +737,7 @@ def _suite_stable_scc(rng, cfg, unsound):
             conjuncts.append(Impl(conj((body, neg(rng.choice(src)))), head))
     f = conj(conjuncts)
     a = _rand_subset(rng, pool, 0.8) | (frozenset(pool[:7]) if wide else frozenset())
-    got = enumerate_a_stable(f, a, frozenset(pool))
-    want = _reference_models(f, a, pool)
-    return got == want, lambda: _case_text(
-        suite="stable_scc",
-        formula=format_formula(f),
-        a_set=format_interpretation(a),
-        scc_models=_models_text(got),
-        reference_models=_models_text(want),
-    )
+    return _enumerator_verdict("stable_scc", f, a, pool)
 
 
 def _suite_stable_definition(rng, cfg, unsound):
@@ -794,24 +801,14 @@ def _suite_stable_definition(rng, cfg, unsound):
             conjuncts.append(Impl(neg(x) if rng.random() < 0.4 else x, head))
         else:
             conjuncts.append(head)
-    modular = _quiet_modular_solve(conjuncts, a, frozenset(pool))
-    f = conj(conjuncts)
-    enumerated = enumerate_a_stable(f, a, frozenset(pool))
-    want = _reference_models(f, a, pool)
-    return enumerated == want == modular, lambda: _case_text(
-        suite="stable_definition",
-        program=" ".join(format_formula(c) + "." for c in conjuncts),
-        a_set=format_interpretation(a),
-        enumerated_models=_models_text(enumerated),
-        modular_models=_models_text(modular),
-        reference_models=_models_text(want),
-    )
+    return _both_solvers("stable_definition", conjuncts, a, pool)
 
 
 def _suite_stable_support(rng, cfg, unsound):
     """Programs on 7 to 10 atoms, past one run over every assignment, so
-    that `enumerate_a_stable` decides each one-atom part that is a
-    definition by its support conjunct in the sweep.  Pieces: negative
+    that `enumerate_a_stable` decides each one-atom part by its loop
+    formula in the sweep, the support conjunct when the part's conjuncts
+    are clauses, and each two-atom cycle by three.  Pieces: negative
     chains, colouring-style rules `not o1 & not o2 -> c`, choices, facts,
     atoms with no rule, disjunctive heads, and positive cycles of 2 atoms
     (or of 9, when the pool has room), some seeded; then self-supporting
@@ -872,18 +869,53 @@ def _suite_stable_support(rng, cfg, unsound):
         else:
             conjuncts.append(neg(conj((literal(), literal()))))
     a = frozenset(pool) if rng.random() < 0.7 else _rand_subset(rng, pool, 0.85)
-    modular = _quiet_modular_solve(conjuncts, a, frozenset(pool))
-    f = conj(conjuncts)
-    enumerated = enumerate_a_stable(f, a, frozenset(pool))
-    want = _reference_models(f, a, pool)
-    return enumerated == want == modular, lambda: _case_text(
-        suite="stable_support",
-        program=" ".join(format_formula(c) + "." for c in conjuncts),
-        a_set=format_interpretation(a),
-        enumerated_models=_models_text(enumerated),
-        modular_models=_models_text(modular),
-        reference_models=_models_text(want),
-    )
+    return _both_solvers("stable_support", conjuncts, a, pool)
+
+
+def _suite_stable_loops(rng, cfg, unsound):
+    """Programs on 7 to 9 atoms, past one run over every assignment, around
+    a positive loop of 2 to 5 atoms, so that `enumerate_a_stable` decides
+    its part by the loop formulas in the sweep.  Rules into the loop take
+    bodies with loop atoms, other atoms, negations and nested implications
+    such as `((u | v) -> w) -> h`; some heads are disjunctive, some loop
+    atoms facts.  The other atoms are choices, derived, some asked for by
+    `not not x`, or extensional.  A fifth of the draws take a loop of 7
+    atoms instead, no definition by a rule `u -> v | w`, and derive the
+    other atoms from it: it is checked per candidate against the program
+    itself while the loop formulas of the other atoms read it.  Both `enumerate_a_stable` and `modular_solve` must give
+    the models of the reference `is_a_stable`."""
+    wide = rng.random() < 0.2
+    pool = _atom_pool(9 if wide else rng.randint(7, 9))
+    rng.shuffle(pool)
+    atoms = [AtomRef(x) for x in pool]
+    size = 7 if wide else rng.randint(2, 5)
+    loop, rest = atoms[:size], atoms[size:]
+
+    def body() -> Formula:
+        u, w = rng.choice(loop), rng.choice(rest)
+        kind = rng.random()
+        if kind < 0.5:
+            return Impl(disj((u, rng.choice(atoms))), neg(w) if kind < 0.1 else w)
+        return conj((u, neg(w))) if kind < 0.65 else conj((u, w)) if kind < 0.8 else neg(w)
+
+    conjuncts: list[Formula] = [Impl(x, y) for x, y in zip(loop, loop[1:] + loop[:1])]
+    if wide:
+        conjuncts.append(Impl(rng.choice(loop), disj((rng.choice(loop), rng.choice(rest)))))
+    for _ in range(rng.randint(1, 4)):
+        head = rng.choice(loop)
+        conjuncts.append(Impl(body(), disj((head, rng.choice(atoms))) if rng.random() < 0.15 else head))
+    if rng.random() < 0.15:
+        conjuncts.append(rng.choice(loop))
+    for x in rest:
+        kind = rng.random()
+        if wide or 0.5 <= kind < 0.7:
+            conjuncts.append(Impl(rng.choice(loop) if wide else body(), x))
+            if rng.random() < (0.7 if wide else 0.4):
+                conjuncts.append(neg(neg(x)))
+        elif kind < 0.5:
+            conjuncts.append(disj((x, neg(x))))
+    a = frozenset(pool) - {x.atom for x in rest if rng.random() < 0.3}
+    return _both_solvers("stable_loops", conjuncts, a, pool)
 
 
 def _suite_sweep_kleene(rng, cfg, unsound):
@@ -1069,9 +1101,8 @@ def _suite_prop4_grounding(rng, cfg, unsound):
     )
 
 
-_SUITES: dict[str, Callable] = {
-    "prop1": _suite_prop1,
-    "prop3": _suite_prop3,
+_SUITES: dict[str, Callable] = {  # in sorted order up to syntax_roundtrip, then new suites last
+    "definitions_theorem": _suite_definitions_theorem,
     "lemma1": _suite_lemma1,
     "lemma2": _suite_lemma2,
     "lemma3": _suite_lemma3,
@@ -1081,18 +1112,20 @@ _SUITES: dict[str, Callable] = {
     "lemma7": _suite_lemma7,
     "lemma8": _suite_lemma8,
     "lemma9": _suite_lemma9,
+    "prop1": _suite_prop1,
+    "prop3": _suite_prop3,
+    "prop4_grounding": _suite_prop4_grounding,
     "split_lemma": _suite_split_lemma,
     "split_theorem": _suite_split_theorem,
+    "stable_definition": _suite_stable_definition,
     "stable_kernel": _suite_stable_kernel,
     "stable_modular": _suite_stable_modular,
     "stable_packed": _suite_stable_packed,
     "stable_scc": _suite_stable_scc,
-    "stable_definition": _suite_stable_definition,
     "stable_support": _suite_stable_support,
     "sweep_kleene": _suite_sweep_kleene,
-    "definitions_theorem": _suite_definitions_theorem,
-    "prop4_grounding": _suite_prop4_grounding,
     "syntax_roundtrip": _suite_syntax_roundtrip,
+    "stable_loops": _suite_stable_loops,
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -1117,7 +1150,7 @@ def run_suite(name: str, cfg: GenConfig, unsound: bool = False) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}; known suites: {known}") from None
     if unsound and name not in _UNSOUND_SUITES:
         raise ValueError(f"unsound mode applies only to: {', '.join(_UNSOUND_SUITES)}")
-    salt = SUITE_NAMES.index(name)
+    salt = list(_SUITES).index(name)  # a new suite, listed last, leaves every other suite's draws as they were
     passes = fails = skipped = 0
     first: str | None = None
     attempts = 0

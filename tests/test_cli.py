@@ -330,8 +330,8 @@ class TestSplitSolve:
 
     def test_negative_cycle_with_a_choice_matches_solve_and_the_reference(self, capsys, tmp_path):
         # one unit of 10 atoms, wider than one run: its one-atom parts are
-        # definitions decided by their support conjuncts in the unit's
-        # sweep, except x0, which the choice leaves to the segment check
+        # decided by their loop formulas in the unit's sweep, the support
+        # conjunct of each, and x0's choice needs none
         rules = [f"not x{i} -> x{(i + 1) % 10}" for i in range(10)] + ["x0 | not x0"]
         path = tmp_path / "cycle.lp"
         path.write_text("".join(r + ".\n" for r in rules))

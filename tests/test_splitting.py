@@ -402,9 +402,9 @@ class TestModularSolve:
     def test_random_wide_units_match_solve_and_the_reference(self, monkeypatch):
         # a negative cycle through 7 to 9 atoms makes them one unit, wider
         # than one run and no definition as a whole, and random rules,
-        # choices and extensional atoms around it: its one-atom parts that
-        # are definitions are decided by the support sweep, the rest by
-        # the segment checks against the unit's own formula
+        # choices and extensional atoms around it: its parts of at most six
+        # atoms are decided by their loop formulas in the unit's sweep, a
+        # wider one against the unit's own formula
         supported = []
         real = splitting.compile_extensible
         monkeypatch.setattr(splitting, "compile_extensible", lambda f: supported.append(f) or real(f))
@@ -425,7 +425,8 @@ class TestModularSolve:
 
     def test_isomorphic_units_share_one_swept_program(self, monkeypatch):
         # two negative 8-cycles over x and y: units of one shape, each
-        # decided by its support sweep, whose program is compiled once
+        # decided by the sweep with its loop formulas, whose program is
+        # compiled once
         supported = []
         real = splitting.compile_extensible
         monkeypatch.setattr(splitting, "compile_extensible", lambda f: supported.append(f) or real(f))

@@ -34,10 +34,11 @@ from astable.formula import compile_extensible, compile_formula, live_prefixes, 
 from astable.stable import (
     _CHUNK_BITS,
     _NARROW,
+    _assignment_run,
     _candidate_models,
     _conjuncts,
     _ht_minimal,
-    _layout,
+    _loops,
     _parts,
     _stable_models,
     _stable_subset,
@@ -204,18 +205,17 @@ def _choices(n: int) -> list[str]:
     return [f"c{i} | not c{i}" for i in range(n)]
 
 
-def _packed_against_per_candidate(f):
+def _route_against_per_candidate(f):
     """(classical models, A-stable) with everything intensional, after
-    checking the sweep with the support conjuncts and the per-part packed
-    filter of the parts left against one `_ht_minimal` per classical model."""
+    checking the sweep with the loop formulas and the check of the wider
+    parts left against one `_ht_minimal` per classical model."""
     prog, conjoin = compile_extensible(f)
     a_mask = (1 << len(prog.atoms)) - 1
     every = range(len(prog.atoms))
     candidates = list(_candidate_models(prog, every, 0))
     reference = [m for m in candidates if _ht_minimal(prog, m, a_mask)]
-    parts, support = _parts(f, prog, frozenset(prog.atoms))
-    swept = _candidate_models(conjoin(support), every, 0) if support else candidates
-    stable = _stable_subset(prog, every, 0, parts, swept)
+    parts, loop_formulas = _parts(f, prog, frozenset(prog.atoms))
+    stable = _stable_models(prog, every, 0, parts, conjoin(loop_formulas) if loop_formulas else None)
     assert sorted(stable) == reference
     return candidates, stable
 
@@ -237,12 +237,12 @@ def _ring(names: list[str]) -> list[str]:
 
 class TestPackedMinimality:
     def test_negative_chain_is_rejected_by_one_atom_witnesses(self):
-        candidates, stable = _packed_against_per_candidate(_program(_negchain(16)))
+        candidates, stable = _route_against_per_candidate(_program(_negchain(16)))
         assert len(candidates) == 2584
         assert len(stable) == 2  # the two alternating models
 
     def test_twelve_choices_are_all_stable(self):
-        candidates, stable = _packed_against_per_candidate(_program(_choices(12)))
+        candidates, stable = _route_against_per_candidate(_program(_choices(12)))
         assert len(candidates) == len(stable) == 4096
 
     def test_unsupported_ring_takes_the_rank_path(self):
@@ -254,7 +254,7 @@ class TestPackedMinimality:
         prog = compile_formula(f)
         ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
         assert (ring_mask, None) in _parts(f, prog, frozenset(prog.atoms))[0] and ring_mask.bit_count() > _NARROW
-        candidates, stable = _packed_against_per_candidate(f)
+        candidates, stable = _route_against_per_candidate(f)
         rejected = set(candidates) - set(stable)
         assert len(rejected) == 8 and all(m & ring_mask == ring_mask for m in rejected)
 
@@ -263,17 +263,22 @@ class TestPackedMinimality:
         # {a, b, c} plus every true choice: the only witness drops all three
         # loop atoms, the last slot of the loop's block in the segment
         f = _program(["a -> b", "b -> c", "c -> a"] + _choices(extra))
-        candidates, stable = _packed_against_per_candidate(f)
+        candidates, stable = _route_against_per_candidate(f)
         assert len(candidates) == 2 << extra
         assert len(stable) == 1 << extra
 
-    def test_candidates_past_one_run(self):
-        # 17 one-atom parts: 24-bit segments, more candidates than one run holds
+    def test_seventeen_one_atom_parts_are_decided_in_the_sweep(self, monkeypatch):
+        # 17 one-atom parts, each decided by its loop formula: the sweep
+        # alone keeps the stable models, and no part is left to check
+        subsets = []
+        monkeypatch.setattr(stable_module, "_stable_subset", lambda *args: subsets.append(args))
         f = _program(_negchain(10) + _choices(7))
-        candidates, stable = _packed_against_per_candidate(f)
-        assert len(candidates) * _layout((1,) * 17)[0] > 1 << _CHUNK_BITS
         sigma = atoms_of(f)
-        assert len(stable) == len(enumerate_a_stable(f, sigma, sigma)) == 2 * 128
+        assert len(enumerate_a_stable(f, sigma, sigma)) == 2 * 128
+        assert not subsets
+        monkeypatch.undo()
+        candidates, stable = _route_against_per_candidate(f)
+        assert len(stable) == 2 * 128 < len(candidates)
 
     def test_ranks_inside_a_wide_part(self):
         # a 9-atom component whose models make any number of its atoms true:
@@ -289,19 +294,18 @@ class TestPackedMinimality:
         # x7 -> x2 | x8 makes the component no definition
         parts, _ = _parts(f, prog, frozenset(prog.atoms))
         assert [(p.bit_count(), clauses) for p, clauses in parts if p.bit_count() > 1] == [(9, None)]
-        candidates, stable = _packed_against_per_candidate(f)
+        candidates, stable = _route_against_per_candidate(f)
         x_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("x"))
         assert len({(m & x_mask).bit_count() for m in candidates}) == 10
         assert 0 < len(stable) < len(candidates)
 
     def test_seventeen_atom_part_takes_the_chunked_sweep(self, monkeypatch):
-        # a part of 17 true atoms needs 2**17 - 1 slots, past one run, so
-        # only the chunked sweep decides it, and only for candidates that
-        # every other part passes; the disjunctive head r3 -> r5 | r7 makes
-        # the ring no definition, which the fixpoint would decide instead.
-        # The one-atom parts {t} and {u} are decided by their support
-        # conjuncts in the sweep; the part {s} of `s | not s` is left, and
-        # it keeps its slot in the packed segment of every candidate
+        # a part of 17 true atoms is past the loop formulas, so only the
+        # chunked sweep decides it, and only for candidates that every
+        # other part passes; the disjunctive head r3 -> r5 | r7 makes the
+        # ring no definition, which the fixpoint would decide instead.
+        # The one-atom parts {s}, {t} and {u} are decided by their loop
+        # formulas in the sweep
         calls = []
 
         def spy(prog, mask, a_mask):
@@ -325,21 +329,22 @@ class TestPackedMinimality:
     def test_wide_program_gets_one_part_per_component(self, extra, count):
         # a program of more than _NARROW atoms with two or more intensional
         # atoms takes its parts from the components, one atom each on the
-        # negative chain, unless a positive cycle joins two of them; a
-        # one-atom part `not p_i -> p_(i+1)` is a definition, so it comes as
-        # its support conjunct `p_(i+1) -> not p_i` instead of a part
+        # negative chain, unless a positive cycle joins two of them; every
+        # part is narrow, so each comes as its loop formulas, one per loop:
+        # a one-atom part `not p_i -> p_(i+1)` as `p_(i+1) -> not p_i`, the
+        # cycle {p1, p2} as the loops {p1}, {p2} and {p1, p2}
         f = _program(_negchain(20) + extra)
         prog, conjoin = compile_extensible(f)
         a = frozenset(Atom(f"p{i}") for i in range(5))
-        parts, support = _parts(f, prog, a)
-        assert len(parts) + len(support) == count
-        bit = {x: 1 << b for b, x in enumerate(prog.atoms)}
-        supported = [bit[c.lhs.atom] for c in support]
-        assert sorted(_masks(parts) + supported) == sorted(_scc_parts(f, prog, a))
+        parts, loop_formulas = _parts(f, prog, a)
+        comps = _scc_parts(f, prog, a)
+        assert parts == [] and len(comps) == count
+        # the choice p0 | not p0 needs none: its copy in the antecedent is bot
+        assert len(loop_formulas) == sum((1 << p.bit_count()) - 1 for p in comps) - 1
         every = range(len(prog.atoms))
         candidates = list(_candidate_models(prog, every, 0))
-        assert sorted(_stable_models(prog, every, 0, parts, conjoin(support))) == sorted(
-            _stable_subset(prog, every, 0, [(sum(_masks(parts)) | sum(supported), None)], candidates)
+        assert sorted(_stable_models(prog, every, 0, parts, conjoin(loop_formulas))) == sorted(
+            _stable_subset(prog, every, 0, [(sum(comps), None)], candidates)
         )
 
     def test_one_part_agrees_with_the_component_parts(self):
@@ -468,13 +473,14 @@ def _closure_with_choices(elements):
 class TestDefinitionParts:
     def test_clauses_of_a_wide_part(self):
         # the 9 q atoms are one part, its 9 + 27 defining conjuncts clauses;
-        # every p atom is a part of one atom, with no clauses
+        # every p atom is a part of one atom, decided in the sweep (its
+        # choice needs no loop formula)
         f, q_set, _ = _closure_with_choices("abc")
         prog = compile_formula(f)
-        parts, support = _parts(f, prog, frozenset(prog.atoms))
+        parts, loop_formulas = _parts(f, prog, frozenset(prog.atoms))
         defined = [(p, clauses) for p, clauses in parts if clauses is not None]
-        assert not support
-        assert len(parts) == 10 and len(defined) == 1
+        assert not loop_formulas
+        assert len(parts) == 1 and len(defined) == 1
         q_mask, clauses = defined[0]
         assert {x for b, x in enumerate(prog.atoms) if q_mask >> b & 1} == q_set
         assert len(clauses) == 9 + 27
@@ -503,7 +509,7 @@ class TestDefinitionParts:
         ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
         (clauses,) = [c for p, c in _parts(f, prog, frozenset(prog.atoms))[0] if p == ring_mask]
         assert (clauses is not None) == defined
-        candidates, stable = _packed_against_per_candidate(f)
+        candidates, stable = _route_against_per_candidate(f)
         assert stable
 
     def test_narrow_programs_and_parts_are_never_recognized(self, monkeypatch):
@@ -517,23 +523,20 @@ class TestDefinitionParts:
         assert _parts(small, prog, frozenset(prog.atoms)) == ([((1 << _NARROW) - 1, None)], [])
         wide = _program(_ring([f"r{i}" for i in range(_NARROW)]) + _choices(4))
         prog = compile_formula(wide)
-        assert _parts(wide, prog, frozenset(prog.atoms))[1] == []
-        assert all(clauses is None for _, clauses in _parts(wide, prog, frozenset(prog.atoms))[0])
+        parts, loop_formulas = _parts(wide, prog, frozenset(prog.atoms))
+        # the ring is a narrow part: one loop formula for each of its atoms
+        # and one for the whole ring, its only other loop; no part is left
+        assert parts == [] and len(loop_formulas) == 1 + _NARROW
         assert not calls
 
     def test_wide_definition_part_builds_no_counters_and_no_sweep(self, monkeypatch):
         # the 17-ring seeded by s: a definition, so one fixpoint run decides
-        # it for every candidate; no segment holds it and no chunked sweep
-        # checks it
-        sweeps, runs, widest = [], [], []
+        # it for every candidate; no packed run holds it and no chunked
+        # sweep checks it
+        sweeps, runs, packed = [], [], []
         monkeypatch.setattr(stable_module, "_ht_minimal", lambda *args: sweeps.append(args) or _ht_minimal(*args))
-        real_columns = stable_module._columns
-
-        def columns(n, slotted, batch):
-            widest.append(max(s for _, s in slotted))
-            return real_columns(n, slotted, batch)
-
-        monkeypatch.setattr(stable_module, "_columns", columns)
+        real_verdicts = stable_module._verdicts
+        monkeypatch.setattr(stable_module, "_verdicts", lambda *args: packed.append(args) or real_verdicts(*args))
         real_fixpoint = stable_module._least_fixpoint
         monkeypatch.setattr(stable_module, "_least_fixpoint", lambda *args: runs.append(1) or real_fixpoint(*args))
         ring = [f"r{i}" for i in range(17)]
@@ -543,26 +546,20 @@ class TestDefinitionParts:
         ring_atoms = frozenset(Atom(r) for r in ring)
         s, u = Atom("s"), Atom("u")
         assert got.as_set() == {frozenset({u}), ring_atoms | {s, u}}
-        assert not sweeps and len(runs) == 1
-        assert widest and max(widest) <= _NARROW
+        assert not sweeps and len(runs) == 1 and not packed
 
     def test_closure_part_matches_the_models_and_the_per_candidate_check(self, monkeypatch):
-        sweeps, widest = [], []
+        sweeps, packed = [], []
         monkeypatch.setattr(stable_module, "_ht_minimal", lambda *args: sweeps.append(args) or _ht_minimal(*args))
-        real_columns = stable_module._columns
-
-        def columns(n, slotted, batch):
-            widest.append(max(s for _, s in slotted))
-            return real_columns(n, slotted, batch)
-
-        monkeypatch.setattr(stable_module, "_columns", columns)
+        real_verdicts = stable_module._verdicts
+        monkeypatch.setattr(stable_module, "_verdicts", lambda *args: packed.append(args) or real_verdicts(*args))
         f, _, models = _closure_with_choices("abc")
         sigma = atoms_of(f)
         assert enumerate_a_stable(f, sigma, sigma).as_set() == models
-        assert not sweeps and max(widest) == 1
+        assert not sweeps and not packed
         # the fixpoint against one here-and-there sweep per candidate
         monkeypatch.undo()
-        candidates, stable = _packed_against_per_candidate(f)
+        candidates, stable = _route_against_per_candidate(f)
         assert len(stable) == len(models) == 512 < len(candidates)
 
     def test_definition_parts_inside_extensional_context(self):
@@ -576,8 +573,9 @@ class TestDefinitionParts:
 
 
 class TestSupportSweep:
-    """A one-atom part that is a definition is decided by its support
-    conjunct in the candidate sweep and never reaches `_stable_subset`."""
+    """A part of at most `_NARROW` atoms is decided by its loop formulas in
+    the candidate sweep and never reaches `_stable_subset`; for a one-atom
+    part with clauses only, the formula is the support conjunct."""
 
     @staticmethod
     def _spy(monkeypatch, name: str) -> list:
@@ -588,38 +586,56 @@ class TestSupportSweep:
 
     def test_negative_chain_sweeps_only_its_stable_models(self, monkeypatch):
         # not p_i -> p_(i+1) over 18 atoms with p0 extensional: every part
-        # is a definition, so the sweep's two models are the answer and no
-        # segment is ever built
+        # is a one-atom loop, so the sweep's two models are the answer and
+        # no part is left to check
         swept = []
         real = stable_module._candidate_models
         monkeypatch.setattr(stable_module, "_candidate_models", lambda *args: swept.append(real(*args)) or swept[-1])
-        columns = self._spy(monkeypatch, "_columns")
+        subsets = self._spy(monkeypatch, "_stable_subset")
         f = _program([f"not p{i} -> p{i + 1}" for i in range(17)])
         sigma = atoms_of(f)
         got = enumerate_a_stable(f, sigma - {Atom("p0")}, sigma)
         assert got.as_set() == {frozenset(Atom(f"p{i}") for i in range(s, 18, 2)) for s in (0, 1)}
-        assert [len(c) for c in swept] == [2] and not columns
+        assert [len(c) for c in swept] == [2] and not subsets
+
+    def test_choices_sweep_only_their_stable_models(self, monkeypatch):
+        # 12 choices, an unfounded 3-loop and a 2-loop fed by two of the
+        # choices: the sweep returns exactly the stable models, with no
+        # check after it
+        subsets = self._spy(monkeypatch, "_stable_subset")
+        f = _program(_choices(12) + ["a -> b", "b -> c", "c -> a", "c0 & not c1 -> d", "d -> e", "e -> d"])
+        sigma = atoms_of(f)
+        got = enumerate_a_stable(f, sigma, sigma)
+        assert not subsets
+        c0, c1, d, e = (Atom(x) for x in ("c0", "c1", "d", "e"))
+        chosen = all_subsets(Atom(f"c{i}") for i in range(12))
+        assert got.as_set() == {i | ({d, e} if c0 in i and c1 not in i else set()) for i in chosen}
+        monkeypatch.undo()
+        assert len(_route_against_per_candidate(f)[1]) == len(got)
 
     def test_support_conjuncts_of_a_program(self):
-        # the bodies are the very objects of the program; a self-supporting
-        # clause is left out, an atom with no clause must be false, a fact
-        # needs no conjunct, and `not q -> q` or a choice leaves a part
+        # a one-atom loop's formula: the bodies are the very objects of the
+        # program, a self-supporting body `H & q` becomes bot and drops out,
+        # an atom with no clause must be false, a fact or a choice needs no
+        # formula, and `not q -> q` takes its body as it is, with no edge
         f = _program(["not a -> b", "c & b -> b", "d -> b", "e", "not f -> f", "g | not g", "h -> i", "i -> h"])
         prog = compile_formula(f)
-        parts, support = _parts(f, prog, frozenset(prog.atoms))
-        bit = {x: 1 << k for k, x in enumerate(prog.atoms)}
-        assert sorted(_masks(parts)) == sorted([bit[Atom("f")], bit[Atom("g")], bit[Atom("h")] | bit[Atom("i")]])
-        by_head = {c.lhs.atom: c.rhs for c in support}
-        assert set(by_head) == {Atom(x) for x in "abcd"}
+        parts, loop_formulas = _parts(f, prog, frozenset(prog.atoms))
+        assert parts == []
+        one_atom = {c.lhs.atom: c.rhs for c in loop_formulas if type(c.lhs) is AtomRef}
+        assert set(one_atom) == {Atom(x) for x in "abcdfhi"}
         bodies = [c.lhs for c in _conjuncts(f) if type(c) is Impl and c.rhs == atom("b")]
-        assert set(map(id, by_head[Atom("b")].children)) <= set(map(id, bodies))
-        assert format_formula(by_head[Atom("b")]) == "d | not a"
-        assert all(by_head[Atom(x)] == BOT for x in "acd")
+        assert set(map(id, one_atom[Atom("b")].children)) <= set(map(id, bodies))
+        assert format_formula(one_atom[Atom("b")]) == "d | not a"  # in the order of the conjuncts of f
+        assert all(one_atom[Atom(x)] == BOT for x in "acd") and format_formula(one_atom[Atom("f")]) == "not f"
+        assert format_formula(one_atom[Atom("h")]) == "i" and format_formula(one_atom[Atom("i")]) == "h"
+        (loop,) = [c for c in loop_formulas if type(c.lhs) is not AtomRef]
+        assert format_formula(loop) == "not (h & i)"  # the loop {h, i} has no support from outside
 
-    def test_narrow_programs_never_call_clause(self, monkeypatch):
+    def test_narrow_programs_build_no_loop_formulas(self, monkeypatch):
         # a program of at most _NARROW atoms takes one run over every
-        # assignment and recognizes nothing; one atom more does
-        calls = self._spy(monkeypatch, "_clause")
+        # assignment and builds no loop formula; one atom more does
+        calls = self._spy(monkeypatch, "_loop_formulas")
         for k in range(200):
             f = gen_formula(GenConfig(seed=9700 + k, max_atoms=_NARROW, max_depth=3))
             sigma = atoms_of(f)
@@ -629,6 +645,82 @@ class TestSupportSweep:
         assert not calls
         enumerate_a_stable(_program(_negchain(_NARROW + 1)), {Atom("p1")})
         assert calls
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_loops_match_brute_force_on_every_small_digraph(self, k):
+        # every digraph over k vertices without self-loops, which change no
+        # loop: a nonempty set is a loop iff each of its vertices reaches
+        # every other inside it, by a transitive closure over the set
+        pairs = [(u, v) for u in range(k) for v in range(k) if u != v]
+        for edges in range(1 << len(pairs)):
+            succs = tuple(tuple(v for j, (u, v) in enumerate(pairs) if u == w and edges >> j & 1) for w in range(k))
+            want = []
+            for y in range(1, 1 << k):
+                inside = [v for v in range(k) if y >> v & 1]
+                reach = {(u, v) for u in inside for v in succs[u] if y >> v & 1} | {(v, v) for v in inside}
+                for m in inside:
+                    reach |= {(u, v) for u in inside for v in inside if (u, m) in reach and (m, v) in reach}
+                if len(reach) == len(inside) ** 2:
+                    want.append(y)
+            assert list(_loops(succs)) == want
+
+    def test_assignment_run_slots_are_the_subsets_of_the_free_atoms(self):
+        # segment c of the run over every assignment to k atoms has a live
+        # slot for exactly each nonempty subset of I & A, I = c, and each
+        # atom's column is 1 there iff the subset leaves the atom in I
+        for k in range(_NARROW + 1):
+            for a in range(1 << k):
+                columns, live, first, width = _assignment_run(k, a)
+                part = [b for b in range(k) if a >> b & 1]
+                assert width % 8 == 0 and width >= 1 << len(part)
+                assert first == sum(1 << c * width for c in range(1 << k))
+                for c in range(1 << k):
+                    slots = [slot for slot in range(1, width) if live >> (c * width + slot) & 1]
+                    dropped = [{part[t] for t in range(len(part)) if slot >> t & 1} for slot in slots]
+                    free = [b for b in part if c >> b & 1]
+                    want = [set(sub) for r in range(1, len(free) + 1) for sub in itertools.combinations(free, r)]
+                    assert sorted(map(sorted, dropped)) == sorted(map(sorted, want))
+                    for b, column in enumerate(columns):
+                        assert column >> c * width & 1 == c >> b & 1
+                        for slot, drop in zip(slots, dropped):
+                            assert column >> (c * width + slot) & 1 == (c >> b & 1 and b not in drop)
+
+
+class TestDeepLoopFormulas:
+    """A narrow part of a program past `_NARROW` atoms whose rule body or
+    other defining conjunct is nested 5,000 deep: the here-copies and their
+    loop formulas are built by explicit-stack walks, and `solve` answers as
+    it does for the shallow program of the same stable models, since
+    `x -> (y -> G)` and `x & y -> G` are equivalent in here-and-there."""
+
+    CHOICES = [f"{x} | not {x}" for x in ("x0", "x1", "x2", "y0", "y1", "y2")]
+
+    @staticmethod
+    def _deep(inner: str, depth: int = 5000) -> str:
+        return "".join(f"x{i % 3} -> (" for i in range(depth)) + inner + ")" * depth
+
+    def _solve(self, tmp_path, capsys, deep: str, shallow: str) -> None:
+        from astable.cli import main
+
+        path = tmp_path / "deep.lp"
+        path.write_text("".join(r + ".\n" for r in [deep] + self.CHOICES))
+        code = main(["solve", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 2) and "Traceback" not in err
+        f = _program([shallow] + self.CHOICES)
+        sigma = atoms_of(f)
+        want = enumerate_a_stable(f, sigma, sigma)
+        assert want.as_set() == brute_a_stable(f, sigma, sigma)
+        assert code == 0 and out.splitlines() == want.lines()
+
+    def test_deep_rule_body(self, tmp_path, capsys):
+        # h is positive nonnegated in the body, so its loop formula copies it
+        self._solve(tmp_path, capsys, f"({self._deep('h')}) -> h", "(x0 & x1 & x2 -> h) -> h")
+
+    def test_deep_other_conjunct(self, tmp_path, capsys):
+        # h is strictly positive in a conjunct that is no rule, whose copy
+        # stands in the antecedent of h's loop formula
+        self._solve(tmp_path, capsys, self._deep("h | y0"), "x0 & x1 & x2 -> h | y0")
 
 
 def _cycle_colouring(n: int) -> list[str]:

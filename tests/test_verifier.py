@@ -1,3 +1,6 @@
+import inspect
+import textwrap
+
 import pytest
 
 from astable import (
@@ -209,30 +212,36 @@ class TestStableDefinitionMutations:
         assert run_suite("stable_definition", self.CFG).fails > 0
 
 
+def _mutant(module, name: str, old: str, new: str):
+    """The function `name` of `module` compiled from its own source with
+    the one occurrence of `old` replaced by `new`, in a copy of the
+    module's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"), namespace)
+    return namespace[name]
+
+
 class TestStableSupportMutations:
-    """Each mutation of the support route, patched in here, fails the
-    `stable_support` suite: the suite sees which clauses a support conjunct
-    keeps, which parts it decides, and which program the parts left are
-    checked against."""
+    """Each mutation of the loop route, patched in here, fails a suite: the
+    `stable_support` suite sees which bodies a loop formula copies and
+    which parts take loop formulas, and `stable_loops` which program the
+    wider parts left are checked against."""
 
     CFG = GenConfig(iterations=40)  # as test_every_suite_green_at_default_seed, which passes
 
-    # r and t support each other only, so no model makes them true, and
-    # `not not q` asks for q; the chain past x1 pads the program past one
-    # run over every assignment
-    PADDED = "r -> t. t -> r. r -> q. not not q. x1 | not x1. not x1 -> x2. not x2 -> x3. not x3 -> x4."
+    # r0 ... r6 is a loop that supports itself only, and no definition by
+    # its disjunctive head; `not not q` asks for q, derived from r2, so the
+    # program has no stable model
+    WIDE = "r0 -> r1. r1 -> r2. r2 -> r3. r3 -> r4. r4 -> r5. r5 -> r6. r6 -> r0. r0 -> r3 | q. r2 -> q. not not q."
 
     def test_keeping_self_supporting_clauses_fails(self, monkeypatch):
         from astable import stable
 
-        real = stable._clause
-
-        def kept(c, q):
-            # `H & q -> q` read as `H -> q` for a part of one atom
-            clause = real(c, q)
-            return (clause[0], frozenset(), clause[2]) if clause is not None and len(q) == 1 else clause
-
-        monkeypatch.setattr(stable, "_clause", kept)
+        # every body as it is: `H & q -> q` supports q by itself
+        copy = "_here(b, ys) if any(y >> w & 1 for w in succs[j]) else b"
+        monkeypatch.setattr(stable, "_loop_formulas", _mutant(stable, "_loop_formulas", copy, "b"))
         assert run_suite("stable_support", self.CFG).fails > 0
 
     def test_deciding_a_two_atom_cycle_by_its_support_fails(self, monkeypatch):
@@ -241,8 +250,8 @@ class TestStableSupportMutations:
         real = stable.components
 
         def split(g):
-            # each two-atom component as two parts of one atom, which
-            # then count as definitions decided by their support conjuncts
+            # each two-atom component as two parts of one atom, whose one
+            # loop formula each leaves out the loop of both
             comps, _ = real(g)
             out = [piece for c in comps for piece in ([frozenset((x,)) for x in c] if len(c) == 2 else [c])]
             return out, {x: k for k, c in enumerate(out) for x in c}
@@ -258,13 +267,43 @@ class TestStableSupportMutations:
         def swept_only(prog, var, here, parts, swept=None):
             return real(swept or prog, var, here, parts, swept)
 
-        f = conj(parse_program(self.PADDED))
+        f = conj(parse_program(self.WIDE))
         assert len(atoms_of(f)) > stable._NARROW
         assert len(enumerate_a_stable(f, atoms_of(f))) == 0
         monkeypatch.setattr(stable, "_stable_models", swept_only)
         monkeypatch.setattr(splitting, "_stable_models", swept_only)
-        assert len(enumerate_a_stable(f, atoms_of(f))) == 2
-        assert run_suite("stable_support", self.CFG).fails > 0
+        # q's loop formula q -> r2 rejects the ring's unfounded witness
+        assert len(enumerate_a_stable(f, atoms_of(f))) == 1
+        assert run_suite("stable_loops", self.CFG).fails > 0
+
+
+class TestStableLoopsMutations:
+    """Each mutation of the loop formulas, patched in here, fails the
+    `stable_loops` suite: the suite sees which loops get a formula, which
+    bodies are copied and the there-value of an implication."""
+
+    CFG = GenConfig(iterations=40)  # as test_every_suite_green_at_default_seed, which passes
+
+    def test_keeping_only_one_atom_loops_fails(self, monkeypatch):
+        from astable import stable
+
+        monkeypatch.setattr(stable, "_loops", lambda succs: tuple(1 << v for v in range(len(succs))))
+        assert run_suite("stable_loops", self.CFG).fails > 0
+
+    def test_taking_rule_bodies_without_their_copy_fails(self, monkeypatch):
+        from astable import stable
+
+        copy = "_here(b, ys) if any(y >> w & 1 for w in succs[j]) else b"
+        monkeypatch.setattr(stable, "_loop_formulas", _mutant(stable, "_loop_formulas", copy, "b"))
+        assert run_suite("stable_loops", self.CFG).fails > 0
+
+    def test_dropping_the_there_value_of_an_implication_fails(self, monkeypatch):
+        from astable import stable
+
+        # (G -> H) & (here G -> here H) read as here G -> here H, which
+        # holds for ((u | v) -> w) with u in the loop, v and w false
+        monkeypatch.setattr(stable, "_here", _mutant(stable, "_here", "_node(Conj, (g, Impl(*new)))", "Impl(*new)"))
+        assert run_suite("stable_loops", self.CFG).fails > 0
 
 
 class TestSyntaxRoundtripMutations:
