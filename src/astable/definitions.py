@@ -15,15 +15,15 @@ from __future__ import annotations
 import itertools
 from typing import AbstractSet, Sequence
 
-from .formula import Atom, AtomRef, Conj, Formula, Impl, atoms_of, conj, satisfies
+from .formula import Atom, Conj, Formula, Impl, atoms_of, conj, satisfies
 from .records import Record
 from .stable import (
     DEFAULT_MAX_ATOMS,
     Interpretation,
     ModelSet,
     _check_cap,
+    _clause,
     _least_fixpoint,
-    _split_antecedent,
     enumerate_a_stable,
     format_masks,
 )
@@ -77,8 +77,10 @@ def recognize_definition(g: Formula, q: AbstractSet[Atom]) -> DefinitionModule |
     g may be a conjunction of clauses or a single clause.  Each clause must
     be an implication with a head atom from q; direct q-atom conjuncts of the
     antecedent are collected separately, and the rest of the antecedent must
-    be q-free.  A failed check returns a Rejection naming the first offending
-    conjunct; rejection is an answer, not an error.
+    be q-free (see `stable._clause`, which the solvers share; only a fact
+    is a clause there and not here).  A failed check returns a Rejection
+    naming the first offending conjunct; rejection is an answer, not an
+    error.
     """
     q = frozenset(q)
     conjuncts: Sequence[Formula] = g.children if isinstance(g, Conj) else (g,)
@@ -86,16 +88,10 @@ def recognize_definition(g: Formula, q: AbstractSet[Atom]) -> DefinitionModule |
     for c in conjuncts:
         if not isinstance(c, Impl):
             return Rejection(c, "conjunct is not an implication")
-        head = c.rhs
-        if not isinstance(head, AtomRef) or head.atom not in q:
-            return Rejection(c, "consequent is not a defined atom")
-        body, pos_q = _split_antecedent(c.lhs, q)
-        offending = sorted(q & atoms_of(body))
-        if offending:
-            return Rejection(
-                c, f"defined atom {offending[0]} occurs in a clause body"
-            )
-        clauses.append(Clause(body, pos_q, head.atom))
+        clause = _clause(c, q)
+        if type(clause) is str:
+            return Rejection(c, clause)
+        clauses.append(Clause(*clause))
     return DefinitionModule(tuple(clauses), q, g)
 
 

@@ -8,9 +8,12 @@ units, the strongly connected components of the graph of which atoms each
 rule head mentions, and a modular solver evaluates the units in condensation
 order, carrying partial interpretations.  Units may depend on each other
 through negation; positive dependency stays inside a unit, as the symmetric
-splitting theorem asks.  Both strategies verify their preconditions; the
-modular solver falls back to brute force (with a warning) when a conjunct's
-strictly positive intensional atoms span dependency blocks.
+splitting theorem asks.  How one unit is solved, its route, is for `stable`
+to choose and run (`_unit_route`, `_unit_models`); this module keeps the
+plan, the cap, the contexts each unit is solved in and the frontier.  Both
+strategies verify their preconditions; the modular solver falls back to
+brute force (with a warning) when a conjunct's strictly positive
+intensional atoms span dependency blocks.
 """
 
 from __future__ import annotations
@@ -34,25 +37,18 @@ from .formula import (
     Formula,
     Program,
     atoms_of,
-    compile_extensible,
-    compile_formula,
     conj,
     satisfies,  # not called here; perfbench/spans.py wraps this name
 )
 from .records import Record
 from .stable import (
-    _NARROW,
     DEFAULT_MAX_ATOMS,
-    Clause,
     ModelSet,
-    Part,
     _check_cap,
-    _conjuncts,
     _decode,
-    _definition,
-    _definition_models,
-    _parts,
-    _stable_models,
+    _unit_models,
+    _unit_program,
+    _unit_route,
     enumerate_a_stable,
     format_interpretation,
     is_a_stable,  # not called here; perfbench/spans.py wraps this name
@@ -231,36 +227,35 @@ def plan_split(
     return SplitPlan(blocks, tuple(residual))
 
 
-def _extend_frontier(
-    frontier: list[int],
-    f: Formula,
-    prog: Program,
-    unit_atoms: frozenset[Atom],
-    bit: dict[Atom, int],
-    solved: dict[tuple, tuple[list[Part], tuple[Clause, ...] | None, Program | None, dict[int, list[int]]]],
-    max_atoms: int,
-) -> list[int]:
+def _route(solved: dict, f: Formula, prog: Program, conjoin, unit: list[int]) -> tuple:
+    """The route of the unit at positions `unit` of prog.atoms (see
+    `stable._unit_route`), built once per shape: it depends only on the
+    shape of the program and where the unit atoms sit in it, so `solved`
+    shares it, and the extensions it has found, between isomorphic units,
+    such as the ground instances of one rule."""
+    key = (prog.ops, prog.root, len(prog.atoms), tuple(unit))
+    route = solved.get(key)
+    if route is None:
+        route = solved[key] = _unit_route(f, prog, conjoin, unit)
+    return route
+
+
+def _extend_frontier(frontier: list[int], step: tuple, bit: dict[Atom, int], solved: dict, max_atoms: int) -> list[int]:
     """Every frontier entry joined with each stable extension of the unit
-    whose formula f compiles as prog, all as bitmasks (`bit` maps atoms to
-    their bits; an atom prog mentions without a bit is always false).
+    of `step` (its atoms, its formula f, and f's program prog with the
+    function that continues its walk, as `stable._unit_program` gives
+    them), all as bitmasks (`bit` maps atoms to their bits; an atom prog
+    mentions without a bit is always false).
 
     The extensions depend only on the context, the entry's values of the
-    non-unit atoms prog mentions, so each distinct context is solved once:
-    the unit's A-stable assignments, A = the unit's atoms, with the context
-    fixed.  A unit wider than `_NARROW` whose whole formula is a definition
-    for its atoms has exactly one, the least fixpoint of its clauses, and
-    one fixpoint run over its new contexts, one lane each, finds them all
-    (`stable._definition_models`).  Every other unit is the enumerator's
-    job and is done by the enumerator's routine, `stable._stable_models`,
-    with the unit's dependency blocks as its parts (see `stable._parts`).
-    `stable._decode` spreads the extensions to the bits over sigma, one
-    call per context, or one for every context of a definition unit,
-    which may have thousands with one extension each.  The parts, the
-    clauses and the solutions depend only on the shape of the program,
-    where the unit atoms sit in it and which others are true, so `solved`
-    shares them between isomorphic units, such as the ground instances of
-    one rule.
+    non-unit atoms prog mentions, so each distinct context is solved once,
+    on the unit's route (see `_route`): its A-stable assignments, A = the
+    unit's atoms, with the context fixed (`stable._unit_models`).
+    `stable._decode` spreads them to the bits over sigma, one call per
+    context, or one for every context of a unit whose route has exactly
+    one extension per context, a definition, which may have thousands.
     """
+    unit_atoms, f, prog, conjoin = step
     unit: list[int] = []  # positions over prog.atoms
     sig_bits: list[int] = []
     context: list[tuple[int, int]] = []  # (bit over sigma, bit over prog.atoms)
@@ -272,21 +267,7 @@ def _extend_frontier(
         else:
             context.append((bit.get(x, 0), 1 << b))
             ctx_mask |= bit.get(x, 0)
-
-    key = (prog.ops, prog.root, len(prog.atoms), tuple(unit))
-    entry = solved.get(key)
-    if entry is None:
-        parts: list[Part] = [((1 << len(unit)) - 1, None)]  # a narrow unit is decided in one run, whatever its parts
-        clauses = swept = None
-        if len(unit) > _NARROW:
-            clauses = _definition(_conjuncts(f), prog, sum(1 << b for b in unit))
-            if clauses is None:  # its dependency blocks, over the unit's positions
-                found, loop_formulas = _parts(f, prog, unit_atoms)
-                parts = [(sum(1 << j for j, b in enumerate(unit) if p >> b & 1), part_clauses) for p, part_clauses in found]
-                if loop_formulas:
-                    swept = compile_extensible(f)[1](loop_formulas)
-        entry = solved[key] = (parts, clauses, swept, {})
-    parts, clauses, swept, shape = entry
+    route = _route(solved, f, prog, conjoin, unit)
     heres: dict[int, int] = {}  # each distinct context, over prog.atoms
     for m in frontier:
         ctx = m & ctx_mask
@@ -296,16 +277,11 @@ def _extend_frontier(
                 if ctx & sig_bit:
                     here |= prog_bit
             heres[ctx] = here
-    new = [here for here in heres.values() if here not in shape]  # contexts and heres correspond one to one
-    if clauses is None:
-        for here in new:
-            shape[here] = _stable_models(prog, unit, here, parts, swept)
-        memo = {ctx: _decode(shape[here], sig_bits, sum) for ctx, here in heres.items()}
-    else:  # one extension per context: all of them over sigma in one decoding
-        if new:
-            for here, c in zip(new, _definition_models(prog, unit, clauses, new)):
-                shape[here] = [c]
-        memo = dict(zip(heres, zip(_decode([shape[here][0] for here in heres.values()], sig_bits, sum))))
+    found = _unit_models(route, heres.values())
+    if route[0]:  # one extension per context: all of them over sigma in one decoding
+        memo = dict(zip(heres, zip(_decode([found[here][0] for here in heres.values()], sig_bits, sum))))
+    else:
+        memo = {ctx: _decode(found[here], sig_bits, sum) for ctx, here in heres.items()}
     size = sum(len(memo[m & ctx_mask]) for m in frontier)
     if size > 1 << max_atoms:
         raise CapExceeded(
@@ -313,16 +289,6 @@ def _extend_frontier(
             f"pass a larger max_atoms (or --max-atoms) if this is intended"
         )
     return [m | e for m in frontier for e in memo[m & ctx_mask]]
-
-
-def _enumerated(unit_atoms: frozenset[Atom], f: Formula, prog: Program) -> bool:
-    """Whether `_extend_frontier` enumerates the unit's atoms: every unit
-    does but one wider than `_NARROW` whose formula is a definition for
-    them, which one fixpoint run per context decides, whatever its width."""
-    if len(unit_atoms) <= _NARROW:
-        return True
-    part = sum(1 << b for b, x in enumerate(prog.atoms) if x in unit_atoms)
-    return _definition(_conjuncts(f), prog, part) is None
 
 
 def modular_solve(
@@ -342,17 +308,19 @@ def modular_solve(
     surviving frontier instead of one sweep over the whole signature.  This
     is the symmetric splitting theorem: units may depend on each other
     through negation, only positive dependency stays inside a unit.  Each
-    unit formula is compiled once, a one-conjunct unit as its conjunct, and
-    solved once per distinct context by the enumerator's own routine, with
-    A = the unit's atoms and the context fixed (see `_extend_frontier`).
+    unit formula is walked by the compiler once, a one-conjunct unit as its
+    conjunct, and solved once per distinct context on the route that
+    `stable._unit_route` picks for its shape, with A = the unit's atoms and
+    the context fixed (see `_extend_frontier`).
     Residual conjuncts, which have no strictly positive intensional atoms,
     only filter the models classically: each is a unit with no atoms,
     solved the same way after all the others, on the few contexts its own
     atoms give.  A conjunct whose strictly positive intensional atoms span
     dependency blocks triggers a logged brute-force fallback; a unit or an
     extensional context wider than max_atoms atoms, or a frontier of more
-    than 2**max_atoms interpretations, raises CapExceeded; a definition
-    unit is not enumerated (see `_enumerated`), so it may be wider.
+    than 2**max_atoms interpretations, raises CapExceeded; a unit whose
+    route has one extension per context, a definition, is not enumerated,
+    so it may be wider.
     `mentions`, the atoms of each conjunct when the caller has them, go to
     `plan_split`.
     """
@@ -364,18 +332,24 @@ def modular_solve(
         return enumerate_a_stable(conj(conjuncts), a, sigma, max_atoms=max_atoms)
 
     units = [(atoms, f.children[0] if len(f.children) == 1 else f) for atoms, f in reversed(plan.blocks)]
-    steps = [(atoms, f, compile_formula(f)) for atoms, f in units + [(frozenset(), r) for r in plan.residual]]
+    steps = [(atoms, f, *_unit_program(f, atoms)) for atoms, f in units + [(frozenset(), r) for r in plan.residual]]
     if sigma is None:
-        sig = a.union(*(prog.atoms for *_, prog in steps))
+        sig = a.union(*(prog.atoms for _, _, prog, _ in steps))
     else:
         sig = frozenset(sigma)
 
     # The cap guards every exponential dimension: the extensional context
     # enumerated up front and the widest enumerated unit here, the frontier
-    # in _extend_frontier.  Only a unit past the cap needs the definition
-    # test, so no other unit pays for it.
-    widest = max((len(b) for b, f, prog in steps if len(b) > max_atoms and _enumerated(b, f, prog)), default=0)
-    _check_cap(max(len(sig - a), widest), max_atoms)
+    # in _extend_frontier.  Only a unit past the cap needs its route this
+    # early, so no other unit builds it before its step.
+    solved: dict[tuple, tuple] = {}  # see _route
+    wide = [
+        len(atoms)
+        for atoms, f, prog, conjoin in steps
+        if len(atoms) > max_atoms
+        and not _route(solved, f, prog, conjoin, [b for b, x in enumerate(prog.atoms) if x in atoms])[0]
+    ]
+    _check_cap(max([len(sig - a), *wide]), max_atoms)
 
     # Partial interpretations are bitmasks over sigma (and over A, so that
     # a model leaving sigma reaches ModelSet's signature check); an atom a
@@ -385,7 +359,6 @@ def modular_solve(
     frontier = [0]
     for x in sig - a:
         frontier += [m | bit[x] for m in frontier]
-    solved: dict[tuple, tuple] = {}  # see _extend_frontier
-    for unit_atoms, f, prog in steps:
-        frontier = _extend_frontier(frontier, f, prog, unit_atoms, bit, solved, max_atoms)
+    for step in steps:
+        frontier = _extend_frontier(frontier, step, bit, solved, max_atoms)
     return ModelSet.from_masks(frontier, order, sig)

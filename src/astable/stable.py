@@ -13,7 +13,7 @@ import functools
 import itertools
 from collections import Counter
 from operator import add, is_, itemgetter
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .depgraph import DepGraph, components, dep_graph, strictly_positive, strong_components
 from .formula import (
@@ -447,18 +447,21 @@ def _split_antecedent(ante: Formula, q: AbstractSet[Atom]) -> tuple[Formula, fro
     return ante, frozenset()
 
 
-def _clause(c: Formula, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom], Atom] | None:
+def _clause(c: Formula, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom], Atom] | str:
     """c as a clause `H & C -> h` of a definition for q, (H, C, h): h in q,
     C the atoms of q that are direct conjuncts of the antecedent, H the rest
     of it, which must mention no atom of q.  An atom of q is the clause
-    `top -> h`.  None when c is no such clause, such as a disjunctive head."""
-    if type(c) is AtomRef:
-        return (TOP, frozenset(), c.atom) if c.atom in q else None
+    `top -> h`.  When c is no such clause, such as a disjunctive head, the
+    reason: "consequent is not a defined atom", or "defined atom X occurs
+    in a clause body" for the least such atom X."""
+    if type(c) is AtomRef and c.atom in q:
+        return TOP, frozenset(), c.atom
     if type(c) is not Impl or type(c.rhs) is not AtomRef or c.rhs.atom not in q:
-        return None
+        return "consequent is not a defined atom"
     body, pos_q = _split_antecedent(c.lhs, q)
-    if not atoms_of(body).isdisjoint(q):
-        return None
+    mentioned = atoms_of(body)
+    if not mentioned.isdisjoint(q):
+        return f"defined atom {min(mentioned.intersection(q))} occurs in a clause body"
     return body, pos_q, c.rhs.atom
 
 
@@ -470,7 +473,7 @@ def _definition(conjuncts: Iterable[Formula], prog: Program, part: int) -> tuple
     found = []
     for c in conjuncts:
         clause = _clause(c, q)
-        if clause is None:
+        if type(clause) is str:
             return None
         found.append(clause)
     position = {x: b for b, x in enumerate(prog.atoms)}.__getitem__
@@ -486,9 +489,8 @@ def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> tuple[list[Part],
     over prog.atoms, each with its clauses when it is a definition, else
     None; and the loop formulas that decide every other part in the sweep.
     The parts are the strongly connected components of the positive
-    dependency graph of f over those atoms.  All the atoms of a program of
-    at most `_NARROW` atoms, which `_stable_models` decides in one run,
-    form one part instead, with no graph and no loop formula.
+    dependency graph of f over those atoms.  Together with `_unit_route`,
+    this is where a part's route is chosen.
 
     Why a classical model I of f is C-stable for a part C of at most
     `_NARROW` atoms iff I satisfies the loop formulas of C:
@@ -525,8 +527,8 @@ def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> tuple[list[Part],
     of their clauses, which `_stable_subset` runs.
     """
     bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
-    if len(prog.atoms) <= _NARROW or not bit:
-        return ([(sum(bit.values()), None)] if bit else []), []
+    if not bit:
+        return [], []
     graph = dep_graph(f, bit.keys())
     comps, comp_of = components(graph)
     defining: list[list[Formula]] = [[] for _ in comps]  # per part, in the order of f
@@ -696,8 +698,8 @@ def _definition_passed(
         wrong = 0
         for part, clauses in defined:
             derived = _least_fixpoint(_fire(clauses, columns, ones), len(columns))
-            for j, b in enumerate(var):
-                if part >> j & 1:
+            for b in var:
+                if part >> b & 1:
                     wrong |= derived[b] ^ columns[b]
         passed += itertools.compress(batch, (ones ^ wrong).to_bytes(len(batch), "little"))
     return passed
@@ -796,27 +798,30 @@ def _stable_subset(
     defined = [part for part in parts if part[1] is not None]
     if defined:
         candidates = _definition_passed(prog, var, here, defined, candidates)
-    bits = [1 << b for b in var]
-    for a_mask in _decode([p for p, clauses in parts if clauses is None], bits, sum):
-        masks = _decode(candidates, bits, sum)  # over prog.atoms
-        candidates = [c for c, m in zip(candidates, masks) if not m & a_mask or _ht_minimal(prog, here | m, a_mask)]
+    others = [p for p, clauses in parts if clauses is None]
+    if others:
+        pairs = zip(candidates, _decode(candidates, [1 << b for b in var], sum))  # each with its mask over prog.atoms
+        for a_mask in others:
+            pairs = [(c, m) for c, m in pairs if not m & a_mask or _ht_minimal(prog, here | m, a_mask)]
+        candidates = [c for c, _ in pairs]
     return candidates
 
 
 def _stable_models(
-    prog: Program, var: Sequence[int], here: int, parts: Sequence[Part], swept: Program | None = None
+    prog: Program, var: Sequence[int], here: int, a: int, parts: Sequence[Part] = (), swept: Program | None = None
 ) -> list[int]:
     """The assignments c to the atoms at positions `var` of prog.atoms (bit
     j of c for var[j]) that are A-stable models of prog when the atoms of
-    the bitmask `here` are true and all others false, A the union of the
-    parts (see `_parts`) and of the parts that the loop formulas decide;
-    `swept`, when there are loop formulas, is the program of prog's
-    formula conjoined with them, over the same atoms.
+    the bitmask `here` are true and all others false, A the atoms of the
+    bitmask `a` over `var`.
 
     Up to `_NARROW` atoms, one packed run over every assignment decides
     classical truth and minimality together.  More atoms take a classical
-    sweep of `swept`, whose models are exactly the classical models of
-    prog that are stable for every part of at most `_NARROW` atoms, and
+    sweep of `swept`, and A must be the union of `parts` (see `_parts`)
+    and of the parts that their loop formulas decide; `swept`, when there
+    are loop formulas, is the program of prog's formula conjoined with
+    them, over the same atoms.  Its models are exactly the classical models
+    of prog that are stable for every part of at most `_NARROW` atoms, and
     `_stable_subset` keeps those that are stable for the wider parts,
     checked against prog itself: a loop formula makes the atoms of its
     bodies strictly positive, so it must not take part in any minimality
@@ -826,9 +831,60 @@ def _stable_models(
     if not k:  # classical truth of prog in the one interpretation `here`
         return [0] if prog.run([here >> b & 1 for b in range(len(prog.atoms))], 1, 1) else []
     if k <= _NARROW:
-        return _verdicts(prog, var, here, sum(p for p, _ in parts))
+        return _verdicts(prog, var, here, a)
     candidates = _candidate_models(swept or prog, var, here)
     return _stable_subset(prog, var, here, parts, candidates) if parts else candidates
+
+
+def _unit_program(f: Formula, atoms: AbstractSet[Atom]) -> tuple[Program, Callable | None]:
+    """The program of the formula f of a unit with these atoms, compiled
+    once, and the function that continues its walk (see
+    `compile_extensible`) when the unit's route may sweep it with loop
+    formulas, which only a unit wider than `_NARROW` does; a narrower
+    unit's walk state is dropped at once, since holding it through a whole
+    modular solve adds a garbage collection to small ones."""
+    prog, conjoin = compile_extensible(f)
+    return prog, conjoin if len(atoms) > _NARROW else None
+
+
+def _unit_route(f: Formula, prog: Program, conjoin, unit: Sequence[int]) -> tuple:
+    """How `splitting.modular_solve` solves a unit, the atoms at positions
+    `unit` of prog.atoms, all intensional, when f compiles as prog and
+    `conjoin` continues the walk that compiled it (see
+    `compile_extensible`): (one, prog, unit, the parts or the clauses, the
+    swept program, the assignments found per context so far), `one` when
+    every context has exactly one extension.
+
+    A unit of at most `_NARROW` atoms takes the one packed run.  A wider
+    unit whose whole formula is a definition for its atoms takes its
+    clauses (see `_definition`): by the paper's theorem on definitions its
+    one stable extension per context is their least fixpoint.  Any other
+    takes the sweep with the parts of its atoms (see `_parts`).
+    """
+    if len(unit) <= _NARROW:
+        return False, prog, unit, (), None, {}
+    clauses = _definition(_conjuncts(f), prog, sum(1 << b for b in unit))
+    if clauses is not None:
+        return True, prog, unit, clauses, None, {}
+    parts, loop_formulas = _parts(f, prog, frozenset(map(prog.atoms.__getitem__, unit)))
+    return False, prog, unit, parts, conjoin(loop_formulas) if loop_formulas else None, {}
+
+
+def _unit_models(route: tuple, heres: Iterable[int]) -> dict[int, Sequence[int]]:
+    """The unit's stable assignments on `route` (see `_unit_route`) per
+    context, the bitmask over prog.atoms of the true atoms outside the
+    unit: a dict that holds each of `heres`, and every context solved on
+    the route before.  Each context is solved once: the new ones of a
+    definition by one `_definition_models` run, one lane each, those of
+    any other unit by one `_stable_models` call each."""
+    one, prog, var, parts, swept, found = route
+    new = [here for here in heres if here not in found]
+    if not one:
+        for here in new:
+            found[here] = _stable_models(prog, var, here, (1 << len(var)) - 1, parts, swept)
+    elif new:
+        found.update(zip(new, zip(_definition_models(prog, var, parts, new))))
+    return found
 
 
 def enumerate_a_stable(
@@ -843,23 +899,23 @@ def enumerate_a_stable(
     sigma defaults to the atoms occurring in f plus a; extra extensional
     atoms must be supplied explicitly since they change the result.  f is
     compiled once, and `_stable_models` finds the A-stable assignments to
-    all of its atoms, the routine that also solves every block of
-    `splitting.modular_solve`: with at most `_NARROW` atoms by one packed
-    run over every assignment, else by a vectorized satisfiability sweep
-    whose classical models are checked one part of A at a time (see
-    `_parts`).  A part is a strongly connected component of the positive
-    dependency graph; by the splitting lemma and the symmetric splitting
-    theorem a classical model is C-stable for f iff it is C-stable for the
-    conjuncts in which an atom of C is strictly positive.  A part of at
-    most `_NARROW` atoms is decided by its loop formulas, which are
-    conjoined to f in the walk that compiled it, and the sweep runs on f
-    with them: its models are the candidates stable for every such part,
-    and when no part is left they are the answer.  A wider part that is a
-    definition, whose one C-stable model per interpretation of the other
-    atoms is the least fixpoint of its clauses, is decided for every
-    candidate by one bit-parallel fixpoint run, and any other by a chunked
-    sweep in `_ht_minimal` for each candidate that holds one of its atoms
-    and passes every other part (see `_stable_subset`).
+    all of its atoms, the routine that also solves every unit of
+    `splitting.modular_solve` but a definition (see `_unit_route`): with at
+    most `_NARROW` atoms by one packed run over every assignment, else by a
+    vectorized satisfiability sweep whose classical models are checked one
+    part of A at a time (see `_parts`).  A part is a strongly connected
+    component of the positive dependency graph; by the splitting lemma and
+    the symmetric splitting theorem a classical model is C-stable for f iff
+    it is C-stable for the conjuncts in which an atom of C is strictly
+    positive.  A part of at most `_NARROW` atoms is decided by its loop
+    formulas, which are conjoined to f in the walk that compiled it, and
+    the sweep runs on f with them: its models are the candidates stable for
+    every such part, and when no part is left they are the answer.  A wider
+    part that is a definition, whose one C-stable model per interpretation
+    of the other atoms is the least fixpoint of its clauses, is decided for
+    every candidate by one bit-parallel fixpoint run, and any other by a
+    chunked sweep in `_ht_minimal` for each candidate that holds one of its
+    atoms and passes every other part (see `_stable_subset`).
     The sweep (`_candidate_models`) skips every chunk that
     one Kleene run of the program rules out, and past `_CHUNK_BITS` atoms
     it makes the atoms read by the most ops the high atoms, which fix each
@@ -878,9 +934,11 @@ def enumerate_a_stable(
     check_signature(occurring | a, sig)
     _check_cap(len(sig), max_atoms)
 
-    parts, loop_formulas = _parts(f, prog, a)
+    # up to _NARROW atoms, one packed run decides A: no graph, no loop formula
+    parts, loop_formulas = _parts(f, prog, a) if len(prog.atoms) > _NARROW else ((), ())
     swept = conjoin(loop_formulas) if loop_formulas else None
-    masks = _stable_models(prog, range(len(prog.atoms)), 0, parts, swept)
+    a_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x in a)
+    masks = _stable_models(prog, range(len(prog.atoms)), 0, a_mask, parts, swept)
     order: Sequence[Atom] = prog.atoms
     free = sig - a - occurring
     if free:

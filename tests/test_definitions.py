@@ -22,6 +22,7 @@ from astable import (
     satisfies,
     unique_q_stable,
 )
+from astable.stable import _clause
 from astable.verifier import GenConfig, _gen_definition
 
 from util import all_subsets, guard_program, tc_definition
@@ -78,6 +79,18 @@ class TestRecognize:
         assert not isinstance(d, Rejection)
         assert d.clauses[0].pos_q == {q2}
         assert d.clauses[0].body == TOP
+
+    def test_rejection_reasons_come_from_the_solvers_clause_check(self):
+        # the least defined atom of a body is named; a fact is a clause to
+        # the solvers, `top -> q`, but no implication to the recognizer
+        q2 = Atom("q2")
+        body = conj([neg(AtomRef(q2)), atom("p"), neg(AtomRef(Q))])
+        d = recognize_definition(impl(body, AtomRef(Q)), {Q, q2})
+        assert str(d) == "defined atom q occurs in a clause body: " + str(impl(body, AtomRef(Q)))
+        assert _clause(impl(body, AtomRef(Q)), {Q, q2}) == d.reason
+        assert _clause(impl(atom("p"), atom("r")), {Q}) == "consequent is not a defined atom"
+        assert _clause(AtomRef(Q), {Q}) == (TOP, frozenset(), Q)
+        assert recognize_definition(AtomRef(Q), {Q}).reason == "conjunct is not an implication"
 
 
 class TestUniqueQStable:

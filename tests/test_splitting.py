@@ -29,6 +29,7 @@ from astable import (
     strictly_positive,
 )
 from astable import depgraph, splitting, stable
+from astable import formula as formula_module
 from astable.depgraph import components
 from astable.verifier import _gen_program, _scc_aligned_partition
 from astable.bench import (
@@ -314,6 +315,23 @@ class TestPlanSplit:
         assert mention[0] == n + 1 + n and mention[1] <= 5 * n
 
 
+def _swept_routes(monkeypatch) -> list:
+    """The formulas of the units whose route, built by
+    `stable._unit_route`, sweeps a program with loop formulas, one per
+    route built."""
+    found = []
+    real = splitting._unit_route
+
+    def spy(f, prog, conjoin, unit):
+        route = real(f, prog, conjoin, unit)
+        if route[4] is not None:
+            found.append(f)
+        return route
+
+    monkeypatch.setattr(splitting, "_unit_route", spy)
+    return found
+
+
 class TestModularSolve:
     def test_sixteen_atom_chain_matches_brute_force_and_is_faster(self):
         ats, conjuncts = chain_program(15)
@@ -340,8 +358,8 @@ class TestModularSolve:
         # the blocks of both chains compile to the same shape, and each
         # shape is solved once per context, q's false and r's true
         solves = []
-        real = splitting._stable_models
-        monkeypatch.setattr(splitting, "_stable_models", lambda *args: solves.append(1) or real(*args))
+        real = stable._stable_models
+        monkeypatch.setattr(stable, "_stable_models", lambda *args: solves.append(1) or real(*args))
         q = [Atom(f"q{i}") for i in range(6)]
         r = [Atom(f"r{i}") for i in range(6)]
         conjuncts = [impl(AtomRef(x[k + 1]), AtomRef(x[k])) for x in (q, r) for k in range(5)]
@@ -390,8 +408,8 @@ class TestModularSolve:
         # which leaves no part to check and keeps the two alternating
         # interpretations, its stable models
         calls = []
-        real = splitting._stable_models
-        monkeypatch.setattr(splitting, "_stable_models", lambda *args: calls.append(args[3:]) or real(*args))
+        real = stable._stable_models
+        monkeypatch.setattr(stable, "_stable_models", lambda *args: calls.append(args[4:]) or real(*args))
         xs = [Atom(f"x{i:02d}") for i in range(20)]
         conjuncts = [impl(neg(AtomRef(xs[i])), AtomRef(xs[(i + 1) % 20])) for i in range(20)]
         got = modular_solve(conjuncts, frozenset(xs), frozenset(xs))
@@ -405,9 +423,7 @@ class TestModularSolve:
         # choices and extensional atoms around it: its parts of at most six
         # atoms are decided by their loop formulas in the unit's sweep, a
         # wider one against the unit's own formula
-        supported = []
-        real = splitting.compile_extensible
-        monkeypatch.setattr(splitting, "compile_extensible", lambda f: supported.append(f) or real(f))
+        supported = _swept_routes(monkeypatch)
         rng = random.Random(18)
         for _ in range(25):
             n = rng.randint(7, 9)
@@ -427,15 +443,39 @@ class TestModularSolve:
         # two negative 8-cycles over x and y: units of one shape, each
         # decided by the sweep with its loop formulas, whose program is
         # compiled once
-        supported = []
-        real = splitting.compile_extensible
-        monkeypatch.setattr(splitting, "compile_extensible", lambda f: supported.append(f) or real(f))
+        supported = _swept_routes(monkeypatch)
         cycles = [[Atom(f"{name}{i}") for i in range(8)] for name in "xy"]
         conjuncts = [impl(neg(AtomRef(c[i])), AtomRef(c[(i + 1) % 8])) for c in cycles for i in range(8)]
         sigma = frozenset(cycles[0] + cycles[1])
         got = modular_solve(conjuncts, sigma, sigma)
         assert got.as_set() == {frozenset(cycles[0][i::2] + cycles[1][j::2]) for i in (0, 1) for j in (0, 1)}
         assert len(supported) == 1
+
+    def test_unit_of_two_loops_is_walked_by_the_compiler_once(self, monkeypatch):
+        # the 4-loops a0 -> ... -> a3 -> a0 and b0 -> ... -> b3 -> b0 joined
+        # by the even cycle not b0 -> a0, not a0 -> b0, with a3 also fed by
+        # the extensional e: one unit of 8 atoms, no definition, whose parts,
+        # the two loops, are narrow and decided by their loop formulas; the
+        # compile walk of its formula is continued with them, not repeated
+        walked = []
+        real = formula_module._walk
+        monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real(f, *rest))
+        supported = _swept_routes(monkeypatch)
+        a = [Atom(f"a{i}") for i in range(4)]
+        b = [Atom(f"b{i}") for i in range(4)]
+        e = Atom("e")
+        conjuncts = [impl(AtomRef(x[i]), AtomRef(x[(i + 1) % 4])) for x in (a, b) for i in range(4)]
+        conjuncts += [impl(neg(AtomRef(b[0])), AtomRef(a[0])), impl(neg(AtomRef(a[0])), AtomRef(b[0]))]
+        conjuncts.append(impl(AtomRef(e), AtomRef(a[3])))
+        intensional, sigma = frozenset(a + b), frozenset(a + b + [e])
+        ((atoms, f),) = plan_split(conjuncts, intensional).blocks
+        assert atoms == intensional
+        got = modular_solve(conjuncts, intensional, sigma)
+        assert sum(g == f for g in walked) == 1 and supported == [f]
+        monkeypatch.undo()
+        assert got == enumerate_a_stable(conj(conjuncts), intensional, sigma)
+        assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, intensional)
+        assert got.lines() == ["{a0,a1,a2,a3}", "{a0,a1,a2,a3,e}", "{b0,b1,b2,b3}"]
 
     def test_negative_pairs_have_every_choice(self):
         # n pairs not q_i -> p_i, not p_i -> q_i: 2**n models, one atom of
@@ -536,14 +576,14 @@ class TestModularSolve:
         # block with no atoms whose contexts are its own two atoms, and all
         # six share one shape, so at most four contexts are ever solved
         empty = []
-        real = splitting._stable_models
+        real = stable._stable_models
 
         def spy(prog, var, *rest):
             if not var:
                 empty.append(rest)
             return real(prog, var, *rest)
 
-        monkeypatch.setattr(splitting, "_stable_models", spy)
+        monkeypatch.setattr(stable, "_stable_models", spy)
         cs = [Atom(f"c{i:02d}") for i in range(12)]
         conjuncts = [disj([AtomRef(c), neg(AtomRef(c))]) for c in cs]
         conjuncts += [neg(conj([AtomRef(cs[2 * i]), AtomRef(cs[2 * i + 1])])) for i in range(6)]
@@ -570,15 +610,15 @@ class TestModularSolve:
         # definition for its atoms, so one fixpoint run decides all 8
         # contexts, one lane each, and nothing sweeps it
         solves, runs, lanes = [], [], []
-        real = splitting._stable_models
-        monkeypatch.setattr(splitting, "_stable_models", lambda *args: solves.append(args[1]) or real(*args))
-        real_models = splitting._definition_models
+        real = stable._stable_models
+        monkeypatch.setattr(stable, "_stable_models", lambda *args: solves.append(args[1]) or real(*args))
+        real_models = stable._definition_models
 
         def definition_models(prog, var, clauses, heres):
             lanes.append((len(var), len(heres)))
             return real_models(prog, var, clauses, heres)
 
-        monkeypatch.setattr(splitting, "_definition_models", definition_models)
+        monkeypatch.setattr(stable, "_definition_models", definition_models)
         real_fixpoint = stable._least_fixpoint
         monkeypatch.setattr(stable, "_least_fixpoint", lambda *args: runs.append(1) or real_fixpoint(*args))
         xs = [Atom(f"x{i:02d}") for i in range(n)]
@@ -600,20 +640,21 @@ class TestModularSolve:
         # edge is a unit of one atom, the 9 closure atoms one definition
         # unit, solved by one fixpoint run over the 512 edge contexts
         lanes, solves = [], []
-        real_models = splitting._definition_models
+        real_models = stable._definition_models
 
         def definition_models(prog, var, clauses, heres):
             lanes.append((len(var), len(heres)))
             return real_models(prog, var, clauses, heres)
 
-        monkeypatch.setattr(splitting, "_definition_models", definition_models)
-        real = splitting._stable_models
-        monkeypatch.setattr(splitting, "_stable_models", lambda *args: solves.append(len(args[1])) or real(*args))
+        monkeypatch.setattr(stable, "_definition_models", definition_models)
+        real = stable._stable_models
+        monkeypatch.setattr(stable, "_stable_models", lambda *args: solves.append(len(args[1])) or real(*args))
         clauses, q_set = tc_definition("abc")
         pairs = [(x, y) for x in "abc" for y in "abc"]
         conjuncts = [clauses] + [disj([atom("p", x, y), neg(atom("p", x, y))]) for x, y in pairs]
         sigma = atoms_of(conj(conjuncts))
         got = modular_solve(conjuncts, sigma, sigma)
+        monkeypatch.undo()  # the enumerator's own calls are not counted
         assert got == enumerate_a_stable(conj(conjuncts), sigma, sigma)
         assert len(got) == 512 and all(len(m & q_set) >= len(m - q_set) for m in got)
         assert lanes == [(9, 512)] and set(solves) == {1}
@@ -623,8 +664,8 @@ class TestModularSolve:
         # the unit is no definition as a whole: it is swept, and its ring
         # part, a definition, is decided by the fixpoint on the candidates
         lanes = []
-        real_models = splitting._definition_models
-        monkeypatch.setattr(splitting, "_definition_models", lambda *args: lanes.append(1) or real_models(*args))
+        real_models = stable._definition_models
+        monkeypatch.setattr(stable, "_definition_models", lambda *args: lanes.append(1) or real_models(*args))
         xs = [Atom(f"x{i}") for i in range(8)]
         e = Atom("e")
         ring = [impl(AtomRef(xs[i]), AtomRef(xs[(i + 1) % 8])) for i in range(8)]
@@ -646,10 +687,15 @@ class TestModularSolve:
         assert time.perf_counter() - t0 < 5.0
         assert len(modular_solve(conjuncts[:10], frozenset(cs[:10]), max_atoms=10)) == 1024
 
-    def test_definition_unit_wider_than_the_cap_is_solved(self):
+    def test_definition_unit_wider_than_the_cap_is_solved(self, monkeypatch):
         # the 100-atom positive cycle x_i -> x_(i+1), seeded by the choice
         # s: one unit that is a definition for its atoms, decided by one
-        # fixpoint run per context, so the cap does not count its width
+        # fixpoint run per context, so the cap does not count its width;
+        # its route, built once for the cap and the step alike, recognizes
+        # the definition once
+        recognized = []
+        real = stable._definition
+        monkeypatch.setattr(stable, "_definition", lambda *args: recognized.append(1) or real(*args))
         xs = [Atom(f"x{i:02d}") for i in range(100)]
         s = Atom("s")
         conjuncts = [impl(AtomRef(xs[i]), AtomRef(xs[(i + 1) % 100])) for i in range(100)]
@@ -657,9 +703,21 @@ class TestModularSolve:
         sigma = frozenset(xs) | {s}
         want = {frozenset(), sigma}
         assert modular_solve(conjuncts, sigma, sigma).as_set() == want
+        assert len(recognized) == 1
         assert modular_solve(conjuncts, sigma, sigma, max_atoms=101).as_set() == want
+        assert len(recognized) == 2
+        # the fact y00 and the 30-atom cycle y_i -> y_(i+1): a definition
+        # unit with no context atom, past the default cap of 24
+        ys = [Atom(f"y{i:02d}") for i in range(30)]
+        seeded = [AtomRef(ys[0])] + [impl(AtomRef(ys[i]), AtomRef(ys[(i + 1) % 30])) for i in range(30)]
+        assert modular_solve(seeded, frozenset(ys), frozenset(ys)).as_set() == {frozenset(ys)}
+        assert len(recognized) == 3
         # a unit that is no definition still counts: a disjunctive link
         wide = conjuncts + [impl(AtomRef(xs[5]), disj([AtomRef(xs[6]), AtomRef(xs[7])]))]
+        with pytest.raises(CapExceeded, match="enumeration over 100 atoms"):
+            modular_solve(wide, sigma, sigma)
+        # and so does one whose body mentions a unit atom negatively
+        wide = conjuncts + [impl(conj([AtomRef(xs[5]), neg(AtomRef(xs[7]))]), AtomRef(xs[6]))]
         with pytest.raises(CapExceeded, match="enumeration over 100 atoms"):
             modular_solve(wide, sigma, sigma)
 

@@ -42,6 +42,7 @@ from astable.stable import (
     _parts,
     _stable_models,
     _stable_subset,
+    _unit_route,
 )
 import astable.stable as stable_module
 from astable.verifier import GenConfig, _gen_program, _reference_models, gen_formula
@@ -215,7 +216,7 @@ def _route_against_per_candidate(f):
     candidates = list(_candidate_models(prog, every, 0))
     reference = [m for m in candidates if _ht_minimal(prog, m, a_mask)]
     parts, loop_formulas = _parts(f, prog, frozenset(prog.atoms))
-    stable = _stable_models(prog, every, 0, parts, conjoin(loop_formulas) if loop_formulas else None)
+    stable = _stable_models(prog, every, 0, a_mask, parts, conjoin(loop_formulas) if loop_formulas else None)
     assert sorted(stable) == reference
     return candidates, stable
 
@@ -224,11 +225,6 @@ def _scc_parts(f, prog, a):
     """The parts of `_parts` for any size of A: the SCC bitmasks."""
     bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
     return [sum(bit[x] for x in comp) for comp in sccs(dep_graph(f, bit.keys()))]
-
-
-def _masks(parts):
-    """The bitmasks of `_parts`, without their clauses."""
-    return [p for p, _ in parts]
 
 
 def _ring(names: list[str]) -> list[str]:
@@ -343,28 +339,27 @@ class TestPackedMinimality:
         assert len(loop_formulas) == sum((1 << p.bit_count()) - 1 for p in comps) - 1
         every = range(len(prog.atoms))
         candidates = list(_candidate_models(prog, every, 0))
-        assert sorted(_stable_models(prog, every, 0, parts, conjoin(loop_formulas))) == sorted(
+        assert sorted(_stable_models(prog, every, 0, sum(comps), parts, conjoin(loop_formulas))) == sorted(
             _stable_subset(prog, every, 0, [(sum(comps), None)], candidates)
         )
 
     def test_one_part_agrees_with_the_component_parts(self):
-        # a program of at most _NARROW atoms forms one part without a graph;
-        # the component parts must give the same stable candidates
+        # a program of at most _NARROW atoms is decided as one part, all of
+        # A, by the packed run, without a graph; the component parts must
+        # give the same stable candidates
         rng = random.Random(23)
         for k in range(300):
             f = gen_formula(GenConfig(seed=9100 + k, max_atoms=5, max_depth=3))
             prog = compile_formula(f)
             a = frozenset(x for x in prog.atoms if rng.random() < 0.8)
-            parts, support = _parts(f, prog, a)
-            assert not support
-            (one,) = _masks(parts) or [0]
+            one = sum(1 << b for b, x in enumerate(prog.atoms) if x in a)
             parts = _scc_parts(f, prog, a)
             assert one == sum(parts)
             every = range(len(prog.atoms))
             candidates = list(_candidate_models(prog, every, 0))
-            assert sorted(_stable_subset(prog, every, 0, [(one, None)] if one else [], candidates)) == sorted(
-                _stable_subset(prog, every, 0, [(p, None) for p in parts], candidates)
-            )
+            want = sorted(_stable_subset(prog, every, 0, [(p, None) for p in parts], candidates))
+            assert sorted(_stable_subset(prog, every, 0, [(one, None)] if one else [], candidates)) == want
+            assert sorted(_stable_models(prog, every, 0, one)) == want
 
 
 def _switched_ring(n: int) -> list[str]:
@@ -513,14 +508,19 @@ class TestDefinitionParts:
         assert stable
 
     def test_narrow_programs_and_parts_are_never_recognized(self, monkeypatch):
-        # no definition recognition on a program of at most _NARROW atoms,
+        # no definition recognition on a program or a modular unit of at
+        # most _NARROW atoms, which the packed run decides without parts,
         # nor for a part of at most _NARROW atoms
-        calls = []
+        calls, parted = [], []
         real = stable_module._definition
         monkeypatch.setattr(stable_module, "_definition", lambda *args: calls.append(args) or real(*args))
+        real_parts = stable_module._parts
+        monkeypatch.setattr(stable_module, "_parts", lambda *args: parted.append(args) or real_parts(*args))
         small = _program(_ring([f"r{i}" for i in range(_NARROW)]))
-        prog = compile_formula(small)
-        assert _parts(small, prog, frozenset(prog.atoms)) == ([((1 << _NARROW) - 1, None)], [])
+        prog, conjoin = compile_extensible(small)
+        assert len(enumerate_a_stable(small, atoms_of(small))) == 1
+        assert _unit_route(small, prog, conjoin, range(_NARROW))[3:5] == ((), None)
+        assert not parted
         wide = _program(_ring([f"r{i}" for i in range(_NARROW)]) + _choices(4))
         prog = compile_formula(wide)
         parts, loop_formulas = _parts(wide, prog, frozenset(prog.atoms))

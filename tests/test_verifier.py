@@ -260,18 +260,17 @@ class TestStableSupportMutations:
         assert run_suite("stable_support", self.CFG).fails > 0
 
     def test_checking_the_parts_left_against_the_swept_program_fails(self, monkeypatch):
-        from astable import splitting, stable
+        from astable import stable
 
         real = stable._stable_models
 
-        def swept_only(prog, var, here, parts, swept=None):
-            return real(swept or prog, var, here, parts, swept)
+        def swept_only(prog, var, here, a, parts=(), swept=None):
+            return real(swept or prog, var, here, a, parts, swept)
 
         f = conj(parse_program(self.WIDE))
         assert len(atoms_of(f)) > stable._NARROW
         assert len(enumerate_a_stable(f, atoms_of(f))) == 0
-        monkeypatch.setattr(stable, "_stable_models", swept_only)
-        monkeypatch.setattr(splitting, "_stable_models", swept_only)
+        monkeypatch.setattr(stable, "_stable_models", swept_only)  # both solvers' routine
         # q's loop formula q -> r2 rejects the ring's unfounded witness
         assert len(enumerate_a_stable(f, atoms_of(f))) == 1
         assert run_suite("stable_loops", self.CFG).fails > 0
