@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import functools
 import re
-from operator import itemgetter
+import struct
+from bisect import bisect_left
+from itertools import accumulate, repeat
+from operator import itemgetter, sub
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .records import Record
@@ -301,6 +304,13 @@ def _chunk_patterns(cb: int) -> tuple[int, ...]:
     return tuple(_bit_pattern(b, width) for b in range(cb))
 
 
+@functools.cache  # one per pair of widths
+def _segment_starts(cb: int, s: int) -> int:
+    """The vector over 2**cb assignments with bit 0 of each of its segments
+    of 2**s >= 8 bits set."""
+    return int.from_bytes((b"\1" + bytes((1 << s >> 3) - 1)) * (1 << cb - s), "little")
+
+
 _AND, _OR, _IMPL = 0, 1, 2
 
 
@@ -552,10 +562,17 @@ def truth_chunks(
     var_atoms[b] true iff bit b of m is set.  Atoms in `true_atoms` are
     always true, every other atom is false.  Yields integers of
     2**min(len(var_atoms), chunk_bits) bits each, lowest indexes first, so
-    that big signatures never materialize one huge vector.  When there are
-    high atoms, var_atoms[chunk_bits:], one Kleene run (`live_prefixes`)
-    first finds the chunks that cannot hold a model, and each of them
-    yields 0 without a run of the program.
+    that big signatures never materialize one huge vector.
+
+    When there are high atoms, var_atoms[chunk_bits:], one Kleene run
+    (`live_prefixes`) first finds the sub-chunks that may hold a model:
+    runs of 2**s assignments, s half the chunk width, raised as far as
+    needed to keep the run's vectors within 2**16 bits (s >= n - 16), and
+    never more than the chunk width.  A chunk none of whose sub-chunks is
+    live yields 0 without a run of the program, one whose sub-chunks are
+    all live runs whole, and the live sub-chunks of every other chunk are
+    run packed together (see `_packed_chunks`), so that the sweep's cost
+    follows its live assignments.
     """
     prog = f if isinstance(f, Program) else compile_formula(f)
     n = len(var_atoms)
@@ -563,26 +580,161 @@ def truth_chunks(
     width = 1 << cb
     ones = (1 << width) - 1
     index = {a: b for b, a in enumerate(var_atoms)}
-    values = [ones if a in true_atoms else 0 for a in prog.atoms]
+    fixed = [a in true_atoms for a in prog.atoms]
+    values = [ones if t else 0 for t in fixed]
     low = _chunk_patterns(cb)
-    high = []
+    swept = []  # (position in prog.atoms, position in var_atoms)
     for k, a in enumerate(prog.atoms):
         b = index.get(a)
-        if b is None:
-            continue
-        if b < cb:
-            values[k] = low[b]
-        else:
-            high.append((k, b - cb))
-
-    live = live_prefixes(prog, var_atoms, true_atoms, cb) if n > cb else 1
-    for hi in range(1 << (n - cb)):
-        if not live >> hi & 1:
-            yield 0
-            continue
-        for k, b in high:
-            values[k] = ones if hi >> b & 1 else 0
+        if b is not None:
+            swept.append((k, b))
+            if b < cb:
+                values[k] = low[b]
+    if n == cb:
         yield prog.run(values, ones, ones)
+        return
+
+    s = min(cb, max(cb // 2, n - _KLEENE_BITS))
+    per = cb - s  # a chunk holds 2**per sub-chunks
+    full = 1 << per
+    live = set_bits(live_prefixes(prog, var_atoms, true_atoms, s))
+    spans = {}  # per chunk with a live sub-chunk: where they begin in live, and how many
+    at = 0
+    while at < len(live):
+        hi = live[at] >> per
+        end = bisect_left(live, (hi + 1) << per, at)
+        spans[hi] = (at, end - at)
+        at = end
+    packed = _packed_chunks(prog, fixed, swept, n, s, cb, live, [(hi, *span) for hi, span in spans.items() if span[1] < full])
+    high = [(k, b - cb) for k, b in swept if b >= cb]
+    for hi in range(1 << (n - cb)):
+        c = spans.get(hi, (0, 0))[1]
+        if c == full:
+            for k, b in high:
+                values[k] = ones if hi >> b & 1 else 0
+            yield prog.run(values, ones, ones)
+        else:
+            yield next(packed) if c else 0
+
+
+_KLEENE_BITS = 16  # the Kleene run of `truth_chunks` has vectors of at most 2**16 bits
+_NONZERO = bytes([0] + [1] * 255)  # a `bytes.translate` table: every nonzero byte to 1
+# the set bits of each byte: those of m, then those of m + 2**j for each j
+_BIT_OFFSETS: list[tuple[int, ...]] = functools.reduce(lambda t, j: t + [bits + (j,) for bits in t], range(8), [()])
+# `bytes.translate` tables: bit j of each byte as a binary digit
+_BIT_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+_INDEX_CODES = "BHIIQQQQ"  # `struct` codes of unsigned integers of 1 to 8 bytes
+
+
+def set_bits(v: int, offset: int = 0) -> list[int]:
+    """offset + p for each bit p set in v >= 0, in increasing order, read
+    from v's bytes: the runs of zero bytes between the nonzero ones give
+    the position of each nonzero byte, and a table the set bits of each."""
+    data = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+    runs = data.translate(_NONZERO).split(b"\1")[:-1]  # the zero bytes before each nonzero one
+    starts = accumulate(map((8).__mul__, map((1).__add__, map(len, runs))), initial=offset - 8)
+    next(starts)
+    return [start + j for start, byte in zip(starts, data.translate(None, b"\0")) for j in _BIT_OFFSETS[byte]]
+
+
+def _packed_chunks(
+    prog: Program,
+    fixed: Sequence[bool],
+    swept: Sequence[tuple[int, int]],
+    n: int,
+    s: int,
+    cb: int,
+    live: Sequence[int],
+    partial: Sequence[tuple[int, int, int]],
+) -> Iterator[int]:
+    """The chunks of `truth_chunks` of 2**cb assignments, over n swept
+    atoms, that are only partly live, in order.  `live` lists the live
+    sub-chunks of 2**s assignments by index, in increasing order, and
+    `partial` each such chunk as (its index, where its live sub-chunks
+    begin in live, how many it has).  `fixed` says which atoms of prog are
+    always true, and `swept` pairs the position in prog.atoms of each swept
+    atom with its position in the assignment index.
+
+    The live sub-chunks of consecutive such chunks are packed into one run
+    of at most 2**cb assignments, a segment of w = 2**s bits each, and the
+    result of one run at a time is scattered back to the chunks' layout.
+    The s low atoms take the chunk patterns, which repeat the sub-chunk
+    patterns, and every other swept atom is constant on each segment: it is
+    (h << w) - h, h holding bit 0 of each segment whose sub-chunk index
+    sets the atom's bit.  Every step taken per sub-chunk runs in C (`map`,
+    `struct`, slicing, `join`), once per run and once per chunk, never once
+    per atom.
+    """
+    w = 1 << s
+    per = cb - s  # a chunk holds 2**per sub-chunks
+    if s >= 3:  # a segment is whole bytes
+        zero, step = b"\0", w >> 3
+        text = lambda v, bits: v.to_bytes(bits >> 3, "little")
+        value = lambda t: int.from_bytes(t, "little")
+    else:  # a segment is under a byte: one binary digit per assignment, lowest first
+        zero, step = b"0", w
+        text = lambda v, bits: format(v, f"0{bits}b").encode()[::-1]
+        value = lambda t: int(t[::-1], 2)
+    low = _chunk_patterns(cb)
+    code = _INDEX_CODES[n - s - 1 >> 3]  # a sub-chunk index, of n - s bits, packs as one of these
+    width = struct.calcsize(code)
+    done = 0
+    while done < len(partial):
+        last, size = done, 0
+        while last < len(partial) and size + partial[last][2] <= 1 << per:
+            size += partial[last][2]
+            last += 1
+        pack = partial[done:last]
+        done = last
+        index: list[int] = []
+        for _, at, c in pack:
+            index += live[at : at + c]
+        octets = struct.pack(f"<{size}{code}", *index)
+        bits = size * w
+        ones = (1 << bits) - 1
+        values = [ones if t else 0 for t in fixed]
+        starts = {}  # per byte q of the indexes: that byte of each segment's index at the segment's bit 0
+        bit0 = _segment_starts(cb, s) & ones if s >= 3 else 0
+        for k, b in swept:
+            u = b - s
+            if u < 0:
+                values[k] = low[b] & ones
+                continue
+            q = u >> 3
+            if s < 3:  # no byte fits in a segment: the bit itself, as digits
+                h = value(_spread(octets[q::width].translate(_BIT_DIGITS[u & 7]), zero, step))
+            else:
+                if q not in starts:
+                    starts[q] = value(_spread(octets[q::width], zero, step))
+                h = starts[q] >> (u & 7) & bit0
+            values[k] = (h << w) - h
+        root = text(prog.run(values, ones, ones), bits)
+        j = 0  # the chunk's first segment in the run
+        for hi, at, c in pack:
+            mine = root[j * step : (j + c) * step]
+            j += c
+            if not mine.strip(zero):  # no model in its live sub-chunks
+                yield 0
+                continue
+            # its segments and the zeros between them, in turn, from its
+            # first live sub-chunk on
+            gaps = list(map(sub, live[at + 1 : at + c], live[at : at + c - 1]))
+            zeros = {d: zero * (d - 1) * step for d in set(gaps)}
+            if len(zeros) > 1:
+                pieces: list = [None] * (2 * c - 1)
+                pieces[::2] = struct.unpack(f"{step}s" * c, mine)
+                pieces[1::2] = map(zeros.__getitem__, gaps)
+                mine = b"".join(pieces)
+            elif zeros and gaps[0] > 1:  # evenly spaced, not side by side: one kind of gap
+                mine = zeros[gaps[0]].join(struct.unpack(f"{step}s" * c, mine))
+            yield value(mine) << (live[at] - (hi << per)) * w
+
+
+def _spread(flags: bytes, zero: bytes, step: int) -> bytearray:
+    """The bytes of flags[j] at j * step, `zero` everywhere else."""
+    out = bytearray(zero * (len(flags) * step))
+    out[::step] = flags
+    return out
 
 
 def equivalent(

@@ -46,6 +46,7 @@ from .stable import (
     ModelSet,
     _check_cap,
     _decode,
+    _definition_route,
     _unit_models,
     _unit_program,
     _unit_route,
@@ -227,16 +228,20 @@ def plan_split(
     return SplitPlan(blocks, tuple(residual))
 
 
-def _route(solved: dict, f: Formula, prog: Program, conjoin, unit: list[int]) -> tuple:
+def _route(solved: dict, f: Formula, prog: Program, conjoin, unit: list[int], past_cap: bool = False) -> tuple | None:
     """The route of the unit at positions `unit` of prog.atoms (see
     `stable._unit_route`), built once per shape: it depends only on the
     shape of the program and where the unit atoms sit in it, so `solved`
     shares it, and the extensions it has found, between isomorphic units,
-    such as the ground instances of one rule."""
+    such as the ground instances of one rule.  A unit `past_cap` gets its
+    route only when it is a definition (`stable._definition_route`), else
+    None, and nothing is built for it beyond the definition test."""
     key = (prog.ops, prog.root, len(prog.atoms), tuple(unit))
     route = solved.get(key)
     if route is None:
-        route = solved[key] = _unit_route(f, prog, conjoin, unit)
+        route = _definition_route(f, prog, unit) if past_cap else _unit_route(f, prog, conjoin, unit)
+        if route is not None:
+            solved[key] = route
     return route
 
 
@@ -341,13 +346,14 @@ def modular_solve(
     # The cap guards every exponential dimension: the extensional context
     # enumerated up front and the widest enumerated unit here, the frontier
     # in _extend_frontier.  Only a unit past the cap needs its route this
-    # early, so no other unit builds it before its step.
+    # early, and only a definition's, so no other unit builds it before its
+    # step, and a unit past the cap that is no definition builds none.
     solved: dict[tuple, tuple] = {}  # see _route
     wide = [
         len(atoms)
         for atoms, f, prog, conjoin in steps
         if len(atoms) > max_atoms
-        and not _route(solved, f, prog, conjoin, [b for b, x in enumerate(prog.atoms) if x in atoms])[0]
+        and _route(solved, f, prog, conjoin, [b for b, x in enumerate(prog.atoms) if x in atoms], past_cap=True) is None
     ]
     _check_cap(max([len(sig - a), *wide]), max_atoms)
 

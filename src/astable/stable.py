@@ -39,6 +39,7 @@ from .formula import (
     neg,
     reduct,
     satisfies,
+    set_bits,
     truth_chunks,
 )
 from .records import Record
@@ -317,11 +318,13 @@ def _candidate_models(prog: Program, var: Sequence[int], here: int) -> list[int]
     keyword, which is how perfbench/spans.py tells a block's context sweep
     from the candidate sweep of `enumerate_a_stable`.
 
-    The sweep skips every chunk that the Kleene run of `live_prefixes`
-    rules out.  With more than `_CHUNK_BITS` atoms, the atoms that the most
-    ops read go last, so that they are the high atoms that fix each chunk,
-    when that order leaves fewer live chunks than the given one; the
-    candidates are then mapped back to the bits of `var`.
+    The sweep runs only the sub-chunks that the Kleene run of
+    `live_prefixes` leaves live (see `truth_chunks`).  With more than
+    `_CHUNK_BITS` atoms, the atoms that the most ops read go last, so that
+    they are the high atoms that fix each chunk, when that order leaves
+    fewer live chunks than the given one; the candidates are then mapped
+    back to the bits of `var`.  A chunk of one model is read by its bit
+    length, any other from its bytes (`set_bits`), lowest bits first.
     """
     atoms = prog.atoms
     context = {}
@@ -345,13 +348,7 @@ def _candidate_models(prog: Program, var: Sequence[int], here: int) -> list[int]
         if chunk and not chunk & (chunk - 1):  # one model
             candidates.append(offset + chunk.bit_length() - 1)
         elif chunk:
-            # one scan of the binary text: position p holds bit top - p
-            text = bin(chunk)
-            top = offset + len(text) - 1
-            p = text.rfind("1", 2)
-            while p >= 0:
-                candidates.append(top - p)
-                p = text.rfind("1", 2, p)
+            candidates += set_bits(chunk, offset)
         offset += step
     if order is not var:
         position = {b: j for j, b in enumerate(var)}
@@ -477,10 +474,13 @@ def _definition(conjuncts: Iterable[Formula], prog: Program, part: int) -> tuple
             return None
         found.append(clause)
     position = {x: b for b, x in enumerate(prog.atoms)}.__getitem__
+    compiled: dict[int, tuple[Program, tuple[int, ...]]] = {}  # per body object, such as the many `top`s of a ring
     out = []
     for body, pos_q, head in found:
-        body_prog = compile_formula(body)
-        out.append((body_prog, tuple(map(position, body_prog.atoms)), tuple(map(position, pos_q)), position(head)))
+        if id(body) not in compiled:
+            body_prog = compile_formula(body)
+            compiled[id(body)] = body_prog, tuple(map(position, body_prog.atoms))
+        out.append((*compiled[id(body)], tuple(map(position, pos_q)), position(head)))
     return tuple(out)
 
 
@@ -857,17 +857,29 @@ def _unit_route(f: Formula, prog: Program, conjoin, unit: Sequence[int]) -> tupl
 
     A unit of at most `_NARROW` atoms takes the one packed run.  A wider
     unit whose whole formula is a definition for its atoms takes its
-    clauses (see `_definition`): by the paper's theorem on definitions its
-    one stable extension per context is their least fixpoint.  Any other
-    takes the sweep with the parts of its atoms (see `_parts`).
+    clauses (see `_definition_route`).  Any other takes the sweep with the
+    parts of its atoms (see `_parts`).
     """
+    route = _definition_route(f, prog, unit)
+    if route is not None:
+        return route
     if len(unit) <= _NARROW:
         return False, prog, unit, (), None, {}
-    clauses = _definition(_conjuncts(f), prog, sum(1 << b for b in unit))
-    if clauses is not None:
-        return True, prog, unit, clauses, None, {}
     parts, loop_formulas = _parts(f, prog, frozenset(map(prog.atoms.__getitem__, unit)))
     return False, prog, unit, parts, conjoin(loop_formulas) if loop_formulas else None, {}
+
+
+def _definition_route(f: Formula, prog: Program, unit: Sequence[int]) -> tuple | None:
+    """The route of a unit (see `_unit_route`) wider than `_NARROW` atoms
+    whose whole formula is a definition for its atoms, else None.  By the
+    paper's theorem on definitions its one stable extension per context is
+    the least fixpoint of its clauses (see `_definition`), so it is the one
+    route that enumerates nothing, and the only one a unit wider than the
+    enumeration cap may take; nothing is built beyond the clauses."""
+    if len(unit) <= _NARROW:
+        return None
+    clauses = _definition(_conjuncts(f), prog, sum(1 << b for b in unit))
+    return None if clauses is None else (True, prog, unit, clauses, None, {})
 
 
 def _unit_models(route: tuple, heres: Iterable[int]) -> dict[int, Sequence[int]]:
@@ -916,10 +928,12 @@ def enumerate_a_stable(
     every candidate by one bit-parallel fixpoint run, and any other by a
     chunked sweep in `_ht_minimal` for each candidate that holds one of its
     atoms and passes every other part (see `_stable_subset`).
-    The sweep (`_candidate_models`) skips every chunk that
-    one Kleene run of the program rules out, and past `_CHUNK_BITS` atoms
-    it makes the atoms read by the most ops the high atoms, which fix each
-    chunk, when that leaves fewer chunks alive.
+    The sweep (`_candidate_models`) runs only the sub-chunks of 2**8
+    assignments that one Kleene run of the program leaves live, a chunk of
+    2**16 whole when all of its sub-chunks are, the live ones of the other
+    chunks packed together, and past `_CHUNK_BITS` atoms it makes the atoms
+    read by the most ops the high atoms, which fix each chunk, when that
+    leaves fewer chunks alive.
     Intensional atoms that never occur in f cannot appear in any A-stable
     model and are pruned up front.  Extensional atoms of sigma that do not
     occur are free: each stable bitmask is spread once to the sorted order

@@ -919,12 +919,14 @@ def _suite_stable_loops(rng, cfg, unsound):
 
 
 def _suite_sweep_kleene(rng, cfg, unsound):
-    """A formula or a rule-shaped program on up to 8 atoms, swept by
+    """A formula or a rule-shaped program on up to 10 atoms, swept by
     `truth_chunks` over a random order of some of its atoms at a random
     chunk width, the other atoms fixed by a random context (which may also
     name swept atoms), so that most draws have high atoms and a Kleene run
-    that skips chunks: every bit must be classical truth by `satisfies`."""
-    pool = _atom_pool(rng.randint(2, 8))
+    that skips sub-chunks, and many a chunk only partly live, whose live
+    sub-chunks run packed: every bit must be classical truth by
+    `satisfies`."""
+    pool = _atom_pool(rng.randint(2, 10))
     if rng.random() < 0.5:
         f = _gen(rng, pool, rng.randint(1, cfg.max_depth), cfg)
     else:

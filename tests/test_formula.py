@@ -21,10 +21,12 @@ from astable import (
     iff,
     impl,
     neg,
+    parse_program,
     reduct,
     satisfies,
 )
-from astable.formula import Program, _key, compile_extensible, compile_formula, live_prefixes, truth_chunks
+from astable.formula import Formula, Program, _key, compile_extensible, compile_formula, live_prefixes, truth_chunks
+import astable.formula as formula_module
 from astable.verifier import GenConfig, _gen, _gen_program, gen_formula
 
 from util import guard_program
@@ -293,9 +295,9 @@ class TestCompile:
 
 
 class TestKleenePruning:
-    """`truth_chunks` skips the chunks that one Kleene run rules out.  With
-    `chunk_bits` at least the number of swept atoms there are no high atoms
-    and nothing is skipped: the unpruned reference."""
+    """`truth_chunks` skips the chunks and sub-chunks that one Kleene run
+    rules out.  With `chunk_bits` at least the number of swept atoms there
+    are no high atoms and nothing is skipped: the unpruned reference."""
 
     def test_pruned_and_unpruned_chunks_agree(self):
         rng = random.Random(5150)
@@ -312,20 +314,25 @@ class TestKleenePruning:
             pruned = list(truth_chunks(f, var, true, chunk_bits))
             (whole,) = truth_chunks(f, var, true, len(var))
             width = 1 << chunk_bits
+            assert len(pruned) == 1 << len(var) - chunk_bits
             assert pruned == [whole >> k * width & ((1 << width) - 1) for k in range(len(pruned))]
             live = live_prefixes(compile_formula(f), var, true, chunk_bits)
             skipped += sum(not live >> k & 1 for k in range(len(pruned)))
         assert skipped > 500
 
     def test_skipped_chunks_run_nothing(self, monkeypatch):
-        # h is false in every model: the chunks with h true are never run
+        # h is false in every model: the chunks with h true are never run.
+        # A sub-chunk holds the 2 values of p, a chunk those of p and q:
+        # with r true both halves of a chunk are live and it runs whole,
+        # with r false only its half with q false is, and the two such
+        # halves run packed together, 12 assignments in 3 runs
         f = conj([neg(atom("h")), disj([P, neg(P)]), impl(Q, R), impl(conj([atom("h"), S]), P)])
         var = [Atom("p"), Atom("q"), Atom("r"), Atom("s"), Atom("h")]
         runs = []
         real = Program.run
-        monkeypatch.setattr(Program, "run", lambda *args: runs.append(1) or real(*args))
-        assert list(truth_chunks(f, var, chunk_bits=2))[4:] == [0, 0, 0, 0]
-        assert len(runs) == 4
+        monkeypatch.setattr(Program, "run", lambda self, values, ones, keep: runs.append(ones.bit_length()) or real(self, values, ones, keep))
+        assert list(truth_chunks(f, var, chunk_bits=2)) == [0b11, 0b1111, 0b11, 0b1111, 0, 0, 0, 0]
+        assert runs == [4, 4, 4]
 
     def test_implication_bounds_and_context(self):
         # (p -> q) -> s with q fixed true by the context is true exactly
@@ -337,6 +344,89 @@ class TestKleenePruning:
         assert live_prefixes(prog, var, frozenset(), 1) == 0b11  # p unknown: p -> q may be false
         # s -> p with s true and p unknown may be true: no chunk is dead
         assert live_prefixes(compile_formula(impl(S, P)), var, frozenset(), 1) == 0b11
+
+
+def _colouring(n: int) -> Formula:
+    """3-colouring of the cycle C_n: a vertex takes a colour when it has
+    neither other one, and adjacent vertices differ."""
+    col = [[f"k{v}_{c}" for c in range(3)] for v in range(n)]
+    rules = []
+    for v in range(n):
+        for c in range(3):
+            o1, o2 = (col[v][d] for d in range(3) if d != c)
+            rules.append(f"not {o1} & not {o2} -> {col[v][c]}")
+        rules += [f"not ({col[v][c]} & {col[(v + 1) % n][c]})" for c in range(3)]
+    return conj(parse_program("".join(r + ".\n" for r in rules)))
+
+
+class TestSubChunks:
+    """A chunk only some of whose sub-chunks are live runs just those,
+    packed with the live sub-chunks of the chunks after it."""
+
+    @staticmethod
+    def _partly_live(monkeypatch) -> list[bool]:
+        """Whether each chunk that `_packed_chunks` yields from now on
+        holds a model."""
+        hits = []
+        real = formula_module._packed_chunks
+
+        def spy(*args):
+            for chunk in real(*args):
+                hits.append(chunk != 0)
+                yield chunk
+
+        monkeypatch.setattr(formula_module, "_packed_chunks", spy)
+        return hits
+
+    def test_wide_random_programs_match_the_unpruned_sweep(self, monkeypatch):
+        rng = random.Random(2525)
+        hits = self._partly_live(monkeypatch)
+        at_default = 0  # partly live chunks at the default width
+        for _ in range(20):
+            pool = [Atom(f"x{i}") for i in range(rng.randint(17, 22))]
+            f = conj(_gen_program(rng, pool, rng.randint(10, 40)))
+            var = rng.sample(pool, rng.randint(17, len(pool)))
+            true = frozenset(x for x in pool if rng.random() < 0.5)  # may hold swept atoms too
+            (whole,) = truth_chunks(f, var, true, len(var))
+            for chunk_bits in (16, rng.randint(1, 12)):
+                before = len(hits)
+                pruned = list(truth_chunks(f, var, true, chunk_bits))
+                width = 1 << chunk_bits
+                assert len(pruned) == 1 << len(var) - chunk_bits
+                assert pruned == [whole >> k * width & ((1 << width) - 1) for k in range(len(pruned))]
+                if chunk_bits == 16:
+                    at_default += len(hits) - before
+        assert at_default > 30 and len(hits) > 500 and sum(hits) > 400
+
+    def test_a_first_chunk_run_alone_reads_every_bit_of_its_index(self, monkeypatch):
+        # 17 atoms: a sub-chunk index has 9 bits, 8 for x08..x15 and one
+        # for x16, though the indexes of the first chunk, the only live
+        # one, all fit in 8; its 3 of 4 sub-chunks with x08 -> x09 run
+        # alone, x16 false on all of them
+        hits = self._partly_live(monkeypatch)
+        xs = [atom(f"x{i:02d}") for i in range(17)]
+        f = conj([neg(xs[16]), impl(xs[8], xs[9])])
+        var = [x.atom for x in xs]
+        (whole,) = truth_chunks(f, var, chunk_bits=17)
+        assert list(truth_chunks(f, var)) == [whole & (1 << (1 << 16)) - 1, 0]
+        assert whole.bit_count() == 3 << 14 and hits == [True]
+
+    def test_colouring_runs_far_fewer_assignments_than_its_live_chunks(self, monkeypatch):
+        prog = compile_formula(_colouring(8))
+        assert len(prog.atoms) == 24
+        widths = []
+        real = Program.run
+        monkeypatch.setattr(Program, "run", lambda self, values, ones, keep: widths.append(ones.bit_length()) or real(self, values, ones, keep))
+        models = sum(chunk.bit_count() for chunk in truth_chunks(prog, prog.atoms))
+        # closed walks of 8 steps between the nonempty colour sets of a
+        # vertex, a step joining disjoint ones
+        step = [[int(not x & y) for y in range(1, 8)] for x in range(1, 8)]
+        walks = step
+        for _ in range(7):
+            walks = [[sum(a * b for a, b in zip(row, col)) for col in zip(*step)] for row in walks]
+        assert models == sum(walks[k][k] for k in range(7)) == 1248
+        chunk_level = live_prefixes(prog, prog.atoms, frozenset(), 16).bit_count() << 16
+        assert sum(widths) * 16 < chunk_level
 
 
 class TestFormulaProperties:

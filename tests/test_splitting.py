@@ -721,6 +721,26 @@ class TestModularSolve:
         with pytest.raises(CapExceeded, match="enumeration over 100 atoms"):
             modular_solve(wide, sigma, sigma)
 
+    def test_unit_past_the_cap_that_is_no_definition_builds_no_parts(self, monkeypatch, tmp_path, capsys):
+        # the 3,000-atom negative ring not x_i -> x_(i+1) is one unit; its
+        # first clause body mentions the unit, so it is no definition, and
+        # split-solve exits at the cap after the definition test alone
+        from astable.cli import main
+
+        parted = []
+        real = stable._parts
+        monkeypatch.setattr(stable, "_parts", lambda *args: parted.append(1) or real(*args))
+        path = tmp_path / "negring.lp"
+        path.write_text("".join(f"not x{i} -> x{(i + 1) % 3000}.\n" for i in range(3000)))
+        assert main(["split-solve", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: enumeration over 3000 atoms exceeds the cap of 24; "
+            "pass a larger max_atoms (or --max-atoms) if this is intended\n"
+        )
+        assert not parted
+
     def test_layered_chain_family_exhaustive_to_sixteen_atoms(self):
         for blocks, width in [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (3, 5)]:
             conjuncts = layered_chain(blocks, width)

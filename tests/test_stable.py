@@ -6,6 +6,7 @@ import pytest
 
 from astable import (
     BOT,
+    TOP,
     Atom,
     AtomRef,
     CapExceeded,
@@ -507,6 +508,27 @@ class TestDefinitionParts:
         candidates, stable = _route_against_per_candidate(f)
         assert stable
 
+    def test_a_ring_unit_compiles_each_body_object_once(self, monkeypatch):
+        # a 9-atom ring unit of a layered chain: 9 of its 10 clause bodies
+        # are the one `top`, and the seed's body is `not x`
+        ring = [f"q{i}" for i in range(9)]
+        f = _program(_ring(ring) + ["not x -> q0"])
+        prog, conjoin = compile_extensible(f)
+        unit = [b for b, x in enumerate(prog.atoms) if x.name.startswith("q")]
+        compiled = []
+        real = stable_module.compile_formula
+        monkeypatch.setattr(stable_module, "compile_formula", lambda g: compiled.append(g) or real(g))
+        one, _, _, clauses, _, _ = _unit_route(f, prog, conjoin, unit)
+        assert one and len(clauses) == 10
+        assert compiled == [TOP, neg(atom("x"))] or compiled == [neg(atom("x")), TOP]
+        assert len({id(body) for body, _, _, _ in clauses}) == 2
+        # each extension is the least fixpoint: the whole ring when x is false
+        x = prog.atoms.index(Atom("x"))
+        assert stable_module._unit_models(_unit_route(f, prog, conjoin, unit), [0, 1 << x]) == {
+            0: ((1 << 9) - 1,),
+            1 << x: (0,),
+        }
+
     def test_narrow_programs_and_parts_are_never_recognized(self, monkeypatch):
         # no definition recognition on a program or a modular unit of at
         # most _NARROW atoms, which the packed run decides without parts,
@@ -807,15 +829,26 @@ class TestHighAtoms:
             assert order[-1] == (Atom("zh") if same else Atom("c"))
 
     def test_a_chunk_of_one_model_is_read_without_its_binary_text(self, monkeypatch):
-        texts = []
+        # a chunk of one model is read by its bit length, any other from its
+        # bytes (`set_bits`), and none from the text of `bin`
+        texts, reads = [], []
         monkeypatch.setattr(stable_module, "bin", lambda c: texts.append(c) or bin(c), raising=False)
+        real = stable_module.set_bits
+        monkeypatch.setattr(stable_module, "set_bits", lambda c, offset: reads.append(c) or real(c, offset))
         # one model, all 18 atoms true, in the last of four chunks
         chain = compile_formula(_program(["p0"] + [f"p{i} -> p{i + 1}" for i in range(17)]))
         assert _candidate_models(chain, range(18), 0) == [(1 << 18) - 1]
-        assert texts == []
+        assert reads == []
         choices = compile_formula(_program([f"x{i} | not x{i}" for i in range(3)]))
         assert sorted(_candidate_models(choices, range(3), 0)) == list(range(8))
-        assert len(texts) == 1
+        assert reads == [0xFF] and texts == []
+        # a chunk all of whose bits are models, in increasing order, and the
+        # classical models of the negative chain, no two atoms in a row
+        # false: the Fibonacci number F(20)
+        assert _candidate_models(compile_formula(_program(_choices(12))), range(12), 0) == list(range(1 << 12))
+        negchain = compile_formula(_program(_negchain(18)))
+        assert len(set(_candidate_models(negchain, range(18), 0))) == 6765
+        assert texts == []
 
     @pytest.mark.parametrize("n", [5, 6, 8])
     def test_cycle_colourings_match_the_closed_form(self, n):

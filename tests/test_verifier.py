@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import textwrap
 
 import pytest
@@ -221,6 +222,36 @@ def _mutant(module, name: str, old: str, new: str):
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), f"<mutant of {name}>", "exec"), namespace)
     return namespace[name]
+
+
+class TestSweepKleeneMutations:
+    """The `sweep_kleene` suite reaches the packed runs of the chunks that
+    are only partly live, and fails a sweep that drops them."""
+
+    CFG = GenConfig(iterations=300)
+
+    def test_many_draws_have_a_partly_live_chunk(self, monkeypatch):
+        from astable import formula
+
+        real = formula._packed_chunks
+        draws = []
+
+        def spy(*args):  # its body runs only for a sweep with a partly live chunk
+            draws.append(0)
+            for chunk in real(*args):
+                draws[-1] += 1
+                yield chunk
+
+        monkeypatch.setattr(formula, "_packed_chunks", spy)
+        report = run_suite("sweep_kleene", self.CFG)
+        assert report.fails == 0 and report.passes == 300
+        assert len(draws) >= 30 and sum(draws) > len(draws)
+
+    def test_yielding_zero_for_every_partly_live_chunk_fails(self, monkeypatch):
+        from astable import formula
+
+        monkeypatch.setattr(formula, "_packed_chunks", lambda *args: itertools.repeat(0))
+        assert run_suite("sweep_kleene", self.CFG).fails > 0
 
 
 class TestStableSupportMutations:
