@@ -10,7 +10,6 @@ precondition or cap, 3 verification counterexample found.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from typing import Sequence
@@ -20,12 +19,10 @@ from . import fo
 from .definitions import DefinitionError, Rejection, check_conservativity, recognize_definition
 from .depgraph import PartitionError, Partition2, dep_graph, to_dot
 from .formula import Atom, CapExceeded, Formula, SignatureError, atoms_of, conj, format_program
-from .splitting import PreconditionError, modular_solve, split_models_lemma
+from .splitting import PreconditionError, SplitPlanError, modular_solve, split_models_lemma
 from .stable import DEFAULT_MAX_ATOMS, ModelSet, enumerate_a_stable
 from .syntax import ParseError, parse_atom_list, parse_program
 from .verifier import DEFAULT_SEED, GenConfig, SUITE_NAMES, run_suite
-
-log = logging.getLogger("astable")
 
 USAGE_EXIT, PRECONDITION_EXIT, COUNTEREXAMPLE_EXIT = 1, 2, 3
 
@@ -137,7 +134,12 @@ def _cmd_split_solve(args) -> int:
         p2 = frozenset(parse_atom_list(args.part2)) if args.part2.strip() else frozenset()
         models = split_models_lemma(conj(conjuncts), p1, p2, sigma, max_atoms=args.max_atoms)
     else:
-        models = modular_solve(conjuncts, intensional, sigma, max_atoms=args.max_atoms, mentions=mentions)
+        try:
+            models = modular_solve(conjuncts, intensional, sigma, max_atoms=args.max_atoms, mentions=mentions)
+        except SplitPlanError as exc:
+            # the splitting theorem does not apply: sweep the whole signature instead
+            print(f"WARNING: modular solve falling back to brute force: {exc}", file=sys.stderr)
+            models = enumerate_a_stable(conj(conjuncts), intensional, sigma, max_atoms=args.max_atoms)
     _print_models(models, args.json)
     return 0
 
@@ -272,8 +274,6 @@ _parser: argparse.ArgumentParser | None = None  # built by the first main() call
 
 def main(argv: Sequence[str] | None = None) -> int:
     global _parser
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s: %(message)s", force=True)
     if _parser is None:
         _parser = build_parser()
     try:

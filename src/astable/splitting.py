@@ -11,14 +11,13 @@ through negation; positive dependency stays inside a unit, as the symmetric
 splitting theorem asks.  How one unit is solved, its route, is for `stable`
 to choose and run (`_unit_route`, `_unit_models`); this module keeps the
 plan, the cap, the contexts each unit is solved in and the frontier.  Both
-strategies verify their preconditions; the modular solver falls back to
-brute force (with a warning) when a conjunct's strictly positive
-intensional atoms span dependency blocks.
+strategies verify their preconditions, and the modular solver refuses with
+SplitPlanError when a conjunct's strictly positive intensional atoms span
+dependency blocks; the CLI then answers by brute force.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import AbstractSet, Sequence
 
 from .depgraph import (
@@ -55,11 +54,9 @@ from .stable import (
     is_a_stable,  # not called here; perfbench/spans.py wraps this name
 )
 
-log = logging.getLogger(__name__)
-
 # a SplitPlanError shows at most this many characters of its conjunct and
-# of its list of heads, so the fallback warning stays one short line on a
-# deep or wide formula
+# of its list of heads, so the CLI's fallback warning stays one short line
+# on a deep or wide formula
 _SHOWN_CHARS = 200
 
 
@@ -187,10 +184,11 @@ def plan_split(
     When some conjunct has two or more heads, the dependency graph is
     built first: each conjunct's heads must share a dependency block, else
     SplitPlanError.  The mention graph has a vertex per intensional atom,
-    sorted, then a hub per headed conjunct, which its heads point to and
-    which points to each intensional atom it mentions: a conjunct costs
-    heads + mentions edges, and its hub lies in its heads' unit.  A
-    dependency edge is a mention path, so a unit is a union of blocks.
+    sorted, and no other: a headed conjunct's first head stands in for it,
+    its other heads point to that one, and that one points to each
+    intensional atom the conjunct mentions, so a conjunct costs heads +
+    mentions edges and lies in its heads' unit.  A dependency edge is a
+    mention path, so a unit is a union of blocks.
     """
     a = frozenset(a)
     heads = [strictly_positive(c) & a for c in conjuncts]
@@ -207,24 +205,25 @@ def plan_split(
     atoms = sorted(a)
     index = {x: k for k, x in enumerate(atoms)}
     succs: list[list[int]] = [[] for _ in atoms]
-    headed: list[Formula] = []
+    headed: list[tuple[int, Formula]] = []  # (first head, conjunct)
     residual = []
     if mentions is None:
         mentions = map(atoms_of, conjuncts)
     for c, hs, mentioned in zip(conjuncts, heads, mentions):
         if hs:
-            for h in hs:
-                succs[index[h]].append(len(succs))
-            succs.append([index[x] for x in mentioned & a])
-            headed.append(c)
+            first, *others = [index[h] for h in hs]
+            for h in others:
+                succs[h].append(first)
+            succs[first] += [index[x] for x in mentioned & a]
+            headed.append((first, c))
         else:
             residual.append(c)
     comps, comp_of = strong_components(succs)
     assigned: list[list[Formula]] = [[] for _ in comps]
-    for hub, c in enumerate(headed, len(atoms)):
-        assigned[comp_of[hub]].append(c)
+    for first, c in headed:
+        assigned[comp_of[first]].append(c)
     listing = topological_order(succs, comps, comp_of)
-    blocks = tuple((frozenset(atoms[v] for v in comps[k] if v < len(atoms)), conj(assigned[k])) for k in listing)
+    blocks = tuple((frozenset(atoms[v] for v in comps[k]), conj(assigned[k])) for k in listing)
     return SplitPlan(blocks, tuple(residual))
 
 
@@ -321,21 +320,19 @@ def modular_solve(
     only filter the models classically: each is a unit with no atoms,
     solved the same way after all the others, on the few contexts its own
     atoms give.  A conjunct whose strictly positive intensional atoms span
-    dependency blocks triggers a logged brute-force fallback; a unit or an
-    extensional context wider than max_atoms atoms, or a frontier of more
-    than 2**max_atoms interpretations, raises CapExceeded; a unit whose
-    route has one extension per context, a definition, is not enumerated,
-    so it may be wider.
+    dependency blocks, where the splitting theorem does not hold, makes
+    `plan_split` raise SplitPlanError, which propagates: a caller that
+    wants an answer anyway takes `enumerate_a_stable` of the conjunction,
+    as the CLI does.  A unit or an extensional context wider than
+    max_atoms atoms, or a frontier of more than 2**max_atoms
+    interpretations, raises CapExceeded; a unit whose route has one
+    extension per context, a definition, is not enumerated, so it may be
+    wider.
     `mentions`, the atoms of each conjunct when the caller has them, go to
     `plan_split`.
     """
     a = frozenset(a)
-    try:
-        plan = plan_split(conjuncts, a, mentions)
-    except SplitPlanError as exc:
-        log.warning("modular solve falling back to brute force: %s", exc)
-        return enumerate_a_stable(conj(conjuncts), a, sigma, max_atoms=max_atoms)
-
+    plan = plan_split(conjuncts, a, mentions)
     units = [(atoms, f.children[0] if len(f.children) == 1 else f) for atoms, f in reversed(plan.blocks)]
     steps = [(atoms, f, *_unit_program(f, atoms)) for atoms, f in units + [(frozenset(), r) for r in plan.residual]]
     if sigma is None:

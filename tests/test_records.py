@@ -264,10 +264,27 @@ class TestColdStart:
         src = str(Path(astable.__file__).resolve().parents[1])
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import astable.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json', 'csv'} & (set(sys.modules) - before)))"
+            "print(sorted({'dataclasses', 'inspect', 'json', 'csv', 'logging', 'traceback'} "
+            "& (set(sys.modules) - before)))"
         )
         done = subprocess.run(
             [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, timeout=60
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == "[]\n"
+
+    def test_falling_back_split_solve_loads_no_logging_or_traceback(self, tmp_path):
+        # a split-solve whose plan is refused, so that the CLI answers by
+        # brute force with its warning
+        src = str(Path(astable.__file__).resolve().parents[1])
+        path = tmp_path / "span.lp"
+        path.write_text("x | y.\nx -> u.\ny -> v.\n")
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); from astable.cli import main; "
+            "main(['split-solve', sys.argv[2]]); print(sorted({'logging', 'traceback'} & (set(sys.modules) - before)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code, src, str(path)], capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "{u,x}\n{v,y}\n[]\n")
+        assert done.stderr.count("falling back to brute force") == 1

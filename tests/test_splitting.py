@@ -282,13 +282,13 @@ class TestPlanSplit:
         plan_split(chain, set(ats))
         ring = chain + [impl(AtomRef(ats[0]), AtomRef(ats[5]))]
         plan = plan_split(ring, set(ats))
-        # 6 atoms and a hub per rule
-        assert calls == [6 + 5, 6 + 6] and [b for b, _ in plan.blocks] == [frozenset(ats)]
+        # a vertex per atom, none per rule
+        assert calls == [6, 6] and [b for b, _ in plan.blocks] == [frozenset(ats)]
         calls.clear()
         x, y = Atom("x"), Atom("y")
         with pytest.raises(SplitPlanError):
             plan_split([disj([AtomRef(x), AtomRef(y)])], {x, y})
-        # refused on the dependency graph, before the mention graph's 2 + 1 vertices
+        # refused on the dependency graph, before the mention graph
         assert calls == ["dep_graph", 2]
 
     @pytest.mark.parametrize("n", [100, 1000])
@@ -307,12 +307,13 @@ class TestPlanSplit:
         ring = [impl(AtomRef(ats[i]), AtomRef(ats[(i + 1) % n])) for i in range(n)]
         plan = plan_split([wide] + ring, set(ats))
         assert [b for b, _ in plan.blocks] == [frozenset(ats)]
-        # the ring's n dependency edges, then the mention graph: the
-        # disjunction's n heads to its hub and the hub to n atoms, and
-        # per ring rule one head to its hub and the hub to two atoms
+        # the ring's n dependency edges, then the mention graph over the
+        # n atoms alone: the disjunction's other n - 1 heads to its first
+        # head and that head to n atoms, and per ring rule its head to two
+        # atoms
         dependency, mention = graphs
         assert dependency == (n, n)
-        assert mention[0] == n + 1 + n and mention[1] <= 5 * n
+        assert mention[0] == n and mention[1] <= 5 * n
 
 
 def _swept_routes(monkeypatch) -> list:
@@ -352,6 +353,18 @@ class TestModularSolve:
         brute, t_naive = fastest(lambda: enumerate_a_stable(conj(conjuncts), sigma, sigma))
         assert modular.as_set() == brute.as_set() == {frozenset()}
         assert t_mod < t_naive
+
+    def test_heads_spanning_blocks_are_refused(self):
+        # x | y with x and y in two dependency blocks: the splitting theorem
+        # does not apply, and no answer is given
+        x, y, u, v = (Atom(n) for n in "xyuv")
+        conjuncts = [disj([AtomRef(x), AtomRef(y)]), impl(AtomRef(x), AtomRef(u)), impl(AtomRef(y), AtomRef(v))]
+        with pytest.raises(SplitPlanError) as caught:
+            modular_solve(conjuncts, {x, y, u, v}, {x, y, u, v})
+        assert str(caught.value) == (
+            "conjunct 'x | y' has strictly positive intensional atoms x, y "
+            "spanning multiple dependency blocks")
+        assert caught.value.conjunct is conjuncts[0]
 
     def test_isomorphic_blocks_share_solutions(self, monkeypatch):
         # q1 -> q0 ... q5 -> q4 and r1 -> r0 ... r5 -> r4 with the fact r5:

@@ -101,17 +101,25 @@ class TestRunSuite:
         assert report.passes == 40
 
     def test_modular_falls_back_only_for_heads_spanning_blocks(self, monkeypatch):
-        # the suite mutes the solver's logger, so its warnings are caught
-        # where they are made
-        from astable import splitting
+        # the suite takes the enumerator's answer where modular_solve
+        # refuses, so each refusal is caught on its way out
+        from astable import splitting, verifier
 
         reasons = []
-        monkeypatch.setattr(splitting.log, "warning", lambda fmt, *args: reasons.append(fmt % args))
+
+        def spy(*args, **kwargs):
+            try:
+                return splitting.modular_solve(*args, **kwargs)
+            except splitting.SplitPlanError as exc:
+                reasons.append(str(exc))
+                raise
+
+        monkeypatch.setattr(verifier, "modular_solve", spy)
         report = run_suite("stable_modular", GenConfig(iterations=200))
         assert report.fails == 0
         assert reasons
         for reason in reasons:
-            assert reason.startswith("modular solve falling back to brute force: conjunct '")
+            assert reason.startswith("conjunct '")
             assert reason.endswith("spanning multiple dependency blocks")
 
     def test_unsound_split_lemma_finds_counterexample(self):
