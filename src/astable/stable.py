@@ -19,6 +19,7 @@ from .depgraph import DepGraph, components, dep_graph, strictly_positive, strong
 from .formula import (
     BOT,
     TOP,
+    _KLEENE_BITS,
     Atom,
     AtomRef,
     CapExceeded,
@@ -59,11 +60,12 @@ _BYTE_BITS = [bytes(m >> j & 1 for j in range(8)) for m in range(256)]  # bit j 
 
 
 def _selectors(masks: Sequence[int], n: int) -> Iterable[bytes]:
-    """Each bitmask over n >= 1 atoms as bytes 0 or 1, atom 0 first."""
+    """Each bitmask over n >= 1 atoms as bytes 0 or 1, atom 0 first, and
+    zeros past atom n - 1 up to a whole number of bytes."""
     if n <= 8:
         return map(_BYTE_BITS.__getitem__, masks)
-    rows = _rows(masks, n)[::-1]  # the last bitmask first
-    return reversed([rows[k : k + n] for k in range(0, len(rows), n)])
+    width = (n + 7) >> 3
+    return (b"".join(map(_BYTE_BITS.__getitem__, m.to_bytes(width, "little"))) for m in masks)
 
 
 def _tables(pieces: Sequence, join) -> list[list]:
@@ -100,6 +102,12 @@ def _rank_table(g: int) -> list[str]:
 
 # built at import: the rank tables of every model set within the default cap
 [_rank_table(g) for g in range(-(-DEFAULT_MAX_ATOMS // 8))]
+
+
+@functools.cache  # one per 8 atoms of the widest assignment read off lanes
+def _bit_table(g: int) -> list[int]:
+    """`_tables` of the bits of atoms 8g to 8g + 7: entry m is m << 8g."""
+    return _tables([1 << b for b in range(8 * g, 8 * g + 8)], sum)[0]
 
 
 def _decode(masks: Sequence[int], pieces: Sequence, join) -> list:
@@ -404,9 +412,7 @@ def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) 
 
 
 _NARROW = 6  # a part this small is decided by its loop formulas, at most 63; so few atoms take one run in all
-_RUN_BITS = 1 << _CHUNK_BITS  # candidates of one fixpoint run, a byte each
-_BITS = bytes.maketrans(b"01", b"\0\1")
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_RUN_BITS = 1 << _CHUNK_BITS  # lanes of one fixpoint run, a byte each
 
 # A compiled clause `H & C -> h` of a definition: the program of H, the
 # positions of its atoms, the positions of C and the position of h, all
@@ -431,14 +437,15 @@ def _conjuncts(f: Formula) -> list[Formula]:
 def _split_antecedent(ante: Formula, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom]]:
     """The antecedent of a clause as (H, C): C the atoms of q that are its
     direct conjuncts (or the antecedent itself), H the conjunction of the
-    rest, top when nothing is left.  With C empty, H is the antecedent
-    itself, the very object."""
+    rest, the one object `TOP` when nothing is left, so that its clauses
+    share one compiled body.  With C empty, H is the antecedent itself,
+    the very object."""
     if type(ante) is Conj:
         pos_q = frozenset(d.atom for d in ante.children if type(d) is AtomRef and d.atom in q)
         if not pos_q:
             return ante, pos_q
         rest = [d for d in ante.children if not (type(d) is AtomRef and d.atom in q)]
-        return (rest[0] if len(rest) == 1 else Conj(tuple(rest))), pos_q
+        return (rest[0] if len(rest) == 1 else Conj(tuple(rest)) if rest else TOP), pos_q
     if type(ante) is AtomRef and ante.atom in q:
         return TOP, frozenset((ante.atom,))
     return ante, frozenset()
@@ -524,7 +531,11 @@ def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> tuple[list[Part],
     A wider part that is a definition (see `_clause`) comes with its
     compiled clauses (see `_definition`): by step 2 and the paper's theorem
     on definitions, I is C-stable iff its atoms of C are the least fixpoint
-    of their clauses, which `_stable_subset` runs.
+    of their clauses over I's other atoms.  So `_stable_models` derives
+    such a part's atoms instead of sweeping them, unless it lies on a cycle
+    of body reads between definition parts (see `_read_order`); then they
+    are swept, and compared with that fixpoint.  Any other wider part is
+    checked by `_ht_minimal`.
     """
     bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
     if not bit:
@@ -675,34 +686,119 @@ def _fire(clauses: Iterable[Clause], columns: Sequence[int], ones: int) -> Itera
 
 def _lanes(masks: Sequence[int], n: int) -> list[int]:
     """Per atom b < n, the vector whose byte k is 1 iff masks[k] sets bit
-    b: the layout of a fixpoint run, one byte per lane."""
-    rows = _rows(masks, n)
-    return [int.from_bytes(rows[n - 1 - b :: n], "little") for b in range(n)]
+    b: the layout of a fixpoint run, one byte per lane.  The bitmasks are
+    joined as bytes once; byte g of every lane, sliced out, is one vector
+    whose bit j of each byte is atom 8g + j, shifted down per atom."""
+    width = (n + 7) >> 3
+    flat = b"".join(map(int.to_bytes, masks, itertools.repeat(width), itertools.repeat("little")))
+    ones = int.from_bytes(b"\1" * len(masks), "little")
+    out = []
+    for g in range(width):
+        group = int.from_bytes(flat[g::width], "little")
+        out += [group >> j & ones for j in range(min(8, n - 8 * g))]
+    return out
 
 
-def _definition_passed(
-    prog: Program, var: Sequence[int], here: int, defined: Sequence[Part], candidates: Sequence[int]
+def _read(columns: Sequence[int], lanes: int, keep: bytes | None) -> list[int]:
+    """Per lane of a fixpoint run, in order, the bitmask whose bit j is
+    set iff columns[j] is 1 on it (the inverse of `_lanes`), or only the
+    lanes on which `keep`, one byte 0 or 1 per lane, is 1.  Eight columns
+    at a time are shifted into one vector, whose bytes `_bit_table` turns
+    into that byte's bits of each bitmask."""
+    total = None
+    for g in range(0, max(len(columns), 1), 8):
+        byte = 0
+        for j, v in enumerate(columns[g : g + 8]):
+            byte |= v << j
+        data = byte.to_bytes(lanes, "little")
+        values = map(_bit_table(g >> 3).__getitem__, data if keep is None else itertools.compress(data, keep))
+        total = values if total is None else map(add, total, values)
+    return list(total)
+
+
+def _lane_models(
+    prog: Program,
+    var: Sequence[int],
+    here: int,
+    where: Sequence[int],
+    batches: Iterable[Sequence[int]],
+    derived: Sequence[Part],
+    compared: Sequence[Part],
+    check: bool,
 ) -> list[int]:
-    """The candidates, as in `_stable_subset`, that are C-stable for every
-    part C of `defined`, each a definition with its clauses: those whose
-    atoms of C are the least fixpoint of C's clauses over their other
-    atoms.  One run per part checks up to `_RUN_BITS` candidates, one lane
-    each."""
-    passed: list[int] = []
-    for start in range(0, len(candidates), _RUN_BITS):
-        batch = candidates[start : start + _RUN_BITS]
-        ones = int.from_bytes(b"\1" * len(batch), "little")
-        columns = [ones if here >> b & 1 else 0 for b in range(len(prog.atoms))]
-        for b, v in zip(var, _lanes(batch, len(var))):
+    """The lanes that pass, each as its assignment c to the atoms at
+    positions `var` of prog.atoms (bit j of c for var[j]), in order.
+
+    A lane is one interpretation: the atoms at positions `where` as one
+    bitmask of `batches` gives them (bit j for where[j]), the atoms of
+    the bitmask `here` true, the atoms of each part of `derived`, a
+    definition, the least fixpoint of its clauses, filled in the order
+    given, and every other atom false.  Each part of `derived` may read
+    only the atoms set before it.  A lane passes when the atoms of each
+    part of `compared`, a definition too, are the least fixpoint of its
+    clauses there, and, with `check`, prog is true there.  One run per
+    batch, a batch at most `_RUN_BITS` lanes, one byte each.
+    """
+    size = len(prog.atoms)
+    out: list[int] = []
+    for batch in batches:
+        lanes = len(batch)
+        ones = int.from_bytes(b"\1" * lanes, "little")
+        columns = [ones if here >> b & 1 else 0 for b in range(size)]
+        for b, v in zip(where, _lanes(batch, len(where))):
             columns[b] = v
-        wrong = 0
-        for part, clauses in defined:
-            derived = _least_fixpoint(_fire(clauses, columns, ones), len(columns))
+        for part, clauses in derived:
+            fixed = _least_fixpoint(_fire(clauses, columns, ones), size)
             for b in var:
                 if part >> b & 1:
-                    wrong |= derived[b] ^ columns[b]
-        passed += itertools.compress(batch, (ones ^ wrong).to_bytes(len(batch), "little"))
-    return passed
+                    columns[b] = fixed[b]
+        wrong = 0
+        for part, clauses in compared:
+            fixed = _least_fixpoint(_fire(clauses, columns, ones), size)
+            for b in var:
+                if part >> b & 1:
+                    wrong |= fixed[b] ^ columns[b]
+        keep = (prog.run(columns, ones, ones) if check else ones) & ~wrong
+        out += _read([columns[b] for b in var], lanes, None if keep == ones else keep.to_bytes(lanes, "little"))
+    return out
+
+
+def _batches(masks: Sequence[int]) -> Iterator[Sequence[int]]:
+    """The bitmasks in runs of at most `_RUN_BITS`, in order."""
+    return (masks[start : start + _RUN_BITS] for start in range(0, len(masks), _RUN_BITS))
+
+
+def _live_batches(
+    prog: Program, unknown: Sequence[Atom], swept: Sequence[Atom], true: AbstractSet[Atom]
+) -> Iterator[Sequence[int]]:
+    """The assignments to the atoms `swept` (bit j for swept[j]), in
+    increasing order and in batches of at most `_RUN_BITS`, that one
+    Kleene run of prog (`live_prefixes`) leaves live when the atoms
+    `unknown` are unknown, those of `true` true and all others false.
+    Past `_KLEENE_BITS` swept atoms, the low ones are unknown in that run
+    too, so that its vectors stay within 2**_KLEENE_BITS bits, and each
+    live assignment to the high ones stands for every one to the low."""
+    low = max(0, len(swept) - _KLEENE_BITS)
+    live = set_bits(live_prefixes(prog, [*unknown, *swept], true, len(unknown) + low))
+    if not low:
+        return _batches(live)
+    lanes = itertools.chain.from_iterable(range(hi << low, (hi + 1) << low) for hi in live)
+    return iter(lambda: list(itertools.islice(lanes, _RUN_BITS)), [])
+
+
+def _read_order(parts: Sequence[Part]) -> tuple[list[Part], list[Part]]:
+    """The definitions among `parts` as (derived, compared).  A part reads
+    another when a body H of its clauses mentions one of the other's
+    atoms, never one of its own.  The parts on a cycle of reads, which
+    passes through a `not` since each part is a whole component of the
+    positive dependency graph, are compared; every other part is derived,
+    listed after each part it reads: Tarjan's algorithm closes the
+    component of a part after those of the parts it reads."""
+    defined = [p for p in parts if p[1] is not None]
+    reads = [sum({1 << b for _, body_pos, _, _ in clauses for b in body_pos}) for _, clauses in defined]
+    comps, _ = strong_components([[j for j, (q, _) in enumerate(defined) if q & r] for r in reads])
+    derived = [defined[comp[0]] for comp in comps if len(comp) == 1]
+    return derived, [defined[i] for comp in comps if len(comp) > 1 for i in comp]
 
 
 def _definition_models(prog: Program, var: Sequence[int], clauses: Sequence[Clause], heres: Sequence[int]) -> list[int]:
@@ -710,22 +806,12 @@ def _definition_models(prog: Program, var: Sequence[int], clauses: Sequence[Clau
     outside `var`, the one assignment c to the atoms at positions `var`
     (bit j of c for var[j]) that is a var-stable model of prog, when prog
     is the conjunction of `clauses`, a definition for those atoms: their
-    least fixpoint.  One fixpoint run decides every context, one lane each.
+    least fixpoint, the case of `_lane_models` with no swept atom and one
+    lane per context.  The fixpoint satisfies every clause, so prog is not
+    run.
     """
-    lanes = len(heres)
-    ones = int.from_bytes(b"\1" * lanes, "little")
-    derived = _least_fixpoint(_fire(clauses, _lanes(heres, len(prog.atoms)), ones), len(prog.atoms))
-    k = len(var)
-    rows = bytearray(lanes * k)  # the rows of `_rows`, read back
-    for j, b in enumerate(var):
-        rows[k - 1 - j :: k] = derived[b].to_bytes(lanes, "little")
-    text = rows.translate(_DIGITS)
-    return [int(text[i : i + k], 2) for i in range(0, lanes * k, k)]
-
-
-def _rows(masks: Iterable[int], n: int) -> bytes:
-    """Each bitmask over n >= 1 atoms as n bytes 0 or 1, atom n - 1 first."""
-    return "".join(map(format, masks, itertools.repeat(f"0{n}b"))).encode().translate(_BITS)
+    derived = [(sum(1 << b for b in var), clauses)]
+    return _lane_models(prog, var, 0, range(len(prog.atoms)), _batches(heres), derived, (), False)
 
 
 @functools.cache  # k at most _NARROW: fewer than 2**(_NARROW + 1) keys
@@ -781,23 +867,25 @@ def _stable_subset(
 ) -> list[int]:
     """The A-stable ones among `candidates`, classical models of prog given
     as assignments to the atoms at positions `var` of prog.atoms with the
-    context `here`, as in `_stable_models`; A is the union of `parts`, the
-    parts of `_parts` wider than `_NARROW`.  prog must be the program
-    itself, never the one conjoined with loop formulas that the candidates
-    come from (see `_stable_models`).
+    context `here`, as in `_stable_models`, in the order given; A is the
+    union of `parts`, parts of `_parts` wider than `_NARROW` whose atoms
+    were swept.  prog must be the program itself, never the one conjoined
+    with loop formulas that the candidates come from (see
+    `_stable_models`).
 
     By the splitting lemma a candidate I is A-stable iff it is C-stable for
-    every part C.  A part that comes with its clauses, a definition, is
-    decided first, for every candidate at once, by comparing its atoms
-    with their least fixpoint (`_definition_passed`, see `_parts`); no
-    subset J of I is ever inspected for it.  Every other part is checked
-    by one chunked sweep, `_ht_minimal`, per candidate that every earlier
-    part passes.  A candidate that holds no atom of such a part has no J
-    below it for that part and is C-stable for it without a sweep.
+    every part C.  A part that comes with its clauses, a definition that
+    could not be derived (see `_read_order`), is decided first, for every
+    candidate at once, one lane each, by comparing its atoms with their
+    least fixpoint (`_lane_models`, see `_parts`); no subset J of I is ever
+    inspected for it.  Every other part is checked by one chunked sweep,
+    `_ht_minimal`, per candidate that every earlier part passes.  A
+    candidate that holds no atom of such a part has no J below it for that
+    part and is C-stable for it without a sweep.
     """
     defined = [part for part in parts if part[1] is not None]
     if defined:
-        candidates = _definition_passed(prog, var, here, defined, candidates)
+        candidates = _lane_models(prog, var, here, var, _batches(candidates), (), defined, False)
     others = [p for p, clauses in parts if clauses is None]
     if others:
         pairs = zip(candidates, _decode(candidates, [1 << b for b in var], sum))  # each with its mask over prog.atoms
@@ -816,23 +904,45 @@ def _stable_models(
     bitmask `a` over `var`.
 
     Up to `_NARROW` atoms, one packed run over every assignment decides
-    classical truth and minimality together.  More atoms take a classical
-    sweep of `swept`, and A must be the union of `parts` (see `_parts`)
-    and of the parts that their loop formulas decide; `swept`, when there
-    are loop formulas, is the program of prog's formula conjoined with
-    them, over the same atoms.  Its models are exactly the classical models
-    of prog that are stable for every part of at most `_NARROW` atoms, and
-    `_stable_subset` keeps those that are stable for the wider parts,
-    checked against prog itself: a loop formula makes the atoms of its
-    bodies strictly positive, so it must not take part in any minimality
-    check.
+    classical truth and minimality together.  More atoms need A to be the
+    union of `parts` (see `_parts`) and of the parts that their loop
+    formulas decide; `swept`, when there are loop formulas, is the program
+    of prog's formula conjoined with them, over the same atoms.  Its models
+    are exactly the classical models of prog that are stable for every
+    part of at most `_NARROW` atoms.
+
+    A wide definition part on no cycle of body reads (see `_read_order`)
+    has exactly one C-stable extension per interpretation of the other
+    atoms, the least fixpoint of its clauses, so its atoms are derived,
+    not swept: one Kleene run of `swept` over the other atoms of `var`,
+    with the derived ones unknown, gives the live assignments to them
+    (`_live_batches`), and `_lane_models` fills each derived part in read
+    order, compares every other definition part with its fixpoint and
+    keeps the lanes where `swept` is true.  With no part to derive, a
+    classical sweep of `swept` over all of `var` gives the candidates
+    (`_candidate_models`).  Either way, `_stable_subset` keeps those that
+    are stable for the wide parts left, checked against prog itself: a
+    loop formula makes the atoms of its bodies strictly positive, so it
+    must not take part in any minimality check.
     """
     k = len(var)
     if not k:  # classical truth of prog in the one interpretation `here`
         return [0] if prog.run([here >> b & 1 for b in range(len(prog.atoms))], 1, 1) else []
     if k <= _NARROW:
         return _verdicts(prog, var, here, a)
-    candidates = _candidate_models(swept or prog, var, here)
+    swept = swept or prog
+    derived, compared = _read_order(parts) if parts else ((), ())
+    if derived:
+        atoms = prog.atoms
+        fixed = sum(part for part, _ in derived)
+        kept = [b for b in var if not fixed >> b & 1]
+        unknown = [atoms[b] for b in var if fixed >> b & 1]
+        true = {x for b, x in enumerate(atoms) if here >> b & 1}
+        lanes = _live_batches(swept, unknown, [atoms[b] for b in kept], true)
+        candidates = _lane_models(swept, var, here, kept, lanes, derived, compared, True)
+        parts = [part for part in parts if part[1] is None]
+    else:
+        candidates = _candidate_models(swept, var, here)
     return _stable_subset(prog, var, here, parts, candidates) if parts else candidates
 
 
@@ -913,27 +1023,30 @@ def enumerate_a_stable(
     compiled once, and `_stable_models` finds the A-stable assignments to
     all of its atoms, the routine that also solves every unit of
     `splitting.modular_solve` but a definition (see `_unit_route`): with at
-    most `_NARROW` atoms by one packed run over every assignment, else by a
-    vectorized satisfiability sweep whose classical models are checked one
+    most `_NARROW` atoms by one packed run over every assignment, else one
     part of A at a time (see `_parts`).  A part is a strongly connected
     component of the positive dependency graph; by the splitting lemma and
     the symmetric splitting theorem a classical model is C-stable for f iff
     it is C-stable for the conjuncts in which an atom of C is strictly
     positive.  A part of at most `_NARROW` atoms is decided by its loop
-    formulas, which are conjoined to f in the walk that compiled it, and
-    the sweep runs on f with them: its models are the candidates stable for
-    every such part, and when no part is left they are the answer.  A wider
-    part that is a definition, whose one C-stable model per interpretation
-    of the other atoms is the least fixpoint of its clauses, is decided for
-    every candidate by one bit-parallel fixpoint run, and any other by a
-    chunked sweep in `_ht_minimal` for each candidate that holds one of its
-    atoms and passes every other part (see `_stable_subset`).
-    The sweep (`_candidate_models`) runs only the sub-chunks of 2**8
+    formulas, which are conjoined to f in the walk that compiled it, so
+    that every classical check runs on f with them.  A wider part that is
+    a definition has one C-stable model per interpretation of the other
+    atoms, the least fixpoint of its clauses: unless it is on a cycle of
+    body reads between definition parts (see `_read_order`), its atoms are
+    not swept but derived, part after part, on every live assignment to
+    the other atoms at once, one byte lane each, and one run of f with the
+    loop formulas over those lanes keeps the models (see `_lane_models`).
+    With no part to derive, a vectorized sweep over all the atoms gives the
+    candidates (`_candidate_models`): it runs only the sub-chunks of 2**8
     assignments that one Kleene run of the program leaves live, a chunk of
     2**16 whole when all of its sub-chunks are, the live ones of the other
     chunks packed together, and past `_CHUNK_BITS` atoms it makes the atoms
     read by the most ops the high atoms, which fix each chunk, when that
-    leaves fewer chunks alive.
+    leaves fewer chunks alive; a definition part left is compared with its
+    fixpoint on every candidate at once.  Any other wider part is checked
+    by a chunked sweep in `_ht_minimal` for each candidate that holds one
+    of its atoms and passes every other part (see `_stable_subset`).
     Intensional atoms that never occur in f cannot appear in any A-stable
     model and are pruned up front.  Extensional atoms of sigma that do not
     occur are free: each stable bitmask is spread once to the sorted order

@@ -55,6 +55,7 @@ from .formula import (
     neg,
     reduct,
     satisfies,
+    set_bits,
     truth_chunks,
 )
 from .records import Record
@@ -617,9 +618,10 @@ def _enumerator_verdict(suite: str, f: Formula, a: frozenset[Atom], pool: Sequen
     )
 
 
-def _both_solvers(suite: str, conjuncts: list[Formula], a: frozenset[Atom], pool: Sequence[Atom]):
+def _both_solvers(suite: str, conjuncts: list[Formula], a: frozenset[Atom], pool: Sequence[Atom], reference=None):
     """A suite's verdict on a program that both `enumerate_a_stable` and
-    `modular_solve` must solve as the reference `is_a_stable` does.  Where
+    `modular_solve` must solve as the reference `is_a_stable` does, by
+    `_reference_models` unless another `reference` is given.  Where
     `modular_solve` refuses a split it cannot make, the enumerator's answer
     stands in for it, as in the CLI."""
     f = conj(conjuncts)
@@ -628,7 +630,7 @@ def _both_solvers(suite: str, conjuncts: list[Formula], a: frozenset[Atom], pool
         modular = modular_solve(conjuncts, a, frozenset(pool))
     except SplitPlanError:
         modular = enumerated
-    want = _reference_models(f, a, pool)
+    want = (reference or _reference_models)(f, a, pool)
     return enumerated == want == modular, lambda: _case_text(
         suite=suite,
         program=" ".join(format_formula(c) + "." for c in conjuncts),
@@ -911,6 +913,87 @@ def _suite_stable_loops(rng, cfg, unsound):
     return _both_solvers("stable_loops", conjuncts, a, pool)
 
 
+def _split_reference(f: Formula, a: frozenset[Atom], pool: Sequence[Atom]) -> ModelSet:
+    """The A-stable models of f over pool: each classical model, from one
+    sweep (`truth_chunks`, which the `sweep_kleene` suite checks against
+    `satisfies`), that the reference `is_a_stable` finds C-stable for
+    every strongly connected component C of the positive dependency graph
+    over A.  By the splitting lemma that is A-stability, and a call per
+    component inspects at most 2**|C| subsets, where one over all of A,
+    three parts of 7 atoms, would take 2**21."""
+    blocks = sccs(dep_graph(f, a))
+    chunk_bits = 16
+    masks: list[int] = []
+    for k, chunk in enumerate(truth_chunks(f, pool, frozenset(), chunk_bits)):
+        masks += set_bits(chunk, k << chunk_bits)
+    classical = (frozenset(x for b, x in enumerate(pool) if m >> b & 1) for m in masks)
+    return ModelSet.from_iter((i for i in classical if all(is_a_stable(f, i, c) for c in blocks if i & c)), frozenset(pool))
+
+
+def _suite_stable_projection(rng, cfg, unsound):
+    """Programs with 1 to 3 definition parts of 7 atoms, each a positive
+    ring with some links switched, a closure chord and seeds, beside 1 to 3
+    context atoms: extensional, choices, or derived from part atoms.  A
+    part's links and seeds read context atoms and atoms of earlier parts,
+    positively or through `not`, so `enumerate_a_stable` derives its atoms
+    after theirs instead of sweeping them; in a quarter of the draws with
+    two parts or more an earlier part also reads a later one through
+    `not`, a cycle of reads that keeps both swept and compared with their
+    fixpoints.  Constraints, some on part atoms, only the run of the whole
+    program checks.  A fifth of the draws give a part a disjunctive head,
+    so that it is no definition, and a third hide a constraint in a ring
+    link's conjunct, so that its unit is no definition and `modular_solve`
+    derives the part with the unit's context fixed.  Both solvers must give
+    the models of the reference `is_a_stable` (see `_split_reference`)."""
+    n = rng.choice((1, 1, 2, 2, 3))  # three parts take the reference longest
+    pool = _atom_pool(7 * n + rng.randint(1, 4 - n if n > 1 else 3))
+    rng.shuffle(pool)
+    parts = [[AtomRef(x) for x in pool[7 * k : 7 * k + 7]] for k in range(n)]
+    context = [AtomRef(x) for x in pool[7 * n :]]
+
+    def literal(k: int) -> Formula:
+        x = rng.choice(context + [x for part in parts[:k] for x in part])
+        return neg(x) if rng.random() < 0.4 else x
+
+    conjuncts: list[Formula] = []
+    for k, part in enumerate(parts):
+        for x, y in zip(part, part[1:] + part[:1]):
+            conjuncts.append(Impl(conj((x, literal(k))), y) if rng.random() < 0.2 else Impl(x, y))
+        if rng.random() < 0.5:
+            x, y, z = rng.sample(part, 3)
+            conjuncts.append(Impl(conj((x, y)), z))
+        for _ in range(rng.randint(1, 2)):
+            head = rng.choice(part)
+            conjuncts.append(head if rng.random() < 0.1 else Impl(literal(k), head))
+    if n > 1 and rng.random() < 0.25:
+        j, k = sorted(rng.sample(range(n), 2))
+        conjuncts.append(Impl(neg(rng.choice(parts[k])), rng.choice(parts[j])))
+        conjuncts.append(Impl(neg(rng.choice(parts[j])), rng.choice(parts[k])))
+    a = frozenset(x.atom for part in parts for x in part)
+    for x in context:
+        kind = rng.random()
+        if kind < 0.3:
+            continue  # extensional
+        a |= {x.atom}
+        if kind < 0.65:
+            conjuncts.append(disj((x, neg(x))))
+        else:
+            y = rng.choice([y for part in parts for y in part])
+            conjuncts.append(Impl(neg(y) if rng.random() < 0.5 else y, x))
+    everything = [x for part in parts for x in part] + context
+    for _ in range(rng.randint(0, 2)):
+        lits = [rng.choice(everything) for _ in range(2)]
+        conjuncts.append(neg(conj(neg(x) if rng.random() < 0.3 else x for x in lits)))
+    if rng.random() < 0.2:
+        part = rng.choice(parts)
+        conjuncts.append(Impl(literal(n), disj((rng.choice(part), rng.choice(part + context)))))
+    if rng.random() < 0.33:
+        k = rng.randrange(n)
+        at = next(i for i, c in enumerate(conjuncts) if type(c) is Impl and c.rhs in parts[k])
+        conjuncts[at] = conj((conjuncts[at], neg(conj((rng.choice(parts[k]), literal(n))))))
+    return _both_solvers("stable_projection", conjuncts, a, pool, _split_reference)
+
+
 def _suite_sweep_kleene(rng, cfg, unsound):
     """A formula or a rule-shaped program on up to 10 atoms, swept by
     `truth_chunks` over a random order of some of its atoms at a random
@@ -1121,6 +1204,7 @@ _SUITES: dict[str, Callable] = {  # in sorted order up to syntax_roundtrip, then
     "sweep_kleene": _suite_sweep_kleene,
     "syntax_roundtrip": _suite_syntax_roundtrip,
     "stable_loops": _suite_stable_loops,
+    "stable_projection": _suite_stable_projection,
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))

@@ -30,6 +30,7 @@ from astable import (
     reduct,
     satisfies,
 )
+from astable.definitions import check_conservativity, recognize_definition
 from astable.depgraph import dep_graph, sccs
 from astable.formula import compile_extensible, compile_formula, live_prefixes, truth_chunks
 from astable.stable import (
@@ -41,6 +42,7 @@ from astable.stable import (
     _ht_minimal,
     _loops,
     _parts,
+    _read_order,
     _stable_models,
     _stable_subset,
     _unit_route,
@@ -592,6 +594,138 @@ class TestDefinitionParts:
         for k in range(5):
             a = q_set | frozenset(x for x in sigma - q_set if (hash(x) >> k) & 1)
             assert enumerate_a_stable(f, a, sigma).as_set() == brute_a_stable(f, sigma, a)
+
+
+def _choices_and_closure(elements):
+    """Choices p(x,y) | not p(x,y) and the transitive closure q of p, a
+    definition for the q atoms (see `tc_definition`)."""
+    clauses, q_set = tc_definition(elements)
+    base = conj([disj([atom("p", x, y), neg(atom("p", x, y))]) for x, y in itertools.product(elements, repeat=2)])
+    return base, clauses, q_set
+
+
+class TestDerivedParts:
+    """A wide definition part on no cycle of body reads is derived, not
+    swept: the sweep covers only the atoms no such part fixes.  These
+    count what each route covers."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> tuple[list, list]:
+        """Per `_lane_models` call (swept atoms, widths of the derived
+        parts, widths of the compared parts, whether the program runs),
+        and per `_candidate_models` call its number of swept atoms."""
+        lanes, swept = [], []
+        real_lanes = stable_module._lane_models
+
+        def lane_models(prog, var, here, where, batches, derived, compared, check):
+            widths = ([p.bit_count() for p, _ in parts] for parts in (derived, compared))
+            lanes.append((len(where), *widths, check))
+            return real_lanes(prog, var, here, where, batches, derived, compared, check)
+
+        real_sweep = stable_module._candidate_models
+        monkeypatch.setattr(stable_module, "_lane_models", lane_models)
+        monkeypatch.setattr(stable_module, "_candidate_models", lambda prog, var, here: swept.append(len(var)) or real_sweep(prog, var, here))
+        return lanes, swept
+
+    def test_closure_check_sweeps_only_the_edges(self, monkeypatch):
+        # check-definition of the closure over 3 elements: the 9 closure
+        # atoms are derived on the 2**9 edge assignments, never swept, and
+        # never compared with their fixpoint after a sweep
+        lanes, swept = self._spy(monkeypatch)
+        base, clauses, q_set = _choices_and_closure("abc")
+        report = check_conservativity(base, recognize_definition(clauses, q_set))
+        assert report.bijection and len(report.models) == 512
+        assert lanes == [(9, [9], [], True)]
+        assert swept == [9]  # the base's choices alone, not the 18 atoms of both
+
+    def test_four_element_closure_sweeps_sixteen_atoms(self, monkeypatch):
+        lanes, swept = self._spy(monkeypatch)
+        base, clauses, _ = _choices_and_closure("abcd")
+        f = conj([base, clauses])
+        sigma = atoms_of(f)
+        assert len(sigma) == 32
+        assert len(enumerate_a_stable(f, sigma, sigma, max_atoms=32)) == 1 << 16
+        assert lanes == [(16, [16], [], True)] and not swept
+
+    def test_parts_reading_each_other_through_not_stay_swept(self, monkeypatch):
+        # two 7-rings, each seeded by the other's absence, and a choice c
+        # that seeds the first: the rings read each other, so neither can
+        # be derived before the other; both are swept and compared
+        ps, qs = [f"p{i}" for i in range(7)], [f"q{i}" for i in range(7)]
+        f = _program(_ring(ps) + _ring(qs) + ["not q0 -> p0", "not p0 -> q0", "c | not c", "c -> p3"])
+        prog = compile_formula(f)
+        parts, _ = _parts(f, prog, frozenset(prog.atoms))
+        derived, compared = _read_order(parts)
+        assert not derived and sorted(p.bit_count() for p, _ in compared) == [7, 7]
+        lanes, swept = self._spy(monkeypatch)
+        sigma = atoms_of(f)
+        got = enumerate_a_stable(f, sigma, sigma)
+        p_atoms, q_atoms = frozenset(map(Atom, ps)), frozenset(map(Atom, qs))
+        assert got.as_set() == {p_atoms | {Atom("c")}, p_atoms, q_atoms}
+        assert swept == [15] and lanes == [(15, [], [7, 7], False)]
+
+    def test_parts_are_derived_after_the_parts_they_read(self, monkeypatch):
+        # three 7-rings: r seeded by the choice c, q by r, p by the absence
+        # of q; listed p, q, r in the program, derived r, q, p
+        rings = {k: [f"{k}{i}" for i in range(7)] for k in "pqr"}
+        rules = [r for ring in rings.values() for r in _ring(ring)] + ["not q0 -> p0", "r3 -> q0", "c -> r0", "c | not c"]
+        f = _program(rules)
+        prog = compile_formula(f)
+        parts, _ = _parts(f, prog, frozenset(prog.atoms))
+        derived, compared = _read_order(parts)
+        assert [prog.atoms[(p & -p).bit_length() - 1].name[0] for p, _ in derived] == ["r", "q", "p"] and not compared
+        lanes, swept = self._spy(monkeypatch)
+        sigma = atoms_of(f)
+        ring_atoms = {k: frozenset(map(Atom, ring)) for k, ring in rings.items()}
+        got = enumerate_a_stable(f, sigma, sigma)
+        assert got.as_set() == {ring_atoms["r"] | ring_atoms["q"] | {Atom("c")}, ring_atoms["p"]}
+        assert lanes == [(1, [7, 7, 7], [], True)] and not swept
+
+    def test_seventeen_swept_atoms_leave_one_unknown_in_the_kleene_run(self, monkeypatch):
+        # 17 choices and a 7-ring seeded by the first: past _KLEENE_BITS
+        # swept atoms the lowest is unknown in the Kleene run, and the
+        # 2**17 live assignments take two batches of _RUN_BITS lanes
+        runs = []
+        real = stable_module.live_prefixes
+        monkeypatch.setattr(stable_module, "live_prefixes", lambda *args: runs.append(args[1:]) or real(*args))
+        fixpoints = []
+        real_fixpoint = stable_module._least_fixpoint
+        monkeypatch.setattr(stable_module, "_least_fixpoint", lambda *args: fixpoints.append(1) or real_fixpoint(*args))
+        lanes, swept = self._spy(monkeypatch)
+        ring = [f"r{i}" for i in range(7)]
+        f = _program(_ring(ring) + _choices(17) + ["c0 -> r0"])
+        sigma = atoms_of(f)
+        got = enumerate_a_stable(f, sigma, sigma)
+        assert len(got) == 1 << 17 and not swept
+        assert lanes == [(17, [7], [], True)]
+        ((var_atoms, _, chunk_bits),) = runs
+        assert len(var_atoms) == 24 and chunk_bits == 7 + 1
+        assert len(fixpoints) == 2  # one per batch
+        ring_atoms = frozenset(map(Atom, ring))
+        for m in got:
+            assert m & ring_atoms == (ring_atoms if Atom("c0") in m else frozenset())
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 18, 30])
+    def test_lanes_read_back_to_their_bitmasks(self, n):
+        rng = random.Random(n)
+        masks = [rng.getrandbits(n) for _ in range(1000)]
+        columns = stable_module._lanes(masks, n)
+        assert len(columns) == n
+        for b, column in enumerate(columns):
+            assert column.to_bytes(len(masks), "little") == bytes(m >> b & 1 for m in masks)
+        assert stable_module._read(columns, len(masks), None) == masks
+        keep = bytes(rng.random() < 0.3 for _ in masks)
+        assert stable_module._read(columns, len(masks), keep) == list(itertools.compress(masks, keep))
+
+    @pytest.mark.parametrize("n", [3, 9, 18])
+    def test_few_bitmasks_decode_as_many_do(self, n):
+        # up to _FEW bitmasks take the selectors, more the byte tables
+        rng = random.Random(n)
+        masks = [rng.getrandbits(n) for _ in range(40)]
+        pieces = [f"x{b}" for b in range(n)]
+        many = stable_module._decode(masks, pieces, tuple)
+        assert [stable_module._decode([m], pieces, tuple)[0] for m in masks] == many
+        assert many == [tuple(x for b, x in enumerate(pieces) if m >> b & 1) for m in masks]
 
 
 class TestSupportSweep:

@@ -262,6 +262,63 @@ class TestSweepKleeneMutations:
         assert run_suite("sweep_kleene", self.CFG).fails > 0
 
 
+class TestStableProjectionMutations:
+    """The `stable_projection` suite reaches every route of a wide
+    definition part, and each mutation of the derivation, patched in here,
+    fails it."""
+
+    CFG = GenConfig(iterations=100)
+
+    def test_draws_reach_every_route(self, monkeypatch):
+        from astable import stable
+
+        routes = []
+        real = stable._lane_models
+
+        def spy(prog, var, here, where, batches, derived, compared, check):
+            routes.append((len(derived), len(compared), bool(here)))
+            return real(prog, var, here, where, batches, derived, compared, check)
+
+        monkeypatch.setattr(stable, "_lane_models", spy)
+        report = run_suite("stable_projection", self.CFG)
+        assert report.fails == 0 and report.passes == 100
+        assert any(d >= 2 for d, _, _ in routes)  # parts derived in read order
+        assert any(c >= 2 and not d for d, c, _ in routes)  # a cycle of reads, swept and compared
+        assert any(d and c for d, c, _ in routes)  # both in one run
+        assert any(d and here for d, _, here in routes)  # a unit of modular_solve, with its context
+
+    def test_skipping_the_full_program_run_fails(self, monkeypatch):
+        from astable import stable
+
+        # the derived lanes kept without running the program over them
+        monkeypatch.setattr(stable, "_lane_models", _mutant(stable, "_lane_models", "if check else ones", "if False else ones"))
+        assert run_suite("stable_projection", self.CFG).fails > 0
+
+    def test_deriving_a_part_on_a_cycle_fails(self, monkeypatch):
+        from astable import stable
+
+        real = stable._read_order
+
+        def every_part_derived(parts):
+            derived, compared = real(parts)
+            return derived + compared, []
+
+        monkeypatch.setattr(stable, "_read_order", every_part_derived)
+        assert run_suite("stable_projection", self.CFG).fails > 0
+
+    def test_deriving_parts_out_of_order_fails(self, monkeypatch):
+        from astable import stable
+
+        real = stable._read_order
+
+        def reversed_order(parts):
+            derived, compared = real(parts)
+            return derived[::-1], compared
+
+        monkeypatch.setattr(stable, "_read_order", reversed_order)
+        assert run_suite("stable_projection", self.CFG).fails > 0
+
+
 class TestStableSupportMutations:
     """Each mutation of the loop route, patched in here, fails a suite: the
     `stable_support` suite sees which bodies a loop formula copies and
