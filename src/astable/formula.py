@@ -566,13 +566,15 @@ def truth_chunks(
 
     When there are high atoms, var_atoms[chunk_bits:], one Kleene run
     (`live_prefixes`) first finds the sub-chunks that may hold a model:
-    runs of 2**s assignments, s half the chunk width, raised as far as
-    needed to keep the run's vectors within 2**16 bits (s >= n - 16), and
-    never more than the chunk width.  A chunk none of whose sub-chunks is
-    live yields 0 without a run of the program, one whose sub-chunks are
-    all live runs whole, and the live sub-chunks of every other chunk are
-    run packed together (see `_packed_chunks`), so that the sweep's cost
-    follows its live assignments.
+    runs of 2**s assignments, s half the chunk width, raised to at least 3
+    so that a sub-chunk is whole bytes and as far as needed to keep the
+    run's vectors within 2**16 bits (s >= n - 16), and never more than the
+    chunk width: at a chunk width of 3 or less each sub-chunk is a chunk.
+    A chunk none of whose sub-chunks is live yields 0 without a run of the
+    program, one whose sub-chunks are all live runs whole, and the live
+    sub-chunks of every other chunk are run packed together (see
+    `_packed_chunks`), so that the sweep's cost follows its live
+    assignments.
     """
     prog = f if isinstance(f, Program) else compile_formula(f)
     n = len(var_atoms)
@@ -594,7 +596,7 @@ def truth_chunks(
         yield prog.run(values, ones, ones)
         return
 
-    s = min(cb, max(cb // 2, n - _KLEENE_BITS))
+    s = min(cb, max(3, cb // 2, n - _KLEENE_BITS))
     per = cb - s  # a chunk holds 2**per sub-chunks
     full = 1 << per
     live = set_bits(live_prefixes(prog, var_atoms, true_atoms, s))
@@ -621,8 +623,6 @@ _KLEENE_BITS = 16  # the Kleene run of `truth_chunks` has vectors of at most 2**
 _NONZERO = bytes([0] + [1] * 255)  # a `bytes.translate` table: every nonzero byte to 1
 # the set bits of each byte: those of m, then those of m + 2**j for each j
 _BIT_OFFSETS: list[tuple[int, ...]] = functools.reduce(lambda t, j: t + [bits + (j,) for bits in t], range(8), [()])
-# `bytes.translate` tables: bit j of each byte as a binary digit
-_BIT_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 _INDEX_CODES = "BHIIQQQQ"  # `struct` codes of unsigned integers of 1 to 8 bytes
 
 
@@ -656,25 +656,18 @@ def _packed_chunks(
     atom with its position in the assignment index.
 
     The live sub-chunks of consecutive such chunks are packed into one run
-    of at most 2**cb assignments, a segment of w = 2**s bits each, and the
-    result of one run at a time is scattered back to the chunks' layout.
-    The s low atoms take the chunk patterns, which repeat the sub-chunk
-    patterns, and every other swept atom is constant on each segment: it is
-    (h << w) - h, h holding bit 0 of each segment whose sub-chunk index
-    sets the atom's bit.  Every step taken per sub-chunk runs in C (`map`,
-    `struct`, slicing, `join`), once per run and once per chunk, never once
-    per atom.
+    of at most 2**cb assignments, a segment of w = 2**s bits each, whole
+    bytes since s >= 3, and the result of one run at a time is scattered
+    back to the chunks' layout.  The s low atoms take the chunk patterns,
+    which repeat the sub-chunk patterns, and every other swept atom is
+    constant on each segment: it is (h << w) - h, h holding bit 0 of each
+    segment whose sub-chunk index sets the atom's bit.  Every step taken
+    per sub-chunk runs in C (`map`, `struct`, slicing, `join`), once per
+    run and once per chunk, never once per atom.
     """
     w = 1 << s
+    step = w >> 3  # bytes per segment
     per = cb - s  # a chunk holds 2**per sub-chunks
-    if s >= 3:  # a segment is whole bytes
-        zero, step = b"\0", w >> 3
-        text = lambda v, bits: v.to_bytes(bits >> 3, "little")
-        value = lambda t: int.from_bytes(t, "little")
-    else:  # a segment is under a byte: one binary digit per assignment, lowest first
-        zero, step = b"0", w
-        text = lambda v, bits: format(v, f"0{bits}b").encode()[::-1]
-        value = lambda t: int(t[::-1], 2)
     low = _chunk_patterns(cb)
     code = _INDEX_CODES[n - s - 1 >> 3]  # a sub-chunk index, of n - s bits, packs as one of these
     width = struct.calcsize(code)
@@ -694,32 +687,31 @@ def _packed_chunks(
         ones = (1 << bits) - 1
         values = [ones if t else 0 for t in fixed]
         starts = {}  # per byte q of the indexes: that byte of each segment's index at the segment's bit 0
-        bit0 = _segment_starts(cb, s) & ones if s >= 3 else 0
+        bit0 = _segment_starts(cb, s) & ones
         for k, b in swept:
             u = b - s
             if u < 0:
                 values[k] = low[b] & ones
                 continue
             q = u >> 3
-            if s < 3:  # no byte fits in a segment: the bit itself, as digits
-                h = value(_spread(octets[q::width].translate(_BIT_DIGITS[u & 7]), zero, step))
-            else:
-                if q not in starts:
-                    starts[q] = value(_spread(octets[q::width], zero, step))
-                h = starts[q] >> (u & 7) & bit0
+            if q not in starts:
+                spread = bytearray(size * step)
+                spread[::step] = octets[q::width]
+                starts[q] = int.from_bytes(spread, "little")
+            h = starts[q] >> (u & 7) & bit0
             values[k] = (h << w) - h
-        root = text(prog.run(values, ones, ones), bits)
+        root = prog.run(values, ones, ones).to_bytes(bits >> 3, "little")
         j = 0  # the chunk's first segment in the run
         for hi, at, c in pack:
             mine = root[j * step : (j + c) * step]
             j += c
-            if not mine.strip(zero):  # no model in its live sub-chunks
+            if not mine.strip(b"\0"):  # no model in its live sub-chunks
                 yield 0
                 continue
             # its segments and the zeros between them, in turn, from its
             # first live sub-chunk on
             gaps = list(map(sub, live[at + 1 : at + c], live[at : at + c - 1]))
-            zeros = {d: zero * (d - 1) * step for d in set(gaps)}
+            zeros = {d: bytes((d - 1) * step) for d in set(gaps)}
             if len(zeros) > 1:
                 pieces: list = [None] * (2 * c - 1)
                 pieces[::2] = struct.unpack(f"{step}s" * c, mine)
@@ -727,14 +719,7 @@ def _packed_chunks(
                 mine = b"".join(pieces)
             elif zeros and gaps[0] > 1:  # evenly spaced, not side by side: one kind of gap
                 mine = zeros[gaps[0]].join(struct.unpack(f"{step}s" * c, mine))
-            yield value(mine) << (live[at] - (hi << per)) * w
-
-
-def _spread(flags: bytes, zero: bytes, step: int) -> bytearray:
-    """The bytes of flags[j] at j * step, `zero` everywhere else."""
-    out = bytearray(zero * (len(flags) * step))
-    out[::step] = flags
-    return out
+            yield int.from_bytes(mine, "little") << (live[at] - (hi << per)) * w
 
 
 def equivalent(

@@ -327,12 +327,12 @@ def _candidate_models(prog: Program, var: Sequence[int], here: int) -> list[int]
     from the candidate sweep of `enumerate_a_stable`.
 
     The sweep runs only the sub-chunks that the Kleene run of
-    `live_prefixes` leaves live (see `truth_chunks`).  With more than
-    `_CHUNK_BITS` atoms, the atoms that the most ops read go last, so that
-    they are the high atoms that fix each chunk, when that order leaves
-    fewer live chunks than the given one; the candidates are then mapped
-    back to the bits of `var`.  A chunk of one model is read by its bit
-    length, any other from its bytes (`set_bits`), lowest bits first.
+    `live_prefixes` leaves live (see `truth_chunks`), its one Kleene run.
+    With more than `_CHUNK_BITS` atoms, the atoms that the most ops read
+    go last, so that they are the high atoms that fix each chunk, and the
+    candidates are mapped back to the bits of `var`.  A chunk of one model
+    is read by its bit length, any other from its bytes (`set_bits`),
+    lowest bits first.
     """
     atoms = prog.atoms
     context = {}
@@ -341,14 +341,7 @@ def _candidate_models(prog: Program, var: Sequence[int], here: int) -> list[int]
     order = var
     if len(var) > _CHUNK_BITS:
         reads = Counter(slot for _, left, right, _ in prog.ops for slot in (left, right))
-        by_reads = sorted(var, key=lambda b: reads[b + 2])  # atoms[b] sits in slot b + 2
-        true = context.get("true_atoms", frozenset())
-
-        def live(order: Sequence[int]) -> int:
-            return live_prefixes(prog, [atoms[b] for b in order], true, _CHUNK_BITS).bit_count()
-
-        if live(by_reads) < live(var):
-            order = by_reads
+        order = sorted(var, key=lambda b: reads[b + 2])  # atoms[b] sits in slot b + 2
     candidates = []
     offset = 0
     step = 1 << min(len(var), _CHUNK_BITS)
@@ -840,7 +833,7 @@ def _assignment_run(k: int, a: int) -> tuple[tuple[int, ...], int, int, int]:
 
 
 # built at import: the tables of every modular block, whose atoms are all of A
-[_assignment_run(k, (1 << k) - 1) for k in range(1, _NARROW + 1)]
+[_assignment_run(k, (1 << k) - 1) for k in range(_NARROW + 1)]
 
 
 def _verdicts(prog: Program, var: Sequence[int], here: int, a: int) -> list[int]:
@@ -904,10 +897,11 @@ def _stable_models(
     bitmask `a` over `var`.
 
     Up to `_NARROW` atoms, one packed run over every assignment decides
-    classical truth and minimality together.  More atoms need A to be the
-    union of `parts` (see `_parts`) and of the parts that their loop
-    formulas decide; `swept`, when there are loop formulas, is the program
-    of prog's formula conjoined with them, over the same atoms.  Its models
+    classical truth and minimality together; with none, its one segment
+    is classical truth in `here`.  More atoms need A to be the union of
+    `parts` (see `_parts`) and of the parts that their loop formulas
+    decide; `swept`, when there are loop formulas, is the program of
+    prog's formula conjoined with them, over the same atoms.  Its models
     are exactly the classical models of prog that are stable for every
     part of at most `_NARROW` atoms.
 
@@ -925,10 +919,7 @@ def _stable_models(
     loop formula makes the atoms of its bodies strictly positive, so it
     must not take part in any minimality check.
     """
-    k = len(var)
-    if not k:  # classical truth of prog in the one interpretation `here`
-        return [0] if prog.run([here >> b & 1 for b in range(len(prog.atoms))], 1, 1) else []
-    if k <= _NARROW:
+    if len(var) <= _NARROW:
         return _verdicts(prog, var, here, a)
     swept = swept or prog
     derived, compared = _read_order(parts) if parts else ((), ())
@@ -1042,11 +1033,11 @@ def enumerate_a_stable(
     assignments that one Kleene run of the program leaves live, a chunk of
     2**16 whole when all of its sub-chunks are, the live ones of the other
     chunks packed together, and past `_CHUNK_BITS` atoms it makes the atoms
-    read by the most ops the high atoms, which fix each chunk, when that
-    leaves fewer chunks alive; a definition part left is compared with its
-    fixpoint on every candidate at once.  Any other wider part is checked
-    by a chunked sweep in `_ht_minimal` for each candidate that holds one
-    of its atoms and passes every other part (see `_stable_subset`).
+    read by the most ops the high atoms, which fix each chunk; a
+    definition part left is compared with its fixpoint on every candidate
+    at once.  Any other wider part is checked by a chunked sweep in
+    `_ht_minimal` for each candidate that holds one of its atoms and
+    passes every other part (see `_stable_subset`).
     Intensional atoms that never occur in f cannot appear in any A-stable
     model and are pruned up front.  Extensional atoms of sigma that do not
     occur are free: each stable bitmask is spread once to the sorted order

@@ -1001,15 +1001,17 @@ def _suite_sweep_kleene(rng, cfg, unsound):
     name swept atoms), so that most draws have high atoms and a Kleene run
     that skips sub-chunks, and many a chunk only partly live, whose live
     sub-chunks run packed: every bit must be classical truth by
-    `satisfies`."""
+    `satisfies`.  A sub-chunk has at least 3 atoms, so at least 6 are
+    swept when the pool has them, and past 5 swept atoms the chunk width
+    is 4 or more, with a high atom left."""
     pool = _atom_pool(rng.randint(2, 10))
     if rng.random() < 0.5:
         f = _gen(rng, pool, rng.randint(1, cfg.max_depth), cfg)
     else:
         f = conj(_gen_program(rng, pool, rng.randint(1, 8)))
-    var = rng.sample(pool, rng.randint(1, len(pool)))
+    var = rng.sample(pool, rng.randint(min(6, len(pool)), len(pool)))
     true = _rand_subset(rng, pool)
-    chunk_bits = rng.randint(0, len(var))
+    chunk_bits = rng.randint(4, len(var) - 1) if len(var) > 5 else rng.randint(0, len(var))
     width = 1 << chunk_bits
     swept = sum(c << k * width for k, c in enumerate(truth_chunks(f, var, true, chunk_bits)))
     fixed = true.difference(var)

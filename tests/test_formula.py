@@ -322,17 +322,31 @@ class TestKleenePruning:
 
     def test_skipped_chunks_run_nothing(self, monkeypatch):
         # h is false in every model: the chunks with h true are never run.
-        # A sub-chunk holds the 2 values of p, a chunk those of p and q:
-        # with r true both halves of a chunk are live and it runs whole,
-        # with r false only its half with q false is, and the two such
-        # halves run packed together, 12 assignments in 3 runs
+        # A chunk of 4 assignments, those of p and q, is under the least
+        # sub-chunk of 8, so each of the 4 live chunks runs whole
         f = conj([neg(atom("h")), disj([P, neg(P)]), impl(Q, R), impl(conj([atom("h"), S]), P)])
         var = [Atom("p"), Atom("q"), Atom("r"), Atom("s"), Atom("h")]
         runs = []
         real = Program.run
         monkeypatch.setattr(Program, "run", lambda self, values, ones, keep: runs.append(ones.bit_length()) or real(self, values, ones, keep))
         assert list(truth_chunks(f, var, chunk_bits=2)) == [0b11, 0b1111, 0b11, 0b1111, 0, 0, 0, 0]
-        assert runs == [4, 4, 4]
+        assert runs == [4, 4, 4, 4]
+
+    def test_partly_live_chunks_run_packed(self, monkeypatch):
+        # A sub-chunk holds the 8 values of p, q and r, a chunk those and
+        # u.  With h true nothing is live; with w true both halves of a
+        # chunk are and it runs whole, with w false only its half with u
+        # false is, and the two such halves run packed together: 48
+        # assignments in 3 runs
+        h, u, w, v = (atom(x) for x in "huwv")
+        f = conj([neg(h), impl(u, w), impl(Q, R)])
+        var = [Atom(x) for x in "pqruwvh"]
+        runs = []
+        real = Program.run
+        monkeypatch.setattr(Program, "run", lambda self, values, ones, keep: runs.append(ones.bit_length()) or real(self, values, ones, keep))
+        half = 0b11110011  # q -> r over p, q, r
+        assert list(truth_chunks(f, var, chunk_bits=4)) == [half, half * 0x101] * 2 + [0] * 4
+        assert runs == [16, 16, 16]
 
     def test_implication_bounds_and_context(self):
         # (p -> q) -> s with q fixed true by the context is true exactly

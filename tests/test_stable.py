@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -47,6 +48,7 @@ from astable.stable import (
     _stable_subset,
     _unit_route,
 )
+import astable.formula as formula_module
 import astable.stable as stable_module
 from astable.verifier import GenConfig, _gen_program, _reference_models, gen_formula
 
@@ -125,6 +127,14 @@ class TestEnumerate:
     def test_output_sorted_lexicographically(self):
         got = enumerate_a_stable(G, {Q}, SIG)
         assert got.lines() == ["{p(a)}", "{p(a),p(b)}", "{p(b)}", "{q}"]
+
+    def test_top_and_bot_have_no_atoms_to_sweep(self):
+        # no atom occurs: one segment of the packed run, whose bit 0 is
+        # classical truth; a free extensional atom doubles top's one model
+        assert enumerate_a_stable(TOP, frozenset()).lines() == ["{}"]
+        assert enumerate_a_stable(BOT, frozenset()).lines() == []
+        assert enumerate_a_stable(TOP, frozenset(), {Q}).lines() == ["{}", "{q}"]
+        assert enumerate_a_stable(BOT, {Q}, {Q}).lines() == []
 
     def test_sigma_defaults_to_occurring_atoms(self):
         assert enumerate_a_stable(G, {Q}).signature == SIG
@@ -216,7 +226,7 @@ def _route_against_per_candidate(f):
     prog, conjoin = compile_extensible(f)
     a_mask = (1 << len(prog.atoms)) - 1
     every = range(len(prog.atoms))
-    candidates = list(_candidate_models(prog, every, 0))
+    candidates = sorted(_candidate_models(prog, every, 0))  # a wide sweep lists them in its own order
     reference = [m for m in candidates if _ht_minimal(prog, m, a_mask)]
     parts, loop_formulas = _parts(f, prog, frozenset(prog.atoms))
     stable = _stable_models(prog, every, 0, a_mask, parts, conjoin(loop_formulas) if loop_formulas else None)
@@ -894,7 +904,7 @@ def _cycle_colouring(n: int) -> list[str]:
 
 class TestHighAtoms:
     """A sweep of more than `_CHUNK_BITS` atoms puts the atoms read by the
-    most ops high when that leaves fewer live chunks."""
+    most ops high, and makes one Kleene run, inside `truth_chunks`."""
 
     @staticmethod
     def _orders(monkeypatch) -> list[list[Atom]]:
@@ -922,10 +932,17 @@ class TestHighAtoms:
             assert satisfies(i, f) == bool(whole >> c & 1)
         return [c for c, bit in enumerate(bin(whole)[:1:-1]) if bit == "1"]
 
+    @staticmethod
+    def _by_reads(prog, var) -> list[Atom]:
+        """The atoms at `var`, those read by fewer ops first, ties in the
+        order of var."""
+        reads = Counter(slot for _, left, right, _ in prog.ops for slot in (left, right))
+        return [prog.atoms[b] for b in sorted(var, key=lambda b: reads[b + 2])]
+
     def test_random_wide_sweeps_match_every_assignment(self, monkeypatch):
         rng = random.Random(1776)
         orders = self._orders(monkeypatch)
-        kept = reordered = 0
+        reordered = 0
         for _ in range(30):
             pool = [Atom(f"x{i}") for i in range(rng.randint(17, 19))]
             rules = _gen_program(rng, pool, rng.randint(8, 30))
@@ -938,29 +955,58 @@ class TestHighAtoms:
             here = sum(1 << b for b in range(len(pool)) if b not in var and rng.random() < 0.5)
             got = _candidate_models(prog, var, here)
             assert sorted(got) == self._classical(f, prog, var, here, rng)
-            if orders.pop() == [prog.atoms[b] for b in var]:
-                kept += 1
-            else:
-                reordered += 1
-        assert kept and reordered
+            (order,) = orders
+            assert order == self._by_reads(prog, var)
+            reordered += order != [prog.atoms[b] for b in var]
+            orders.clear()
+        assert reordered > 20
 
-    def test_most_read_atom_goes_high_only_when_it_prunes_more(self, monkeypatch):
+    def test_most_read_atom_goes_high(self, monkeypatch):
         rng = random.Random(3)
         orders = self._orders(monkeypatch)
         xs = [f"x{i}" for i in range(16)]
-        # c is read the most, yet with c high as many chunks stay live as
-        # in sorted order, where the constraint on zh prunes: kept
-        kept = _program([f"c -> {x}" for x in xs] + ["not zh"])
-        # with c high, c -> x9 kills the chunks with c true and x9 false
-        moved = _program([f"c -> {x}" for x in xs] + ["c | not c", "not h"])
-        for f, same in ((kept, True), (moved, False)):
+        # c is read the most and goes high in both: in the first, zh, high
+        # in sorted order, would prune as much through its constraint; in
+        # the second, c -> x9 kills the chunks with c true and x9 false
+        zh_prunes = _program([f"c -> {x}" for x in xs] + ["not zh"])
+        c_prunes = _program([f"c -> {x}" for x in xs] + ["c | not c", "not h"])
+        for f in (zh_prunes, c_prunes):
             prog = compile_formula(f)
             every = range(len(prog.atoms))
             got = _candidate_models(prog, every, 0)
             assert sorted(got) == self._classical(f, prog, every, 0, rng)
             order = orders.pop()
-            assert (order == list(prog.atoms)) == same
-            assert order[-1] == (Atom("zh") if same else Atom("c"))
+            assert order == self._by_reads(prog, every) and order[-1] == Atom("c")
+
+    def test_one_kleene_run_per_sweep(self, monkeypatch):
+        # past _CHUNK_BITS atoms the sweep's one Kleene run is the
+        # sub-chunk run inside `truth_chunks`, and `stable` makes none of
+        # its own; a sweep of at most _CHUNK_BITS atoms has no high atoms
+        # and makes none at all
+        inner, outer = [], []
+        real = formula_module.live_prefixes
+        monkeypatch.setattr(formula_module, "live_prefixes", lambda *args: inner.append(args[3]) or real(*args))
+        monkeypatch.setattr(stable_module, "live_prefixes", lambda *args: outer.append(args) or real(*args))
+        sweeps = []
+        real_chunks = stable_module.truth_chunks
+        monkeypatch.setattr(
+            stable_module, "truth_chunks", lambda prog, var_atoms, **kw: sweeps.append((prog, var_atoms)) or real_chunks(prog, var_atoms, **kw)
+        )
+        for n, want in ((12, 0), (16, 0), (17, 1), (18, 1)):
+            f = _program(_negchain(n))
+            sigma = atoms_of(f)
+            assert len(enumerate_a_stable(f, sigma, sigma)) == 2
+            assert len(inner) == want and not outer
+            ((prog, order),) = sweeps  # the program with its loop formulas
+            assert order == (self._by_reads(prog, range(n)) if n > _CHUNK_BITS else list(prog.atoms))
+            inner.clear()
+            sweeps.clear()
+        # the 3-colouring of the 8-cycle, 24 atoms: one run over one bit
+        # per sub-chunk of 2**8 assignments
+        f = _program(_cycle_colouring(8))
+        sigma = atoms_of(f)
+        assert len(enumerate_a_stable(f, sigma, sigma)) == 258
+        assert inner == [8] and not outer
 
     def test_a_chunk_of_one_model_is_read_without_its_binary_text(self, monkeypatch):
         # a chunk of one model is read by its bit length, any other from its
