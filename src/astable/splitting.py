@@ -8,16 +8,20 @@ units, the strongly connected components of the graph of which atoms each
 rule head mentions, and a modular solver evaluates the units in condensation
 order, carrying partial interpretations.  Units may depend on each other
 through negation; positive dependency stays inside a unit, as the symmetric
-splitting theorem asks.  How one unit is solved, its route, is for `stable`
-to choose and run (`_unit_route`, `_unit_models`); this module keeps the
-plan, the cap, the contexts each unit is solved in and the frontier.  Both
-strategies verify their preconditions, and the modular solver refuses with
-SplitPlanError when a conjunct's strictly positive intensional atoms span
-dependency blocks; the CLI then answers by brute force.
+splitting theorem asks.  Each unit is compiled, routed and decoded in its
+own step; how it is solved, its route, is for `stable` to choose and run
+(`_unit_route`, `_unit_models`), and this module never reads a route's
+fields.  It keeps the plan, the cap, which it reads off the unit formulas
+before compiling any, the contexts each unit is solved in and the
+frontier.  Both strategies verify their preconditions, and the modular
+solver refuses with SplitPlanError when a conjunct's strictly positive
+intensional atoms span dependency blocks; the CLI then answers by brute
+force.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import AbstractSet, Sequence
 
 from .depgraph import (
@@ -34,20 +38,21 @@ from .formula import (
     Atom,
     CapExceeded,
     Formula,
-    Program,
     atoms_of,
+    compile_extensible,
     conj,
     satisfies,  # not called here; perfbench/spans.py wraps this name
 )
 from .records import Record
 from .stable import (
+    _NARROW,
     DEFAULT_MAX_ATOMS,
     ModelSet,
     _check_cap,
+    _clause,
+    _conjuncts,
     _decode,
-    _definition_route,
     _unit_models,
-    _unit_program,
     _unit_route,
     enumerate_a_stable,
     format_interpretation,
@@ -227,39 +232,25 @@ def plan_split(
     return SplitPlan(blocks, tuple(residual))
 
 
-def _route(solved: dict, f: Formula, prog: Program, conjoin, unit: list[int], past_cap: bool = False) -> tuple | None:
-    """The route of the unit at positions `unit` of prog.atoms (see
-    `stable._unit_route`), built once per shape: it depends only on the
-    shape of the program and where the unit atoms sit in it, so `solved`
-    shares it, and the extensions it has found, between isomorphic units,
-    such as the ground instances of one rule.  A unit `past_cap` gets its
-    route only when it is a definition (`stable._definition_route`), else
-    None, and nothing is built for it beyond the definition test."""
-    key = (prog.ops, prog.root, len(prog.atoms), tuple(unit))
-    route = solved.get(key)
-    if route is None:
-        route = _definition_route(f, prog, unit) if past_cap else _unit_route(f, prog, conjoin, unit)
-        if route is not None:
-            solved[key] = route
-    return route
-
-
-def _extend_frontier(frontier: list[int], step: tuple, bit: dict[Atom, int], solved: dict, max_atoms: int) -> list[int]:
+def _extend_frontier(
+    frontier: list[int], unit_atoms: AbstractSet[Atom], f: Formula, bit: dict[Atom, int], solved: dict, max_atoms: int
+) -> list[int]:
     """Every frontier entry joined with each stable extension of the unit
-    of `step` (its atoms, its formula f, and f's program prog with the
-    function that continues its walk, as `stable._unit_program` gives
-    them), all as bitmasks (`bit` maps atoms to their bits; an atom prog
-    mentions without a bit is always false).
+    with these atoms and formula f, all as bitmasks (`bit` maps atoms to
+    their bits; an atom f mentions without a bit is always false).
 
-    The extensions depend only on the context, the entry's values of the
-    non-unit atoms prog mentions, so each distinct context is solved once,
-    on the unit's route (see `_route`): its A-stable assignments, A = the
-    unit's atoms, with the context fixed (`stable._unit_models`).
-    `stable._decode` spreads them to the bits over sigma, one call per
-    context, or one for every context of a unit whose route has exactly
-    one extension per context, a definition, which may have thousands.
+    f is compiled here, once, and the unit's route (see
+    `stable._unit_route`) is built once per shape: it depends only on the
+    shape of f's program and where the unit atoms sit in it, so `solved`
+    shares it, and the extensions it has found, between isomorphic units,
+    such as the ground instances of one rule.  The extensions depend only
+    on the context, the entry's values of the non-unit atoms f mentions,
+    so each distinct context is solved once on the route: its A-stable
+    assignments, A = the unit's atoms, with the context fixed
+    (`stable._unit_models`).  One `stable._decode` call spreads the
+    extensions of every context to the bits over sigma.
     """
-    unit_atoms, f, prog, conjoin = step
+    prog, conjoin = compile_extensible(f)
     unit: list[int] = []  # positions over prog.atoms
     sig_bits: list[int] = []
     context: list[tuple[int, int]] = []  # (bit over sigma, bit over prog.atoms)
@@ -271,7 +262,10 @@ def _extend_frontier(frontier: list[int], step: tuple, bit: dict[Atom, int], sol
         else:
             context.append((bit.get(x, 0), 1 << b))
             ctx_mask |= bit.get(x, 0)
-    route = _route(solved, f, prog, conjoin, unit)
+    key = (prog.ops, prog.root, len(prog.atoms), tuple(unit))
+    route = solved.get(key)
+    if route is None:
+        route = solved[key] = _unit_route(f, prog, conjoin, unit)
     heres: dict[int, int] = {}  # each distinct context, over prog.atoms
     for m in frontier:
         ctx = m & ctx_mask
@@ -282,10 +276,8 @@ def _extend_frontier(frontier: list[int], step: tuple, bit: dict[Atom, int], sol
                     here |= prog_bit
             heres[ctx] = here
     found = _unit_models(route, heres.values())
-    if route[0]:  # one extension per context: all of them over sigma in one decoding
-        memo = dict(zip(heres, zip(_decode([found[here][0] for here in heres.values()], sig_bits, sum))))
-    else:
-        memo = {ctx: _decode(found[here], sig_bits, sum) for ctx, here in heres.items()}
+    spread = iter(_decode([e for here in heres.values() for e in found[here]], sig_bits, sum))
+    memo = {ctx: list(itertools.islice(spread, len(found[here]))) for ctx, here in heres.items()}
     size = sum(len(memo[m & ctx_mask]) for m in frontier)
     if size > 1 << max_atoms:
         raise CapExceeded(
@@ -312,8 +304,8 @@ def modular_solve(
     surviving frontier instead of one sweep over the whole signature.  This
     is the symmetric splitting theorem: units may depend on each other
     through negation, only positive dependency stays inside a unit.  Each
-    unit formula is walked by the compiler once, a one-conjunct unit as its
-    conjunct, and solved once per distinct context on the route that
+    unit formula, a one-conjunct unit as its conjunct, is compiled in its
+    own step and solved once per distinct context on the route that
     `stable._unit_route` picks for its shape, with A = the unit's atoms and
     the context fixed (see `_extend_frontier`).
     Residual conjuncts, which have no strictly positive intensional atoms,
@@ -325,32 +317,32 @@ def modular_solve(
     wants an answer anyway takes `enumerate_a_stable` of the conjunction,
     as the CLI does.  A unit or an extensional context wider than
     max_atoms atoms, or a frontier of more than 2**max_atoms
-    interpretations, raises CapExceeded; a unit whose route has one
-    extension per context, a definition, is not enumerated, so it may be
-    wider.
+    interpretations, raises CapExceeded.  A unit wider than `_NARROW` atoms
+    whose every conjunct is a clause of a definition for its atoms
+    (`stable._clause`) has one extension per context and is not
+    enumerated, so it may be wider; the cap reads that off the formula,
+    before any unit is compiled.
     `mentions`, the atoms of each conjunct when the caller has them, go to
-    `plan_split`.
+    `plan_split`; sigma defaults to A and the atoms of the conjuncts.
     """
     a = frozenset(a)
+    if sigma is None and mentions is None:
+        mentions = list(map(atoms_of, conjuncts))
     plan = plan_split(conjuncts, a, mentions)
-    units = [(atoms, f.children[0] if len(f.children) == 1 else f) for atoms, f in reversed(plan.blocks)]
-    steps = [(atoms, f, *_unit_program(f, atoms)) for atoms, f in units + [(frozenset(), r) for r in plan.residual]]
-    if sigma is None:
-        sig = a.union(*(prog.atoms for _, _, prog, _ in steps))
-    else:
-        sig = frozenset(sigma)
-
+    sig = a.union(*mentions) if sigma is None else frozenset(sigma)
+    steps = [(atoms, f.children[0] if len(f.children) == 1 else f) for atoms, f in reversed(plan.blocks)]
+    steps += [(frozenset(), r) for r in plan.residual]
     # The cap guards every exponential dimension: the extensional context
     # enumerated up front and the widest enumerated unit here, the frontier
-    # in _extend_frontier.  Only a unit past the cap needs its route this
-    # early, and only a definition's, so no other unit builds it before its
-    # step, and a unit past the cap that is no definition builds none.
-    solved: dict[tuple, tuple] = {}  # see _route
+    # in _extend_frontier.  A unit wider than _NARROW whose every conjunct
+    # is a clause of a definition for its atoms is not enumerated (see
+    # `stable._unit_route`); that is read off its formula, so nothing is
+    # compiled before the cap is decided.
     wide = [
         len(atoms)
-        for atoms, f, prog, conjoin in steps
+        for atoms, f in steps
         if len(atoms) > max_atoms
-        and _route(solved, f, prog, conjoin, [b for b, x in enumerate(prog.atoms) if x in atoms], past_cap=True) is None
+        and (len(atoms) <= _NARROW or any(type(_clause(c, atoms)) is str for c in _conjuncts(f)))
     ]
     _check_cap(max([len(sig - a), *wide]), max_atoms)
 
@@ -362,6 +354,7 @@ def modular_solve(
     frontier = [0]
     for x in sig - a:
         frontier += [m | bit[x] for m in frontier]
-    for step in steps:
-        frontier = _extend_frontier(frontier, step, bit, solved, max_atoms)
+    solved: dict[tuple, tuple] = {}  # see _extend_frontier
+    for atoms, f in steps:
+        frontier = _extend_frontier(frontier, atoms, f, bit, solved, max_atoms)
     return ModelSet.from_masks(frontier, order, sig)

@@ -13,7 +13,7 @@ import functools
 import itertools
 from collections import Counter
 from operator import add, is_, itemgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .depgraph import DepGraph, components, dep_graph, strictly_positive, strong_components
 from .formula import (
@@ -489,8 +489,9 @@ def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> tuple[list[Part],
     over prog.atoms, each with its clauses when it is a definition, else
     None; and the loop formulas that decide every other part in the sweep.
     The parts are the strongly connected components of the positive
-    dependency graph of f over those atoms.  Together with `_unit_route`,
-    this is where a part's route is chosen.
+    dependency graph of f over those atoms.  This is where a part's route
+    is chosen, as `_unit_route` chooses a modular unit's and `_read_order`
+    which definition parts are derived.
 
     Why a classical model I of f is C-stable for a part C of at most
     `_NARROW` atoms iff I satisfies the loop formulas of C:
@@ -861,31 +862,21 @@ def _stable_subset(
     """The A-stable ones among `candidates`, classical models of prog given
     as assignments to the atoms at positions `var` of prog.atoms with the
     context `here`, as in `_stable_models`, in the order given; A is the
-    union of `parts`, parts of `_parts` wider than `_NARROW` whose atoms
-    were swept.  prog must be the program itself, never the one conjoined
-    with loop formulas that the candidates come from (see
-    `_stable_models`).
+    union of `parts`, parts of `_parts` wider than `_NARROW` that are no
+    definition, whose atoms were swept.  prog must be the program itself,
+    never the one conjoined with loop formulas that the candidates come
+    from (see `_stable_models`).
 
     By the splitting lemma a candidate I is A-stable iff it is C-stable for
-    every part C.  A part that comes with its clauses, a definition that
-    could not be derived (see `_read_order`), is decided first, for every
-    candidate at once, one lane each, by comparing its atoms with their
-    least fixpoint (`_lane_models`, see `_parts`); no subset J of I is ever
-    inspected for it.  Every other part is checked by one chunked sweep,
-    `_ht_minimal`, per candidate that every earlier part passes.  A
-    candidate that holds no atom of such a part has no J below it for that
-    part and is C-stable for it without a sweep.
+    every part C: one chunked sweep, `_ht_minimal`, per part and per
+    candidate that every earlier part passes.  A candidate that holds no
+    atom of a part has no J below it for that part and is C-stable for it
+    without a sweep.
     """
-    defined = [part for part in parts if part[1] is not None]
-    if defined:
-        candidates = _lane_models(prog, var, here, var, _batches(candidates), (), defined, False)
-    others = [p for p, clauses in parts if clauses is None]
-    if others:
-        pairs = zip(candidates, _decode(candidates, [1 << b for b in var], sum))  # each with its mask over prog.atoms
-        for a_mask in others:
-            pairs = [(c, m) for c, m in pairs if not m & a_mask or _ht_minimal(prog, here | m, a_mask)]
-        candidates = [c for c, _ in pairs]
-    return candidates
+    pairs = zip(candidates, _decode(candidates, [1 << b for b in var], sum))  # each with its mask over prog.atoms
+    for a_mask, _ in parts:
+        pairs = [(c, m) for c, m in pairs if not m & a_mask or _ht_minimal(prog, here | m, a_mask)]
+    return [c for c, _ in pairs]
 
 
 def _stable_models(
@@ -914,10 +905,13 @@ def _stable_models(
     order, compares every other definition part with its fixpoint and
     keeps the lanes where `swept` is true.  With no part to derive, a
     classical sweep of `swept` over all of `var` gives the candidates
-    (`_candidate_models`).  Either way, `_stable_subset` keeps those that
-    are stable for the wide parts left, checked against prog itself: a
-    loop formula makes the atoms of its bodies strictly positive, so it
-    must not take part in any minimality check.
+    (`_candidate_models`), and `_lane_models` compares each definition
+    part, all on a cycle of reads, with its fixpoint on every candidate at
+    once, one lane each; no subset J of a candidate is ever inspected for
+    it.  Either way, `_stable_subset` keeps those that are stable for the
+    wide parts left, checked against prog itself: a loop formula makes the
+    atoms of its bodies strictly positive, so it must not take part in any
+    minimality check.
     """
     if len(var) <= _NARROW:
         return _verdicts(prog, var, here, a)
@@ -931,21 +925,12 @@ def _stable_models(
         true = {x for b, x in enumerate(atoms) if here >> b & 1}
         lanes = _live_batches(swept, unknown, [atoms[b] for b in kept], true)
         candidates = _lane_models(swept, var, here, kept, lanes, derived, compared, True)
-        parts = [part for part in parts if part[1] is None]
     else:
         candidates = _candidate_models(swept, var, here)
-    return _stable_subset(prog, var, here, parts, candidates) if parts else candidates
-
-
-def _unit_program(f: Formula, atoms: AbstractSet[Atom]) -> tuple[Program, Callable | None]:
-    """The program of the formula f of a unit with these atoms, compiled
-    once, and the function that continues its walk (see
-    `compile_extensible`) when the unit's route may sweep it with loop
-    formulas, which only a unit wider than `_NARROW` does; a narrower
-    unit's walk state is dropped at once, since holding it through a whole
-    modular solve adds a garbage collection to small ones."""
-    prog, conjoin = compile_extensible(f)
-    return prog, conjoin if len(atoms) > _NARROW else None
+        if compared:
+            candidates = _lane_models(prog, var, here, var, _batches(candidates), (), compared, False)
+    others = [part for part in parts if part[1] is None]
+    return _stable_subset(prog, var, here, others, candidates) if others else candidates
 
 
 def _unit_route(f: Formula, prog: Program, conjoin, unit: Sequence[int]) -> tuple:
@@ -958,29 +943,19 @@ def _unit_route(f: Formula, prog: Program, conjoin, unit: Sequence[int]) -> tupl
 
     A unit of at most `_NARROW` atoms takes the one packed run.  A wider
     unit whose whole formula is a definition for its atoms takes its
-    clauses (see `_definition_route`).  Any other takes the sweep with the
-    parts of its atoms (see `_parts`).
+    clauses (see `_definition`): by the paper's theorem on definitions its
+    one stable extension per context is their least fixpoint, so it is the
+    one route that enumerates nothing, which is why `modular_solve` exempts
+    such a unit from the enumeration cap.  Any other wider unit takes the
+    sweep with the parts of its atoms (see `_parts`).
     """
-    route = _definition_route(f, prog, unit)
-    if route is not None:
-        return route
     if len(unit) <= _NARROW:
         return False, prog, unit, (), None, {}
+    clauses = _definition(_conjuncts(f), prog, sum(1 << b for b in unit))
+    if clauses is not None:
+        return True, prog, unit, clauses, None, {}
     parts, loop_formulas = _parts(f, prog, frozenset(map(prog.atoms.__getitem__, unit)))
     return False, prog, unit, parts, conjoin(loop_formulas) if loop_formulas else None, {}
-
-
-def _definition_route(f: Formula, prog: Program, unit: Sequence[int]) -> tuple | None:
-    """The route of a unit (see `_unit_route`) wider than `_NARROW` atoms
-    whose whole formula is a definition for its atoms, else None.  By the
-    paper's theorem on definitions its one stable extension per context is
-    the least fixpoint of its clauses (see `_definition`), so it is the one
-    route that enumerates nothing, and the only one a unit wider than the
-    enumeration cap may take; nothing is built beyond the clauses."""
-    if len(unit) <= _NARROW:
-        return None
-    clauses = _definition(_conjuncts(f), prog, sum(1 << b for b in unit))
-    return None if clauses is None else (True, prog, unit, clauses, None, {})
 
 
 def _unit_models(route: tuple, heres: Iterable[int]) -> dict[int, Sequence[int]]:

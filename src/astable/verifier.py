@@ -604,20 +604,6 @@ def _reference_models(f: Formula, a: frozenset[Atom], pool: Sequence[Atom]) -> M
     return ModelSet.from_iter((i for i in subsets if satisfies(i, f) and is_a_stable(f, i, a)), frozenset(pool))
 
 
-def _enumerator_verdict(suite: str, f: Formula, a: frozenset[Atom], pool: Sequence[Atom]):
-    """A suite's verdict on a formula that `enumerate_a_stable` must solve
-    as the reference `is_a_stable` does."""
-    got = enumerate_a_stable(f, a, frozenset(pool))
-    want = _reference_models(f, a, pool)
-    return got == want, lambda: _case_text(
-        suite=suite,
-        formula=format_formula(f),
-        a_set=format_interpretation(a),
-        enumerated_models=_models_text(got),
-        reference_models=_models_text(want),
-    )
-
-
 def _both_solvers(suite: str, conjuncts: list[Formula], a: frozenset[Atom], pool: Sequence[Atom], reference=None):
     """A suite's verdict on a program that both `enumerate_a_stable` and
     `modular_solve` must solve as the reference `is_a_stable` does, by
@@ -662,7 +648,8 @@ def _suite_stable_packed(rng, cfg, unsound):
     rings of up to 5 atoms, mostly intensional, so that `enumerate_a_stable`
     decides each part by its loop formulas in the sweep: a choice needs
     none, a chain atom takes its support conjunct, and a ring one formula
-    per atom and one for the whole ring, unless a fact derives them."""
+    per atom and one for the whole ring, unless a fact derives them; both
+    solvers must give the reference models (see `_both_solvers`)."""
     pool = _atom_pool(8)
     rng.shuffle(pool)
     conjuncts: list[Formula] = []
@@ -685,9 +672,8 @@ def _suite_stable_packed(rng, cfg, unsound):
                 conjuncts.append(disj((group[0], neg(group[0]))))
     if rng.random() < 0.2:
         conjuncts.append(_gen(rng, pool, 2, cfg))
-    f = conj(conjuncts)
     a = _rand_subset(rng, pool, 0.85)
-    return _enumerator_verdict("stable_packed", f, a, pool)
+    return _both_solvers("stable_packed", conjuncts, a, pool)
 
 
 def _suite_stable_scc(rng, cfg, unsound):
@@ -698,7 +684,8 @@ def _suite_stable_scc(rng, cfg, unsound):
     atoms by its loop formulas in the sweep.  A quarter of the draws start
     with an intensional loop of 7 atoms, wider than a part with loop
     formulas, whose links may be switched by an atom outside it, so that
-    its classical models make any number of its atoms true."""
+    its classical models make any number of its atoms true.  Both solvers
+    must give the reference models (see `_both_solvers`)."""
     wide = rng.random() < 0.25
     pool = _atom_pool(8 if wide else rng.randint(6, 8))
     rng.shuffle(pool)
@@ -730,9 +717,8 @@ def _suite_stable_scc(rng, cfg, unsound):
             conjuncts.append(Impl(neg(body), head))
         else:
             conjuncts.append(Impl(conj((body, neg(rng.choice(src)))), head))
-    f = conj(conjuncts)
     a = _rand_subset(rng, pool, 0.8) | (frozenset(pool[:7]) if wide else frozenset())
-    return _enumerator_verdict("stable_scc", f, a, pool)
+    return _both_solvers("stable_scc", conjuncts, a, pool)
 
 
 def _suite_stable_definition(rng, cfg, unsound):

@@ -704,8 +704,8 @@ class TestModularSolve:
         # the 100-atom positive cycle x_i -> x_(i+1), seeded by the choice
         # s: one unit that is a definition for its atoms, decided by one
         # fixpoint run per context, so the cap does not count its width;
-        # its route, built once for the cap and the step alike, recognizes
-        # the definition once
+        # the cap reads its clauses off the formula, and its route, built
+        # in its step, recognizes the definition once
         recognized = []
         real = stable._definition
         monkeypatch.setattr(stable, "_definition", lambda *args: recognized.append(1) or real(*args))
@@ -753,6 +753,46 @@ class TestModularSolve:
             "pass a larger max_atoms (or --max-atoms) if this is intended\n"
         )
         assert not parted
+
+    def test_unit_past_the_cap_is_refused_before_any_compile_walk(self, monkeypatch, tmp_path, capsys):
+        # the cap reads the negative ring's clauses off its formula, so
+        # split-solve exits at the cap without compiling the unit
+        from astable.cli import main
+
+        walked = []
+        real = formula_module._walk
+        monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real(f, *rest))
+        path = tmp_path / "negring.lp"
+        path.write_text("".join(f"not x{i} -> x{(i + 1) % 3000}.\n" for i in range(3000)))
+        assert main(["split-solve", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: enumeration over 3000 atoms exceeds the cap of 24; "
+            "pass a larger max_atoms (or --max-atoms) if this is intended\n"
+        )
+        assert not walked
+
+    def test_each_step_decodes_its_contexts_in_one_call(self, monkeypatch):
+        # the choices a and b, then the unit {p, q} of a & not q -> p and
+        # b & not p -> q over the four contexts of a and b, with 2, 1, 1
+        # and 1 extensions: one decoding per step, of every context's
+        # extensions at once
+        decoded = []
+        real = splitting._decode
+        monkeypatch.setattr(splitting, "_decode", lambda masks, *rest: decoded.append(len(masks)) or real(masks, *rest))
+        a, b, p, q = (AtomRef(Atom(x)) for x in "abpq")
+        conjuncts = [
+            disj([a, neg(a)]),
+            disj([b, neg(b)]),
+            impl(conj([a, neg(q)]), p),
+            impl(conj([b, neg(p)]), q),
+        ]
+        sigma = atoms_of(conj(conjuncts))
+        got = modular_solve(conjuncts, sigma, sigma)
+        assert decoded == [2, 2, 5]
+        assert got.lines() == ["{}", "{a,b,p}", "{a,b,q}", "{a,p}", "{b,q}"]
+        assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, sigma)
 
     def test_layered_chain_family_exhaustive_to_sixteen_atoms(self):
         for blocks, width in [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (3, 5)]:
