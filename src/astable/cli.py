@@ -87,9 +87,7 @@ def _load_conjuncts(args) -> tuple[list[Formula], list[frozenset[Atom]] | None, 
 
 
 def _print_models(models: ModelSet, as_json: bool) -> None:
-    lines = models.lines(as_json=as_json)
-    lines.append("")
-    sys.stdout.write("\n".join(lines))
+    sys.stdout.write(models.text(as_json))
 
 
 def _cmd_parse(args) -> int:

@@ -22,6 +22,7 @@ force.
 from __future__ import annotations
 
 import itertools
+from operator import or_
 from typing import AbstractSet, Sequence
 
 from .depgraph import (
@@ -232,12 +233,31 @@ def plan_split(
     return SplitPlan(blocks, tuple(residual))
 
 
+def _check_frontier(size: int, max_atoms: int) -> None:
+    if size > 1 << max_atoms:
+        raise CapExceeded(
+            f"modular frontier of {size} interpretations exceeds the cap of 2**{max_atoms}; "
+            f"pass a larger max_atoms (or --max-atoms) if this is intended"
+        )
+
+
+def _shared(frontier: list[int], extensions: Sequence[int], max_atoms: int) -> list[int]:
+    """Every frontier entry joined with each of the same extensions, one
+    C-level pass over the frontier per extension."""
+    _check_frontier(len(frontier) * len(extensions), max_atoms)
+    out: list[int] = []
+    for e in extensions:
+        out += map(e.__or__, frontier)
+    return out
+
+
 def _extend_frontier(
     frontier: list[int], unit_atoms: AbstractSet[Atom], f: Formula, bit: dict[Atom, int], solved: dict, max_atoms: int
 ) -> list[int]:
     """Every frontier entry joined with each stable extension of the unit
     with these atoms and formula f, all as bitmasks (`bit` maps atoms to
-    their bits; an atom f mentions without a bit is always false).
+    their bits; an atom f mentions without a bit is always false), in no
+    particular order.
 
     f is compiled here, once, and the unit's route (see
     `stable._unit_route`) is built once per shape: it depends only on the
@@ -248,7 +268,11 @@ def _extend_frontier(
     so each distinct context is solved once on the route: its A-stable
     assignments, A = the unit's atoms, with the context fixed
     (`stable._unit_models`).  One `stable._decode` call spreads the
-    extensions of every context to the bits over sigma.
+    extensions of every context to the bits over sigma.  The new frontier
+    is built in C-level passes where the extensions allow: a unit that
+    reads no decided atom has one context, and every entry takes the same
+    extensions (`_shared`); a unit with one extension per context joins
+    each entry with its context's one.
     """
     prog, conjoin = compile_extensible(f)
     unit: list[int] = []  # positions over prog.atoms
@@ -267,23 +291,25 @@ def _extend_frontier(
     if route is None:
         route = solved[key] = _unit_route(f, prog, conjoin, unit)
     heres: dict[int, int] = {}  # each distinct context, over prog.atoms
-    for m in frontier:
-        ctx = m & ctx_mask
-        if ctx not in heres:
-            here = 0
-            for sig_bit, prog_bit in context:
-                if ctx & sig_bit:
-                    here |= prog_bit
-            heres[ctx] = here
+    for ctx in set(map(ctx_mask.__and__, frontier)):
+        here = 0
+        for sig_bit, prog_bit in context:
+            if ctx & sig_bit:
+                here |= prog_bit
+        heres[ctx] = here
     found = _unit_models(route, heres.values())
-    spread = iter(_decode([e for here in heres.values() for e in found[here]], sig_bits, sum))
-    memo = {ctx: list(itertools.islice(spread, len(found[here]))) for ctx, here in heres.items()}
-    size = sum(len(memo[m & ctx_mask]) for m in frontier)
-    if size > 1 << max_atoms:
-        raise CapExceeded(
-            f"modular frontier of {size} interpretations exceeds the cap of 2**{max_atoms}; "
-            f"pass a larger max_atoms (or --max-atoms) if this is intended"
-        )
+    extensions = list(map(found.__getitem__, heres.values()))
+    spread = _decode([e for ext in extensions for e in ext], sig_bits, sum)
+    if not ctx_mask:
+        return _shared(frontier, spread, max_atoms)
+    if len(spread) == len(heres) and all(extensions):
+        # one extension per context, so the frontier keeps its size, which
+        # the cap has already passed
+        memo = dict(zip(heres, spread))
+        return list(map(or_, frontier, map(memo.__getitem__, map(ctx_mask.__and__, frontier))))
+    spread = iter(spread)
+    memo = {ctx: list(itertools.islice(spread, len(ext))) for ctx, ext in zip(heres, extensions)}
+    _check_frontier(sum(map(len, map(memo.__getitem__, map(ctx_mask.__and__, frontier)))), max_atoms)
     return [m | e for m in frontier for e in memo[m & ctx_mask]]
 
 

@@ -117,28 +117,46 @@ def _decode(masks: Sequence[int], pieces: Sequence, join) -> list:
     results must give the join of their pieces.
 
     A handful of bitmasks are decoded one at a time; more through
-    `_tables`, one lookup and one addition per 8 atoms, all in C.
+    `_tables`, one lookup and one addition per 8 atoms, all in C.  The
+    texts a model set prints, its rank strings and the spreading of
+    bitmasks to other atoms all come from here.
     """
     if len(masks) > _FEW or not pieces:
         return _lookup(masks, _tables(pieces, join))
     return list(map(join, map(itertools.compress, itertools.repeat(pieces), _selectors(masks, len(pieces)))))
 
 
-def format_masks(masks: Sequence[int], atoms: Sequence[Atom], *, as_json: bool = False) -> list[str]:
-    """Each bitmask over the sorted `atoms` (bit b <-> atoms[b]), in the
-    order given, as the text of its interpretation, `{a,b}`, or with
-    `as_json` as the object `{"atoms": ["a", "b"]}`."""
-    if not masks:
-        return []
+def _rank_sorted(masks: Sequence[int], n: int) -> tuple[int, ...]:
+    """The bitmasks over n sorted atoms in canonical order: sorted by their
+    rank strings (see `_rank_table`)."""
+    tables = [_rank_table(g) for g in range(-(-n // 8) or 1)]
+    if len(tables) == 1:
+        return tuple(sorted(masks, key=tables[0].__getitem__))
+    keys = _lookup(masks, tables)
+    return tuple(map(masks.__getitem__, sorted(range(len(masks)), key=keys.__getitem__)))
+
+
+def _formats(atoms: Sequence[Atom], as_json: bool) -> tuple[str, str, str, list[str]]:
+    """The head, separator and tail of a printed model, and each atom's
+    text, for plain or `--json` output."""
     if as_json:
         import json  # only --json needs it: a CLI run without it does not load it
 
-        head, sep, tail = '{"atoms": [', ", ", "]}"
-        pieces = [sep + json.dumps(str(x)) for x in atoms]
-    else:
-        head, sep, tail = "{", ",", "}"
-        pieces = [sep + str(x) for x in atoms]
-    texts = map(itemgetter(slice(len(sep), None)), _decode(masks, pieces, "".join))
+        return '{"atoms": [', ", ", "]}", [json.dumps(str(x)) for x in atoms]
+    return "{", ",", "}", list(map(str, atoms))
+
+
+def format_masks(masks: Sequence[int], atoms: Sequence[Atom], *, as_json: bool = False) -> list[str]:
+    """Each bitmask over the sorted `atoms` (bit b <-> atoms[b]), in the
+    order given, as the text of its interpretation, `{a,b}`, or with
+    `as_json` as the object `{"atoms": ["a", "b"]}`: for a few models, such
+    as a counterexample, or models in an order fixed elsewhere.  A model
+    set prints through `ModelSet.text`, which orders its models by these
+    texts."""
+    if not masks:
+        return []
+    head, sep, tail, names = _formats(atoms, as_json)
+    texts = map(itemgetter(slice(len(sep), None)), _decode(masks, [sep + x for x in names], "".join))
     return (head + (tail + "\n" + head).join(texts) + tail).split("\n")
 
 
@@ -146,22 +164,33 @@ class ModelSet(Record):
     """A canonically ordered set of interpretations over a fixed signature.
 
     Each model is held as a bitmask over `atoms`, sorted and distinct (bit
-    b <-> atoms[b]), and `masks` lists the models in canonical order: the
-    order of their sorted atom tuples.  Since the atoms are sorted, that is
-    the order of the strings with the character of rank b + 1 for each bit
-    b, which `from_masks` sorts by.  `sorted_atoms` (cached), `models`,
-    iteration, `in`, `as_set` and the printed `lines` are decoded from the
+    b <-> atoms[b]).  The canonical order is the order of the models'
+    sorted atom tuples, and `from_masks` leaves it to the first reader,
+    which sorts by what it reads:
+    - `text`, the printed models, joins each model's atom texts with
+      "\\x01" and sorts those strings.  "\\x01" and the end of a string sort
+      below "(", ")", "," and every identifier character, so that is the
+      tuple order;
+    - `masks`, and through it `sorted_atoms`, `==`, `over` and
+      `intersection`, sort by rank strings: the character of rank b + 1
+      for each bit b, which is the tuple order since the atoms are sorted.
+    Either keeps its result, and `lines` reuses the text when the set has
+    it.  `models`, iteration, `in` and `as_set` are decoded from the
     bitmasks when asked for; two model sets are equal when they hold the
     same models over the same signature.
     """
 
-    __slots__ = ("atoms", "masks", "signature", "_sorted_atoms")
+    # _held: the bitmasks, in canonical order once _ordered is set
+    __slots__ = ("atoms", "signature", "_held", "_ordered", "_sorted_atoms", "_text")
 
     def __init__(self, atoms: tuple[Atom, ...], masks: tuple[int, ...], signature: frozenset[Atom]) -> None:
+        """`masks` in canonical order."""
         _set_atoms(self, atoms)
-        _set_masks(self, masks)
         _set_signature(self, signature)
+        _set_held(self, masks)
+        _set_ordered(self, True)
         _set_sorted_atoms(self, None)
+        _set_text(self, None)
 
     @classmethod
     def from_iter(cls, models: Iterable[AbstractSet[Atom]], signature: AbstractSet[Atom]) -> "ModelSet":
@@ -176,20 +205,48 @@ class ModelSet(Record):
     @classmethod
     def from_masks(cls, masks: Sequence[int], atoms: Sequence[Atom], signature: frozenset[Atom]) -> "ModelSet":
         """From distinct bitmasks over the sorted `atoms` (bit b <-> atoms[b]),
-        sorted by their rank strings."""
+        in any order; the first reader orders them.  A model outside the
+        signature raises SignatureError here, naming the canonically first
+        such model."""
         atoms = tuple(atoms)
-        tables = [_rank_table(g) for g in range(-(-len(atoms) // 8) or 1)]
-        if len(tables) == 1:
-            ordered = tuple(sorted(masks, key=tables[0].__getitem__))
-        else:
-            keys = _lookup(masks, tables)
-            ordered = tuple(map(masks.__getitem__, sorted(range(len(masks)), key=keys.__getitem__)))
         if not signature.issuperset(atoms):
             outside = sum(1 << b for b, x in enumerate(atoms) if x not in signature)
-            for m in ordered:
-                if m & outside:
-                    raise SignatureError(f"model {format_masks([m], atoms)[0]} leaves the signature")
-        return cls(atoms, ordered, signature)
+            leaving = [m for m in masks if m & outside]
+            if leaving:
+                first = _rank_sorted(leaving, len(atoms))[0]
+                raise SignatureError(f"model {format_masks([first], atoms)[0]} leaves the signature")
+        self = cls(atoms, masks, signature)
+        _set_ordered(self, False)
+        return self
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The bitmasks in canonical order, sorted by rank string once."""
+        if not self._ordered:
+            _set_held(self, _rank_sorted(self._held, len(self.atoms)))
+            _set_ordered(self, True)
+        return self._held
+
+    def text(self, as_json: bool = False) -> str:
+        """The models as printed, one line each, in canonical order (see
+        `lines`): with one `_decode` of "\\x01"-joined atom texts, sorted as
+        strings and kept."""
+        kept = self._text
+        if kept is not None and kept[0] == as_json:
+            return kept[1]
+        text = ""
+        if self._held:
+            head, sep, tail, names = _formats(self.atoms, as_json)
+            keys = _decode(self._held, ["\x01" + x for x in names], "".join)
+            keys.sort()
+            keys[0] = head + keys[0]
+            keys[-1] += tail + "\n"
+            text = (tail + "\n" + head).join(keys)
+            del keys  # at most two copies of the text are alive at once
+            text = text.replace(head + "\x01", head)
+            text = text.replace("\x01", sep)
+        _set_text(self, (as_json, text))
+        return text
 
     @property
     def sorted_atoms(self) -> tuple[tuple[Atom, ...], ...]:
@@ -208,11 +265,11 @@ class ModelSet(Record):
         return map(frozenset, self.sorted_atoms)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self._held)
 
     def __contains__(self, interp: AbstractSet[Atom]) -> bool:
         bit = {x: 1 << b for b, x in enumerate(self.atoms)}
-        return all(map(bit.__contains__, interp)) and sum(map(bit.__getitem__, interp)) in self.masks
+        return all(map(bit.__contains__, interp)) and sum(map(bit.__getitem__, interp)) in self._held
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModelSet):
@@ -226,8 +283,13 @@ class ModelSet(Record):
         return frozenset(map(frozenset, self.sorted_atoms))
 
     def lines(self, *, as_json: bool = False) -> list[str]:
-        """Each model's text, in canonical order (see `format_masks`)."""
-        return format_masks(self.masks, self.atoms, as_json=as_json)
+        """Each model's text, `{a,b}` or with `as_json` `{"atoms": ["a",
+        "b"]}`, in canonical order: `text` split into lines when the set
+        has that text or no order yet, else `format_masks` of `masks`."""
+        kept = self._text
+        if self._ordered and (kept is None or kept[0] != as_json):
+            return format_masks(self._held, self.atoms, as_json=as_json)
+        return self.text(as_json).split("\n")[:-1]
 
     def over(self, atoms: Sequence[Atom]) -> list[int]:
         """Each model, in canonical order, as a bitmask over the sorted
@@ -246,10 +308,13 @@ class ModelSet(Record):
         return ModelSet(self.atoms, tuple(filter(common.__contains__, self.masks)), self.signature)
 
 
+ModelSet._fields = ("atoms", "masks", "signature")  # `masks` is read through its property
 _set_atoms = ModelSet.atoms.__set__
-_set_masks = ModelSet.masks.__set__
 _set_signature = ModelSet.signature.__set__
+_set_held = ModelSet._held.__set__
+_set_ordered = ModelSet._ordered.__set__
 _set_sorted_atoms = ModelSet._sorted_atoms.__set__
+_set_text = ModelSet._text.__set__
 
 
 def leq_a(i: AbstractSet[Atom], j: AbstractSet[Atom], a: AbstractSet[Atom]) -> bool:

@@ -433,6 +433,18 @@ class TestSplitSolve:
         assert (code, out) == (2, "")
         assert err.startswith("error: modular frontier of") and err.count("\n") == 1
 
+    def test_shared_extensions_past_the_cap_exit_two(self, capsys, tmp_path):
+        # 13 context-free choices: the frontier of the last step is checked
+        # before it is built
+        path = tmp_path / "choices13.lp"
+        path.write_text("".join(f"c{i:02d} | not c{i:02d}.\n" for i in range(13)))
+        code, out, err = run(capsys, "split-solve", str(path), "--max-atoms", "12")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: modular frontier of 8192 interpretations exceeds the cap of 2**12; "
+            "pass a larger max_atoms (or --max-atoms) if this is intended\n"
+        )
+
 
 class TestMemory:
     @pytest.mark.parametrize("command", ["solve", "split-solve"])

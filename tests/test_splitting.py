@@ -794,6 +794,42 @@ class TestModularSolve:
         assert got.lines() == ["{}", "{a,b,p}", "{a,b,q}", "{a,p}", "{b,q}"]
         assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, sigma)
 
+    def test_random_frontiers_match_the_enumerator(self):
+        # context-free choice units, units that read decided atoms and
+        # residual constraints, mixed in random programs; a guarded choice
+        # g -> x | not x and a guarded denial h & not x -> x give a unit
+        # 0, 1 or 2 extensions per context
+        rng = random.Random(71)
+        pool = [Atom("p"), Atom("p", ("a",)), Atom("p", ("a", "b")), Atom("p_1"), Atom("P"), Atom("q"), Atom("r")]
+        for _ in range(300):
+            choices = rng.sample(pool, rng.randint(0, 4))
+            conjuncts = [disj([AtomRef(c), neg(AtomRef(c))]) for c in choices]
+            for x in rng.sample(pool, rng.randint(0, 2)):
+                g, h = (AtomRef(rng.choice(pool)) for _ in range(2))
+                conjuncts += [impl(g, disj([AtomRef(x), neg(AtomRef(x))])), impl(conj([h, neg(AtomRef(x))]), AtomRef(x))]
+            conjuncts += _gen_program(rng, pool, rng.randint(0, 6))
+            rng.shuffle(conjuncts)
+            sigma = frozenset(pool)
+            a = frozenset(x for x in pool if rng.random() < 0.8) | frozenset(choices)
+            got = modular_solve(conjuncts, a, sigma)
+            want = enumerate_a_stable(conj(conjuncts), a, sigma)
+            assert got == want and got.text() == want.text()
+            assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, a)
+
+    def test_context_free_units_share_their_extensions(self, monkeypatch):
+        # each choice c | not c reads no decided atom: its two extensions
+        # join every entry in one pass each; the constraint reads c0 and c1
+        shared = []
+        real = splitting._shared
+        monkeypatch.setattr(
+            splitting, "_shared", lambda frontier, ext, cap: shared.append((len(frontier), len(ext))) or real(frontier, ext, cap)
+        )
+        cs = [Atom(f"c{i}") for i in range(5)]
+        conjuncts = [disj([AtomRef(c), neg(AtomRef(c))]) for c in cs] + [neg(conj([AtomRef(cs[0]), AtomRef(cs[1])]))]
+        got = modular_solve(conjuncts, frozenset(cs), frozenset(cs))
+        assert shared == [(1, 2), (2, 2), (4, 2), (8, 2), (16, 2)]
+        assert len(got) == 24 and got == enumerate_a_stable(conj(conjuncts), frozenset(cs), frozenset(cs))
+
     def test_layered_chain_family_exhaustive_to_sixteen_atoms(self):
         for blocks, width in [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (3, 5)]:
             conjuncts = layered_chain(blocks, width)

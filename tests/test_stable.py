@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -1225,6 +1226,76 @@ class TestModelSetDecode:
             masks = list({rng.getrandbits(300) >> rng.randrange(300) for _ in range(count)})
             masks += [1 << 299, (1 << 299) | 1, 1 << 255, 1 << 256]
             self.check(list(dict.fromkeys(masks)), atoms, frozenset(atoms))
+
+    def oracle_lines(self, masks, atoms, as_json=False):
+        want = sorted(tuple(x for b, x in enumerate(atoms) if m >> b & 1) for m in masks)
+        if as_json:
+            return [json.dumps({"atoms": [str(x) for x in t]}) for t in want]
+        return ["{" + ",".join(map(str, t)) + "}" for t in want]
+
+    def test_printed_first_sets_match_the_oracle(self):
+        # a fresh set ordered by its own texts, more than _FEW models
+        # each, so they are decoded through the tables
+        rng = random.Random(53)
+        for _ in range(150):
+            atoms = sorted(rng.sample(self.NAMES, rng.randint(5, len(self.NAMES))))
+            masks = rng.sample(range(1 << len(atoms)), min(rng.randint(17, 300), 1 << len(atoms)))
+            for as_json in (False, True):
+                got = ModelSet.from_masks(masks, atoms, frozenset(atoms))
+                want = self.oracle_lines(masks, atoms, as_json)
+                assert got.text(as_json) == "".join(line + "\n" for line in want)
+                assert got.lines(as_json=as_json) == want
+                # ordered afterwards by rank strings, into the same order
+                assert got.lines(as_json=not as_json) == self.oracle_lines(masks, atoms, not as_json)
+                assert [format_interpretation(m) for m in got] == self.oracle_lines(masks, atoms)
+
+    def test_text_is_the_lines_with_newlines(self):
+        rng = random.Random(59)
+        for _ in range(100):
+            atoms = sorted(rng.sample(self.NAMES, rng.randint(0, 8)))
+            masks = rng.sample(range(1 << len(atoms)), min(rng.choice([0, 1, 5, 40]), 1 << len(atoms)))
+            for as_json in (False, True):
+                fresh = ModelSet.from_masks(masks, atoms, frozenset(atoms))
+                ordered = ModelSet.from_masks(masks, atoms, frozenset(atoms))
+                assert len(ordered.masks) == len(masks)  # ordered by rank strings first
+                for ms in (fresh, ordered):
+                    assert ms.text(as_json) == "".join(line + "\n" for line in ms.lines(as_json=as_json))
+
+    def test_signature_error_names_the_canonically_first_model(self):
+        # many models leave the signature; the error is raised by
+        # from_masks itself and names the first of them in canonical order
+        atoms = sorted(self.NAMES)
+        outside = Atom("p", ("a",))
+        sig = frozenset(atoms) - {outside}
+        bit = 1 << atoms.index(outside)
+        rng = random.Random(61)
+        masks = rng.sample(range(1 << len(atoms)), 200)
+        leaving = [m for m in masks if m & bit]
+        first = self.oracle_lines(leaving, atoms)[0]
+        with pytest.raises(SignatureError, match="^model " + re.escape(first) + " leaves the signature$"):
+            ModelSet.from_masks(masks, atoms, sig)
+
+    def test_printing_decodes_once_and_unprinted_sets_build_no_text(self, monkeypatch):
+        lookups, formats = [], []
+        real_lookup, real_formats = stable_module._lookup, stable_module._formats
+        monkeypatch.setattr(stable_module, "_lookup", lambda *args: lookups.append(1) or real_lookup(*args))
+        monkeypatch.setattr(stable_module, "_formats", lambda *args: formats.append(1) or real_formats(*args))
+        atoms = sorted(Atom(f"c{k}") for k in range(12))
+        masks = list(range(1 << 12))
+        random.Random(67).shuffle(masks)
+        printed = ModelSet.from_masks(masks, atoms, frozenset(atoms))
+        assert lookups == [] and formats == []
+        text = printed.text()
+        assert lookups == [1] and formats == [1]  # the texts, which are also the sort keys
+        assert text.startswith("{}\n{c0}\n{c0,c1}\n") and text.count("\n") == 4096
+        assert printed.lines()[:2] == ["{}", "{c0}"] and lookups == [1]  # the kept text
+        lookups.clear()
+        formats.clear()
+        left = ModelSet.from_masks(masks, atoms, frozenset(atoms))
+        right = ModelSet.from_masks(masks[::-1], atoms, frozenset(atoms))
+        assert left == right and left.over(atoms) == list(right.masks)
+        assert left.intersection(right).sorted_atoms == left.sorted_atoms and {atoms[0]} in left
+        assert formats == [] and left._text is None and right._text is None
 
     def test_intersection_over_different_atoms(self):
         rng = random.Random(47)
