@@ -54,6 +54,11 @@ def _ground_fo(text: str) -> tuple[list[Formula], fo.FOInterpretation]:
     return fo.ground_program(list(prog.sentences), interp), interp
 
 
+def _atom_set(text: str) -> frozenset[Atom]:
+    """The atoms of a comma-separated flag value; a blank value is no atom."""
+    return frozenset(parse_atom_list(text)) if text.strip() else frozenset()
+
+
 def _load_conjuncts(args) -> tuple[list[Formula], list[frozenset[Atom]] | None, frozenset[Atom], frozenset[Atom]]:
     """Read a program file (ground or first-order), returning its conjuncts,
     the atoms of each conjunct when reading the signature needed them (a
@@ -66,22 +71,22 @@ def _load_conjuncts(args) -> tuple[list[Formula], list[frozenset[Atom]] | None, 
         conjuncts, interp = _ground_fo(text)
         sigma = set(fo.ground_signature(interp))
     else:
-        if intensional_pred:
+        if intensional_pred is not None:
             raise ParseError("--intensional-pred needs a first-order input with #domain", 1, 1)
         conjuncts = parse_program(text)
         mentions = list(map(atoms_of, conjuncts))
         sigma = set().union(*mentions)
-    if intensional_pred:
+    if intensional_pred is not None:
         preds = [p.strip() for p in intensional_pred.split(",") if p.strip()]
         intensional = set(fo.pred_atoms(preds, interp))
-    elif getattr(args, "intensional", None):
-        intensional = set(parse_atom_list(args.intensional))
+    elif getattr(args, "intensional", None) is not None:
+        intensional = _atom_set(args.intensional)
     elif getattr(args, "intensional_none", False):
         intensional = set()
     else:
         intensional = set(sigma)
-    if getattr(args, "sigma", None):
-        sigma |= set(parse_atom_list(args.sigma))
+    if getattr(args, "sigma", None) is not None:
+        sigma |= _atom_set(args.sigma)
     sigma |= intensional
     return conjuncts, mentions, frozenset(sigma), frozenset(intensional)
 
@@ -128,8 +133,7 @@ def _cmd_split_solve(args) -> int:
     if args.part1 is not None or args.part2 is not None:
         if args.part1 is None or args.part2 is None:
             raise ParseError("--part1 and --part2 must be given together", 1, 1)
-        p1 = frozenset(parse_atom_list(args.part1)) if args.part1.strip() else frozenset()
-        p2 = frozenset(parse_atom_list(args.part2)) if args.part2.strip() else frozenset()
+        p1, p2 = _atom_set(args.part1), _atom_set(args.part2)
         models = split_models_lemma(conj(conjuncts), p1, p2, sigma, max_atoms=args.max_atoms)
     else:
         try:

@@ -13,9 +13,9 @@ stable models in one-to-one correspondence (drop the Q atoms to go back).
 from __future__ import annotations
 
 import itertools
-from typing import AbstractSet, Sequence
+from typing import AbstractSet
 
-from .formula import Atom, Conj, Formula, Impl, atoms_of, conj, satisfies
+from .formula import Atom, Formula, Impl, atoms_of, conj, satisfies
 from .records import Record
 from .stable import (
     DEFAULT_MAX_ATOMS,
@@ -23,6 +23,7 @@ from .stable import (
     ModelSet,
     _check_cap,
     _clause,
+    _conjuncts,
     _least_fixpoint,
     enumerate_a_stable,
     format_masks,
@@ -74,18 +75,18 @@ class DefinitionModule(Record):
 def recognize_definition(g: Formula, q: AbstractSet[Atom]) -> DefinitionModule | Rejection:
     """Check that g is a definition for q and split out its clauses.
 
-    g may be a conjunction of clauses or a single clause.  Each clause must
-    be an implication with a head atom from q; direct q-atom conjuncts of the
-    antecedent are collected separately, and the rest of the antecedent must
-    be q-free (see `stable._clause`, which the solvers share; only a fact
-    is a clause there and not here).  A failed check returns a Rejection
-    naming the first offending conjunct; rejection is an answer, not an
-    error.
+    g may be a conjunction of clauses, nested conjunctions opened as the
+    solvers open them (`stable._conjuncts`), or a single clause.  Each
+    clause must be an implication with a head atom from q; direct q-atom
+    conjuncts of the antecedent are collected separately, and the rest of
+    the antecedent must be q-free (see `stable._clause`, which the solvers
+    share; only a fact is a clause there and not here).  A failed check
+    returns a Rejection naming the first offending conjunct; rejection is
+    an answer, not an error.
     """
     q = frozenset(q)
-    conjuncts: Sequence[Formula] = g.children if isinstance(g, Conj) else (g,)
     clauses = []
-    for c in conjuncts:
+    for c in _conjuncts(g):
         if not isinstance(c, Impl):
             return Rejection(c, "conjunct is not an implication")
         clause = _clause(c, q)

@@ -100,6 +100,25 @@ class TestSolve:
         code, _, err = run(capsys, "solve", guard_lp, "--intensional-pred", "q")
         assert code == 1
 
+    @pytest.mark.parametrize("blank", ["", " "])
+    def test_blank_intensional_is_no_atom(self, capsys, tmp_path, blank):
+        path = tmp_path / "loop.lp"
+        path.write_text("p -> q. q -> p.\n")
+        assert run(capsys, "solve", str(path), "--intensional-none") == (0, "{}\n{p,q}\n", "")
+        assert run(capsys, "solve", str(path), "--intensional", blank) == (0, "{}\n{p,q}\n", "")
+        assert run(capsys, "solve", str(path), "--sigma", blank) == (0, "{}\n", "")
+
+    @pytest.mark.parametrize("blank", ["", " "])
+    def test_blank_intensional_pred_is_no_predicate(self, capsys, tmp_path, blank):
+        path = tmp_path / "loop.fo"
+        path.write_text("#domain a.\np(a) -> q. q -> p(a).\n")
+        assert run(capsys, "solve", str(path), "--intensional-none") == (0, "{}\n{p(a),q}\n", "")
+        assert run(capsys, "solve", str(path), "--intensional-pred", blank) == (0, "{}\n{p(a),q}\n", "")
+        ground = tmp_path / "loop.lp"
+        ground.write_text("p -> q. q -> p.\n")
+        code, _, err = run(capsys, "solve", str(ground), "--intensional-pred", blank)
+        assert code == 1 and "needs a first-order input" in err
+
 
 class TestParseGround:
     def test_parse_prints_canonical_program(self, capsys, guard_lp):

@@ -80,6 +80,16 @@ class TestRecognize:
         assert d.clauses[0].pos_q == {q2}
         assert d.clauses[0].body == TOP
 
+    def test_nested_conjunctions_are_opened(self):
+        # the module `(e -> t) & (t -> u).` holds the clauses of its two lines
+        clauses = [impl(atom("e"), atom("t")), impl(atom("t"), atom("u"))]
+        q_set = {Atom("t"), Atom("u")}
+        d = recognize_definition(conj([conj(clauses)]), q_set)
+        assert not isinstance(d, Rejection)
+        assert d.clauses == recognize_definition(conj(clauses), q_set).clauses
+        d = recognize_definition(conj([conj([clauses[0], atom("u")])]), q_set)
+        assert str(d) == "conjunct is not an implication: u"
+
     def test_rejection_reasons_come_from_the_solvers_clause_check(self):
         # the least defined atom of a body is named; a fact is a clause to
         # the solvers, `top -> q`, but no implication to the recognizer

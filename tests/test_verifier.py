@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from astable import (
     atoms_of,
     conj,
     enumerate_a_stable,
+    format_formula,
     parse_formula,
     parse_interpretation,
     parse_program,
@@ -158,6 +160,112 @@ class TestProp3Exhaustive:
         assert failures == 0
 
 
+# The routes each solver suite is named for.  The routes are those the
+# solvers choose between: how `modular_solve` takes a unit (`_unit_route`),
+# how `_parts` decides a part of A (by its loop formulas, as a definition
+# or by the fused check), which definition parts `_read_order` derives and
+# which it compares, and the sweeps that run.
+NAMED_FOR = {
+    "stable_definition": {"definition part", "definition unit", "derived part", "live lanes"},
+    "stable_kernel": {"fused check"},
+    "stable_loops": {"one-atom loop part", "multi-atom loop part", "wide part", "candidate sweep"},
+    "stable_modular": {"narrow unit", "definition unit", "wide unit", "packed run"},
+    "stable_projection": {"two derived parts", "compared parts", "derived and compared parts", "live lanes under a context"},
+    "stable_scc": {"multi-atom loop part", "wide part", "fused check"},
+    "sweep_kleene": {"partly live chunk", "two partly live chunks"},
+}
+
+
+@pytest.fixture(scope="module")
+def route_table():
+    """Per solver suite, its report at the default seed and 100 draws and
+    the routes its draws reach, counted by spies on the choice points; and
+    the formulas of the wide units whose route the cap of `modular_solve`
+    reads otherwise than `_unit_route` takes it."""
+    from astable import formula, splitting, stable
+
+    reached = Counter()
+    misread = []
+
+    def unit_route(f, prog, conjoin, unit, route):
+        if len(unit) <= stable._NARROW:
+            return ["narrow unit"]
+        atoms = {prog.atoms[b] for b in unit}
+        # the cap exempts a unit whose every conjunct is a clause of a definition
+        if all(type(stable._clause(c, atoms)) is not str for c in stable._conjuncts(f)) != route[0]:
+            misread.append(format_formula(f))
+        return ["definition unit" if route[0] else "wide unit"]
+
+    def read_order(parts, order):
+        derived, compared = order
+        routes = ["derived part"] * bool(derived) + ["two derived parts"] * (len(derived) > 1)
+        if compared:
+            routes.append("derived and compared parts" if derived else "compared parts")
+        return routes
+
+    spies = {
+        (splitting, "_unit_route"): unit_route,
+        (stable, "_parts"): lambda f, prog, a, found: ["wide part" if c is None else "definition part" for _, c in found[0]],
+        (stable, "_loop_formulas"): lambda comp, *_: ["one-atom loop part" if len(comp) == 1 else "multi-atom loop part"],
+        (stable, "_read_order"): read_order,
+        (stable, "_verdicts"): lambda *_: ["packed run"],
+        (stable, "_candidate_models"): lambda *_: ["candidate sweep"],
+        (stable, "_live_batches"): lambda prog, unknown, swept, true, _: ["live lanes"] + ["live lanes under a context"] * bool(true),
+        (stable, "_ht_minimal"): lambda *_: ["fused check"],
+    }
+
+    def spy(real, routes):
+        def call(*args):
+            found = real(*args)
+            reached.update(routes(*args, found))
+            return found
+
+        return call
+
+    real_packed = formula._packed_chunks
+
+    def packed(*args):  # a generator: count the chunks it yields
+        for k, chunk in enumerate(real_packed(*args)):
+            reached["two partly live chunks" if k else "partly live chunk"] += 1
+            yield chunk
+
+    table = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for (module, name), routes in spies.items():
+            mp.setattr(module, name, spy(getattr(module, name), routes))
+        mp.setattr(formula, "_packed_chunks", packed)
+        for suite in NAMED_FOR:
+            reached.clear()
+            table[suite] = run_suite(suite, GenConfig(iterations=100)), Counter(reached)
+    return table, misread
+
+
+class TestRouteCoverage:
+    """Every route of the solvers is reached by a solver suite at its
+    default seed, and each suite reaches the routes it is named for, so a
+    suite whose draws drift off its route fails here rather than passing
+    while it checks nothing."""
+
+    def test_every_solver_suite_is_named_for_its_routes(self):
+        assert sorted(NAMED_FOR) == [s for s in SUITE_NAMES if s.startswith("stable_") or s == "sweep_kleene"]
+
+    def test_every_route_is_reached(self, route_table):
+        # and each route a spy counts is one some suite is named for
+        table, _ = route_table
+        for suite, (report, _) in table.items():
+            assert report.fails == 0 and report.passes == 100, suite
+        assert set().union(*(routes for _, routes in table.values())) == set().union(*NAMED_FOR.values())
+
+    @pytest.mark.parametrize("suite", sorted(NAMED_FOR))
+    def test_suite_reaches_its_routes(self, route_table, suite):
+        table, _ = route_table
+        missing = NAMED_FOR[suite] - table[suite][1].keys()
+        assert not missing, f"{suite} reaches no {', '.join(sorted(missing))}"
+
+    def test_the_cap_reads_each_wide_unit_as_its_route_does(self, route_table):
+        assert not route_table[1]
+
+
 class TestStableDefinitionMutations:
     """Each mutation of the definition route, patched in here, fails the
     `stable_definition` suite: the suite sees the fixpoint, the lane
@@ -233,27 +341,11 @@ def _mutant(module, name: str, old: str, new: str):
 
 
 class TestSweepKleeneMutations:
-    """The `sweep_kleene` suite reaches the packed runs of the chunks that
-    are only partly live, and fails a sweep that drops them."""
+    """The `sweep_kleene` suite fails a sweep that drops the packed runs of
+    the chunks that are only partly live (which `TestRouteCoverage` shows it
+    reaches)."""
 
     CFG = GenConfig(iterations=300)
-
-    def test_many_draws_have_a_partly_live_chunk(self, monkeypatch):
-        from astable import formula
-
-        real = formula._packed_chunks
-        draws = []
-
-        def spy(*args):  # its body runs only for a sweep with a partly live chunk
-            draws.append(0)
-            for chunk in real(*args):
-                draws[-1] += 1
-                yield chunk
-
-        monkeypatch.setattr(formula, "_packed_chunks", spy)
-        report = run_suite("sweep_kleene", self.CFG)
-        assert report.fails == 0 and report.passes == 300
-        assert len(draws) >= 30 and sum(draws) > len(draws)
 
     def test_yielding_zero_for_every_partly_live_chunk_fails(self, monkeypatch):
         from astable import formula
@@ -263,29 +355,10 @@ class TestSweepKleeneMutations:
 
 
 class TestStableProjectionMutations:
-    """The `stable_projection` suite reaches every route of a wide
-    definition part, and each mutation of the derivation, patched in here,
-    fails it."""
+    """Each mutation of the derivation of wide definition parts, patched in
+    here, fails the `stable_projection` suite."""
 
     CFG = GenConfig(iterations=100)
-
-    def test_draws_reach_every_route(self, monkeypatch):
-        from astable import stable
-
-        routes = []
-        real = stable._lane_models
-
-        def spy(prog, var, here, where, batches, derived, compared, check):
-            routes.append((len(derived), len(compared), bool(here)))
-            return real(prog, var, here, where, batches, derived, compared, check)
-
-        monkeypatch.setattr(stable, "_lane_models", spy)
-        report = run_suite("stable_projection", self.CFG)
-        assert report.fails == 0 and report.passes == 100
-        assert any(d >= 2 for d, _, _ in routes)  # parts derived in read order
-        assert any(c >= 2 and not d for d, c, _ in routes)  # a cycle of reads, swept and compared
-        assert any(d and c for d, c, _ in routes)  # both in one run
-        assert any(d and here for d, _, here in routes)  # a unit of modular_solve, with its context
 
     def test_skipping_the_full_program_run_fails(self, monkeypatch):
         from astable import stable
@@ -319,11 +392,12 @@ class TestStableProjectionMutations:
         assert run_suite("stable_projection", self.CFG).fails > 0
 
 
-class TestStableSupportMutations:
-    """Each mutation of the loop route, patched in here, fails a suite: the
-    `stable_support` suite sees which bodies a loop formula copies and
-    which parts take loop formulas, and `stable_loops` which program the
-    wider parts left are checked against."""
+class TestStableLoopsMutations:
+    """Each mutation of the loop route, patched in here, fails the
+    `stable_loops` suite: the suite sees which loops get a formula, which
+    bodies are copied, the there-value of an implication, which parts take
+    loop formulas, and which program the wider parts left are checked
+    against."""
 
     CFG = GenConfig(iterations=40)  # as test_every_suite_green_at_default_seed, which passes
 
@@ -331,53 +405,6 @@ class TestStableSupportMutations:
     # its disjunctive head; `not not q` asks for q, derived from r2, so the
     # program has no stable model
     WIDE = "r0 -> r1. r1 -> r2. r2 -> r3. r3 -> r4. r4 -> r5. r5 -> r6. r6 -> r0. r0 -> r3 | q. r2 -> q. not not q."
-
-    def test_keeping_self_supporting_clauses_fails(self, monkeypatch):
-        from astable import stable
-
-        # every body as it is: `H & q -> q` supports q by itself
-        copy = "_here(b, ys) if any(y >> w & 1 for w in succs[j]) else b"
-        monkeypatch.setattr(stable, "_loop_formulas", _mutant(stable, "_loop_formulas", copy, "b"))
-        assert run_suite("stable_support", self.CFG).fails > 0
-
-    def test_deciding_a_two_atom_cycle_by_its_support_fails(self, monkeypatch):
-        from astable import stable
-
-        real = stable.components
-
-        def split(g):
-            # each two-atom component as two parts of one atom, whose one
-            # loop formula each leaves out the loop of both
-            comps, _ = real(g)
-            out = [piece for c in comps for piece in ([frozenset((x,)) for x in c] if len(c) == 2 else [c])]
-            return out, {x: k for k, c in enumerate(out) for x in c}
-
-        monkeypatch.setattr(stable, "components", split)
-        assert run_suite("stable_support", self.CFG).fails > 0
-
-    def test_checking_the_parts_left_against_the_swept_program_fails(self, monkeypatch):
-        from astable import stable
-
-        real = stable._stable_models
-
-        def swept_only(prog, var, here, a, parts=(), swept=None):
-            return real(swept or prog, var, here, a, parts, swept)
-
-        f = conj(parse_program(self.WIDE))
-        assert len(atoms_of(f)) > stable._NARROW
-        assert len(enumerate_a_stable(f, atoms_of(f))) == 0
-        monkeypatch.setattr(stable, "_stable_models", swept_only)  # both solvers' routine
-        # q's loop formula q -> r2 rejects the ring's unfounded witness
-        assert len(enumerate_a_stable(f, atoms_of(f))) == 1
-        assert run_suite("stable_loops", self.CFG).fails > 0
-
-
-class TestStableLoopsMutations:
-    """Each mutation of the loop formulas, patched in here, fails the
-    `stable_loops` suite: the suite sees which loops get a formula, which
-    bodies are copied and the there-value of an implication."""
-
-    CFG = GenConfig(iterations=40)  # as test_every_suite_green_at_default_seed, which passes
 
     def test_keeping_only_one_atom_loops_fails(self, monkeypatch):
         from astable import stable
@@ -398,6 +425,37 @@ class TestStableLoopsMutations:
         # (G -> H) & (here G -> here H) read as here G -> here H, which
         # holds for ((u | v) -> w) with u in the loop, v and w false
         monkeypatch.setattr(stable, "_here", _mutant(stable, "_here", "_node(Conj, (g, Impl(*new)))", "Impl(*new)"))
+        assert run_suite("stable_loops", self.CFG).fails > 0
+
+    def test_deciding_a_two_atom_cycle_by_its_support_fails(self, monkeypatch):
+        from astable import stable
+
+        real = stable.components
+
+        def split(g):
+            # each two-atom component as two parts of one atom, whose one
+            # loop formula each leaves out the loop of both
+            comps, _ = real(g)
+            out = [piece for c in comps for piece in ([frozenset((x,)) for x in c] if len(c) == 2 else [c])]
+            return out, {x: k for k, c in enumerate(out) for x in c}
+
+        monkeypatch.setattr(stable, "components", split)
+        assert run_suite("stable_loops", self.CFG).fails > 0
+
+    def test_checking_wide_parts_on_the_swept_program_fails(self, monkeypatch):
+        from astable import stable
+
+        real = stable._stable_models
+
+        def swept_only(prog, var, here, a, parts=(), swept=None):
+            return real(swept or prog, var, here, a, parts, swept)
+
+        f = conj(parse_program(self.WIDE))
+        assert len(atoms_of(f)) > stable._NARROW
+        assert len(enumerate_a_stable(f, atoms_of(f))) == 0
+        monkeypatch.setattr(stable, "_stable_models", swept_only)  # both solvers' routine
+        # q's loop formula q -> r2 rejects the ring's unfounded witness
+        assert len(enumerate_a_stable(f, atoms_of(f))) == 1
         assert run_suite("stable_loops", self.CFG).fails > 0
 
 
