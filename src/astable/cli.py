@@ -59,14 +59,11 @@ def _atom_set(text: str) -> frozenset[Atom]:
     return frozenset(parse_atom_list(text)) if text.strip() else frozenset()
 
 
-def _load_conjuncts(args) -> tuple[list[Formula], list[frozenset[Atom]] | None, frozenset[Atom], frozenset[Atom]]:
+def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Atom]]:
     """Read a program file (ground or first-order), returning its conjuncts,
-    the atoms of each conjunct when reading the signature needed them (a
-    ground input) or else None, the signature, and the intensional set
-    selected by the flags."""
+    the signature, and the intensional set selected by the flags."""
     text = _read(args.file)
     intensional_pred = getattr(args, "intensional_pred", None)
-    mentions = None
     if _is_fo_input(text):
         conjuncts, interp = _ground_fo(text)
         sigma = set(fo.ground_signature(interp))
@@ -74,8 +71,7 @@ def _load_conjuncts(args) -> tuple[list[Formula], list[frozenset[Atom]] | None, 
         if intensional_pred is not None:
             raise ParseError("--intensional-pred needs a first-order input with #domain", 1, 1)
         conjuncts = parse_program(text)
-        mentions = list(map(atoms_of, conjuncts))
-        sigma = set().union(*mentions)
+        sigma = set().union(*map(atoms_of, conjuncts))
     if intensional_pred is not None:
         preds = [p.strip() for p in intensional_pred.split(",") if p.strip()]
         intensional = set(fo.pred_atoms(preds, interp))
@@ -88,7 +84,7 @@ def _load_conjuncts(args) -> tuple[list[Formula], list[frozenset[Atom]] | None, 
     if getattr(args, "sigma", None) is not None:
         sigma |= _atom_set(args.sigma)
     sigma |= intensional
-    return conjuncts, mentions, frozenset(sigma), frozenset(intensional)
+    return conjuncts, frozenset(sigma), frozenset(intensional)
 
 
 def _print_models(models: ModelSet, as_json: bool) -> None:
@@ -107,19 +103,17 @@ def _cmd_ground(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    conjuncts, _, sigma, intensional = _load_conjuncts(args)
+    conjuncts, sigma, intensional = _load_conjuncts(args)
     models = enumerate_a_stable(conj(conjuncts), intensional, sigma, max_atoms=args.max_atoms)
     _print_models(models, args.json)
     return 0
 
 
 def _cmd_graph(args) -> int:
-    conjuncts, _, _, intensional = _load_conjuncts(args)
+    conjuncts, _, intensional = _load_conjuncts(args)
     g = dep_graph(conj(conjuncts), intensional)
-    pi = None
-    if args.part1:
-        part1 = frozenset(parse_atom_list(args.part1))
-        pi = Partition2(part1 & g.vertices, g.vertices - part1)
+    part1 = _atom_set(args.part1 or "")  # no part1 boxes no vertex, as a blank one
+    pi = Partition2(part1 & g.vertices, g.vertices - part1)
     if args.dot:
         sys.stdout.write(to_dot(g, pi))
     else:
@@ -129,7 +123,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_split_solve(args) -> int:
-    conjuncts, mentions, sigma, intensional = _load_conjuncts(args)
+    conjuncts, sigma, intensional = _load_conjuncts(args)
     if args.part1 is not None or args.part2 is not None:
         if args.part1 is None or args.part2 is None:
             raise ParseError("--part1 and --part2 must be given together", 1, 1)
@@ -137,7 +131,7 @@ def _cmd_split_solve(args) -> int:
         models = split_models_lemma(conj(conjuncts), p1, p2, sigma, max_atoms=args.max_atoms)
     else:
         try:
-            models = modular_solve(conjuncts, intensional, sigma, max_atoms=args.max_atoms, mentions=mentions)
+            models = modular_solve(conjuncts, intensional, sigma, max_atoms=args.max_atoms)
         except SplitPlanError as exc:
             # the splitting theorem does not apply: sweep the whole signature instead
             print(f"WARNING: modular solve falling back to brute force: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import AbstractSet
 
-from .formula import Atom, Formula, Impl, atoms_of, conj, satisfies
+from .formula import Atom, Formula, Impl, atoms_of, conj, read_rule, satisfies
 from .records import Record
 from .stable import (
     DEFAULT_MAX_ATOMS,
@@ -23,7 +23,6 @@ from .stable import (
     ModelSet,
     _check_cap,
     _clause,
-    _conjuncts,
     _least_fixpoint,
     enumerate_a_stable,
     format_masks,
@@ -76,22 +75,22 @@ def recognize_definition(g: Formula, q: AbstractSet[Atom]) -> DefinitionModule |
     """Check that g is a definition for q and split out its clauses.
 
     g may be a conjunction of clauses, nested conjunctions opened as the
-    solvers open them (`stable._conjuncts`), or a single clause.  Each
-    clause must be an implication with a head atom from q; direct q-atom
-    conjuncts of the antecedent are collected separately, and the rest of
-    the antecedent must be q-free (see `stable._clause`, which the solvers
-    share; only a fact is a clause there and not here).  A failed check
-    returns a Rejection naming the first offending conjunct; rejection is
-    an answer, not an error.
+    solvers open them (the pieces of `formula.read_rule`), or a single
+    clause.  Each clause must be an implication with a head atom from q;
+    direct q-atom conjuncts of the antecedent are collected separately,
+    and the rest of the antecedent must be q-free (see `stable._clause`,
+    which the solvers share; only a fact is a clause there and not here).
+    A failed check returns a Rejection naming the first offending
+    conjunct; rejection is an answer, not an error.
     """
     q = frozenset(q)
     clauses = []
-    for c in _conjuncts(g):
-        if not isinstance(c, Impl):
-            return Rejection(c, "conjunct is not an implication")
-        clause = _clause(c, q)
+    for piece in read_rule(g).pieces:
+        if not isinstance(piece[0], Impl):
+            return Rejection(piece[0], "conjunct is not an implication")
+        clause = _clause(piece, q)
         if type(clause) is str:
-            return Rejection(c, clause)
+            return Rejection(piece[0], clause)
         clauses.append(Clause(*clause))
     return DefinitionModule(tuple(clauses), q, g)
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from itertools import count, repeat
-from typing import AbstractSet, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator
 
-from .formula import Atom, AtomRef, Disj, Formula, Impl
+from .formula import Atom, AtomRef, Disj, Formula, Impl, Rule
 from .records import Record
 
 
@@ -72,11 +72,6 @@ def _signed_atoms(f: Formula, positive: bool, antecedents: bool) -> frozenset[At
     each antecedent whose consequent is not the structural bot, so negated
     occurrences are never reached.
     """
-    if not antecedents:
-        while type(f) is Impl:  # the walk would only enter the consequent
-            f = f.rhs
-    if type(f) is AtomRef:
-        return frozenset((f.atom,)) if positive else frozenset()
     out: set[Atom] = set()
     stack = [(f, positive)]
     while stack:
@@ -136,21 +131,19 @@ def rules(f: Formula) -> list[Formula]:
     return out
 
 
-def dep_graph(f: Formula | Sequence[Formula], a: AbstractSet[Atom]) -> DepGraph:
+def dep_graph(f: Formula, a: AbstractSet[Atom]) -> DepGraph:
     """Positive dependency graph of f over the intensional atoms a.
 
-    f may also be a sequence of formulas standing for their conjunction,
-    which spares building it.  One iterative walk down the strictly
-    positive spine (conjunction and disjunction children, implication
-    consequents) carries the positive nonnegated intensional atoms of the
-    antecedents passed on the way; each strictly positive intensional atom
-    reached gets an edge to each of them, which is the edge set `rules`
-    defines.  No formula is hashed, so any depth is safe.
+    One iterative walk down the strictly positive spine (conjunction and
+    disjunction children, implication consequents) carries the positive
+    nonnegated intensional atoms of the antecedents passed on the way;
+    each strictly positive intensional atom reached gets an edge to each
+    of them, which is the edge set `rules` defines.  No formula is hashed,
+    so any depth is safe.
     """
     a = frozenset(a)
     edges: set[tuple[Atom, Atom]] = set()
-    roots = (f,) if isinstance(f, Formula) else f
-    stack: list[tuple[Formula, frozenset[Atom]]] = [(g, frozenset()) for g in roots]
+    stack: list[tuple[Formula, frozenset[Atom]]] = [(f, frozenset())]
     while stack:
         g, bodies = stack.pop()
         t = type(g)
@@ -158,21 +151,18 @@ def dep_graph(f: Formula | Sequence[Formula], a: AbstractSet[Atom]) -> DepGraph:
             if bodies and g.atom in a:
                 edges.update(zip(repeat(g.atom), bodies))
         elif t is Impl:
-            rhs = g.rhs
-            if type(rhs) is Disj and not rhs.children:  # the structural bot
+            if type(g.rhs) is Disj and not g.rhs.children:  # the structural bot
                 continue
-            lhs = g.lhs
-            if type(lhs) is AtomRef:  # a one-atom body, the common case
-                if lhs.atom in a and lhs.atom not in bodies:
-                    bodies = bodies | {lhs.atom}
-            else:
-                body = pos_nonnegated(lhs) & a
-                if body - bodies:
-                    bodies = bodies | body
-            stack.append((rhs, bodies))
+            stack.append((g.rhs, bodies | (pos_nonnegated(g.lhs) & a)))
         else:
             stack.extend((c, bodies) for c in g.children)
     return DepGraph(a, frozenset(edges))
+
+
+def rule_graph(rules: Iterable[Rule], a: frozenset[Atom]) -> DepGraph:
+    """`dep_graph` over a of the conjunction of the rules' formulas, read
+    off their edges (see `formula.Rule`) with no formula walked."""
+    return DepGraph(a, frozenset([(h, b) for r in rules for h, bodies in r.edges if h in a for b in bodies if b in a]))
 
 
 def strong_components(succs: list[list[int]]) -> tuple[list[list[int]], list[int]]:

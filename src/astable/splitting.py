@@ -8,15 +8,18 @@ units, the strongly connected components of the graph of which atoms each
 rule head mentions, and a modular solver evaluates the units in condensation
 order, carrying partial interpretations.  Units may depend on each other
 through negation; positive dependency stays inside a unit, as the symmetric
-splitting theorem asks.  Each unit is compiled, routed and decoded in its
-own step; how it is solved, its route, is for `stable` to choose and run
-(`_unit_route`, `_unit_models`), and this module never reads a route's
-fields.  It keeps the plan, the cap, which it reads off the unit formulas
-before compiling any, the contexts each unit is solved in and the
-frontier.  Both strategies verify their preconditions, and the modular
-solver refuses with SplitPlanError when a conjunct's strictly positive
-intensional atoms span dependency blocks; the CLI then answers by brute
-force.
+splitting theorem asks.  Each conjunct is read once, by one walk, into its
+record (`formula.read_rule`): its atoms, heads, dependency edges, pieces
+and compiled ops.  The planner, the cap and every step read the records
+only.  Each unit's program is its rules' ops renumbered into one, and it
+is routed and decoded in its own step; how it is solved, its route, is for
+`stable` to choose and run (`_unit_route`, `_unit_models`), and this module
+never reads a route's fields.  It keeps the plan, the cap, which it reads
+off the records before compiling any unit, the contexts each unit is
+solved in and the frontier.  Both strategies verify their preconditions,
+and the modular solver refuses with SplitPlanError when a conjunct's
+strictly positive intensional atoms span dependency blocks; the CLI then
+answers by brute force.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .depgraph import (
     components,
     dep_graph,
     offending_scc,
+    rule_graph,
     sccs,  # not called here; perfbench/spans.py wraps this name
     strictly_positive,
     strong_components,
@@ -39,9 +43,11 @@ from .formula import (
     Atom,
     CapExceeded,
     Formula,
+    Rule,
     atoms_of,
-    compile_extensible,
+    compile_rules,
     conj,
+    read_rule,
     satisfies,  # not called here; perfbench/spans.py wraps this name
 )
 from .records import Record
@@ -51,7 +57,6 @@ from .stable import (
     ModelSet,
     _check_cap,
     _clause,
-    _conjuncts,
     _decode,
     _unit_models,
     _unit_route,
@@ -105,15 +110,12 @@ def split_models_lemma(
     """Models stable under p1 and under p2 at once; equals the p1|p2-stable
     models when {p1, p2} is infinitely separable on the dependency graph."""
     p1, p2 = frozenset(p1), frozenset(p2)
-    violations = []
     if p1 & p2:
         names = ", ".join(str(a) for a in sorted(p1 & p2))
         raise PreconditionError([f"parts overlap on: {names}"])
     sep = _separability_violation(f, p1, p2)
     if sep:
-        violations.append(sep)
-    if violations:
-        raise PreconditionError(violations)
+        raise PreconditionError([sep])
     sig = frozenset(sigma) if sigma is not None else atoms_of(f) | p1 | p2
     m1 = enumerate_a_stable(f, p1, sig, max_atoms=max_atoms)
     m2 = enumerate_a_stable(f, p2, sig, max_atoms=max_atoms)
@@ -157,38 +159,35 @@ def split_models_theorem(
 
 
 class SplitPlan(Record):
-    """Conjuncts grouped per evaluation unit, in condensation order.
+    """Conjuncts grouped per evaluation unit, in condensation order, each
+    conjunct as its record (see `formula.Rule`).
 
     A unit is a strongly connected component of the mention graph over the
     intensional set, in which each strictly positive intensional atom of a
     conjunct (its head) reaches each intensional atom that conjunct
     mentions.  Unit atom sets are pairwise disjoint and cover the
-    intensional set; a unit's formula is the conjunction of the conjuncts
-    whose heads lie in it, and mentions only the unit's own atoms, atoms of
-    later-listed units and atoms outside the intensional set.  Conjuncts
-    without heads act as constraints and stay in the residual; the modular
-    solver solves each of them last, as a unit with no atoms.
+    intensional set; a unit's rules are those of the conjuncts whose heads
+    lie in it, in the order given, and they mention only the unit's own
+    atoms, atoms of later-listed units and atoms outside the intensional
+    set.  Conjuncts without heads act as constraints and stay in the
+    residual; the modular solver solves each of them last, as a unit with
+    no atoms.
     """
 
     __slots__ = ("blocks", "residual")
 
-    def __init__(self, blocks: tuple[tuple[frozenset[Atom], Formula], ...], residual: tuple[Formula, ...]) -> None:
+    def __init__(self, blocks: tuple[tuple[frozenset[Atom], tuple[Rule, ...]], ...], residual: tuple[Rule, ...]) -> None:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "residual", residual)
 
 
-def plan_split(
-    conjuncts: Sequence[Formula],
-    a: AbstractSet[Atom],
-    mentions: Sequence[AbstractSet[Atom]] | None = None,
-) -> SplitPlan:
+def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     """The units of the conjuncts over the intensional set a (see
-    `SplitPlan`), each listed before the units its formula mentions.
-    `mentions`, when the caller has them, are the atoms of each conjunct
-    (`atoms_of`), which are then not computed again.
-
-    When some conjunct has two or more heads, the dependency graph is
-    built first: each conjunct's heads must share a dependency block, else
+    `SplitPlan`), each listed before the units its rules mention.  Each
+    conjunct is read once, into its record (`formula.read_rule`), and the
+    plan reads nothing else: its atoms, its heads and, when some conjunct
+    has two or more heads, the dependency edges of them all
+    (`rule_graph`), whose blocks each conjunct's heads must share, else
     SplitPlanError.  The mention graph has a vertex per intensional atom,
     sorted, and no other: a headed conjunct's first head stands in for it,
     its other heads point to that one, and that one points to each
@@ -197,40 +196,35 @@ def plan_split(
     mention path, so a unit is a union of blocks.
     """
     a = frozenset(a)
-    heads = [strictly_positive(c) & a for c in conjuncts]
+    rules = list(map(read_rule, conjuncts))
+    heads = [a.intersection(r.heads) for r in rules]
     if any(len(hs) > 1 for hs in heads):
-        _, block_of = components(dep_graph(conjuncts, a))
-        for c, hs in zip(conjuncts, heads):
+        _, block_of = components(rule_graph(rules, a))
+        for r, hs in zip(rules, heads):
             if len({block_of[x] for x in hs}) > 1:
                 names = _clipped(", ".join(str(p) for p in sorted(hs)))
                 raise SplitPlanError(
-                    c,
-                    f"conjunct '{_clipped(str(c))}' has strictly positive intensional atoms {names} "
+                    r.formula,
+                    f"conjunct '{_clipped(str(r.formula))}' has strictly positive intensional atoms {names} "
                     "spanning multiple dependency blocks",
                 )
     atoms = sorted(a)
     index = {x: k for k, x in enumerate(atoms)}
     succs: list[list[int]] = [[] for _ in atoms]
-    headed: list[tuple[int, Formula]] = []  # (first head, conjunct)
-    residual = []
-    if mentions is None:
-        mentions = map(atoms_of, conjuncts)
-    for c, hs, mentioned in zip(conjuncts, heads, mentions):
+    for r, hs in zip(rules, heads):
         if hs:
             first, *others = [index[h] for h in hs]
             for h in others:
                 succs[h].append(first)
-            succs[first] += [index[x] for x in mentioned & a]
-            headed.append((first, c))
-        else:
-            residual.append(c)
+            succs[first] += [index[x] for x in a.intersection(r.atoms)]
     comps, comp_of = strong_components(succs)
-    assigned: list[list[Formula]] = [[] for _ in comps]
-    for first, c in headed:
-        assigned[comp_of[first]].append(c)
+    assigned: list[list[Rule]] = [[] for _ in comps]
+    for r, hs in zip(rules, heads):
+        if hs:  # all of its heads lie in one unit
+            assigned[comp_of[index[min(hs)]]].append(r)
     listing = topological_order(succs, comps, comp_of)
-    blocks = tuple((frozenset(atoms[v] for v in comps[k]), conj(assigned[k])) for k in listing)
-    return SplitPlan(blocks, tuple(residual))
+    blocks = tuple((frozenset(atoms[v] for v in comps[k]), tuple(assigned[k])) for k in listing)
+    return SplitPlan(blocks, tuple(r for r, hs in zip(rules, heads) if not hs))
 
 
 def _check_frontier(size: int, max_atoms: int) -> None:
@@ -252,19 +246,25 @@ def _shared(frontier: list[int], extensions: Sequence[int], max_atoms: int) -> l
 
 
 def _extend_frontier(
-    frontier: list[int], unit_atoms: AbstractSet[Atom], f: Formula, bit: dict[Atom, int], solved: dict, max_atoms: int
+    frontier: list[int],
+    unit_atoms: AbstractSet[Atom],
+    rules: Sequence[Rule],
+    bit: dict[Atom, int],
+    solved: dict,
+    max_atoms: int,
 ) -> list[int]:
     """Every frontier entry joined with each stable extension of the unit
-    with these atoms and formula f, all as bitmasks (`bit` maps atoms to
-    their bits; an atom f mentions without a bit is always false), in no
+    with these atoms and rules, all as bitmasks (`bit` maps atoms to their
+    bits; an atom the rules mention without a bit is always false), in no
     particular order.
 
-    f is compiled here, once, and the unit's route (see
-    `stable._unit_route`) is built once per shape: it depends only on the
-    shape of f's program and where the unit atoms sit in it, so `solved`
-    shares it, and the extensions it has found, between isomorphic units,
-    such as the ground instances of one rule.  The extensions depend only
-    on the context, the entry's values of the non-unit atoms f mentions,
+    The unit's program is its rules' ops, renumbered into one
+    (`formula.compile_rules`), and its route (see `stable._unit_route`)
+    is built once per shape: it depends only on the shape of the program
+    and where the unit atoms sit in it, so `solved` shares it, and the
+    extensions it has found, between isomorphic units, such as the ground
+    instances of one rule.  The extensions depend only on the context,
+    the entry's values of the non-unit atoms the rules mention,
     so each distinct context is solved once on the route: its A-stable
     assignments, A = the unit's atoms, with the context fixed
     (`stable._unit_models`).  One `stable._decode` call spreads the
@@ -274,7 +274,7 @@ def _extend_frontier(
     extensions (`_shared`); a unit with one extension per context joins
     each entry with its context's one.
     """
-    prog, conjoin = compile_extensible(f)
+    prog, _ = compile_rules(rules)
     unit: list[int] = []  # positions over prog.atoms
     sig_bits: list[int] = []
     context: list[tuple[int, int]] = []  # (bit over sigma, bit over prog.atoms)
@@ -289,7 +289,7 @@ def _extend_frontier(
     key = (prog.ops, prog.root, len(prog.atoms), tuple(unit))
     route = solved.get(key)
     if route is None:
-        route = solved[key] = _unit_route(f, prog, conjoin, unit)
+        route = solved[key] = _unit_route(rules, prog, unit)
     heres: dict[int, int] = {}  # each distinct context, over prog.atoms
     for ctx in set(map(ctx_mask.__and__, frontier)):
         here = 0
@@ -319,19 +319,19 @@ def modular_solve(
     sigma: AbstractSet[Atom] | None = None,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    mentions: Sequence[AbstractSet[Atom]] | None = None,
 ) -> ModelSet:
     """A-stable models of the conjunction, computed unit by unit.
 
     Units (see `SplitPlan`) are evaluated in reverse listing order, so a
-    unit's formula only reads atoms already decided; each step extends the
+    unit's rules only read atoms already decided; each step extends the
     partial interpretations with every locally stable assignment to the
     unit's atoms, so the cost is the sum of per-unit enumerations times the
     surviving frontier instead of one sweep over the whole signature.  This
     is the symmetric splitting theorem: units may depend on each other
     through negation, only positive dependency stays inside a unit.  Each
-    unit formula, a one-conjunct unit as its conjunct, is compiled in its
-    own step and solved once per distinct context on the route that
+    conjunct is read once, by `plan_split`, and every later step reads its
+    record: a unit's program is its rules' ops renumbered into one, and
+    it is solved once per distinct context on the route that
     `stable._unit_route` picks for its shape, with A = the unit's atoms and
     the context fixed (see `_extend_frontier`).
     Residual conjuncts, which have no strictly positive intensional atoms,
@@ -344,31 +344,27 @@ def modular_solve(
     as the CLI does.  A unit or an extensional context wider than
     max_atoms atoms, or a frontier of more than 2**max_atoms
     interpretations, raises CapExceeded.  A unit wider than `_NARROW` atoms
-    whose every conjunct is a clause of a definition for its atoms
+    whose every piece is a clause of a definition for its atoms
     (`stable._clause`) has one extension per context and is not
-    enumerated, so it may be wider; the cap reads that off the formula,
-    before any unit is compiled.
-    `mentions`, the atoms of each conjunct when the caller has them, go to
-    `plan_split`; sigma defaults to A and the atoms of the conjuncts.
+    enumerated, so it may be wider; the cap reads that off the records,
+    before any unit is compiled.  sigma defaults to A and the atoms of the
+    conjuncts.
     """
     a = frozenset(a)
-    if sigma is None and mentions is None:
-        mentions = list(map(atoms_of, conjuncts))
-    plan = plan_split(conjuncts, a, mentions)
-    sig = a.union(*mentions) if sigma is None else frozenset(sigma)
-    steps = [(atoms, f.children[0] if len(f.children) == 1 else f) for atoms, f in reversed(plan.blocks)]
-    steps += [(frozenset(), r) for r in plan.residual]
+    plan = plan_split(conjuncts, a)
+    steps = [*reversed(plan.blocks), *((frozenset(), (r,)) for r in plan.residual)]
+    sig = a.union(*(r.atoms for _, rules in steps for r in rules)) if sigma is None else frozenset(sigma)
     # The cap guards every exponential dimension: the extensional context
     # enumerated up front and the widest enumerated unit here, the frontier
-    # in _extend_frontier.  A unit wider than _NARROW whose every conjunct
-    # is a clause of a definition for its atoms is not enumerated (see
-    # `stable._unit_route`); that is read off its formula, so nothing is
+    # in _extend_frontier.  A unit wider than _NARROW whose every piece is
+    # a clause of a definition for its atoms is not enumerated (see
+    # `stable._unit_route`); that is read off its rules, so nothing is
     # compiled before the cap is decided.
     wide = [
         len(atoms)
-        for atoms, f in steps
+        for atoms, rules in steps
         if len(atoms) > max_atoms
-        and (len(atoms) <= _NARROW or any(type(_clause(c, atoms)) is str for c in _conjuncts(f)))
+        and (len(atoms) <= _NARROW or any(type(_clause(p, atoms)) is str for r in rules for p in r.pieces))
     ]
     _check_cap(max([len(sig - a), *wide]), max_atoms)
 
@@ -381,6 +377,6 @@ def modular_solve(
     for x in sig - a:
         frontier += [m | bit[x] for m in frontier]
     solved: dict[tuple, tuple] = {}  # see _extend_frontier
-    for atoms, f in steps:
-        frontier = _extend_frontier(frontier, atoms, f, bit, solved, max_atoms)
+    for atoms, rules in steps:
+        frontier = _extend_frontier(frontier, atoms, rules, bit, solved, max_atoms)
     return ModelSet.from_masks(frontier, order, sig)

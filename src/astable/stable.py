@@ -15,7 +15,7 @@ from collections import Counter
 from operator import add, is_, itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from .depgraph import DepGraph, components, dep_graph, strictly_positive, strong_components
+from .depgraph import DepGraph, components, rule_graph, strong_components
 from .formula import (
     BOT,
     TOP,
@@ -27,17 +27,21 @@ from .formula import (
     Disj,
     Formula,
     Impl,
+    Piece,
     Program,
+    Rule,
     SignatureError,
     _chunk_patterns,
     _set_children,
     atoms_of,
     check_signature,
-    compile_extensible,
     compile_formula,
+    compile_rules,
+    conjoin,
     disj,
     live_prefixes,
     neg,
+    read_extensible,
     reduct,
     satisfies,
     set_bits,
@@ -479,66 +483,42 @@ Clause = tuple[Program, tuple[int, ...], tuple[int, ...], int]
 Part = tuple[int, tuple[Clause, ...] | None]  # (bitmask, clauses when the part is a definition)
 
 
-def _conjuncts(f: Formula) -> list[Formula]:
-    """The conjuncts of f, every nested conjunction opened, in order."""
-    out: list[Formula] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is Conj:
-            stack.extend(reversed(g.children))
-        else:
-            out.append(g)
-    return out
-
-
-def _split_antecedent(ante: Formula, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom]]:
-    """The antecedent of a clause as (H, C): C the atoms of q that are its
-    direct conjuncts (or the antecedent itself), H the conjunction of the
-    rest, the one object `TOP` when nothing is left, so that its clauses
-    share one compiled body.  With C empty, H is the antecedent itself,
-    the very object."""
-    if type(ante) is Conj:
-        pos_q = frozenset(d.atom for d in ante.children if type(d) is AtomRef and d.atom in q)
-        if not pos_q:
-            return ante, pos_q
-        rest = [d for d in ante.children if not (type(d) is AtomRef and d.atom in q)]
-        return (rest[0] if len(rest) == 1 else Conj(tuple(rest)) if rest else TOP), pos_q
-    if type(ante) is AtomRef and ante.atom in q:
-        return TOP, frozenset((ante.atom,))
-    return ante, frozenset()
-
-
-def _clause(c: Formula, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom], Atom] | str:
-    """c as a clause `H & C -> h` of a definition for q, (H, C, h): h in q,
-    C the atoms of q that are direct conjuncts of the antecedent, H the rest
-    of it, which must mention no atom of q.  An atom of q is the clause
-    `top -> h`.  When c is no such clause, such as a disjunctive head, the
-    reason: "consequent is not a defined atom", or "defined atom X occurs
-    in a clause body" for the least such atom X."""
+def _clause(piece: Piece, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom], Atom] | str:
+    """The piece of a rule (see `formula.Piece`) as a clause `H & C -> h`
+    of a definition for q, (H, C, h): h in q, C the atoms of q that are
+    direct conjuncts of the antecedent, H the rest of it, which must
+    mention no atom of q, the one object `TOP` when nothing is left, so
+    that its clauses share one compiled body, and the antecedent itself,
+    the very object, when C is empty.  An atom of q is the clause
+    `top -> h`.  When the piece is no such clause, such as a disjunctive
+    head, the reason: "consequent is not a defined atom", or "defined atom
+    X occurs in a clause body" for the least such atom X, read off the
+    piece's body atoms; the rest is read off the formula's top two
+    levels."""
+    c, _, nested = piece
     if type(c) is AtomRef and c.atom in q:
         return TOP, frozenset(), c.atom
     if type(c) is not Impl or type(c.rhs) is not AtomRef or c.rhs.atom not in q:
         return "consequent is not a defined atom"
-    body, pos_q = _split_antecedent(c.lhs, q)
-    mentioned = atoms_of(body)
-    if not mentioned.isdisjoint(q):
-        return f"defined atom {min(mentioned.intersection(q))} occurs in a clause body"
-    return body, pos_q, c.rhs.atom
+    if not nested.isdisjoint(q):
+        return f"defined atom {min(nested.intersection(q))} occurs in a clause body"
+    kids = c.lhs.children if type(c.lhs) is Conj else (c.lhs,)
+    pos_q = frozenset([d.atom for d in kids if type(d) is AtomRef and d.atom in q])
+    if not pos_q:
+        return c.lhs, pos_q, c.rhs.atom
+    rest = [d for d in kids if not (type(d) is AtomRef and d.atom in q)]
+    return (rest[0] if len(rest) == 1 else Conj(tuple(rest)) if rest else TOP), pos_q, c.rhs.atom
 
 
-def _definition(conjuncts: Iterable[Formula], prog: Program, part: int) -> tuple[Clause, ...] | None:
-    """The conjuncts as the compiled clauses of a definition for the atoms
-    of the bitmask `part` over prog.atoms, at their positions there, or
+def _definition(pieces: Iterable[Piece], atoms: Sequence[Atom], part: int) -> tuple[Clause, ...] | None:
+    """The pieces of rules as the compiled clauses of a definition for the
+    atoms of the bitmask `part` over `atoms`, at their positions there, or
     None when one of them is no clause of such a definition."""
-    q = {x for b, x in enumerate(prog.atoms) if part >> b & 1}
-    found = []
-    for c in conjuncts:
-        clause = _clause(c, q)
-        if type(clause) is str:
-            return None
-        found.append(clause)
-    position = {x: b for b, x in enumerate(prog.atoms)}.__getitem__
+    q = {x for b, x in enumerate(atoms) if part >> b & 1}
+    found = [_clause(piece, q) for piece in pieces]
+    if any(type(clause) is str for clause in found):
+        return None
+    position = {x: b for b, x in enumerate(atoms)}.__getitem__
     compiled: dict[int, tuple[Program, tuple[int, ...]]] = {}  # per body object, such as the many `top`s of a ring
     out = []
     for body, pos_q, head in found:
@@ -549,13 +529,17 @@ def _definition(conjuncts: Iterable[Formula], prog: Program, part: int) -> tuple
     return tuple(out)
 
 
-def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> tuple[list[Part], list[Formula]]:
+def _parts(rules: Sequence[Rule], atoms: Sequence[Atom], a: AbstractSet[Atom]) -> tuple[list[Part], list[Formula]]:
     """The parts of A & occurring wider than `_NARROW` atoms, as bitmasks
-    over prog.atoms, each with its clauses when it is a definition, else
-    None; and the loop formulas that decide every other part in the sweep.
+    over `atoms`, the sorted atoms of the conjunction f of the rules'
+    formulas, as its program has them, each with its clauses when it is a
+    definition, else None; and the loop formulas that decide every other
+    part in the sweep.
     The parts are the strongly connected components of the positive
-    dependency graph of f over those atoms.  This is where a part's route
-    is chosen, as `_unit_route` chooses a modular unit's and `_read_order`
+    dependency graph of f over those atoms, and each part's defining
+    conjuncts are the pieces of the rules whose heads meet it, all read
+    off the rules (see `formula.Rule`).  This is where a part's route is
+    chosen, as `_unit_route` chooses a modular unit's and `_read_order`
     which definition parts are derived.
 
     Why a classical model I of f is C-stable for a part C of at most
@@ -596,25 +580,20 @@ def _parts(f: Formula, prog: Program, a: AbstractSet[Atom]) -> tuple[list[Part],
     are swept, and compared with that fixpoint.  Any other wider part is
     checked by `_ht_minimal`.
     """
-    bit = {x: 1 << b for b, x in enumerate(prog.atoms) if x in a}
-    if not bit:
-        return [], []
-    graph = dep_graph(f, bit.keys())
+    bit = {x: 1 << b for b, x in enumerate(atoms) if x in a}
+    graph = rule_graph(rules, frozenset(bit))
     comps, comp_of = components(graph)
-    defining: list[list[Formula]] = [[] for _ in comps]  # per part, in the order of f
-    for c in _conjuncts(f):
-        g = c
-        while type(g) is Impl:  # only a consequent holds strictly positive atoms
-            g = g.rhs
-        for k in {comp_of[x] for x in ((g.atom,) if type(g) is AtomRef else strictly_positive(g)) if x in comp_of}:
-            defining[k].append(c)
+    defining: list[list[Piece]] = [[] for _ in comps]  # per part, in the order of f
+    for piece in itertools.chain.from_iterable(r.pieces for r in rules):
+        for k in {comp_of[x] for x in piece[1] if x in comp_of}:
+            defining[k].append(piece)
     parts, loop_formulas = [], []
-    for comp, conjuncts in zip(comps, defining):
+    for comp, pieces in zip(comps, defining):
         if len(comp) > _NARROW:
             mask = sum(map(bit.__getitem__, comp))
-            parts.append((mask, _definition(conjuncts, prog, mask)))
+            parts.append((mask, _definition(pieces, atoms, mask)))
         else:
-            loop_formulas += _loop_formulas(comp, conjuncts, graph)
+            loop_formulas += _loop_formulas(comp, [piece[0] for piece in pieces], graph)
     return parts, loop_formulas
 
 
@@ -998,13 +977,12 @@ def _stable_models(
     return _stable_subset(prog, var, here, others, candidates) if others else candidates
 
 
-def _unit_route(f: Formula, prog: Program, conjoin, unit: Sequence[int]) -> tuple:
+def _unit_route(rules: Sequence[Rule], prog: Program, unit: Sequence[int]) -> tuple:
     """How `splitting.modular_solve` solves a unit, the atoms at positions
-    `unit` of prog.atoms, all intensional, when f compiles as prog and
-    `conjoin` continues the walk that compiled it (see
-    `compile_extensible`): (one, prog, unit, the parts or the clauses, the
-    swept program, the assignments found per context so far), `one` when
-    every context has exactly one extension.
+    `unit` of prog.atoms, all intensional, when prog is the program of the
+    rules (`compile_rules`): (one, prog, unit, the parts or the clauses,
+    the swept program, the assignments found per context so far), `one`
+    when every context has exactly one extension.
 
     A unit of at most `_NARROW` atoms takes the one packed run.  A wider
     unit whose whole formula is a definition for its atoms takes its
@@ -1016,11 +994,11 @@ def _unit_route(f: Formula, prog: Program, conjoin, unit: Sequence[int]) -> tupl
     """
     if len(unit) <= _NARROW:
         return False, prog, unit, (), None, {}
-    clauses = _definition(_conjuncts(f), prog, sum(1 << b for b in unit))
+    clauses = _definition([piece for r in rules for piece in r.pieces], prog.atoms, sum(1 << b for b in unit))
     if clauses is not None:
         return True, prog, unit, clauses, None, {}
-    parts, loop_formulas = _parts(f, prog, frozenset(map(prog.atoms.__getitem__, unit)))
-    return False, prog, unit, parts, conjoin(loop_formulas) if loop_formulas else None, {}
+    parts, loop_formulas = _parts(rules, prog.atoms, frozenset(map(prog.atoms.__getitem__, unit)))
+    return False, prog, unit, parts, compile_rules(rules, loop_formulas)[1], {}
 
 
 def _unit_models(route: tuple, heres: Iterable[int]) -> dict[int, Sequence[int]]:
@@ -1051,8 +1029,12 @@ def enumerate_a_stable(
 
     sigma defaults to the atoms occurring in f plus a; extra extensional
     atoms must be supplied explicitly since they change the result.  f is
-    compiled once, and `_stable_models` finds the A-stable assignments to
-    all of its atoms, the routine that also solves every unit of
+    read once, by one walk, into its record (`formula.read_extensible`):
+    its program, and its pieces and dependency edges, all that `_parts`
+    reads.  When sigma shows that f has at most `_NARROW` atoms, or more
+    than the cap allows, no part is read, and f is only compiled.
+    `_stable_models` then finds the A-stable assignments to all of its
+    atoms, the routine that also solves every unit of
     `splitting.modular_solve` but a definition (see `_unit_route`): with at
     most `_NARROW` atoms by one packed run over every assignment, else one
     part of A at a time (see `_parts`).  A part is a strongly connected
@@ -1060,14 +1042,15 @@ def enumerate_a_stable(
     the symmetric splitting theorem a classical model is C-stable for f iff
     it is C-stable for the conjuncts in which an atom of C is strictly
     positive.  A part of at most `_NARROW` atoms is decided by its loop
-    formulas, which are conjoined to f in the walk that compiled it, so
-    that every classical check runs on f with them.  A wider part that is
-    a definition has one C-stable model per interpretation of the other
-    atoms, the least fixpoint of its clauses: unless it is on a cycle of
-    body reads between definition parts (see `_read_order`), its atoms are
-    not swept but derived, part after part, on every live assignment to
-    the other atoms at once, one byte lane each, and one run of f with the
-    loop formulas over those lanes keeps the models (see `_lane_models`).
+    formulas, which are conjoined to f by continuing the walk that read it
+    (`formula.conjoin`), so that every classical check runs on f with
+    them.  A wider part that is a definition has one C-stable model per
+    interpretation of the other atoms, the least fixpoint of its clauses:
+    unless it is on a cycle of body reads between definition parts (see
+    `_read_order`), its atoms are not swept but derived, part after part,
+    on every live assignment to the other atoms at once, one byte lane
+    each, and one run of f with the loop formulas over those lanes keeps
+    the models (see `_lane_models`).
     With no part to derive, a vectorized sweep over all the atoms gives the
     candidates (`_candidate_models`): it runs only the sub-chunks of 2**8
     assignments that one Kleene run of the program leaves live, a chunk of
@@ -1086,15 +1069,20 @@ def enumerate_a_stable(
     bitmasks in every case.
     """
     a = frozenset(a)
-    prog, conjoin = compile_extensible(f)
+    if sigma is not None and not _NARROW < len(a.union(sigma)) <= max_atoms:
+        # one packed run decides A, or the cap refuses the sweep: no part is read
+        prog, rules = compile_formula(f), ()
+    else:
+        rule, walked = read_extensible(f)
+        prog, rules = compile_rules((rule,))[0], (rule,)
     occurring = frozenset(prog.atoms)
     sig = frozenset(sigma) if sigma is not None else occurring | a
     check_signature(occurring | a, sig)
     _check_cap(len(sig), max_atoms)
 
     # up to _NARROW atoms, one packed run decides A: no graph, no loop formula
-    parts, loop_formulas = _parts(f, prog, a) if len(prog.atoms) > _NARROW else ((), ())
-    swept = conjoin(loop_formulas) if loop_formulas else None
+    parts, loop_formulas = _parts(rules, prog.atoms, a) if len(prog.atoms) > _NARROW else ((), ())
+    swept = conjoin(walked, loop_formulas) if loop_formulas else None
     a_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x in a)
     masks = _stable_models(prog, range(len(prog.atoms)), 0, a_mask, parts, swept)
     order: Sequence[Atom] = prog.atoms

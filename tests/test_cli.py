@@ -307,6 +307,16 @@ class TestGraph:
         )
         assert '"q" [shape=box];' in out
 
+    def test_blank_part1_draws_as_no_partition(self, capsys, tmp_path):
+        # a blank --part1 is the empty set, as for split-solve: it boxes no
+        # vertex, which draws what no partition draws, whitespace or not
+        path = tmp_path / "pq.lp"
+        path.write_text("q -> p.\n")
+        want = run(capsys, "graph", str(path), "--dot")
+        assert want == (0, 'digraph dg {\n  "p";\n  "q";\n  "p" -> "q";\n}\n', "")
+        for blank in ("", " ", " \t"):
+            assert run(capsys, "graph", str(path), "--dot", "--part1", blank) == want
+
     def test_text_listing(self, capsys, guard_lp):
         _, out, _ = run(capsys, "graph", guard_lp, "--intensional", "q")
         assert out == "vertices: q\nedges: (none)\n"

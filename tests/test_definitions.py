@@ -22,12 +22,19 @@ from astable import (
     satisfies,
     unique_q_stable,
 )
+from astable.formula import read_rule
 from astable.stable import _clause
 from astable.verifier import GenConfig, _gen_definition
 
 from util import all_subsets, guard_program, tc_definition
 
 Q = Atom("q")
+
+
+def _piece(c):
+    """The one piece of the conjunct c's record, which `_clause` reads."""
+    (piece,) = read_rule(c).pieces
+    return piece
 
 
 class TestRecognize:
@@ -97,9 +104,9 @@ class TestRecognize:
         body = conj([neg(AtomRef(q2)), atom("p"), neg(AtomRef(Q))])
         d = recognize_definition(impl(body, AtomRef(Q)), {Q, q2})
         assert str(d) == "defined atom q occurs in a clause body: " + str(impl(body, AtomRef(Q)))
-        assert _clause(impl(body, AtomRef(Q)), {Q, q2}) == d.reason
-        assert _clause(impl(atom("p"), atom("r")), {Q}) == "consequent is not a defined atom"
-        assert _clause(AtomRef(Q), {Q}) == (TOP, frozenset(), Q)
+        assert _clause(_piece(impl(body, AtomRef(Q))), {Q, q2}) == d.reason
+        assert _clause(_piece(impl(atom("p"), atom("r"))), {Q}) == "consequent is not a defined atom"
+        assert _clause(_piece(AtomRef(Q)), {Q}) == (TOP, frozenset(), Q)
         assert recognize_definition(AtomRef(Q), {Q}).reason == "conjunct is not an implication"
 
 

@@ -34,7 +34,8 @@ from astable import (
     to_dot,
     TOP,
 )
-from astable.depgraph import components
+from astable.depgraph import components, rule_graph
+from astable.formula import read_rule
 from astable.verifier import GenConfig, _gen_program, gen_formula
 
 from util import guard_program
@@ -215,7 +216,7 @@ class TestDepGraph:
             a = frozenset(x for x in pool if rng.random() < 0.7)
             assert dep_graph(f, a).edges == reference(f, a)
             conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
-            assert dep_graph(conjuncts, a) == dep_graph(conj(conjuncts), a)
+            assert rule_graph(map(read_rule, conjuncts), a) == dep_graph(conj(conjuncts), a)
             assert dep_graph(conj(conjuncts), a).edges == reference(conj(conjuncts), a)
 
 

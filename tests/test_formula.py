@@ -25,7 +25,16 @@ from astable import (
     reduct,
     satisfies,
 )
-from astable.formula import Formula, Program, _key, compile_extensible, compile_formula, live_prefixes, truth_chunks
+from astable.formula import (
+    Formula,
+    Program,
+    _key,
+    compile_formula,
+    compile_rules,
+    live_prefixes,
+    read_rule,
+    truth_chunks,
+)
 import astable.formula as formula_module
 from astable.verifier import GenConfig, _gen, _gen_program, gen_formula
 
@@ -267,8 +276,9 @@ class TestCompile:
 
     def test_extension_continues_the_walk(self):
         # f conjoined with formulas made of f's own subformulas, compiled
-        # by continuing f's walk: f's program and every extension keep
-        # their truth tables, and a subformula met again costs no op
+        # by continuing from the ops of f's rules: f's program and every
+        # extension keep their truth tables, and a subformula met again
+        # costs no op
         atoms = [Atom(x) for x in "abcd"]
         for seed in range(200):
             f = gen_formula(GenConfig(seed=5000 + seed, max_atoms=4, max_depth=3))
@@ -281,8 +291,7 @@ class TestCompile:
                 stack += kids
             pick = random.Random(seed).choice
             more = [impl(pick(subs), pick(subs)), neg(subs[-1])]
-            prog, conjoin = compile_extensible(f)
-            extended = conjoin(more)
+            prog, extended = compile_rules([read_rule(f)], more)
             assert extended.atoms == prog.atoms == compile_formula(f).atoms
             assert len(extended.ops) <= len(prog.ops) + 2 * len(more)
             whole = conj([f, *more])
@@ -482,3 +491,98 @@ class TestFormulaProperties:
             hit += 1
             assert satisfies(i - a, reduct(f, i))
         assert hit > 50
+
+
+def _opened(f):
+    """The conjuncts of f, every nested conjunction opened, in order."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Conj:
+            stack.extend(reversed(g.children))
+        else:
+            out.append(g)
+    return out
+
+
+def _clause_oracle(c, q):
+    """A copy of the clause reading that walked each body with `atoms_of`:
+    c as a clause `H & C -> h` of a definition for q, (H, C, h), else the
+    reason it is none."""
+    if type(c) is AtomRef and c.atom in q:
+        return TOP, frozenset(), c.atom
+    if type(c) is not Impl or type(c.rhs) is not AtomRef or c.rhs.atom not in q:
+        return "consequent is not a defined atom"
+    ante = c.lhs
+    if type(ante) is Conj:
+        pos_q = frozenset(d.atom for d in ante.children if type(d) is AtomRef and d.atom in q)
+        rest = [d for d in ante.children if not (type(d) is AtomRef and d.atom in q)]
+        body = (rest[0] if len(rest) == 1 else Conj(tuple(rest)) if rest else TOP) if pos_q else ante
+    elif type(ante) is AtomRef and ante.atom in q:
+        body, pos_q = TOP, frozenset((ante.atom,))
+    else:
+        body, pos_q = ante, frozenset()
+    mentioned = atoms_of(body)
+    if not mentioned.isdisjoint(q):
+        return f"defined atom {min(mentioned & q)} occurs in a clause body"
+    return body, pos_q, c.rhs.atom
+
+
+class TestRuleRecord:
+    """A conjunct's record, from its one walk, against the walkers that read
+    each fact on their own: `atoms_of`, `strictly_positive`, `dep_graph`,
+    a copy of the clause reading, and `compile_formula`."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(3434)
+        pool = [Atom(x) for x in "abcde"]
+        for seed in range(1500):
+            cfg = GenConfig(seed=7000 + seed, max_atoms=5, max_depth=4)
+            if seed % 3 == 0:
+                yield conj(_gen_program(rng, pool, rng.randint(1, 6)) + [gen_formula(cfg)])
+            else:
+                yield gen_formula(cfg)
+        # one subformula object as a head and inside an antecedent, both
+        # orders: a walk that memoized it would miss its second reading
+        y = disj([P, neg(Q)])
+        yield conj([y, impl(y, R)])
+        yield conj([impl(y, R), y])
+        x = conj([P, Q])
+        yield impl(x, x)
+        yield impl(conj([impl(x, R), S]), disj([x, R]))
+
+    def test_fields_match_the_walkers(self):
+        from astable.depgraph import dep_graph, rule_graph, strictly_positive
+        from astable.stable import _clause
+
+        rng = random.Random(55)
+        for f in self._cases():
+            rule = read_rule(f)
+            everything = atoms_of(f)
+            assert rule.formula is f
+            assert sorted(rule.atoms) == sorted(everything) and len(rule.atoms) == len(everything)
+            assert rule.heads == strictly_positive(f)
+            for _ in range(2):
+                a = frozenset(x for x in everything if rng.random() < 0.7)
+                assert rule_graph([rule], a) == dep_graph(f, a)
+            assert [p[0] for p in rule.pieces] == _opened(f)
+            for piece in rule.pieces:
+                assert piece[1] == strictly_positive(piece[0])
+                for _ in range(3):
+                    q = frozenset(x for x in everything if rng.random() < 0.5)
+                    assert _clause(piece, q) == _clause_oracle(piece[0], q)
+
+    def test_programs_match_compile_formula_op_for_op(self):
+        from astable.stable import _node
+
+        def same(p, g):
+            return (p.atoms, p.ops, p.root) == (g.atoms, g.ops, g.root)
+
+        for f in self._cases():
+            children = list(f.children) if type(f) is Conj and f.children else [f]
+            rules = list(map(read_rule, children))
+            more = [impl(children[-1], R), neg(children[0])]
+            prog, swept = compile_rules(rules, more)
+            assert same(prog, compile_formula(f)) and same(compile_rules([read_rule(f)])[0], prog)
+            assert same(swept, compile_formula(_node(Conj, children + more)))

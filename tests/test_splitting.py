@@ -21,6 +21,7 @@ from astable import (
     impl,
     modular_solve,
     neg,
+    parse_program,
     plan_split,
     satisfies,
     sccs,
@@ -166,9 +167,9 @@ class TestPlanSplit:
         plan = plan_split(conjuncts, set(ats))
         assert [b for b, _ in plan.blocks] == [frozenset({a}) for a in ats]
         # each conjunct sits in the block of its head
-        assert plan.blocks[0][1] == conj([conjuncts[0]])
-        assert plan.blocks[1][1] == conj([conjuncts[1]])
-        assert plan.blocks[2][1] == conj([])
+        assert [r.formula for r in plan.blocks[0][1]] == [conjuncts[0]]
+        assert [r.formula for r in plan.blocks[1][1]] == [conjuncts[1]]
+        assert plan.blocks[2][1] == ()
         assert plan.residual == ()
 
     def test_transitive_closure_blocks_follow_sccs(self):
@@ -189,7 +190,7 @@ class TestPlanSplit:
         p = Atom("p")
         conjuncts = [AtomRef(p), neg(AtomRef(p))]
         plan = plan_split(conjuncts, {p})
-        assert plan.residual == (neg(AtomRef(p)),)
+        assert [r.formula for r in plan.residual] == [neg(AtomRef(p))]
 
     def test_head_spanning_blocks_is_an_error(self):
         p, q = Atom("p"), Atom("q")
@@ -238,7 +239,7 @@ class TestPlanSplit:
                 conjuncts.append(disj([AtomRef(x) for x in rng.sample(pool, 2)]))
             a = frozenset(x for x in pool if rng.random() < 0.8)
             heads = [strictly_positive(c) & a for c in conjuncts]
-            blocks = sccs(dep_graph(conjuncts, a))
+            blocks = sccs(dep_graph(conj(conjuncts), a))
             if any(sum(1 for b in blocks if b & hs) > 1 for hs in heads):
                 spanning += 1
                 with pytest.raises(SplitPlanError):
@@ -262,10 +263,11 @@ class TestPlanSplit:
             assert len(units) == len(want) and set(units) == want
             for u in units:
                 assert all(b <= u or not (b & u) for b in blocks)
-            for j, (u, f) in enumerate(plan.blocks):
-                assert atoms_of(f) & a <= u.union(*units[j + 1 :])
-                assert all(strictly_positive(c) & a <= u for c in f.children)
-            assert list(plan.residual) == [c for c, hs in zip(conjuncts, heads) if not hs]
+            for j, (u, rules) in enumerate(plan.blocks):
+                fs = [r.formula for r in rules]
+                assert atoms_of(conj(fs)) & a <= u.union(*units[j + 1 :])
+                assert all(strictly_positive(c) & a <= u for c in fs)
+            assert [r.formula for r in plan.residual] == [c for c, hs in zip(conjuncts, heads) if not hs]
             cyclic += any(len(u) > 1 for u in units)
         assert cyclic > 20 and spanning > 10
 
@@ -273,8 +275,8 @@ class TestPlanSplit:
         # the spy sees each dependency graph built and the vertex count of
         # each graph the SCC routine gets, in the order they happen
         calls = []
-        real_dep_graph, real_scc = splitting.dep_graph, depgraph.strong_components
-        monkeypatch.setattr(splitting, "dep_graph", lambda *args: calls.append("dep_graph") or real_dep_graph(*args))
+        real_graph, real_scc = splitting.rule_graph, depgraph.strong_components
+        monkeypatch.setattr(splitting, "rule_graph", lambda *args: calls.append("rule_graph") or real_graph(*args))
         spy = lambda succs: calls.append(len(succs)) or real_scc(succs)
         monkeypatch.setattr(depgraph, "strong_components", spy)
         monkeypatch.setattr(splitting, "strong_components", spy)
@@ -289,7 +291,7 @@ class TestPlanSplit:
         with pytest.raises(SplitPlanError):
             plan_split([disj([AtomRef(x), AtomRef(y)])], {x, y})
         # refused on the dependency graph, before the mention graph
-        assert calls == ["dep_graph", 2]
+        assert calls == ["rule_graph", 2]
 
     @pytest.mark.parametrize("n", [100, 1000])
     def test_mention_graph_grows_linearly(self, n, monkeypatch):
@@ -317,16 +319,15 @@ class TestPlanSplit:
 
 
 def _swept_routes(monkeypatch) -> list:
-    """The formulas of the units whose route, built by
-    `stable._unit_route`, sweeps a program with loop formulas, one per
-    route built."""
+    """The rules of the units whose route, built by `stable._unit_route`,
+    sweeps a program with loop formulas, one per route built."""
     found = []
     real = splitting._unit_route
 
-    def spy(f, prog, conjoin, unit):
-        route = real(f, prog, conjoin, unit)
+    def spy(rules, prog, unit):
+        route = real(rules, prog, unit)
         if route[4] is not None:
-            found.append(f)
+            found.append(rules)
         return route
 
     monkeypatch.setattr(splitting, "_unit_route", spy)
@@ -468,8 +469,10 @@ class TestModularSolve:
         # the 4-loops a0 -> ... -> a3 -> a0 and b0 -> ... -> b3 -> b0 joined
         # by the even cycle not b0 -> a0, not a0 -> b0, with a3 also fed by
         # the extensional e: one unit of 8 atoms, no definition, whose parts,
-        # the two loops, are narrow and decided by their loop formulas; the
-        # compile walk of its formula is continued with them, not repeated
+        # the two loops, are narrow and decided by their loop formulas; each
+        # conjunct is walked once, when it is read, and the unit's program
+        # is continued with the loop formulas from the ops read, not walked
+        # again
         walked = []
         real = formula_module._walk
         monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real(f, *rest))
@@ -481,10 +484,12 @@ class TestModularSolve:
         conjuncts += [impl(neg(AtomRef(b[0])), AtomRef(a[0])), impl(neg(AtomRef(a[0])), AtomRef(b[0]))]
         conjuncts.append(impl(AtomRef(e), AtomRef(a[3])))
         intensional, sigma = frozenset(a + b), frozenset(a + b + [e])
-        ((atoms, f),) = plan_split(conjuncts, intensional).blocks
+        ((atoms, rules),) = plan_split(conjuncts, intensional).blocks
         assert atoms == intensional
+        walked.clear()
         got = modular_solve(conjuncts, intensional, sigma)
-        assert sum(g == f for g in walked) == 1 and supported == [f]
+        assert walked[: len(conjuncts)] == conjuncts and supported == [rules]
+        assert not any(g is c for g in walked[len(conjuncts) :] for c in conjuncts)
         monkeypatch.undo()
         assert got == enumerate_a_stable(conj(conjuncts), intensional, sigma)
         assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, intensional)
@@ -579,7 +584,7 @@ class TestModularSolve:
             constraints = [neg(conj([literal() for _ in range(rng.randint(1, 3))])) for _ in range(rng.randint(1, 3))]
             conjuncts = rules + constraints
             plan = plan_split(conjuncts, a)
-            assert set(constraints) <= set(plan.residual)
+            assert set(constraints) <= {r.formula for r in plan.residual}
             got = modular_solve(conjuncts, a, sigma)
             assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, a)
             assert list(got.sorted_atoms) == sorted(got.sorted_atoms)
@@ -755,15 +760,20 @@ class TestModularSolve:
         assert not parted
 
     def test_unit_past_the_cap_is_refused_before_any_compile_walk(self, monkeypatch, tmp_path, capsys):
-        # the cap reads the negative ring's clauses off its formula, so
-        # split-solve exits at the cap without compiling the unit
+        # the cap reads the negative ring's clauses off the records of its
+        # conjuncts, so split-solve exits at the cap with each conjunct
+        # walked once, when it is read, and no unit program built
         from astable.cli import main
 
-        walked = []
+        walked, built = [], []
         real = formula_module._walk
         monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real(f, *rest))
+        for module in (splitting, stable):
+            real_build = module.compile_rules
+            monkeypatch.setattr(module, "compile_rules", lambda *args, real_build=real_build: built.append(1) or real_build(*args))
         path = tmp_path / "negring.lp"
-        path.write_text("".join(f"not x{i} -> x{(i + 1) % 3000}.\n" for i in range(3000)))
+        text = "".join(f"not x{i} -> x{(i + 1) % 3000}.\n" for i in range(3000))
+        path.write_text(text)
         assert main(["split-solve", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -771,7 +781,7 @@ class TestModularSolve:
             "error: enumeration over 3000 atoms exceeds the cap of 24; "
             "pass a larger max_atoms (or --max-atoms) if this is intended\n"
         )
-        assert not walked
+        assert walked == parse_program(text) and not built
 
     def test_each_step_decodes_its_contexts_in_one_call(self, monkeypatch):
         # the choices a and b, then the unit {p, q} of a & not q -> p and
@@ -837,6 +847,78 @@ class TestModularSolve:
             got = modular_solve(conjuncts, sigma, sigma)
             want = enumerate_a_stable(conj(conjuncts), sigma, sigma)
             assert got.as_set() == want.as_set()
+
+
+def _layered_chain(blocks: int, width: int) -> list:
+    """Layer k a positive ring over q{k}_0 ... q{k}_(width - 1), seeded by
+    `not` of the last atom of layer k - 1, and the fact q0_0."""
+    q = [[AtomRef(Atom(f"q{k}_{i}")) for i in range(width)] for k in range(blocks)]
+    rules = [q[0][0]] + [impl(neg(q[k - 1][-1]), q[k][0]) for k in range(1, blocks)]
+    return rules + [impl(layer[i - 1], layer[i]) for layer in q for i in range(width)]
+
+
+class TestOneWalkPerConjunct:
+    """Each conjunct is read by one walk into its record, and nothing after
+    walks it again: the walks are counted, never timed."""
+
+    WALKERS = (  # every module's name for each walker besides the reading walk
+        [(m, "atoms_of") for m in (formula_module, splitting, stable)]
+        + [(m, "strictly_positive") for m in (depgraph, splitting)]
+        + [(m, "dep_graph") for m in (depgraph, splitting)]
+        + [(m, "conj") for m in (formula_module, splitting)]
+    )
+
+    def _spy(self, monkeypatch):
+        walked, others = [], []
+        real = formula_module._walk
+        monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real(f, *rest))
+        for module, name in self.WALKERS:
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: others.append(name) or fn(*args))
+        return walked, others
+
+    @pytest.mark.parametrize("conjuncts", [chain_program(15)[1], _layered_chain(12, 6)], ids=["chain16", "chain12x6"])
+    def test_modular_solve_walks_each_conjunct_once(self, monkeypatch, conjuncts):
+        atoms = frozenset().union(*map(atoms_of, conjuncts))
+        want = enumerate_a_stable(conj(conjuncts), atoms, atoms, max_atoms=len(atoms)) if len(atoms) <= 16 else None
+        walked, others = self._spy(monkeypatch)
+        got = modular_solve(conjuncts, atoms, atoms)
+        assert walked == conjuncts and all(w is c for w, c in zip(walked, conjuncts))
+        assert others == []
+        monkeypatch.undo()
+        assert len(got) == 1 and (want is None or got == want)
+
+    def test_enumerate_walks_the_formula_once_then_loop_formulas_and_bodies(self, monkeypatch):
+        # a 9-atom ring seeded by `not x` is a definition part, whose clause
+        # bodies are the one `top` and `not x`, and each atom of the 16-atom
+        # chain is a part of one atom, decided by its loop formulas
+        ring = [AtomRef(Atom(f"q{i}")) for i in range(9)]
+        x = AtomRef(Atom("x"))
+        f = conj([impl(a, b) for a, b in zip(ring, ring[1:] + ring[:1])] + [impl(neg(x), ring[0]), disj([x, neg(x)])])
+        atoms = atoms_of(f)
+        loop_formulas, bodies = [], []
+        real_loops, real_compile = stable._loop_formulas, stable.compile_formula
+
+        def loops(*args):
+            found = real_loops(*args)
+            loop_formulas.extend(found)
+            return found
+
+        monkeypatch.setattr(stable, "_loop_formulas", loops)
+        monkeypatch.setattr(stable, "compile_formula", lambda g: bodies.append(g) or real_compile(g))
+        chain = conj(chain_program(15)[1])
+        cases = [(g, atoms_of(g)) for g in (f, chain)]
+        walked, others = self._spy(monkeypatch)
+        for g, sigma in cases:
+            for found in (walked, others, loop_formulas, bodies):
+                found.clear()
+            enumerate_a_stable(g, sigma, sigma)
+            assert walked[0] is g and others == []
+            assert sorted(map(id, walked[1:])) == sorted(map(id, loop_formulas + bodies))
+            assert len({id(b) for b in bodies}) == len(bodies)
+            assert bodies if g is f else loop_formulas  # the ring's two bodies; the chain's loop formulas
+        monkeypatch.undo()
+        assert len(enumerate_a_stable(f, atoms, atoms)) == 2
 
 
 class TestBench:

@@ -97,7 +97,15 @@ class TestRunSuite:
         assert a == b
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
-    def test_every_suite_green_at_default_seed(self, name):
+    def test_every_suite_green_at_default_seed(self, name, request):
+        if name in NAMED_FOR:
+            # a solver suite: the route table runs it at this seed with 100
+            # draws, and `run_suite` seeds each draw by its index, so its
+            # first 40 draws are these; read its report there, not again
+            report = request.getfixturevalue("route_table")[0][name][0]
+            assert report.fails == 0
+            assert report.passes == 100
+            return
         report = run_suite(name, GenConfig(iterations=40))
         assert report.fails == 0
         assert report.passes == 40
@@ -187,13 +195,13 @@ def route_table():
     reached = Counter()
     misread = []
 
-    def unit_route(f, prog, conjoin, unit, route):
+    def unit_route(rules, prog, unit, route):
         if len(unit) <= stable._NARROW:
             return ["narrow unit"]
         atoms = {prog.atoms[b] for b in unit}
-        # the cap exempts a unit whose every conjunct is a clause of a definition
-        if all(type(stable._clause(c, atoms)) is not str for c in stable._conjuncts(f)) != route[0]:
-            misread.append(format_formula(f))
+        # the cap exempts a unit whose every piece is a clause of a definition
+        if all(type(stable._clause(p, atoms)) is not str for r in rules for p in r.pieces) != route[0]:
+            misread.append(format_formula(conj([r.formula for r in rules])))
         return ["definition unit" if route[0] else "wide unit"]
 
     def read_order(parts, order):
@@ -205,7 +213,7 @@ def route_table():
 
     spies = {
         (splitting, "_unit_route"): unit_route,
-        (stable, "_parts"): lambda f, prog, a, found: ["wide part" if c is None else "definition part" for _, c in found[0]],
+        (stable, "_parts"): lambda rules, atoms, a, found: ["wide part" if c is None else "definition part" for _, c in found[0]],
         (stable, "_loop_formulas"): lambda comp, *_: ["one-atom loop part" if len(comp) == 1 else "multi-atom loop part"],
         (stable, "_read_order"): read_order,
         (stable, "_verdicts"): lambda *_: ["packed run"],
@@ -271,7 +279,7 @@ class TestStableDefinitionMutations:
     `stable_definition` suite: the suite sees the fixpoint, the lane
     layout and the clause recognition."""
 
-    CFG = GenConfig(iterations=40)  # as test_every_suite_green_at_default_seed, which passes
+    CFG = GenConfig(iterations=40)  # the first 40 of the route table's 100 draws, which pass
 
     def test_dropping_one_fixpoint_round_fails(self, monkeypatch):
         from astable import stable
@@ -313,17 +321,19 @@ class TestStableDefinitionMutations:
 
     def test_accepting_a_disjunctive_head_fails(self, monkeypatch):
         from astable import stable
+        from astable.formula import read_rule
 
         real = stable._clause
 
-        def first_disjunct(c, q):
+        def first_disjunct(piece, q):
             # `H -> y | w`, or the fact `y | w`, read as `H -> y` for the first y in q
+            c = piece[0]
             ante, head = (c.lhs, c.rhs) if isinstance(c, Impl) else (None, c)
             if isinstance(head, Disj):
                 heads = [d for d in head.children if isinstance(d, AtomRef) and d.atom in q]
                 if heads:
-                    return real(heads[0] if ante is None else Impl(ante, heads[0]), q)
-            return real(c, q)
+                    return real(read_rule(heads[0] if ante is None else Impl(ante, heads[0])).pieces[0], q)
+            return real(piece, q)
 
         monkeypatch.setattr(stable, "_clause", first_disjunct)
         assert run_suite("stable_definition", self.CFG).fails > 0
@@ -399,7 +409,7 @@ class TestStableLoopsMutations:
     loop formulas, and which program the wider parts left are checked
     against."""
 
-    CFG = GenConfig(iterations=40)  # as test_every_suite_green_at_default_seed, which passes
+    CFG = GenConfig(iterations=40)  # the first 40 of the route table's 100 draws, which pass
 
     # r0 ... r6 is a loop that supports itself only, and no definition by
     # its disjunctive head; `not not q` asks for q, derived from r2, so the
