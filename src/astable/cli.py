@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from . import fo
 from .definitions import DefinitionError, Rejection, check_conservativity, recognize_definition
 from .depgraph import PartitionError, Partition2, dep_graph, to_dot
-from .formula import Atom, CapExceeded, Formula, SignatureError, atoms_of, conj, format_program
+from .formula import Atom, CapExceeded, Formula, SignatureError, conj, format_program
 from .splitting import PreconditionError, SplitPlanError, modular_solve, split_models_lemma
 from .stable import DEFAULT_MAX_ATOMS, ModelSet, enumerate_a_stable
 from .syntax import ParseError, parse_atom_list, parse_program
@@ -71,7 +71,7 @@ def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Ato
         if intensional_pred is not None:
             raise ParseError("--intensional-pred needs a first-order input with #domain", 1, 1)
         conjuncts = parse_program(text)
-        sigma = set().union(*map(atoms_of, conjuncts))
+        sigma = set(conjuncts.atoms)
     if intensional_pred is not None:
         preds = [p.strip() for p in intensional_pred.split(",") if p.strip()]
         intensional = set(fo.pred_atoms(preds, interp))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import AbstractSet
 
-from .formula import Atom, Formula, Impl, atoms_of, conj, read_rule, satisfies
+from .formula import Atom, AtomRef, Conj, Formula, Impl, atoms_of, conj, satisfies
 from .records import Record
 from .stable import (
     DEFAULT_MAX_ATOMS,
@@ -81,16 +81,25 @@ def recognize_definition(g: Formula, q: AbstractSet[Atom]) -> DefinitionModule |
     and the rest of the antecedent must be q-free (see `stable._clause`,
     which the solvers share; only a fact is a clause there and not here).
     A failed check returns a Rejection naming the first offending
-    conjunct; rejection is an answer, not an error.
+    conjunct; rejection is an answer, not an error.  Each clause is read
+    as the piece `_clause` reads, its atoms of antecedent conjuncts that
+    are no atoms: no dependency edge or head is read, as a whole record
+    would.
     """
     q = frozenset(q)
     clauses = []
-    for piece in read_rule(g).pieces:
-        if not isinstance(piece[0], Impl):
-            return Rejection(piece[0], "conjunct is not an implication")
-        clause = _clause(piece, q)
+    stack = [g]
+    while stack:
+        c = stack.pop()
+        if type(c) is Conj:
+            stack += reversed(c.children)
+            continue
+        if not isinstance(c, Impl):
+            return Rejection(c, "conjunct is not an implication")
+        kids = c.lhs.children if type(c.lhs) is Conj else (c.lhs,)
+        clause = _clause((c, frozenset(), frozenset().union(*[atoms_of(d) for d in kids if type(d) is not AtomRef])), q)
         if type(clause) is str:
-            return Rejection(piece[0], clause)
+            return Rejection(c, clause)
         clauses.append(Clause(*clause))
     return DefinitionModule(tuple(clauses), q, g)
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from itertools import count, repeat
+from itertools import count
 from typing import AbstractSet, Iterable, Iterator
 
-from .formula import Atom, AtomRef, Disj, Formula, Impl, Rule
+from .formula import Atom, AtomRef, Formula, Impl, Rule, read_rule, signed_atoms
 from .records import Record
 
 
@@ -64,47 +64,26 @@ _set_part1 = Partition2.part1.__set__
 _set_part2 = Partition2.part2.__set__
 
 
-def _signed_atoms(f: Formula, positive: bool, antecedents: bool) -> frozenset[Atom]:
-    """Atoms reached with positive sign by an iterative walk of f that starts
-    with sign `positive` and flips it in every antecedent.
-
-    Without `antecedents` the walk stays out of them; with it, the walk enters
-    each antecedent whose consequent is not the structural bot, so negated
-    occurrences are never reached.
-    """
-    out: set[Atom] = set()
-    stack = [(f, positive)]
-    while stack:
-        g, sign = stack.pop()
-        t = type(g)
-        if t is AtomRef:
-            if sign:
-                out.add(g.atom)
-        elif t is Impl:
-            rhs = g.rhs
-            if antecedents:
-                if type(rhs) is Disj and not rhs.children:  # the structural bot
-                    continue
-                stack.append((g.lhs, not sign))
-            stack.append((rhs, sign))
-        else:
-            stack.extend((c, sign) for c in g.children)
-    return frozenset(out)
-
-
 def strictly_positive(f: Formula) -> frozenset[Atom]:
-    """Atoms occurring under no implication antecedent."""
-    return _signed_atoms(f, True, False)
+    """Atoms occurring under no implication antecedent: the heads of f's
+    record (`formula.read_rule`)."""
+    return read_rule(f).heads
 
 
 def pos_nonnegated(f: Formula) -> frozenset[Atom]:
     """Positive nonnegated atoms; the consequent-is-bot test is structural."""
-    return _signed_atoms(f, True, True)
+    return _nonnegated(f, True)
 
 
 def neg_nonnegated(f: Formula) -> frozenset[Atom]:
     """Negative nonnegated atoms: under an odd number of antecedents."""
-    return _signed_atoms(f, False, True)
+    return _nonnegated(f, False)
+
+
+def _nonnegated(f: Formula, sign: bool) -> frozenset[Atom]:
+    out: set[Atom] = set()
+    signed_atoms(f, set(), out, sign)
+    return frozenset(out)
 
 
 def rules(f: Formula) -> list[Formula]:
@@ -132,37 +111,17 @@ def rules(f: Formula) -> list[Formula]:
 
 
 def dep_graph(f: Formula, a: AbstractSet[Atom]) -> DepGraph:
-    """Positive dependency graph of f over the intensional atoms a.
-
-    One iterative walk down the strictly positive spine (conjunction and
-    disjunction children, implication consequents) carries the positive
-    nonnegated intensional atoms of the antecedents passed on the way;
-    each strictly positive intensional atom reached gets an edge to each
-    of them, which is the edge set `rules` defines.  No formula is hashed,
-    so any depth is safe.
-    """
-    a = frozenset(a)
-    edges: set[tuple[Atom, Atom]] = set()
-    stack: list[tuple[Formula, frozenset[Atom]]] = [(f, frozenset())]
-    while stack:
-        g, bodies = stack.pop()
-        t = type(g)
-        if t is AtomRef:
-            if bodies and g.atom in a:
-                edges.update(zip(repeat(g.atom), bodies))
-        elif t is Impl:
-            if type(g.rhs) is Disj and not g.rhs.children:  # the structural bot
-                continue
-            stack.append((g.rhs, bodies | (pos_nonnegated(g.lhs) & a)))
-        else:
-            stack.extend((c, bodies) for c in g.children)
-    return DepGraph(a, frozenset(edges))
+    """Positive dependency graph of f over the intensional atoms a: the
+    dependency edges of f's record (`formula.read_rule`) between atoms of
+    a, which is the edge set `rules` defines.  No formula is hashed, so
+    any depth is safe."""
+    return rule_graph((read_rule(f),), frozenset(a))
 
 
 def rule_graph(rules: Iterable[Rule], a: frozenset[Atom]) -> DepGraph:
     """`dep_graph` over a of the conjunction of the rules' formulas, read
     off their edges (see `formula.Rule`) with no formula walked."""
-    return DepGraph(a, frozenset([(h, b) for r in rules for h, bodies in r.edges if h in a for b in bodies if b in a]))
+    return DepGraph(a, frozenset([(h, b) for r in rules for h, b in r.edges if h in a and b in a]))
 
 
 def strong_components(succs: list[list[int]]) -> tuple[list[list[int]], list[int]]:

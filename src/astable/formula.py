@@ -16,7 +16,7 @@ import struct
 from bisect import bisect_left
 from itertools import accumulate
 from operator import itemgetter, sub
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .records import Record
 
@@ -385,104 +385,55 @@ def compile_formula(f: Formula) -> Program:
     return _finish(met, ops, _walk(f, met, ops, {}, {}))
 
 
-# A piece of a rule: one conjunct of it, every nested conjunction opened,
-# as (its formula, its heads, and when it is a clause `B -> h` with h an
-# atom, the atoms of B's conjuncts that are no atoms, or of all of B when B
-# is neither an atom nor a conjunction, else no atom).  `stable._clause`
-# reads it as a clause of a definition.
-Piece = tuple[Formula, frozenset[Atom], frozenset[Atom]]
+def compile_extensible(fs: Sequence[Formula]) -> tuple[Program, Callable[[Sequence[Formula]], Program]]:
+    """The program of the conjunction of fs, in the order given, and a
+    function that gives the program of it conjoined with more formulas,
+    folded in in the order given.
 
-
-class Rule(tuple):
-    """A conjunct as one walk reads it (see `read_rule`): the formula; its
-    atoms, in the order the walk met them; its heads, the atoms strictly
-    positive in it; its dependency edges, as pairs (h, B) of a head h and
-    the atoms B positive nonnegated in the antecedents passed on the way
-    down to h, where each b in B with h and b intensional gives the edge
-    (h, b) of `dep_graph`; its pieces (see `Piece`); and its ops, the
-    program of the formula before `_finish`, over the temporary slots of
-    `_walk`: atom k of `atoms` is slot -3 - k, and the slot of the whole
-    formula, `root`.
-
-    Built from the tuple of those fields, in that order.  A rule is a
-    tuple, as `Atom` is, because there is one per conjunct on every solve:
-    building a tuple costs a fraction of a slotted record's `__init__`."""
-
-    __slots__ = ()
-    formula, atoms, heads, edges, pieces, ops, root = map(property, map(itemgetter, range(7)))
-
-
-def read_rule(c: Formula) -> Rule:
-    """c read by one walk (see `_walk`) into its record."""
-    return read_extensible(c)[0]
-
-
-def read_extensible(c: Formula) -> tuple[Rule, tuple]:
-    """c's record (see `read_rule`), and the state of the walk that read
-    it, which `conjoin` continues."""
+    The program is `compile_formula`'s of a conjunction with these
+    children in this order, op for op, and of f itself when fs is (f,):
+    one walk compiles each of fs once, with no canonical order spelled
+    out.  The function continues that walk instead of compiling fs again,
+    so a subformula met again, the very object, costs no op.  The first
+    program's ops come first, so it is a prefix of the extension, and an
+    extension over its atoms only has its atoms, at the same positions.
+    The walk memoizes nodes by identity, so call the function at most
+    once, while fs are alive.
+    """
     met: dict[Atom, int] = {}
     ops: list[tuple[int, int, int]] = []
     shared: dict[tuple[int, int, int], int] = {}
     slots: dict[int, int] = {}
-    pieces: list[tuple[Formula, set[Atom], set[Atom]]] = []
-    edges: list[tuple[Atom, frozenset[Atom]]] = []
-    root = _walk(c, met, ops, shared, slots, (pieces, edges))
-    done = tuple([(p, frozenset(heads), frozenset(nested)) for p, heads, nested in pieces])
-    heads = done[0][1] if len(done) == 1 else frozenset().union(*(p[1] for p in done))
-    return Rule((c, tuple(met), heads, tuple(edges), done, tuple(ops), root)), (met, ops, shared, slots, root)
+    if len(fs) == 1:
+        root = _walk(fs[0], met, ops, shared, slots)
+    else:
+        whole = _node(Conj, fs)
+        root = _walk(whole, met, ops, shared, slots)
+        del slots[id(whole)]  # it dies here, and its id may come again
+
+    def conjoin(more: Sequence[Formula]) -> Program:
+        """The program conjoined with `more`, each folded in by continuing
+        the walk."""
+        slot = root
+        for g in more:
+            key = (_AND, slot, _walk(g, met, ops, shared, slots))
+            slot = shared.get(key)
+            if slot is None:
+                slot = shared[key] = len(ops)
+                ops.append(key)
+        return _finish(met, ops, slot)
+
+    return _finish(met, ops, root), conjoin
 
 
-def compile_rules(rules: Sequence[Rule], more: Sequence[Formula] = ()) -> tuple[Program, Program | None]:
-    """The program of the conjunction of the rules' formulas, in the order
-    given, and with formulas `more` the program of it conjoined with them
-    one by one, else None: `compile_formula` of those conjunctions, op for
-    op, with no formula of a rule walked again.  Each rule's ops are
-    renumbered through one (kind, left, right) table, so ops that two
-    rules share are shared, and each rule is folded in as soon as its ops
-    are, as the walk folds each child of a conjunction; the walk of `more`
-    continues from that table (see `conjoin`).  One rule alone is its own
-    ops."""
-    if len(rules) == 1 and not more:
-        return _finish(rules[0].atoms, rules[0].ops, rules[0].root), None
-    met: dict[Atom, int] = {}
-    ops: list[tuple[int, int, int]] = []
-    shared: dict[tuple[int, int, int], int] = {}
-    root = -2  # no rule: the empty conjunction
-    for k, r in enumerate(rules):
-        # the rule's temporary slots: its ops, then its atoms from the last, then top and bot
-        fix = [0] * len(r.ops) + [met.setdefault(x, -3 - len(met)) for x in r.atoms][::-1] + [-2, -1]
-        for n, (kind, left, right) in enumerate(r.ops):
-            fix[n] = _op(ops, shared, (kind, fix[left], fix[right]))
-        root = _op(ops, shared, (_AND, root, fix[r.root])) if k else fix[r.root]
-    return _finish(met, ops, root), conjoin((met, ops, shared, {}, root), more) if more else None
-
-
-def conjoin(state: tuple, more: Sequence[Formula]) -> Program:
-    """The program of the formula a walk made, `state` its (met, ops,
-    shared, slots, root), conjoined with `more`, each folded in in the
-    order given by continuing that walk.  A subformula met again, the very
-    object, costs no op when `slots` holds it; the first program's ops
-    come first, and an extension over its atoms only has its atoms, at the
-    same positions."""
-    met, ops, shared, slots, slot = state
-    for g in more:
-        slot = _op(ops, shared, (_AND, slot, _walk(g, met, ops, shared, slots)))
-    return _finish(met, ops, slot)
-
-
-def _op(ops: list[tuple[int, int, int]], shared: dict[tuple[int, int, int], int], key: tuple[int, int, int]) -> int:
-    """The temporary slot of the op `key`, appended unless it is there."""
-    k = shared.setdefault(key, len(ops))
-    if k == len(ops):
-        ops.append(key)
-    return k
-
-
-# What a node's atoms are in the conjunct that `read_rule` reads, its mode:
-# every node above is a conjunction, so that a node that is none opens a
-# piece; strictly positive, the heads of their piece; positive nonnegated
-# in an antecedent on the spine; negative nonnegated there.
-_OPEN, _SPINE, _POS, _NEG = range(4)
+def _node(kind: type, children: Sequence[Formula]) -> Formula:
+    """A conjunction or disjunction of the children in the order given,
+    with no canonical order spelled out: for a formula that is only
+    compiled, whose key would be a walk of it as a tree, which can grow
+    with the square of its depth (see `stable._here`)."""
+    node = object.__new__(kind)
+    _set_children(node, tuple(children))
+    return node
 
 
 def _walk(
@@ -491,101 +442,165 @@ def _walk(
     ops: list[tuple[int, int, int]],
     shared: dict[tuple[int, int, int], int],
     slots: dict[int, int],
-    read: tuple[list[tuple[Formula, set[Atom], set[Atom]]], list[tuple[Atom, frozenset[Atom]]]] | None = None,
 ) -> int:
     """The temporary slot of f, appending the ops of each node not met yet
-    (see `compile_formula`).  With `read`, the pieces and the edges of a
-    rule being read (see `read_rule`), the same walk reads f as a
-    conjunct: each node has the context its parent gives it, (mode, sink,
-    bodies, ante, nest), or None where its atoms are read for nothing.  On
-    the spine the sink is the node's piece and the bodies the atoms
-    positive nonnegated in the antecedents above it, and an implication
-    there has the set of its antecedent's, `ante`, which is the sink of
-    that antecedent.  Below the antecedent of a clause, nest is its
-    piece's set of body atoms, to which every atom but a direct conjunct
-    of the antecedent goes: the antecedent itself holds the set in a tuple
-    when it is a conjunction, for its children that are no atoms.  A node
-    met again is walked again unless its context is None, since its atoms
-    may count otherwise there; its ops are all shared, so the program is
-    the same."""
-    ctx = None
-    if read is not None and type(f) is Conj:
-        ctx = _OPEN, None, frozenset(), None, None
-    elif read is not None:  # f is a piece on its own
-        read[0].append((f, {f.atom} if type(f) is AtomRef else set(), set()))
-        ctx = _SPINE, read[0][-1], frozenset(), set() if type(f) is Impl else None, None
+    (see `compile_formula`)."""
     if type(f) is AtomRef:
-        return met.setdefault(f.atom, -3 - len(met))
+        k = met.get(f.atom)
+        if k is None:
+            k = met[f.atom] = -3 - len(met)
+        return k
 
-    # the nodes being compiled, each as [node, how many of its children are
-    # folded so far, their slot, its context]; a node waits while its next
-    # non-atom child compiles, and `done` is that child's slot
-    stack = [[f, 0, None, ctx]]
-    done = None
+    # the nodes being compiled, each with how many of its children are
+    # folded so far and their slot; a node waits while its next non-atom
+    # child compiles
+    stack = [f]
+    folded = [0]
+    acc: list[int | None] = [None]
     while stack:
-        frame = stack[-1]
-        g, i, slot, ctx = frame
+        g = stack[-1]
+        i = folded[-1]
+        slot = acc[-1]
         t = type(g)
         kids, kind = ((g.lhs, g.rhs), _IMPL) if t is Impl else (g.children, _AND if t is Conj else _OR)
         while i < len(kids):
             c = kids[i]
-            if done is not None:
-                k, done = done, None
+            if type(c) is AtomRef:
+                k = met.get(c.atom)
+                if k is None:
+                    k = met[c.atom] = -3 - len(met)
             else:
-                sub = None
-                if ctx is not None:  # c's context
-                    mode, sink, bodies, ante, nest = ctx
-                    if type(nest) is tuple:  # g is a clause's antecedent conjunction
-                        nest = None if type(c) is AtomRef else nest[0]
-                    if t is Impl and not i and type(g.rhs) is Disj and not g.rhs.children:
-                        mode = None  # negated: neither a head nor positive nonnegated
-                    elif mode == _OPEN and type(c) is not Conj:
-                        mode, sink = _SPINE, (c, set(), set())
-                        read[0].append(sink)
-                    elif t is Impl and (mode == _POS or mode == _NEG):
-                        mode = mode if i else _NEG if mode == _POS else _POS
-                    elif t is Impl and mode == _SPINE and i:
-                        bodies = bodies | ante if ante else bodies
-                    elif t is Impl and mode == _SPINE:
-                        if g is sink[0] and type(g.rhs) is AtomRef:  # the antecedent of a clause
-                            nest = None if type(c) is AtomRef else (sink[2],) if type(c) is Conj else sink[2]
-                        mode, sink = _POS, ante
-                    if type(c) is not AtomRef:
-                        if mode is not None or nest is not None:
-                            sub = mode, sink, bodies, set() if mode == _SPINE and type(c) is Impl else None, nest
-                    elif mode == _SPINE:
-                        sink[1].add(c.atom)
-                        read[1].append((c.atom, bodies))
-                    elif mode == _POS:
-                        sink.add(c.atom)
-                    if nest is not None and type(c) is AtomRef:
-                        nest.add(c.atom)
-                if type(c) is AtomRef:
-                    k = met.setdefault(c.atom, -3 - len(met))
-                elif type(c) is not Impl and not c.children:  # top or bot
-                    k = -2 if type(c) is Conj else -1
-                else:
-                    k = None if sub else slots.get(id(c))
-                    if k is None:
-                        break
+                k = slots.get(id(c))
+                if k is None:
+                    break
             i += 1
-            slot = k if slot is None else _op(ops, shared, (kind, slot, k))
+            if slot is not None:
+                key = (kind, slot, k)
+                k = shared.get(key)
+                if k is None:
+                    k = shared[key] = len(ops)
+                    ops.append(key)
+            slot = k
         if i < len(kids):
-            frame[1:3] = i, slot
-            stack.append([c, 0, None, sub])
+            folded[-1] = i
+            acc[-1] = slot
+            stack.append(kids[i])
+            folded.append(0)
+            acc.append(None)
             continue
         stack.pop()
+        folded.pop()
+        acc.pop()
         if slot is None:  # no children: the empty conjunction or disjunction
             slot = -2 if t is Conj else -1
-        slots[id(g)] = done = slot
-    return done
+        slots[id(g)] = slot
+    return slots[id(f)]
 
 
-def _finish(met: dict[Atom, int] | tuple[Atom, ...], ops: Sequence[tuple[int, int, int]], root: int) -> Program:
-    """The program of the walked ops with the given root, `met` the atoms
-    in the order met, atom k in slot -3 - k: the atoms sorted, and each
-    op's out slot the slot of a result whose last reader has run, else a
-    fresh one."""
+# A piece of a rule: one conjunct of it, every nested conjunction opened,
+# as (its formula, its heads, and when it is a clause `B -> h` with h an
+# atom, the atoms of B's conjuncts that are no atoms, or of all of B when B
+# is neither an atom nor a conjunction, else no atom).  `stable._clause`
+# reads it as a clause of a definition.
+Piece = tuple[Formula, frozenset[Atom], frozenset[Atom]]
+
+_NO_ATOM: frozenset[Atom] = frozenset()
+
+
+class Rule(tuple):
+    """A conjunct as `read_rule` reads it: the formula; its atoms; its
+    heads, the atoms strictly positive in it; its dependency edges, the
+    pairs (h, b) of a head h and an atom b positive nonnegated in an
+    antecedent passed on the way down to h, each with h and b intensional
+    an edge of `dep_graph`; and its pieces (see `Piece`), in order.
+
+    Built from the tuple of those fields, in that order.  A rule is a
+    tuple, as `Atom` is, because there is one per conjunct on every solve:
+    building a tuple costs a fraction of a slotted record's `__init__`."""
+
+    __slots__ = ()
+    formula, atoms, heads, edges, pieces = map(property, map(itemgetter, range(5)))
+
+
+def read_rule(c: Formula) -> Rule:
+    """c read by one walk into its record (see `Rule`).
+
+    The walk opens nested conjunctions into pieces and goes down each
+    piece's strictly positive spine, carrying the positive nonnegated
+    atoms of the antecedents passed, each antecedent read once for its
+    atoms and those (`signed_atoms`).  A clause `b -> h` of two atoms, the
+    commonest conjunct, is read with no set built, and as a whole conjunct
+    with no walk at all.  No formula is compiled or hashed, so any depth
+    is safe."""
+    if type(c) is Impl and type(c.lhs) is AtomRef and type(c.rhs) is AtomRef:
+        h, b = c.rhs.atom, c.lhs.atom
+        heads = frozenset((h,))
+        return Rule((c, frozenset((h, b)), heads, ((h, b),), ((c, heads, _NO_ATOM),)))
+    atoms: set[Atom] = set()
+    edges: list[tuple[Atom, Atom]] = []
+    pieces: list[Piece] = []
+    opened = [c]
+    while opened:
+        p = opened.pop()
+        if type(p) is Conj:
+            opened += reversed(p.children)
+            continue
+        if type(p) is Impl and type(p.lhs) is AtomRef and type(p.rhs) is AtomRef:
+            atoms.update((p.lhs.atom, p.rhs.atom))
+            edges.append((p.rhs.atom, p.lhs.atom))
+            pieces.append((p, frozenset((p.rhs.atom,)), _NO_ATOM))
+            continue
+        heads: set[Atom] = set()
+        nested: set[Atom] = set()
+        spine = [(p, _NO_ATOM)]
+        while spine:
+            g, bodies = spine.pop()
+            t = type(g)
+            if t is AtomRef:
+                heads.add(g.atom)
+                edges += [(g.atom, b) for b in bodies]
+            elif t is Impl:  # below a negation's bot no atom is reached
+                pos: set[Atom] = set()
+                if g is p and type(g.rhs) is AtomRef:  # a clause: the atoms of antecedent conjuncts but atoms are nested
+                    for d in g.lhs.children if type(g.lhs) is Conj else (g.lhs,):
+                        signed_atoms(d, atoms if type(d) is AtomRef else nested, pos)
+                else:
+                    signed_atoms(g.lhs, atoms, pos)
+                spine.append((g.rhs, bodies.union(pos) if pos else bodies))
+            else:
+                spine += [(d, bodies) for d in g.children]
+        atoms |= heads
+        atoms |= nested
+        pieces.append((p, frozenset(heads), frozenset(nested) if nested else _NO_ATOM))
+    heads = pieces[0][1] if len(pieces) == 1 else frozenset().union(*[piece[1] for piece in pieces])
+    return Rule((c, frozenset(atoms), heads, tuple(edges), tuple(pieces)))
+
+
+def signed_atoms(f: Formula, found: set[Atom], signed: set[Atom], sign: bool = True) -> None:
+    """Add the atoms of f to `found`, and to `signed` its nonnegated atoms
+    of the given sign: positive, under an even number of antecedents, or
+    negative, under an odd number, and in neither case under a negation,
+    an antecedent whose consequent is the structural bot."""
+    stack: list[tuple[Formula, bool | None]] = [(f, True)]  # None: under a negation
+    while stack:
+        g, here = stack.pop()
+        t = type(g)
+        if t is AtomRef:
+            found.add(g.atom)
+            if here is sign:
+                signed.add(g.atom)
+        elif t is not Impl:
+            stack += [(d, here) for d in g.children]
+        else:  # the structural bot as consequent negates, and holds no atom
+            negated = here is None or type(g.rhs) is Disj and not g.rhs.children
+            stack.append((g.lhs, None if negated else not here))
+            stack.append((g.rhs, here))
+
+
+def _finish(met: dict[Atom, int], ops: Sequence[tuple[int, int, int]], root: int) -> Program:
+    """The program of the walked ops with the given root: the atoms
+    sorted, and each op's out slot the slot of a result whose last reader
+    has run, else a fresh one."""
     atoms = tuple(sorted(met))
     base = len(atoms) + 2
     rank = dict(zip(atoms, range(2, base)))

@@ -9,14 +9,14 @@ rule head mentions, and a modular solver evaluates the units in condensation
 order, carrying partial interpretations.  Units may depend on each other
 through negation; positive dependency stays inside a unit, as the symmetric
 splitting theorem asks.  Each conjunct is read once, by one walk, into its
-record (`formula.read_rule`): its atoms, heads, dependency edges, pieces
-and compiled ops.  The planner, the cap and every step read the records
-only.  Each unit's program is its rules' ops renumbered into one, and it
-is routed and decoded in its own step; how it is solved, its route, is for
-`stable` to choose and run (`_unit_route`, `_unit_models`), and this module
-never reads a route's fields.  It keeps the plan, the cap, which it reads
-off the records before compiling any unit, the contexts each unit is
-solved in and the frontier.  Both strategies verify their preconditions,
+record (`formula.read_rule`): its atoms, heads, dependency edges and
+pieces.  The planner, the cap and every step read the records, and no
+other walker runs; each conjunct is compiled once, in its unit's step,
+where the unit is compiled, routed and decoded; how it is solved, its
+route, is for `stable` to choose and run (`_unit_route`, `_unit_models`),
+and this module never reads a route's fields.  It keeps the plan, the cap,
+which it reads off the records before compiling any unit, the contexts
+each unit is solved in and the frontier.  Both strategies verify their preconditions,
 and the modular solver refuses with SplitPlanError when a conjunct's
 strictly positive intensional atoms span dependency blocks; the CLI then
 answers by brute force.
@@ -45,7 +45,7 @@ from .formula import (
     Formula,
     Rule,
     atoms_of,
-    compile_rules,
+    compile_extensible,
     conj,
     read_rule,
     satisfies,  # not called here; perfbench/spans.py wraps this name
@@ -197,7 +197,7 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     """
     a = frozenset(a)
     rules = list(map(read_rule, conjuncts))
-    heads = [a.intersection(r.heads) for r in rules]
+    heads = [r.heads & a for r in rules]
     if any(len(hs) > 1 for hs in heads):
         _, block_of = components(rule_graph(rules, a))
         for r, hs in zip(rules, heads):
@@ -211,17 +211,18 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     atoms = sorted(a)
     index = {x: k for k, x in enumerate(atoms)}
     succs: list[list[int]] = [[] for _ in atoms]
+    headed: list[tuple[int, Rule]] = []  # (first head, rule)
     for r, hs in zip(rules, heads):
         if hs:
             first, *others = [index[h] for h in hs]
             for h in others:
                 succs[h].append(first)
-            succs[first] += [index[x] for x in a.intersection(r.atoms)]
+            succs[first] += [index[x] for x in r.atoms & a]
+            headed.append((first, r))
     comps, comp_of = strong_components(succs)
     assigned: list[list[Rule]] = [[] for _ in comps]
-    for r, hs in zip(rules, heads):
-        if hs:  # all of its heads lie in one unit
-            assigned[comp_of[index[min(hs)]]].append(r)
+    for first, r in headed:
+        assigned[comp_of[first]].append(r)
     listing = topological_order(succs, comps, comp_of)
     blocks = tuple((frozenset(atoms[v] for v in comps[k]), tuple(assigned[k])) for k in listing)
     return SplitPlan(blocks, tuple(r for r, hs in zip(rules, heads) if not hs))
@@ -246,25 +247,21 @@ def _shared(frontier: list[int], extensions: Sequence[int], max_atoms: int) -> l
 
 
 def _extend_frontier(
-    frontier: list[int],
-    unit_atoms: AbstractSet[Atom],
-    rules: Sequence[Rule],
-    bit: dict[Atom, int],
-    solved: dict,
-    max_atoms: int,
+    frontier: list[int], unit_atoms: AbstractSet[Atom], rules: Sequence[Rule], bit: dict[Atom, int], solved: dict, max_atoms: int
 ) -> list[int]:
     """Every frontier entry joined with each stable extension of the unit
     with these atoms and rules, all as bitmasks (`bit` maps atoms to their
     bits; an atom the rules mention without a bit is always false), in no
     particular order.
 
-    The unit's program is its rules' ops, renumbered into one
-    (`formula.compile_rules`), and its route (see `stable._unit_route`)
-    is built once per shape: it depends only on the shape of the program
-    and where the unit atoms sit in it, so `solved` shares it, and the
-    extensions it has found, between isomorphic units, such as the ground
-    instances of one rule.  The extensions depend only on the context,
-    the entry's values of the non-unit atoms the rules mention,
+    The conjunction of the rules' formulas, in the order given, is
+    compiled here, each formula walked once (`formula.compile_extensible`),
+    and the unit's route (see `stable._unit_route`) is built once per
+    shape: it depends only on the shape of the program and where the unit
+    atoms sit in it, so `solved` shares it, and the extensions it has
+    found, between isomorphic units, such as the ground instances of one
+    rule.  The extensions depend only on the context, the entry's values
+    of the non-unit atoms the rules mention,
     so each distinct context is solved once on the route: its A-stable
     assignments, A = the unit's atoms, with the context fixed
     (`stable._unit_models`).  One `stable._decode` call spreads the
@@ -274,7 +271,7 @@ def _extend_frontier(
     extensions (`_shared`); a unit with one extension per context joins
     each entry with its context's one.
     """
-    prog, _ = compile_rules(rules)
+    prog, conjoin = compile_extensible([r.formula for r in rules])
     unit: list[int] = []  # positions over prog.atoms
     sig_bits: list[int] = []
     context: list[tuple[int, int]] = []  # (bit over sigma, bit over prog.atoms)
@@ -289,7 +286,7 @@ def _extend_frontier(
     key = (prog.ops, prog.root, len(prog.atoms), tuple(unit))
     route = solved.get(key)
     if route is None:
-        route = solved[key] = _unit_route(rules, prog, unit)
+        route = solved[key] = _unit_route(rules, prog, conjoin, unit)
     heres: dict[int, int] = {}  # each distinct context, over prog.atoms
     for ctx in set(map(ctx_mask.__and__, frontier)):
         here = 0
@@ -330,8 +327,8 @@ def modular_solve(
     is the symmetric splitting theorem: units may depend on each other
     through negation, only positive dependency stays inside a unit.  Each
     conjunct is read once, by `plan_split`, and every later step reads its
-    record: a unit's program is its rules' ops renumbered into one, and
-    it is solved once per distinct context on the route that
+    record; the conjunction of a unit's rules is compiled in its own step,
+    and the unit is solved once per distinct context on the route that
     `stable._unit_route` picks for its shape, with A = the unit's atoms and
     the context fixed (see `_extend_frontier`).
     Residual conjuncts, which have no strictly positive intensional atoms,

@@ -32,16 +32,15 @@ from .formula import (
     Rule,
     SignatureError,
     _chunk_patterns,
-    _set_children,
+    _node,
     atoms_of,
     check_signature,
+    compile_extensible,
     compile_formula,
-    compile_rules,
-    conjoin,
     disj,
     live_prefixes,
     neg,
-    read_extensible,
+    read_rule,
     reduct,
     satisfies,
     set_bits,
@@ -502,12 +501,15 @@ def _clause(piece: Piece, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom
         return "consequent is not a defined atom"
     if not nested.isdisjoint(q):
         return f"defined atom {min(nested.intersection(q))} occurs in a clause body"
-    kids = c.lhs.children if type(c.lhs) is Conj else (c.lhs,)
-    pos_q = frozenset([d.atom for d in kids if type(d) is AtomRef and d.atom in q])
-    if not pos_q:
-        return c.lhs, pos_q, c.rhs.atom
-    rest = [d for d in kids if not (type(d) is AtomRef and d.atom in q)]
-    return (rest[0] if len(rest) == 1 else Conj(tuple(rest)) if rest else TOP), pos_q, c.rhs.atom
+    ante, head = c.lhs, c.rhs.atom
+    if type(ante) is Conj:
+        pos_q = frozenset([d.atom for d in ante.children if type(d) is AtomRef and d.atom in q])
+        if pos_q:
+            rest = [d for d in ante.children if not (type(d) is AtomRef and d.atom in q)]
+            return (rest[0] if len(rest) == 1 else Conj(tuple(rest)) if rest else TOP), pos_q, head
+    elif type(ante) is AtomRef and ante.atom in q:
+        return TOP, frozenset((ante.atom,)), head
+    return ante, frozenset(), head
 
 
 def _definition(pieces: Iterable[Piece], atoms: Sequence[Atom], part: int) -> tuple[Clause, ...] | None:
@@ -515,9 +517,12 @@ def _definition(pieces: Iterable[Piece], atoms: Sequence[Atom], part: int) -> tu
     atoms of the bitmask `part` over `atoms`, at their positions there, or
     None when one of them is no clause of such a definition."""
     q = {x for b, x in enumerate(atoms) if part >> b & 1}
-    found = [_clause(piece, q) for piece in pieces]
-    if any(type(clause) is str for clause in found):
-        return None
+    found = []
+    for piece in pieces:
+        clause = _clause(piece, q)
+        if type(clause) is str:
+            return None
+        found.append(clause)
     position = {x: b for b, x in enumerate(atoms)}.__getitem__
     compiled: dict[int, tuple[Program, tuple[int, ...]]] = {}  # per body object, such as the many `top`s of a ring
     out = []
@@ -581,6 +586,8 @@ def _parts(rules: Sequence[Rule], atoms: Sequence[Atom], a: AbstractSet[Atom]) -
     checked by `_ht_minimal`.
     """
     bit = {x: 1 << b for b, x in enumerate(atoms) if x in a}
+    if not bit:
+        return [], []
     graph = rule_graph(rules, frozenset(bit))
     comps, comp_of = components(graph)
     defining: list[list[Piece]] = [[] for _ in comps]  # per part, in the order of f
@@ -608,16 +615,6 @@ def _loops(succs: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         if len(strong_components([[index[w] for w in succs[v] if w in index] for v in index])[0]) == 1:
             found.append(y)
     return tuple(found)
-
-
-def _node(kind: type, children: Sequence[Formula]) -> Formula:
-    """A conjunction or disjunction of the children in the order given,
-    for a loop formula, which is only compiled: putting a here-copy in
-    canonical order would spell out its key, a walk of the copy as a tree,
-    and its tree can grow with the square of its depth."""
-    node = object.__new__(kind)
-    _set_children(node, tuple(children))
-    return node
 
 
 def _here(f: Formula, y: Sequence[Atom]) -> Formula:
@@ -977,12 +974,13 @@ def _stable_models(
     return _stable_subset(prog, var, here, others, candidates) if others else candidates
 
 
-def _unit_route(rules: Sequence[Rule], prog: Program, unit: Sequence[int]) -> tuple:
+def _unit_route(rules: Sequence[Rule], prog: Program, conjoin, unit: Sequence[int]) -> tuple:
     """How `splitting.modular_solve` solves a unit, the atoms at positions
-    `unit` of prog.atoms, all intensional, when prog is the program of the
-    rules (`compile_rules`): (one, prog, unit, the parts or the clauses,
-    the swept program, the assignments found per context so far), `one`
-    when every context has exactly one extension.
+    `unit` of prog.atoms, all intensional, when the rules' formulas compile
+    as prog and `conjoin` continues the walk that compiled them (see
+    `compile_extensible`): (one, prog, unit, the parts or the clauses, the
+    swept program, the assignments found per context so far), `one` when
+    every context has exactly one extension.
 
     A unit of at most `_NARROW` atoms takes the one packed run.  A wider
     unit whose whole formula is a definition for its atoms takes its
@@ -998,7 +996,7 @@ def _unit_route(rules: Sequence[Rule], prog: Program, unit: Sequence[int]) -> tu
     if clauses is not None:
         return True, prog, unit, clauses, None, {}
     parts, loop_formulas = _parts(rules, prog.atoms, frozenset(map(prog.atoms.__getitem__, unit)))
-    return False, prog, unit, parts, compile_rules(rules, loop_formulas)[1], {}
+    return False, prog, unit, parts, conjoin(loop_formulas) if loop_formulas else None, {}
 
 
 def _unit_models(route: tuple, heres: Iterable[int]) -> dict[int, Sequence[int]]:
@@ -1029,28 +1027,24 @@ def enumerate_a_stable(
 
     sigma defaults to the atoms occurring in f plus a; extra extensional
     atoms must be supplied explicitly since they change the result.  f is
-    read once, by one walk, into its record (`formula.read_extensible`):
-    its program, and its pieces and dependency edges, all that `_parts`
-    reads.  When sigma shows that f has at most `_NARROW` atoms, or more
-    than the cap allows, no part is read, and f is only compiled.
-    `_stable_models` then finds the A-stable assignments to all of its
-    atoms, the routine that also solves every unit of
+    compiled once, and `_stable_models` finds the A-stable assignments to
+    all of its atoms, the routine that also solves every unit of
     `splitting.modular_solve` but a definition (see `_unit_route`): with at
     most `_NARROW` atoms by one packed run over every assignment, else one
-    part of A at a time (see `_parts`).  A part is a strongly connected
+    part of A at a time (see `_parts`, which reads f's record,
+    `formula.read_rule`).  A part is a strongly connected
     component of the positive dependency graph; by the splitting lemma and
     the symmetric splitting theorem a classical model is C-stable for f iff
     it is C-stable for the conjuncts in which an atom of C is strictly
     positive.  A part of at most `_NARROW` atoms is decided by its loop
-    formulas, which are conjoined to f by continuing the walk that read it
-    (`formula.conjoin`), so that every classical check runs on f with
-    them.  A wider part that is a definition has one C-stable model per
-    interpretation of the other atoms, the least fixpoint of its clauses:
-    unless it is on a cycle of body reads between definition parts (see
-    `_read_order`), its atoms are not swept but derived, part after part,
-    on every live assignment to the other atoms at once, one byte lane
-    each, and one run of f with the loop formulas over those lanes keeps
-    the models (see `_lane_models`).
+    formulas, which are conjoined to f in the walk that compiled it, so
+    that every classical check runs on f with them.  A wider part that is
+    a definition has one C-stable model per interpretation of the other
+    atoms, the least fixpoint of its clauses: unless it is on a cycle of
+    body reads between definition parts (see `_read_order`), its atoms are
+    not swept but derived, part after part, on every live assignment to
+    the other atoms at once, one byte lane each, and one run of f with the
+    loop formulas over those lanes keeps the models (see `_lane_models`).
     With no part to derive, a vectorized sweep over all the atoms gives the
     candidates (`_candidate_models`): it runs only the sub-chunks of 2**8
     assignments that one Kleene run of the program leaves live, a chunk of
@@ -1069,20 +1063,15 @@ def enumerate_a_stable(
     bitmasks in every case.
     """
     a = frozenset(a)
-    if sigma is not None and not _NARROW < len(a.union(sigma)) <= max_atoms:
-        # one packed run decides A, or the cap refuses the sweep: no part is read
-        prog, rules = compile_formula(f), ()
-    else:
-        rule, walked = read_extensible(f)
-        prog, rules = compile_rules((rule,))[0], (rule,)
+    prog, conjoin = compile_extensible((f,))
     occurring = frozenset(prog.atoms)
     sig = frozenset(sigma) if sigma is not None else occurring | a
     check_signature(occurring | a, sig)
     _check_cap(len(sig), max_atoms)
 
     # up to _NARROW atoms, one packed run decides A: no graph, no loop formula
-    parts, loop_formulas = _parts(rules, prog.atoms, a) if len(prog.atoms) > _NARROW else ((), ())
-    swept = conjoin(walked, loop_formulas) if loop_formulas else None
+    parts, loop_formulas = _parts((read_rule(f),), prog.atoms, a) if len(prog.atoms) > _NARROW else ((), ())
+    swept = conjoin(loop_formulas) if loop_formulas else None
     a_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x in a)
     masks = _stable_models(prog, range(len(prog.atoms)), 0, a_mask, parts, swept)
     order: Sequence[Atom] = prog.atoms

@@ -290,9 +290,19 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
-def parse_program(text: str) -> list[Formula]:
+class ParsedProgram(list):
+    """The formulas of a program, in order, and `atoms`, the atoms they
+    mention, which the parse meets anyway."""
+
+    __slots__ = ("atoms",)
+
+
+def parse_program(text: str) -> ParsedProgram:
     """Parse a sequence of '.'-terminated formulas."""
-    return _Parser(text).program(_GROUND)
+    p = _Parser(text)
+    out = ParsedProgram(p.program(_GROUND))
+    out.atoms = frozenset([ref.atom for ref in p.atoms.values()])
+    return out
 
 
 def parse_atom(text: str) -> Atom:

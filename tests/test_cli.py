@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from astable import ModelSet, atoms_of, cli, conj, fo, parse_program
+from astable import Atom, ModelSet, atoms_of, cli, conj, fo, parse_program
 from astable.cli import main
 from astable.formula import format_formula
 from astable.syntax import parse_formula
@@ -344,18 +344,21 @@ class TestSplitSolve:
         assert err.startswith("error: enumeration over 101 atoms exceeds the cap of 24")
 
     def test_atoms_of_each_conjunct_are_computed_once(self, capsys, tmp_path, monkeypatch):
-        # the loader's atom sets reach the planner, which computes none
+        # the parse meets every atom, which gives the signature, and the
+        # planner reads each conjunct's atoms into its record: no
+        # `atoms_of` walk runs
         from astable import formula, splitting
 
         calls = []
         real = formula.atoms_of
-        monkeypatch.setattr(cli, "atoms_of", lambda f: calls.append("cli") or real(f))
-        monkeypatch.setattr(splitting, "atoms_of", lambda f: calls.append("plan") or real(f))
+        for module in (formula, splitting):
+            monkeypatch.setattr(module, "atoms_of", lambda f: calls.append(f) or real(f))
         path = tmp_path / "chain.lp"
         path.write_text("p1 -> p0.\np2 -> p1.\np2.\nnot (p0 & q).\nq | not q.\n")
         code, out, _ = run(capsys, "split-solve", str(path))
         assert (code, out) == (0, "{p0,p1,p2}\n")
-        assert calls == ["cli"] * 5
+        assert calls == []
+        assert parse_program(path.read_text()).atoms == {Atom(x) for x in ("p0", "p1", "p2", "q")}
 
     def test_negative_cycle_with_a_choice_matches_solve_and_the_reference(self, capsys, tmp_path):
         # one unit of 10 atoms, wider than one run: its one-atom parts are

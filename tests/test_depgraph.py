@@ -38,37 +38,10 @@ from astable.depgraph import components, rule_graph
 from astable.formula import read_rule
 from astable.verifier import GenConfig, _gen_program, gen_formula
 
-from util import guard_program
+from util import guard_program, occurrence_sets
 
 P, Q, R, S = atom("p"), atom("q"), atom("r"), atom("s")
 PA, PB, QA = Atom("p", ("a",)), Atom("p", ("b",)), Atom("q")
-
-
-def occurrence_sets(f):
-    """Tree-walk oracle tracking antecedent depth and negation context.
-
-    Returns (strictly positive, positive nonnegated, negative nonnegated)
-    from raw occurrences: strictly positive means inside no antecedent at
-    all; nonnegated means not inside the antecedent of an implication whose
-    consequent is bot; the sign is the parity of enclosing antecedents.
-    """
-    sp, pnn, nnn = set(), set(), set()
-
-    def walk(g, ante_depth, negated):
-        if isinstance(g, AtomRef):
-            if ante_depth == 0:
-                sp.add(g.atom)
-            if not negated:
-                (pnn if ante_depth % 2 == 0 else nnn).add(g.atom)
-        elif isinstance(g, (Conj, Disj)):
-            for c in g.children:
-                walk(c, ante_depth, negated)
-        else:
-            walk(g.lhs, ante_depth + 1, negated or g.rhs == BOT)
-            walk(g.rhs, ante_depth, negated)
-
-    walk(f, 0, False)
-    return frozenset(sp), frozenset(pnn), frozenset(nnn)
 
 
 class TestOccurrenceAnalyses:

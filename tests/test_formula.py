@@ -29,8 +29,8 @@ from astable.formula import (
     Formula,
     Program,
     _key,
+    compile_extensible,
     compile_formula,
-    compile_rules,
     live_prefixes,
     read_rule,
     truth_chunks,
@@ -38,7 +38,7 @@ from astable.formula import (
 import astable.formula as formula_module
 from astable.verifier import GenConfig, _gen, _gen_program, gen_formula
 
-from util import guard_program
+from util import guard_program, occurrence_sets
 
 P, Q, R, S = atom("p"), atom("q"), atom("r"), atom("s")
 
@@ -276,9 +276,8 @@ class TestCompile:
 
     def test_extension_continues_the_walk(self):
         # f conjoined with formulas made of f's own subformulas, compiled
-        # by continuing from the ops of f's rules: f's program and every
-        # extension keep their truth tables, and a subformula met again
-        # costs no op
+        # by continuing f's walk: f's program and every extension keep
+        # their truth tables, and a subformula met again costs no op
         atoms = [Atom(x) for x in "abcd"]
         for seed in range(200):
             f = gen_formula(GenConfig(seed=5000 + seed, max_atoms=4, max_depth=3))
@@ -291,7 +290,8 @@ class TestCompile:
                 stack += kids
             pick = random.Random(seed).choice
             more = [impl(pick(subs), pick(subs)), neg(subs[-1])]
-            prog, extended = compile_rules([read_rule(f)], more)
+            prog, conjoin = compile_extensible((f,))
+            extended = conjoin(more)
             assert extended.atoms == prog.atoms == compile_formula(f).atoms
             assert len(extended.ops) <= len(prog.ops) + 2 * len(more)
             whole = conj([f, *more])
@@ -528,10 +528,21 @@ def _clause_oracle(c, q):
     return body, pos_q, c.rhs.atom
 
 
+def _edges_oracle(f, a):
+    """The dependency edges of f over a as `depgraph.rules` defines them:
+    the heads of each strictly positive implication times the positive
+    nonnegated atoms of its antecedent, read off the occurrence oracle."""
+    from astable.depgraph import rules
+
+    return {(h, b) for r in rules(f) for h in occurrence_sets(r.rhs)[0] & a for b in occurrence_sets(r.lhs)[1] & a}
+
+
 class TestRuleRecord:
-    """A conjunct's record, from its one walk, against the walkers that read
-    each fact on their own: `atoms_of`, `strictly_positive`, `dep_graph`,
-    a copy of the clause reading, and `compile_formula`."""
+    """A conjunct's record, from its one walk, against oracles that read
+    each fact on their own: `atoms_of`, the occurrence oracle of
+    `tests/util.py`, the edges `depgraph.rules` defines and a copy of the
+    clause reading; and the program of conjuncts compiled one by one
+    against `compile_formula`."""
 
     @staticmethod
     def _cases():
@@ -553,7 +564,7 @@ class TestRuleRecord:
         yield impl(conj([impl(x, R), S]), disj([x, R]))
 
     def test_fields_match_the_walkers(self):
-        from astable.depgraph import dep_graph, rule_graph, strictly_positive
+        from astable.depgraph import rule_graph
         from astable.stable import _clause
 
         rng = random.Random(55)
@@ -561,14 +572,14 @@ class TestRuleRecord:
             rule = read_rule(f)
             everything = atoms_of(f)
             assert rule.formula is f
-            assert sorted(rule.atoms) == sorted(everything) and len(rule.atoms) == len(everything)
-            assert rule.heads == strictly_positive(f)
+            assert rule.atoms == everything
+            assert rule.heads == occurrence_sets(f)[0]
             for _ in range(2):
                 a = frozenset(x for x in everything if rng.random() < 0.7)
-                assert rule_graph([rule], a) == dep_graph(f, a)
+                assert rule_graph([rule], a).edges == _edges_oracle(f, a)
             assert [p[0] for p in rule.pieces] == _opened(f)
             for piece in rule.pieces:
-                assert piece[1] == strictly_positive(piece[0])
+                assert piece[1] == occurrence_sets(piece[0])[0]
                 for _ in range(3):
                     q = frozenset(x for x in everything if rng.random() < 0.5)
                     assert _clause(piece, q) == _clause_oracle(piece[0], q)
@@ -581,8 +592,7 @@ class TestRuleRecord:
 
         for f in self._cases():
             children = list(f.children) if type(f) is Conj and f.children else [f]
-            rules = list(map(read_rule, children))
             more = [impl(children[-1], R), neg(children[0])]
-            prog, swept = compile_rules(rules, more)
-            assert same(prog, compile_formula(f)) and same(compile_rules([read_rule(f)])[0], prog)
-            assert same(swept, compile_formula(_node(Conj, children + more)))
+            prog, conjoin = compile_extensible(children)
+            assert same(prog, compile_formula(f)) and same(compile_extensible((f,))[0], prog)
+            assert same(conjoin(more), compile_formula(_node(Conj, children + more)))

@@ -7,6 +7,7 @@ import pytest
 from astable import (
     Atom,
     AtomRef,
+    Conj,
     CapExceeded,
     PreconditionError,
     SignatureError,
@@ -21,7 +22,6 @@ from astable import (
     impl,
     modular_solve,
     neg,
-    parse_program,
     plan_split,
     satisfies,
     sccs,
@@ -324,8 +324,8 @@ def _swept_routes(monkeypatch) -> list:
     found = []
     real = splitting._unit_route
 
-    def spy(rules, prog, unit):
-        route = real(rules, prog, unit)
+    def spy(rules, prog, conjoin, unit):
+        route = real(rules, prog, conjoin, unit)
         if route[4] is not None:
             found.append(rules)
         return route
@@ -469,10 +469,9 @@ class TestModularSolve:
         # the 4-loops a0 -> ... -> a3 -> a0 and b0 -> ... -> b3 -> b0 joined
         # by the even cycle not b0 -> a0, not a0 -> b0, with a3 also fed by
         # the extensional e: one unit of 8 atoms, no definition, whose parts,
-        # the two loops, are narrow and decided by their loop formulas; each
-        # conjunct is walked once, when it is read, and the unit's program
-        # is continued with the loop formulas from the ops read, not walked
-        # again
+        # the two loops, are narrow and decided by their loop formulas; the
+        # compile walk of its conjuncts, each walked once, is continued with
+        # them, not repeated
         walked = []
         real = formula_module._walk
         monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real(f, *rest))
@@ -488,8 +487,8 @@ class TestModularSolve:
         assert atoms == intensional
         walked.clear()
         got = modular_solve(conjuncts, intensional, sigma)
-        assert walked[: len(conjuncts)] == conjuncts and supported == [rules]
-        assert not any(g is c for g in walked[len(conjuncts) :] for c in conjuncts)
+        assert len(walked[0].children) == len(conjuncts) and all(g is c for g, c in zip(walked[0].children, conjuncts))
+        assert supported == [rules] and not any(g is c for g in walked[1:] for c in conjuncts)
         monkeypatch.undo()
         assert got == enumerate_a_stable(conj(conjuncts), intensional, sigma)
         assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, intensional)
@@ -761,19 +760,15 @@ class TestModularSolve:
 
     def test_unit_past_the_cap_is_refused_before_any_compile_walk(self, monkeypatch, tmp_path, capsys):
         # the cap reads the negative ring's clauses off the records of its
-        # conjuncts, so split-solve exits at the cap with each conjunct
-        # walked once, when it is read, and no unit program built
+        # conjuncts, so split-solve exits at the cap without compiling the
+        # unit
         from astable.cli import main
 
-        walked, built = [], []
+        walked = []
         real = formula_module._walk
         monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real(f, *rest))
-        for module in (splitting, stable):
-            real_build = module.compile_rules
-            monkeypatch.setattr(module, "compile_rules", lambda *args, real_build=real_build: built.append(1) or real_build(*args))
         path = tmp_path / "negring.lp"
-        text = "".join(f"not x{i} -> x{(i + 1) % 3000}.\n" for i in range(3000))
-        path.write_text(text)
+        path.write_text("".join(f"not x{i} -> x{(i + 1) % 3000}.\n" for i in range(3000)))
         assert main(["split-solve", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -781,7 +776,7 @@ class TestModularSolve:
             "error: enumeration over 3000 atoms exceeds the cap of 24; "
             "pass a larger max_atoms (or --max-atoms) if this is intended\n"
         )
-        assert walked == parse_program(text) and not built
+        assert not walked
 
     def test_each_step_decodes_its_contexts_in_one_call(self, monkeypatch):
         # the choices a and b, then the unit {p, q} of a & not q -> p and
@@ -858,10 +853,11 @@ def _layered_chain(blocks: int, width: int) -> list:
 
 
 class TestOneWalkPerConjunct:
-    """Each conjunct is read by one walk into its record, and nothing after
-    walks it again: the walks are counted, never timed."""
+    """Each conjunct is read by one walk into its record and compiled by
+    one walk in its unit's step, and no other walker reads it: the walks
+    are counted, never timed."""
 
-    WALKERS = (  # every module's name for each walker besides the reading walk
+    WALKERS = (  # every module's name for each walker besides the reading and compiling walks
         [(m, "atoms_of") for m in (formula_module, splitting, stable)]
         + [(m, "strictly_positive") for m in (depgraph, splitting)]
         + [(m, "dep_graph") for m in (depgraph, splitting)]
@@ -872,6 +868,9 @@ class TestOneWalkPerConjunct:
         walked, others = [], []
         real = formula_module._walk
         monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real(f, *rest))
+        for module in (splitting, stable):
+            fn = module.read_rule
+            monkeypatch.setattr(module, "read_rule", lambda c, fn=fn: others.append(("read", c)) or fn(c))
         for module, name in self.WALKERS:
             fn = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: others.append(name) or fn(*args))
@@ -883,8 +882,12 @@ class TestOneWalkPerConjunct:
         want = enumerate_a_stable(conj(conjuncts), atoms, atoms, max_atoms=len(atoms)) if len(atoms) <= 16 else None
         walked, others = self._spy(monkeypatch)
         got = modular_solve(conjuncts, atoms, atoms)
-        assert walked == conjuncts and all(w is c for w, c in zip(walked, conjuncts))
-        assert others == []
+        # read in the order given; compiled unit by unit, in the order
+        # solved, a unit of several conjuncts as their conjunction
+        assert [c for _, c in others] == conjuncts and all(r[1] is c for r, c in zip(others, conjuncts))
+        assert {name for name, _ in others} == {"read"}
+        compiled = [g for w in walked for g in (w.children if type(w) is Conj else (w,))]
+        assert sorted(map(id, compiled)) == sorted(map(id, conjuncts))
         monkeypatch.undo()
         assert len(got) == 1 and (want is None or got == want)
 
@@ -913,7 +916,7 @@ class TestOneWalkPerConjunct:
             for found in (walked, others, loop_formulas, bodies):
                 found.clear()
             enumerate_a_stable(g, sigma, sigma)
-            assert walked[0] is g and others == []
+            assert walked[0] is g and others == [("read", g)]  # its parts are read off its record
             assert sorted(map(id, walked[1:])) == sorted(map(id, loop_formulas + bodies))
             assert len({id(b) for b in bodies}) == len(bodies)
             assert bodies if g is f else loop_formulas  # the ring's two bodies; the chain's loop formulas

@@ -34,7 +34,7 @@ from astable import (
 )
 from astable.definitions import check_conservativity, recognize_definition
 from astable.depgraph import dep_graph, sccs
-from astable.formula import compile_formula, compile_rules, live_prefixes, read_rule, truth_chunks
+from astable.formula import compile_extensible, compile_formula, live_prefixes, read_rule, truth_chunks
 from astable.stable import (
     _CHUNK_BITS,
     _NARROW,
@@ -223,14 +223,13 @@ def _route_against_per_candidate(f):
     """(classical models, A-stable) with everything intensional, after
     checking the sweep with the loop formulas and the check of the wider
     parts left against one `_ht_minimal` per classical model."""
-    rules = [read_rule(f)]
-    prog, _ = compile_rules(rules)
+    prog, conjoin = compile_extensible((f,))
     a_mask = (1 << len(prog.atoms)) - 1
     every = range(len(prog.atoms))
     candidates = sorted(_candidate_models(prog, every, 0))  # a wide sweep lists them in its own order
     reference = [m for m in candidates if _ht_minimal(prog, m, a_mask)]
-    parts, loop_formulas = _parts(rules, prog.atoms, frozenset(prog.atoms))
-    stable = _stable_models(prog, every, 0, a_mask, parts, compile_rules(rules, loop_formulas)[1])
+    parts, loop_formulas = _parts([read_rule(f)], prog.atoms, frozenset(prog.atoms))
+    stable = _stable_models(prog, every, 0, a_mask, parts, conjoin(loop_formulas) if loop_formulas else None)
     assert sorted(stable) == reference
     return candidates, stable
 
@@ -344,17 +343,16 @@ class TestPackedMinimality:
         # a one-atom part `not p_i -> p_(i+1)` as `p_(i+1) -> not p_i`, the
         # cycle {p1, p2} as the loops {p1}, {p2} and {p1, p2}
         f = _program(_negchain(20) + extra)
-        rules = [read_rule(f)]
-        prog, _ = compile_rules(rules)
+        prog, conjoin = compile_extensible((f,))
         a = frozenset(Atom(f"p{i}") for i in range(5))
-        parts, loop_formulas = _parts(rules, prog.atoms, a)
+        parts, loop_formulas = _parts([read_rule(f)], prog.atoms, a)
         comps = _scc_parts(f, prog, a)
         assert parts == [] and len(comps) == count
         # the choice p0 | not p0 needs none: its copy in the antecedent is bot
         assert len(loop_formulas) == sum((1 << p.bit_count()) - 1 for p in comps) - 1
         every = range(len(prog.atoms))
         candidates = list(_candidate_models(prog, every, 0))
-        assert sorted(_stable_models(prog, every, 0, sum(comps), parts, compile_rules(rules, loop_formulas)[1])) == sorted(
+        assert sorted(_stable_models(prog, every, 0, sum(comps), parts, conjoin(loop_formulas))) == sorted(
             _stable_subset(prog, every, 0, [(sum(comps), None)], candidates)
         )
 
@@ -528,18 +526,18 @@ class TestDefinitionParts:
         ring = [f"q{i}" for i in range(9)]
         f = _program(_ring(ring) + ["not x -> q0"])
         rules = [read_rule(f)]
-        prog, _ = compile_rules(rules)
+        prog, conjoin = compile_extensible((f,))
         unit = [b for b, x in enumerate(prog.atoms) if x.name.startswith("q")]
         compiled = []
         real = stable_module.compile_formula
         monkeypatch.setattr(stable_module, "compile_formula", lambda g: compiled.append(g) or real(g))
-        one, _, _, clauses, _, _ = _unit_route(rules, prog, unit)
+        one, _, _, clauses, _, _ = _unit_route(rules, prog, conjoin, unit)
         assert one and len(clauses) == 10
         assert compiled == [TOP, neg(atom("x"))] or compiled == [neg(atom("x")), TOP]
         assert len({id(body) for body, _, _, _ in clauses}) == 2
         # each extension is the least fixpoint: the whole ring when x is false
         x = prog.atoms.index(Atom("x"))
-        assert stable_module._unit_models(_unit_route(rules, prog, unit), [0, 1 << x]) == {
+        assert stable_module._unit_models(_unit_route(rules, prog, conjoin, unit), [0, 1 << x]) == {
             0: ((1 << 9) - 1,),
             1 << x: (0,),
         }
@@ -555,9 +553,9 @@ class TestDefinitionParts:
         monkeypatch.setattr(stable_module, "_parts", lambda *args: parted.append(args) or real_parts(*args))
         small = _program(_ring([f"r{i}" for i in range(_NARROW)]))
         rules = [read_rule(small)]
-        prog, _ = compile_rules(rules)
+        prog, conjoin = compile_extensible((small,))
         assert len(enumerate_a_stable(small, atoms_of(small))) == 1
-        assert _unit_route(rules, prog, range(_NARROW))[3:5] == ((), None)
+        assert _unit_route(rules, prog, conjoin, range(_NARROW))[3:5] == ((), None)
         assert not parted
         wide = _program(_ring([f"r{i}" for i in range(_NARROW)]) + _choices(4))
         prog = compile_formula(wide)

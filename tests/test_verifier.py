@@ -195,7 +195,7 @@ def route_table():
     reached = Counter()
     misread = []
 
-    def unit_route(rules, prog, unit, route):
+    def unit_route(rules, prog, conjoin, unit, route):
         if len(unit) <= stable._NARROW:
             return ["narrow unit"]
         atoms = {prog.atoms[b] for b in unit}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from astable import Atom, Formula, atom, conj, impl, neg, satisfies, reduct
+from astable import BOT, Atom, AtomRef, Conj, Disj, Formula, atom, conj, impl, neg, satisfies, reduct
 
 
 def guard_program(elements=("a", "b")) -> Formula:
@@ -50,3 +50,30 @@ def brute_a_stable(f: Formula, sigma, a) -> set[frozenset[Atom]]:
             continue
         out.add(i)
     return out
+
+
+def occurrence_sets(f):
+    """Tree-walk oracle tracking antecedent depth and negation context.
+
+    Returns (strictly positive, positive nonnegated, negative nonnegated)
+    from raw occurrences: strictly positive means inside no antecedent at
+    all; nonnegated means not inside the antecedent of an implication whose
+    consequent is bot; the sign is the parity of enclosing antecedents.
+    """
+    sp, pnn, nnn = set(), set(), set()
+
+    def walk(g, ante_depth, negated):
+        if isinstance(g, AtomRef):
+            if ante_depth == 0:
+                sp.add(g.atom)
+            if not negated:
+                (pnn if ante_depth % 2 == 0 else nnn).add(g.atom)
+        elif isinstance(g, (Conj, Disj)):
+            for c in g.children:
+                walk(c, ante_depth, negated)
+        else:
+            walk(g.lhs, ante_depth + 1, negated or g.rhs == BOT)
+            walk(g.rhs, ante_depth, negated)
+
+    walk(f, 0, False)
+    return frozenset(sp), frozenset(pnn), frozenset(nnn)
