@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from itertools import count
+from itertools import count, repeat
 from typing import AbstractSet, Iterable, Iterator
 
-from .formula import Atom, AtomRef, Formula, Impl, Rule, read_rule, signed_atoms
+from .formula import Atom, AtomRef, Disj, Formula, Impl, Rule, signed_atoms
 from .records import Record
 
 
@@ -66,23 +66,25 @@ _set_part2 = Partition2.part2.__set__
 
 def strictly_positive(f: Formula) -> frozenset[Atom]:
     """Atoms occurring under no implication antecedent: the heads of f's
-    record (`formula.read_rule`)."""
-    return read_rule(f).heads
+    record (`formula.read_rule`), by a walk of its spine alone."""
+    while type(f) is Impl:  # the walk would only enter the consequent
+        f = f.rhs
+    return frozenset((f.atom,)) if type(f) is AtomRef else _signed(f, True, False)
 
 
 def pos_nonnegated(f: Formula) -> frozenset[Atom]:
     """Positive nonnegated atoms; the consequent-is-bot test is structural."""
-    return _nonnegated(f, True)
+    return _signed(f, True, True)
 
 
 def neg_nonnegated(f: Formula) -> frozenset[Atom]:
     """Negative nonnegated atoms: under an odd number of antecedents."""
-    return _nonnegated(f, False)
+    return _signed(f, False, True)
 
 
-def _nonnegated(f: Formula, sign: bool) -> frozenset[Atom]:
+def _signed(f: Formula, sign: bool, antecedents: bool) -> frozenset[Atom]:
     out: set[Atom] = set()
-    signed_atoms(f, set(), out, sign)
+    signed_atoms(f, set(), out, sign, antecedents)
     return frozenset(out)
 
 
@@ -111,11 +113,42 @@ def rules(f: Formula) -> list[Formula]:
 
 
 def dep_graph(f: Formula, a: AbstractSet[Atom]) -> DepGraph:
-    """Positive dependency graph of f over the intensional atoms a: the
-    dependency edges of f's record (`formula.read_rule`) between atoms of
-    a, which is the edge set `rules` defines.  No formula is hashed, so
-    any depth is safe."""
-    return rule_graph((read_rule(f),), frozenset(a))
+    """Positive dependency graph of f over the intensional atoms a.
+
+    One iterative walk down the strictly positive spine (conjunction and
+    disjunction children, implication consequents) carries the positive
+    nonnegated intensional atoms of the antecedents passed on the way;
+    each strictly positive intensional atom reached gets an edge to each
+    of them, which is the edge set `rules` defines.  It is the graph of
+    f's record (`formula.read_rule`, `rule_graph`) by a walk of the spine
+    alone, for a caller that needs no more.  No formula is hashed, so any
+    depth is safe.
+    """
+    a = frozenset(a)
+    edges: set[tuple[Atom, Atom]] = set()
+    stack: list[tuple[Formula, frozenset[Atom]]] = [(f, frozenset())]
+    while stack:
+        g, bodies = stack.pop()
+        t = type(g)
+        if t is AtomRef:
+            if bodies and g.atom in a:
+                edges.update(zip(repeat(g.atom), bodies))
+        elif t is Impl:
+            rhs = g.rhs
+            if type(rhs) is Disj and not rhs.children:  # the structural bot
+                continue
+            lhs = g.lhs
+            if type(lhs) is AtomRef:  # a one-atom body, the common case
+                if lhs.atom in a and lhs.atom not in bodies:
+                    bodies = bodies | {lhs.atom}
+            else:
+                body = pos_nonnegated(lhs) & a
+                if body - bodies:
+                    bodies = bodies | body
+            stack.append((rhs, bodies))
+        else:
+            stack.extend((c, bodies) for c in g.children)
+    return DepGraph(a, frozenset(edges))
 
 
 def rule_graph(rules: Iterable[Rule], a: frozenset[Atom]) -> DepGraph:

@@ -576,11 +576,12 @@ def read_rule(c: Formula) -> Rule:
     return Rule((c, frozenset(atoms), heads, tuple(edges), tuple(pieces)))
 
 
-def signed_atoms(f: Formula, found: set[Atom], signed: set[Atom], sign: bool = True) -> None:
+def signed_atoms(f: Formula, found: set[Atom], signed: set[Atom], sign: bool = True, antecedents: bool = True) -> None:
     """Add the atoms of f to `found`, and to `signed` its nonnegated atoms
     of the given sign: positive, under an even number of antecedents, or
     negative, under an odd number, and in neither case under a negation,
-    an antecedent whose consequent is the structural bot."""
+    an antecedent whose consequent is the structural bot.  Without
+    `antecedents` the walk stays out of every antecedent."""
     stack: list[tuple[Formula, bool | None]] = [(f, True)]  # None: under a negation
     while stack:
         g, here = stack.pop()
@@ -592,8 +593,9 @@ def signed_atoms(f: Formula, found: set[Atom], signed: set[Atom], sign: bool = T
         elif t is not Impl:
             stack += [(d, here) for d in g.children]
         else:  # the structural bot as consequent negates, and holds no atom
-            negated = here is None or type(g.rhs) is Disj and not g.rhs.children
-            stack.append((g.lhs, None if negated else not here))
+            if antecedents:
+                negated = here is None or type(g.rhs) is Disj and not g.rhs.children
+                stack.append((g.lhs, None if negated else not here))
             stack.append((g.rhs, here))
 
 

@@ -564,7 +564,7 @@ class TestRuleRecord:
         yield impl(conj([impl(x, R), S]), disj([x, R]))
 
     def test_fields_match_the_walkers(self):
-        from astable.depgraph import rule_graph
+        from astable.depgraph import dep_graph, rule_graph
         from astable.stable import _clause
 
         rng = random.Random(55)
@@ -577,6 +577,7 @@ class TestRuleRecord:
             for _ in range(2):
                 a = frozenset(x for x in everything if rng.random() < 0.7)
                 assert rule_graph([rule], a).edges == _edges_oracle(f, a)
+                assert rule_graph([rule], a) == dep_graph(f, a)
             assert [p[0] for p in rule.pieces] == _opened(f)
             for piece in rule.pieces:
                 assert piece[1] == occurrence_sets(piece[0])[0]
