@@ -15,7 +15,7 @@ import re
 import struct
 from bisect import bisect_left
 from itertools import accumulate
-from operator import itemgetter, sub
+from operator import attrgetter, itemgetter, sub
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .records import Record
@@ -71,16 +71,31 @@ class Atom(tuple):
 class Formula(Record):
     """Base class for formula nodes.  Instances are immutable values.
 
-    Set nodes and implications compare and hash by their canonical key
-    (`_key`), which an explicit-stack walk computes at any depth.  Each
+    Each node holds its canonical order key in the cache slot `_ok`, built
+    once by its constructor from its children's keys: `(0, atom)` for an
+    atom, `(1, keys)` for a conjunction and `(2, keys)` for a disjunction,
+    with keys the tuple of their children's keys, and `(3, lhs key, rhs
+    key)` for an implication.  Keys compare in C, stopping at the first
+    difference, so ordering and equality cost what two formulas share, not
+    their size.  Keys nest as deep as the formula: where comparing two
+    distinct keys that agree that deep raises RecursionError, ordering and
+    equality fall back to the string key `_key`, which an explicit-stack
+    walk spells at any depth.  Hashing walks that string every time.  Each
     node's `__init__` writes its slots through their descriptors, past the
     `__setattr__` that refuses every assignment.
     """
 
-    __slots__ = ()
+    __slots__ = ("_ok",)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Formula) and _key(self) == _key(other)
+        if self is other:
+            return True
+        if not isinstance(other, Formula):
+            return False
+        try:
+            return self._ok == other._ok
+        except RecursionError:
+            return _key(self) == _key(other)
 
     def __hash__(self) -> int:
         return hash(_key(self))
@@ -104,7 +119,8 @@ class Formula(Record):
 
 
 def _key(f: Formula) -> str:
-    """The canonical key of f, written in preorder by one explicit-stack walk.
+    """The canonical key of f as a string, written in preorder by one
+    explicit-stack walk: the order of `_ok`, spelled at any depth.
 
     An atom is `0`, its name, `,` and an argument for each argument, and
     `!`; a conjunction is `1`, then its children's keys, then `!`; a
@@ -132,24 +148,41 @@ def _key(f: Formula) -> str:
         elif t is str:  # the end of a set node
             out.append(g)
         else:
-            out.append(_TAGS[t])
+            out.append("1" if t is Conj else "2")
             stack.append("!")
             stack.extend(reversed(g.children))
     return "".join(out)
 
 
-def _canonical(children: Iterable[Formula]) -> tuple[Formula, ...]:
+def _canonical(children: Iterable[Formula]) -> tuple[tuple[Formula, ...], tuple]:
+    """The children sorted by their keys (`Formula._ok`), each distinct one
+    once, and their keys: of equal children the last given is kept.
+    Sorting compares keys in C, so it stops where two keys first differ;
+    where two agree too deep to compare, the children are sorted and
+    deduplicated by their `_key` strings instead."""
     children = tuple(children)
-    if len(children) < 2:
-        return children
-    kinds = list(map(type, children))
-    lone: dict[type, bool] = {}
-    for t in kinds:
-        lone[t] = t not in lone
-    # a key spells out the whole formula, so it also finds duplicates; a
-    # child alone of its kind needs only the tag its key begins with
-    keyed = {_TAGS[t] if lone[t] else _key(c): c for c, t in zip(children, kinds)}
-    return tuple(map(keyed.__getitem__, sorted(keyed)))
+    try:
+        if len(children) == 2:
+            a, b = children
+            ka, kb = a._ok, b._ok
+            if ka < kb:
+                return children, (ka, kb)
+            return ((b, a), (kb, ka)) if kb < ka else ((b,), (kb,))
+        if len(children) > 2:
+            ordered = sorted(children, key=_order_key)
+            kept, keys = [ordered[0]], [ordered[0]._ok]
+            for c in ordered[1:]:
+                k = c._ok
+                if k == keys[-1]:
+                    kept[-1] = c
+                else:
+                    kept.append(c)
+                    keys.append(k)
+            return tuple(kept), tuple(keys)
+    except RecursionError:
+        keyed = {_key(c): c for c in children}
+        children = tuple(map(keyed.__getitem__, sorted(keyed)))
+    return children, tuple([c._ok for c in children])
 
 
 class AtomRef(Formula):
@@ -159,6 +192,7 @@ class AtomRef(Formula):
 
     def __init__(self, atom: Atom) -> None:
         _set_atom(self, atom)
+        _set_ok(self, (0, atom))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is AtomRef:
@@ -171,17 +205,22 @@ class AtomRef(Formula):
 
 class _SetNode(Formula):
     __slots__ = ("children",)
+    _tag: int  # the first entry of the node's key
 
     def __init__(self, children: Iterable[Formula]) -> None:
-        _set_children(self, _canonical(children))
+        children, keys = _canonical(children)
+        _set_children(self, children)
+        _set_ok(self, (self._tag, keys))
 
 
 class Conj(_SetNode):
     __slots__ = ()
+    _tag = 1
 
 
 class Disj(_SetNode):
     __slots__ = ()
+    _tag = 2
 
 
 class Impl(Formula):
@@ -190,14 +229,15 @@ class Impl(Formula):
     def __init__(self, lhs: Formula, rhs: Formula) -> None:
         _set_lhs(self, lhs)
         _set_rhs(self, rhs)
+        _set_ok(self, (3, lhs._ok, rhs._ok))
 
 
+_set_ok = Formula._ok.__set__
+_order_key = attrgetter("_ok")
 _set_atom = AtomRef.atom.__set__
 _set_children = _SetNode.children.__set__
 _set_lhs = Impl.lhs.__set__
 _set_rhs = Impl.rhs.__set__
-
-_TAGS = {AtomRef: "0", Conj: "1", Disj: "2", Impl: "3"}  # the first character of a key
 
 TOP: Formula = Conj(())
 BOT: Formula = Disj(())
@@ -253,14 +293,22 @@ def check_signature(occurring: AbstractSet[Atom], sigma: AbstractSet[Atom]) -> N
 
 
 def satisfies(interp: AbstractSet[Atom], f: Formula) -> bool:
-    """Classical satisfaction of f by the set of true atoms `interp`."""
-    if isinstance(f, AtomRef):
+    """Classical satisfaction of f by the set of true atoms `interp`, by a
+    recursive walk that reads the children of a set node left to right and
+    stops at the first that decides it."""
+    t = type(f)
+    if t is AtomRef:
         return f.atom in interp
-    if isinstance(f, Conj):
-        return all(satisfies(interp, c) for c in f.children)
-    if isinstance(f, Disj):
-        return any(satisfies(interp, c) for c in f.children)
-    assert isinstance(f, Impl)
+    if t is Conj:
+        for c in f.children:
+            if not satisfies(interp, c):
+                return False
+        return True
+    if t is Disj:
+        for c in f.children:
+            if satisfies(interp, c):
+                return True
+        return False
     return not satisfies(interp, f.lhs) or satisfies(interp, f.rhs)
 
 
@@ -271,16 +319,14 @@ def reduct(f: Formula, interp: AbstractSet[Atom]) -> Formula:
     `interp` becomes bot, a satisfied one keeps both reduced sides.  The
     result is canonical but deliberately not simplified further.
     """
-    if isinstance(f, AtomRef):
+    t = type(f)
+    if t is AtomRef:
         return f if f.atom in interp else BOT
-    if isinstance(f, Conj):
-        return Conj(tuple(reduct(c, interp) for c in f.children))
-    if isinstance(f, Disj):
-        return Disj(tuple(reduct(c, interp) for c in f.children))
-    assert isinstance(f, Impl)
-    if not satisfies(interp, f):
-        return BOT
-    return Impl(reduct(f.lhs, interp), reduct(f.rhs, interp))
+    if t is Impl:
+        if not satisfies(interp, f):
+            return BOT
+        return Impl(reduct(f.lhs, interp), reduct(f.rhs, interp))
+    return t([reduct(c, interp) for c in f.children])
 
 
 def _bit_pattern(bit: int, width: int) -> int:
@@ -428,11 +474,13 @@ def compile_extensible(fs: Sequence[Formula]) -> tuple[Program, Callable[[Sequen
 
 def _node(kind: type, children: Sequence[Formula]) -> Formula:
     """A conjunction or disjunction of the children in the order given,
-    with no canonical order spelled out: for a formula that is only
-    compiled, whose key would be a walk of it as a tree, which can grow
-    with the square of its depth (see `stable._here`)."""
+    neither sorted nor deduplicated, for a formula that is only compiled
+    (see `stable._here`): its key holds its children's keys in that order,
+    as `_key` reads them."""
     node = object.__new__(kind)
-    _set_children(node, tuple(children))
+    children = tuple(children)
+    _set_children(node, children)
+    _set_ok(node, (kind._tag, tuple([c._ok for c in children])))
     return node
 
 
@@ -602,11 +650,13 @@ def signed_atoms(f: Formula, found: set[Atom], signed: set[Atom], sign: bool = T
 def _finish(met: dict[Atom, int], ops: Sequence[tuple[int, int, int]], root: int) -> Program:
     """The program of the walked ops with the given root: the atoms
     sorted, and each op's out slot the slot of a result whose last reader
-    has run, else a fresh one."""
+    has run, else a fresh one.  Per-slot tables are lists indexed by the
+    walk's slot, op n at n and the atoms, top and bot at their negative
+    slots, which index the list from its end."""
     atoms = tuple(sorted(met))
     base = len(atoms) + 2
     rank = dict(zip(atoms, range(2, base)))
-    last = {}  # each slot's last reader; the root's comes after every op
+    last = [0] * (len(ops) + base)  # each slot's last reader; the root's comes after every op
     for n, (_, left, right) in enumerate(ops):
         last[left] = last[right] = n
     last[root] = len(ops)
@@ -614,9 +664,9 @@ def _finish(met: dict[Atom, int], ops: Sequence[tuple[int, int, int]], root: int
     free: list[int] = []  # out slots whose last reader has run
     out_ops = []
     for n, (kind, left, right) in enumerate(ops):
-        if last[left] == n and left >= 0:
+        if left >= 0 and last[left] == n:
             free.append(fix[left])
-        if last[right] == n and right >= 0 and right != left:
+        if right >= 0 and last[right] == n and right != left:
             free.append(fix[right])
         out = fix[n] = free.pop() if free else base + n
         out_ops.append((kind, fix[left], fix[right], out))

@@ -128,8 +128,12 @@ class SuiteReport(Record):
         return out
 
 
+_POOL = tuple(map(Atom, string.ascii_lowercase))  # built once: an atom checks its name
+
+
 def _atom_pool(n: int) -> list[Atom]:
-    return [Atom(c) for c in string.ascii_lowercase[:n]]
+    """The first n of the atoms a to z, as a new list."""
+    return list(_POOL[:n])
 
 
 def _gen(rng: random.Random, pool: Sequence[Atom], depth: int, cfg: GenConfig) -> Formula:

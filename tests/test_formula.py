@@ -18,6 +18,7 @@ from astable import (
     conj,
     disj,
     equivalent,
+    format_formula,
     iff,
     impl,
     neg,
@@ -29,6 +30,7 @@ from astable.formula import (
     Formula,
     Program,
     _key,
+    _walk,
     compile_extensible,
     compile_formula,
     live_prefixes,
@@ -65,6 +67,56 @@ def sort_key_oracle(f):
     if isinstance(f, Impl):
         return (3, sort_key_oracle(f.lhs), sort_key_oracle(f.rhs))
     return (1 if isinstance(f, Conj) else 2, tuple(sort_key_oracle(c) for c in f.children))
+
+
+# satisfies, reduct and _finish as they were written before the walkers
+# dispatched on exact type and `_finish` kept its last readers in a list:
+# the rewritten ones must agree with them exactly
+
+
+def satisfies_before(interp, f):
+    if isinstance(f, AtomRef):
+        return f.atom in interp
+    if isinstance(f, Conj):
+        return all(satisfies_before(interp, c) for c in f.children)
+    if isinstance(f, Disj):
+        return any(satisfies_before(interp, c) for c in f.children)
+    assert isinstance(f, Impl)
+    return not satisfies_before(interp, f.lhs) or satisfies_before(interp, f.rhs)
+
+
+def reduct_before(f, interp):
+    if isinstance(f, AtomRef):
+        return f if f.atom in interp else BOT
+    if isinstance(f, Conj):
+        return Conj(tuple(reduct_before(c, interp) for c in f.children))
+    if isinstance(f, Disj):
+        return Disj(tuple(reduct_before(c, interp) for c in f.children))
+    assert isinstance(f, Impl)
+    if not satisfies_before(interp, f):
+        return BOT
+    return Impl(reduct_before(f.lhs, interp), reduct_before(f.rhs, interp))
+
+
+def finish_before(met, ops, root):
+    atoms = tuple(sorted(met))
+    base = len(atoms) + 2
+    rank = dict(zip(atoms, range(2, base)))
+    last = {}
+    for n, (_, left, right) in enumerate(ops):
+        last[left] = last[right] = n
+    last[root] = len(ops)
+    fix = [0] * len(ops) + [*map(rank.__getitem__, reversed(met)), 1, 0]
+    free = []
+    out_ops = []
+    for n, (kind, left, right) in enumerate(ops):
+        if last[left] == n and left >= 0:
+            free.append(fix[left])
+        if last[right] == n and right >= 0 and right != left:
+            free.append(fix[right])
+        out = fix[n] = free.pop() if free else base + n
+        out_ops.append((kind, fix[left], fix[right], out))
+    return Program(atoms, tuple(out_ops), fix[root])
 
 
 class TestAtom:
@@ -149,6 +201,8 @@ class TestCanonicalOrder:
             for node in (conj(kids), disj(kids)):
                 got = [sort_key_oracle(c) for c in node.children]
                 assert got == sorted({sort_key_oracle(c) for c in kids})
+        p1, p2 = atom("p"), atom("p")  # of equal children the last given is kept
+        assert conj([p1, p2]).children[0] is p2 and disj([p2, Q, p1]).children[0] is p1
 
     def test_deep_chain_rank_and_order(self):
         f = Q
@@ -156,6 +210,66 @@ class TestCanonicalOrder:
             f = impl(P, f)
         assert f.rank == 5000
         assert conj([f, P]).children == (P, f)
+
+    def test_each_node_holds_the_oracle_key(self):
+        for f in self.random_formulas(34):
+            assert f._ok == sort_key_oracle(f)
+
+    @staticmethod
+    def chain(bottom, depth=3000):
+        """p -> (p -> ... (p -> bottom)), each p a fresh node."""
+        f = bottom
+        for _ in range(depth):
+            f = impl(atom("p"), f)
+        return f
+
+    def test_deep_keys_that_agree_order_and_compare_as_the_string_keys(self):
+        low, high = self.chain(atom("q")), self.chain(atom("r"))  # differ only at the bottom
+        twin, other = self.chain(atom("q")), self.chain(atom("q"))  # equal, as other objects
+        assert _key(low) < _key(high)
+        assert low != high and not low == high
+        assert twin == other and twin == low and not twin != other
+        for make in (conj, disj):
+            assert make([high, low]).children == (low, high)
+            kept = make([twin, other]).children
+            assert len(kept) == 1 and kept[0] is other  # the last of equal children
+            node = make([high, twin, P, low, other])
+            assert node.children == (P, other, high) and node.children[1] is other
+            assert [_key(c) for c in node.children] == sorted({_key(c) for c in (high, twin, P, low, other)})
+            assert node == make([low, high, P])
+
+    def test_parsing_the_deep_nest_spells_no_string_key(self, monkeypatch):
+        text = "p & q | r & s"
+        for _ in range(4999):
+            text = f"p & q | r & ({text})"
+        calls = []
+
+        def spy(f):
+            calls.append(f)
+            return _key(f)
+
+        monkeypatch.setattr(formula_module, "_key", spy)
+        program = parse_program(text + ".")
+        assert len(calls) == 0  # a count, not a timing: ordering compares node keys
+        assert format_formula(program[0]) == text
+
+
+class TestRewrittenWalkersMatchTheirPredecessors:
+    def test_truth_reduct_and_program_on_random_conjunctions(self):
+        rng = random.Random(35)
+        pool = [Atom(c) for c in "abcde"]
+        for seed in range(3000):
+            f = conj([gen_formula(GenConfig(seed=seed, max_atoms=5, max_depth=3)),
+                      gen_formula(GenConfig(seed=seed + 3000, max_atoms=5, max_depth=2))])
+            interp = frozenset(a for a in pool if rng.random() < 0.5)
+            assert satisfies(interp, f) is satisfies_before(interp, f)
+            got, want = reduct(f, interp), reduct_before(f, interp)
+            assert type(got) is type(want) and _key(got) == _key(want) and got == want
+            for g in (f, got):
+                met, ops = {}, []
+                root = _walk(g, met, ops, {}, {})
+                new, old = formula_module._finish(met, ops, root), finish_before(met, ops, root)
+                assert (new.atoms, new.ops, new.root) == (old.atoms, old.ops, old.root)
 
 
 class TestRank:
