@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import textwrap
@@ -166,6 +167,79 @@ class TestProp3Exhaustive:
         # n=1: 2 graphs * 2 partitions; n=2: 16 graphs * 4 partitions
         assert cases == 2 * 2 + 16 * 4
         assert failures == 0
+
+
+def _rendered_draws(name: str, draws: int) -> list[str]:
+    """The report text of each of the first `draws` draws of the named
+    suite, seeded as `run_suite` seeds it and rendered by `run_suite` as a
+    failure, or `skipped` for a draw that misses its precondition."""
+    from astable import verifier
+
+    salt, suite = verifier._SUITES[name]
+    texts = []
+    for k in range(draws):
+        calls = itertools.count()
+
+        def draw_k(rng, cfg, unsound, k=k, calls=calls):
+            if next(calls) != k:
+                return None
+            result = suite(rng, cfg, unsound)
+            return result and (False, result[1])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(verifier._SUITES, name, (salt, draw_k))
+            texts.append(run_suite(name, GenConfig(iterations=1)).first_counterexample or "skipped")
+    return texts
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestDrawPins:
+    """The draws of every suite but the three that build the switched ring,
+    and the unsound counterexamples of the splitting suites, pinned by the
+    SHA-256 of their report text: a change to a generator, to the order of
+    its random calls or to the rendering of a case shows here."""
+
+    DRAWS = {
+        "definitions_theorem": "f55bb9e712ff027bd72c4e85c3764d1a2efee449867b97a5009306391cb1e815",
+        "lemma1": "89e855303cadb82bd2ea0d20f150a2f317b39ba97a9e974c776dcec4d0a98d4f",
+        "lemma2": "854204f94907e389637679eb4c866177d4b15ca569bc0a1eff1b61feb44ee396",
+        "lemma3": "83e2fb0f560f15699a74fcf185decc8149aa7cd7d0690c190daac24e350fb38b",
+        "lemma4": "1310ce438619fa89be593519c9997f598f8e824b5df4854e89f83f4779c859f0",
+        "lemma5": "ded56a0a98fb6eb9882a1a7307f37e155aded887e9fb6773156e96e4792cb504",
+        "lemma6": "56fd468938ea447129cb34b704f4348ed48cfa492c11f857d76c580405ad3093",
+        "lemma7": "24aece1e28007258d1eebe330d2a8ddb69ebb822d1101ad59af5b9dcec1c9fbb",
+        "lemma8": "57f9017aff42427feddcc3b86987e7aa033a997cf5f929109fcb1c333fb29e48",
+        "lemma9": "9b6ac05f15d87a483864ac099bdd1f1beb50693c848832ed87ba3e423bf6ae21",
+        "prop1": "c8576edc5976a300aecfdaa077a840b326f85b975ae68122ada2767b8464ef37",
+        "prop3": "607d4f452a4a44c73af44dad50d525e3cd681b4b729a18c36611755f95c0d4e8",
+        "prop4_grounding": "954fb82c2829eae41c8ac1cafb8812c345b16ad6defa899707ddf80d40d0d9ea",
+        "split_lemma": "9cd6911e8351bb5de8de1a826ad0be3618954702b5a8ee5872a540b4644d500c",
+        "split_theorem": "4eb5e053dbe48d3f0d41a49a5320a1ceb3f376a0e77dc43a248497d0e0e5f663",
+        "stable_kernel": "897022b94c45c57c771c30f0d0f657c06bd1da97a4c00ab3a0a0c04d7e47d4c0",
+        "stable_loops": "3baa75df6e97fd96194b0e2b21aeb8aee3a7a2aec0e4a4836f6ed055e9bddd2a",
+        "stable_scc": "6d3a6bc2102688bb21c861fc3c682c97de782679155e3d0b2d99cbda8e4ec5cb",
+        "sweep_kleene": "d440acefbc0e13084abfe596dc008d650ee362e3c133308b2c9621da4511fe9c",
+        "syntax_roundtrip": "8a7877ae7f03b4ea50a553a3e542a18a6318f3e13800a007715865bfa76a3ad6",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DRAWS))
+    def test_first_draws_render_as_pinned(self, name):
+        assert _digest("\n".join(_rendered_draws(name, 30))) == self.DRAWS[name]
+
+    def test_pins_cover_every_suite_but_the_rings(self):
+        assert sorted(self.DRAWS) == [s for s in SUITE_NAMES if s not in ("stable_definition", "stable_modular", "stable_projection")]
+
+    @pytest.mark.parametrize("name, case, digest", [
+        ("split_lemma", 297, "d27214315d8b724972957d51b493dfb76c6e0450a400df487867be539aecbd70"),
+        ("split_theorem", 2, "89ef73c73a101b0fb9e57ebddfdd8765799763f63ddfd3cf3bac5dde2f105924"),
+    ])
+    def test_unsound_counterexample_renders_as_pinned(self, name, case, digest):
+        text = run_suite(name, GenConfig(iterations=200), unsound=True).first_counterexample
+        assert text.startswith(f"case {case}\nsuite: {name}\n")
+        assert _digest(text) == digest
 
 
 # The routes each solver suite is named for.  The routes are those the
