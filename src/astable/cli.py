@@ -2,8 +2,9 @@
 
 Subcommands: parse, ground, solve, graph, split-solve, check-definition,
 verify, bench.  Model sets print one interpretation per line as sorted atom
-lists in braces, lines sorted lexicographically; --json switches to one JSON
-object per line.  Exit codes: 0 success, 1 usage or parse error, 2 violated
+lists in braces, the lines in the canonical order of the models' sorted atom
+tuples, which is not string order: `{a}` comes before `{a,b}`, which comes
+before `{b}`; --json switches to one JSON object per line.  Exit codes: 0 success, 1 usage or parse error, 2 violated
 precondition or cap, 3 verification counterexample found.
 """
 

@@ -30,6 +30,7 @@ per distinct atom and shares it between the atom's occurrences.
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import islice, repeat
 from typing import Callable, NamedTuple, NoReturn
 
@@ -49,6 +50,10 @@ class ParseError(ValueError):
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*|->|[&|(){};,.=]", re.ASCII)
 _COMMENT_RE = re.compile(r"%[^\n]*")
 _BLANKS = " \t\r\n"
+# An atom from its (name, args) key, without `Atom`'s checks: the tokenizer
+# has matched the name and each argument as an identifier, and `atom_ref`
+# refuses a keyword as a name.
+_atom = partial(tuple.__new__, Atom)
 _KINDS = {p: p for p in ("->", "&", "|", "(", ")", "{", "}", ";", ",", ".", "=")}
 
 
@@ -176,7 +181,7 @@ class _Parser:
         key = (name, self.arguments(_Parser.name))
         ref = self.atoms.get(key)
         if ref is None:
-            ref = self.atoms[key] = AtomRef(Atom(*key))
+            ref = self.atoms[key] = AtomRef(_atom(key))
         return ref
 
     def atom(self) -> Atom:

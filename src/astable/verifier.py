@@ -50,7 +50,6 @@ from .formula import (
     conj,
     disj,
     equivalent,
-    format_formula,
     format_program,
     neg,
     reduct,
@@ -161,17 +160,26 @@ def _rand_subset(rng: random.Random, items: Iterable, p: float = 0.5) -> frozens
     return frozenset(x for x in items if rng.random() < p)
 
 
-def _case_text(**fields) -> str:
-    return "\n".join(f"{k}: {v}" for k, v in fields.items())
-
-
-def _models_text(models: ModelSet) -> str:
-    """The models on one line, or `(none)`."""
-    return " ".join(models.lines()) or "(none)"
-
-
-def _format_edges(g: DepGraph) -> str:
-    return "; ".join(f"{u}->{v}" for u, v in sorted(g.edges)) or "(none)"
+def _render(value: object) -> str:
+    """A field of a case as its report prints it: an interpretation in
+    braces, a model set on one line, a graph by its edges, a program as its
+    conjuncts each ended by `.`, another list comma-separated, and anything
+    else (a formula, a `Rejection`, an error, a plain value) as its text.
+    An empty model set, edge set or list prints as `(none)`."""
+    t = type(value)
+    if t is frozenset:
+        return format_interpretation(value)
+    if t is ModelSet:
+        text = " ".join(value.lines())
+    elif t is DepGraph:
+        text = "; ".join(f"{u}->{v}" for u, v in sorted(value.edges))
+    elif t is list and value and isinstance(value[0], Formula):
+        return " ".join(f"{c}." for c in value)
+    elif t is list:
+        text = ",".join(map(str, value))
+    else:
+        return str(value)
+    return text or "(none)"
 
 
 def _models_of(f: Formula, sigma: frozenset[Atom]) -> list[frozenset[Atom]]:
@@ -228,6 +236,34 @@ def _gen_program(rng: random.Random, pool: Sequence[Atom], n_rules: int) -> list
     return out
 
 
+def _literal(rng: random.Random, atoms: Sequence[Formula], p: float = 0.4) -> Formula:
+    """One of `atoms`, negated with probability p."""
+    x = rng.choice(atoms)
+    return neg(x) if rng.random() < p else x
+
+
+def _gen_ring(rng: random.Random, ring: list[Formula], reads: list[Formula]) -> list[Formula]:
+    """A switched ring: the positive ring `x -> y` through the atoms of
+    `ring`, each link switched to `x & l -> y` with probability 0.3 by a
+    literal l of the atoms `reads`; up to two chords of its closure,
+    `x & y -> z`; and one or two seeds, each a fact or a rule `l -> x` or
+    `l & l' -> x`."""
+    out = []
+    for x, y in zip(ring, ring[1:] + ring[:1]):
+        out.append(Impl(conj((x, _literal(rng, reads))), y) if rng.random() < 0.3 else Impl(x, y))
+    for _ in range(rng.randint(0, 2)):
+        x, y, z = rng.sample(ring, 3)
+        out.append(Impl(conj((x, y)), z))
+    for _ in range(rng.randint(1, 2)):
+        head, kind = rng.choice(ring), rng.random()
+        if kind < 0.15:
+            out.append(head)
+        else:
+            body = _literal(rng, reads)
+            out.append(Impl(body if kind < 0.7 else conj((body, _literal(rng, reads))), head))
+    return out
+
+
 # -- individual suites -------------------------------------------------------
 
 
@@ -246,15 +282,7 @@ def _suite_prop1(rng, cfg, unsound):
     )
     via_choice = i in enumerate_a_stable(choice_extension(f, a, sigma), sigma, sigma)
     ok = direct == minimal == via_choice
-    return ok, lambda: _case_text(
-        suite="prop1",
-        formula=format_formula(f),
-        i=format_interpretation(i),
-        a_set=format_interpretation(a),
-        direct=direct,
-        minimal_modred=minimal,
-        via_choice=via_choice,
-    )
+    return ok, lambda: dict(formula=f, i=i, a_set=a, direct=direct, minimal_modred=minimal, via_choice=via_choice)
 
 
 def _suite_prop3(rng, cfg, unsound):
@@ -264,14 +292,7 @@ def _suite_prop3(rng, cfg, unsound):
     fast = is_separable(g, pi)
     oracle = closed_walk_infinitely_separable(g, pi)
     ok = fast == oracle == is_infinitely_separable(g, pi)
-    return ok, lambda: _case_text(
-        suite="prop3",
-        vertices=format_interpretation(g.vertices),
-        edges=_format_edges(g),
-        part1=format_interpretation(pi.part1),
-        scc_route=fast,
-        closed_walk_route=oracle,
-    )
+    return ok, lambda: dict(vertices=g.vertices, edges=g, part1=pi.part1, scc_route=fast, closed_walk_route=oracle)
 
 
 def prop3_exhaustive(max_vertices: int = 4) -> tuple[int, int]:
@@ -311,7 +332,7 @@ def _suite_lemma1(rng, cfg, unsound):
     if satisfies(i, f):
         return None
     ok = equivalent(reduct(f, i), BOT, sigma)
-    return ok, lambda: _case_text(suite="lemma1", formula=format_formula(f), i=format_interpretation(i))
+    return ok, lambda: dict(formula=f, i=i)
 
 
 def _suite_lemma2(rng, cfg, unsound):
@@ -323,12 +344,7 @@ def _suite_lemma2(rng, cfg, unsound):
         return None
     a = _rand_subset(rng, sorted(sigma - strictly_positive(f)))
     ok = satisfies(i - a, reduct(f, i))
-    return ok, lambda: _case_text(
-        suite="lemma2",
-        formula=format_formula(f),
-        i=format_interpretation(i),
-        a_set=format_interpretation(a),
-    )
+    return ok, lambda: dict(formula=f, i=i, a_set=a)
 
 
 def _suite_lemma3(rng, cfg, unsound):
@@ -342,14 +358,7 @@ def _suite_lemma3(rng, cfg, unsound):
     b2_neg = _rand_subset(rng, sorted(sigma - b1 - neg_nonnegated(f)), 0.5)
     ok_fwd = (not satisfies(i - b1, r)) or satisfies(i - (b1 | b2_pos), r)
     ok_bwd = (not satisfies(i - (b1 | b2_neg), r)) or satisfies(i - b1, r)
-    return ok_fwd and ok_bwd, lambda: _case_text(
-        suite="lemma3",
-        formula=format_formula(f),
-        i=format_interpretation(i),
-        b1=format_interpretation(b1),
-        b2_for_pos=format_interpretation(b2_pos),
-        b2_for_neg=format_interpretation(b2_neg),
-    )
+    return ok_fwd and ok_bwd, lambda: dict(formula=f, i=i, b1=b1, b2_for_pos=b2_pos, b2_for_neg=b2_neg)
 
 
 def _suite_lemma4(rng, cfg, unsound):
@@ -366,13 +375,7 @@ def _suite_lemma4(rng, cfg, unsound):
     if not satisfies(i - (b | c), r):
         return None
     ok = satisfies(i - b, r)
-    return ok, lambda: _case_text(
-        suite="lemma4",
-        formula=format_formula(f),
-        i=format_interpretation(i),
-        b_set=format_interpretation(b),
-        c_set=format_interpretation(c),
-    )
+    return ok, lambda: dict(formula=f, i=i, b_set=b, c_set=c)
 
 
 def _suite_lemma5(rng, cfg, unsound):
@@ -381,19 +384,13 @@ def _suite_lemma5(rng, cfg, unsound):
     try:
         b = find_closed_subset(g, pi)
     except ValueError as exc:
-        return False, functools.partial(_case_text, suite="lemma5", edges=_format_edges(g), error=str(exc))
+        return False, functools.partial(dict, edges=g, error=exc)
     ok = (
         bool(b)
         and (b <= pi.part1 or b <= pi.part2)
         and not any(u in b and v not in b for u, v in g.edges)
     )
-    return ok, lambda: _case_text(
-        suite="lemma5",
-        vertices=format_interpretation(g.vertices),
-        edges=_format_edges(g),
-        part1=format_interpretation(pi.part1),
-        found=format_interpretation(b),
-    )
+    return ok, lambda: dict(vertices=g.vertices, edges=g, part1=pi.part1, found=b)
 
 
 def _suite_lemma6(rng, cfg, unsound):
@@ -404,15 +401,7 @@ def _suite_lemma6(rng, cfg, unsound):
     i = _rand_subset(rng, pool)
     joint = is_a_stable(conj((f, g)), i, a)
     split = is_a_stable(f, i, a) and satisfies(i, g)
-    return joint == split, lambda: _case_text(
-        suite="lemma6",
-        formula_f=format_formula(f),
-        formula_g=format_formula(g),
-        i=format_interpretation(i),
-        a_set=format_interpretation(a),
-        joint=joint,
-        split=split,
-    )
+    return joint == split, lambda: dict(formula_f=f, formula_g=g, i=i, a_set=a, joint=joint, split=split)
 
 
 def _suite_lemma7(rng, cfg, unsound):
@@ -423,12 +412,7 @@ def _suite_lemma7(rng, cfg, unsound):
     i = _rand_subset(rng, pool)
     relative = is_a_stable(f, i, a)
     projected_stable = is_a_stable(f, i & a, sigma)
-    return relative == projected_stable, lambda: _case_text(
-        suite="lemma7",
-        formula=format_formula(f),
-        i=format_interpretation(i),
-        a_set=format_interpretation(a),
-    )
+    return relative == projected_stable, lambda: dict(formula=f, i=i, a_set=a)
 
 
 def _gen_definition(rng: random.Random, cfg: GenConfig) -> DefinitionModule | Rejection:
@@ -451,26 +435,21 @@ def _gen_definition(rng: random.Random, cfg: GenConfig) -> DefinitionModule | Re
 def _suite_lemma8(rng, cfg, unsound):
     d = _gen_definition(rng, cfg)
     if isinstance(d, Rejection):
-        return False, lambda: _case_text(suite="lemma8", rejected=str(d))
+        return False, lambda: dict(rejected=d)
     sigma = atoms_of(d.source) | d.q_set | frozenset(_atom_pool(2))
     models = _models_of(d.source, sigma)
     if not models:
-        return False, lambda: _case_text(suite="lemma8", definition=format_formula(d.source), error="no models")
+        return False, lambda: dict(definition=d.source, error="no models")
     i = rng.choice(models)
     k = (i - d.q_set) | _rand_subset(rng, sorted(i & d.q_set))
     ok = satisfies(k, reduct(d.source, i)) == satisfies(k, d.source)
-    return ok, lambda: _case_text(
-        suite="lemma8",
-        definition=format_formula(d.source),
-        i=format_interpretation(i),
-        k=format_interpretation(k),
-    )
+    return ok, lambda: dict(definition=d.source, i=i, k=k)
 
 
 def _suite_lemma9(rng, cfg, unsound):
     d = _gen_definition(rng, cfg)
     if isinstance(d, Rejection):
-        return False, lambda: _case_text(suite="lemma9", rejected=str(d))
+        return False, lambda: dict(rejected=d)
     base = sorted(atoms_of(d.source) - d.q_set)
     ctx = _rand_subset(rng, base)
     fix = unique_q_stable(d, ctx)
@@ -482,13 +461,8 @@ def _suite_lemma9(rng, cfg, unsound):
         if is_a_stable(d.source, ctx | frozenset(combo), d.q_set)
     ]
     ok = fix == meet and stable_completions == [fix]
-    return ok, lambda: _case_text(
-        suite="lemma9",
-        definition=format_formula(d.source),
-        context=format_interpretation(ctx),
-        fixpoint=format_interpretation(fix),
-        intersection=format_interpretation(meet),
-        stable_count=len(stable_completions),
+    return ok, lambda: dict(
+        definition=d.source, context=ctx, fixpoint=fix, intersection=meet, stable_count=len(stable_completions)
     )
 
 
@@ -517,14 +491,7 @@ def _suite_split_lemma(rng, cfg, unsound):
         joint = enumerate_a_stable(f, a, sigma)
         split = split_models_lemma(f, p1, p2, sigma)
     ok = joint.as_set() == split.as_set()
-    return ok, lambda: _case_text(
-        suite="split_lemma",
-        formula=format_formula(f),
-        part1=format_interpretation(p1),
-        part2=format_interpretation(p2),
-        joint_models=_models_text(joint),
-        split_models=_models_text(split),
-    )
+    return ok, lambda: dict(formula=f, part1=p1, part2=p2, joint_models=joint, split_models=split)
 
 
 def _suite_split_theorem(rng, cfg, unsound):
@@ -564,21 +531,10 @@ def _suite_split_theorem(rng, cfg, unsound):
         try:
             split = split_models_theorem(f, g, a1, a2, sigma)
         except PreconditionError as exc:
-            return False, functools.partial(
-                _case_text, suite="split_theorem", formula_f=format_formula(f),
-                formula_g=format_formula(g), error=str(exc),
-            )
+            return False, functools.partial(dict, formula_f=f, formula_g=g, error=exc)
     joint = enumerate_a_stable(conj((f, g)), a1 | a2, sigma)
     ok = joint.as_set() == split.as_set()
-    return ok, lambda: _case_text(
-        suite="split_theorem",
-        formula_f=format_formula(f),
-        formula_g=format_formula(g),
-        a1=format_interpretation(a1),
-        a2=format_interpretation(a2),
-        joint_models=_models_text(joint),
-        split_models=_models_text(split),
-    )
+    return ok, lambda: dict(formula_f=f, formula_g=g, a1=a1, a2=a2, joint_models=joint, split_models=split)
 
 
 def _suite_stable_kernel(rng, cfg, unsound):
@@ -590,14 +546,7 @@ def _suite_stable_kernel(rng, cfg, unsound):
         a -= i  # I & A empty: stability reduces to satisfaction
     fused = is_a_stable_ht(f, i, a)
     reference = is_a_stable(f, i, a)
-    return fused == reference, lambda: _case_text(
-        suite="stable_kernel",
-        formula=format_formula(f),
-        i=format_interpretation(i),
-        a_set=format_interpretation(a),
-        fused=fused,
-        reference=reference,
-    )
+    return fused == reference, lambda: dict(formula=f, i=i, a_set=a, fused=fused, reference=reference)
 
 
 def _reference_models(f: Formula, a: frozenset[Atom], pool: Sequence[Atom]) -> ModelSet:
@@ -608,7 +557,7 @@ def _reference_models(f: Formula, a: frozenset[Atom], pool: Sequence[Atom]) -> M
     return ModelSet.from_iter((i for i in subsets if satisfies(i, f) and is_a_stable(f, i, a)), frozenset(pool))
 
 
-def _both_solvers(suite: str, conjuncts: list[Formula], a: frozenset[Atom], pool: Sequence[Atom], reference=None):
+def _both_solvers(conjuncts: list[Formula], a: frozenset[Atom], pool: Sequence[Atom], reference=None):
     """A suite's verdict on a program that both `enumerate_a_stable` and
     `modular_solve` must solve as the reference `is_a_stable` does, by
     `_reference_models` unless another `reference` is given.  Where
@@ -621,40 +570,32 @@ def _both_solvers(suite: str, conjuncts: list[Formula], a: frozenset[Atom], pool
     except SplitPlanError:
         modular = enumerated
     want = (reference or _reference_models)(f, a, pool)
-    return enumerated == want == modular, lambda: _case_text(
-        suite=suite,
-        program=" ".join(format_formula(c) + "." for c in conjuncts),
-        a_set=format_interpretation(a),
-        enumerated_models=_models_text(enumerated),
-        modular_models=_models_text(modular),
-        reference_models=_models_text(want),
+    return enumerated == want == modular, lambda: dict(
+        program=conjuncts, a_set=a, enumerated_models=enumerated, modular_models=modular, reference_models=want
     )
 
 
 def _suite_stable_modular(rng, cfg, unsound):
     """Rule-shaped programs on at most 6 atoms with choices, an even
     negative cycle and extensional atoms, so that `modular_solve` extends
-    several contexts unit by unit.  A quarter of the draws are 7 to 9
-    atoms around an intensional positive ring of 7, a unit wider than
-    `_NARROW`: each other atom switches a link and seeds the ring, and is
-    a choice or derived from a ring atom, which may pull it into the unit;
-    half of those draws add a disjunctive head inside the ring, so that
-    the unit is no definition.  Both solvers must give the reference
-    models (see `_both_solvers`)."""
+    several contexts unit by unit.  A quarter of the draws are 8 or 9
+    atoms around an intensional switched ring of 7 (`_gen_ring`), a unit
+    wider than `_NARROW`, whose switches and seeds read the other atoms;
+    each of those is a choice or derived from a ring atom, which may pull
+    it into the unit, and half of the draws add a disjunctive head inside
+    the ring, so that the unit is no definition.  Both solvers must give
+    the reference models (see `_both_solvers`)."""
     if rng.random() < 0.25:
-        pool = _atom_pool(rng.randint(7, 9))
-        ring = [AtomRef(x) for x in pool[:7]]
-        conjuncts = [Impl(x, y) for x, y in zip(ring, ring[1:] + ring[:1])]
-        for c in map(AtomRef, pool[7:]):
-            k = rng.randrange(7)
-            conjuncts[k] = Impl(conj((ring[k], neg(c) if rng.random() < 0.4 else c)), ring[(k + 1) % 7])
-            conjuncts.append(Impl(c, rng.choice(ring)))
+        pool = _atom_pool(rng.randint(8, 9))
+        ring, context = [AtomRef(x) for x in pool[:7]], [AtomRef(x) for x in pool[7:]]
+        conjuncts = _gen_ring(rng, ring, context)
+        for c in context:
             conjuncts.append(disj((c, neg(c))) if rng.random() < 0.5 else Impl(rng.choice(ring), c))
         if rng.random() < 0.5:
             x, y, z = rng.sample(ring, 3)
             conjuncts.append(Impl(x, disj((y, z))))
         a = frozenset(pool[:7]) | _rand_subset(rng, pool[7:], 0.7)
-        return _both_solvers("stable_modular", conjuncts, a, pool)
+        return _both_solvers(conjuncts, a, pool)
     pool = _atom_pool(min(cfg.max_atoms, 6))
     conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
     for x in sorted(_rand_subset(rng, pool, 0.2)):
@@ -667,7 +608,7 @@ def _suite_stable_modular(rng, cfg, unsound):
         p, q = (AtomRef(x) for x in rng.sample(pool, 2))
         conjuncts += [Impl(neg(p), q), Impl(neg(q), p)]
     a = _rand_subset(rng, pool, 0.7)  # the rest are extensional: several contexts
-    return _both_solvers("stable_modular", conjuncts, a, pool)
+    return _both_solvers(conjuncts, a, pool)
 
 
 def _suite_stable_scc(rng, cfg, unsound):
@@ -712,14 +653,13 @@ def _suite_stable_scc(rng, cfg, unsound):
         else:
             conjuncts.append(Impl(conj((body, neg(rng.choice(src)))), head))
     a = _rand_subset(rng, pool, 0.8) | (frozenset(pool[:7]) if wide else frozenset())
-    return _both_solvers("stable_scc", conjuncts, a, pool)
+    return _both_solvers(conjuncts, a, pool)
 
 
 def _suite_stable_definition(rng, cfg, unsound):
     """Programs on 8 to 10 atoms with a part of 7 or 8 intensional atoms,
-    wider than a part with a slot per subset: a positive ring, some links
-    switched by context atoms, closure-like chords `x & y -> z`, facts and
-    seeds from context atoms and their negations.  The other atoms are its
+    wider than a part with a slot per subset: a switched ring (`_gen_ring`)
+    whose switches and seeds read the other atoms.  Those are its
     context: extensional, choices, or derived, some from ring atoms, which
     may pull them into the ring's unit or component.  Constraints are
     added.  A quarter of the draws spoil the ring, so that it is not a
@@ -735,24 +675,7 @@ def _suite_stable_definition(rng, cfg, unsound):
     ring = [AtomRef(x) for x in pool[:width]]
     context = [AtomRef(x) for x in pool[width:]]
     spoil = context[-1] if rng.random() < 0.25 else None
-
-    def literal() -> Formula:
-        x = rng.choice(context)
-        return neg(x) if rng.random() < 0.4 else x
-
-    conjuncts: list[Formula] = []
-    for x, y in zip(ring, ring[1:] + ring[:1]):
-        conjuncts.append(Impl(conj((x, literal())), y) if rng.random() < 0.3 else Impl(x, y))
-    for _ in range(rng.randint(0, 3)):  # a chord of the closure
-        x, y, z = rng.sample(ring, 3)
-        conjuncts.append(Impl(conj((x, y, literal())) if rng.random() < 0.3 else conj((x, y)), z))
-    for _ in range(rng.randint(0 if spoil else 1, 2)):  # a seed
-        seed = rng.random()
-        head = rng.choice(ring)
-        if seed < 0.2:
-            conjuncts.append(head)
-        else:
-            conjuncts.append(Impl(literal() if seed < 0.7 else conj((literal(), literal())), head))
+    conjuncts = _gen_ring(rng, ring, context)
     a = frozenset(pool[:width])
     for x in context:
         kind = rng.random()
@@ -763,20 +686,13 @@ def _suite_stable_definition(rng, cfg, unsound):
         if kind < 0.6:
             conjuncts.append(disj((x, neg(x))))
         else:
-            body = rng.choice(ring + [y for y in context if y is not x])
-            conjuncts.append(Impl(neg(body) if rng.random() < 0.5 else body, x))
+            conjuncts.append(Impl(_literal(rng, ring + [y for y in context if y is not x], 0.5), x))
     for _ in range(rng.randint(0, 2)):
-        lits = [rng.choice(ring + context) for _ in range(2)]
-        conjuncts.append(neg(conj(neg(x) if rng.random() < 0.3 else x for x in lits)))
+        conjuncts.append(neg(conj(_literal(rng, ring + context, 0.3) for _ in range(2))))
     if spoil is not None:
-        head = disj((rng.choice(ring), spoil))
-        others = context[:-1]
-        if others and rng.random() < 0.7:
-            x = rng.choice(others)
-            conjuncts.append(Impl(neg(x) if rng.random() < 0.4 else x, head))
-        else:
-            conjuncts.append(head)
-    return _both_solvers("stable_definition", conjuncts, a, pool)
+        head, others = disj((rng.choice(ring), spoil)), context[:-1]
+        conjuncts.append(Impl(_literal(rng, others), head) if others and rng.random() < 0.7 else head)
+    return _both_solvers(conjuncts, a, pool)
 
 
 def _suite_stable_loops(rng, cfg, unsound):
@@ -822,7 +738,7 @@ def _suite_stable_loops(rng, cfg, unsound):
         elif kind < 0.5:
             conjuncts.append(disj((x, neg(x))))
     a = frozenset(pool) - {x.atom for x in rest if rng.random() < 0.3}
-    return _both_solvers("stable_loops", conjuncts, a, pool)
+    return _both_solvers(conjuncts, a, pool)
 
 
 def _split_reference(f: Formula, a: frozenset[Atom], pool: Sequence[Atom]) -> ModelSet:
@@ -843,11 +759,10 @@ def _split_reference(f: Formula, a: frozenset[Atom], pool: Sequence[Atom]) -> Mo
 
 
 def _suite_stable_projection(rng, cfg, unsound):
-    """Programs with 1 to 3 definition parts of 7 atoms, each a positive
-    ring with some links switched, a closure chord and seeds, beside 1 to 3
-    context atoms: extensional, choices, or derived from part atoms.  A
-    part's links and seeds read context atoms and atoms of earlier parts,
-    positively or through `not`, so `enumerate_a_stable` derives its atoms
+    """Programs with 1 to 3 definition parts of 7 atoms, each a switched
+    ring (`_gen_ring`), beside 1 to 3 context atoms: extensional, choices,
+    or derived from part atoms.  A part's switches and seeds read context
+    atoms and atoms of earlier parts, positively or through `not`, so `enumerate_a_stable` derives its atoms
     after theirs instead of sweeping them; in a quarter of the draws with
     two parts or more an earlier part also reads a later one through
     `not`, a cycle of reads that keeps both swept and compared with their
@@ -862,48 +777,30 @@ def _suite_stable_projection(rng, cfg, unsound):
     rng.shuffle(pool)
     parts = [[AtomRef(x) for x in pool[7 * k : 7 * k + 7]] for k in range(n)]
     context = [AtomRef(x) for x in pool[7 * n :]]
-
-    def literal(k: int) -> Formula:
-        x = rng.choice(context + [x for part in parts[:k] for x in part])
-        return neg(x) if rng.random() < 0.4 else x
-
-    conjuncts: list[Formula] = []
-    for k, part in enumerate(parts):
-        for x, y in zip(part, part[1:] + part[:1]):
-            conjuncts.append(Impl(conj((x, literal(k))), y) if rng.random() < 0.2 else Impl(x, y))
-        if rng.random() < 0.5:
-            x, y, z = rng.sample(part, 3)
-            conjuncts.append(Impl(conj((x, y)), z))
-        for _ in range(rng.randint(1, 2)):
-            head = rng.choice(part)
-            conjuncts.append(head if rng.random() < 0.1 else Impl(literal(k), head))
+    ring_atoms = [x for part in parts for x in part]
+    conjuncts = [c for k, part in enumerate(parts) for c in _gen_ring(rng, part, context + ring_atoms[: 7 * k])]
     if n > 1 and rng.random() < 0.25:
         j, k = sorted(rng.sample(range(n), 2))
         conjuncts.append(Impl(neg(rng.choice(parts[k])), rng.choice(parts[j])))
         conjuncts.append(Impl(neg(rng.choice(parts[j])), rng.choice(parts[k])))
-    a = frozenset(x.atom for part in parts for x in part)
+    a = frozenset(x.atom for x in ring_atoms)
     for x in context:
         kind = rng.random()
         if kind < 0.3:
             continue  # extensional
         a |= {x.atom}
-        if kind < 0.65:
-            conjuncts.append(disj((x, neg(x))))
-        else:
-            y = rng.choice([y for part in parts for y in part])
-            conjuncts.append(Impl(neg(y) if rng.random() < 0.5 else y, x))
-    everything = [x for part in parts for x in part] + context
+        conjuncts.append(disj((x, neg(x))) if kind < 0.65 else Impl(_literal(rng, ring_atoms, 0.5), x))
+    everything = ring_atoms + context
     for _ in range(rng.randint(0, 2)):
-        lits = [rng.choice(everything) for _ in range(2)]
-        conjuncts.append(neg(conj(neg(x) if rng.random() < 0.3 else x for x in lits)))
+        conjuncts.append(neg(conj(_literal(rng, everything, 0.3) for _ in range(2))))
     if rng.random() < 0.2:
         part = rng.choice(parts)
-        conjuncts.append(Impl(literal(n), disj((rng.choice(part), rng.choice(part + context)))))
+        conjuncts.append(Impl(_literal(rng, everything), disj((rng.choice(part), rng.choice(part + context)))))
     if rng.random() < 0.33:
         k = rng.randrange(n)
         at = next(i for i, c in enumerate(conjuncts) if type(c) is Impl and c.rhs in parts[k])
-        conjuncts[at] = conj((conjuncts[at], neg(conj((rng.choice(parts[k]), literal(n))))))
-    return _both_solvers("stable_projection", conjuncts, a, pool, _split_reference)
+        conjuncts[at] = conj((conjuncts[at], neg(conj((rng.choice(parts[k]), _literal(rng, everything))))))
+    return _both_solvers(conjuncts, a, pool, _split_reference)
 
 
 def _suite_sweep_kleene(rng, cfg, unsound):
@@ -930,13 +827,9 @@ def _suite_sweep_kleene(rng, cfg, unsound):
     assignments = [fixed | frozenset(x for b, x in enumerate(var) if m >> b & 1) for m in range(1 << len(var))]
     reference = sum(satisfies(i, f) << m for m, i in enumerate(assignments))
     diff = swept ^ reference
-    return not diff, lambda: _case_text(
-        suite="sweep_kleene",
-        formula=format_formula(f),
-        swept_atoms=",".join(map(str, var)),
-        true_atoms=format_interpretation(true),
-        chunk_bits=chunk_bits,
-        first_difference=format_interpretation(assignments[(diff & -diff).bit_length() - 1]),
+    return not diff, lambda: dict(
+        formula=f, swept_atoms=var, true_atoms=true, chunk_bits=chunk_bits,
+        first_difference=assignments[(diff & -diff).bit_length() - 1],
     )
 
 
@@ -1016,22 +909,18 @@ def _suite_syntax_roundtrip(rng, cfg, unsound):
     edited = text[:i] + ("" if op == "delete" else rng.choice(_EDIT_CHARS)) + text[i + (op != "insert") :]
     back = parse_program(text)
     problem = "the printed text parses to other formulas" if back != formulas else _edit_problem(edited)
-    return problem is None, lambda: _case_text(
-        suite="syntax_roundtrip", text=repr(text), edited=repr(edited), problem=problem
-    )
+    return problem is None, lambda: dict(text=repr(text), edited=repr(edited), problem=problem)
 
 
 def _suite_definitions_theorem(rng, cfg, unsound):
     d = _gen_definition(rng, cfg)
     if isinstance(d, Rejection):
-        return False, lambda: _case_text(suite="definitions_theorem", rejected=str(d))
+        return False, lambda: dict(rejected=d)
     base = _atom_pool(3)
     f = _gen(rng, base, rng.randint(0, 3), cfg)
     report = check_conservativity(f, d)
-    return report.bijection, lambda: _case_text(
-        suite="definitions_theorem",
-        base_formula=format_formula(f),
-        definition=format_formula(d.source),
+    return report.bijection, lambda: dict(
+        base_formula=f, definition=d.source,
         outcome=report.counterexample or f"bijection of size {len(report.models or ())}",
     )
 
@@ -1084,13 +973,7 @@ def _suite_prop4_grounding(rng, cfg, unsound):
     ok = is_infinitely_separable(atom_graph, atom_pi) and closed_walk_infinitely_separable(
         atom_graph, atom_pi
     )
-    return ok, lambda: _case_text(
-        suite="prop4_grounding",
-        ground_formula=format_formula(g),
-        part1_preds=",".join(p1) or "(none)",
-        part2_preds=",".join(p2) or "(none)",
-        atom_edges=_format_edges(atom_graph),
-    )
+    return ok, lambda: dict(ground_formula=g, part1_preds=p1, part2_preds=p2, atom_edges=atom_graph)
 
 
 # Each suite with the salt of its draws.  A salt is never reused or moved,
@@ -1133,8 +1016,8 @@ def run_suite(name: str, cfg: GenConfig, unsound: bool = False) -> SuiteReport:
     that the preconditions are load-bearing.
 
     A suite returns None for a draw that misses its precondition, else
-    (ok, text), where text() renders the case; only the first failure's
-    text is rendered.
+    (ok, case), where case() gives the case's fields by name in print
+    order; only the first failure's fields are rendered, by `_render`.
     """
     try:
         salt, suite = _SUITES[name]
@@ -1154,11 +1037,12 @@ def run_suite(name: str, cfg: GenConfig, unsound: bool = False) -> SuiteReport:
         if result is None:
             skipped += 1
             continue
-        ok, text = result
+        ok, case = result
         if ok:
             passes += 1
         else:
             fails += 1
             if first is None:
-                first = f"case {attempts - 1}\n{text()}"
+                fields = "".join(f"\n{k}: {_render(v)}" for k, v in case().items())
+                first = f"case {attempts - 1}\nsuite: {name}{fields}"
     return SuiteReport(name, passes, fails, skipped, first)

@@ -186,13 +186,13 @@ class TestScaling:
 
     def test_each_distinct_atom_is_built_once_per_parse(self, monkeypatch):
         built = []
-        new = Atom.__new__
+        new = syntax._atom
 
-        def counting(cls, name, args=()):
-            built.append((name, args))
-            return new(cls, name, args)
+        def counting(key):
+            built.append(key)
+            return new(key)
 
-        monkeypatch.setattr(Atom, "__new__", counting)
+        monkeypatch.setattr(syntax, "_atom", counting)
         for _ in range(2):
             formulas = parse_program(self.TEXT)
             assert len(formulas) == 2500 and len(built) == 5
@@ -200,6 +200,7 @@ class TestScaling:
         atoms = parse_atom_list("p(a),q,p(a)")
         assert len(built) == 2
         assert atoms == [Atom("p", ("a",)), Atom("q"), Atom("p", ("a",))]
+        assert all(type(x) is Atom for x in atoms + list(formulas.atoms))
 
     def test_occurrences_share_one_atom_node(self):
         first, second = parse_program("p(a) & q. p(a).")
