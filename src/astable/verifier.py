@@ -762,8 +762,9 @@ def _suite_stable_projection(rng, cfg, unsound):
     """Programs with 1 to 3 definition parts of 7 atoms, each a switched
     ring (`_gen_ring`), beside 1 to 3 context atoms: extensional, choices,
     or derived from part atoms.  A part's switches and seeds read context
-    atoms and atoms of earlier parts, positively or through `not`, so `enumerate_a_stable` derives its atoms
-    after theirs instead of sweeping them; in a quarter of the draws with
+    atoms and atoms of earlier parts, positively or through `not`, so
+    `enumerate_a_stable` derives its atoms after theirs instead of
+    sweeping them; in a quarter of the draws with
     two parts or more an earlier part also reads a later one through
     `not`, a cycle of reads that keeps both swept and compared with their
     fixpoints.  Constraints, some on part atoms, only the run of the whole
