@@ -23,7 +23,7 @@ from .formula import Atom, CapExceeded, Formula, SignatureError, conj, format_pr
 from .splitting import PreconditionError, SplitPlanError, modular_solve, split_models_lemma
 from .stable import DEFAULT_MAX_ATOMS, ModelSet, enumerate_a_stable
 from .syntax import ParseError, parse_atom_list, parse_program
-from .verifier import DEFAULT_SEED, GenConfig, SUITE_NAMES, run_suite
+from .verifier import DEFAULT_SEED, ConfigError, GenConfig, SUITE_NAMES, run_suite
 
 USAGE_EXIT, PRECONDITION_EXIT, COUNTEREXAMPLE_EXIT = 1, 2, 3
 
@@ -32,6 +32,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+class _UsageError(Exception):
+    """Flags that the command cannot take together or with its input."""
 
 
 def _read(path: str) -> str:
@@ -70,7 +74,7 @@ def _load_conjuncts(args) -> tuple[list[Formula], frozenset[Atom], frozenset[Ato
         sigma = set(fo.ground_signature(interp))
     else:
         if intensional_pred is not None:
-            raise ParseError("--intensional-pred needs a first-order input with #domain", 1, 1)
+            raise _UsageError("--intensional-pred needs a first-order input with #domain")
         conjuncts = parse_program(text)
         sigma = set(conjuncts.atoms)
     if intensional_pred is not None:
@@ -127,7 +131,7 @@ def _cmd_split_solve(args) -> int:
     conjuncts, sigma, intensional = _load_conjuncts(args)
     if args.part1 is not None or args.part2 is not None:
         if args.part1 is None or args.part2 is None:
-            raise ParseError("--part1 and --part2 must be given together", 1, 1)
+            raise _UsageError("--part1 and --part2 must be given together")
         p1, p2 = _atom_set(args.part1), _atom_set(args.part2)
         models = split_models_lemma(conj(conjuncts), p1, p2, sigma, max_atoms=args.max_atoms)
     else:
@@ -169,8 +173,7 @@ def _cmd_verify(args) -> int:
         except ValueError:
             print(f"error: ASTABLE_SEED must be an integer, not {raw!r}", file=sys.stderr)
             return USAGE_EXIT
-    cfg = GenConfig(seed=seed, iterations=args.iters)
-    report = run_suite(args.suite, cfg, unsound=args.unsound)
+    report = run_suite(args.suite, GenConfig(seed=seed, iterations=args.iters), unsound=args.unsound)
     for line in report.lines():
         print(line)
     return COUNTEREXAMPLE_EXIT if report.fails else 0
@@ -282,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except OSError as exc:
+    except (OSError, _UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (PreconditionError, PartitionError, SignatureError, CapExceeded,

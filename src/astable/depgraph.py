@@ -160,7 +160,10 @@ def rule_graph(rules: Iterable[Rule], a: frozenset[Atom]) -> DepGraph:
 def strong_components(succs: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """The strongly connected components of the graph over 0..n-1 with
     successor lists succs, in the order Tarjan's algorithm closes them from
-    roots in index order, and the index of each vertex's component there."""
+    roots in index order, each after the others its edges enter, and the
+    index of each vertex's component there.  The order reads the successor
+    lists in the order given, so lists built in a fixed order give it
+    whatever the hash seed."""
     index = [-1] * len(succs)
     lowlink = [0] * len(succs)
     comp_of = [-1] * len(succs)
@@ -201,26 +204,6 @@ def strong_components(succs: list[list[int]]) -> tuple[list[list[int]], list[int
     return comps, comp_of
 
 
-def topological_order(succs: list[list[int]], comps: list[list[int]], comp_of: list[int]) -> list[int]:
-    """Indices into comps, the strongly connected components of the graph
-    with successor lists succs (see `strong_components`), in condensation
-    order: each before the others its edges enter, the one with the
-    smallest vertex first among those ready."""
-    indeg = Counter(comp_of[w] for v, out in enumerate(succs) for w in out if comp_of[w] != comp_of[v])
-    ready = [min(c) for k, c in enumerate(comps) if not indeg[k]]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        k = comp_of[heapq.heappop(ready)]
-        order.append(k)
-        for j in [comp_of[w] for v in comps[k] for w in succs[v]]:
-            if j != k:
-                indeg[j] -= 1
-                if not indeg[j]:
-                    heapq.heappush(ready, min(comps[j]))
-    return order
-
-
 def _numbered_components(g: DepGraph) -> tuple[list[Atom], list[list[int]], list[list[int]], list[int]]:
     """g's vertices sorted, its successor lists over their positions, and their components."""
     verts = sorted(g.vertices)
@@ -238,10 +221,24 @@ def components(g: DepGraph) -> tuple[list[frozenset[Atom]], dict[Atom, int]]:
 
 
 def sccs(g: DepGraph) -> list[frozenset[Atom]]:
-    """Strongly connected components in condensation order, the one with the
-    smallest atom first among those ready (see `topological_order`)."""
+    """Strongly connected components in condensation order: each before the
+    others its edges enter, the one with the smallest atom first among those
+    ready, listed by a Kahn pass over the components `strong_components`
+    finds."""
     verts, succs, comps, comp_of = _numbered_components(g)
-    return [frozenset(map(verts.__getitem__, comps[k])) for k in topological_order(succs, comps, comp_of)]
+    indeg = Counter(comp_of[w] for v, out in enumerate(succs) for w in out if comp_of[w] != comp_of[v])
+    ready = [min(c) for k, c in enumerate(comps) if not indeg[k]]
+    heapq.heapify(ready)
+    out: list[frozenset[Atom]] = []
+    while ready:
+        k = comp_of[heapq.heappop(ready)]
+        out.append(frozenset(map(verts.__getitem__, comps[k])))
+        for j in [comp_of[w] for v in comps[k] for w in succs[v]]:
+            if j != k:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heapq.heappush(ready, min(comps[j]))
+    return out
 
 
 def _check_cover(g: DepGraph, pi: Partition2) -> None:

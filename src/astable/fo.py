@@ -25,14 +25,22 @@ from functools import partial, reduce
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .depgraph import DepGraph, dep_graph
-from .formula import Atom, AtomRef, BOT, Conj, Disj, Formula, Impl, TOP
+from .formula import _IDENT_RE, KEYWORDS, Atom, AtomRef, BOT, Conj, Disj, Formula, Impl, TOP
 from .records import Record
 from .stable import is_a_stable
-from .syntax import ParseError, _Grammar, _Group, _Parser
+from .syntax import ParseError, _atom, _Grammar, _Group, _Parser
 
 
 class GroundingError(ValueError):
     pass
+
+
+def _check_pred(name: str) -> None:
+    """Refuse a predicate name that no atom may carry.  Predicate names and
+    domain elements are checked where they enter, in `FOAtom` and
+    `FOInterpretation`, so the grounding builds its atoms unchecked."""
+    if not _IDENT_RE.match(name) or name in KEYWORDS:
+        raise GroundingError(f"invalid predicate name: {name!r}")
 
 
 class _Term(Record):
@@ -61,6 +69,7 @@ class FOAtom(FOSentence):
     __slots__ = ("pred", "args")
 
     def __init__(self, pred: str, args: tuple[Term, ...] = ()) -> None:
+        _check_pred(pred)
         object.__setattr__(self, "pred", pred)
         object.__setattr__(self, "args", args)
 
@@ -146,6 +155,11 @@ class FOInterpretation(Record):
             raise GroundingError("the domain must be non-empty")
         if len(set(self.domain)) != len(self.domain):
             raise GroundingError("duplicate domain elements")
+        for e in self.domain:
+            if not _IDENT_RE.match(e):
+                raise GroundingError(f"invalid domain element: {e!r}")
+        for p in (*self.extents, *self.arities):
+            _check_pred(p)
         dom = set(self.domain)
         for c, e in self.const_map.items():
             if e not in dom:
@@ -273,7 +287,7 @@ def ground(
             key = (g.pred, tuple([_eval_term(a, env, m) for a in g.args]))
             ref = atoms.get(key)
             if ref is None:
-                ref = atoms[key] = AtomRef(Atom(*key))
+                ref = atoms[key] = AtomRef(_atom(key))
             return ref
         if t is FOEq:
             return TOP if _eval_term(g.lhs, env, m) == _eval_term(g.rhs, env, m) else BOT
@@ -318,9 +332,7 @@ def _fo_sat(f: FOSentence, m: FOInterpretation, env: dict[str, str]) -> bool:
 
 def extent_atoms(m: FOInterpretation) -> frozenset[Atom]:
     """The ground atoms made true by m's extents."""
-    return frozenset(
-        Atom(p, t) for p, tuples in m.extents.items() for t in tuples
-    )
+    return frozenset([_atom((p, t)) for p, tuples in m.extents.items() for t in tuples])
 
 
 def pred_atoms(preds: Sequence[str], m: FOInterpretation) -> frozenset[Atom]:
@@ -331,7 +343,7 @@ def pred_atoms(preds: Sequence[str], m: FOInterpretation) -> frozenset[Atom]:
             k = m.arities[p]
         except KeyError:
             raise GroundingError(f"unknown predicate: {p}") from None
-        out.update(Atom(p, combo) for combo in itertools.product(m.domain, repeat=k))
+        out.update(map(_atom, zip(itertools.repeat(p), itertools.product(m.domain, repeat=k))))
     return frozenset(out)
 
 

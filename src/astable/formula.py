@@ -32,6 +32,9 @@ class CapExceeded(RuntimeError):
     """An exhaustive enumeration would exceed the configured atom cap."""
 
 
+DEFAULT_MAX_ATOMS = 24  # the atom cap of every exhaustive enumeration that is not given one
+
+
 class Atom(tuple):
     """A propositional atom: a name plus a tuple of constant arguments.
 
@@ -415,7 +418,8 @@ _set_root = Program.root.__set__
 
 
 def compile_formula(f: Formula) -> Program:
-    """Compile f once, iteratively, so formulas of any depth compile.
+    """Compile f once, iteratively, so formulas of any depth compile: the
+    program `compile_extensible` gives for (f,).
 
     Nodes are memoized by identity and by (kind, left slot, right slot),
     so no formula is ever hashed; set-valued nodes fold into chains of
@@ -426,9 +430,7 @@ def compile_formula(f: Formula) -> Program:
     has slot n and the k-th atom met, top and bot have slots -3 - k, -2 and
     -1, and one pass over the ops then gives every op its out slot.
     """
-    met: dict[Atom, int] = {}
-    ops: list[tuple[int, int, int]] = []
-    return _finish(met, ops, _walk(f, met, ops, {}, {}))
+    return compile_extensible((f,))[0]
 
 
 def compile_extensible(fs: Sequence[Formula]) -> tuple[Program, Callable[[Sequence[Formula]], Program]]:
@@ -437,14 +439,14 @@ def compile_extensible(fs: Sequence[Formula]) -> tuple[Program, Callable[[Sequen
     folded in in the order given.
 
     The program is `compile_formula`'s of a conjunction with these
-    children in this order, op for op, and of f itself when fs is (f,):
-    one walk compiles each of fs once, with no canonical order spelled
-    out.  The function continues that walk instead of compiling fs again,
-    so a subformula met again, the very object, costs no op.  The first
-    program's ops come first, so it is a prefix of the extension, and an
-    extension over its atoms only has its atoms, at the same positions.
-    The walk memoizes nodes by identity, so call the function at most
-    once, while fs are alive.
+    children in this order, op for op, and `compile_formula` is this
+    program when fs is (f,): one walk compiles each of fs once, with no
+    canonical order spelled out.  The function continues that walk
+    instead of compiling fs again, so a subformula met again, the very
+    object, costs no op.  The first program's ops come first, so it is a
+    prefix of the extension, and an extension over its atoms only has its
+    atoms, at the same positions.  The walk memoizes nodes by identity, so
+    call the function at most once, while fs are alive.
     """
     met: dict[Atom, int] = {}
     ops: list[tuple[int, int, int]] = []
@@ -891,7 +893,7 @@ def equivalent(
     f: Formula,
     g: Formula,
     sigma: AbstractSet[Atom] | None = None,
-    max_atoms: int = 24,
+    max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> bool:
     """True iff f and g are satisfied by exactly the same interpretations.
 

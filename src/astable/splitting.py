@@ -5,10 +5,11 @@ under the two halves of an infinitely separable partition, and intersecting
 the model sets of two formulas whose strictly positive atoms avoid the other
 half.  On top of them, a planner groups the conjuncts of a program into
 units, the strongly connected components of the graph of which atoms each
-rule head mentions, and a modular solver evaluates the units in condensation
-order, carrying partial interpretations.  Units may depend on each other
-through negation; positive dependency stays inside a unit, as the symmetric
-splitting theorem asks.  Each conjunct is read once, by one walk, into its
+rule head mentions, listed by one Tarjan pass, and a modular solver
+evaluates each unit after the units it reads, carrying partial
+interpretations.  Units may depend on each other through negation;
+positive dependency stays inside a unit, as the symmetric splitting
+theorem asks.  Each conjunct is read once, by one walk, into its
 record (`formula.read_rule`): its atoms, heads, dependency edges and
 pieces.  The planner, the cap and every step read the records, and no
 other walker runs; each conjunct is compiled once, in its unit's step,
@@ -37,7 +38,6 @@ from .depgraph import (
     sccs,  # not called here; perfbench/spans.py wraps this name
     strictly_positive,
     strong_components,
-    topological_order,
 )
 from .formula import (
     Atom,
@@ -52,12 +52,11 @@ from .formula import (
 )
 from .records import Record
 from .stable import (
-    _NARROW,
     DEFAULT_MAX_ATOMS,
     ModelSet,
     _check_cap,
-    _clause,
     _decode,
+    _enumerated,
     _unit_models,
     _unit_route,
     enumerate_a_stable,
@@ -159,8 +158,9 @@ def split_models_theorem(
 
 
 class SplitPlan(Record):
-    """Conjuncts grouped per evaluation unit, in condensation order, each
-    conjunct as its record (see `formula.Rule`).
+    """Conjuncts grouped per evaluation unit, each unit listed before the
+    units its rules mention, each conjunct as its record (see
+    `formula.Rule`).
 
     A unit is a strongly connected component of the mention graph over the
     intensional set, in which each strictly positive intensional atom of a
@@ -189,11 +189,19 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     has two or more heads, the dependency edges of them all
     (`rule_graph`), whose blocks each conjunct's heads must share, else
     SplitPlanError.  The mention graph has a vertex per intensional atom,
-    sorted, and no other: a headed conjunct's first head stands in for it,
+    sorted, and no other: a headed conjunct's least head stands in for it,
     its other heads point to that one, and that one points to each
     intensional atom the conjunct mentions, so a conjunct costs heads +
     mentions edges and lies in its heads' unit.  A dependency edge is a
     mention path, so a unit is a union of blocks.
+
+    The units are listed in the reverse of the order in which Tarjan's
+    algorithm closes them (`strong_components`): it closes a component
+    only after every component its edges reach, so no second pass is
+    needed.  That order follows the order of the successor lists, so each
+    conjunct's edges are written in index order, its targets sorted, and
+    the listing is the same whatever the hash seed.  Only `sccs` keeps the
+    smallest-atom-first condensation order.
     """
     a = frozenset(a)
     rules = list(map(read_rule, conjuncts))
@@ -211,21 +219,20 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
     atoms = sorted(a)
     index = {x: k for k, x in enumerate(atoms)}
     succs: list[list[int]] = [[] for _ in atoms]
-    headed: list[tuple[int, Rule]] = []  # (first head, rule)
+    headed: list[tuple[int, Rule]] = []  # (least head, rule)
     for r, hs in zip(rules, heads):
         if hs:
-            first, *others = [index[h] for h in hs]
+            least, *others = sorted(map(index.__getitem__, hs))
             for h in others:
-                succs[h].append(first)
-            succs[first] += [index[x] for x in r.atoms & a]
-            headed.append((first, r))
+                succs[h].append(least)
+            succs[least] += sorted(map(index.__getitem__, r.atoms & a))
+            headed.append((least, r))
     comps, comp_of = strong_components(succs)
     assigned: list[list[Rule]] = [[] for _ in comps]
-    for first, r in headed:
-        assigned[comp_of[first]].append(r)
-    listing = topological_order(succs, comps, comp_of)
-    blocks = tuple((frozenset(atoms[v] for v in comps[k]), tuple(assigned[k])) for k in listing)
-    return SplitPlan(blocks, tuple(r for r, hs in zip(rules, heads) if not hs))
+    for least, r in headed:
+        assigned[comp_of[least]].append(r)
+    blocks = [(frozenset(map(atoms.__getitem__, c)), tuple(rs)) for c, rs in zip(comps, assigned)]
+    return SplitPlan(tuple(reversed(blocks)), tuple(r for r, hs in zip(rules, heads) if not hs))
 
 
 def _check_frontier(size: int, max_atoms: int) -> None:
@@ -340,12 +347,11 @@ def modular_solve(
     wants an answer anyway takes `enumerate_a_stable` of the conjunction,
     as the CLI does.  A unit or an extensional context wider than
     max_atoms atoms, or a frontier of more than 2**max_atoms
-    interpretations, raises CapExceeded.  A unit wider than `_NARROW` atoms
-    whose every piece is a clause of a definition for its atoms
-    (`stable._clause`) has one extension per context and is not
-    enumerated, so it may be wider; the cap reads that off the records,
-    before any unit is compiled.  sigma defaults to A and the atoms of the
-    conjuncts.
+    interpretations, raises CapExceeded.  A unit that its route does not
+    enumerate, a definition for its atoms with one extension per context,
+    may be wider; the cap reads that off the records by the route's own
+    rule (`stable._enumerated`), before any unit is compiled.  sigma
+    defaults to A and the atoms of the conjuncts.
     """
     a = frozenset(a)
     plan = plan_split(conjuncts, a)
@@ -353,16 +359,10 @@ def modular_solve(
     sig = a.union(*(r.atoms for _, rules in steps for r in rules)) if sigma is None else frozenset(sigma)
     # The cap guards every exponential dimension: the extensional context
     # enumerated up front and the widest enumerated unit here, the frontier
-    # in _extend_frontier.  A unit wider than _NARROW whose every piece is
-    # a clause of a definition for its atoms is not enumerated (see
-    # `stable._unit_route`); that is read off its rules, so nothing is
-    # compiled before the cap is decided.
-    wide = [
-        len(atoms)
-        for atoms, rules in steps
-        if len(atoms) > max_atoms
-        and (len(atoms) <= _NARROW or any(type(_clause(p, atoms)) is str for r in rules for p in r.pieces))
-    ]
+    # in _extend_frontier.  Which units are enumerated is read off their
+    # rules (`stable._enumerated`, as `stable._unit_route` reads it), so
+    # nothing is compiled before the cap is decided.
+    wide = [len(atoms) for atoms, rules in steps if len(atoms) > max_atoms and _enumerated(atoms, rules)]
     _check_cap(max([len(sig - a), *wide]), max_atoms)
 
     # Partial interpretations are bitmasks over sigma (and over A, so that

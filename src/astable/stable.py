@@ -20,6 +20,7 @@ from .formula import (
     BOT,
     TOP,
     _KLEENE_BITS,
+    DEFAULT_MAX_ATOMS,
     Atom,
     AtomRef,
     CapExceeded,
@@ -50,7 +51,6 @@ from .records import Record
 
 Interpretation = frozenset[Atom]
 
-DEFAULT_MAX_ATOMS = 24
 _CHUNK_BITS = 16
 
 
@@ -974,6 +974,16 @@ def _stable_models(
     return _stable_subset(prog, var, here, others, candidates) if others else candidates
 
 
+def _enumerated(atoms: AbstractSet[Atom], rules: Iterable[Rule]) -> bool:
+    """Whether the route of a modular unit with these atoms and rules (see
+    `_unit_route`) enumerates its assignments: a unit of at most `_NARROW`
+    atoms does, and so does a wider one with a piece that is no clause of a
+    definition for its atoms (see `_clause`).  It reads the rules alone, so
+    `splitting.modular_solve` decides its cap on it before compiling any
+    unit, and that cap cannot read a unit otherwise than its route does."""
+    return len(atoms) <= _NARROW or any(type(_clause(p, atoms)) is str for r in rules for p in r.pieces)
+
+
 def _unit_route(rules: Sequence[Rule], prog: Program, conjoin, unit: Sequence[int]) -> tuple:
     """How `splitting.modular_solve` solves a unit, the atoms at positions
     `unit` of prog.atoms, all intensional, when the rules' formulas compile
@@ -982,20 +992,21 @@ def _unit_route(rules: Sequence[Rule], prog: Program, conjoin, unit: Sequence[in
     swept program, the assignments found per context so far), `one` when
     every context has exactly one extension.
 
-    A unit of at most `_NARROW` atoms takes the one packed run.  A wider
-    unit whose whole formula is a definition for its atoms takes its
-    clauses (see `_definition`): by the paper's theorem on definitions its
-    one stable extension per context is their least fixpoint, so it is the
-    one route that enumerates nothing, which is why `modular_solve` exempts
-    such a unit from the enumeration cap.  Any other wider unit takes the
-    sweep with the parts of its atoms (see `_parts`).
+    A unit that is not enumerated (see `_enumerated`) is a definition for
+    its atoms and takes its clauses (see `_definition`): by the paper's
+    theorem on definitions its one stable extension per context is their
+    least fixpoint, which is why `modular_solve` exempts such a unit from
+    the enumeration cap.  A unit of at most `_NARROW` atoms takes the one
+    packed run.  Any other unit takes the sweep with the parts of its atoms
+    (see `_parts`).
     """
+    atoms = frozenset(map(prog.atoms.__getitem__, unit))
+    if not _enumerated(atoms, rules):
+        clauses = _definition([p for r in rules for p in r.pieces], prog.atoms, sum(1 << b for b in unit))
+        return True, prog, unit, clauses, None, {}
     if len(unit) <= _NARROW:
         return False, prog, unit, (), None, {}
-    clauses = _definition([piece for r in rules for piece in r.pieces], prog.atoms, sum(1 << b for b in unit))
-    if clauses is not None:
-        return True, prog, unit, clauses, None, {}
-    parts, loop_formulas = _parts(rules, prog.atoms, frozenset(map(prog.atoms.__getitem__, unit)))
+    parts, loop_formulas = _parts(rules, prog.atoms, atoms)
     return False, prog, unit, parts, conjoin(loop_formulas) if loop_formulas else None, {}
 
 

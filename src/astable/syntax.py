@@ -52,7 +52,8 @@ _COMMENT_RE = re.compile(r"%[^\n]*")
 _BLANKS = " \t\r\n"
 # An atom from its (name, args) key, without `Atom`'s checks: the tokenizer
 # has matched the name and each argument as an identifier, and `atom_ref`
-# refuses a keyword as a name.
+# refuses a keyword as a name.  The grounder builds its atoms with it too,
+# from names that `fo` checks where they enter.
 _atom = partial(tuple.__new__, Atom)
 _KINDS = {p: p for p in ("->", "&", "|", "(", ")", "{", "}", ";", ",", ".", "=")}
 

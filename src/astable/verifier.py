@@ -73,6 +73,12 @@ from .syntax import ParseError, parse_program
 DEFAULT_SEED = 1729
 
 
+class ConfigError(ValueError):
+    """A suite run refused before any draw: a bound or probability out of
+    range, an unknown suite, or unsound mode for a suite that has no
+    preconditions to drop."""
+
+
 class GenConfig(Record):
     """Bounds and probabilities for the random generators."""
 
@@ -89,11 +95,11 @@ class GenConfig(Record):
         iterations: int = 500,
     ) -> None:
         if min(max_atoms, max_depth + 1, max_branch, iterations) <= 0:
-            raise ValueError("bounds must be positive")
+            raise ConfigError("bounds must be positive")
         if not (0.0 <= impl_prob <= 1.0 and 0.0 <= neg_prob <= 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
+            raise ConfigError("probabilities must lie in [0, 1]")
         if impl_prob + neg_prob > 1.0:
-            raise ValueError("impl_prob + neg_prob must not exceed 1")
+            raise ConfigError("impl_prob + neg_prob must not exceed 1")
         for name, value in zip(self._fields, (seed, max_atoms, max_depth, max_branch, impl_prob, neg_prob, iterations)):
             object.__setattr__(self, name, value)
 
@@ -1024,9 +1030,9 @@ def run_suite(name: str, cfg: GenConfig, unsound: bool = False) -> SuiteReport:
         salt, suite = _SUITES[name]
     except KeyError:
         known = ", ".join(SUITE_NAMES)
-        raise ValueError(f"unknown suite {name!r}; known suites: {known}") from None
+        raise ConfigError(f"unknown suite {name!r}; known suites: {known}") from None
     if unsound and name not in _UNSOUND_SUITES:
-        raise ValueError(f"unsound mode applies only to: {', '.join(_UNSOUND_SUITES)}")
+        raise ConfigError(f"unsound mode applies only to: {', '.join(_UNSOUND_SUITES)}")
     passes = fails = skipped = 0
     first: str | None = None
     attempts = 0

@@ -655,6 +655,25 @@ class TestRemovedOptions:
         assert errors == [f"astable: error: unrecognized arguments: {' '.join(removed)}"]
 
 
+class TestFlagErrors:
+    """Flags that a command cannot take together, or with its input, are
+    usage errors: one `error:` line, no file position, exit 1."""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["split-solve", "FILE", "--part1", "q"], "--part1 and --part2 must be given together"),
+            (["split-solve", "FILE", "--part2", "q"], "--part1 and --part2 must be given together"),
+            (["solve", "FILE", "--intensional-pred", "p"], "--intensional-pred needs a first-order input with #domain"),
+            (["verify", "--suite", "lemma1", "--iters", "0"], "bounds must be positive"),
+            (["verify", "--suite", "lemma1", "--unsound"], "unsound mode applies only to: split_lemma, split_theorem"),
+        ],
+    )
+    def test_is_one_error_line_and_exit_one(self, capsys, guard_lp, command, message):
+        argv = [guard_lp if a == "FILE" else a for a in command]
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestConsoleScript:
     def test_output_identical_across_processes(self, guard_lp):
         import os

@@ -20,6 +20,7 @@ from astable import (
     satisfies,
     strictly_positive,
 )
+from astable import fo as fo_module
 from astable.fo import (
     _skeleton,
     Cst,
@@ -198,13 +199,13 @@ class TestGround:
         m = FOInterpretation.herbrand(("a", "b", "c"))
         want = ground(s, m)
         built = []
-        new = Atom.__new__
+        new = fo_module._atom
 
-        def counting(cls, name, args=()):
-            built.append((name, args))
-            return new(cls, name, args)
+        def counting(key):
+            built.append(key)
+            return new(key)
 
-        monkeypatch.setattr(Atom, "__new__", counting)
+        monkeypatch.setattr(fo_module, "_atom", counting)
         for _ in range(2):  # 81 occurrences of 18 distinct atoms
             assert ground(s, m) == want
             assert len(built) == 18
@@ -235,8 +236,8 @@ class TestGround:
             assert len(one[x] | two[x]) == 1
 
         built = []
-        new = Atom.__new__
-        monkeypatch.setattr(Atom, "__new__", lambda cls, name, args=(): built.append(name) or new(cls, name, args))
+        new = fo_module._atom
+        monkeypatch.setattr(fo_module, "_atom", lambda key: built.append(key) or new(key))
         assert ground_program(list(prog.sentences), m) == [first, second]
         assert len(built) == 18  # 36 when each sentence had its own cache
 
@@ -283,6 +284,22 @@ class TestExtentAndPredAtoms:
             Atom("p", ("b",)),
             Atom("q"),
         )
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: FOAtom("1p"), "invalid predicate name: '1p'"),
+            (lambda: FOAtom("not", (Cst("a"),)), "invalid predicate name: 'not'"),
+            (lambda: herbrand(("a", "b c")), "invalid domain element: 'b c'"),
+            (lambda: herbrand(("a",), extents={"p-q": {("a",)}}), "invalid predicate name: 'p-q'"),
+            (lambda: FOInterpretation.herbrand(("a",), arities={"top": 0}), "invalid predicate name: 'top'"),
+        ],
+    )
+    def test_names_no_atom_may_carry_are_refused_where_they_enter(self, build, message):
+        # the grounding, pred_atoms and extent_atoms build their atoms
+        # unchecked, so a name is checked before any atom is built
+        with pytest.raises(GroundingError, match=message):
+            build()
 
 
 class TestPStability:

@@ -1,8 +1,14 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import astable
 
 from astable import (
     Atom,
@@ -161,6 +167,42 @@ def chain_program(n):
     return ats, [impl(AtomRef(ats[k + 1]), AtomRef(ats[k])) for k in range(n)]
 
 
+# Plans a seeded corpus and prints the SHA-256 of its listings: 200 random
+# rule programs of 6-10 atoms, with bodies of 1-3 literals, some heads
+# disjunctive and some intensional sets partial, then the layered chain and
+# the transitive closure of the benchmarks.  Its one argument is the
+# directory that holds the package.
+_LISTING_DIGEST = """
+import hashlib, random, sys
+sys.path.insert(0, sys.argv[1])
+from astable import Atom, AtomRef, SplitPlanError, atoms_of, conj, disj, impl, neg, plan_split
+from astable.bench import closure_program, layered_chain
+
+rng = random.Random(39)
+corpus = []
+for _ in range(200):
+    pool = [Atom(f"p{i}") for i in range(rng.randint(6, 10))]
+    rules = []
+    for _ in range(rng.randint(len(pool), 2 * len(pool))):
+        lits = [neg(AtomRef(x)) if rng.random() < 0.3 else AtomRef(x) for x in rng.sample(pool, rng.randint(1, 3))]
+        heads = [AtomRef(x) for x in rng.sample(pool, 1 if rng.random() < 0.9 else 2)]
+        rules.append(impl(lits[0] if len(lits) == 1 else conj(lits), heads[0] if len(heads) == 1 else disj(heads)))
+    corpus.append((rules, pool if rng.random() < 0.7 else rng.sample(pool, len(pool) - 2)))
+corpus += [(fs, set().union(*map(atoms_of, fs))) for fs in (layered_chain(8, 5), closure_program(3))]
+lines = []
+for rules, a in corpus:
+    try:
+        plan = plan_split(rules, frozenset(a))
+    except SplitPlanError:
+        lines.append("refused")
+        continue
+    for atoms, unit in plan.blocks:
+        lines.append(",".join(map(str, sorted(atoms))) + ": " + "; ".join(str(r.formula) for r in unit))
+    lines.append("residual: " + "; ".join(str(r.formula) for r in plan.residual))
+print(hashlib.sha256("\\n".join(lines).encode()).hexdigest())
+"""
+
+
 class TestPlanSplit:
     def test_chain_blocks_in_order(self):
         ats, conjuncts = chain_program(2)
@@ -310,12 +352,28 @@ class TestPlanSplit:
         plan = plan_split([wide] + ring, set(ats))
         assert [b for b, _ in plan.blocks] == [frozenset(ats)]
         # the ring's n dependency edges, then the mention graph over the
-        # n atoms alone: the disjunction's other n - 1 heads to its first
+        # n atoms alone: the disjunction's other n - 1 heads to its least
         # head and that head to n atoms, and per ring rule its head to two
         # atoms
         dependency, mention = graphs
         assert dependency == (n, n)
         assert mention[0] == n and mention[1] <= 5 * n
+
+    def test_listing_is_the_same_under_every_hash_seed(self):
+        # Tarjan's closing order follows the order of the successor lists,
+        # which a set of atoms iterates in an order set by PYTHONHASHSEED:
+        # each run plans one seeded corpus in a fresh interpreter and
+        # prints a digest of the listings, units and rules in order
+        src = str(Path(astable.__file__).resolve().parents[1])
+        digests = set()
+        for seed in ("0", "1", "2", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": seed}
+            done = subprocess.run(
+                [sys.executable, "-c", _LISTING_DIGEST, src], capture_output=True, text=True, env=env, timeout=120
+            )
+            assert (done.returncode, done.stderr) == (0, ""), seed
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
 
 def _swept_routes(monkeypatch) -> list:
