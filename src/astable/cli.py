@@ -50,10 +50,9 @@ def _is_fo_input(text: str) -> bool:
 
 
 def _ground_fo(text: str) -> tuple[list[Formula], fo.FOInterpretation]:
-    """Ground a first-order program over its #domain, naming each element by itself."""
+    """Ground a first-order program over its #domain, naming each element
+    by itself; the caller has seen the #domain line (`_is_fo_input`)."""
     prog = fo.parse_fo_program(text)
-    if not prog.domain:
-        raise ParseError("first-order input needs a #domain declaration", 1, 1)
     arities = fo.infer_arities(prog.sentences)
     interp = fo.FOInterpretation.herbrand(prog.domain, arities=arities)
     return fo.ground_program(list(prog.sentences), interp), interp
@@ -103,7 +102,10 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_ground(args) -> int:
-    sys.stdout.write(format_program(_ground_fo(_read(args.file))[0]))
+    text = _read(args.file)
+    if not _is_fo_input(text):
+        raise _UsageError("ground needs a first-order input with #domain")
+    sys.stdout.write(format_program(_ground_fo(text)[0]))
     return 0
 
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 import itertools
 from typing import AbstractSet
 
-from .formula import Atom, AtomRef, Conj, Formula, Impl, atoms_of, conj, satisfies
+from .formula import Atom, Formula, Impl, _check_cap, atoms_of, conj, read_rule, satisfies
 from .records import Record
 from .stable import (
     DEFAULT_MAX_ATOMS,
     Interpretation,
     ModelSet,
-    _check_cap,
     _clause,
     _least_fixpoint,
     enumerate_a_stable,
@@ -74,34 +73,35 @@ class DefinitionModule(Record):
 def recognize_definition(g: Formula, q: AbstractSet[Atom]) -> DefinitionModule | Rejection:
     """Check that g is a definition for q and split out its clauses.
 
-    g may be a conjunction of clauses, nested conjunctions opened as the
-    solvers open them (the pieces of `formula.read_rule`), or a single
-    clause.  Each clause must be an implication with a head atom from q;
-    direct q-atom conjuncts of the antecedent are collected separately,
-    and the rest of the antecedent must be q-free (see `stable._clause`,
-    which the solvers share; only a fact is a clause there and not here).
-    A failed check returns a Rejection naming the first offending
-    conjunct; rejection is an answer, not an error.  Each clause is read
-    as the piece `_clause` reads, its atoms of antecedent conjuncts that
-    are no atoms: no dependency edge or head is read, as a whole record
-    would.
+    g is read as the solvers read a conjunct, into its record
+    (`formula.read_rule`): nested conjunctions are opened into its pieces,
+    in order, and each piece is a clause or the reason it is none.  Each
+    clause must be an implication with a head atom from q; direct q-atom
+    conjuncts of the antecedent are collected separately, and the rest of
+    the antecedent must be q-free, as `stable._clause` reads the piece for
+    the solvers (only a fact is a clause there and not here).  A failed
+    check returns a Rejection naming the first offending piece; rejection
+    is an answer, not an error.
     """
     q = frozenset(q)
     clauses = []
-    stack = [g]
-    while stack:
-        c = stack.pop()
-        if type(c) is Conj:
-            stack += reversed(c.children)
-            continue
-        if not isinstance(c, Impl):
-            return Rejection(c, "conjunct is not an implication")
-        kids = c.lhs.children if type(c.lhs) is Conj else (c.lhs,)
-        clause = _clause((c, frozenset(), frozenset().union(*[atoms_of(d) for d in kids if type(d) is not AtomRef])), q)
+    for piece in read_rule(g).pieces:
+        c = piece[0]
+        clause = _clause(piece, q) if type(c) is Impl else "conjunct is not an implication"
         if type(clause) is str:
             return Rejection(c, clause)
         clauses.append(Clause(*clause))
     return DefinitionModule(tuple(clauses), q, g)
+
+
+def _context(d: DefinitionModule, context: AbstractSet[Atom]) -> frozenset[Atom]:
+    """The context as a set, refused with DefinitionError when it mentions
+    an atom that d defines."""
+    ctx = frozenset(context)
+    if ctx & d.q_set:
+        names = ", ".join(str(a) for a in sorted(ctx & d.q_set))
+        raise DefinitionError(f"context must not mention defined atoms: {names}")
+    return ctx
 
 
 def unique_q_stable(d: DefinitionModule, context: AbstractSet[Atom]) -> Interpretation:
@@ -112,10 +112,7 @@ def unique_q_stable(d: DefinitionModule, context: AbstractSet[Atom]) -> Interpre
     q-free, so their truth is fixed by the context; a clause fires once its
     q-atom conjuncts have been derived.
     """
-    ctx = frozenset(context)
-    if ctx & d.q_set:
-        names = ", ".join(str(a) for a in sorted(ctx & d.q_set))
-        raise DefinitionError(f"context must not mention defined atoms: {names}")
+    ctx = _context(d, context)
     index = {x: k for k, x in enumerate(d.q_set)}
     fired = [(1, tuple(map(index.__getitem__, c.pos_q)), index[c.head]) for c in d.clauses if satisfies(ctx, c.body)]
     derived = _least_fixpoint(fired, len(index))
@@ -129,11 +126,9 @@ def intersection_oracle(
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> Interpretation:
     """Independent route to the same completion: intersect every model of the
-    definition whose q-free part equals the context."""
-    ctx = frozenset(context)
-    if ctx & d.q_set:
-        names = ", ".join(str(a) for a in sorted(ctx & d.q_set))
-        raise DefinitionError(f"context must not mention defined atoms: {names}")
+    definition whose q-free part equals the context.  It shares only the
+    check of its input with `unique_q_stable`."""
+    ctx = _context(d, context)
     _check_cap(len(d.q_set), max_atoms)
     q_sorted = sorted(d.q_set)
     meet: set[Atom] | None = None

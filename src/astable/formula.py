@@ -35,6 +35,14 @@ class CapExceeded(RuntimeError):
 DEFAULT_MAX_ATOMS = 24  # the atom cap of every exhaustive enumeration that is not given one
 
 
+def _check_cap(n: int, max_atoms: int) -> None:
+    if n > max_atoms:
+        raise CapExceeded(
+            f"enumeration over {n} atoms exceeds the cap of {max_atoms}; "
+            f"pass a larger max_atoms (or --max-atoms) if this is intended"
+        )
+
+
 class Atom(tuple):
     """A propositional atom: a name plus a tuple of constant arguments.
 
@@ -901,16 +909,14 @@ def equivalent(
     sigma occurring in neither cannot influence the answer and are skipped.
     One sweep checks that (f -> g) -> not (g -> f), true exactly where f
     and g differ, is true nowhere; it is built of implications only, so no
-    child list is ever put in canonical order.
+    child list is ever put in canonical order.  A sweep over more than
+    max_atoms atoms raises CapExceeded, by the check every enumeration
+    makes (`_check_cap`).
     """
     prog = compile_formula(Impl(Impl(f, g), neg(Impl(g, f))))
     if sigma is not None:
         check_signature(frozenset(prog.atoms), sigma)
-    if len(prog.atoms) > max_atoms:
-        raise CapExceeded(
-            f"equivalence check over {len(prog.atoms)} atoms exceeds the cap of "
-            f"{max_atoms}; raise max_atoms explicitly if this is intended"
-        )
+    _check_cap(len(prog.atoms), max_atoms)
     return not any(truth_chunks(prog, prog.atoms))
 
 

@@ -17,10 +17,12 @@ where the unit is compiled, routed and decoded; how it is solved, its
 route, is for `stable` to choose and run (`_unit_route`, `_unit_models`),
 and this module never reads a route's fields.  It keeps the plan, the cap,
 which it reads off the records before compiling any unit, the contexts
-each unit is solved in and the frontier.  Both strategies verify their preconditions,
-and the modular solver refuses with SplitPlanError when a conjunct's
-strictly positive intensional atoms span dependency blocks; the CLI then
-answers by brute force.
+each unit is solved in and the frontier.  Both strategies verify their
+preconditions by one check (`_violations`), which the unsound hunt of the
+verifier reads too, and share one enumerate-and-intersect tail; the
+modular solver refuses with SplitPlanError when a conjunct's strictly
+positive intensional atoms span dependency blocks; the CLI then answers
+by brute force.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .formula import (
     CapExceeded,
     Formula,
     Rule,
+    _check_cap,
     atoms_of,
     compile_extensible,
     conj,
@@ -54,7 +57,6 @@ from .records import Record
 from .stable import (
     DEFAULT_MAX_ATOMS,
     ModelSet,
-    _check_cap,
     _decode,
     _enumerated,
     _unit_models,
@@ -88,14 +90,49 @@ class SplitPlanError(ValueError):
         self.conjunct = conjunct
 
 
-def _separability_violation(f: Formula, p1: frozenset[Atom], p2: frozenset[Atom]) -> str | None:
-    bad = offending_scc(dep_graph(f, p1 | p2), Partition2(p1, p2))
-    if bad is None:
-        return None
-    return (
-        "partition is not infinitely separable: strongly connected component "
-        f"{format_interpretation(bad)} meets both parts"
-    )
+def _names(atoms: AbstractSet[Atom]) -> str:
+    return ", ".join(str(a) for a in sorted(atoms))
+
+
+def _violations(f: Formula, g: Formula | None, p1: frozenset[Atom], p2: frozenset[Atom]) -> list[str]:
+    """The violated preconditions of splitting over the parts p1 and p2,
+    in this order: the parts overlap; for the theorem, whose second
+    formula g is given, a part meets the strictly positive atoms of the
+    other part's formula; for disjoint parts, a strongly connected
+    component of the dependency graph of f (of f & g for the theorem)
+    meets both parts, so they are not infinitely separable."""
+    overlap = p1 & p2
+    violations = [f"parts overlap on: {_names(overlap)}"] if overlap else []
+    if g is not None:
+        hit = p2 & strictly_positive(f)
+        if hit:
+            violations.append(f"second part meets strictly positive atoms of the first formula: {_names(hit)}")
+        hit = p1 & strictly_positive(g)
+        if hit:
+            violations.append(f"first part meets strictly positive atoms of the second formula: {_names(hit)}")
+    if not overlap:
+        bad = offending_scc(dep_graph(f if g is None else conj((f, g)), p1 | p2), Partition2(p1, p2))
+        if bad is not None:
+            violations.append(
+                "partition is not infinitely separable: strongly connected component "
+                f"{format_interpretation(bad)} meets both parts"
+            )
+    return violations
+
+
+def _split_models(
+    f: Formula, g: Formula | None, p1: AbstractSet[Atom], p2: AbstractSet[Atom], sigma: AbstractSet[Atom] | None, max_atoms: int
+) -> ModelSet:
+    """The interpretations p1-stable for f and p2-stable for g (for f again
+    when g is None), once `_violations` lists none."""
+    p1, p2 = frozenset(p1), frozenset(p2)
+    violations = _violations(f, g, p1, p2)
+    if violations:
+        raise PreconditionError(violations)
+    sig = frozenset(sigma) if sigma is not None else atoms_of(f).union(p1, p2, () if g is None else atoms_of(g))
+    m1 = enumerate_a_stable(f, p1, sig, max_atoms=max_atoms)
+    m2 = enumerate_a_stable(f if g is None else g, p2, sig, max_atoms=max_atoms)
+    return m1.intersection(m2)
 
 
 def split_models_lemma(
@@ -108,17 +145,7 @@ def split_models_lemma(
 ) -> ModelSet:
     """Models stable under p1 and under p2 at once; equals the p1|p2-stable
     models when {p1, p2} is infinitely separable on the dependency graph."""
-    p1, p2 = frozenset(p1), frozenset(p2)
-    if p1 & p2:
-        names = ", ".join(str(a) for a in sorted(p1 & p2))
-        raise PreconditionError([f"parts overlap on: {names}"])
-    sep = _separability_violation(f, p1, p2)
-    if sep:
-        raise PreconditionError([sep])
-    sig = frozenset(sigma) if sigma is not None else atoms_of(f) | p1 | p2
-    m1 = enumerate_a_stable(f, p1, sig, max_atoms=max_atoms)
-    m2 = enumerate_a_stable(f, p2, sig, max_atoms=max_atoms)
-    return m1.intersection(m2)
+    return _split_models(f, None, p1, p2, sigma, max_atoms)
 
 
 def split_models_theorem(
@@ -132,29 +159,7 @@ def split_models_theorem(
 ) -> ModelSet:
     """Interpretations that are a1-stable for f and a2-stable for g; equals
     the (a1|a2)-stable models of f & g under the stated preconditions."""
-    a1, a2 = frozenset(a1), frozenset(a2)
-    violations = []
-    if a1 & a2:
-        names = ", ".join(str(a) for a in sorted(a1 & a2))
-        violations.append(f"parts overlap on: {names}")
-    hit = a2 & strictly_positive(f)
-    if hit:
-        names = ", ".join(str(a) for a in sorted(hit))
-        violations.append(f"second part meets strictly positive atoms of the first formula: {names}")
-    hit = a1 & strictly_positive(g)
-    if hit:
-        names = ", ".join(str(a) for a in sorted(hit))
-        violations.append(f"first part meets strictly positive atoms of the second formula: {names}")
-    if not (a1 & a2):
-        sep = _separability_violation(conj((f, g)), a1, a2)
-        if sep:
-            violations.append(sep)
-    if violations:
-        raise PreconditionError(violations)
-    sig = frozenset(sigma) if sigma is not None else atoms_of(f) | atoms_of(g) | a1 | a2
-    mf = enumerate_a_stable(f, a1, sig, max_atoms=max_atoms)
-    mg = enumerate_a_stable(g, a2, sig, max_atoms=max_atoms)
-    return mf.intersection(mg)
+    return _split_models(f, g, a1, a2, sigma, max_atoms)
 
 
 class SplitPlan(Record):
@@ -210,7 +215,7 @@ def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
         _, block_of = components(rule_graph(rules, a))
         for r, hs in zip(rules, heads):
             if len({block_of[x] for x in hs}) > 1:
-                names = _clipped(", ".join(str(p) for p in sorted(hs)))
+                names = _clipped(_names(hs))
                 raise SplitPlanError(
                     r.formula,
                     f"conjunct '{_clipped(str(r.formula))}' has strictly positive intensional atoms {names} "

@@ -23,7 +23,6 @@ from .formula import (
     DEFAULT_MAX_ATOMS,
     Atom,
     AtomRef,
-    CapExceeded,
     Conj,
     Disj,
     Formula,
@@ -32,6 +31,7 @@ from .formula import (
     Program,
     Rule,
     SignatureError,
+    _check_cap,
     _chunk_patterns,
     _node,
     atoms_of,
@@ -376,14 +376,6 @@ def choice_extension(f: Formula, a: AbstractSet[Atom], sigma: AbstractSet[Atom])
         return f
     choices = [disj((AtomRef(p), neg(AtomRef(p)))) for p in extension]
     return Conj((f, *choices))
-
-
-def _check_cap(n: int, max_atoms: int) -> None:
-    if n > max_atoms:
-        raise CapExceeded(
-            f"enumeration over {n} atoms exceeds the cap of {max_atoms}; "
-            f"pass a larger max_atoms (or --max-atoms) if this is intended"
-        )
 
 
 def _candidate_models(prog: Program, var: Sequence[int], here: int) -> list[int]:

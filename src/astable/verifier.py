@@ -58,7 +58,7 @@ from .formula import (
     truth_chunks,
 )
 from .records import Record
-from .splitting import PreconditionError, SplitPlanError, modular_solve, split_models_lemma, split_models_theorem
+from .splitting import PreconditionError, SplitPlanError, _violations, modular_solve, split_models_lemma, split_models_theorem
 from .stable import (
     ModelSet,
     choice_extension,
@@ -160,6 +160,13 @@ def gen_formula(cfg: GenConfig) -> Formula:
     """Deterministic for a fixed seed; all four node kinds can occur."""
     rng = random.Random(cfg.seed)
     return _gen(rng, _atom_pool(cfg.max_atoms), cfg.max_depth, cfg)
+
+
+def _draw(rng: random.Random, cfg: GenConfig) -> tuple[list[Atom], frozenset[Atom], Formula]:
+    """The pool of cfg.max_atoms atoms, its set, and a formula over it of a
+    depth drawn up to cfg.max_depth: how the single-formula suites open."""
+    pool = _atom_pool(cfg.max_atoms)
+    return pool, frozenset(pool), _gen(rng, pool, rng.randint(0, cfg.max_depth), cfg)
 
 
 def _rand_subset(rng: random.Random, items: Iterable, p: float = 0.5) -> frozenset:
@@ -274,9 +281,7 @@ def _gen_ring(rng: random.Random, ring: list[Formula], reads: list[Formula]) -> 
 
 
 def _suite_prop1(rng, cfg, unsound):
-    pool = _atom_pool(cfg.max_atoms)
-    sigma = frozenset(pool)
-    f = _gen(rng, pool, rng.randint(0, cfg.max_depth), cfg)
+    pool, sigma, f = _draw(rng, cfg)
     i = _rand_subset(rng, pool)
     a = _rand_subset(rng, pool)
     direct = is_a_stable(f, i, a)
@@ -331,9 +336,7 @@ def prop3_exhaustive(max_vertices: int = 4) -> tuple[int, int]:
 
 
 def _suite_lemma1(rng, cfg, unsound):
-    pool = _atom_pool(cfg.max_atoms)
-    sigma = frozenset(pool)
-    f = _gen(rng, pool, rng.randint(0, cfg.max_depth), cfg)
+    pool, sigma, f = _draw(rng, cfg)
     i = _rand_subset(rng, pool)
     if satisfies(i, f):
         return None
@@ -342,9 +345,7 @@ def _suite_lemma1(rng, cfg, unsound):
 
 
 def _suite_lemma2(rng, cfg, unsound):
-    pool = _atom_pool(cfg.max_atoms)
-    sigma = frozenset(pool)
-    f = _gen(rng, pool, rng.randint(0, cfg.max_depth), cfg)
+    _, sigma, f = _draw(rng, cfg)
     i = _biased_interp(rng, f, sigma)
     if not satisfies(i, f):
         return None
@@ -354,9 +355,7 @@ def _suite_lemma2(rng, cfg, unsound):
 
 
 def _suite_lemma3(rng, cfg, unsound):
-    pool = _atom_pool(cfg.max_atoms)
-    sigma = frozenset(pool)
-    f = _gen(rng, pool, rng.randint(0, cfg.max_depth), cfg)
+    pool, sigma, f = _draw(rng, cfg)
     i = _biased_interp(rng, f, sigma)
     r = reduct(f, i)
     b1 = _rand_subset(rng, pool, 0.3)
@@ -368,9 +367,7 @@ def _suite_lemma3(rng, cfg, unsound):
 
 
 def _suite_lemma4(rng, cfg, unsound):
-    pool = _atom_pool(cfg.max_atoms)
-    sigma = frozenset(pool)
-    f = _gen(rng, pool, rng.randint(0, cfg.max_depth), cfg)
+    pool, sigma, f = _draw(rng, cfg)
     b = _rand_subset(rng, pool, 0.4)
     c = _rand_subset(rng, sorted(sigma - b), 0.4)
     g = dep_graph(f, b | c)
@@ -400,10 +397,9 @@ def _suite_lemma5(rng, cfg, unsound):
 
 
 def _suite_lemma6(rng, cfg, unsound):
-    pool = _atom_pool(cfg.max_atoms)
-    f = _gen(rng, pool, rng.randint(0, cfg.max_depth), cfg)
+    pool, sigma, f = _draw(rng, cfg)
     g = _gen(rng, pool, rng.randint(0, cfg.max_depth - 1), cfg)
-    a = _rand_subset(rng, sorted(frozenset(pool) - strictly_positive(g)))
+    a = _rand_subset(rng, sorted(sigma - strictly_positive(g)))
     i = _rand_subset(rng, pool)
     joint = is_a_stable(conj((f, g)), i, a)
     split = is_a_stable(f, i, a) and satisfies(i, g)
@@ -411,9 +407,7 @@ def _suite_lemma6(rng, cfg, unsound):
 
 
 def _suite_lemma7(rng, cfg, unsound):
-    pool = _atom_pool(cfg.max_atoms)
-    sigma = frozenset(pool)
-    f = _gen(rng, pool, rng.randint(0, cfg.max_depth), cfg)
+    pool, sigma, f = _draw(rng, cfg)
     a = atoms_of(f) | _rand_subset(rng, pool, 0.3)
     i = _rand_subset(rng, pool)
     relative = is_a_stable(f, i, a)
@@ -512,11 +506,7 @@ def _suite_split_theorem(rng, cfg, unsound):
         fs = [c for c in conjuncts if rng.random() < 0.5]
         gs = [c for c in conjuncts if c not in fs]
         f, g = conj(fs), conj(gs)
-        if (
-            not a2 & strictly_positive(f)
-            and not a1 & strictly_positive(g)
-            and is_separable(dep_graph(whole, a), Partition2(a1, a2))
-        ):
+        if not _violations(f, g, a1, a2):
             return None
         split = enumerate_a_stable(f, a1, sigma).intersection(enumerate_a_stable(g, a2, sigma))
     else:
@@ -544,9 +534,8 @@ def _suite_split_theorem(rng, cfg, unsound):
 
 
 def _suite_stable_kernel(rng, cfg, unsound):
-    pool = _atom_pool(cfg.max_atoms)
-    f = _gen(rng, pool, rng.randint(0, cfg.max_depth), cfg)
-    i = _biased_interp(rng, f, frozenset(pool))
+    pool, sigma, f = _draw(rng, cfg)
+    i = _biased_interp(rng, f, sigma)
     a = _rand_subset(rng, pool)
     if rng.random() < 0.25:
         a -= i  # I & A empty: stability reduces to satisfaction

@@ -96,6 +96,16 @@ class TestSolve:
         assert code == 1
         assert "parse error" in err
 
+    def test_reserved_word_as_intensional_atom_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "p.lp"
+        path.write_text("p | not p.\n")
+        assert run(capsys, "solve", str(path), "--intensional", "top") == (
+            1, "", "parse error: 1:1: 'top' is reserved and cannot name an atom\n"
+        )
+
+    def test_unknown_intensional_pred_is_exit_two(self, capsys, guard_fo):
+        assert run(capsys, "solve", guard_fo, "--intensional-pred", "r") == (2, "", "error: unknown predicate: r\n")
+
     def test_pred_flag_requires_fo_input(self, capsys, guard_lp):
         code, _, err = run(capsys, "solve", guard_lp, "--intensional-pred", "q")
         assert code == 1
@@ -151,6 +161,11 @@ class TestParseGround:
         code, out, err = run(capsys, "ground", str(path))
         assert (code, out) == (1, "")
         assert err == "parse error: 1:1: invalid domain element: 'a-b'\n"
+
+    def test_unbound_variable_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "free.fo"
+        path.write_text("#domain a.\np(X) -> q.\n")
+        assert run(capsys, "ground", str(path)) == (2, "", "error: unbound variable: X\n")
 
     def test_non_ascii_identifier_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "word.lp"
@@ -527,6 +542,20 @@ class TestCheckDefinition:
             "{p1} -> {p1}\n"
         )
 
+    def test_counterexample_is_exit_three(self, capsys, tmp_path, monkeypatch):
+        # only a defect reaches this path, so the report is patched in
+        from astable.definitions import ConservativityReport
+
+        witness = "base stable model {p} has no completion"
+        monkeypatch.setattr(cli, "check_conservativity", lambda *args, **kwargs: ConservativityReport(None, 0, witness))
+        base = tmp_path / "base.lp"
+        base.write_text("p.\n")
+        module = tmp_path / "def.lp"
+        module.write_text("p -> q.\n")
+        assert run(capsys, "check-definition", str(base), str(module), "--defined", "q") == (
+            3, f"counterexample: {witness}\n", ""
+        )
+
     def test_rejection_is_exit_two(self, capsys, tmp_path):
         base = tmp_path / "base.lp"
         base.write_text("p.\n")
@@ -667,6 +696,7 @@ class TestFlagErrors:
             (["solve", "FILE", "--intensional-pred", "p"], "--intensional-pred needs a first-order input with #domain"),
             (["verify", "--suite", "lemma1", "--iters", "0"], "bounds must be positive"),
             (["verify", "--suite", "lemma1", "--unsound"], "unsound mode applies only to: split_lemma, split_theorem"),
+            (["ground", "FILE"], "ground needs a first-order input with #domain"),
         ],
     )
     def test_is_one_error_line_and_exit_one(self, capsys, guard_lp, command, message):

@@ -125,6 +125,14 @@ class TestSplitTheorem:
         assert "first formula" in text and "second formula" in text
         assert "strongly connected component" in text
 
+    def test_overlapping_parts_listed_without_separability(self):
+        # separability is a condition on disjoint parts: overlapping parts
+        # are not also checked for a straddled component
+        p, q = Atom("p"), Atom("q")
+        with pytest.raises(PreconditionError) as err:
+            split_models_theorem(impl(AtomRef(q), AtomRef(p)), TOP, {p, q}, {q})
+        assert err.value.violations == ["parts overlap on: q"]
+
     def test_agrees_with_lemma_when_both_apply(self):
         rng = random.Random(77)
         pool = [Atom(c) for c in "abcd"]

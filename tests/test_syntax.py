@@ -273,6 +273,9 @@ class TestAtomHelpers:
         assert parse_interpretation(format_interpretation(i)) == i
         assert parse_interpretation("{}") == frozenset()
 
+    def test_parse_atom_returns_the_atom(self):
+        assert parse_atom("p(a,b)") == Atom("p", ("a", "b"))
+
     def test_parse_atom_rejects_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_atom("p(a) q")
