@@ -191,6 +191,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _cap(text: str) -> int:
+    """The value of --max-atoms: a count of atoms, so 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {n}")
+    return n
+
+
 def _add_intensional(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--intensional", metavar="ATOMS",
@@ -205,7 +216,7 @@ def _add_intensional(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS,
+    p.add_argument("--max-atoms", type=_cap, default=DEFAULT_MAX_ATOMS,
                    help="enumeration cap (default %(default)s)")
     p.add_argument("--json", action="store_true", help="line-delimited JSON output")
     p.add_argument("--sigma", metavar="ATOMS",
@@ -252,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("module", help="definition module file")
     p.add_argument("--defined", required=True, metavar="ATOMS",
                    help="comma-separated defined atoms")
-    p.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS)
+    p.add_argument("--max-atoms", type=_cap, default=DEFAULT_MAX_ATOMS)
     p.set_defaults(func=_cmd_check_definition)
 
     p = sub.add_parser("verify", help="run a randomized property suite")
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark modular vs. brute-force solving (CSV)")
     p.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
-    p.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS)
+    p.add_argument("--max-atoms", type=_cap, default=DEFAULT_MAX_ATOMS)
     p.set_defaults(func=_cmd_bench)
 
     return top

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import AbstractSet
 
-from .formula import Atom, Formula, Impl, _check_cap, atoms_of, conj, read_rule, satisfies
+from .formula import Atom, Formula, Impl, _check_cap, atoms_of, conj, read_rules, satisfies
 from .records import Record
 from .stable import (
     DEFAULT_MAX_ATOMS,
@@ -73,21 +73,21 @@ class DefinitionModule(Record):
 def recognize_definition(g: Formula, q: AbstractSet[Atom]) -> DefinitionModule | Rejection:
     """Check that g is a definition for q and split out its clauses.
 
-    g is read as the solvers read a conjunct, into its record
-    (`formula.read_rule`): nested conjunctions are opened into its pieces,
-    in order, and each piece is a clause or the reason it is none.  Each
-    clause must be an implication with a head atom from q; direct q-atom
-    conjuncts of the antecedent are collected separately, and the rest of
-    the antecedent must be q-free, as `stable._clause` reads the piece for
-    the solvers (only a fact is a clause there and not here).  A failed
-    check returns a Rejection naming the first offending piece; rejection
-    is an answer, not an error.
+    g is read as the solvers read a conjunct, into one record per piece
+    (`formula.read_rules`), nested conjunctions opened, in order, and each
+    piece is a clause or the reason it is none.  Each clause must be an
+    implication with a head atom from q; direct q-atom conjuncts of the
+    antecedent are collected separately, and the rest of the antecedent
+    must be q-free, as `stable._clause` reads the record for the solvers
+    (only a fact is a clause there and not here).  A failed check returns
+    a Rejection naming the first offending piece; rejection is an answer,
+    not an error.
     """
     q = frozenset(q)
     clauses = []
-    for piece in read_rule(g).pieces:
-        c = piece[0]
-        clause = _clause(piece, q) if type(c) is Impl else "conjunct is not an implication"
+    for r in read_rules(g):
+        c = r.formula
+        clause = _clause(r, q) if type(c) is Impl else "conjunct is not an implication"
         if type(clause) is str:
             return Rejection(c, clause)
         clauses.append(Clause(*clause))

@@ -65,8 +65,9 @@ _set_part2 = Partition2.part2.__set__
 
 
 def strictly_positive(f: Formula) -> frozenset[Atom]:
-    """Atoms occurring under no implication antecedent: the heads of f's
-    record (`formula.read_rule`), by a walk of its spine alone."""
+    """Atoms occurring under no implication antecedent: the heads of the
+    records of f's pieces (`formula.read_rules`) together, by a walk of
+    its spine alone."""
     while type(f) is Impl:  # the walk would only enter the consequent
         f = f.rhs
     return frozenset((f.atom,)) if type(f) is AtomRef else _signed(f, True, False)
@@ -120,9 +121,9 @@ def dep_graph(f: Formula, a: AbstractSet[Atom]) -> DepGraph:
     nonnegated intensional atoms of the antecedents passed on the way;
     each strictly positive intensional atom reached gets an edge to each
     of them, which is the edge set `rules` defines.  It is the graph of
-    f's record (`formula.read_rule`, `rule_graph`) by a walk of the spine
-    alone, for a caller that needs no more.  No formula is hashed, so any
-    depth is safe.
+    the records of f's pieces (`formula.read_rules`, `rule_graph`) by a
+    walk of the spine alone, for a caller that needs no more.  No formula
+    is hashed, so any depth is safe.
     """
     a = frozenset(a)
     edges: set[tuple[Atom, Atom]] = set()

@@ -555,48 +555,39 @@ def _walk(
     return slots[id(f)]
 
 
-# A piece of a rule: one conjunct of it, every nested conjunction opened,
-# as (its formula, its heads, and when it is a clause `B -> h` with h an
-# atom, the atoms of B's conjuncts that are no atoms, or of all of B when B
-# is neither an atom nor a conjunction, else no atom).  `stable._clause`
-# reads it as a clause of a definition.
-Piece = tuple[Formula, frozenset[Atom], frozenset[Atom]]
-
 _NO_ATOM: frozenset[Atom] = frozenset()
 
 
 class Rule(tuple):
-    """A conjunct as `read_rule` reads it: the formula; its atoms; its
-    heads, the atoms strictly positive in it; its dependency edges, the
-    pairs (h, b) of a head h and an atom b positive nonnegated in an
+    """A piece as `read_rules` reads it: one conjunct of a formula, every
+    nested conjunction opened.  Its fields: the piece's formula; its atoms;
+    its heads, the atoms strictly positive in it; its dependency edges,
+    the pairs (h, b) of a head h and an atom b positive nonnegated in an
     antecedent passed on the way down to h, each with h and b intensional
-    an edge of `dep_graph`; and its pieces (see `Piece`), in order.
+    an edge of `dep_graph`; and, when it is a clause `B -> h` with h an
+    atom, the atoms of B's conjuncts that are no atoms, or of all of B
+    when B is neither an atom nor a conjunction, else no atom, which
+    `stable._clause` reads when it reads the piece as a clause of a
+    definition.
 
     Built from the tuple of those fields, in that order.  A rule is a
-    tuple, as `Atom` is, because there is one per conjunct on every solve:
+    tuple, as `Atom` is, because there is one per piece on every solve:
     building a tuple costs a fraction of a slotted record's `__init__`."""
 
     __slots__ = ()
-    formula, atoms, heads, edges, pieces = map(property, map(itemgetter, range(5)))
+    formula, atoms, heads, edges, nested = map(property, map(itemgetter, range(5)))
 
 
-def read_rule(c: Formula) -> Rule:
-    """c read by one walk into its record (see `Rule`).
+def read_rules(c: Formula) -> list[Rule]:
+    """The records of c's pieces, in order (see `Rule`), by one walk.
 
     The walk opens nested conjunctions into pieces and goes down each
     piece's strictly positive spine, carrying the positive nonnegated
     atoms of the antecedents passed, each antecedent read once for its
     atoms and those (`signed_atoms`).  A clause `b -> h` of two atoms, the
-    commonest conjunct, is read with no set built, and as a whole conjunct
-    with no walk at all.  No formula is compiled or hashed, so any depth
-    is safe."""
-    if type(c) is Impl and type(c.lhs) is AtomRef and type(c.rhs) is AtomRef:
-        h, b = c.rhs.atom, c.lhs.atom
-        heads = frozenset((h,))
-        return Rule((c, frozenset((h, b)), heads, ((h, b),), ((c, heads, _NO_ATOM),)))
-    atoms: set[Atom] = set()
-    edges: list[tuple[Atom, Atom]] = []
-    pieces: list[Piece] = []
+    commonest piece, is read with no set built.  No formula is compiled
+    or hashed, so any depth is safe."""
+    rules: list[Rule] = []
     opened = [c]
     while opened:
         p = opened.pop()
@@ -604,12 +595,13 @@ def read_rule(c: Formula) -> Rule:
             opened += reversed(p.children)
             continue
         if type(p) is Impl and type(p.lhs) is AtomRef and type(p.rhs) is AtomRef:
-            atoms.update((p.lhs.atom, p.rhs.atom))
-            edges.append((p.rhs.atom, p.lhs.atom))
-            pieces.append((p, frozenset((p.rhs.atom,)), _NO_ATOM))
+            h, b = p.rhs.atom, p.lhs.atom
+            rules.append(Rule((p, frozenset((h, b)), frozenset((h,)), ((h, b),), _NO_ATOM)))
             continue
+        atoms: set[Atom] = set()
         heads: set[Atom] = set()
         nested: set[Atom] = set()
+        edges: list[tuple[Atom, Atom]] = []
         spine = [(p, _NO_ATOM)]
         while spine:
             g, bodies = spine.pop()
@@ -629,9 +621,8 @@ def read_rule(c: Formula) -> Rule:
                 spine += [(d, bodies) for d in g.children]
         atoms |= heads
         atoms |= nested
-        pieces.append((p, frozenset(heads), frozenset(nested) if nested else _NO_ATOM))
-    heads = pieces[0][1] if len(pieces) == 1 else frozenset().union(*[piece[1] for piece in pieces])
-    return Rule((c, frozenset(atoms), heads, tuple(edges), tuple(pieces)))
+        rules.append(Rule((p, frozenset(atoms), frozenset(heads), tuple(edges), frozenset(nested) if nested else _NO_ATOM)))
+    return rules
 
 
 def signed_atoms(f: Formula, found: set[Atom], signed: set[Atom], sign: bool = True, antecedents: bool = True) -> None:

@@ -3,16 +3,17 @@
 Two checked strategies: intersecting the A-stable model sets of one formula
 under the two halves of an infinitely separable partition, and intersecting
 the model sets of two formulas whose strictly positive atoms avoid the other
-half.  On top of them, a planner groups the conjuncts of a program into
-units, the strongly connected components of the graph of which atoms each
-rule head mentions, listed by one Tarjan pass, and a modular solver
-evaluates each unit after the units it reads, carrying partial
-interpretations.  Units may depend on each other through negation;
-positive dependency stays inside a unit, as the symmetric splitting
-theorem asks.  Each conjunct is read once, by one walk, into its
-record (`formula.read_rule`): its atoms, heads, dependency edges and
-pieces.  The planner, the cap and every step read the records, and no
-other walker runs; each conjunct is compiled once, in its unit's step,
+half.  On top of them, a planner groups the pieces of a program, its
+conjuncts with every nested conjunction opened, into units, the strongly
+connected components of the graph of which atoms each piece's heads
+mention, listed by one Tarjan pass, and a modular solver evaluates each
+unit after the units it reads, carrying partial interpretations.  Units
+may depend on each other through negation; positive dependency stays
+inside a unit, as the symmetric splitting theorem asks.  Each conjunct is
+read once, by one walk, into one record per piece
+(`formula.read_rules`): its atoms, heads, dependency edges and clause-body
+atoms.  The planner, the cap and every step read the records, and no
+other walker runs; each piece is compiled once, in its unit's step,
 where the unit is compiled, routed and decoded; how it is solved, its
 route, is for `stable` to choose and run (`_unit_route`, `_unit_models`),
 and this module never reads a route's fields.  It keeps the plan, the cap,
@@ -20,9 +21,11 @@ which it reads off the records before compiling any unit, the contexts
 each unit is solved in and the frontier.  Both strategies verify their
 preconditions by one check (`_violations`), which the unsound hunt of the
 verifier reads too, and share one enumerate-and-intersect tail; the
-modular solver refuses with SplitPlanError when a conjunct's strictly
-positive intensional atoms span dependency blocks; the CLI then answers
-by brute force.
+modular solver refuses with SplitPlanError when one piece's strictly
+positive intensional atoms span dependency blocks, as in `x | y` or a
+grounded `exists`; the CLI then answers by brute force.  A grounded
+`forall` rule is a conjunction of its instances, so each instance is a
+piece of its own and lands in its own unit.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .formula import (
     atoms_of,
     compile_extensible,
     conj,
-    read_rule,
+    read_rules,
     satisfies,  # not called here; perfbench/spans.py wraps this name
 )
 from .records import Record
@@ -66,7 +69,7 @@ from .stable import (
     is_a_stable,  # not called here; perfbench/spans.py wraps this name
 )
 
-# a SplitPlanError shows at most this many characters of its conjunct and
+# a SplitPlanError shows at most this many characters of its piece and
 # of its list of heads, so the CLI's fallback warning stays one short line
 # on a deep or wide formula
 _SHOWN_CHARS = 200
@@ -163,20 +166,18 @@ def split_models_theorem(
 
 
 class SplitPlan(Record):
-    """Conjuncts grouped per evaluation unit, each unit listed before the
-    units its rules mention, each conjunct as its record (see
-    `formula.Rule`).
+    """Pieces grouped per evaluation unit, each unit listed before the
+    units its rules mention, each piece as its record (see `formula.Rule`).
 
     A unit is a strongly connected component of the mention graph over the
     intensional set, in which each strictly positive intensional atom of a
-    conjunct (its head) reaches each intensional atom that conjunct
-    mentions.  Unit atom sets are pairwise disjoint and cover the
-    intensional set; a unit's rules are those of the conjuncts whose heads
-    lie in it, in the order given, and they mention only the unit's own
-    atoms, atoms of later-listed units and atoms outside the intensional
-    set.  Conjuncts without heads act as constraints and stay in the
-    residual; the modular solver solves each of them last, as a unit with
-    no atoms.
+    piece (its head) reaches each intensional atom that piece mentions.
+    Unit atom sets are pairwise disjoint and cover the intensional set; a
+    unit's rules are the records of the pieces whose heads lie in it, in
+    the order given, and they mention only the unit's own atoms, atoms of
+    later-listed units and atoms outside the intensional set.  Pieces
+    without heads act as constraints and stay in the residual; the modular
+    solver solves each of them last, as a unit with no atoms.
     """
 
     __slots__ = ("blocks", "residual")
@@ -187,29 +188,31 @@ class SplitPlan(Record):
 
 
 def plan_split(conjuncts: Sequence[Formula], a: AbstractSet[Atom]) -> SplitPlan:
-    """The units of the conjuncts over the intensional set a (see
-    `SplitPlan`), each listed before the units its rules mention.  Each
-    conjunct is read once, into its record (`formula.read_rule`), and the
-    plan reads nothing else: its atoms, its heads and, when some conjunct
-    has two or more heads, the dependency edges of them all
-    (`rule_graph`), whose blocks each conjunct's heads must share, else
-    SplitPlanError.  The mention graph has a vertex per intensional atom,
-    sorted, and no other: a headed conjunct's least head stands in for it,
-    its other heads point to that one, and that one points to each
-    intensional atom the conjunct mentions, so a conjunct costs heads +
-    mentions edges and lies in its heads' unit.  A dependency edge is a
-    mention path, so a unit is a union of blocks.
+    """The units of the pieces of the conjuncts over the intensional set
+    a (see `SplitPlan`), each listed before the units its rules mention.
+    Each conjunct is read once, into one record per piece
+    (`formula.read_rules`), and the plan reads nothing else: each piece's
+    atoms, its heads and, when some piece has two or more heads, the
+    dependency edges of them all (`rule_graph`), whose blocks each piece's
+    heads must share, else SplitPlanError.  The symmetric splitting
+    theorem reads a conjunction as its conjuncts, so the instances of a
+    grounded `forall` rule may lie in different blocks.  The mention graph
+    has a vertex per intensional atom, sorted, and no other: a headed
+    piece's least head stands in for it, its other heads point to that
+    one, and that one points to each intensional atom the piece mentions,
+    so a piece costs heads + mentions edges and lies in its heads' unit.
+    A dependency edge is a mention path, so a unit is a union of blocks.
 
     The units are listed in the reverse of the order in which Tarjan's
     algorithm closes them (`strong_components`): it closes a component
     only after every component its edges reach, so no second pass is
     needed.  That order follows the order of the successor lists, so each
-    conjunct's edges are written in index order, its targets sorted, and
+    piece's edges are written in index order, its targets sorted, and
     the listing is the same whatever the hash seed.  Only `sccs` keeps the
     smallest-atom-first condensation order.
     """
     a = frozenset(a)
-    rules = list(map(read_rule, conjuncts))
+    rules = [r for c in conjuncts for r in read_rules(c)]
     heads = [r.heads & a for r in rules]
     if any(len(hs) > 1 for hs in heads):
         _, block_of = components(rule_graph(rules, a))
@@ -338,15 +341,15 @@ def modular_solve(
     surviving frontier instead of one sweep over the whole signature.  This
     is the symmetric splitting theorem: units may depend on each other
     through negation, only positive dependency stays inside a unit.  Each
-    conjunct is read once, by `plan_split`, and every later step reads its
-    record; the conjunction of a unit's rules is compiled in its own step,
-    and the unit is solved once per distinct context on the route that
-    `stable._unit_route` picks for its shape, with A = the unit's atoms and
-    the context fixed (see `_extend_frontier`).
-    Residual conjuncts, which have no strictly positive intensional atoms,
+    conjunct is read once, by `plan_split`, and every later step reads the
+    records of its pieces; the conjunction of a unit's rules is compiled
+    in its own step, and the unit is solved once per distinct context on
+    the route that `stable._unit_route` picks for its shape, with A = the
+    unit's atoms and the context fixed (see `_extend_frontier`).
+    Residual pieces, which have no strictly positive intensional atoms,
     only filter the models classically: each is a unit with no atoms,
     solved the same way after all the others, on the few contexts its own
-    atoms give.  A conjunct whose strictly positive intensional atoms span
+    atoms give.  A piece whose strictly positive intensional atoms span
     dependency blocks, where the splitting theorem does not hold, makes
     `plan_split` raise SplitPlanError, which propagates: a caller that
     wants an answer anyway takes `enumerate_a_stable` of the conjunction,

@@ -27,7 +27,6 @@ from .formula import (
     Disj,
     Formula,
     Impl,
-    Piece,
     Program,
     Rule,
     SignatureError,
@@ -41,7 +40,7 @@ from .formula import (
     disj,
     live_prefixes,
     neg,
-    read_rule,
+    read_rules,
     reduct,
     satisfies,
     set_bits,
@@ -474,9 +473,9 @@ Clause = tuple[Program, tuple[int, ...], tuple[int, ...], int]
 Part = tuple[int, tuple[Clause, ...] | None]  # (bitmask, clauses when the part is a definition)
 
 
-def _clause(piece: Piece, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom], Atom] | str:
-    """The piece of a rule (see `formula.Piece`) as a clause `H & C -> h`
-    of a definition for q, (H, C, h): h in q, C the atoms of q that are
+def _clause(rule: Rule, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom], Atom] | str:
+    """The piece a record reads (see `formula.Rule`) as a clause `H & C ->
+    h` of a definition for q, (H, C, h): h in q, C the atoms of q that are
     direct conjuncts of the antecedent, H the rest of it, which must
     mention no atom of q, the one object `TOP` when nothing is left, so
     that its clauses share one compiled body, and the antecedent itself,
@@ -484,9 +483,9 @@ def _clause(piece: Piece, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom
     `top -> h`.  When the piece is no such clause, such as a disjunctive
     head, the reason: "consequent is not a defined atom", or "defined atom
     X occurs in a clause body" for the least such atom X, read off the
-    piece's body atoms; the rest is read off the formula's top two
+    record's clause-body atoms; the rest is read off the formula's top two
     levels."""
-    c, _, nested = piece
+    c, _, _, _, nested = rule
     if type(c) is AtomRef and c.atom in q:
         return TOP, frozenset(), c.atom
     if type(c) is not Impl or type(c.rhs) is not AtomRef or c.rhs.atom not in q:
@@ -504,14 +503,14 @@ def _clause(piece: Piece, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom
     return ante, frozenset(), head
 
 
-def _definition(pieces: Iterable[Piece], atoms: Sequence[Atom], part: int) -> tuple[Clause, ...] | None:
-    """The pieces of rules as the compiled clauses of a definition for the
-    atoms of the bitmask `part` over `atoms`, at their positions there, or
-    None when one of them is no clause of such a definition."""
+def _definition(rules: Iterable[Rule], atoms: Sequence[Atom], part: int) -> tuple[Clause, ...] | None:
+    """The rules as the compiled clauses of a definition for the atoms of
+    the bitmask `part` over `atoms`, at their positions there, or None
+    when one of them is no clause of such a definition."""
     q = {x for b, x in enumerate(atoms) if part >> b & 1}
     found = []
-    for piece in pieces:
-        clause = _clause(piece, q)
+    for rule in rules:
+        clause = _clause(rule, q)
         if type(clause) is str:
             return None
         found.append(clause)
@@ -534,10 +533,10 @@ def _parts(rules: Sequence[Rule], atoms: Sequence[Atom], a: AbstractSet[Atom]) -
     part in the sweep.
     The parts are the strongly connected components of the positive
     dependency graph of f over those atoms, and each part's defining
-    conjuncts are the pieces of the rules whose heads meet it, all read
-    off the rules (see `formula.Rule`).  This is where a part's route is
-    chosen, as `_unit_route` chooses a modular unit's and `_read_order`
-    which definition parts are derived.
+    conjuncts are the rules, one per piece of f, whose heads meet it, all
+    read off the records (see `formula.Rule`).  This is where a part's
+    route is chosen, as `_unit_route` chooses a modular unit's and
+    `_read_order` which definition parts are derived.
 
     Why a classical model I of f is C-stable for a part C of at most
     `_NARROW` atoms iff I satisfies the loop formulas of C:
@@ -582,17 +581,17 @@ def _parts(rules: Sequence[Rule], atoms: Sequence[Atom], a: AbstractSet[Atom]) -
         return [], []
     graph = rule_graph(rules, frozenset(bit))
     comps, comp_of = components(graph)
-    defining: list[list[Piece]] = [[] for _ in comps]  # per part, in the order of f
-    for piece in itertools.chain.from_iterable(r.pieces for r in rules):
-        for k in {comp_of[x] for x in piece[1] if x in comp_of}:
-            defining[k].append(piece)
+    defining: list[list[Rule]] = [[] for _ in comps]  # per part, in the order of f
+    for r in rules:
+        for k in {comp_of[x] for x in r.heads if x in comp_of}:
+            defining[k].append(r)
     parts, loop_formulas = [], []
-    for comp, pieces in zip(comps, defining):
+    for comp, part_rules in zip(comps, defining):
         if len(comp) > _NARROW:
             mask = sum(map(bit.__getitem__, comp))
-            parts.append((mask, _definition(pieces, atoms, mask)))
+            parts.append((mask, _definition(part_rules, atoms, mask)))
         else:
-            loop_formulas += _loop_formulas(comp, [piece[0] for piece in pieces], graph)
+            loop_formulas += _loop_formulas(comp, [r.formula for r in part_rules], graph)
     return parts, loop_formulas
 
 
@@ -969,11 +968,11 @@ def _stable_models(
 def _enumerated(atoms: AbstractSet[Atom], rules: Iterable[Rule]) -> bool:
     """Whether the route of a modular unit with these atoms and rules (see
     `_unit_route`) enumerates its assignments: a unit of at most `_NARROW`
-    atoms does, and so does a wider one with a piece that is no clause of a
+    atoms does, and so does a wider one with a rule that is no clause of a
     definition for its atoms (see `_clause`).  It reads the rules alone, so
     `splitting.modular_solve` decides its cap on it before compiling any
     unit, and that cap cannot read a unit otherwise than its route does."""
-    return len(atoms) <= _NARROW or any(type(_clause(p, atoms)) is str for r in rules for p in r.pieces)
+    return len(atoms) <= _NARROW or any(type(_clause(r, atoms)) is str for r in rules)
 
 
 def _unit_route(rules: Sequence[Rule], prog: Program, conjoin, unit: Sequence[int]) -> tuple:
@@ -994,7 +993,7 @@ def _unit_route(rules: Sequence[Rule], prog: Program, conjoin, unit: Sequence[in
     """
     atoms = frozenset(map(prog.atoms.__getitem__, unit))
     if not _enumerated(atoms, rules):
-        clauses = _definition([p for r in rules for p in r.pieces], prog.atoms, sum(1 << b for b in unit))
+        clauses = _definition(rules, prog.atoms, sum(1 << b for b in unit))
         return True, prog, unit, clauses, None, {}
     if len(unit) <= _NARROW:
         return False, prog, unit, (), None, {}
@@ -1034,8 +1033,8 @@ def enumerate_a_stable(
     all of its atoms, the routine that also solves every unit of
     `splitting.modular_solve` but a definition (see `_unit_route`): with at
     most `_NARROW` atoms by one packed run over every assignment, else one
-    part of A at a time (see `_parts`, which reads f's record,
-    `formula.read_rule`).  A part is a strongly connected
+    part of A at a time (see `_parts`, which reads the records of f's
+    pieces, `formula.read_rules`).  A part is a strongly connected
     component of the positive dependency graph; by the splitting lemma and
     the symmetric splitting theorem a classical model is C-stable for f iff
     it is C-stable for the conjuncts in which an atom of C is strictly
@@ -1073,7 +1072,7 @@ def enumerate_a_stable(
     _check_cap(len(sig), max_atoms)
 
     # up to _NARROW atoms, one packed run decides A: no graph, no loop formula
-    parts, loop_formulas = _parts((read_rule(f),), prog.atoms, a) if len(prog.atoms) > _NARROW else ((), ())
+    parts, loop_formulas = _parts(read_rules(f), prog.atoms, a) if len(prog.atoms) > _NARROW else ((), ())
     swept = conjoin(loop_formulas) if loop_formulas else None
     a_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x in a)
     masks = _stable_models(prog, range(len(prog.atoms)), 0, a_mask, parts, swept)

@@ -118,10 +118,6 @@ class SuiteReport(Record):
         object.__setattr__(self, "skipped_draws", skipped_draws)
         object.__setattr__(self, "first_counterexample", first_counterexample)
 
-    @property
-    def ok(self) -> bool:
-        return self.fails == 0
-
     def lines(self) -> list[str]:
         out = [
             f"suite {self.suite}: {self.passes} passed, {self.fails} failed "
@@ -513,16 +509,12 @@ def _suite_split_theorem(rng, cfg, unsound):
         pi = _scc_aligned_partition(rng, dep_graph(whole, a))
         a1, a2 = pi.part1, pi.part2
         fs, gs = [], []
-        for c in conjuncts:
+        for c in conjuncts:  # each has at most one head, in a1 or in a2
             heads = strictly_positive(c) & a
-            if heads <= a1 and heads:
-                fs.append(c)
-            elif heads <= a2 and heads:
-                gs.append(c)
-            elif not heads:
+            if not heads:
                 (fs if rng.random() < 0.5 else gs).append(c)
             else:
-                return None  # heads straddle the partition; not a theorem instance
+                (fs if heads <= a1 else gs).append(c)
         f, g = conj(fs), conj(gs)
         try:
             split = split_models_theorem(f, g, a1, a2, sigma)
@@ -764,10 +756,13 @@ def _suite_stable_projection(rng, cfg, unsound):
     `not`, a cycle of reads that keeps both swept and compared with their
     fixpoints.  Constraints, some on part atoms, only the run of the whole
     program checks.  A fifth of the draws give a part a disjunctive head,
-    so that it is no definition, and a third hide a constraint in a ring
-    link's conjunct, so that its unit is no definition and `modular_solve`
-    derives the part with the unit's context fixed.  Both solvers must give
-    the models of the reference `is_a_stable` (see `_split_reference`)."""
+    so that it is no definition, and a third give a new intensional atom w
+    the piece `not not x -> w` for a ring atom x, which the ring reads
+    through `not w -> y`: w joins the ring's unit, and the piece, whose
+    body holds the unit atom x under `not`, is no clause of a definition
+    for it, so that unit is no definition and `modular_solve` derives the
+    part with the unit's context fixed.  Both solvers must give the models
+    of the reference `is_a_stable` (see `_split_reference`)."""
     n = rng.choice((1, 1, 2, 2, 3))  # three parts take the reference longest
     pool = _atom_pool(7 * n + rng.randint(1, 4 - n if n > 1 else 3))
     rng.shuffle(pool)
@@ -793,9 +788,10 @@ def _suite_stable_projection(rng, cfg, unsound):
         part = rng.choice(parts)
         conjuncts.append(Impl(_literal(rng, everything), disj((rng.choice(part), rng.choice(part + context)))))
     if rng.random() < 0.33:
-        k = rng.randrange(n)
-        at = next(i for i, c in enumerate(conjuncts) if type(c) is Impl and c.rhs in parts[k])
-        conjuncts[at] = conj((conjuncts[at], neg(conj((rng.choice(parts[k]), _literal(rng, everything))))))
+        ring, w = rng.choice(parts), AtomRef(_POOL[len(pool)])
+        pool.append(w.atom)
+        a |= {w.atom}
+        conjuncts += [Impl(neg(neg(rng.choice(ring))), w), Impl(neg(w), rng.choice(ring))]
     return _both_solvers(conjuncts, a, pool, _split_reference)
 
 

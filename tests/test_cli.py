@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import time
@@ -84,6 +85,10 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
         assert "cap" in err
+
+    def test_dash_reads_the_program_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("p | not p.\nq -> p.\n"))
+        assert run(capsys, "solve", "-") == (0, "{}\n{p}\n", "")
 
     def test_missing_file_is_exit_one(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/prog.lp")
@@ -684,6 +689,24 @@ class TestRemovedOptions:
         assert errors == [f"astable: error: unrecognized arguments: {' '.join(removed)}"]
 
 
+class TestNegativeCap:
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "FILE"], ["split-solve", "FILE"], ["check-definition", "FILE", "FILE", "--defined", "q"], ["bench"]],
+    )
+    def test_is_one_usage_error(self, capsys, guard_lp, command):
+        argv = [guard_lp if a == "FILE" else a for a in command + ["--max-atoms", "-1"]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: astable ") and "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"astable {command[0]}: error: argument --max-atoms: must be 0 or more, not -1"]
+
+    def test_zero_is_a_cap(self, capsys, guard_lp):
+        code, _, err = run(capsys, "solve", guard_lp, "--max-atoms", "0")
+        assert code == 2 and "exceeds the cap of 0" in err
+
+
 class TestFlagErrors:
     """Flags that a command cannot take together, or with its input, are
     usage errors: one `error:` line, no file position, exit 1."""
@@ -748,3 +771,14 @@ class TestBenchCommand:
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == "instance,atoms,blocks,naive_micros,modular_micros,models"
         assert any(line.startswith("chain8x5,40,8,,") for line in lines)
+
+    def test_csv_to_stdout_without_out(self, capsys, monkeypatch):
+        from astable import bench
+
+        real = bench.run_bench
+        monkeypatch.setattr(bench, "run_bench", lambda **kw: real([bench.BenchInstance("tiny", tuple(bench.layered_chain(2, 2)))], **kw))
+        code, out, err = run(capsys, "bench")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "instance,atoms,blocks,naive_micros,modular_micros,models"
+        assert len(lines) == 2 and lines[1].startswith("tiny,4,2,")

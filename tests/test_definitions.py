@@ -22,7 +22,7 @@ from astable import (
     satisfies,
     unique_q_stable,
 )
-from astable.formula import read_rule
+from astable.formula import read_rules
 from astable.stable import _clause
 from astable.verifier import GenConfig, _gen_definition
 
@@ -32,8 +32,8 @@ Q = Atom("q")
 
 
 def _piece(c):
-    """The one piece of the conjunct c's record, which `_clause` reads."""
-    (piece,) = read_rule(c).pieces
+    """The record of the conjunct c's one piece, which `_clause` reads."""
+    (piece,) = read_rules(c)
     return piece
 
 

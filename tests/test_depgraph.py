@@ -35,7 +35,7 @@ from astable import (
     TOP,
 )
 from astable.depgraph import components, rule_graph
-from astable.formula import read_rule
+from astable.formula import read_rules
 from astable.verifier import GenConfig, _gen_program, gen_formula
 
 from util import guard_program, occurrence_sets
@@ -189,7 +189,7 @@ class TestDepGraph:
             a = frozenset(x for x in pool if rng.random() < 0.7)
             assert dep_graph(f, a).edges == reference(f, a)
             conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
-            assert rule_graph(map(read_rule, conjuncts), a) == dep_graph(conj(conjuncts), a)
+            assert rule_graph([r for c in conjuncts for r in read_rules(c)], a) == dep_graph(conj(conjuncts), a)
             assert dep_graph(conj(conjuncts), a).edges == reference(conj(conjuncts), a)
 
 
@@ -358,6 +358,12 @@ class TestFindClosedSubset:
             assert b
             assert b <= pi.part1 or b <= pi.part2
             assert not any(u in b and v not in b for u, v in g.edges)
+
+    def test_two_cycle_across_the_parts_rejected(self):
+        p, q = Atom("p"), Atom("q")
+        g = DepGraph(frozenset({p, q}), frozenset({(p, q), (q, p)}))
+        with pytest.raises(PartitionError, match=r"^every vertex reaches both parts; "):
+            find_closed_subset(g, Partition2(frozenset({p}), frozenset({q})))
 
     def test_empty_graph_rejected(self):
         g = DepGraph(frozenset(), frozenset())

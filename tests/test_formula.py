@@ -34,7 +34,7 @@ from astable.formula import (
     compile_extensible,
     compile_formula,
     live_prefixes,
-    read_rule,
+    read_rules,
     truth_chunks,
 )
 import astable.formula as formula_module
@@ -140,6 +140,10 @@ class TestAtom:
         with pytest.raises(ValueError):
             Atom("3bad")
 
+    def test_argument_that_is_no_identifier_rejected(self):
+        with pytest.raises(ValueError, match=r"^invalid atom argument: '1a'$"):
+            Atom("p", ("1a",))
+
     def test_fields_repr_pickle_and_immutability(self):
         a = Atom("p", ("a", "b"))
         assert (a.name, a.args, str(a)) == ("p", ("a", "b"), "p(a,b)")
@@ -154,6 +158,9 @@ class TestCanonicalForm:
     def test_children_deduplicated_and_sorted(self):
         assert conj([Q, P, Q, P]) == conj([P, Q])
         assert Conj((Q, P)).children == (P, Q)
+
+    def test_unequal_to_what_is_no_formula(self):
+        assert not P == "p" and P != Atom("p") and TOP != ()
 
     def test_duplicate_collapse_changes_arity(self):
         assert conj([P, P]) == Conj((P,))
@@ -652,11 +659,11 @@ def _edges_oracle(f, a):
 
 
 class TestRuleRecord:
-    """A conjunct's record, from its one walk, against oracles that read
-    each fact on their own: `atoms_of`, the occurrence oracle of
-    `tests/util.py`, the edges `depgraph.rules` defines and a copy of the
-    clause reading; and the program of conjuncts compiled one by one
-    against `compile_formula`."""
+    """The records of a conjunct's pieces, from its one walk, against
+    oracles that read each fact on their own: `atoms_of`, the occurrence
+    oracle of `tests/util.py`, the edges `depgraph.rules` defines and a
+    copy of the clause reading; and the program of conjuncts compiled one
+    by one against `compile_formula`."""
 
     @staticmethod
     def _cases():
@@ -683,21 +690,20 @@ class TestRuleRecord:
 
         rng = random.Random(55)
         for f in self._cases():
-            rule = read_rule(f)
+            rules = read_rules(f)
             everything = atoms_of(f)
-            assert rule.formula is f
-            assert rule.atoms == everything
-            assert rule.heads == occurrence_sets(f)[0]
+            opened = _opened(f)
+            assert len(rules) == len(opened) and all(r.formula is p for r, p in zip(rules, opened))
             for _ in range(2):
                 a = frozenset(x for x in everything if rng.random() < 0.7)
-                assert rule_graph([rule], a).edges == _edges_oracle(f, a)
-                assert rule_graph([rule], a) == dep_graph(f, a)
-            assert [p[0] for p in rule.pieces] == _opened(f)
-            for piece in rule.pieces:
-                assert piece[1] == occurrence_sets(piece[0])[0]
+                assert rule_graph(rules, a).edges == _edges_oracle(f, a)
+                assert rule_graph(rules, a) == dep_graph(f, a)
+            for r in rules:
+                assert r.atoms == atoms_of(r.formula)
+                assert r.heads == occurrence_sets(r.formula)[0]
                 for _ in range(3):
                     q = frozenset(x for x in everything if rng.random() < 0.5)
-                    assert _clause(piece, q) == _clause_oracle(piece[0], q)
+                    assert _clause(r, q) == _clause_oracle(r.formula, q)
 
     def test_programs_match_compile_formula_op_for_op(self):
         from astable.stable import _node

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from astable import (
 from astable import depgraph, splitting, stable
 from astable import formula as formula_module
 from astable.depgraph import components
-from astable.verifier import _gen_program, _scc_aligned_partition
+from astable.verifier import GenConfig, _gen, _gen_program, _scc_aligned_partition
 from astable.bench import (
     BenchInstance,
     chain_atoms,
@@ -243,11 +244,17 @@ class TestPlanSplit:
         assert [r.formula for r in plan.residual] == [neg(AtomRef(p))]
 
     def test_head_spanning_blocks_is_an_error(self):
+        # a conjunction is read as its pieces, so `p & q` plans as two
+        # facts; the one piece `p | q` has heads in two blocks
         p, q = Atom("p"), Atom("q")
+        plan = plan_split([conj([AtomRef(p), AtomRef(q)])], {p, q})
+        assert [(b, [r.formula for r in rs]) for b, rs in plan.blocks] == [
+            (frozenset({q}), [AtomRef(q)]), (frozenset({p}), [AtomRef(p)])]
+        assert plan.residual == ()
         with pytest.raises(SplitPlanError) as caught:
-            plan_split([conj([AtomRef(p), AtomRef(q)])], {p, q})
+            plan_split([disj([AtomRef(p), AtomRef(q)])], {p, q})
         assert str(caught.value) == (
-            "conjunct 'p & q' has strictly positive intensional atoms p, q "
+            "conjunct 'p | q' has strictly positive intensional atoms p, q "
             "spanning multiple dependency blocks")
         # a wide conjunct is kept whole but shown as a prefix, as are its heads
         wide = [Atom(f"a{i}") for i in range(300)]
@@ -742,22 +749,30 @@ class TestModularSolve:
         assert len(got) == 512 and all(len(m & q_set) >= len(m - q_set) for m in got)
         assert lanes == [(9, 512)] and set(solves) == {1}
 
-    def test_definition_unit_with_a_constraint_inside_takes_the_parts(self, monkeypatch):
-        # a conjunct of the unit holds a constraint beside a ring rule, so
-        # the unit is no definition as a whole: it is swept, and its ring
-        # part, a definition, is decided by the fixpoint on the candidates
-        lanes = []
+    def test_definition_unit_with_a_choice_inside_takes_the_parts(self, monkeypatch):
+        # the ring reads w through `not w -> x4`, and the piece `x3 -> w |
+        # not w`, no clause, chooses w from the ring, so w joins the ring's
+        # unit and the unit is no definition as a whole: it is swept, and
+        # its ring part, a definition, is derived on live lanes under the
+        # unit's context, never by the definition route's fixpoint
+        lanes, live = [], []
         real_models = stable._definition_models
         monkeypatch.setattr(stable, "_definition_models", lambda *args: lanes.append(1) or real_models(*args))
+        real_live = stable._live_batches
+        monkeypatch.setattr(stable, "_live_batches", lambda *args: live.append(1) or real_live(*args))
         xs = [Atom(f"x{i}") for i in range(8)]
-        e = Atom("e")
+        e, w = Atom("e"), Atom("w")
         ring = [impl(AtomRef(xs[i]), AtomRef(xs[(i + 1) % 8])) for i in range(8)]
-        seeded = [impl(AtomRef(e), AtomRef(xs[0])), conj([ring[0], neg(conj([AtomRef(xs[3]), neg(AtomRef(e))]))])]
-        conjuncts = ring[1:] + seeded
-        sigma = frozenset(xs) | {e}
-        got = modular_solve(conjuncts, frozenset(xs), sigma)
-        assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, frozenset(xs)) == {frozenset(), sigma}
-        assert not lanes
+        reads = [impl(AtomRef(e), AtomRef(xs[0])), impl(neg(AtomRef(w)), AtomRef(xs[4]))]
+        conjuncts = ring + reads + [impl(AtomRef(xs[3]), disj([AtomRef(w), neg(AtomRef(w))]))]
+        a, sigma = frozenset(xs) | {w}, frozenset(xs) | {e, w}
+        got = modular_solve(conjuncts, a, sigma)
+        assert [len(u) for u, _ in plan_split(conjuncts, a).blocks] == [9]
+        monkeypatch.undo()
+        assert got == enumerate_a_stable(conj(conjuncts), a, sigma)
+        assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, a) == {
+            frozenset(xs), frozenset(xs) | {e}, frozenset(xs) | {e, w}}
+        assert live and not lanes
 
     def test_frontier_past_the_cap_is_refused(self):
         # 18 independent choices: |sigma - A| and every block fit the cap of
@@ -910,6 +925,49 @@ class TestModularSolve:
             assert got.as_set() == want.as_set()
 
 
+def _grouped(rng: random.Random, conjuncts: list) -> list:
+    """The conjuncts with random runs of them grouped into conjunctions,
+    again and again, so that groups nest."""
+    out = list(conjuncts)
+    while len(out) > 1 and rng.random() < 0.85:
+        i = rng.randrange(len(out) - 1)
+        j = rng.randint(i + 2, len(out))
+        out[i:j] = [conj(out[i:j])]
+    return out
+
+
+class TestGroupingInvariance:
+    """Grouping conjuncts into conjunctions changes neither the plan nor
+    the models: the planner reads each conjunct as its pieces, so heads in
+    different dependency blocks may share a conjunction."""
+
+    def test_grouped_and_flat_programs_plan_and_solve_alike(self):
+        rng = random.Random(41)
+        pool = [Atom(c) for c in "abcdef"]
+        cfg = GenConfig(max_atoms=6, max_depth=2)
+        counts = Counter()
+        for _ in range(300):
+            flat = _gen_program(rng, pool, rng.randint(2, 8))
+            flat += [disj([AtomRef(x), neg(AtomRef(x))]) for x in rng.sample(pool, rng.randint(0, 2))]
+            flat += [_gen(rng, pool, rng.randint(1, 2), cfg) for _ in range(rng.randint(0, 2))]
+            a = frozenset(x for x in pool if rng.random() < 0.8)
+            grouped = _grouped(rng, flat)
+            outcomes = []
+            for conjuncts in (flat, grouped):
+                try:
+                    units = {u for u, _ in plan_split(conjuncts, a).blocks}
+                except SplitPlanError:
+                    outcomes.append("refused")
+                    with pytest.raises(SplitPlanError):
+                        modular_solve(conjuncts, a, frozenset(pool))
+                    continue
+                outcomes.append((units, modular_solve(conjuncts, a, frozenset(pool))))
+            assert outcomes[0] == outcomes[1], (flat, grouped, a)
+            counts["refused" if outcomes[0] == "refused" else "solved"] += 1
+            counts["grouped"] += len(grouped) < len(flat)
+        assert counts["solved"] > 150 and counts["refused"] > 10 and counts["grouped"] > 200
+
+
 def _layered_chain(blocks: int, width: int) -> list:
     """Layer k a positive ring over q{k}_0 ... q{k}_(width - 1), seeded by
     `not` of the last atom of layer k - 1, and the fact q0_0."""
@@ -935,8 +993,8 @@ class TestOneWalkPerConjunct:
         real = formula_module._walk
         monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real(f, *rest))
         for module in (splitting, stable):
-            fn = module.read_rule
-            monkeypatch.setattr(module, "read_rule", lambda c, fn=fn: others.append(("read", c)) or fn(c))
+            fn = module.read_rules
+            monkeypatch.setattr(module, "read_rules", lambda c, fn=fn: others.append(("read", c)) or fn(c))
         for module, name in self.WALKERS:
             fn = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: others.append(name) or fn(*args))
@@ -1008,6 +1066,11 @@ class TestBench:
         assert tiny[0] == "tiny" and tiny[3] != ""
         assert big[0] == "big" and big[1] == "40" and big[2] == "8"
         assert big[3] == ""  # naive skipped over the cap
+
+    def test_layer_counts_outside_one_to_nine_rejected(self):
+        for blocks, width in [(0, 3), (3, 0), (10, 3), (3, 10)]:
+            with pytest.raises(ValueError, match=r"^blocks and width must be between 1 and 9$"):
+                layered_chain(blocks, width)
 
     def test_truncation_keeps_only_fitting_conjuncts(self):
         full = layered_chain(8, 5)

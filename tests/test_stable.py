@@ -34,7 +34,7 @@ from astable import (
 )
 from astable.definitions import check_conservativity, recognize_definition
 from astable.depgraph import dep_graph, sccs
-from astable.formula import compile_extensible, compile_formula, live_prefixes, read_rule, truth_chunks
+from astable.formula import compile_extensible, compile_formula, live_prefixes, read_rules, truth_chunks
 from astable.stable import (
     _CHUNK_BITS,
     _NARROW,
@@ -228,7 +228,7 @@ def _route_against_per_candidate(f):
     every = range(len(prog.atoms))
     candidates = sorted(_candidate_models(prog, every, 0))  # a wide sweep lists them in its own order
     reference = [m for m in candidates if _ht_minimal(prog, m, a_mask)]
-    parts, loop_formulas = _parts([read_rule(f)], prog.atoms, frozenset(prog.atoms))
+    parts, loop_formulas = _parts(read_rules(f), prog.atoms, frozenset(prog.atoms))
     stable = _stable_models(prog, every, 0, a_mask, parts, conjoin(loop_formulas) if loop_formulas else None)
     assert sorted(stable) == reference
     return candidates, stable
@@ -262,7 +262,7 @@ class TestPackedMinimality:
         f = _program(_ring([f"r{i}" for i in range(10)]) + ["s | not s", "s -> r0", "r3 -> r5 | r7"] + _choices(3))
         prog = compile_formula(f)
         ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
-        assert (ring_mask, None) in _parts([read_rule(f)], prog.atoms, frozenset(prog.atoms))[0] and ring_mask.bit_count() > _NARROW
+        assert (ring_mask, None) in _parts(read_rules(f), prog.atoms, frozenset(prog.atoms))[0] and ring_mask.bit_count() > _NARROW
         candidates, stable = _route_against_per_candidate(f)
         rejected = set(candidates) - set(stable)
         assert len(rejected) == 8 and all(m & ring_mask == ring_mask for m in rejected)
@@ -301,7 +301,7 @@ class TestPackedMinimality:
         f = _program(rules)
         prog = compile_formula(f)
         # x7 -> x2 | x8 makes the component no definition
-        parts, _ = _parts([read_rule(f)], prog.atoms, frozenset(prog.atoms))
+        parts, _ = _parts(read_rules(f), prog.atoms, frozenset(prog.atoms))
         assert [(p.bit_count(), clauses) for p, clauses in parts if p.bit_count() > 1] == [(9, None)]
         candidates, stable = _route_against_per_candidate(f)
         x_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("x"))
@@ -345,7 +345,7 @@ class TestPackedMinimality:
         f = _program(_negchain(20) + extra)
         prog, conjoin = compile_extensible((f,))
         a = frozenset(Atom(f"p{i}") for i in range(5))
-        parts, loop_formulas = _parts([read_rule(f)], prog.atoms, a)
+        parts, loop_formulas = _parts(read_rules(f), prog.atoms, a)
         comps = _scc_parts(f, prog, a)
         assert parts == [] and len(comps) == count
         # the choice p0 | not p0 needs none: its copy in the antecedent is bot
@@ -406,7 +406,7 @@ def _wide_parts(f):
     """The bitmasks of the parts of f, everything intensional, that are
     wider than `_NARROW` and no definition."""
     prog = compile_formula(f)
-    return [p for p, clauses in _parts([read_rule(f)], prog.atoms, frozenset(prog.atoms))[0] if clauses is None and p.bit_count() > _NARROW]
+    return [p for p, clauses in _parts(read_rules(f), prog.atoms, frozenset(prog.atoms))[0] if clauses is None and p.bit_count() > _NARROW]
 
 
 class TestWidePartsAgainstTheReference:
@@ -485,7 +485,7 @@ class TestDefinitionParts:
         # choice needs no loop formula)
         f, q_set, _ = _closure_with_choices("abc")
         prog = compile_formula(f)
-        parts, loop_formulas = _parts([read_rule(f)], prog.atoms, frozenset(prog.atoms))
+        parts, loop_formulas = _parts(read_rules(f), prog.atoms, frozenset(prog.atoms))
         defined = [(p, clauses) for p, clauses in parts if clauses is not None]
         assert not loop_formulas
         assert len(parts) == 1 and len(defined) == 1
@@ -515,7 +515,7 @@ class TestDefinitionParts:
         f = _program(_ring([f"r{i}" for i in range(8)]) + ["s | not s", "s -> r0"] + extra)
         prog = compile_formula(f)
         ring_mask = sum(1 << b for b, x in enumerate(prog.atoms) if x.name.startswith("r"))
-        (clauses,) = [c for p, c in _parts([read_rule(f)], prog.atoms, frozenset(prog.atoms))[0] if p == ring_mask]
+        (clauses,) = [c for p, c in _parts(read_rules(f), prog.atoms, frozenset(prog.atoms))[0] if p == ring_mask]
         assert (clauses is not None) == defined
         candidates, stable = _route_against_per_candidate(f)
         assert stable
@@ -525,7 +525,7 @@ class TestDefinitionParts:
         # are the one `top`, and the seed's body is `not x`
         ring = [f"q{i}" for i in range(9)]
         f = _program(_ring(ring) + ["not x -> q0"])
-        rules = [read_rule(f)]
+        rules = read_rules(f)
         prog, conjoin = compile_extensible((f,))
         unit = [b for b, x in enumerate(prog.atoms) if x.name.startswith("q")]
         compiled = []
@@ -552,14 +552,14 @@ class TestDefinitionParts:
         real_parts = stable_module._parts
         monkeypatch.setattr(stable_module, "_parts", lambda *args: parted.append(args) or real_parts(*args))
         small = _program(_ring([f"r{i}" for i in range(_NARROW)]))
-        rules = [read_rule(small)]
+        rules = read_rules(small)
         prog, conjoin = compile_extensible((small,))
         assert len(enumerate_a_stable(small, atoms_of(small))) == 1
         assert _unit_route(rules, prog, conjoin, range(_NARROW))[3:5] == ((), None)
         assert not parted
         wide = _program(_ring([f"r{i}" for i in range(_NARROW)]) + _choices(4))
         prog = compile_formula(wide)
-        parts, loop_formulas = _parts([read_rule(wide)], prog.atoms, frozenset(prog.atoms))
+        parts, loop_formulas = _parts(read_rules(wide), prog.atoms, frozenset(prog.atoms))
         # the ring is a narrow part: one loop formula for each of its atoms
         # and one for the whole ring, its only other loop; no part is left
         assert parts == [] and len(loop_formulas) == 1 + _NARROW
@@ -666,7 +666,7 @@ class TestDerivedParts:
         ps, qs = [f"p{i}" for i in range(7)], [f"q{i}" for i in range(7)]
         f = _program(_ring(ps) + _ring(qs) + ["not q0 -> p0", "not p0 -> q0", "c | not c", "c -> p3"])
         prog = compile_formula(f)
-        parts, _ = _parts([read_rule(f)], prog.atoms, frozenset(prog.atoms))
+        parts, _ = _parts(read_rules(f), prog.atoms, frozenset(prog.atoms))
         derived, compared = _read_order(parts)
         assert not derived and sorted(p.bit_count() for p, _ in compared) == [7, 7]
         lanes, swept = self._spy(monkeypatch)
@@ -683,7 +683,7 @@ class TestDerivedParts:
         rules = [r for ring in rings.values() for r in _ring(ring)] + ["not q0 -> p0", "r3 -> q0", "c -> r0", "c | not c"]
         f = _program(rules)
         prog = compile_formula(f)
-        parts, _ = _parts([read_rule(f)], prog.atoms, frozenset(prog.atoms))
+        parts, _ = _parts(read_rules(f), prog.atoms, frozenset(prog.atoms))
         derived, compared = _read_order(parts)
         assert [prog.atoms[(p & -p).bit_length() - 1].name[0] for p, _ in derived] == ["r", "q", "p"] and not compared
         lanes, swept = self._spy(monkeypatch)
@@ -788,7 +788,7 @@ class TestSupportSweep:
         # formula, and `not q -> q` takes its body as it is, with no edge
         f = _program(["not a -> b", "c & b -> b", "d -> b", "e", "not f -> f", "g | not g", "h -> i", "i -> h"])
         prog = compile_formula(f)
-        parts, loop_formulas = _parts([read_rule(f)], prog.atoms, frozenset(prog.atoms))
+        parts, loop_formulas = _parts(read_rules(f), prog.atoms, frozenset(prog.atoms))
         assert parts == []
         one_atom = {c.lhs.atom: c.rhs for c in loop_formulas if type(c.lhs) is AtomRef}
         assert set(one_atom) == {Atom(x) for x in "abcdfhi"}
@@ -1071,6 +1071,7 @@ class TestModelSet:
         assert via_masks == via_iter and hash(via_masks) == hash(via_iter)
         assert via_iter != ModelSet.from_iter(self.MODELS, self.SIG | {Atom("s")})
         assert via_iter != ModelSet.from_iter(self.MODELS[1:3], self.SIG)
+        assert via_iter != via_iter.models  # no model set
 
     def test_intersection_keeps_the_canonical_order(self):
         left = ModelSet.from_iter([{self.R}, {self.P, Q}, set(), {Q}, {self.P}], self.SIG)

@@ -274,7 +274,7 @@ def route_table():
             return ["narrow unit"]
         atoms = {prog.atoms[b] for b in unit}
         # the cap exempts a unit whose every piece is a clause of a definition
-        if all(type(stable._clause(p, atoms)) is not str for r in rules for p in r.pieces) != route[0]:
+        if all(type(stable._clause(r, atoms)) is not str for r in rules) != route[0]:
             misread.append(format_formula(conj([r.formula for r in rules])))
         return ["definition unit" if route[0] else "wide unit"]
 
@@ -395,7 +395,7 @@ class TestStableDefinitionMutations:
 
     def test_accepting_a_disjunctive_head_fails(self, monkeypatch):
         from astable import stable
-        from astable.formula import read_rule
+        from astable.formula import read_rules
 
         real = stable._clause
 
@@ -406,7 +406,7 @@ class TestStableDefinitionMutations:
             if isinstance(head, Disj):
                 heads = [d for d in head.children if isinstance(d, AtomRef) and d.atom in q]
                 if heads:
-                    return real(read_rule(heads[0] if ante is None else Impl(ante, heads[0])).pieces[0], q)
+                    return real(read_rules(heads[0] if ante is None else Impl(ante, heads[0]))[0], q)
             return real(piece, q)
 
         monkeypatch.setattr(stable, "_clause", first_disjunct)
