@@ -13,12 +13,16 @@ inside a unit, as the symmetric splitting theorem asks.  Each conjunct is
 read once, by one walk, into one record per piece
 (`formula.read_rules`): its atoms, heads, dependency edges and clause-body
 atoms.  The planner, the cap and every step read the records, and no
-other walker runs; each piece is compiled once, in its unit's step,
-where the unit is compiled, routed and decoded; how it is solved, its
-route, is for `stable` to choose and run (`_unit_route`, `_unit_models`),
-and this module never reads a route's fields.  It keeps the plan, the cap,
-which it reads off the records before compiling any unit, the contexts
-each unit is solved in and the frontier.  Both strategies verify their
+other walker runs.  A unit that is a definition for its atoms is never
+compiled: its step reads its clauses off the records and takes their
+least fixpoint over every context at once (`stable._definition`,
+`stable._definition_models`); each piece of any other unit is compiled
+once, in its unit's step, where the unit is compiled, routed and
+decoded; how it is solved, its route, is for `stable` to choose and run
+(`_unit_route`, `_unit_models`), and this module never reads a route's
+fields.  It keeps the plan, the cap, which it reads off the records
+before solving any unit, the contexts each unit is solved in and the
+frontier.  Both strategies verify their
 preconditions by one check (`_violations`), which the unsound hunt of the
 verifier reads too, and share one enumerate-and-intersect tail; the
 modular solver refuses with SplitPlanError when one piece's strictly
@@ -61,6 +65,8 @@ from .stable import (
     DEFAULT_MAX_ATOMS,
     ModelSet,
     _decode,
+    _definition,
+    _definition_models,
     _enumerated,
     _unit_models,
     _unit_route,
@@ -177,7 +183,8 @@ class SplitPlan(Record):
     the order given, and they mention only the unit's own atoms, atoms of
     later-listed units and atoms outside the intensional set.  Pieces
     without heads act as constraints and stay in the residual; the modular
-    solver solves each of them last, as a unit with no atoms.
+    solver solves each of them as a unit with no atoms, right after the
+    unit that decides the last of its intensional atoms.
     """
 
     __slots__ = ("blocks", "residual")
@@ -267,25 +274,64 @@ def _extend_frontier(
     """Every frontier entry joined with each stable extension of the unit
     with these atoms and rules, all as bitmasks (`bit` maps atoms to their
     bits; an atom the rules mention without a bit is always false), in no
-    particular order.
+    particular order.  The extensions depend only on the context, the
+    entry's values of the non-unit atoms the rules mention, so each
+    distinct context is solved once.
 
-    The conjunction of the rules' formulas, in the order given, is
-    compiled here, each formula walked once (`formula.compile_extensible`),
-    and the unit's route (see `stable._unit_route`) is built once per
-    shape: it depends only on the shape of the program and where the unit
-    atoms sit in it, so `solved` shares it, and the extensions it has
-    found, between isomorphic units, such as the ground instances of one
-    rule.  The extensions depend only on the context, the entry's values
-    of the non-unit atoms the rules mention,
-    so each distinct context is solved once on the route: its A-stable
-    assignments, A = the unit's atoms, with the context fixed
-    (`stable._unit_models`).  One `stable._decode` call spreads the
-    extensions of every context to the bits over sigma.  The new frontier
-    is built in C-level passes where the extensions allow: a unit that
-    reads no decided atom has one context, and every entry takes the same
-    extensions (`_shared`); a unit with one extension per context joins
-    each entry with its context's one.
+    A unit that is a definition for its atoms (see `stable._enumerated`),
+    at any width, is never compiled: its clauses are read off the records
+    at the positions of the unit's sorted atoms (`stable._definition`, its
+    bodies as literals where they are made of them), and one least
+    fixpoint over the distinct contexts, one byte lane each, gives each
+    context its one extension (`stable._definition_models`).  Any other
+    unit is compiled here, the conjunction of its rules' formulas in the
+    order given, each walked once (`formula.compile_extensible`), and its
+    route (see `stable._unit_route`) is built once per shape: it depends
+    only on the shape of the program and where the unit atoms sit in it,
+    so `solved` shares it, and the extensions it has found, between
+    isomorphic units, such as the ground instances of one rule; each
+    context is solved on it, its A-stable assignments, A = the unit's
+    atoms, with the context fixed (`stable._unit_models`).
+
+    The extensions of every context are spread to the bits over sigma at
+    once, by one `stable._decode` call (for a definition, inside
+    `_definition_models`).  The new frontier is built in C-level passes
+    where the extensions allow: a unit that reads no decided atom has one
+    context, and every entry takes the same extensions (`_shared`), as
+    does a definition whose entries all share one context; a unit with one
+    extension per context, such as every definition, joins each entry with
+    its context's one.
     """
+    atoms = sorted(unit_atoms.union(*[r.atoms for r in rules]))
+    clauses = _definition(rules, atoms, unit_atoms, True)
+    if clauses is None:
+        return _enumerated_step(frontier, unit_atoms, rules, bit, solved, max_atoms)
+    unit: list[int] = []  # positions over atoms
+    sig_bits: list[int] = []
+    context: list[tuple[int, int]] = []  # (position over atoms, bit over sigma)
+    ctx_mask = 0
+    for b, x in enumerate(atoms):
+        k = bit.get(x, 0)
+        if x in unit_atoms:
+            unit.append(b)
+            sig_bits.append(k)
+        elif k:
+            context.append((b, k))
+            ctx_mask |= k
+    contexts = list(set(map(ctx_mask.__and__, frontier)))
+    spread = _definition_models(clauses, len(atoms), unit, sig_bits, context, contexts)
+    if len(contexts) == 1:
+        return _shared(frontier, spread, max_atoms)
+    memo = dict(zip(contexts, spread))
+    return list(map(or_, frontier, map(memo.__getitem__, map(ctx_mask.__and__, frontier))))
+
+
+def _enumerated_step(
+    frontier: list[int], unit_atoms: AbstractSet[Atom], rules: Sequence[Rule], bit: dict[Atom, int], solved: dict, max_atoms: int
+) -> list[int]:
+    """`_extend_frontier` for a unit that is no definition for its atoms,
+    such as a residual piece or a choice: compiled, and solved on its
+    route once per shape and context."""
     prog, conjoin = compile_extensible([r.formula for r in rules])
     unit: list[int] = []  # positions over prog.atoms
     sig_bits: list[int] = []
@@ -342,34 +388,53 @@ def modular_solve(
     is the symmetric splitting theorem: units may depend on each other
     through negation, only positive dependency stays inside a unit.  Each
     conjunct is read once, by `plan_split`, and every later step reads the
-    records of its pieces; the conjunction of a unit's rules is compiled
-    in its own step, and the unit is solved once per distinct context on
-    the route that `stable._unit_route` picks for its shape, with A = the
-    unit's atoms and the context fixed (see `_extend_frontier`).
-    Residual pieces, which have no strictly positive intensional atoms,
-    only filter the models classically: each is a unit with no atoms,
-    solved the same way after all the others, on the few contexts its own
-    atoms give.  A piece whose strictly positive intensional atoms span
-    dependency blocks, where the splitting theorem does not hold, makes
-    `plan_split` raise SplitPlanError, which propagates: a caller that
-    wants an answer anyway takes `enumerate_a_stable` of the conjunction,
-    as the CLI does.  A unit or an extensional context wider than
-    max_atoms atoms, or a frontier of more than 2**max_atoms
-    interpretations, raises CapExceeded.  A unit that its route does not
-    enumerate, a definition for its atoms with one extension per context,
-    may be wider; the cap reads that off the records by the route's own
-    rule (`stable._enumerated`), before any unit is compiled.  sigma
-    defaults to A and the atoms of the conjuncts.
+    records of its pieces (see `_extend_frontier`).  A unit that is a
+    definition for its atoms, at any width, is never compiled nor
+    enumerated: by the paper's theorem on definitions its one extension per
+    context is the least fixpoint of its clauses (Ferraris, Lee, Lifschitz
+    & Palla, IJCAI 2009, for the splitting; for a tight unit of one atom
+    this is its completion, Erdem & Lifschitz, TPLP 2003), read off the
+    records and run once over all of its distinct contexts.  Any other
+    unit is compiled in its own step and solved once per distinct context
+    on the route that `stable._unit_route` picks for its shape, with A =
+    the unit's atoms and the context fixed.  Residual pieces, which have
+    no strictly positive intensional atoms, only filter the models
+    classically: each is a unit with no atoms, solved the same way right
+    after the step that decides the last of its intensional atoms, or
+    before every unit when it reads none, on the few contexts its own
+    atoms give, so the frontier never holds an entry that such a piece
+    could have dropped one step earlier.  A piece whose strictly positive
+    intensional atoms span dependency blocks, where the splitting theorem
+    does not hold, makes `plan_split` raise SplitPlanError, which
+    propagates: a caller that wants an answer anyway takes
+    `enumerate_a_stable` of the conjunction, as the CLI does.  A unit or
+    an extensional context wider than max_atoms atoms, or a frontier of
+    more than 2**max_atoms interpretations, raises CapExceeded.  A unit
+    that is not enumerated, a definition for its atoms, may be wider; the
+    cap reads that off the records by its step's own rule
+    (`stable._enumerated`), before any unit is solved.  sigma defaults to
+    A and the atoms of the conjuncts.
     """
     a = frozenset(a)
     plan = plan_split(conjuncts, a)
-    steps = [*reversed(plan.blocks), *((frozenset(), (r,)) for r in plan.residual)]
+    steps = list(plan.blocks[::-1])
+    if plan.residual:
+        # each residual piece right after the unit that decides the last
+        # of its intensional atoms, so that it filters the frontier as
+        # soon as it can
+        step_of = {x: k for k, (atoms, _) in enumerate(steps, 1) for x in atoms}
+        placed: list[list] = [[] for _ in range(len(steps) + 1)]  # the pieces solved after the first k units
+        for r in plan.residual:
+            placed[max(map(step_of.__getitem__, r.atoms & a), default=0)].append((frozenset(), (r,)))
+        units, steps = steps, placed[0]
+        for unit, pieces in zip(units, placed[1:]):
+            steps += [unit, *pieces]
     sig = a.union(*(r.atoms for _, rules in steps for r in rules)) if sigma is None else frozenset(sigma)
     # The cap guards every exponential dimension: the extensional context
     # enumerated up front and the widest enumerated unit here, the frontier
     # in _extend_frontier.  Which units are enumerated is read off their
-    # rules (`stable._enumerated`, as `stable._unit_route` reads it), so
-    # nothing is compiled before the cap is decided.
+    # rules (`stable._enumerated`, as their steps read it), so nothing is
+    # solved before the cap is decided.
     wide = [len(atoms) for atoms, rules in steps if len(atoms) > max_atoms and _enumerated(atoms, rules)]
     _check_cap(max([len(sig - a), *wide]), max_atoms)
 

@@ -466,10 +466,12 @@ def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) 
 _NARROW = 6  # a part this small is decided by its loop formulas, at most 63; so few atoms take one run in all
 _RUN_BITS = 1 << _CHUNK_BITS  # lanes of one fixpoint run, a byte each
 
-# A compiled clause `H & C -> h` of a definition: the program of H, the
-# positions of its atoms, the positions of C and the position of h, all
-# positions into the columns of one fixpoint run (see `_least_fixpoint`).
-Clause = tuple[Program, tuple[int, ...], tuple[int, ...], int]
+# A clause `H & C -> h` of a definition: H as its program and the
+# positions of that program's atoms, or, read as literals (see
+# `_literals`), the positions of its atoms and of its negated atoms; then
+# the positions of C and the position of h, all positions into the
+# columns of one fixpoint run (see `_least_fixpoint`).
+Clause = tuple[Program | Sequence[int], Sequence[int], Sequence[int], int]
 Part = tuple[int, tuple[Clause, ...] | None]  # (bitmask, clauses when the part is a definition)
 
 
@@ -484,7 +486,7 @@ def _clause(rule: Rule, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom],
     head, the reason: "consequent is not a defined atom", or "defined atom
     X occurs in a clause body" for the least such atom X, read off the
     record's clause-body atoms; the rest is read off the formula's top two
-    levels."""
+    levels.  `_definition` reads H again, as literals where it can."""
     c, _, _, _, nested = rule
     if type(c) is AtomRef and c.atom in q:
         return TOP, frozenset(), c.atom
@@ -503,25 +505,47 @@ def _clause(rule: Rule, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom],
     return ante, frozenset(), head
 
 
-def _definition(rules: Iterable[Rule], atoms: Sequence[Atom], part: int) -> tuple[Clause, ...] | None:
-    """The rules as the compiled clauses of a definition for the atoms of
-    the bitmask `part` over `atoms`, at their positions there, or None
-    when one of them is no clause of such a definition."""
-    q = {x for b, x in enumerate(atoms) if part >> b & 1}
+def _literals(body: Formula, position) -> tuple[list[int], list[int]] | None:
+    """The positions (`position` maps atoms to them) of the atoms and of
+    the negated atoms of a clause body H that is `top`, an atom, `not` an
+    atom or a conjunction of such direct conjuncts, read off those
+    conjuncts; None for any other body, which is compiled."""
+    atoms: list[int] = []
+    negated: list[int] = []
+    for d in body.children if type(body) is Conj else (body,):
+        if type(d) is AtomRef:
+            atoms.append(position[d.atom])
+        elif type(d) is Impl and type(d.lhs) is AtomRef and type(d.rhs) is Disj and not d.rhs.children:
+            negated.append(position[d.lhs.atom])
+        else:
+            return None
+    return atoms, negated
+
+
+def _definition(rules: Iterable[Rule], atoms: Sequence[Atom], q: AbstractSet[Atom], literal: bool = False) -> tuple[Clause, ...] | None:
+    """The rules as the clauses of a definition for the atoms q, at their
+    positions in `atoms`, which hold every atom of the rules, or None when
+    one of them is no clause of such a definition (see `_clause`).  Each
+    body is compiled, once per body object, or, with `literal`, read as
+    its literals where it is made of them (see `_literals`) and compiled
+    only where it is not."""
     found = []
     for rule in rules:
         clause = _clause(rule, q)
         if type(clause) is str:
             return None
         found.append(clause)
-    position = {x: b for b, x in enumerate(atoms)}.__getitem__
-    compiled: dict[int, tuple[Program, tuple[int, ...]]] = {}  # per body object, such as the many `top`s of a ring
+    position = {x: b for b, x in enumerate(atoms)}
+    compiled: dict[int, tuple] = {}  # per body object, such as the many `top`s of a ring
     out = []
     for body, pos_q, head in found:
-        if id(body) not in compiled:
-            body_prog = compile_formula(body)
-            compiled[id(body)] = body_prog, tuple(map(position, body_prog.atoms))
-        out.append((*compiled[id(body)], tuple(map(position, pos_q)), position(head)))
+        got = _literals(body, position) if literal else None
+        if got is None:
+            got = compiled.get(id(body))
+            if got is None:
+                body_prog = compile_formula(body)
+                got = compiled[id(body)] = body_prog, [position[x] for x in body_prog.atoms]
+        out.append((*got, [position[x] for x in pos_q], position[head]))
     return tuple(out)
 
 
@@ -589,7 +613,7 @@ def _parts(rules: Sequence[Rule], atoms: Sequence[Atom], a: AbstractSet[Atom]) -
     for comp, part_rules in zip(comps, defining):
         if len(comp) > _NARROW:
             mask = sum(map(bit.__getitem__, comp))
-            parts.append((mask, _definition(part_rules, atoms, mask)))
+            parts.append((mask, _definition(part_rules, atoms, comp)))
         else:
             loop_formulas += _loop_formulas(comp, [r.formula for r in part_rules], graph)
     return parts, loop_formulas
@@ -674,40 +698,58 @@ def _loop_formulas(comp: AbstractSet[Atom], conjuncts: Sequence[Formula], graph:
     return out
 
 
-def _least_fixpoint(fired: Iterable[tuple[int, Sequence[int], int]], size: int) -> list[int]:
+def _least_fixpoint(fired: Sequence[tuple[int, Sequence[int], int]], size: int) -> list[int]:
     """The least fixpoint of a definition's clauses on every lane at once.
 
     A lane is one interpretation of the atoms outside the defined set Q,
     and a vector holds one byte 0 or 1 per lane, or a bit for one lane.
     Each clause `H & C -> h` comes as (the lanes where H holds, the
     positions of C, the position of h), positions below `size`; since H
-    mentions no atom of Q, its truth is fixed before the first round.  A
-    round derives each clause's head on the lanes where its body holds and
-    every atom of C is derived, and rounds repeat until one derives nothing
-    new.  A lane short of its fixpoint derives an atom in every round, so
-    there are at most |Q| + 1 rounds.  Returns the derived lanes of each
-    position, 0 for a position no clause derives.
+    mentions no atom of Q, its truth is fixed before the first firing.  A
+    clause fires by deriving its head on the lanes where its body holds and
+    every atom of C is derived.  Every clause fires once, in the order
+    given, and after that again each time one of its C atoms gains lanes,
+    taken from a worklist until none is left: the firings follow the
+    derivation, not the listing, so a ring listed against its direction
+    takes about two firings per clause, not one round of all of them per
+    atom.  Returns the derived lanes of each position, 0 for a position no
+    clause derives.
     """
-    fired = list(fired)
+    readers: dict[int, list] = {}  # per position, the clauses with it in C
+    for clause in fired:
+        for b in clause[1]:
+            readers.setdefault(b, []).append(clause)
     derived = [0] * size
-    changed = True
-    while changed:
-        changed = False
-        for live, pos, head in fired:
-            new = live & ~derived[head]
-            for b in pos:
-                new &= derived[b]
-            if new:
-                derived[head] |= new
-                changed = True
+    work = fired[::-1]  # a stack, the first clause on top
+    while work:
+        live, pos, head = work.pop()
+        new = live & ~derived[head]
+        for b in pos:
+            new &= derived[b]
+        if new:
+            derived[head] |= new
+            if head in readers:
+                work += readers[head]
     return derived
 
 
-def _fire(clauses: Iterable[Clause], columns: Sequence[int], ones: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+def _fire(clauses: Iterable[Clause], columns: Sequence[int], ones: int) -> list[tuple[int, tuple[int, ...], int]]:
     """Each clause as `_least_fixpoint` takes it, its body's lanes from one
-    classical run of its program over the columns (`ones` sets every lane)."""
-    for body, body_pos, pos, head in clauses:
-        yield body.run([columns[b] for b in body_pos], ones, ones), pos, head
+    classical run of its program over the columns, or, for a body read as
+    literals, the AND of its atoms' columns and the AND-NOT of its negated
+    atoms' columns (`ones` sets every lane)."""
+    out = []
+    for body, reads, pos, head in clauses:
+        if type(body) is Program:
+            live = body.run([columns[b] for b in reads], ones, ones)
+        else:
+            live = ones
+            for b in body:
+                live &= columns[b]
+            for b in reads:
+                live &= ~columns[b]
+        out.append((live, pos, head))
+    return out
 
 
 def _lanes(masks: Sequence[int], n: int) -> list[int]:
@@ -827,17 +869,52 @@ def _read_order(parts: Sequence[Part]) -> tuple[list[Part], list[Part]]:
     return derived, [defined[i] for comp in comps if len(comp) > 1 for i in comp]
 
 
-def _definition_models(prog: Program, var: Sequence[int], clauses: Sequence[Clause], heres: Sequence[int]) -> list[int]:
-    """Per context, the bitmask `here` over prog.atoms of the true atoms
-    outside `var`, the one assignment c to the atoms at positions `var`
-    (bit j of c for var[j]) that is a var-stable model of prog, when prog
-    is the conjunction of `clauses`, a definition for those atoms: their
-    least fixpoint, the case of `_lane_models` with no swept atom and one
-    lane per context.  The fixpoint satisfies every clause, so prog is not
-    run.
+def _definition_models(
+    clauses: Sequence[Clause],
+    size: int,
+    unit: Sequence[int],
+    sig_bits: Sequence[int],
+    context: Sequence[tuple[int, int]],
+    contexts: Sequence[int],
+) -> list[int]:
+    """Per context, in order, the one stable extension of a definition
+    unit, the least fixpoint of its clauses (see `_definition`), as a
+    bitmask over sigma: the unit atom at position unit[j] of the `size`
+    atoms the clauses read has the bit sig_bits[j].
+
+    A context is a bitmask over sigma; `context` pairs the position of each
+    atom it may set with that atom's bit over sigma, and every other
+    position but the unit's reads false, as an atom outside sigma does.
+    The contexts are laid out as byte lanes, one per context, at most
+    `_RUN_BITS` to a run: the bitmasks are joined as bytes once, from the
+    lowest byte that holds a context atom to the highest, and only the
+    bytes that hold one are sliced out, as `_lanes` slices them.  One
+    `_least_fixpoint` per run; `_read` gives each lane's extension over
+    the unit and `_decode` spreads it to sigma, or, in a run of one lane,
+    the derived bits give it directly.
     """
-    derived = [(sum(1 << b for b in var), clauses)]
-    return _lane_models(prog, var, 0, range(len(prog.atoms)), _batches(heres), derived, (), False)
+    span = 0  # every context atom's bit
+    for _, k in context:
+        span |= k
+    low = ((span & -span).bit_length() - 1) & -8  # the first bit of the lowest byte that holds one
+    width = (span.bit_length() - low + 7) >> 3  # bytes up to the highest that holds one
+    out: list[int] = []
+    for start in range(0, len(contexts), _RUN_BITS):
+        batch = contexts[start : start + _RUN_BITS]
+        lanes = len(batch)
+        ones = int.from_bytes(b"\1" * lanes, "little")
+        columns = [0] * size
+        if span:
+            flat = b"".join([(m >> low).to_bytes(width, "little") for m in batch])
+            for b, k in context:
+                j = k.bit_length() - 1 - low
+                columns[b] = int.from_bytes(flat[j >> 3 :: width], "little") >> (j & 7) & ones
+        fixed = _least_fixpoint(_fire(clauses, columns, ones), size)
+        if lanes == 1:  # nothing to transpose: each vector is one bit
+            out.append(sum(itertools.compress(sig_bits, [fixed[b] for b in unit])))
+        else:
+            out += _decode(_read([fixed[b] for b in unit], lanes, None), sig_bits, sum)
+    return out
 
 
 @functools.cache  # k at most _NARROW: fewer than 2**(_NARROW + 1) keys
@@ -966,55 +1043,44 @@ def _stable_models(
 
 
 def _enumerated(atoms: AbstractSet[Atom], rules: Iterable[Rule]) -> bool:
-    """Whether the route of a modular unit with these atoms and rules (see
-    `_unit_route`) enumerates its assignments: a unit of at most `_NARROW`
-    atoms does, and so does a wider one with a rule that is no clause of a
-    definition for its atoms (see `_clause`).  It reads the rules alone, so
-    `splitting.modular_solve` decides its cap on it before compiling any
-    unit, and that cap cannot read a unit otherwise than its route does."""
-    return len(atoms) <= _NARROW or any(type(_clause(r, atoms)) is str for r in rules)
+    """Whether a modular unit with these atoms and rules is enumerated, at
+    any width: iff one of its rules is no clause of a definition for its
+    atoms (see `_clause`), which is exactly when `_definition` gives None
+    for it.  Any other unit is solved by the least fixpoint of its clauses
+    (`_definition_models`), with no enumeration and no compile of the
+    unit.  It reads the rules alone, so `splitting.modular_solve` decides
+    its cap on it before solving any unit, and that cap cannot read a unit
+    otherwise than its step does."""
+    return any(type(_clause(r, atoms)) is str for r in rules)
 
 
 def _unit_route(rules: Sequence[Rule], prog: Program, conjoin, unit: Sequence[int]) -> tuple:
-    """How `splitting.modular_solve` solves a unit, the atoms at positions
-    `unit` of prog.atoms, all intensional, when the rules' formulas compile
-    as prog and `conjoin` continues the walk that compiled them (see
-    `compile_extensible`): (one, prog, unit, the parts or the clauses, the
-    swept program, the assignments found per context so far), `one` when
-    every context has exactly one extension.
-
-    A unit that is not enumerated (see `_enumerated`) is a definition for
-    its atoms and takes its clauses (see `_definition`): by the paper's
-    theorem on definitions its one stable extension per context is their
-    least fixpoint, which is why `modular_solve` exempts such a unit from
-    the enumeration cap.  A unit of at most `_NARROW` atoms takes the one
-    packed run.  Any other unit takes the sweep with the parts of its atoms
-    (see `_parts`).
+    """How `splitting.modular_solve` solves an enumerated unit (see
+    `_enumerated`), the atoms at positions `unit` of prog.atoms, all
+    intensional, when the rules' formulas compile as prog and `conjoin`
+    continues the walk that compiled them (see `compile_extensible`):
+    (prog, unit, the parts, the swept program, the assignments found per
+    context so far).  A unit of at most `_NARROW` atoms takes the one
+    packed run; a wider one the sweep with the parts of its atoms (see
+    `_parts`).  A unit that is a definition never gets here: its step
+    reads its clauses instead of compiling it (see `_definition_models`).
     """
-    atoms = frozenset(map(prog.atoms.__getitem__, unit))
-    if not _enumerated(atoms, rules):
-        clauses = _definition(rules, prog.atoms, sum(1 << b for b in unit))
-        return True, prog, unit, clauses, None, {}
     if len(unit) <= _NARROW:
-        return False, prog, unit, (), None, {}
-    parts, loop_formulas = _parts(rules, prog.atoms, atoms)
-    return False, prog, unit, parts, conjoin(loop_formulas) if loop_formulas else None, {}
+        return prog, unit, (), None, {}
+    parts, loop_formulas = _parts(rules, prog.atoms, frozenset(map(prog.atoms.__getitem__, unit)))
+    return prog, unit, parts, conjoin(loop_formulas) if loop_formulas else None, {}
 
 
 def _unit_models(route: tuple, heres: Iterable[int]) -> dict[int, Sequence[int]]:
     """The unit's stable assignments on `route` (see `_unit_route`) per
     context, the bitmask over prog.atoms of the true atoms outside the
     unit: a dict that holds each of `heres`, and every context solved on
-    the route before.  Each context is solved once: the new ones of a
-    definition by one `_definition_models` run, one lane each, those of
-    any other unit by one `_stable_models` call each."""
-    one, prog, var, parts, swept, found = route
-    new = [here for here in heres if here not in found]
-    if not one:
-        for here in new:
+    the route before.  Each context is solved once, by one `_stable_models`
+    call."""
+    prog, var, parts, swept, found = route
+    for here in heres:
+        if here not in found:
             found[here] = _stable_models(prog, var, here, (1 << len(var)) - 1, parts, swept)
-    elif new:
-        found.update(zip(new, zip(_definition_models(prog, var, parts, new))))
     return found
 
 

@@ -251,12 +251,13 @@ def _literal(rng: random.Random, atoms: Sequence[Formula], p: float = 0.4) -> Fo
     return neg(x) if rng.random() < p else x
 
 
-def _gen_ring(rng: random.Random, ring: list[Formula], reads: list[Formula]) -> list[Formula]:
+def _gen_ring(rng: random.Random, ring: list[Formula], reads: list[Formula], nested: bool = False) -> list[Formula]:
     """A switched ring: the positive ring `x -> y` through the atoms of
     `ring`, each link switched to `x & l -> y` with probability 0.3 by a
     literal l of the atoms `reads`; up to two chords of its closure,
     `x & y -> z`; and one or two seeds, each a fact or a rule `l -> x` or
-    `l & l' -> x`."""
+    `l & l' -> x`, or with `nested` also `not not e -> x` for an atom e of
+    `reads`, a body that is no conjunction of literals."""
     out = []
     for x, y in zip(ring, ring[1:] + ring[:1]):
         out.append(Impl(conj((x, _literal(rng, reads))), y) if rng.random() < 0.3 else Impl(x, y))
@@ -267,6 +268,8 @@ def _gen_ring(rng: random.Random, ring: list[Formula], reads: list[Formula]) -> 
         head, kind = rng.choice(ring), rng.random()
         if kind < 0.15:
             out.append(head)
+        elif nested and kind < 0.4:
+            out.append(Impl(neg(neg(rng.choice(reads))), head))
         else:
             body = _literal(rng, reads)
             out.append(Impl(body if kind < 0.7 else conj((body, _literal(rng, reads))), head))
@@ -567,21 +570,31 @@ def _suite_stable_modular(rng, cfg, unsound):
     negative cycle and extensional atoms, so that `modular_solve` extends
     several contexts unit by unit.  A quarter of the draws are 8 or 9
     atoms around an intensional switched ring of 7 (`_gen_ring`), a unit
-    wider than `_NARROW`, whose switches and seeds read the other atoms;
+    wider than `_NARROW`, whose switches and seeds read the other atoms,
+    some seeds through `not not`;
     each of those is a choice or derived from a ring atom, which may pull
-    it into the unit, and half of the draws add a disjunctive head inside
-    the ring, so that the unit is no definition.  Both solvers must give
-    the reference models (see `_both_solvers`)."""
+    it into the unit.  A quarter of the draws add a disjunctive head inside
+    the ring, and a quarter a new intensional atom w derived from a ring atom
+    that the ring reads back through `not not w`, which pulls w into the
+    unit: either way the unit is no definition.  Both solvers must give the
+    reference models (see `_both_solvers`)."""
     if rng.random() < 0.25:
         pool = _atom_pool(rng.randint(8, 9))
         ring, context = [AtomRef(x) for x in pool[:7]], [AtomRef(x) for x in pool[7:]]
-        conjuncts = _gen_ring(rng, ring, context)
+        conjuncts = _gen_ring(rng, ring, context, True)
         for c in context:
             conjuncts.append(disj((c, neg(c))) if rng.random() < 0.5 else Impl(rng.choice(ring), c))
-        if rng.random() < 0.5:
+        a = frozenset(pool[:7])
+        kind = rng.random()
+        if kind < 0.25:
             x, y, z = rng.sample(ring, 3)
             conjuncts.append(Impl(x, disj((y, z))))
-        a = frozenset(pool[:7]) | _rand_subset(rng, pool[7:], 0.7)
+        elif kind < 0.5:
+            x, y, w = rng.choice(ring), rng.choice(ring), AtomRef(_POOL[len(pool)])
+            pool.append(w.atom)
+            a |= {w.atom}
+            conjuncts += [Impl(x, w), Impl(neg(neg(w)), y)]
+        a |= _rand_subset(rng, pool[7:], 0.7)
         return _both_solvers(conjuncts, a, pool)
     pool = _atom_pool(min(cfg.max_atoms, 6))
     conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
@@ -646,7 +659,8 @@ def _suite_stable_scc(rng, cfg, unsound):
 def _suite_stable_definition(rng, cfg, unsound):
     """Programs on 8 to 10 atoms with a part of 7 or 8 intensional atoms,
     wider than a part with a slot per subset: a switched ring (`_gen_ring`)
-    whose switches and seeds read the other atoms.  Those are its
+    whose switches and seeds read the other atoms, some seeds through `not
+    not`, a body that is compiled.  Those are its
     context: extensional, choices, or derived, some from ring atoms, which
     may pull them into the ring's unit or component.  Constraints are
     added.  A quarter of the draws spoil the ring, so that it is not a
@@ -662,7 +676,7 @@ def _suite_stable_definition(rng, cfg, unsound):
     ring = [AtomRef(x) for x in pool[:width]]
     context = [AtomRef(x) for x in pool[width:]]
     spoil = context[-1] if rng.random() < 0.25 else None
-    conjuncts = _gen_ring(rng, ring, context)
+    conjuncts = _gen_ring(rng, ring, context, True)
     a = frozenset(pool[:width])
     for x in context:
         kind = rng.random()

@@ -363,6 +363,18 @@ class TestSplitSolve:
         assert (code, out) == (2, "")
         assert err.startswith("error: enumeration over 101 atoms exceeds the cap of 24")
 
+    def test_narrow_definition_unit_past_the_cap_answers(self, capsys, tmp_path):
+        # the fact y0 and the ring y_i -> y_(i+1) over 5 atoms: a definition
+        # unit, decided by its fixpoint at any width, so a cap of 3 atoms
+        # leaves it be; a 5-atom unit that is no definition is refused
+        path = tmp_path / "ring5.lp"
+        path.write_text("y0.\n" + "".join(f"y{i} -> y{(i + 1) % 5}.\n" for i in range(5)))
+        assert run(capsys, "split-solve", str(path), "--max-atoms", "3") == (0, "{y0,y1,y2,y3,y4}\n", "")
+        path.write_text(path.read_text() + "y1 -> y2 | y3.\n")
+        code, out, err = run(capsys, "split-solve", str(path), "--max-atoms", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: enumeration over 5 atoms exceeds the cap of 3")
+
     def test_atoms_of_each_conjunct_are_computed_once(self, capsys, tmp_path, monkeypatch):
         # the parse meets every atom, which gives the signature, and the
         # planner reads each conjunct's atoms into its record: no

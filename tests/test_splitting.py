@@ -629,8 +629,11 @@ class TestModularSolve:
             got = modular_solve(conjuncts, {p}, sigma)
             assert got.lines() == want
             assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, {p})
-        # so is such an atom in a rule: `not x -> p` reads as `p`
+        # so is such an atom in a rule: `not x -> p` reads as `p`, and `x ->
+        # p` and `not not x -> p`, a body that is compiled, support nothing
         assert modular_solve([impl(neg(AtomRef(x)), AtomRef(p))], {p}, sigma).lines() == ["{p}", "{p,q}"]
+        for body in (AtomRef(x), neg(neg(AtomRef(x)))):
+            assert modular_solve([impl(body, AtomRef(p))], {p}, sigma).lines() == ["{}", "{q}"]
 
     def test_constraints_across_extensional_contexts_match_the_oracle(self):
         # residual constraints over intensional and extensional atoms are
@@ -698,17 +701,19 @@ class TestModularSolve:
         # 8 contexts its classical models make any number of ring atoms true,
         # and with e0 false the stable one makes none true.  The block is a
         # definition for its atoms, so one fixpoint run decides all 8
-        # contexts, one lane each, and nothing sweeps it
-        solves, runs, lanes = [], [], []
+        # contexts, one lane each, nothing sweeps it and nothing compiles it
+        solves, runs, lanes, walked = [], [], [], []
         real = stable._stable_models
         monkeypatch.setattr(stable, "_stable_models", lambda *args: solves.append(args[1]) or real(*args))
-        real_models = stable._definition_models
+        real_models = splitting._definition_models
 
-        def definition_models(prog, var, clauses, heres):
-            lanes.append((len(var), len(heres)))
-            return real_models(prog, var, clauses, heres)
+        def definition_models(clauses, size, unit, sig_bits, context, contexts):
+            lanes.append((len(unit), len(contexts)))
+            return real_models(clauses, size, unit, sig_bits, context, contexts)
 
-        monkeypatch.setattr(stable, "_definition_models", definition_models)
+        monkeypatch.setattr(splitting, "_definition_models", definition_models)
+        real_walk = formula_module._walk
+        monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real_walk(f, *rest))
         real_fixpoint = stable._least_fixpoint
         monkeypatch.setattr(stable, "_least_fixpoint", lambda *args: runs.append(1) or real_fixpoint(*args))
         xs = [Atom(f"x{i:02d}") for i in range(n)]
@@ -721,7 +726,7 @@ class TestModularSolve:
         f = conj(conjuncts)
         want = brute_a_stable(f, sigma, ring)
         assert modular_solve(conjuncts, ring, sigma).as_set() == want
-        assert len(runs) == 1 and lanes == [(n, 8)] and not solves  # one fixpoint run per unit
+        assert len(runs) == 1 and lanes == [(n, 8)] and not solves and not walked  # one fixpoint run per unit
         assert {len(i & ring) for i in all_subsets(sigma) if satisfies(i, f)} == set(range(n + 1))
         assert {not (m & ring) for m in want} == {True, False}
 
@@ -730,13 +735,13 @@ class TestModularSolve:
         # edge is a unit of one atom, the 9 closure atoms one definition
         # unit, solved by one fixpoint run over the 512 edge contexts
         lanes, solves = [], []
-        real_models = stable._definition_models
+        real_models = splitting._definition_models
 
-        def definition_models(prog, var, clauses, heres):
-            lanes.append((len(var), len(heres)))
-            return real_models(prog, var, clauses, heres)
+        def definition_models(clauses, size, unit, sig_bits, context, contexts):
+            lanes.append((len(unit), len(contexts)))
+            return real_models(clauses, size, unit, sig_bits, context, contexts)
 
-        monkeypatch.setattr(stable, "_definition_models", definition_models)
+        monkeypatch.setattr(splitting, "_definition_models", definition_models)
         real = stable._stable_models
         monkeypatch.setattr(stable, "_stable_models", lambda *args: solves.append(len(args[1])) or real(*args))
         clauses, q_set = tc_definition("abc")
@@ -756,8 +761,8 @@ class TestModularSolve:
         # its ring part, a definition, is derived on live lanes under the
         # unit's context, never by the definition route's fixpoint
         lanes, live = [], []
-        real_models = stable._definition_models
-        monkeypatch.setattr(stable, "_definition_models", lambda *args: lanes.append(1) or real_models(*args))
+        real_models = splitting._definition_models
+        monkeypatch.setattr(splitting, "_definition_models", lambda *args: lanes.append(1) or real_models(*args))
         real_live = stable._live_batches
         monkeypatch.setattr(stable, "_live_batches", lambda *args: live.append(1) or real_live(*args))
         xs = [Atom(f"x{i}") for i in range(8)]
@@ -789,11 +794,17 @@ class TestModularSolve:
         # the 100-atom positive cycle x_i -> x_(i+1), seeded by the choice
         # s: one unit that is a definition for its atoms, decided by one
         # fixpoint run per context, so the cap does not count its width;
-        # the cap reads its clauses off the formula, and its route, built
-        # in its step, recognizes the definition once
+        # the cap reads its clauses off the formula, and its step reads
+        # them once more, into the clauses of the fixpoint
         recognized = []
-        real = stable._definition
-        monkeypatch.setattr(stable, "_definition", lambda *args: recognized.append(1) or real(*args))
+        real = splitting._definition
+
+        def definition(*args):
+            found = real(*args)
+            recognized.append(found is not None)
+            return found
+
+        monkeypatch.setattr(splitting, "_definition", definition)
         xs = [Atom(f"x{i:02d}") for i in range(100)]
         s = Atom("s")
         conjuncts = [impl(AtomRef(xs[i]), AtomRef(xs[(i + 1) % 100])) for i in range(100)]
@@ -801,15 +812,15 @@ class TestModularSolve:
         sigma = frozenset(xs) | {s}
         want = {frozenset(), sigma}
         assert modular_solve(conjuncts, sigma, sigma).as_set() == want
-        assert len(recognized) == 1
+        assert recognized.count(True) == 1
         assert modular_solve(conjuncts, sigma, sigma, max_atoms=101).as_set() == want
-        assert len(recognized) == 2
+        assert recognized.count(True) == 2
         # the fact y00 and the 30-atom cycle y_i -> y_(i+1): a definition
         # unit with no context atom, past the default cap of 24
         ys = [Atom(f"y{i:02d}") for i in range(30)]
         seeded = [AtomRef(ys[0])] + [impl(AtomRef(ys[i]), AtomRef(ys[(i + 1) % 30])) for i in range(30)]
         assert modular_solve(seeded, frozenset(ys), frozenset(ys)).as_set() == {frozenset(ys)}
-        assert len(recognized) == 3
+        assert recognized.count(True) == 3
         # a unit that is no definition still counts: a disjunctive link
         wide = conjuncts + [impl(AtomRef(xs[5]), disj([AtomRef(xs[6]), AtomRef(xs[7])]))]
         with pytest.raises(CapExceeded, match="enumeration over 100 atoms"):
@@ -904,7 +915,8 @@ class TestModularSolve:
 
     def test_context_free_units_share_their_extensions(self, monkeypatch):
         # each choice c | not c reads no decided atom: its two extensions
-        # join every entry in one pass each; the constraint reads c0 and c1
+        # join every entry in one pass each; the constraint reads c0 and c1,
+        # so it runs right after their units, before c2 doubles the frontier
         shared = []
         real = splitting._shared
         monkeypatch.setattr(
@@ -913,8 +925,35 @@ class TestModularSolve:
         cs = [Atom(f"c{i}") for i in range(5)]
         conjuncts = [disj([AtomRef(c), neg(AtomRef(c))]) for c in cs] + [neg(conj([AtomRef(cs[0]), AtomRef(cs[1])]))]
         got = modular_solve(conjuncts, frozenset(cs), frozenset(cs))
-        assert shared == [(1, 2), (2, 2), (4, 2), (8, 2), (16, 2)]
+        assert shared == [(1, 2), (2, 2), (3, 2), (6, 2), (12, 2)]
         assert len(got) == 24 and got == enumerate_a_stable(conj(conjuncts), frozenset(cs), frozenset(cs))
+
+    def test_each_residual_piece_runs_right_after_its_last_unit(self, monkeypatch):
+        # p(x) | not p(x), q(x) | not q(x) and not (p(x) & q(x)) over 8
+        # elements: each constraint filters the frontier right after the
+        # units of p(x) and q(x), so it holds at most 4 * 3**7 = 8,748
+        # entries, where solving the constraints after every unit held all
+        # 2**16 choices; a constraint that reads no intensional atom runs
+        # before every unit
+        sizes = []
+        real = splitting._extend_frontier
+
+        def extend(*args):
+            out = real(*args)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(splitting, "_extend_frontier", extend)
+        p, q = ([AtomRef(Atom(n, (x,))) for x in "abcdefgh"] for n in "pq")
+        conjuncts = [disj([x, neg(x)]) for x in p + q] + [neg(conj([x, y])) for x, y in zip(p, q)]
+        a = frozenset(x.atom for x in p + q)
+        got = modular_solve(conjuncts, a, a)
+        assert max(sizes) == 8748 and len(got) == 3**8
+        assert got.text() == enumerate_a_stable(conj(conjuncts), a, a).text()
+        sizes.clear()
+        e = AtomRef(Atom("e"))
+        got = modular_solve([*conjuncts[:2], neg(e)], {p[0].atom, p[1].atom}, {p[0].atom, p[1].atom, e.atom})
+        assert sizes == [1, 2, 4] and got.lines() == ["{}", "{p(a)}", "{p(a),p(b)}", "{p(b)}"]
 
     def test_layered_chain_family_exhaustive_to_sixteen_atoms(self):
         for blocks, width in [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (3, 5)]:
@@ -976,10 +1015,18 @@ def _layered_chain(blocks: int, width: int) -> list:
     return rules + [impl(layer[i - 1], layer[i]) for layer in q for i in range(width)]
 
 
+def _choices_and_definitions() -> list:
+    """The choices p | not p and q | not q, the constraint not (p & q),
+    and the definitions p -> r and not r & q -> s: 3 models."""
+    p, q, r, t = (AtomRef(Atom(x)) for x in "pqrs")
+    return [disj([p, neg(p)]), disj([q, neg(q)]), neg(conj([p, q])), impl(p, r), impl(conj([neg(r), q]), t)]
+
+
 class TestOneWalkPerConjunct:
-    """Each conjunct is read by one walk into its record and compiled by
-    one walk in its unit's step, and no other walker reads it: the walks
-    are counted, never timed."""
+    """Each conjunct is read by one walk into its record and, unless its
+    unit is a definition, whose step reads its clauses off the records,
+    compiled by one walk in its unit's step, and no other walker reads it:
+    the walks are counted, never timed."""
 
     WALKERS = (  # every module's name for each walker besides the reading and compiling walks
         [(m, "atoms_of") for m in (formula_module, splitting, stable)]
@@ -1000,20 +1047,26 @@ class TestOneWalkPerConjunct:
             monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: others.append(name) or fn(*args))
         return walked, others
 
-    @pytest.mark.parametrize("conjuncts", [chain_program(15)[1], _layered_chain(12, 6)], ids=["chain16", "chain12x6"])
-    def test_modular_solve_walks_each_conjunct_once(self, monkeypatch, conjuncts):
+    @pytest.mark.parametrize(
+        "conjuncts, compiled_count",
+        [(chain_program(15)[1], 0), (_layered_chain(12, 6), 0), (_choices_and_definitions(), 3)],
+        ids=["chain16", "chain12x6", "choices"],
+    )
+    def test_modular_solve_walks_each_conjunct_once(self, monkeypatch, conjuncts, compiled_count):
         atoms = frozenset().union(*map(atoms_of, conjuncts))
         want = enumerate_a_stable(conj(conjuncts), atoms, atoms, max_atoms=len(atoms)) if len(atoms) <= 16 else None
         walked, others = self._spy(monkeypatch)
         got = modular_solve(conjuncts, atoms, atoms)
-        # read in the order given; compiled unit by unit, in the order
-        # solved, a unit of several conjuncts as their conjunction
+        # read in the order given; the units that are no definition, here
+        # the first conjuncts, compiled unit by unit, in the order solved, a
+        # unit of several conjuncts as their conjunction; a definition unit
+        # walks none
         assert [c for _, c in others] == conjuncts and all(r[1] is c for r, c in zip(others, conjuncts))
         assert {name for name, _ in others} == {"read"}
         compiled = [g for w in walked for g in (w.children if type(w) is Conj else (w,))]
-        assert sorted(map(id, compiled)) == sorted(map(id, conjuncts))
+        assert sorted(map(id, compiled)) == sorted(map(id, conjuncts[:compiled_count]))
         monkeypatch.undo()
-        assert len(got) == 1 and (want is None or got == want)
+        assert len(got) == (1 if compiled_count == 0 else 3) and (want is None or got == want)
 
     def test_enumerate_walks_the_formula_once_then_loop_formulas_and_bodies(self, monkeypatch):
         # a 9-atom ring seeded by `not x` is a definition part, whose clause

@@ -522,30 +522,39 @@ class TestDefinitionParts:
 
     def test_a_ring_unit_compiles_each_body_object_once(self, monkeypatch):
         # a 9-atom ring unit of a layered chain: 9 of its 10 clause bodies
-        # are the one `top`, and the seed's body is `not x`
+        # are the one `top`, and the seed's body is `not x`; compiled, each
+        # body object once, or read as literals, with no compile at all
         ring = [f"q{i}" for i in range(9)]
         f = _program(_ring(ring) + ["not x -> q0"])
         rules = read_rules(f)
-        prog, conjoin = compile_extensible((f,))
-        unit = [b for b, x in enumerate(prog.atoms) if x.name.startswith("q")]
+        atoms = sorted(atoms_of(f))
+        q = frozenset(Atom(r) for r in ring)
         compiled = []
         real = stable_module.compile_formula
         monkeypatch.setattr(stable_module, "compile_formula", lambda g: compiled.append(g) or real(g))
-        one, _, _, clauses, _, _ = _unit_route(rules, prog, conjoin, unit)
-        assert one and len(clauses) == 10
+        clauses = stable_module._definition(rules, atoms, q)
+        assert len(clauses) == 10
         assert compiled == [TOP, neg(atom("x"))] or compiled == [neg(atom("x")), TOP]
         assert len({id(body) for body, _, _, _ in clauses}) == 2
-        # each extension is the least fixpoint: the whole ring when x is false
-        x = prog.atoms.index(Atom("x"))
-        assert stable_module._unit_models(_unit_route(rules, prog, conjoin, unit), [0, 1 << x]) == {
-            0: ((1 << 9) - 1,),
-            1 << x: (0,),
-        }
+        compiled.clear()
+        literal = stable_module._definition(rules, atoms, q, True)
+        assert not compiled and len(literal) == 10
+        x = atoms.index(Atom("x"))
+        assert sorted((list(body), list(negated)) for body, negated, _, _ in literal) == [([], [])] * 9 + [([], [x])]
+        # each extension is the least fixpoint: the whole ring when x is
+        # false, and no atom of it when x is true
+        unit = [b for b, y in enumerate(atoms) if y in q]
+        sig_bits = [1 << (6 + j) for j in range(9)]
+        for found in (clauses, literal):
+            for contexts in ([0, 1 << 5], [0], [1 << 5]):
+                extensions = [0 if c else (1 << 15) - (1 << 6) for c in contexts]
+                assert stable_module._definition_models(found, len(atoms), unit, sig_bits, [(x, 1 << 5)], contexts) == extensions
 
     def test_narrow_programs_and_parts_are_never_recognized(self, monkeypatch):
-        # no definition recognition on a program or a modular unit of at
-        # most _NARROW atoms, which the packed run decides without parts,
-        # nor for a part of at most _NARROW atoms
+        # no definition recognition on a program of at most _NARROW atoms,
+        # which the packed run decides without parts, on the route of a
+        # modular unit, which its step took as no definition, nor for a part
+        # of at most _NARROW atoms
         calls, parted = [], []
         real = stable_module._definition
         monkeypatch.setattr(stable_module, "_definition", lambda *args: calls.append(args) or real(*args))
@@ -555,7 +564,7 @@ class TestDefinitionParts:
         rules = read_rules(small)
         prog, conjoin = compile_extensible((small,))
         assert len(enumerate_a_stable(small, atoms_of(small))) == 1
-        assert _unit_route(rules, prog, conjoin, range(_NARROW))[3:5] == ((), None)
+        assert _unit_route(rules, prog, conjoin, range(_NARROW))[2:4] == ((), None)
         assert not parted
         wide = _program(_ring([f"r{i}" for i in range(_NARROW)]) + _choices(4))
         prog = compile_formula(wide)
@@ -728,6 +737,44 @@ class TestDerivedParts:
         assert stable_module._read(columns, len(masks), None) == masks
         keep = bytes(rng.random() < 0.3 for _ in masks)
         assert stable_module._read(columns, len(masks), keep) == list(itertools.compress(masks, keep))
+
+    def test_definition_lanes_slice_distant_context_atoms_over_several_runs(self, monkeypatch):
+        # h from a & not z, with a at bit 3 and z at bit 2990 of a wide
+        # signature: the contexts' lanes slice their two bytes alone, and
+        # more contexts than one run holds take two runs
+        runs = []
+        real_fixpoint = stable_module._least_fixpoint
+        monkeypatch.setattr(stable_module, "_least_fixpoint", lambda *args: runs.append(1) or real_fixpoint(*args))
+        a, z = 1 << 3, 1 << 2990
+        contexts = [0, a, z, a | z] * (stable_module._RUN_BITS // 4 + 1)
+        clauses = (([1], [2], (), 0),)  # positions: h 0, a 1, z 2
+        got = stable_module._definition_models(clauses, 3, [0], [1 << 7], [(1, a), (2, z)], contexts)
+        assert got == [1 << 7 if c == a else 0 for c in contexts] and len(runs) == 2
+
+    def test_fixpoint_firings_follow_the_derivation(self):
+        # the 9-atom ring x_i -> x_(i+1) listed against its direction, then
+        # the seed top -> x0: one pass over the listing derives x0 alone,
+        # and from then on only the clause that reads the atom just derived
+        # fires, 19 firings in all, where rounds over the whole listing
+        # would derive one atom per round, 10 rounds of 10 firings
+        firings = []
+
+        class Counted(tuple):
+            def __iter__(self):
+                firings.append(1)
+                return super().__iter__()
+
+        ring = [Counted((1, (i,), (i + 1) % 9)) for i in reversed(range(9))]  # a firing unpacks its clause
+        fired = ring + [Counted((1, (), 0))]
+        assert stable_module._least_fixpoint(fired, 9) == [1] * 9
+        assert len(firings) == 19
+        # on three lanes, the ring switched off on the middle one and seeded
+        # at x4 on the outer two: it derives the outer two everywhere
+        firings.clear()
+        seeded = [Counted((0b101 if i == 6 else 0b111, (i,), (i + 1) % 9)) for i in reversed(range(9))]
+        seeded.append(Counted((0b101, (), 4)))
+        assert stable_module._least_fixpoint(seeded, 9) == [0b101] * 9
+        assert len(firings) <= 2 * len(seeded)
 
     @pytest.mark.parametrize("n", [3, 9, 18])
     def test_few_bitmasks_decode_as_many_do(self, n):

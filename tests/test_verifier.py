@@ -19,6 +19,7 @@ from astable import (
     parse_interpretation,
     parse_program,
 )
+from astable.formula import Program
 from astable.verifier import (
     GenConfig,
     SUITE_NAMES,
@@ -243,15 +244,17 @@ class TestDrawPins:
 
 
 # The routes each solver suite is named for.  The routes are those the
-# solvers choose between: how `modular_solve` takes a unit (`_unit_route`),
-# how `_parts` decides a part of A (by its loop formulas, as a definition
-# or by the fused check), which definition parts `_read_order` derives and
-# which it compares, and the sweeps that run.
+# solvers choose between: how `modular_solve` takes a unit (a definition by
+# the fixpoint of its clauses, every body read as literals or some compiled,
+# any other unit by `_unit_route`), how `_parts` decides a part of A (by its
+# loop formulas, as a definition or by the fused check), which definition
+# parts `_read_order` derives and which it compares, and the sweeps that
+# run.
 NAMED_FOR = {
-    "stable_definition": {"definition part", "definition unit", "derived part", "live lanes"},
+    "stable_definition": {"definition part", "definition unit", "literal definition unit", "derived part", "live lanes"},
     "stable_kernel": {"fused check"},
     "stable_loops": {"one-atom loop part", "multi-atom loop part", "wide part", "candidate sweep"},
-    "stable_modular": {"narrow unit", "definition unit", "wide unit", "packed run"},
+    "stable_modular": {"narrow unit", "definition unit", "literal definition unit", "wide unit", "packed run"},
     "stable_projection": {"two derived parts", "compared parts", "derived and compared parts", "live lanes under a context"},
     "stable_scc": {"multi-atom loop part", "wide part", "fused check"},
     "sweep_kleene": {"partly live chunk", "two partly live chunks"},
@@ -262,21 +265,25 @@ NAMED_FOR = {
 def route_table():
     """Per solver suite, its report at the default seed and 100 draws and
     the routes its draws reach, counted by spies on the choice points; and
-    the formulas of the wide units whose route the cap of `modular_solve`
-    reads otherwise than `_unit_route` takes it."""
+    the formulas of the units whose route the cap of `modular_solve` reads
+    otherwise than their step takes it."""
     from astable import formula, splitting, stable
 
     reached = Counter()
     misread = []
 
-    def unit_route(rules, prog, conjoin, unit, route):
-        if len(unit) <= stable._NARROW:
-            return ["narrow unit"]
-        atoms = {prog.atoms[b] for b in unit}
-        # the cap exempts a unit whose every piece is a clause of a definition
-        if all(type(stable._clause(r, atoms)) is not str for r in rules) != route[0]:
+    def definition(rules, atoms, q, literal, clauses):
+        # the cap exempts a unit whose every piece is a clause of a
+        # definition, at any width, and its step solves just those by the
+        # fixpoint of their clauses
+        if (clauses is None) != stable._enumerated(q, rules):
             misread.append(format_formula(conj([r.formula for r in rules])))
-        return ["definition unit" if route[0] else "wide unit"]
+        if clauses is None:
+            return []
+        return ["definition unit" if any(type(body) is Program for body, _, _, _ in clauses) else "literal definition unit"]
+
+    def unit_route(rules, prog, conjoin, unit, route):
+        return ["narrow unit" if len(unit) <= stable._NARROW else "wide unit"]
 
     def read_order(parts, order):
         derived, compared = order
@@ -286,6 +293,7 @@ def route_table():
         return routes
 
     spies = {
+        (splitting, "_definition"): definition,
         (splitting, "_unit_route"): unit_route,
         (stable, "_parts"): lambda rules, atoms, a, found: ["wide part" if c is None else "definition part" for _, c in found[0]],
         (stable, "_loop_formulas"): lambda comp, *_: ["one-atom loop part" if len(comp) == 1 else "multi-atom loop part"],
@@ -345,6 +353,8 @@ class TestRouteCoverage:
         assert not missing, f"{suite} reaches no {', '.join(sorted(missing))}"
 
     def test_the_cap_reads_each_wide_unit_as_its_route_does(self, route_table):
+        # every unit, narrow or wide: the cap skips the narrow ones, but they
+        # follow the same rule
         assert not route_table[1]
 
 
@@ -411,6 +421,66 @@ class TestStableDefinitionMutations:
 
         monkeypatch.setattr(stable, "_clause", first_disjunct)
         assert run_suite("stable_definition", self.CFG).fails > 0
+
+
+class TestLiteralDefinitionMutations:
+    """Each mutation of the literal reading of definition bodies, which
+    decides every definition unit of `modular_solve` whose bodies are made
+    of literals, patched in here, fails `stable_modular` or
+    `stable_definition`."""
+
+    CFG = GenConfig(iterations=100)  # the route table's 100 draws, which pass
+
+    @staticmethod
+    def _is_neg_atom(d) -> bool:
+        return isinstance(d, Impl) and isinstance(d.lhs, AtomRef) and d.rhs == Disj(())
+
+    def test_dropping_a_negated_body_atom_fails(self, monkeypatch):
+        from astable import stable
+
+        # `not e` read as no literal at all, so the body holds whatever e is
+        dropped = _mutant(stable, "_literals", "negated.append(position[d.lhs.atom])", "pass")
+        monkeypatch.setattr(stable, "_literals", dropped)
+        assert run_suite("stable_definition", self.CFG).fails > 0
+
+    def test_accepting_not_u_with_u_in_the_unit_fails(self, monkeypatch):
+        from astable import stable
+        from astable.formula import Rule
+
+        real = stable._clause
+
+        def negated_unit_atoms_allowed(rule, q):
+            # the atom u of a body conjunct `not u` no longer counts as a
+            # clause-body atom, so `not u` with u in q is read as a literal
+            c = rule[0]
+            if isinstance(c, Impl):
+                kids = c.lhs.children if isinstance(c.lhs, Conj) else (c.lhs,)
+                negated = {d.lhs.atom for d in kids if self._is_neg_atom(d)}
+                rule = Rule((*rule[:4], rule[4] - negated))
+            return real(rule, q)
+
+        monkeypatch.setattr(stable, "_clause", negated_unit_atoms_allowed)
+        assert run_suite("stable_modular", self.CFG).fails > 0
+
+    def test_reading_not_not_x_as_x_fails(self, monkeypatch):
+        from astable import stable
+        from astable.formula import read_rules
+
+        real = stable._clause
+
+        def double_negation_dropped(rule, q):
+            # each body conjunct `not not x` read as the atom x
+            c = rule[0]
+            if isinstance(c, Impl):
+                kids = c.lhs.children if isinstance(c.lhs, Conj) else (c.lhs,)
+                plain = [d.lhs.lhs if isinstance(d, Impl) and d.rhs == Disj(()) and self._is_neg_atom(d.lhs) else d for d in kids]
+                if any(p is not d for p, d in zip(plain, kids)):
+                    ante = conj(plain) if isinstance(c.lhs, Conj) else plain[0]
+                    rule = read_rules(Impl(ante, c.rhs))[0]
+            return real(rule, q)
+
+        monkeypatch.setattr(stable, "_clause", double_negation_dropped)
+        assert run_suite("stable_modular", self.CFG).fails > 0
 
 
 def _mutant(module, name: str, old: str, new: str):
