@@ -13,16 +13,16 @@ inside a unit, as the symmetric splitting theorem asks.  Each conjunct is
 read once, by one walk, into one record per piece
 (`formula.read_rules`): its atoms, heads, dependency edges and clause-body
 atoms.  The planner, the cap and every step read the records, and no
-other walker runs.  A unit that is a definition for its atoms is never
-compiled: its step reads its clauses off the records and takes their
-least fixpoint over every context at once (`stable._definition`,
-`stable._definition_models`); each piece of any other unit is compiled
-once, in its unit's step, where the unit is compiled, routed and
-decoded; how it is solved, its route, is for `stable` to choose and run
-(`_unit_route`, `_unit_models`), and this module never reads a route's
-fields.  It keeps the plan, the cap, which it reads off the records
-before solving any unit, the contexts each unit is solved in and the
-frontier.  Both strategies verify their
+other walker runs.  Every unit takes one step (`_extend_frontier`),
+which gathers the unit's distinct contexts once and joins the frontier
+with their extensions.  A unit that is a definition for its atoms is
+never compiled: its clauses are read off the records and their least
+fixpoint taken over every context at once (`stable._definition`,
+`stable._definition_models`); any other unit is enumerated, compiled and
+solved on its contexts by `stable` (`stable._unit_models`), which
+chooses how.  This module keeps the plan, the cap, which it reads off
+the records before solving any unit, the contexts each unit is solved in
+and the frontier.  Both strategies verify their
 preconditions by one check (`_violations`), which the unsound hunt of the
 verifier reads too, and share one enumerate-and-intersect tail; the
 modular solver refuses with SplitPlanError when one piece's strictly
@@ -55,7 +55,6 @@ from .formula import (
     Rule,
     _check_cap,
     atoms_of,
-    compile_extensible,
     conj,
     read_rules,
     satisfies,  # not called here; perfbench/spans.py wraps this name
@@ -69,7 +68,6 @@ from .stable import (
     _definition_models,
     _enumerated,
     _unit_models,
-    _unit_route,
     enumerate_a_stable,
     format_interpretation,
     is_a_stable,  # not called here; perfbench/spans.py wraps this name
@@ -269,43 +267,32 @@ def _shared(frontier: list[int], extensions: Sequence[int], max_atoms: int) -> l
 
 
 def _extend_frontier(
-    frontier: list[int], unit_atoms: AbstractSet[Atom], rules: Sequence[Rule], bit: dict[Atom, int], solved: dict, max_atoms: int
+    frontier: list[int], unit_atoms: AbstractSet[Atom], rules: Sequence[Rule], bit: dict[Atom, int], max_atoms: int
 ) -> list[int]:
     """Every frontier entry joined with each stable extension of the unit
     with these atoms and rules, all as bitmasks (`bit` maps atoms to their
     bits; an atom the rules mention without a bit is always false), in no
     particular order.  The extensions depend only on the context, the
-    entry's values of the non-unit atoms the rules mention, so each
-    distinct context is solved once.
+    entry's values of the non-unit atoms the rules mention, so the step
+    gathers the distinct contexts once, with the positions of the unit's
+    atoms among the sorted atoms of its rules and their bits over sigma,
+    and solves each context once.
 
     A unit that is a definition for its atoms (see `stable._enumerated`),
-    at any width, is never compiled: its clauses are read off the records
-    at the positions of the unit's sorted atoms (`stable._definition`, its
-    bodies as literals where they are made of them), and one least
-    fixpoint over the distinct contexts, one byte lane each, gives each
-    context its one extension (`stable._definition_models`).  Any other
-    unit is compiled here, the conjunction of its rules' formulas in the
-    order given, each walked once (`formula.compile_extensible`), and its
-    route (see `stable._unit_route`) is built once per shape: it depends
-    only on the shape of the program and where the unit atoms sit in it,
-    so `solved` shares it, and the extensions it has found, between
-    isomorphic units, such as the ground instances of one rule; each
-    context is solved on it, its A-stable assignments, A = the unit's
-    atoms, with the context fixed (`stable._unit_models`).
+    at any width, has one extension per context, the least fixpoint of its
+    clauses, read off the records (`stable._definition`) and run over
+    every context at once, one byte lane each, with no compile of the unit
+    (`stable._definition_models`).  Any other unit is enumerated: compiled
+    and solved on each context (`stable._unit_models`), its extensions
+    spread to the bits over sigma by one `stable._decode` call.
 
-    The extensions of every context are spread to the bits over sigma at
-    once, by one `stable._decode` call (for a definition, inside
-    `_definition_models`).  The new frontier is built in C-level passes
-    where the extensions allow: a unit that reads no decided atom has one
-    context, and every entry takes the same extensions (`_shared`), as
-    does a definition whose entries all share one context; a unit with one
-    extension per context, such as every definition, joins each entry with
-    its context's one.
+    One join follows, built in C-level passes where the extensions allow:
+    when every entry has one context, such as a unit that reads no decided
+    atom, every entry takes the same extensions (`_shared`); with one
+    extension per context, as for every definition, each entry is joined
+    with its context's one; otherwise with each of its context's.
     """
     atoms = sorted(unit_atoms.union(*[r.atoms for r in rules]))
-    clauses = _definition(rules, atoms, unit_atoms, True)
-    if clauses is None:
-        return _enumerated_step(frontier, unit_atoms, rules, bit, solved, max_atoms)
     unit: list[int] = []  # positions over atoms
     sig_bits: list[int] = []
     context: list[tuple[int, int]] = []  # (position over atoms, bit over sigma)
@@ -319,54 +306,22 @@ def _extend_frontier(
             context.append((b, k))
             ctx_mask |= k
     contexts = list(set(map(ctx_mask.__and__, frontier)))
-    spread = _definition_models(clauses, len(atoms), unit, sig_bits, context, contexts)
+    clauses = _definition(rules, atoms, unit_atoms)
+    if clauses is None:
+        found = _unit_models(rules, unit, context, contexts)
+        spread = _decode([e for ext in found for e in ext], sig_bits, sum)
+    else:
+        found = None  # one extension per context
+        spread = _definition_models(clauses, len(atoms), unit, sig_bits, context, contexts)
     if len(contexts) == 1:
         return _shared(frontier, spread, max_atoms)
-    memo = dict(zip(contexts, spread))
-    return list(map(or_, frontier, map(memo.__getitem__, map(ctx_mask.__and__, frontier))))
-
-
-def _enumerated_step(
-    frontier: list[int], unit_atoms: AbstractSet[Atom], rules: Sequence[Rule], bit: dict[Atom, int], solved: dict, max_atoms: int
-) -> list[int]:
-    """`_extend_frontier` for a unit that is no definition for its atoms,
-    such as a residual piece or a choice: compiled, and solved on its
-    route once per shape and context."""
-    prog, conjoin = compile_extensible([r.formula for r in rules])
-    unit: list[int] = []  # positions over prog.atoms
-    sig_bits: list[int] = []
-    context: list[tuple[int, int]] = []  # (bit over sigma, bit over prog.atoms)
-    ctx_mask = 0
-    for b, x in enumerate(prog.atoms):
-        if x in unit_atoms:
-            unit.append(b)
-            sig_bits.append(bit[x])
-        else:
-            context.append((bit.get(x, 0), 1 << b))
-            ctx_mask |= bit.get(x, 0)
-    key = (prog.ops, prog.root, len(prog.atoms), tuple(unit))
-    route = solved.get(key)
-    if route is None:
-        route = solved[key] = _unit_route(rules, prog, conjoin, unit)
-    heres: dict[int, int] = {}  # each distinct context, over prog.atoms
-    for ctx in set(map(ctx_mask.__and__, frontier)):
-        here = 0
-        for sig_bit, prog_bit in context:
-            if ctx & sig_bit:
-                here |= prog_bit
-        heres[ctx] = here
-    found = _unit_models(route, heres.values())
-    extensions = list(map(found.__getitem__, heres.values()))
-    spread = _decode([e for ext in extensions for e in ext], sig_bits, sum)
-    if not ctx_mask:
-        return _shared(frontier, spread, max_atoms)
-    if len(spread) == len(heres) and all(extensions):
+    if found is None or len(spread) == len(contexts) and all(found):
         # one extension per context, so the frontier keeps its size, which
         # the cap has already passed
-        memo = dict(zip(heres, spread))
+        memo = dict(zip(contexts, spread))
         return list(map(or_, frontier, map(memo.__getitem__, map(ctx_mask.__and__, frontier))))
     spread = iter(spread)
-    memo = {ctx: list(itertools.islice(spread, len(ext))) for ctx, ext in zip(heres, extensions)}
+    memo = {ctx: list(itertools.islice(spread, len(ext))) for ctx, ext in zip(contexts, found)}
     _check_frontier(sum(map(len, map(memo.__getitem__, map(ctx_mask.__and__, frontier)))), max_atoms)
     return [m | e for m in frontier for e in memo[m & ctx_mask]]
 
@@ -396,8 +351,8 @@ def modular_solve(
     this is its completion, Erdem & Lifschitz, TPLP 2003), read off the
     records and run once over all of its distinct contexts.  Any other
     unit is compiled in its own step and solved once per distinct context
-    on the route that `stable._unit_route` picks for its shape, with A =
-    the unit's atoms and the context fixed.  Residual pieces, which have
+    (`stable._unit_models`), with A = the unit's atoms and the context
+    fixed.  Residual pieces, which have
     no strictly positive intensional atoms, only filter the models
     classically: each is a unit with no atoms, solved the same way right
     after the step that decides the last of its intensional atoms, or
@@ -446,7 +401,6 @@ def modular_solve(
     frontier = [0]
     for x in sig - a:
         frontier += [m | bit[x] for m in frontier]
-    solved: dict[tuple, tuple] = {}  # see _extend_frontier
     for atoms, rules in steps:
-        frontier = _extend_frontier(frontier, atoms, rules, bit, solved, max_atoms)
+        frontier = _extend_frontier(frontier, atoms, rules, bit, max_atoms)
     return ModelSet.from_masks(frontier, order, sig)

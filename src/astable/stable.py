@@ -466,12 +466,13 @@ def is_a_stable_ht(f: Formula, interp: AbstractSet[Atom], a: AbstractSet[Atom]) 
 _NARROW = 6  # a part this small is decided by its loop formulas, at most 63; so few atoms take one run in all
 _RUN_BITS = 1 << _CHUNK_BITS  # lanes of one fixpoint run, a byte each
 
-# A clause `H & C -> h` of a definition: H as its program and the
-# positions of that program's atoms, or, read as literals (see
-# `_literals`), the positions of its atoms and of its negated atoms; then
-# the positions of C and the position of h, all positions into the
-# columns of one fixpoint run (see `_least_fixpoint`).
-Clause = tuple[Program | Sequence[int], Sequence[int], Sequence[int], int]
+# A clause `H & C -> h` of a definition: H, as its program or, where it
+# is made of literals (see `_literals`), as the positions of its atoms and
+# of its negated atoms; the positions of every atom H mentions, in the
+# order of its program's atoms when it has one; the positions of C; and
+# the position of h, all positions into the columns of one fixpoint run
+# (see `_least_fixpoint`).
+Clause = tuple[Program | tuple[Sequence[int], Sequence[int]], Sequence[int], Sequence[int], int]
 Part = tuple[int, tuple[Clause, ...] | None]  # (bitmask, clauses when the part is a definition)
 
 
@@ -522,13 +523,12 @@ def _literals(body: Formula, position) -> tuple[list[int], list[int]] | None:
     return atoms, negated
 
 
-def _definition(rules: Iterable[Rule], atoms: Sequence[Atom], q: AbstractSet[Atom], literal: bool = False) -> tuple[Clause, ...] | None:
+def _definition(rules: Iterable[Rule], atoms: Sequence[Atom], q: AbstractSet[Atom]) -> tuple[Clause, ...] | None:
     """The rules as the clauses of a definition for the atoms q, at their
     positions in `atoms`, which hold every atom of the rules, or None when
     one of them is no clause of such a definition (see `_clause`).  Each
-    body is compiled, once per body object, or, with `literal`, read as
-    its literals where it is made of them (see `_literals`) and compiled
-    only where it is not."""
+    body is read as its literals where it is made of them (see
+    `_literals`), and any other body is compiled, once per body object."""
     found = []
     for rule in rules:
         clause = _clause(rule, q)
@@ -536,11 +536,13 @@ def _definition(rules: Iterable[Rule], atoms: Sequence[Atom], q: AbstractSet[Ato
             return None
         found.append(clause)
     position = {x: b for b, x in enumerate(atoms)}
-    compiled: dict[int, tuple] = {}  # per body object, such as the many `top`s of a ring
+    compiled: dict[int, tuple] = {}  # per compiled body object
     out = []
     for body, pos_q, head in found:
-        got = _literals(body, position) if literal else None
-        if got is None:
+        literals = _literals(body, position)
+        if literals is not None:
+            got = literals, literals[0] + literals[1]
+        else:
             got = compiled.get(id(body))
             if got is None:
                 body_prog = compile_formula(body)
@@ -559,7 +561,7 @@ def _parts(rules: Sequence[Rule], atoms: Sequence[Atom], a: AbstractSet[Atom]) -
     dependency graph of f over those atoms, and each part's defining
     conjuncts are the rules, one per piece of f, whose heads meet it, all
     read off the records (see `formula.Rule`).  This is where a part's
-    route is chosen, as `_unit_route` chooses a modular unit's and
+    route is chosen, as `_unit_models` chooses a modular unit's and
     `_read_order` which definition parts are derived.
 
     Why a classical model I of f is C-stable for a part C of at most
@@ -592,8 +594,8 @@ def _parts(rules: Sequence[Rule], atoms: Sequence[Atom], a: AbstractSet[Atom]) -
        very object, stands for it, and compiling f with its loop formulas
        shares B's ops.
     A wider part that is a definition (see `_clause`) comes with its
-    compiled clauses (see `_definition`): by step 2 and the paper's theorem
-    on definitions, I is C-stable iff its atoms of C are the least fixpoint
+    clauses (see `_definition`): by step 2 and the paper's theorem on
+    definitions, I is C-stable iff its atoms of C are the least fixpoint
     of their clauses over I's other atoms.  So `_stable_models` derives
     such a part's atoms instead of sweeping them, unless it lies on a cycle
     of body reads between definition parts (see `_read_order`); then they
@@ -744,9 +746,9 @@ def _fire(clauses: Iterable[Clause], columns: Sequence[int], ones: int) -> list[
             live = body.run([columns[b] for b in reads], ones, ones)
         else:
             live = ones
-            for b in body:
+            for b in body[0]:
                 live &= columns[b]
-            for b in reads:
+            for b in body[1]:
                 live &= ~columns[b]
         out.append((live, pos, head))
     return out
@@ -863,7 +865,7 @@ def _read_order(parts: Sequence[Part]) -> tuple[list[Part], list[Part]]:
     listed after each part it reads: Tarjan's algorithm closes the
     component of a part after those of the parts it reads."""
     defined = [p for p in parts if p[1] is not None]
-    reads = [sum({1 << b for _, body_pos, _, _ in clauses for b in body_pos}) for _, clauses in defined]
+    reads = [sum({1 << b for _, body_reads, _, _ in clauses for b in body_reads}) for _, clauses in defined]
     comps, _ = strong_components([[j for j, (q, _) in enumerate(defined) if q & r] for r in reads])
     derived = [defined[comp[0]] for comp in comps if len(comp) == 1]
     return derived, [defined[i] for comp in comps if len(comp) > 1 for i in comp]
@@ -1054,34 +1056,38 @@ def _enumerated(atoms: AbstractSet[Atom], rules: Iterable[Rule]) -> bool:
     return any(type(_clause(r, atoms)) is str for r in rules)
 
 
-def _unit_route(rules: Sequence[Rule], prog: Program, conjoin, unit: Sequence[int]) -> tuple:
-    """How `splitting.modular_solve` solves an enumerated unit (see
-    `_enumerated`), the atoms at positions `unit` of prog.atoms, all
-    intensional, when the rules' formulas compile as prog and `conjoin`
-    continues the walk that compiled them (see `compile_extensible`):
-    (prog, unit, the parts, the swept program, the assignments found per
-    context so far).  A unit of at most `_NARROW` atoms takes the one
-    packed run; a wider one the sweep with the parts of its atoms (see
-    `_parts`).  A unit that is a definition never gets here: its step
-    reads its clauses instead of compiling it (see `_definition_models`).
+def _unit_models(
+    rules: Sequence[Rule], unit: Sequence[int], context: Sequence[tuple[int, int]], contexts: Sequence[int]
+) -> list[list[int]]:
+    """Per context, in order, the A-stable assignments of an enumerated
+    unit of `splitting.modular_solve` (see `_enumerated`) with these rules,
+    A = the unit's atoms, at positions `unit` of the sorted atoms of the
+    rules, with the context fixed: bit j of each for the atom at position
+    unit[j].  A context is a bitmask over sigma, read as in
+    `_definition_models`.
+
+    The conjunction of the rules' formulas, in the order given, is compiled
+    by one walk (`formula.compile_extensible`), and each context is solved
+    by one `_stable_models` call on it: a unit of at most `_NARROW` atoms
+    by one packed run, a wider one by the sweep with the parts of its
+    atoms (see `_parts`), its loop formulas conjoined by continuing that
+    walk.  A unit that is a definition never gets here: its step reads its
+    clauses instead of compiling it (see `_definition_models`).
     """
-    if len(unit) <= _NARROW:
-        return prog, unit, (), None, {}
-    parts, loop_formulas = _parts(rules, prog.atoms, frozenset(map(prog.atoms.__getitem__, unit)))
-    return prog, unit, parts, conjoin(loop_formulas) if loop_formulas else None, {}
-
-
-def _unit_models(route: tuple, heres: Iterable[int]) -> dict[int, Sequence[int]]:
-    """The unit's stable assignments on `route` (see `_unit_route`) per
-    context, the bitmask over prog.atoms of the true atoms outside the
-    unit: a dict that holds each of `heres`, and every context solved on
-    the route before.  Each context is solved once, by one `_stable_models`
-    call."""
-    prog, var, parts, swept, found = route
-    for here in heres:
-        if here not in found:
-            found[here] = _stable_models(prog, var, here, (1 << len(var)) - 1, parts, swept)
-    return found
+    prog, conjoin = compile_extensible([r.formula for r in rules])
+    parts, swept = (), None
+    if len(unit) > _NARROW:
+        parts, loop_formulas = _parts(rules, prog.atoms, frozenset(map(prog.atoms.__getitem__, unit)))
+        swept = conjoin(loop_formulas) if loop_formulas else None
+    a = (1 << len(unit)) - 1
+    out = []
+    for ctx in contexts:
+        here = 0
+        for b, k in context:
+            if ctx & k:
+                here |= 1 << b
+        out.append(_stable_models(prog, unit, here, a, parts, swept))
+    return out
 
 
 def enumerate_a_stable(
@@ -1097,7 +1103,7 @@ def enumerate_a_stable(
     atoms must be supplied explicitly since they change the result.  f is
     compiled once, and `_stable_models` finds the A-stable assignments to
     all of its atoms, the routine that also solves every unit of
-    `splitting.modular_solve` but a definition (see `_unit_route`): with at
+    `splitting.modular_solve` but a definition (see `_unit_models`): with at
     most `_NARROW` atoms by one packed run over every assignment, else one
     part of A at a time (see `_parts`, which reads the records of f's
     pieces, `formula.read_rules`).  A part is a strongly connected

@@ -568,7 +568,9 @@ def _both_solvers(conjuncts: list[Formula], a: frozenset[Atom], pool: Sequence[A
 def _suite_stable_modular(rng, cfg, unsound):
     """Rule-shaped programs on at most 6 atoms with choices, an even
     negative cycle and extensional atoms, so that `modular_solve` extends
-    several contexts unit by unit.  A quarter of the draws are 8 or 9
+    several contexts unit by unit; two in five of them hold a clause `not
+    not x -> y`, whose body is compiled where the unit of y is a
+    definition.  A quarter of the draws are 8 or 9
     atoms around an intensional switched ring of 7 (`_gen_ring`), a unit
     wider than `_NARROW`, whose switches and seeds read the other atoms,
     some seeds through `not not`;
@@ -602,6 +604,11 @@ def _suite_stable_modular(rng, cfg, unsound):
         conjuncts.append(disj((AtomRef(x), neg(AtomRef(x)))))  # frontier entries per choice
     if rng.random() < 0.2:
         conjuncts.append(_gen(rng, pool, 2, cfg))
+    if rng.random() < 0.4:
+        # the body `not not x` is no conjunction of literals, so the unit
+        # of y, a definition unless it holds x, compiles it
+        x, y = (AtomRef(x) for x in rng.sample(pool, 2))
+        conjuncts.append(Impl(neg(neg(x)), y))
     if len(pool) > 1 and rng.random() < 0.2:
         # an even negative cycle: two atoms that mention each other only
         # through negation, one unit of two dependency blocks

@@ -392,18 +392,24 @@ class TestPlanSplit:
 
 
 def _swept_routes(monkeypatch) -> list:
-    """The rules of the units whose route, built by `stable._unit_route`,
-    sweeps a program with loop formulas, one per route built."""
-    found = []
-    real = splitting._unit_route
+    """The rules of the units that `stable._unit_models` solves on a swept
+    program with loop formulas, one per unit."""
+    found, swept = [], []
+    real_models, real_solve = splitting._unit_models, stable._stable_models
 
-    def spy(rules, prog, conjoin, unit):
-        route = real(rules, prog, conjoin, unit)
-        if route[4] is not None:
+    def solve(prog, var, here, a, parts=(), sweep=None):
+        swept.append(sweep)
+        return real_solve(prog, var, here, a, parts, sweep)
+
+    def spy(rules, *rest):
+        swept.clear()
+        out = real_models(rules, *rest)
+        if any(sweep is not None for sweep in swept):
             found.append(rules)
-        return route
+        return out
 
-    monkeypatch.setattr(splitting, "_unit_route", spy)
+    monkeypatch.setattr(stable, "_stable_models", solve)
+    monkeypatch.setattr(splitting, "_unit_models", spy)
     return found
 
 
@@ -440,13 +446,10 @@ class TestModularSolve:
             "spanning multiple dependency blocks")
         assert caught.value.conjunct is conjuncts[0]
 
-    def test_isomorphic_blocks_share_solutions(self, monkeypatch):
+    def test_isomorphic_blocks_share_solutions(self):
         # q1 -> q0 ... q5 -> q4 and r1 -> r0 ... r5 -> r4 with the fact r5:
-        # the blocks of both chains compile to the same shape, and each
-        # shape is solved once per context, q's false and r's true
-        solves = []
-        real = stable._stable_models
-        monkeypatch.setattr(stable, "_stable_models", lambda *args: solves.append(1) or real(*args))
+        # the blocks of both chains have one shape, each a definition unit
+        # decided by the fixpoint of its clauses
         q = [Atom(f"q{i}") for i in range(6)]
         r = [Atom(f"r{i}") for i in range(6)]
         conjuncts = [impl(AtomRef(x[k + 1]), AtomRef(x[k])) for x in (q, r) for k in range(5)]
@@ -454,7 +457,6 @@ class TestModularSolve:
         sigma = frozenset(q + r)
         got = modular_solve(conjuncts, sigma, sigma)
         assert got.as_set() == enumerate_a_stable(conj(conjuncts), sigma, sigma).as_set() == {frozenset(r)}
-        assert len(solves) < len(sigma)
 
     def test_guard_plus_facts_example(self):
         conjuncts = [G, AtomRef(PA), AtomRef(PB)]
@@ -526,17 +528,17 @@ class TestModularSolve:
             assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, a)
         assert len(supported) >= 10
 
-    def test_isomorphic_units_share_one_swept_program(self, monkeypatch):
+    def test_isomorphic_units_each_sweep_their_loop_formulas(self, monkeypatch):
         # two negative 8-cycles over x and y: units of one shape, each
-        # decided by the sweep with its loop formulas, whose program is
-        # compiled once
+        # compiled in its own step and decided by the sweep with its loop
+        # formulas
         supported = _swept_routes(monkeypatch)
         cycles = [[Atom(f"{name}{i}") for i in range(8)] for name in "xy"]
         conjuncts = [impl(neg(AtomRef(c[i])), AtomRef(c[(i + 1) % 8])) for c in cycles for i in range(8)]
         sigma = frozenset(cycles[0] + cycles[1])
         got = modular_solve(conjuncts, sigma, sigma)
         assert got.as_set() == {frozenset(cycles[0][i::2] + cycles[1][j::2]) for i in (0, 1) for j in (0, 1)}
-        assert len(supported) == 1
+        assert len(supported) == 2
 
     def test_unit_of_two_loops_is_walked_by_the_compiler_once(self, monkeypatch):
         # the 4-loops a0 -> ... -> a3 -> a0 and b0 -> ... -> b3 -> b0 joined
@@ -666,23 +668,23 @@ class TestModularSolve:
 
     def test_each_constraint_is_solved_on_its_own_contexts(self, monkeypatch):
         # six constraints not (c_2i & c_2i+1) on twelve choices: each is a
-        # block with no atoms whose contexts are its own two atoms, and all
-        # six share one shape, so at most four contexts are ever solved
+        # block with no atoms whose contexts are its own two atoms, so it is
+        # solved on at most four contexts
         empty = []
-        real = stable._stable_models
+        real = splitting._unit_models
 
-        def spy(prog, var, *rest):
-            if not var:
-                empty.append(rest)
-            return real(prog, var, *rest)
+        def spy(rules, unit, context, contexts):
+            if not unit:
+                empty.append(len(contexts))
+            return real(rules, unit, context, contexts)
 
-        monkeypatch.setattr(stable, "_stable_models", spy)
+        monkeypatch.setattr(splitting, "_unit_models", spy)
         cs = [Atom(f"c{i:02d}") for i in range(12)]
         conjuncts = [disj([AtomRef(c), neg(AtomRef(c))]) for c in cs]
         conjuncts += [neg(conj([AtomRef(cs[2 * i]), AtomRef(cs[2 * i + 1])])) for i in range(6)]
         got = modular_solve(conjuncts, frozenset(cs), frozenset(cs))
         assert len(got) == 3**6
-        assert 0 < len(empty) <= 4
+        assert len(empty) == 6 and all(0 < n <= 4 for n in empty)
 
     def test_block_wider_than_a_sweep_chunk(self):
         # a 17-atom positive cycle seeded by the extensional atom e: the block
@@ -1069,12 +1071,15 @@ class TestOneWalkPerConjunct:
         assert len(got) == (1 if compiled_count == 0 else 3) and (want is None or got == want)
 
     def test_enumerate_walks_the_formula_once_then_loop_formulas_and_bodies(self, monkeypatch):
-        # a 9-atom ring seeded by `not x` is a definition part, whose clause
-        # bodies are the one `top` and `not x`, and each atom of the 16-atom
+        # a 9-atom ring seeded by `not x` and `not not x` is a definition
+        # part, whose clause bodies are the one `top` and `not x`, read as
+        # literals, and `not not x`, compiled; each atom of the 16-atom
         # chain is a part of one atom, decided by its loop formulas
         ring = [AtomRef(Atom(f"q{i}")) for i in range(9)]
         x = AtomRef(Atom("x"))
-        f = conj([impl(a, b) for a, b in zip(ring, ring[1:] + ring[:1])] + [impl(neg(x), ring[0]), disj([x, neg(x)])])
+        nested = neg(neg(x))
+        seeds = [impl(neg(x), ring[0]), impl(nested, ring[4]), disj([x, neg(x)])]
+        f = conj([impl(a, b) for a, b in zip(ring, ring[1:] + ring[:1])] + seeds)
         atoms = atoms_of(f)
         loop_formulas, bodies = [], []
         real_loops, real_compile = stable._loop_formulas, stable.compile_formula
@@ -1096,7 +1101,7 @@ class TestOneWalkPerConjunct:
             assert walked[0] is g and others == [("read", g)]  # its parts are read off its record
             assert sorted(map(id, walked[1:])) == sorted(map(id, loop_formulas + bodies))
             assert len({id(b) for b in bodies}) == len(bodies)
-            assert bodies if g is f else loop_formulas  # the ring's two bodies; the chain's loop formulas
+            assert bodies == [nested] if g is f else loop_formulas  # the ring's compiled body; the chain's loop formulas
         monkeypatch.undo()
         assert len(enumerate_a_stable(f, atoms, atoms)) == 2
 

@@ -27,6 +27,7 @@ from astable import (
     is_a_stable,
     leq_a,
     modred,
+    modular_solve,
     neg,
     parse_program,
     reduct,
@@ -46,7 +47,7 @@ from astable.stable import (
     _read_order,
     _stable_models,
     _stable_subset,
-    _unit_route,
+    _unit_models,
 )
 import astable.formula as formula_module
 import astable.stable as stable_module
@@ -492,10 +493,11 @@ class TestDefinitionParts:
         q_mask, clauses = defined[0]
         assert {x for b, x in enumerate(prog.atoms) if q_mask >> b & 1} == q_set
         assert len(clauses) == 9 + 27
-        for body, body_pos, pos, head in clauses:
+        for body, reads, pos, head in clauses:
+            # every body, p(x,y) or top, is read as its literals
             assert prog.atoms[head] in q_set and {prog.atoms[b] for b in pos} <= q_set
-            assert [prog.atoms[b] for b in body_pos] == list(body.atoms)
-            assert not q_set & set(body.atoms)
+            assert body == (reads, []) and len(reads) <= 1
+            assert not q_set & {prog.atoms[b] for b in reads}
         # q(x,x) & q(x,x) -> q(x,x) is the one-atom body of the 3 clauses with x = y = z
         assert sorted(len(pos) for _, _, pos, _ in clauses) == [0] * 9 + [1] * 3 + [2] * 24
 
@@ -521,33 +523,34 @@ class TestDefinitionParts:
         assert stable
 
     def test_a_ring_unit_compiles_each_body_object_once(self, monkeypatch):
-        # a 9-atom ring unit of a layered chain: 9 of its 10 clause bodies
-        # are the one `top`, and the seed's body is `not x`; compiled, each
-        # body object once, or read as literals, with no compile at all
+        # a 9-atom ring unit of a layered chain: 9 of its 12 clause bodies
+        # are the one `top`, read as literals, one is `not x`, read as a
+        # literal too, and the seeds q0 and q4 share the one body object
+        # `not not x`, compiled once
         ring = [f"q{i}" for i in range(9)]
         f = _program(_ring(ring) + ["not x -> q0"])
-        rules = read_rules(f)
+        nested = neg(neg(atom("x")))
+        rules = read_rules(conj([f, impl(nested, atom("q0")), impl(nested, atom("q4"))]))
         atoms = sorted(atoms_of(f))
         q = frozenset(Atom(r) for r in ring)
         compiled = []
         real = stable_module.compile_formula
         monkeypatch.setattr(stable_module, "compile_formula", lambda g: compiled.append(g) or real(g))
         clauses = stable_module._definition(rules, atoms, q)
-        assert len(clauses) == 10
-        assert compiled == [TOP, neg(atom("x"))] or compiled == [neg(atom("x")), TOP]
-        assert len({id(body) for body, _, _, _ in clauses}) == 2
-        compiled.clear()
-        literal = stable_module._definition(rules, atoms, q, True)
-        assert not compiled and len(literal) == 10
+        assert compiled == [nested] and len(clauses) == 12
         x = atoms.index(Atom("x"))
-        assert sorted((list(body), list(negated)) for body, negated, _, _ in literal) == [([], [])] * 9 + [([], [x])]
+        literal = [(body, list(reads)) for body, reads, _, _ in clauses if type(body) is tuple]
+        assert sorted(literal) == [(([], []), [])] * 9 + [(([], [x]), [x])]
+        assert [reads for body, reads, _, _ in clauses if type(body) is not tuple] == [[x], [x]]
         # each extension is the least fixpoint: the whole ring when x is
-        # false, and no atom of it when x is true
+        # false, and, without the seeds `not not x`, no atom of it when x is
+        # true
         unit = [b for b, y in enumerate(atoms) if y in q]
         sig_bits = [1 << (6 + j) for j in range(9)]
-        for found in (clauses, literal):
+        whole = (1 << 15) - (1 << 6)
+        for found, with_x in ((clauses, whole), (clauses[:10], 0)):
             for contexts in ([0, 1 << 5], [0], [1 << 5]):
-                extensions = [0 if c else (1 << 15) - (1 << 6) for c in contexts]
+                extensions = [with_x if c else whole for c in contexts]
                 assert stable_module._definition_models(found, len(atoms), unit, sig_bits, [(x, 1 << 5)], contexts) == extensions
 
     def test_narrow_programs_and_parts_are_never_recognized(self, monkeypatch):
@@ -561,10 +564,8 @@ class TestDefinitionParts:
         real_parts = stable_module._parts
         monkeypatch.setattr(stable_module, "_parts", lambda *args: parted.append(args) or real_parts(*args))
         small = _program(_ring([f"r{i}" for i in range(_NARROW)]))
-        rules = read_rules(small)
-        prog, conjoin = compile_extensible((small,))
         assert len(enumerate_a_stable(small, atoms_of(small))) == 1
-        assert _unit_route(rules, prog, conjoin, range(_NARROW))[2:4] == ((), None)
+        assert _unit_models(read_rules(small), range(_NARROW), [], [0]) == [[0]]
         assert not parted
         wide = _program(_ring([f"r{i}" for i in range(_NARROW)]) + _choices(4))
         prog = compile_formula(wide)
@@ -685,6 +686,43 @@ class TestDerivedParts:
         assert got.as_set() == {p_atoms | {Atom("c")}, p_atoms, q_atoms}
         assert swept == [15] and lanes == [(15, [], [7, 7], False)]
 
+    @staticmethod
+    def _rings_read_through_a_positive_literal():
+        """The 7-rings y and x, where y reads x through `not x3 -> y0` and x
+        reads y through the literal body of `y3 -> x0`, and `e -> y0` with
+        e extensional: (what `enumerate_a_stable` and `modular_solve` give,
+        the reference models).  The rings read each other, so both must be
+        compared with their fixpoints; the one model holds every atom."""
+        y, x = ([AtomRef(Atom(f"{k}{i}")) for i in range(7)] for k in "yx")
+        e = AtomRef(Atom("e"))
+        conjuncts = [impl(r[i], r[(i + 1) % 7]) for r in (y, x) for i in range(7)]
+        conjuncts += [impl(neg(x[3]), y[0]), impl(y[3], x[0]), impl(e, y[0])]
+        a = frozenset(v.atom for v in y + x)
+        sigma, f = a | {e.atom}, conj(conjuncts)
+        got = enumerate_a_stable(f, a, sigma).as_set(), modular_solve(conjuncts, a, sigma).as_set()
+        return got, brute_a_stable(f, sigma, a)
+
+    def test_parts_reading_each_other_through_a_positive_literal_stay_swept(self):
+        (enumerated, modular), want = self._rings_read_through_a_positive_literal()
+        assert enumerated == modular == want and len(want) == 1
+
+    def test_reading_only_the_negated_literals_of_a_body_loses_the_cycle(self, monkeypatch):
+        # a `_read_order` that takes only a literal body's negated positions
+        # as what it reads misses `y3 -> x0`, derives x before y, and
+        # loses the model
+        real = stable_module._read_order
+
+        def negated_only(parts):
+            return real([
+                (part, None if clauses is None else tuple(
+                    (body, body[1] if type(body) is tuple else reads, pos, head) for body, reads, pos, head in clauses))
+                for part, clauses in parts
+            ])
+
+        monkeypatch.setattr(stable_module, "_read_order", negated_only)
+        (enumerated, modular), want = self._rings_read_through_a_positive_literal()
+        assert enumerated == modular == set() != want
+
     def test_parts_are_derived_after_the_parts_they_read(self, monkeypatch):
         # three 7-rings: r seeded by the choice c, q by r, p by the absence
         # of q; listed p, q, r in the program, derived r, q, p
@@ -747,7 +785,7 @@ class TestDerivedParts:
         monkeypatch.setattr(stable_module, "_least_fixpoint", lambda *args: runs.append(1) or real_fixpoint(*args))
         a, z = 1 << 3, 1 << 2990
         contexts = [0, a, z, a | z] * (stable_module._RUN_BITS // 4 + 1)
-        clauses = (([1], [2], (), 0),)  # positions: h 0, a 1, z 2
+        clauses = ((([1], [2]), [1, 2], (), 0),)  # positions: h 0, a 1, z 2
         got = stable_module._definition_models(clauses, 3, [0], [1 << 7], [(1, a), (2, z)], contexts)
         assert got == [1 << 7 if c == a else 0 for c in contexts] and len(runs) == 2
 

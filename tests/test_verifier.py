@@ -246,7 +246,7 @@ class TestDrawPins:
 # The routes each solver suite is named for.  The routes are those the
 # solvers choose between: how `modular_solve` takes a unit (a definition by
 # the fixpoint of its clauses, every body read as literals or some compiled,
-# any other unit by `_unit_route`), how `_parts` decides a part of A (by its
+# any other unit by `_unit_models`), how `_parts` decides a part of A (by its
 # loop formulas, as a definition or by the fused check), which definition
 # parts `_read_order` derives and which it compares, and the sweeps that
 # run.
@@ -272,7 +272,7 @@ def route_table():
     reached = Counter()
     misread = []
 
-    def definition(rules, atoms, q, literal, clauses):
+    def definition(rules, atoms, q, clauses):
         # the cap exempts a unit whose every piece is a clause of a
         # definition, at any width, and its step solves just those by the
         # fixpoint of their clauses
@@ -282,7 +282,7 @@ def route_table():
             return []
         return ["definition unit" if any(type(body) is Program for body, _, _, _ in clauses) else "literal definition unit"]
 
-    def unit_route(rules, prog, conjoin, unit, route):
+    def unit_models(rules, unit, context, contexts, found):
         return ["narrow unit" if len(unit) <= stable._NARROW else "wide unit"]
 
     def read_order(parts, order):
@@ -294,7 +294,7 @@ def route_table():
 
     spies = {
         (splitting, "_definition"): definition,
-        (splitting, "_unit_route"): unit_route,
+        (splitting, "_unit_models"): unit_models,
         (stable, "_parts"): lambda rules, atoms, a, found: ["wide part" if c is None else "definition part" for _, c in found[0]],
         (stable, "_loop_formulas"): lambda comp, *_: ["one-atom loop part" if len(comp) == 1 else "multi-atom loop part"],
         (stable, "_read_order"): read_order,
@@ -351,6 +351,12 @@ class TestRouteCoverage:
         table, _ = route_table
         missing = NAMED_FOR[suite] - table[suite][1].keys()
         assert not missing, f"{suite} reaches no {', '.join(sorted(missing))}"
+
+    def test_modular_draws_reach_compiled_definition_bodies_often(self, route_table):
+        # a route reached by a handful of units would drop out on a small
+        # drift of the draws
+        table, _ = route_table
+        assert table["stable_modular"][1]["definition unit"] >= 10
 
     def test_the_cap_reads_each_wide_unit_as_its_route_does(self, route_table):
         # every unit, narrow or wide: the cap skips the narrow ones, but they
@@ -425,8 +431,8 @@ class TestStableDefinitionMutations:
 
 class TestLiteralDefinitionMutations:
     """Each mutation of the literal reading of definition bodies, which
-    decides every definition unit of `modular_solve` whose bodies are made
-    of literals, patched in here, fails `stable_modular` or
+    decides every definition unit and part whose bodies are made of
+    literals, patched in here, fails `stable_modular` or
     `stable_definition`."""
 
     CFG = GenConfig(iterations=100)  # the route table's 100 draws, which pass
