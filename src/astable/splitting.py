@@ -13,9 +13,11 @@ inside a unit, as the symmetric splitting theorem asks.  Each conjunct is
 read once, by one walk, into one record per piece
 (`formula.read_rules`): its atoms, heads, dependency edges and clause-body
 atoms.  The planner, the cap and every step read the records, and no
-other walker runs.  Every unit takes one step (`_extend_frontier`),
-which gathers the unit's distinct contexts once and joins the frontier
-with their extensions.  A unit that is a definition for its atoms is
+other walker runs.  Every unit takes one step (`_step`): a unit that
+reads a decided atom gathers its distinct contexts once and joins the
+frontier with their extensions (`_extend_frontier`); one that reads none
+is solved once, on its one empty context, and joined with the frontier
+together with the next such units.  A unit that is a definition for its atoms is
 never compiled: its clauses are read off the records and their least
 fixpoint taken over every context at once (`stable._definition`,
 `stable._definition_models`); any other unit is enumerated, compiled and
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from operator import or_
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 from .depgraph import (
     Partition2,
@@ -256,27 +258,27 @@ def _check_frontier(size: int, max_atoms: int) -> None:
         )
 
 
-def _shared(frontier: list[int], extensions: Sequence[int], max_atoms: int) -> list[int]:
+def _shared(frontier: list[int], extensions: Sequence[int]) -> list[int]:
     """Every frontier entry joined with each of the same extensions, one
-    C-level pass over the frontier per extension."""
-    _check_frontier(len(frontier) * len(extensions), max_atoms)
+    C-level pass over the frontier per extension; the empty extension
+    takes the entries as they are."""
     out: list[int] = []
     for e in extensions:
-        out += map(e.__or__, frontier)
+        out += map(e.__or__, frontier) if e else frontier
     return out
 
 
-def _extend_frontier(
-    frontier: list[int], unit_atoms: AbstractSet[Atom], rules: Sequence[Rule], bit: dict[Atom, int], max_atoms: int
-) -> list[int]:
-    """Every frontier entry joined with each stable extension of the unit
-    with these atoms and rules, all as bitmasks (`bit` maps atoms to their
-    bits; an atom the rules mention without a bit is always false), in no
-    particular order.  The extensions depend only on the context, the
-    entry's values of the non-unit atoms the rules mention, so the step
-    gathers the distinct contexts once, with the positions of the unit's
-    atoms among the sorted atoms of its rules and their bits over sigma,
-    and solves each context once.
+def _step(unit_atoms: AbstractSet[Atom], rules: Sequence[Rule], bit: dict[Atom, int]) -> tuple[int, Callable]:
+    """The step of the unit with these atoms and rules: the mask over
+    sigma of its context atoms, the atoms outside the unit that its rules
+    mention and that have a bit (`bit` maps atoms to their bits; an atom
+    without one is always false), 0 for a context-free step; and a
+    function that solves the unit on distinct contexts, bitmasks over
+    sigma, giving its stable extensions, bitmasks over sigma, as a list
+    per context, or None when each context has exactly one, and as one
+    flat list in context order.  The positions of the unit's atoms among
+    the sorted atoms of its rules and their bits over sigma are gathered
+    once, whatever the contexts.
 
     A unit that is a definition for its atoms (see `stable._enumerated`),
     at any width, has one extension per context, the least fixpoint of its
@@ -285,12 +287,6 @@ def _extend_frontier(
     (`stable._definition_models`).  Any other unit is enumerated: compiled
     and solved on each context (`stable._unit_models`), its extensions
     spread to the bits over sigma by one `stable._decode` call.
-
-    One join follows, built in C-level passes where the extensions allow:
-    when every entry has one context, such as a unit that reads no decided
-    atom, every entry takes the same extensions (`_shared`); with one
-    extension per context, as for every definition, each entry is joined
-    with its context's one; otherwise with each of its context's.
     """
     atoms = sorted(unit_atoms.union(*[r.atoms for r in rules]))
     unit: list[int] = []  # positions over atoms
@@ -305,16 +301,35 @@ def _extend_frontier(
         elif k:
             context.append((b, k))
             ctx_mask |= k
-    contexts = list(set(map(ctx_mask.__and__, frontier)))
     clauses = _definition(rules, atoms, unit_atoms)
-    if clauses is None:
-        found = _unit_models(rules, unit, context, contexts)
-        spread = _decode([e for ext in found for e in ext], sig_bits, sum)
-    else:
-        found = None  # one extension per context
-        spread = _definition_models(clauses, len(atoms), unit, sig_bits, context, contexts)
+
+    def solve(contexts: Sequence[int]) -> tuple[list[list[int]] | None, list[int]]:
+        if clauses is None:
+            found = _unit_models(rules, unit, context, contexts)
+            return found, _decode([e for ext in found for e in ext], sig_bits, sum)
+        return None, _definition_models(clauses, len(atoms), unit, sig_bits, context, contexts)
+
+    return ctx_mask, solve
+
+
+def _extend_frontier(frontier: list[int], ctx_mask: int, solve: Callable, max_atoms: int) -> list[int]:
+    """Every frontier entry joined with each stable extension of a unit
+    that reads decided atoms, the step `_step` gives as ctx_mask and
+    solve, in no particular order.  The extensions depend only on the
+    context, the entry's values of the atoms of ctx_mask, so the distinct
+    contexts are gathered once and each is solved once.
+
+    One join follows, built in C-level passes where the extensions allow:
+    when every entry has one context, every entry takes the same
+    extensions (`_shared`); with one extension per context, as for every
+    definition, each entry is joined with its context's one; otherwise
+    with each of its context's.
+    """
+    contexts = list(set(map(ctx_mask.__and__, frontier)))
+    found, spread = solve(contexts)
     if len(contexts) == 1:
-        return _shared(frontier, spread, max_atoms)
+        _check_frontier(len(frontier) * len(spread), max_atoms)
+        return _shared(frontier, spread)
     if found is None or len(spread) == len(contexts) and all(found):
         # one extension per context, so the frontier keeps its size, which
         # the cap has already passed
@@ -352,7 +367,14 @@ def modular_solve(
     records and run once over all of its distinct contexts.  Any other
     unit is compiled in its own step and solved once per distinct context
     (`stable._unit_models`), with A = the unit's atoms and the context
-    fixed.  Residual pieces, which have
+    fixed.  A context-free step, whose rules read no atom with a bit
+    outside its own atoms, such as a free choice, a residual piece that
+    reads no atom of sigma or the doubling of an extensional atom that
+    starts the frontier, has the same extensions on every entry: it is
+    solved once, on its one empty context, and a maximal run of such
+    steps is joined with the frontier only when the next step reads a
+    decided atom, or at the end, one C-level pass per extension
+    (`_shared`).  Residual pieces, which have
     no strictly positive intensional atoms, only filter the models
     classically: each is a unit with no atoms, solved the same way right
     after the step that decides the last of its intensional atoms, or
@@ -364,7 +386,11 @@ def modular_solve(
     propagates: a caller that wants an answer anyway takes
     `enumerate_a_stable` of the conjunction, as the CLI does.  A unit or
     an extensional context wider than max_atoms atoms, or a frontier of
-    more than 2**max_atoms interpretations, raises CapExceeded.  A unit
+    more than 2**max_atoms interpretations, raises CapExceeded; in a
+    context-free run, the frontier's running product with each step's
+    extension count is checked at every factor, before any entry is
+    built, which refuses at the same factor, with the same count, as a
+    check of each step's built frontier.  A unit
     that is not enumerated, a definition for its atoms, may be wider; the
     cap reads that off the records by its step's own rule
     (`stable._enumerated`), before any unit is solved.  sigma defaults to
@@ -398,9 +424,24 @@ def modular_solve(
     # unit mentions outside both stays false.
     order = sorted(sig | a)
     bit = {x: 1 << k for k, x in enumerate(order)}
-    frontier = [0]
-    for x in sig - a:
-        frontier += [m | bit[x] for m in frontier]
+    # The extensions of the context-free steps since the frontier was last
+    # built, each extensional atom's first, and the size of their product
+    # with the frontier, which is checked at every factor before any entry
+    # is built.
+    frontier, run = [0], [(0, bit[x]) for x in sig - a]
+    size = 1 << len(run)
     for atoms, rules in steps:
-        frontier = _extend_frontier(frontier, atoms, rules, bit, max_atoms)
+        ctx_mask, solve = _step(atoms, rules, bit)
+        if ctx_mask:
+            for extensions in run:
+                frontier = _shared(frontier, extensions)
+            frontier, run = _extend_frontier(frontier, ctx_mask, solve, max_atoms), []
+            size = len(frontier)
+        else:
+            extensions = solve([0])[1]
+            size *= len(extensions)
+            _check_frontier(size, max_atoms)
+            run.append(extensions)
+    for extensions in run:
+        frontier = _shared(frontier, extensions)
     return ModelSet.from_masks(frontier, order, sig)

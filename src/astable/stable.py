@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import struct
 from collections import Counter
 from operator import add, is_, itemgetter
 from typing import AbstractSet, Iterable, Iterator, Sequence
@@ -19,6 +20,7 @@ from .depgraph import DepGraph, components, rule_graph, strong_components
 from .formula import (
     BOT,
     TOP,
+    _INDEX_CODES,
     _KLEENE_BITS,
     DEFAULT_MAX_ATOMS,
     Atom,
@@ -83,15 +85,27 @@ def _tables(pieces: Sequence, join) -> list[list]:
     return out
 
 
+def _packed(masks: Sequence[int], nbytes: int) -> tuple[bytes, int]:
+    """The bitmasks, each of at most nbytes bytes, as one run of bytes,
+    and its stride: byte g of masks[k] is at k * stride + g.  Up to 8
+    bytes, one `struct.pack` call writes them as the smallest unsigned
+    code that holds nbytes (`formula._INDEX_CODES`), whose item size is
+    the stride; wider ones are written by `int.to_bytes`, nbytes each."""
+    if nbytes > 8:
+        return b"".join(map(int.to_bytes, masks, itertools.repeat(nbytes), itertools.repeat("little"))), nbytes
+    code = _INDEX_CODES[nbytes - 1]
+    return struct.pack(f"<{len(masks)}{code}", *masks), struct.calcsize(code)
+
+
 def _lookup(masks: Sequence[int], tables: Sequence[list]) -> list:
-    """Per bitmask, the sum of its bytes' entries in `tables` (see `_tables`)."""
+    """Per bitmask, the sum of its bytes' entries in `tables` (see
+    `_tables`), the bytes sliced out of one `_packed` run."""
     if len(tables) == 1:
         return list(map(tables[0].__getitem__, masks))
-    nbytes = len(tables)
-    flat = b"".join(map(int.to_bytes, masks, itertools.repeat(nbytes), itertools.repeat("little")))
-    out = map(tables[0].__getitem__, flat[::nbytes])
-    for g in range(1, nbytes):
-        out = map(add, out, map(tables[g].__getitem__, flat[g::nbytes]))
+    flat, stride = _packed(masks, len(tables))
+    out = map(tables[0].__getitem__, flat[::stride])
+    for g in range(1, len(tables)):
+        out = map(add, out, map(tables[g].__getitem__, flat[g::stride]))
     return list(out)
 
 
@@ -757,14 +771,15 @@ def _fire(clauses: Iterable[Clause], columns: Sequence[int], ones: int) -> list[
 def _lanes(masks: Sequence[int], n: int) -> list[int]:
     """Per atom b < n, the vector whose byte k is 1 iff masks[k] sets bit
     b: the layout of a fixpoint run, one byte per lane.  The bitmasks are
-    joined as bytes once; byte g of every lane, sliced out, is one vector
-    whose bit j of each byte is atom 8g + j, shifted down per atom."""
+    joined as bytes once (`_packed`); byte g of every lane, sliced out, is
+    one vector whose bit j of each byte is atom 8g + j, shifted down per
+    atom."""
     width = (n + 7) >> 3
-    flat = b"".join(map(int.to_bytes, masks, itertools.repeat(width), itertools.repeat("little")))
+    flat, stride = _packed(masks, width)
     ones = int.from_bytes(b"\1" * len(masks), "little")
     out = []
     for g in range(width):
-        group = int.from_bytes(flat[g::width], "little")
+        group = int.from_bytes(flat[g::stride], "little")
         out += [group >> j & ones for j in range(min(8, n - 8 * g))]
     return out
 
@@ -888,12 +903,14 @@ def _definition_models(
     atom it may set with that atom's bit over sigma, and every other
     position but the unit's reads false, as an atom outside sigma does.
     The contexts are laid out as byte lanes, one per context, at most
-    `_RUN_BITS` to a run: the bitmasks are joined as bytes once, from the
-    lowest byte that holds a context atom to the highest, and only the
-    bytes that hold one are sliced out, as `_lanes` slices them.  One
+    `_RUN_BITS` to a run: the bitmasks are joined as bytes once
+    (`_packed`), from the lowest byte that holds a context atom to the
+    highest, and only the bytes that hold one are sliced out, as `_lanes`
+    slices them.  One
     `_least_fixpoint` per run; `_read` gives each lane's extension over
     the unit and `_decode` spreads it to sigma, or, in a run of one lane,
-    the derived bits give it directly.
+    the context's bits give the columns and the derived bits the
+    extension directly.
     """
     span = 0  # every context atom's bit
     for _, k in context:
@@ -906,13 +923,17 @@ def _definition_models(
         lanes = len(batch)
         ones = int.from_bytes(b"\1" * lanes, "little")
         columns = [0] * size
-        if span:
-            flat = b"".join([(m >> low).to_bytes(width, "little") for m in batch])
+        if lanes == 1:  # nothing to transpose: each vector is one bit
+            for b, k in context:
+                if batch[0] & k:
+                    columns[b] = 1
+        elif span:
+            flat, stride = _packed(list(map(low.__rrshift__, batch)) if low else batch, width)
             for b, k in context:
                 j = k.bit_length() - 1 - low
-                columns[b] = int.from_bytes(flat[j >> 3 :: width], "little") >> (j & 7) & ones
+                columns[b] = int.from_bytes(flat[j >> 3 :: stride], "little") >> (j & 7) & ones
         fixed = _least_fixpoint(_fire(clauses, columns, ones), size)
-        if lanes == 1:  # nothing to transpose: each vector is one bit
+        if lanes == 1:
             out.append(sum(itertools.compress(sig_bits, [fixed[b] for b in unit])))
         else:
             out += _decode(_read([fixed[b] for b in unit], lanes, None), sig_bits, sum)
@@ -1134,12 +1155,21 @@ def enumerate_a_stable(
     occur are free: each stable bitmask is spread once to the sorted order
     of all the atoms a model may hold, and every subset of the free atoms'
     bits is joined to it, so the models reach `ModelSet.from_masks` as
-    bitmasks in every case.
+    bitmasks in every case.  A given sigma wider than max_atoms raises
+    CapExceeded before f is compiled, or SignatureError when it omits an
+    atom of f or a, as any other sigma that omits one does.
     """
     a = frozenset(a)
+    sig = None if sigma is None else frozenset(sigma)
+    if sig is not None and len(sig) > max_atoms:
+        # refused before any compile, and after the signature check, which
+        # then takes the atoms of f from one walk of its tree
+        check_signature(atoms_of(f) | a, sig)
+        _check_cap(len(sig), max_atoms)
     prog, conjoin = compile_extensible((f,))
     occurring = frozenset(prog.atoms)
-    sig = frozenset(sigma) if sigma is not None else occurring | a
+    if sig is None:
+        sig = occurring | a
     check_signature(occurring | a, sig)
     _check_cap(len(sig), max_atoms)
 

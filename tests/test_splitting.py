@@ -1,8 +1,10 @@
 import gc
+import inspect
 import os
 import random
 import subprocess
 import sys
+import textwrap
 import time
 from collections import Counter
 from pathlib import Path
@@ -14,6 +16,7 @@ import astable
 from astable import (
     Atom,
     AtomRef,
+    BOT,
     Conj,
     CapExceeded,
     PreconditionError,
@@ -922,7 +925,7 @@ class TestModularSolve:
         shared = []
         real = splitting._shared
         monkeypatch.setattr(
-            splitting, "_shared", lambda frontier, ext, cap: shared.append((len(frontier), len(ext))) or real(frontier, ext, cap)
+            splitting, "_shared", lambda frontier, ext: shared.append((len(frontier), len(ext))) or real(frontier, ext)
         )
         cs = [Atom(f"c{i}") for i in range(5)]
         conjuncts = [disj([AtomRef(c), neg(AtomRef(c))]) for c in cs] + [neg(conj([AtomRef(cs[0]), AtomRef(cs[1])]))]
@@ -936,16 +939,9 @@ class TestModularSolve:
         # units of p(x) and q(x), so it holds at most 4 * 3**7 = 8,748
         # entries, where solving the constraints after every unit held all
         # 2**16 choices; a constraint that reads no intensional atom runs
-        # before every unit
-        sizes = []
-        real = splitting._extend_frontier
-
-        def extend(*args):
-            out = real(*args)
-            sizes.append(len(out))
-            return out
-
-        monkeypatch.setattr(splitting, "_extend_frontier", extend)
+        # before every unit, right after the extensional atom e doubles the
+        # frontier.  Every frontier built is counted
+        sizes = _built_sizes(monkeypatch)
         p, q = ([AtomRef(Atom(n, (x,))) for x in "abcdefgh"] for n in "pq")
         conjuncts = [disj([x, neg(x)]) for x in p + q] + [neg(conj([x, y])) for x, y in zip(p, q)]
         a = frozenset(x.atom for x in p + q)
@@ -955,7 +951,7 @@ class TestModularSolve:
         sizes.clear()
         e = AtomRef(Atom("e"))
         got = modular_solve([*conjuncts[:2], neg(e)], {p[0].atom, p[1].atom}, {p[0].atom, p[1].atom, e.atom})
-        assert sizes == [1, 2, 4] and got.lines() == ["{}", "{p(a)}", "{p(a),p(b)}", "{p(b)}"]
+        assert sizes == [2, 1, 2, 4] and got.lines() == ["{}", "{p(a)}", "{p(a),p(b)}", "{p(b)}"]
 
     def test_layered_chain_family_exhaustive_to_sixteen_atoms(self):
         for blocks, width in [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (3, 5)]:
@@ -964,6 +960,169 @@ class TestModularSolve:
             got = modular_solve(conjuncts, sigma, sigma)
             want = enumerate_a_stable(conj(conjuncts), sigma, sigma)
             assert got.as_set() == want.as_set()
+
+
+def _frontier_message(size: int, cap: int) -> str:
+    return (
+        f"modular frontier of {size} interpretations exceeds the cap of 2**{cap}; "
+        "pass a larger max_atoms (or --max-atoms) if this is intended"
+    )
+
+
+def _built_sizes(monkeypatch) -> list:
+    """The size of every frontier the modular solver builds, in order: the
+    join of each step that reads decided atoms and each join of a
+    context-free step's extensions with the entries."""
+    sizes = []
+    for name in ("_extend_frontier", "_shared"):
+
+        def built(*args, real=getattr(splitting, name)):
+            out = real(*args)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(splitting, name, built)
+    return sizes
+
+
+def _single_atom_units(rng: random.Random) -> tuple[list, frozenset, frozenset]:
+    """A rule program whose every unit has one atom x_i and mentions only
+    x_j for j < i and the extensional atoms e_k, which sigma adds: per
+    atom a choice, a fact, a rule with a body of literals, the rule
+    not x_i -> x_i, which has no stable model, or no rule; then up to two
+    constraints not (l1 & l2) and, now and then, bot."""
+    xs = [Atom(f"x{i}") for i in range(rng.randint(1, 7))]
+    es = [Atom(f"e{k}") for k in range(rng.randint(0, 3))]
+    literal = lambda y: AtomRef(y) if rng.random() < 0.5 else neg(AtomRef(y))
+    conjuncts = []
+    for i, x in enumerate(xs):
+        kind = rng.choice(["choice", "choice", "choice", "fact", "rule", "loop", "none"])
+        earlier = xs[:i] + es
+        if kind == "choice":
+            conjuncts.append(disj([AtomRef(x), neg(AtomRef(x))]))
+        elif kind == "fact":
+            conjuncts.append(AtomRef(x))
+        elif kind == "loop":
+            conjuncts.append(impl(neg(AtomRef(x)), AtomRef(x)))
+        elif kind == "rule" and earlier:
+            conjuncts.append(impl(conj([literal(y) for y in rng.sample(earlier, min(2, len(earlier)))]), AtomRef(x)))
+    pool = xs + es
+    for _ in range(rng.randint(0, 2)):
+        conjuncts.append(neg(conj([literal(y) for y in rng.sample(pool, min(2, len(pool)))])))
+    if rng.random() < 0.1:
+        conjuncts.append(BOT)
+    rng.shuffle(conjuncts)
+    return conjuncts, frozenset(xs), frozenset(pool)
+
+
+def _refusal_mismatches(solve, monkeypatch, draws: int) -> list:
+    """The (draw, cap) pairs, caps 1 to 24, on which solve, in place of
+    `modular_solve`, answers otherwise than a solver that builds every
+    step's frontier and refuses at the first one past the cap: each step
+    listed, in order, by a spy on the real solver's `_step`, its frontier
+    counted as the stable models of the rules of the steps up to it, over
+    the extensional atoms and the atoms decided so far
+    (`enumerate_a_stable`).  Every unit has one atom, so the cap refuses
+    up front only the extensional atoms of sigma."""
+    rng = random.Random(2009)
+    mismatches = []
+    for draw in range(draws):
+        conjuncts, a, sigma = _single_atom_units(rng)
+        steps = []
+        real_step = splitting._step
+        monkeypatch.setattr(splitting, "_step", lambda atoms, rules, bit: steps.append((atoms, rules)) or real_step(atoms, rules, bit))
+        modular_solve(conjuncts, a, sigma)
+        monkeypatch.setattr(splitting, "_step", real_step)
+        extensional = sigma - a
+        sizes, decided, rules = [], frozenset(), []
+        for atoms, step_rules in steps:
+            decided |= atoms
+            rules += [r.formula for r in step_rules]
+            sizes.append(len(enumerate_a_stable(conj(rules), decided, extensional | decided)))
+        models = enumerate_a_stable(conj(conjuncts), a, sigma).text()
+        for cap in range(1, 25):
+            if len(extensional) > cap:
+                want = (
+                    f"enumeration over {len(extensional)} atoms exceeds the cap of {cap}; "
+                    "pass a larger max_atoms (or --max-atoms) if this is intended"
+                )
+            else:
+                past = [n for n in sizes if n > 1 << cap]
+                want = _frontier_message(past[0], cap) if past else models
+            try:
+                got = solve(conjuncts, a, sigma, max_atoms=cap).text()
+            except CapExceeded as exc:
+                got = str(exc)
+            if got != want:
+                mismatches.append((draw, cap))
+    return mismatches
+
+
+class TestContextFreeRuns:
+    """A step is context-free when its rules read no atom with a bit
+    outside its own atoms.  A run of such steps is solved step by step on
+    its one empty context, and the frontier's product with their
+    extension counts is checked against the cap at every factor, before
+    any entry is built: the same count and message as a check of every
+    frontier built."""
+
+    @pytest.mark.parametrize("k", [2, 9, 25])
+    def test_free_choices_past_the_cap_build_no_entry(self, monkeypatch, k):
+        sizes = _built_sizes(monkeypatch)
+        cs = [Atom(f"c{i:02d}") for i in range(k)]
+        conjuncts = [disj([AtomRef(c), neg(AtomRef(c))]) for c in cs]
+        with pytest.raises(CapExceeded) as info:
+            modular_solve(conjuncts, frozenset(cs), frozenset(cs), max_atoms=k - 1)
+        assert str(info.value) == _frontier_message(2**k, k - 1)
+        assert sizes == []
+
+    def test_a_later_factor_of_zero_does_not_lift_the_refusal(self, monkeypatch):
+        # five choices, then z with not z -> z, which has no stable model:
+        # 2**4 entries pass a cap of 2**3 before the run's product drops
+        # to 0, so the run is refused there, as a check of each built
+        # frontier refuses; listed first, a gives the product 0 before any
+        # factor passes the cap, and bot, a residual piece that reads
+        # nothing, runs before every unit
+        sizes = _built_sizes(monkeypatch)
+        cs = [Atom(f"c{i}") for i in range(5)]
+        choices = [disj([AtomRef(c), neg(AtomRef(c))]) for c in cs]
+        for last in ("z", "a"):
+            x = AtomRef(Atom(last))
+            with_loop = [*choices, impl(neg(x), x)]
+            a = frozenset(cs) | {x.atom}
+            if last == "z":
+                with pytest.raises(CapExceeded) as info:
+                    modular_solve(with_loop, a, a, max_atoms=3)
+                assert str(info.value) == _frontier_message(16, 3) and sizes == []
+            else:
+                assert len(modular_solve(with_loop, a, a, max_atoms=3)) == 0
+        assert len(modular_solve([*choices, BOT], frozenset(cs), frozenset(cs), max_atoms=1)) == 0
+
+    def test_choices_and_bot_under_a_cap_of_one_print_nothing(self, tmp_path, capsys):
+        from astable.cli import main
+
+        path = tmp_path / "pqbot.lp"
+        path.write_text("p | not p.\nq | not q.\nbot.\n")
+        assert main(["split-solve", str(path), "--max-atoms", "1"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_random_programs_refuse_where_every_built_frontier_is_checked(self, monkeypatch):
+        assert _refusal_mismatches(modular_solve, monkeypatch, 150) == []
+
+    def test_refusing_on_the_final_product_of_a_run_is_caught(self, monkeypatch):
+        # the mutant checks the run's product once, when the run is joined,
+        # instead of at every factor
+        source = textwrap.dedent(inspect.getsource(splitting.modular_solve))
+        for old, new in [
+            ("            _check_frontier(size, max_atoms)\n", ""),
+            ("        if ctx_mask:\n", "        if ctx_mask:\n            _check_frontier(size, max_atoms)\n"),
+            ("    for extensions in run:\n        frontier = _shared", "    _check_frontier(size, max_atoms)\n    for extensions in run:\n        frontier = _shared"),
+        ]:
+            assert source.count(old) == 1
+            source = source.replace(old, new)
+        namespace = dict(vars(splitting))
+        exec(compile(source, "<mutant of modular_solve>", "exec"), namespace)
+        assert _refusal_mismatches(namespace["modular_solve"], monkeypatch, 150)
 
 
 def _grouped(rng: random.Random, conjuncts: list) -> list:

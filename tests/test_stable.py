@@ -159,6 +159,24 @@ class TestEnumerate:
         with pytest.raises(SignatureError):
             enumerate_a_stable(G, {Q}, {Q})
 
+    def test_sigma_past_the_cap_is_refused_before_any_compile(self, monkeypatch):
+        # 26 choices: the given sigma is past the cap, so nothing is
+        # compiled; a sigma past the cap that omits c25 is named as a
+        # signature error first, as one within the cap is
+        compiled = []
+        real = stable_module.compile_extensible
+        monkeypatch.setattr(stable_module, "compile_extensible", lambda fs: compiled.append(fs) or real(fs))
+        cs = [Atom(f"c{i:02d}") for i in range(26)]
+        f = conj([disj([AtomRef(c), neg(AtomRef(c))]) for c in cs])
+        with pytest.raises(CapExceeded) as info:
+            enumerate_a_stable(f, set(cs), set(cs))
+        assert str(info.value) == (
+            "enumeration over 26 atoms exceeds the cap of 24; pass a larger max_atoms (or --max-atoms) if this is intended"
+        )
+        with pytest.raises(SignatureError, match="^signature omits occurring atoms: c25$"):
+            enumerate_a_stable(f, set(cs[:25]), {*cs[:25], Atom("d")})
+        assert compiled == []
+
     @pytest.mark.parametrize("free", ["a", "c", "e", "ace", "aez"])
     def test_free_extensional_atoms_anywhere_in_the_order(self, free):
         # b and d occur; free extensional atoms sort before, between and
@@ -764,7 +782,7 @@ class TestDerivedParts:
         for m in got:
             assert m & ring_atoms == (ring_atoms if Atom("c0") in m else frozenset())
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 18, 30])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 18, 30, 40, 64, 70])
     def test_lanes_read_back_to_their_bitmasks(self, n):
         rng = random.Random(n)
         masks = [rng.getrandbits(n) for _ in range(1000)]
@@ -788,6 +806,18 @@ class TestDerivedParts:
         clauses = ((([1], [2]), [1, 2], (), 0),)  # positions: h 0, a 1, z 2
         got = stable_module._definition_models(clauses, 3, [0], [1 << 7], [(1, a), (2, z)], contexts)
         assert got == [1 << 7 if c == a else 0 for c in contexts] and len(runs) == 2
+
+    @pytest.mark.parametrize("high", [10, 20, 30, 45, 70, 100])
+    def test_definition_lanes_read_contexts_past_the_first_byte(self, high):
+        # h from a & not z, a at bit 9 and z at bit `high`: the contexts
+        # are packed from their second byte, in 1, 2, 4 or 8 bytes each or,
+        # past 8, by to_bytes
+        a, z = 1 << 9, 1 << high
+        rng = random.Random(high)
+        contexts = [rng.choice([0, a, z, a | z]) for _ in range(50)]
+        clauses = ((([1], [2]), [1, 2], (), 0),)  # positions: h 0, a 1, z 2
+        got = stable_module._definition_models(clauses, 3, [0], [1 << 7], [(1, a), (2, z)], contexts)
+        assert got == [1 << 7 if c == a else 0 for c in contexts]
 
     def test_fixpoint_firings_follow_the_derivation(self):
         # the 9-atom ring x_i -> x_(i+1) listed against its direction, then
@@ -814,9 +844,11 @@ class TestDerivedParts:
         assert stable_module._least_fixpoint(seeded, 9) == [0b101] * 9
         assert len(firings) <= 2 * len(seeded)
 
-    @pytest.mark.parametrize("n", [3, 9, 18])
+    @pytest.mark.parametrize("n", [3, 9, 18, *(n for n in range(1, 71) if n not in (3, 9, 18))])
     def test_few_bitmasks_decode_as_many_do(self, n):
-        # up to _FEW bitmasks take the selectors, more the byte tables
+        # up to _FEW bitmasks take the selectors, more the byte tables,
+        # read from the masks packed in 1, 2, 4 or 8 bytes or, past 64
+        # bits, by to_bytes
         rng = random.Random(n)
         masks = [rng.getrandbits(n) for _ in range(40)]
         pieces = [f"x{b}" for b in range(n)]
