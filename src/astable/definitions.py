@@ -115,7 +115,8 @@ def unique_q_stable(d: DefinitionModule, context: AbstractSet[Atom]) -> Interpre
     ctx = _context(d, context)
     index = {x: k for k, x in enumerate(d.q_set)}
     fired = [(1, tuple(map(index.__getitem__, c.pos_q)), index[c.head]) for c in d.clauses if satisfies(ctx, c.body)]
-    derived = _least_fixpoint(fired, len(index))
+    derived = [0] * len(index)
+    _least_fixpoint(fired, derived)
     return ctx.union(x for x, k in index.items() if derived[k])
 
 

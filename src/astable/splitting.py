@@ -13,18 +13,20 @@ inside a unit, as the symmetric splitting theorem asks.  Each conjunct is
 read once, by one walk, into one record per piece
 (`formula.read_rules`): its atoms, heads, dependency edges and clause-body
 atoms.  The planner, the cap and every step read the records, and no
-other walker runs.  Every unit takes one step (`_step`): a unit that
+other walker runs.  Each enumerated unit, and each maximal run of
+consecutive definition units, takes one step (`_step`): a step that
 reads a decided atom gathers its distinct contexts once and joins the
 frontier with their extensions (`_extend_frontier`); one that reads none
 is solved once, on its one empty context, and joined with the frontier
-together with the next such units.  A unit that is a definition for its atoms is
-never compiled: its clauses are read off the records and their least
-fixpoint taken over every context at once (`stable._definition`,
-`stable._definition_models`); any other unit is enumerated, compiled and
-solved on its contexts by `stable` (`stable._unit_models`), which
-chooses how.  This module keeps the plan, the cap, which it reads off
-the records before solving any unit, the contexts each unit is solved in
-and the frontier.  Both strategies verify their
+together with the next such steps.  A unit that is a definition for its
+atoms is never compiled: its clauses are read off the records
+(`stable._clauses`), placed on the run's columns (`stable._definition`)
+and their least fixpoint taken, unit after unit, over every context at
+once by the one lane runner (`stable._lane_models`); any other unit is
+enumerated, compiled and solved on its contexts by `stable`
+(`stable._unit_models`), which chooses how.  This module keeps the plan,
+the cap, which it reads off the records before solving any unit, the
+contexts each step is solved in and the frontier.  Both strategies verify their
 preconditions by one check (`_violations`), which the unsound hunt of the
 verifier reads too, and share one enumerate-and-intersect tail; the
 modular solver refuses with SplitPlanError when one piece's strictly
@@ -65,10 +67,11 @@ from .records import Record
 from .stable import (
     DEFAULT_MAX_ATOMS,
     ModelSet,
+    _batches,
+    _clauses,
     _decode,
     _definition,
-    _definition_models,
-    _enumerated,
+    _lane_models,
     _unit_models,
     enumerate_a_stable,
     format_interpretation,
@@ -268,46 +271,67 @@ def _shared(frontier: list[int], extensions: Sequence[int]) -> list[int]:
     return out
 
 
-def _step(unit_atoms: AbstractSet[Atom], rules: Sequence[Rule], bit: dict[Atom, int]) -> tuple[int, Callable]:
-    """The step of the unit with these atoms and rules: the mask over
-    sigma of its context atoms, the atoms outside the unit that its rules
+def _step(units: Sequence[tuple[frozenset[Atom], Sequence[Rule], list | None]], bit: dict[Atom, int]) -> tuple[int, Callable]:
+    """The step of one enumerated unit or of a run of definition units,
+    each unit given as its atoms, its rules and what `stable._clauses`
+    reads off them, None for an enumerated unit: the mask over sigma of
+    the step's context atoms, the atoms outside its units that its rules
     mention and that have a bit (`bit` maps atoms to their bits; an atom
     without one is always false), 0 for a context-free step; and a
-    function that solves the unit on distinct contexts, bitmasks over
+    function that solves the step on distinct contexts, bitmasks over
     sigma, giving its stable extensions, bitmasks over sigma, as a list
     per context, or None when each context has exactly one, and as one
-    flat list in context order.  The positions of the unit's atoms among
-    the sorted atoms of its rules and their bits over sigma are gathered
-    once, whatever the contexts.
+    flat list in context order.  Positions and bits are gathered once,
+    whatever the contexts.
 
-    A unit that is a definition for its atoms (see `stable._enumerated`),
-    at any width, has one extension per context, the least fixpoint of its
-    clauses, read off the records (`stable._definition`) and run over
-    every context at once, one byte lane each, with no compile of the unit
-    (`stable._definition_models`).  Any other unit is enumerated: compiled
-    and solved on each context (`stable._unit_models`), its extensions
-    spread to the bits over sigma by one `stable._decode` call.
+    An enumerated unit is compiled and solved on each context
+    (`stable._unit_models`) over the positions of its atoms among the
+    sorted atoms of its rules, its extensions spread to the bits over
+    sigma by one `stable._decode` call.
+
+    A run of definition units, at any width, is a stratified program: each
+    unit reads only the units before it in the run and the context, so by
+    the paper's theorem on definitions its one extension per context is
+    the least fixpoint of each unit's clauses, taken in solve order once
+    the earlier units are complete (Lifschitz & Turner, ICLP 1994).  One
+    position map covers the run's atoms, its units' first; each unit's
+    clauses are placed on it (`stable._definition`), and one
+    `stable._lane_models` call fills the units in order on every context
+    at once, one byte lane each, with no compile of any unit; one `_decode`
+    spreads the run's atoms to sigma.
     """
-    atoms = sorted(unit_atoms.union(*[r.atoms for r in rules]))
-    unit: list[int] = []  # positions over atoms
-    sig_bits: list[int] = []
-    context: list[tuple[int, int]] = []  # (position over atoms, bit over sigma)
-    ctx_mask = 0
-    for b, x in enumerate(atoms):
-        k = bit.get(x, 0)
-        if x in unit_atoms:
-            unit.append(b)
-            sig_bits.append(k)
-        elif k:
-            context.append((b, k))
-            ctx_mask |= k
-    clauses = _definition(rules, atoms, unit_atoms)
+    if units[0][2] is None:
+        ((unit_atoms, rules, _),) = units
+        atoms = sorted(unit_atoms.union(*[r.atoms for r in rules]))
+        unit: list[int] = []  # positions over atoms
+        sig_bits: list[int] = []
+        context: list[tuple[int, int]] = []  # (position over atoms, bit over sigma)
+        ctx_mask = 0
+        for b, x in enumerate(atoms):
+            k = bit.get(x, 0)
+            if x in unit_atoms:
+                unit.append(b)
+                sig_bits.append(k)
+            elif k:
+                context.append((b, k))
+                ctx_mask |= k
 
-    def solve(contexts: Sequence[int]) -> tuple[list[list[int]] | None, list[int]]:
-        if clauses is None:
+        def solve(contexts: Sequence[int]) -> tuple[list[list[int]] | None, list[int]]:
             found = _unit_models(rules, unit, context, contexts)
             return found, _decode([e for ext in found for e in ext], sig_bits, sum)
-        return None, _definition_models(clauses, len(atoms), unit, sig_bits, context, contexts)
+
+        return ctx_mask, solve
+    position = {x: k for k, x in enumerate(y for unit_atoms, _, _ in units for y in unit_atoms)}  # the units' atoms first
+    sig_bits = list(map(bit.__getitem__, position))
+    outside = frozenset().union(*[r.atoms for _, rules, _ in units for r in rules]).difference(position)
+    position.update(zip(outside, itertools.count(len(position))))
+    context = [(position[x], bit[x]) for x in outside if x in bit]
+    ctx_mask = sum(k for _, k in context)
+    derived = [_definition(found, position) for _, _, found in units]
+
+    def solve(contexts: Sequence[int]) -> tuple[None, list[int]]:
+        fixed = _lane_models(len(position), range(len(sig_bits)), 0, context, _batches(contexts), derived, (), None)
+        return None, _decode(fixed, sig_bits, sum)
 
     return ctx_mask, solve
 
@@ -322,8 +346,8 @@ def _extend_frontier(frontier: list[int], ctx_mask: int, solve: Callable, max_at
     One join follows, built in C-level passes where the extensions allow:
     when every entry has one context, every entry takes the same
     extensions (`_shared`); with one extension per context, as for every
-    definition, each entry is joined with its context's one; otherwise
-    with each of its context's.
+    run of definition units, each entry is joined with its context's one;
+    otherwise with each of its context's.
     """
     contexts = list(set(map(ctx_mask.__and__, frontier)))
     found, spread = solve(contexts)
@@ -358,18 +382,23 @@ def modular_solve(
     is the symmetric splitting theorem: units may depend on each other
     through negation, only positive dependency stays inside a unit.  Each
     conjunct is read once, by `plan_split`, and every later step reads the
-    records of its pieces (see `_extend_frontier`).  A unit that is a
+    records of its pieces (see `_step`), its clauses once per unit
+    (`stable._clauses`), which the cap reads too.  A unit that is a
     definition for its atoms, at any width, is never compiled nor
     enumerated: by the paper's theorem on definitions its one extension per
     context is the least fixpoint of its clauses (Ferraris, Lee, Lifschitz
     & Palla, IJCAI 2009, for the splitting; for a tight unit of one atom
-    this is its completion, Erdem & Lifschitz, TPLP 2003), read off the
-    records and run once over all of its distinct contexts.  Any other
-    unit is compiled in its own step and solved once per distinct context
+    this is its completion, Erdem & Lifschitz, TPLP 2003).  A maximal run
+    of consecutive definition units is a stratified program, each unit
+    reading only the ones before it, so the run is one step: its units
+    are filled in solve order on one run of lanes, one per distinct
+    context, and joined with the frontier once.  Any other unit is
+    compiled in its own step and solved once per distinct context
     (`stable._unit_models`), with A = the unit's atoms and the context
-    fixed.  A context-free step, whose rules read no atom with a bit
-    outside its own atoms, such as a free choice, a residual piece that
-    reads no atom of sigma or the doubling of an extensional atom that
+    fixed; it and residual pieces end a run.  A context-free step, whose
+    rules read no atom with a bit outside its own units, such as a free
+    choice, a residual piece that reads no atom of sigma, a run that
+    reads only its own atoms, or the doubling of an extensional atom that
     starts the frontier, has the same extensions on every entry: it is
     solved once, on its one empty context, and a maximal run of such
     steps is joined with the frontier only when the next step reads a
@@ -392,9 +421,13 @@ def modular_solve(
     built, which refuses at the same factor, with the same count, as a
     check of each step's built frontier.  A unit
     that is not enumerated, a definition for its atoms, may be wider; the
-    cap reads that off the records by its step's own rule
-    (`stable._enumerated`), before any unit is solved.  sigma defaults to
-    A and the atoms of the conjuncts.
+    cap reads that off the records, by the `_clauses` result its step
+    reads, before any unit is solved.  A run of definition units keeps the
+    frontier's size, so solving it as one step moves no refusal.  Once the
+    frontier, or a context-free run's product, is empty, no later step is
+    solved, and the answer is the empty model set over the same signature:
+    an empty frontier cannot grow past its cap, and the caps on enumerated
+    widths and on the extensional context were decided up front.  sigma defaults to A and the atoms of the conjuncts.
     """
     a = frozenset(a)
     plan = plan_split(conjuncts, a)
@@ -414,10 +447,16 @@ def modular_solve(
     # The cap guards every exponential dimension: the extensional context
     # enumerated up front and the widest enumerated unit here, the frontier
     # in _extend_frontier.  Which units are enumerated is read off their
-    # rules (`stable._enumerated`, as their steps read it), so nothing is
-    # solved before the cap is decided.
-    wide = [len(atoms) for atoms, rules in steps if len(atoms) > max_atoms and _enumerated(atoms, rules)]
+    # rules, once per step (`stable._clauses`), and the steps read the
+    # same result, so nothing is solved before the cap is decided.
+    found = [_clauses(rules, atoms) for atoms, rules in steps]
+    wide = [len(atoms) for (atoms, _), clauses in zip(steps, found) if clauses is None and len(atoms) > max_atoms]
     _check_cap(max([len(sig - a), *wide]), max_atoms)
+    runs: list[list] = []  # each enumerated unit alone, each maximal run of definition units together
+    for (atoms, rules), clauses in zip(steps, found):
+        if clauses is None or not runs or runs[-1][-1][2] is None:
+            runs.append([])
+        runs[-1].append((atoms, rules, clauses))
 
     # Partial interpretations are bitmasks over sigma (and over A, so that
     # a model leaving sigma reaches ModelSet's signature check); an atom a
@@ -430,8 +469,8 @@ def modular_solve(
     # is built.
     frontier, run = [0], [(0, bit[x]) for x in sig - a]
     size = 1 << len(run)
-    for atoms, rules in steps:
-        ctx_mask, solve = _step(atoms, rules, bit)
+    for units in runs:
+        ctx_mask, solve = _step(units, bit)
         if ctx_mask:
             for extensions in run:
                 frontier = _shared(frontier, extensions)
@@ -442,6 +481,10 @@ def modular_solve(
             size *= len(extensions)
             _check_frontier(size, max_atoms)
             run.append(extensions)
+        if not size:
+            # no model, and no later step can refuse: the frontier cannot
+            # grow, and the other caps were decided before the first step
+            return ModelSet.from_masks([], order, sig)
     for extensions in run:
         frontier = _shared(frontier, extensions)
     return ModelSet.from_masks(frontier, order, sig)

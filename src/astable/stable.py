@@ -490,6 +490,9 @@ Clause = tuple[Program | tuple[Sequence[int], Sequence[int]], Sequence[int], Seq
 Part = tuple[int, tuple[Clause, ...] | None]  # (bitmask, clauses when the part is a definition)
 
 
+_NO_ATOMS: frozenset[Atom] = frozenset()  # shared by every clause with no atom of q in its body
+
+
 def _clause(rule: Rule, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom], Atom] | str:
     """The piece a record reads (see `formula.Rule`) as a clause `H & C ->
     h` of a definition for q, (H, C, h): h in q, C the atoms of q that are
@@ -504,7 +507,7 @@ def _clause(rule: Rule, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom],
     levels.  `_definition` reads H again, as literals where it can."""
     c, _, _, _, nested = rule
     if type(c) is AtomRef and c.atom in q:
-        return TOP, frozenset(), c.atom
+        return TOP, _NO_ATOMS, c.atom
     if type(c) is not Impl or type(c.rhs) is not AtomRef or c.rhs.atom not in q:
         return "consequent is not a defined atom"
     if not nested.isdisjoint(q):
@@ -517,7 +520,7 @@ def _clause(rule: Rule, q: AbstractSet[Atom]) -> tuple[Formula, frozenset[Atom],
             return (rest[0] if len(rest) == 1 else Conj(tuple(rest)) if rest else TOP), pos_q, head
     elif type(ante) is AtomRef and ante.atom in q:
         return TOP, frozenset((ante.atom,)), head
-    return ante, frozenset(), head
+    return ante, _NO_ATOMS, head
 
 
 def _literals(body: Formula, position) -> tuple[list[int], list[int]] | None:
@@ -537,30 +540,41 @@ def _literals(body: Formula, position) -> tuple[list[int], list[int]] | None:
     return atoms, negated
 
 
-def _definition(rules: Iterable[Rule], atoms: Sequence[Atom], q: AbstractSet[Atom]) -> tuple[Clause, ...] | None:
-    """The rules as the clauses of a definition for the atoms q, at their
-    positions in `atoms`, which hold every atom of the rules, or None when
-    one of them is no clause of such a definition (see `_clause`).  Each
-    body is read as its literals where it is made of them (see
-    `_literals`), and any other body is compiled, once per body object."""
+def _clauses(rules: Iterable[Rule], q: AbstractSet[Atom]) -> list[tuple[Formula, frozenset[Atom], Atom]] | None:
+    """The clause pass: each rule as a clause `H & C -> h` of a definition
+    for the atoms q, (H, C, h) as `_clause` reads it, or None when one of
+    them is no such clause.  It reads the records alone and compiles
+    nothing, so `splitting.modular_solve` reads it once per step, before
+    any unit is solved: its cap counts a unit that gives None, which is
+    enumerated, and the step of every other unit places these clauses
+    (`_definition`)."""
     found = []
     for rule in rules:
         clause = _clause(rule, q)
         if type(clause) is str:
             return None
         found.append(clause)
-    position = {x: b for b, x in enumerate(atoms)}
-    compiled: dict[int, tuple] = {}  # per compiled body object
+    return found
+
+
+def _definition(found: Iterable[tuple[Formula, frozenset[Atom], Atom]], position) -> tuple[Clause, ...]:
+    """The position pass: the clauses `_clauses` found, at the positions
+    `position` maps their atoms to, the columns of one fixpoint run.  Each
+    body is read once per body object, such as the one `top` of a unit's
+    clauses: as its literals where it is made of them (see `_literals`),
+    else compiled."""
+    read: dict[int, tuple] = {}  # per body object
     out = []
     for body, pos_q, head in found:
-        literals = _literals(body, position)
-        if literals is not None:
-            got = literals, literals[0] + literals[1]
-        else:
-            got = compiled.get(id(body))
-            if got is None:
+        got = read.get(id(body))
+        if got is None:
+            literals = _literals(body, position)
+            if literals is not None:
+                got = literals, literals[0] + literals[1]
+            else:
                 body_prog = compile_formula(body)
-                got = compiled[id(body)] = body_prog, [position[x] for x in body_prog.atoms]
+                got = body_prog, [position[x] for x in body_prog.atoms]
+            read[id(body)] = got
         out.append((*got, [position[x] for x in pos_q], position[head]))
     return tuple(out)
 
@@ -628,8 +642,9 @@ def _parts(rules: Sequence[Rule], atoms: Sequence[Atom], a: AbstractSet[Atom]) -
     parts, loop_formulas = [], []
     for comp, part_rules in zip(comps, defining):
         if len(comp) > _NARROW:
-            mask = sum(map(bit.__getitem__, comp))
-            parts.append((mask, _definition(part_rules, atoms, comp)))
+            found = _clauses(part_rules, comp)
+            position = {x: b for b, x in enumerate(atoms)}
+            parts.append((sum(map(bit.__getitem__, comp)), None if found is None else _definition(found, position)))
         else:
             loop_formulas += _loop_formulas(comp, [r.formula for r in part_rules], graph)
     return parts, loop_formulas
@@ -714,28 +729,30 @@ def _loop_formulas(comp: AbstractSet[Atom], conjuncts: Sequence[Formula], graph:
     return out
 
 
-def _least_fixpoint(fired: Sequence[tuple[int, Sequence[int], int]], size: int) -> list[int]:
-    """The least fixpoint of a definition's clauses on every lane at once.
+def _least_fixpoint(fired: Sequence[tuple[int, Sequence[int], int]], derived) -> None:
+    """The least fixpoint of a definition's clauses on every lane at once,
+    written into `derived`, which maps each position of the defined set Q
+    (a list of columns, or a dict of Q's positions alone) to its lanes, 0
+    at the start.
 
-    A lane is one interpretation of the atoms outside the defined set Q,
-    and a vector holds one byte 0 or 1 per lane, or a bit for one lane.
-    Each clause `H & C -> h` comes as (the lanes where H holds, the
-    positions of C, the position of h), positions below `size`; since H
-    mentions no atom of Q, its truth is fixed before the first firing.  A
-    clause fires by deriving its head on the lanes where its body holds and
-    every atom of C is derived.  Every clause fires once, in the order
-    given, and after that again each time one of its C atoms gains lanes,
-    taken from a worklist until none is left: the firings follow the
-    derivation, not the listing, so a ring listed against its direction
-    takes about two firings per clause, not one round of all of them per
-    atom.  Returns the derived lanes of each position, 0 for a position no
-    clause derives.
+    A lane is one interpretation of the atoms outside Q, and a vector holds
+    one byte 0 or 1 per lane, or a bit for one lane.  Each clause `H & C
+    -> h` comes as (the lanes where H holds, the positions of C, the
+    position of h); since H mentions no atom of Q, its truth is fixed
+    before the first firing.  A clause fires by deriving its head on the
+    lanes where its body holds and every atom of C is derived.  Every
+    clause fires once, in the order given, and after that again each time
+    one of its C atoms gains lanes, taken from a worklist until none is
+    left: the firings follow the derivation, not the listing, so a ring
+    listed against its direction takes about two firings per clause, not
+    one round of all of them per atom.  A position no clause derives keeps
+    its 0.  Nothing here grows with the run around Q: a run of many
+    definitions fills one list of columns, a definition at a time.
     """
     readers: dict[int, list] = {}  # per position, the clauses with it in C
     for clause in fired:
         for b in clause[1]:
             readers.setdefault(b, []).append(clause)
-    derived = [0] * size
     work = fired[::-1]  # a stack, the first clause on top
     while work:
         live, pos, head = work.pop()
@@ -746,7 +763,6 @@ def _least_fixpoint(fired: Sequence[tuple[int, Sequence[int], int]], size: int) 
             derived[head] |= new
             if head in readers:
                 work += readers[head]
-    return derived
 
 
 def _fire(clauses: Iterable[Clause], columns: Sequence[int], ones: int) -> list[tuple[int, tuple[int, ...], int]]:
@@ -768,28 +784,43 @@ def _fire(clauses: Iterable[Clause], columns: Sequence[int], ones: int) -> list[
     return out
 
 
-def _lanes(masks: Sequence[int], n: int) -> list[int]:
-    """Per atom b < n, the vector whose byte k is 1 iff masks[k] sets bit
-    b: the layout of a fixpoint run, one byte per lane.  The bitmasks are
-    joined as bytes once (`_packed`); byte g of every lane, sliced out, is
-    one vector whose bit j of each byte is atom 8g + j, shifted down per
-    atom."""
-    width = (n + 7) >> 3
-    flat, stride = _packed(masks, width)
+def _lanes(masks: Sequence[int], bits: Sequence[int]) -> list[int]:
+    """Per listed bit, distinct single bits, the vector whose byte k is 1
+    iff masks[k] sets that bit: the layout of a fixpoint run, one byte per
+    lane; the masks may set other bits too.  One bitmask gives each vector
+    as one bit.  More are joined as bytes once (`_packed`), from the lowest
+    byte that holds a listed bit up, and the byte of each listed bit,
+    sliced out of every lane, is one vector whose bit j of each byte is
+    bit j of that byte, shifted down to the listed bit's."""
+    if len(masks) == 1 or not bits:
+        return [1 if masks[0] & k else 0 for k in bits]
+    span = 0
+    for k in bits:
+        span |= k
+    low = ((span & -span).bit_length() - 1) & -8  # the first bit of the lowest byte that holds one
+    width = (max(span, max(masks)).bit_length() - low + 7) >> 3  # bytes up to the highest a mask sets
+    flat, stride = _packed(list(map(low.__rrshift__, masks)) if low else masks, width)
     ones = int.from_bytes(b"\1" * len(masks), "little")
     out = []
-    for g in range(width):
-        group = int.from_bytes(flat[g::stride], "little")
-        out += [group >> j & ones for j in range(min(8, n - 8 * g))]
+    for k in bits:
+        j = k.bit_length() - 1 - low
+        out.append(int.from_bytes(flat[j >> 3 :: stride], "little") >> (j & 7) & ones)
     return out
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _read(columns: Sequence[int], lanes: int, keep: bytes | None) -> list[int]:
     """Per lane of a fixpoint run, in order, the bitmask whose bit j is
     set iff columns[j] is 1 on it (the inverse of `_lanes`), or only the
-    lanes on which `keep`, one byte 0 or 1 per lane, is 1.  Eight columns
-    at a time are shifted into one vector, whose bytes `_bit_table` turns
-    into that byte's bits of each bitmask."""
+    lanes on which `keep`, one byte 0 or 1 per lane, is 1.  On one lane
+    each column is 0 or 1, the binary digits of the bitmask, last column
+    first.  On more, eight columns at a time are shifted into one vector,
+    whose bytes `_bit_table` turns into that byte's bits of each
+    bitmask."""
+    if lanes == 1:
+        return [int(b"0" + bytes(columns[::-1]).translate(_DIGITS), 2)] if keep is None or keep[0] else []
     total = None
     for g in range(0, max(len(columns), 1), 8):
         byte = 0
@@ -802,48 +833,45 @@ def _read(columns: Sequence[int], lanes: int, keep: bytes | None) -> list[int]:
 
 
 def _lane_models(
-    prog: Program,
-    var: Sequence[int],
-    here: int,
-    where: Sequence[int],
-    batches: Iterable[Sequence[int]],
-    derived: Sequence[Part],
-    compared: Sequence[Part],
-    check: bool,
+    size: int, var: Sequence[int], here: int, bits: Sequence[tuple[int, int]], batches: Iterable[Sequence[int]],
+    derived: Sequence[tuple[Clause, ...]], compared: Sequence[Part], check: Program | None,
 ) -> list[int]:
     """The lanes that pass, each as its assignment c to the atoms at
-    positions `var` of prog.atoms (bit j of c for var[j]), in order.
+    positions `var` of the `size` atoms of a run (bit j of c for var[j]),
+    in order: the one runner of a definition's fixpoint, for the derived
+    and compared parts of `enumerate_a_stable` and for every run of
+    definition units of `splitting.modular_solve`.
 
-    A lane is one interpretation: the atoms at positions `where` as one
-    bitmask of `batches` gives them (bit j for where[j]), the atoms of
-    the bitmask `here` true, the atoms of each part of `derived`, a
-    definition, the least fixpoint of its clauses, filled in the order
-    given, and every other atom false.  Each part of `derived` may read
-    only the atoms set before it.  A lane passes when the atoms of each
-    part of `compared`, a definition too, are the least fixpoint of its
-    clauses there, and, with `check`, prog is true there.  One run per
-    batch, a batch at most `_RUN_BITS` lanes, one byte each.
+    A lane is one interpretation: each (position, bit) pair of `bits`
+    sets the atom at that position iff the bitmask of `batches` that is
+    the lane sets that bit, the atoms of the bitmask `here` are true, the
+    atoms of each definition of `derived`, given as its clauses (see
+    `_definition`), are the least fixpoint of those clauses, filled in
+    the order given, and every other atom is false.  Each definition of
+    `derived` may read only the atoms set before it, and its own atoms
+    start false.  A lane passes when the atoms of each part of
+    `compared`, a definition too, are the least fixpoint of its clauses
+    there, and, given a `check` program over the same atoms, it is true
+    there.  One run per batch, a batch at most `_RUN_BITS` lanes, one byte
+    each (`_lanes`), read back by `_read`.
     """
-    size = len(prog.atoms)
+    listed = [k for _, k in bits]
     out: list[int] = []
     for batch in batches:
         lanes = len(batch)
         ones = int.from_bytes(b"\1" * lanes, "little")
-        columns = [ones if here >> b & 1 else 0 for b in range(size)]
-        for b, v in zip(where, _lanes(batch, len(where))):
+        columns = [ones if here >> b & 1 else 0 for b in range(size)] if here else [0] * size
+        for (b, _), v in zip(bits, _lanes(batch, listed)):
             columns[b] = v
-        for part, clauses in derived:
-            fixed = _least_fixpoint(_fire(clauses, columns, ones), size)
-            for b in var:
-                if part >> b & 1:
-                    columns[b] = fixed[b]
+        for clauses in derived:
+            _least_fixpoint(_fire(clauses, columns, ones), columns)
         wrong = 0
         for part, clauses in compared:
-            fixed = _least_fixpoint(_fire(clauses, columns, ones), size)
-            for b in var:
-                if part >> b & 1:
-                    wrong |= fixed[b] ^ columns[b]
-        keep = (prog.run(columns, ones, ones) if check else ones) & ~wrong
+            fixed = dict.fromkeys([b for b in var if part >> b & 1], 0)
+            _least_fixpoint(_fire(clauses, columns, ones), fixed)
+            for b, v in fixed.items():
+                wrong |= v ^ columns[b]
+        keep = (check.run(columns, ones, ones) if check else ones) & ~wrong
         out += _read([columns[b] for b in var], lanes, None if keep == ones else keep.to_bytes(lanes, "little"))
     return out
 
@@ -884,60 +912,6 @@ def _read_order(parts: Sequence[Part]) -> tuple[list[Part], list[Part]]:
     comps, _ = strong_components([[j for j, (q, _) in enumerate(defined) if q & r] for r in reads])
     derived = [defined[comp[0]] for comp in comps if len(comp) == 1]
     return derived, [defined[i] for comp in comps if len(comp) > 1 for i in comp]
-
-
-def _definition_models(
-    clauses: Sequence[Clause],
-    size: int,
-    unit: Sequence[int],
-    sig_bits: Sequence[int],
-    context: Sequence[tuple[int, int]],
-    contexts: Sequence[int],
-) -> list[int]:
-    """Per context, in order, the one stable extension of a definition
-    unit, the least fixpoint of its clauses (see `_definition`), as a
-    bitmask over sigma: the unit atom at position unit[j] of the `size`
-    atoms the clauses read has the bit sig_bits[j].
-
-    A context is a bitmask over sigma; `context` pairs the position of each
-    atom it may set with that atom's bit over sigma, and every other
-    position but the unit's reads false, as an atom outside sigma does.
-    The contexts are laid out as byte lanes, one per context, at most
-    `_RUN_BITS` to a run: the bitmasks are joined as bytes once
-    (`_packed`), from the lowest byte that holds a context atom to the
-    highest, and only the bytes that hold one are sliced out, as `_lanes`
-    slices them.  One
-    `_least_fixpoint` per run; `_read` gives each lane's extension over
-    the unit and `_decode` spreads it to sigma, or, in a run of one lane,
-    the context's bits give the columns and the derived bits the
-    extension directly.
-    """
-    span = 0  # every context atom's bit
-    for _, k in context:
-        span |= k
-    low = ((span & -span).bit_length() - 1) & -8  # the first bit of the lowest byte that holds one
-    width = (span.bit_length() - low + 7) >> 3  # bytes up to the highest that holds one
-    out: list[int] = []
-    for start in range(0, len(contexts), _RUN_BITS):
-        batch = contexts[start : start + _RUN_BITS]
-        lanes = len(batch)
-        ones = int.from_bytes(b"\1" * lanes, "little")
-        columns = [0] * size
-        if lanes == 1:  # nothing to transpose: each vector is one bit
-            for b, k in context:
-                if batch[0] & k:
-                    columns[b] = 1
-        elif span:
-            flat, stride = _packed(list(map(low.__rrshift__, batch)) if low else batch, width)
-            for b, k in context:
-                j = k.bit_length() - 1 - low
-                columns[b] = int.from_bytes(flat[j >> 3 :: stride], "little") >> (j & 7) & ones
-        fixed = _least_fixpoint(_fire(clauses, columns, ones), size)
-        if lanes == 1:
-            out.append(sum(itertools.compress(sig_bits, [fixed[b] for b in unit])))
-        else:
-            out += _decode(_read([fixed[b] for b in unit], lanes, None), sig_bits, sum)
-    return out
 
 
 @functools.cache  # k at most _NARROW: fewer than 2**(_NARROW + 1) keys
@@ -1056,44 +1030,35 @@ def _stable_models(
         unknown = [atoms[b] for b in var if fixed >> b & 1]
         true = {x for b, x in enumerate(atoms) if here >> b & 1}
         lanes = _live_batches(swept, unknown, [atoms[b] for b in kept], true)
-        candidates = _lane_models(swept, var, here, kept, lanes, derived, compared, True)
+        bits = [(b, 1 << j) for j, b in enumerate(kept)]
+        candidates = _lane_models(len(atoms), var, here, bits, lanes, [c for _, c in derived], compared, swept)
     else:
         candidates = _candidate_models(swept, var, here)
         if compared:
-            candidates = _lane_models(prog, var, here, var, _batches(candidates), (), compared, False)
+            bits = [(b, 1 << j) for j, b in enumerate(var)]
+            candidates = _lane_models(len(prog.atoms), var, here, bits, _batches(candidates), (), compared, None)
     others = [part for part in parts if part[1] is None]
     return _stable_subset(prog, var, here, others, candidates) if others else candidates
-
-
-def _enumerated(atoms: AbstractSet[Atom], rules: Iterable[Rule]) -> bool:
-    """Whether a modular unit with these atoms and rules is enumerated, at
-    any width: iff one of its rules is no clause of a definition for its
-    atoms (see `_clause`), which is exactly when `_definition` gives None
-    for it.  Any other unit is solved by the least fixpoint of its clauses
-    (`_definition_models`), with no enumeration and no compile of the
-    unit.  It reads the rules alone, so `splitting.modular_solve` decides
-    its cap on it before solving any unit, and that cap cannot read a unit
-    otherwise than its step does."""
-    return any(type(_clause(r, atoms)) is str for r in rules)
 
 
 def _unit_models(
     rules: Sequence[Rule], unit: Sequence[int], context: Sequence[tuple[int, int]], contexts: Sequence[int]
 ) -> list[list[int]]:
     """Per context, in order, the A-stable assignments of an enumerated
-    unit of `splitting.modular_solve` (see `_enumerated`) with these rules,
-    A = the unit's atoms, at positions `unit` of the sorted atoms of the
-    rules, with the context fixed: bit j of each for the atom at position
-    unit[j].  A context is a bitmask over sigma, read as in
-    `_definition_models`.
+    unit of `splitting.modular_solve`, one for which `_clauses` gives None,
+    with these rules, A = the unit's atoms, at positions `unit` of the
+    sorted atoms of the rules, with the context fixed: bit j of each for
+    the atom at position unit[j].  A context is a bitmask over sigma;
+    `context` pairs the position of each atom it may set with that atom's
+    bit over sigma, and every other position outside the unit reads false.
 
     The conjunction of the rules' formulas, in the order given, is compiled
     by one walk (`formula.compile_extensible`), and each context is solved
     by one `_stable_models` call on it: a unit of at most `_NARROW` atoms
     by one packed run, a wider one by the sweep with the parts of its
     atoms (see `_parts`), its loop formulas conjoined by continuing that
-    walk.  A unit that is a definition never gets here: its step reads its
-    clauses instead of compiling it (see `_definition_models`).
+    walk.  A unit that is a definition never gets here: its step places
+    its clauses instead of compiling it, and `_lane_models` runs them.
     """
     prog, conjoin = compile_extensible([r.formula for r in rules])
     parts, swept = (), None

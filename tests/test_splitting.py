@@ -394,6 +394,21 @@ class TestPlanSplit:
         assert len(digests) == 1
 
 
+def _lane_calls(monkeypatch) -> list:
+    """Per call of the lane runner from a modular step, in order, the
+    number of the run's atoms and of its contexts."""
+    calls = []
+    real = splitting._lane_models
+
+    def lane_models(size, var, here, bits, batches, *rest):
+        batches = list(batches)
+        calls.append((len(var), sum(map(len, batches))))
+        return real(size, var, here, bits, batches, *rest)
+
+    monkeypatch.setattr(splitting, "_lane_models", lane_models)
+    return calls
+
+
 def _swept_routes(monkeypatch) -> list:
     """The rules of the units that `stable._unit_models` solves on a swept
     program with loop formulas, one per unit."""
@@ -707,16 +722,10 @@ class TestModularSolve:
         # and with e0 false the stable one makes none true.  The block is a
         # definition for its atoms, so one fixpoint run decides all 8
         # contexts, one lane each, nothing sweeps it and nothing compiles it
-        solves, runs, lanes, walked = [], [], [], []
+        solves, runs, walked = [], [], []
         real = stable._stable_models
         monkeypatch.setattr(stable, "_stable_models", lambda *args: solves.append(args[1]) or real(*args))
-        real_models = splitting._definition_models
-
-        def definition_models(clauses, size, unit, sig_bits, context, contexts):
-            lanes.append((len(unit), len(contexts)))
-            return real_models(clauses, size, unit, sig_bits, context, contexts)
-
-        monkeypatch.setattr(splitting, "_definition_models", definition_models)
+        lanes = _lane_calls(monkeypatch)
         real_walk = formula_module._walk
         monkeypatch.setattr(formula_module, "_walk", lambda f, *rest: walked.append(f) or real_walk(f, *rest))
         real_fixpoint = stable._least_fixpoint
@@ -739,14 +748,8 @@ class TestModularSolve:
         # edge choices and their transitive closure over 3 elements: each
         # edge is a unit of one atom, the 9 closure atoms one definition
         # unit, solved by one fixpoint run over the 512 edge contexts
-        lanes, solves = [], []
-        real_models = splitting._definition_models
-
-        def definition_models(clauses, size, unit, sig_bits, context, contexts):
-            lanes.append((len(unit), len(contexts)))
-            return real_models(clauses, size, unit, sig_bits, context, contexts)
-
-        monkeypatch.setattr(splitting, "_definition_models", definition_models)
+        solves = []
+        lanes = _lane_calls(monkeypatch)
         real = stable._stable_models
         monkeypatch.setattr(stable, "_stable_models", lambda *args: solves.append(len(args[1])) or real(*args))
         clauses, q_set = tc_definition("abc")
@@ -765,9 +768,8 @@ class TestModularSolve:
         # unit and the unit is no definition as a whole: it is swept, and
         # its ring part, a definition, is derived on live lanes under the
         # unit's context, never by the definition route's fixpoint
-        lanes, live = [], []
-        real_models = splitting._definition_models
-        monkeypatch.setattr(splitting, "_definition_models", lambda *args: lanes.append(1) or real_models(*args))
+        live = []
+        lanes = _lane_calls(monkeypatch)
         real_live = stable._live_batches
         monkeypatch.setattr(stable, "_live_batches", lambda *args: live.append(1) or real_live(*args))
         xs = [Atom(f"x{i}") for i in range(8)]
@@ -1018,8 +1020,9 @@ def _single_atom_units(rng: random.Random) -> tuple[list, frozenset, frozenset]:
 def _refusal_mismatches(solve, monkeypatch, draws: int) -> list:
     """The (draw, cap) pairs, caps 1 to 24, on which solve, in place of
     `modular_solve`, answers otherwise than a solver that builds every
-    step's frontier and refuses at the first one past the cap: each step
-    listed, in order, by a spy on the real solver's `_step`, its frontier
+    step's frontier and refuses at the first one past the cap: each unit
+    listed, in order, by a spy on the real solver's `_step`, which takes
+    one enumerated unit or a run of definition units, its frontier
     counted as the stable models of the rules of the steps up to it, over
     the extensional atoms and the atoms decided so far
     (`enumerate_a_stable`).  Every unit has one atom, so the cap refuses
@@ -1030,7 +1033,12 @@ def _refusal_mismatches(solve, monkeypatch, draws: int) -> list:
         conjuncts, a, sigma = _single_atom_units(rng)
         steps = []
         real_step = splitting._step
-        monkeypatch.setattr(splitting, "_step", lambda atoms, rules, bit: steps.append((atoms, rules)) or real_step(atoms, rules, bit))
+
+        def step(units, bit):
+            steps.extend((atoms, rules) for atoms, rules, _ in units)
+            return real_step(units, bit)
+
+        monkeypatch.setattr(splitting, "_step", step)
         modular_solve(conjuncts, a, sigma)
         monkeypatch.setattr(splitting, "_step", real_step)
         extensional = sigma - a
@@ -1123,6 +1131,140 @@ class TestContextFreeRuns:
         namespace = dict(vars(splitting))
         exec(compile(source, "<mutant of modular_solve>", "exec"), namespace)
         assert _refusal_mismatches(namespace["modular_solve"], monkeypatch, 150)
+
+
+def _definition_runs(rng: random.Random) -> tuple[list, frozenset, frozenset]:
+    """A program of layers over x0, x1, ..., each unit reading only the
+    layers before it and the extensional atoms e_k: a definition unit (one
+    atom, or a positive ring of two or three, its clause bodies literals,
+    some `not not y`, over earlier atoms), or an enumerated unit (a choice,
+    `not x -> x`, or a disjunctive head over a two-atom ring), and after
+    some layers a constraint, a residual piece; so runs of definition units
+    are broken by enumerated units and by residual pieces.  sigma adds the
+    extensional atoms and, now and then, an atom s no rule mentions."""
+    es = [Atom(f"e{k}") for k in range(rng.randint(0, 2))]
+    xs: list = []
+    conjuncts: list = []
+
+    def literal(y):
+        kind = rng.random()
+        return AtomRef(y) if kind < 0.45 else neg(AtomRef(y)) if kind < 0.85 else neg(neg(AtomRef(y)))
+
+    def body(earlier):
+        if not earlier or rng.random() < 0.15:
+            return TOP
+        chosen = [literal(y) for y in rng.sample(earlier, min(rng.randint(1, 2), len(earlier)))]
+        return chosen[0] if len(chosen) == 1 else conj(chosen)
+
+    while len(xs) < 6:
+        earlier = xs + es
+        width = 1 if len(xs) > 3 or rng.random() < 0.6 else rng.randint(2, 3)
+        layer = [Atom(f"x{len(xs) + j}") for j in range(width)]
+        ring = [impl(AtomRef(layer[j - 1]), AtomRef(layer[j])) for j in range(width)] if width > 1 else []
+        kind = rng.random()
+        if kind < 0.65:  # a definition unit
+            for x in rng.sample(layer, rng.randint(1, width)):
+                conjuncts += [impl(body(earlier), AtomRef(x)) for _ in range(rng.randint(1, 2))]
+            conjuncts += ring
+        elif kind < 0.8:
+            conjuncts += [disj([AtomRef(x), neg(AtomRef(x))]) for x in layer] + ring
+        elif kind < 0.9:
+            conjuncts += [impl(neg(AtomRef(layer[0])), AtomRef(layer[0]))] + ring
+        else:
+            conjuncts += [impl(body(earlier), disj([AtomRef(x) for x in layer]))] + ring
+        xs += layer
+        if rng.random() < 0.3:
+            pool = xs + es
+            conjuncts.append(neg(conj([literal(y) for y in rng.sample(pool, min(2, len(pool)))])))
+    rng.shuffle(conjuncts)
+    extra = [Atom("s")] if rng.random() < 0.5 else []
+    return conjuncts, frozenset(xs), frozenset(xs + es + extra)
+
+
+class TestDefinitionRuns:
+    """Each maximal run of consecutive definition units is one step: one
+    position map over its atoms and one `_lane_models` call, which fills
+    its units in solve order, each on the columns of the ones before it,
+    on every distinct context at once; enumerated units and residual pieces
+    end a run.  An empty frontier ends the solve."""
+
+    def test_floor_chain_and_layered_chain_take_one_lane_run(self, monkeypatch):
+        # both are one context-free run, solved on its one empty context
+        lanes = _lane_calls(monkeypatch)
+        ats, conjuncts = chain_program(15)
+        sigma = frozenset(ats)
+        assert modular_solve(conjuncts, sigma, sigma).as_set() == {frozenset()}
+        assert lanes == [(16, 1)]
+        lanes.clear()
+        chain = layered_chain(8, 5)
+        sigma = frozenset(chain_atoms(8, 5))
+        got = modular_solve(chain, sigma, sigma)
+        assert got.as_set() == {frozenset(x for x in sigma if int(x.name[1]) % 2 == 0)}
+        assert lanes == [(40, 1)]
+
+    def test_runs_broken_by_residual_pieces_and_enumerated_units(self, monkeypatch):
+        # against the enumerator on 300 draws and the reference on the
+        # first 60; the draws hold runs of several units, and runs that
+        # read decided atoms on several contexts
+        rng = random.Random(46)
+        lanes = _lane_calls(monkeypatch)
+        units_per_run = []
+        real_step = splitting._step
+
+        def step(units, bit):
+            units_per_run.append(len(units) if units[0][2] is not None else 0)
+            return real_step(units, bit)
+
+        monkeypatch.setattr(splitting, "_step", step)
+        for draw in range(300):
+            conjuncts, a, sigma = _definition_runs(rng)
+            got = modular_solve(conjuncts, a, sigma)
+            assert got == enumerate_a_stable(conj(conjuncts), a, sigma), draw
+            if draw < 60:
+                assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, a), draw
+        runs = Counter(units_per_run)
+        assert runs[0] > 300 and sum(n for k, n in runs.items() if k > 1) > 100
+        assert sum(1 for _, contexts in lanes if contexts > 1) > 100
+
+    def test_filling_a_run_in_reverse_is_caught(self):
+        # the mutant fills a run's units last first, so a later unit reads
+        # an earlier one before that one is complete
+        source = textwrap.dedent(inspect.getsource(splitting._step))
+        old = "_batches(contexts), derived, "
+        assert source.count(old) == 1
+        namespace = dict(vars(splitting))
+        exec(compile(source.replace(old, "_batches(contexts), derived[::-1], "), "<mutant of _step>", "exec"), namespace)
+        rng = random.Random(46)
+        wrong = 0
+        for _ in range(100):
+            conjuncts, a, sigma = _definition_runs(rng)
+            want = enumerate_a_stable(conj(conjuncts), a, sigma)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(splitting, "_step", namespace["_step"])
+                wrong += modular_solve(conjuncts, a, sigma) != want
+        assert wrong > 10
+
+    def test_an_empty_frontier_ends_the_solve(self, monkeypatch, tmp_path, capsys):
+        # bot, a residual piece that reads nothing, empties the frontier
+        # first: none of the 12 choices after it is solved
+        from astable.cli import main
+
+        solved = []
+        real = splitting._unit_models
+        monkeypatch.setattr(splitting, "_unit_models", lambda rules, *rest: solved.append(rules) or real(rules, *rest))
+        path = tmp_path / "bot12.lp"
+        path.write_text("bot.\n" + "".join(f"c{i:02d} | not c{i:02d}.\n" for i in range(12)))
+        assert main(["split-solve", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert len(solved) == 1
+        # the fact x and the constraint not x, which reads it: the frontier
+        # is built and emptied, and the 12 choices that read x are not solved
+        solved.clear()
+        x, cs = Atom("x"), [Atom(f"c{i:02d}") for i in range(12)]
+        conjuncts = [AtomRef(x), neg(AtomRef(x))] + [impl(AtomRef(x), disj([AtomRef(c), neg(AtomRef(c))])) for c in cs]
+        sigma = frozenset(cs) | {x}
+        got = modular_solve(conjuncts, sigma, sigma | {Atom("s")})
+        assert len(got) == 0 and got.signature == sigma | {Atom("s")} and len(solved) == 1
 
 
 def _grouped(rng: random.Random, conjuncts: list) -> list:

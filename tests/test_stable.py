@@ -554,22 +554,22 @@ class TestDefinitionParts:
         compiled = []
         real = stable_module.compile_formula
         monkeypatch.setattr(stable_module, "compile_formula", lambda g: compiled.append(g) or real(g))
-        clauses = stable_module._definition(rules, atoms, q)
+        clauses = stable_module._definition(stable_module._clauses(rules, q), {y: b for b, y in enumerate(atoms)})
         assert compiled == [nested] and len(clauses) == 12
         x = atoms.index(Atom("x"))
         literal = [(body, list(reads)) for body, reads, _, _ in clauses if type(body) is tuple]
         assert sorted(literal) == [(([], []), [])] * 9 + [(([], [x]), [x])]
         assert [reads for body, reads, _, _ in clauses if type(body) is not tuple] == [[x], [x]]
-        # each extension is the least fixpoint: the whole ring when x is
-        # false, and, without the seeds `not not x`, no atom of it when x is
-        # true
+        # each extension, on the one lane runner, is the least fixpoint: the
+        # whole ring when x is false, and, without the seeds `not not x`, no
+        # atom of it when x is true
         unit = [b for b, y in enumerate(atoms) if y in q]
-        sig_bits = [1 << (6 + j) for j in range(9)]
-        whole = (1 << 15) - (1 << 6)
+        whole = (1 << 9) - 1
         for found, with_x in ((clauses, whole), (clauses[:10], 0)):
             for contexts in ([0, 1 << 5], [0], [1 << 5]):
                 extensions = [with_x if c else whole for c in contexts]
-                assert stable_module._definition_models(found, len(atoms), unit, sig_bits, [(x, 1 << 5)], contexts) == extensions
+                batches = stable_module._batches(contexts)
+                assert stable_module._lane_models(len(atoms), unit, 0, [(x, 1 << 5)], batches, [found], (), None) == extensions
 
     def test_narrow_programs_and_parts_are_never_recognized(self, monkeypatch):
         # no definition recognition on a program of at most _NARROW atoms,
@@ -657,10 +657,11 @@ class TestDerivedParts:
         lanes, swept = [], []
         real_lanes = stable_module._lane_models
 
-        def lane_models(prog, var, here, where, batches, derived, compared, check):
-            widths = ([p.bit_count() for p, _ in parts] for parts in (derived, compared))
-            lanes.append((len(where), *widths, check))
-            return real_lanes(prog, var, here, where, batches, derived, compared, check)
+        def lane_models(size, var, here, bits, batches, derived, compared, check):
+            # a derived part's width is the number of atoms its clauses derive
+            widths = [len({head for *_, head in clauses}) for clauses in derived], [p.bit_count() for p, _ in compared]
+            lanes.append((len(bits), *widths, check is not None))
+            return real_lanes(size, var, here, bits, batches, derived, compared, check)
 
         real_sweep = stable_module._candidate_models
         monkeypatch.setattr(stable_module, "_lane_models", lane_models)
@@ -784,15 +785,35 @@ class TestDerivedParts:
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 18, 30, 40, 64, 70])
     def test_lanes_read_back_to_their_bitmasks(self, n):
+        # every bit, then random subsets that skip the first byte or keep
+        # one bit, over 1,000 masks, over one mask, and over masks past one
+        # run, laid out run by run
         rng = random.Random(n)
         masks = [rng.getrandbits(n) for _ in range(1000)]
-        columns = stable_module._lanes(masks, n)
-        assert len(columns) == n
-        for b, column in enumerate(columns):
-            assert column.to_bytes(len(masks), "little") == bytes(m >> b & 1 for m in masks)
+        every = [1 << b for b in range(n)]
+        subsets = [every] + [sorted(rng.sample(every, rng.randint(1, n)), key=lambda _: rng.random()) for _ in range(4)]
+        subsets += [every[8:] or every, [every[-1]]]
+        for bits in subsets:
+            for given in (masks, masks[:1]):
+                columns = stable_module._lanes(given, bits)
+                assert len(columns) == len(bits)
+                for k, column in zip(bits, columns):
+                    assert column.to_bytes(len(given), "little") == bytes(1 if m & k else 0 for m in given)
+        columns = stable_module._lanes(masks, every)
         assert stable_module._read(columns, len(masks), None) == masks
         keep = bytes(rng.random() < 0.3 for _ in masks)
         assert stable_module._read(columns, len(masks), keep) == list(itertools.compress(masks, keep))
+        for m in masks[:3]:
+            one = stable_module._lanes([m], every)
+            assert stable_module._read(one, 1, None) == stable_module._read(one, 1, b"\1") == [m]
+            assert stable_module._read(one, 1, b"\0") == []
+        runs = [rng.getrandbits(n) for _ in range(2 * stable_module._RUN_BITS + 5)]
+        bits = every[n // 2 :]
+        batches = list(stable_module._batches(runs))
+        assert [len(batch) for batch in batches] == [stable_module._RUN_BITS] * 2 + [5]
+        for batch in batches:
+            for k, column in zip(bits, stable_module._lanes(batch, bits)):
+                assert column.to_bytes(len(batch), "little") == bytes(1 if m & k else 0 for m in batch)
 
     def test_definition_lanes_slice_distant_context_atoms_over_several_runs(self, monkeypatch):
         # h from a & not z, with a at bit 3 and z at bit 2990 of a wide
@@ -804,8 +825,9 @@ class TestDerivedParts:
         a, z = 1 << 3, 1 << 2990
         contexts = [0, a, z, a | z] * (stable_module._RUN_BITS // 4 + 1)
         clauses = ((([1], [2]), [1, 2], (), 0),)  # positions: h 0, a 1, z 2
-        got = stable_module._definition_models(clauses, 3, [0], [1 << 7], [(1, a), (2, z)], contexts)
-        assert got == [1 << 7 if c == a else 0 for c in contexts] and len(runs) == 2
+        batches = stable_module._batches(contexts)
+        got = stable_module._lane_models(3, [0], 0, [(1, a), (2, z)], batches, [clauses], (), None)
+        assert got == [1 if c == a else 0 for c in contexts] and len(runs) == 2
 
     @pytest.mark.parametrize("high", [10, 20, 30, 45, 70, 100])
     def test_definition_lanes_read_contexts_past_the_first_byte(self, high):
@@ -816,8 +838,9 @@ class TestDerivedParts:
         rng = random.Random(high)
         contexts = [rng.choice([0, a, z, a | z]) for _ in range(50)]
         clauses = ((([1], [2]), [1, 2], (), 0),)  # positions: h 0, a 1, z 2
-        got = stable_module._definition_models(clauses, 3, [0], [1 << 7], [(1, a), (2, z)], contexts)
-        assert got == [1 << 7 if c == a else 0 for c in contexts]
+        batches = stable_module._batches(contexts)
+        got = stable_module._lane_models(3, [0], 0, [(1, a), (2, z)], batches, [clauses], (), None)
+        assert got == [1 if c == a else 0 for c in contexts]
 
     def test_fixpoint_firings_follow_the_derivation(self):
         # the 9-atom ring x_i -> x_(i+1) listed against its direction, then
@@ -834,14 +857,18 @@ class TestDerivedParts:
 
         ring = [Counted((1, (i,), (i + 1) % 9)) for i in reversed(range(9))]  # a firing unpacks its clause
         fired = ring + [Counted((1, (), 0))]
-        assert stable_module._least_fixpoint(fired, 9) == [1] * 9
+        derived = [0] * 9
+        stable_module._least_fixpoint(fired, derived)
+        assert derived == [1] * 9
         assert len(firings) == 19
         # on three lanes, the ring switched off on the middle one and seeded
         # at x4 on the outer two: it derives the outer two everywhere
         firings.clear()
         seeded = [Counted((0b101 if i == 6 else 0b111, (i,), (i + 1) % 9)) for i in reversed(range(9))]
         seeded.append(Counted((0b101, (), 4)))
-        assert stable_module._least_fixpoint(seeded, 9) == [0b101] * 9
+        derived = dict.fromkeys(range(9), 0)  # the positions of the defined set alone
+        stable_module._least_fixpoint(seeded, derived)
+        assert list(derived.values()) == [0b101] * 9
         assert len(firings) <= 2 * len(seeded)
 
     @pytest.mark.parametrize("n", [3, 9, 18, *(n for n in range(1, 71) if n not in (3, 9, 18))])

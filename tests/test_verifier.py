@@ -265,24 +265,34 @@ NAMED_FOR = {
 def route_table():
     """Per solver suite, its report at the default seed and 100 draws and
     the routes its draws reach, counted by spies on the choice points; and
-    the formulas of the units whose route the cap of `modular_solve` reads
-    otherwise than their step takes it."""
+    the formulas of the units whose step does not take the route that the
+    one `_clauses` result the cap of `modular_solve` read gives."""
     from astable import formula, splitting, stable
 
     reached = Counter()
     misread = []
+    # what `_clauses` read off each unit's rules, by the id of the rules
+    # and by the id of a result that is no None, each held so that no id
+    # is reused
+    by_rules, by_found = {}, {}
 
-    def definition(rules, atoms, q, clauses):
+    def clauses(rules, q, found):
         # the cap exempts a unit whose every piece is a clause of a
         # definition, at any width, and its step solves just those by the
         # fixpoint of their clauses
-        if (clauses is None) != stable._enumerated(q, rules):
-            misread.append(format_formula(conj([r.formula for r in rules])))
-        if clauses is None:
-            return []
+        by_rules[id(rules)] = rules, found
+        if found is not None:
+            by_found[id(found)] = rules, found
+        return []
+
+    def definition(found, position, clauses):
+        if id(found) not in by_found:
+            misread.append(f"clauses no `_clauses` call gave: {found}")
         return ["definition unit" if any(type(body) is Program for body, _, _, _ in clauses) else "literal definition unit"]
 
     def unit_models(rules, unit, context, contexts, found):
+        if by_rules.get(id(rules), (rules, ()))[1] is not None:
+            misread.append(format_formula(conj([r.formula for r in rules])))
         return ["narrow unit" if len(unit) <= stable._NARROW else "wide unit"]
 
     def read_order(parts, order):
@@ -293,6 +303,7 @@ def route_table():
         return routes
 
     spies = {
+        (splitting, "_clauses"): clauses,
         (splitting, "_definition"): definition,
         (splitting, "_unit_models"): unit_models,
         (stable, "_parts"): lambda rules, atoms, a, found: ["wide part" if c is None else "definition part" for _, c in found[0]],
@@ -359,34 +370,40 @@ class TestRouteCoverage:
         assert table["stable_modular"][1]["definition unit"] >= 10
 
     def test_the_cap_reads_each_wide_unit_as_its_route_does(self, route_table):
-        # every unit, narrow or wide: the cap skips the narrow ones, but they
-        # follow the same rule
+        # every unit, narrow or wide: the cap skips the narrow ones, but its
+        # step reads the same `_clauses` result, so it takes the fixpoint
+        # exactly when that result is no None
         assert not route_table[1]
 
 
 class TestStableDefinitionMutations:
     """Each mutation of the definition route, patched in here, fails the
     `stable_definition` suite: the suite sees the fixpoint, the lane
-    layout and the clause recognition."""
+    layout and the clause recognition.  The order in which a run of
+    definition units is filled shows where runs of several units are
+    drawn, on `stable_modular`."""
 
     CFG = GenConfig(iterations=40)  # the first 40 of the route table's 100 draws, which pass
 
     def test_dropping_one_fixpoint_round_fails(self, monkeypatch):
         from astable import stable
 
-        def one_round_short(fired, size):
+        def one_round_short(fired, derived):
             # the derived lanes before the last round that derived anything
             fired = list(fired)
-            derived, before = [0] * size, [0] * size
+            heads = {head for *_, head in fired}
+            before = {h: derived[h] for h in heads}
             while True:
-                start = list(derived)
+                start = {h: derived[h] for h in heads}
                 for live, pos, head in fired:
                     new = live & ~derived[head]
                     for b in pos:
                         new &= derived[b]
                     derived[head] |= new
-                if derived == start:
-                    return before
+                if all(derived[h] == start[h] for h in heads):
+                    for h in heads:
+                        derived[h] = before[h]
+                    return
                 before = start
 
         monkeypatch.setattr(stable, "_least_fixpoint", one_round_short)
@@ -397,9 +414,10 @@ class TestStableDefinitionMutations:
 
         real = stable._lanes
 
-        def swapped(masks, n):
+        def swapped(masks, bits):
             # the first two columns that differ trade places
-            cols = real(masks, n)
+            cols = real(masks, bits)
+            n = len(cols)
             pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if cols[i] != cols[j]), None)
             if pair:
                 i, j = pair
@@ -408,6 +426,15 @@ class TestStableDefinitionMutations:
 
         monkeypatch.setattr(stable, "_lanes", swapped)
         assert run_suite("stable_definition", self.CFG).fails > 0
+
+    def test_filling_a_run_in_reverse_fails(self, monkeypatch):
+        from astable import splitting
+
+        # the units of a run filled last first, so a later unit reads an
+        # earlier one before that one is complete
+        reversed_run = _mutant(splitting, "_step", "_batches(contexts), derived, ", "_batches(contexts), derived[::-1], ")
+        monkeypatch.setattr(splitting, "_step", reversed_run)
+        assert run_suite("stable_modular", GenConfig(iterations=100)).fails > 0
 
     def test_accepting_a_disjunctive_head_fails(self, monkeypatch):
         from astable import stable
