@@ -251,29 +251,70 @@ def _literal(rng: random.Random, atoms: Sequence[Formula], p: float = 0.4) -> Fo
     return neg(x) if rng.random() < p else x
 
 
-def _gen_ring(rng: random.Random, ring: list[Formula], reads: list[Formula], nested: bool = False) -> list[Formula]:
-    """A switched ring: the positive ring `x -> y` through the atoms of
-    `ring`, each link switched to `x & l -> y` with probability 0.3 by a
-    literal l of the atoms `reads`; up to two chords of its closure,
-    `x & y -> z`; and one or two seeds, each a fact or a rule `l -> x` or
-    `l & l' -> x`, or with `nested` also `not not e -> x` for an atom e of
-    `reads`, a body that is no conjunction of literals."""
-    out = []
-    for x, y in zip(ring, ring[1:] + ring[:1]):
-        out.append(Impl(conj((x, _literal(rng, reads))), y) if rng.random() < 0.3 else Impl(x, y))
+def _ring_program(rng: random.Random, rings: int, width: int, extra: int) -> tuple[list[Formula], frozenset[Atom], list[Atom]]:
+    """A program of `rings` switched rings of `width` intensional atoms
+    beside `extra` context atoms, its A and its pool, the atoms shuffled.
+
+    A switched ring is the positive ring `x -> y` through its atoms, each
+    link switched to `x & l -> y` with probability 0.3 by a literal l of
+    the atoms it reads; up to two chords of its closure, `x & y -> z`; and
+    one or two seeds, each a fact, a rule `l -> x` or `l & l' -> x`, or
+    `not not e -> x`, a body that is no conjunction of literals.  Ring k
+    reads the context and the rings before it.  A context atom is
+    extensional, a choice, or derived from a literal of the first ring or
+    of the other context atoms, so no positive path leads from a ring into
+    a later one and no strongly connected component is wider than the
+    first ring with the context.  Up to two constraints follow, and at
+    most one spoiler, which makes one ring no definition: a rule from its
+    own ring to a disjunctive head, or a new intensional atom w derived
+    from a ring atom that the ring reads back through `not not w`, which
+    pulls w into the ring's unit.  In a quarter of the draws with two
+    rings or more an earlier ring also reads a later one through `not`, a
+    cycle of reads."""
+    pool = _atom_pool(rings * width + extra)
+    rng.shuffle(pool)
+    atoms = [AtomRef(x) for x in pool]
+    parts, context = [atoms[k * width : (k + 1) * width] for k in range(rings)], atoms[rings * width :]
+    conjuncts: list[Formula] = []
+    for k, ring in enumerate(parts):
+        reads = context + atoms[: k * width]
+        for x, y in zip(ring, ring[1:] + ring[:1]):
+            conjuncts.append(Impl(conj((x, _literal(rng, reads))), y) if rng.random() < 0.3 else Impl(x, y))
+        for _ in range(rng.randint(0, 2)):
+            x, y, z = rng.sample(ring, 3)
+            conjuncts.append(Impl(conj((x, y)), z))
+        for _ in range(rng.randint(1, 2)):
+            head, kind = rng.choice(ring), rng.random()
+            if kind < 0.15:
+                conjuncts.append(head)
+            elif kind < 0.4:
+                conjuncts.append(Impl(neg(neg(rng.choice(reads))), head))
+            else:
+                body = _literal(rng, reads)
+                conjuncts.append(Impl(body if kind < 0.7 else conj((body, _literal(rng, reads))), head))
+    if rings > 1 and rng.random() < 0.25:
+        j, k = sorted(rng.sample(range(rings), 2))
+        conjuncts.append(Impl(neg(rng.choice(parts[k])), rng.choice(parts[j])))
+        conjuncts.append(Impl(neg(rng.choice(parts[j])), rng.choice(parts[k])))
+    a = set(pool[: rings * width])
+    for x in context:
+        kind = rng.random()
+        if kind < 0.3:
+            continue  # extensional
+        a.add(x.atom)
+        conjuncts.append(disj((x, neg(x))) if kind < 0.6 else Impl(_literal(rng, parts[0] + [y for y in context if y is not x], 0.5), x))
     for _ in range(rng.randint(0, 2)):
-        x, y, z = rng.sample(ring, 3)
-        out.append(Impl(conj((x, y)), z))
-    for _ in range(rng.randint(1, 2)):
-        head, kind = rng.choice(ring), rng.random()
-        if kind < 0.15:
-            out.append(head)
-        elif nested and kind < 0.4:
-            out.append(Impl(neg(neg(rng.choice(reads))), head))
-        else:
-            body = _literal(rng, reads)
-            out.append(Impl(body if kind < 0.7 else conj((body, _literal(rng, reads))), head))
-    return out
+        conjuncts.append(neg(conj(_literal(rng, atoms, 0.3) for _ in range(2))))
+    kind, k = rng.random(), rng.randrange(rings)
+    ring = parts[k]
+    if kind < 0.25:  # a context head only in the first ring: no context atom leads into a later one
+        conjuncts.append(Impl(_literal(rng, ring), disj((rng.choice(ring), rng.choice(ring + context if k == 0 else ring)))))
+    elif kind < 0.5:
+        w = AtomRef(_POOL[len(pool)])
+        pool.append(w.atom)
+        a.add(w.atom)
+        conjuncts += [Impl(rng.choice(ring), w), Impl(neg(neg(w)), rng.choice(ring))]
+    return conjuncts, frozenset(a), pool
 
 
 # -- individual suites -------------------------------------------------------
@@ -570,34 +611,13 @@ def _suite_stable_modular(rng, cfg, unsound):
     negative cycle and extensional atoms, so that `modular_solve` extends
     several contexts unit by unit; two in five of them hold a clause `not
     not x -> y`, whose body is compiled where the unit of y is a
-    definition.  A quarter of the draws are 8 or 9
-    atoms around an intensional switched ring of 7 (`_gen_ring`), a unit
-    wider than `_NARROW`, whose switches and seeds read the other atoms,
-    some seeds through `not not`;
-    each of those is a choice or derived from a ring atom, which may pull
-    it into the unit.  A quarter of the draws add a disjunctive head inside
-    the ring, and a quarter a new intensional atom w derived from a ring atom
-    that the ring reads back through `not not w`, which pulls w into the
-    unit: either way the unit is no definition.  Both solvers must give the
+    definition.  A quarter of the draws are one switched ring of 7
+    (`_ring_program`) beside 1 or 2 context atoms, a unit wider than
+    `_NARROW` that a derived context atom may join, half of them spoiled
+    so that the unit is no definition.  Both solvers must give the
     reference models (see `_both_solvers`)."""
     if rng.random() < 0.25:
-        pool = _atom_pool(rng.randint(8, 9))
-        ring, context = [AtomRef(x) for x in pool[:7]], [AtomRef(x) for x in pool[7:]]
-        conjuncts = _gen_ring(rng, ring, context, True)
-        for c in context:
-            conjuncts.append(disj((c, neg(c))) if rng.random() < 0.5 else Impl(rng.choice(ring), c))
-        a = frozenset(pool[:7])
-        kind = rng.random()
-        if kind < 0.25:
-            x, y, z = rng.sample(ring, 3)
-            conjuncts.append(Impl(x, disj((y, z))))
-        elif kind < 0.5:
-            x, y, w = rng.choice(ring), rng.choice(ring), AtomRef(_POOL[len(pool)])
-            pool.append(w.atom)
-            a |= {w.atom}
-            conjuncts += [Impl(x, w), Impl(neg(neg(w)), y)]
-        a |= _rand_subset(rng, pool[7:], 0.7)
-        return _both_solvers(conjuncts, a, pool)
+        return _both_solvers(*_ring_program(rng, 1, 7, rng.randint(1, 2)))
     pool = _atom_pool(min(cfg.max_atoms, 6))
     conjuncts = _gen_program(rng, pool, rng.randint(1, 6))
     for x in sorted(_rand_subset(rng, pool, 0.2)):
@@ -665,42 +685,19 @@ def _suite_stable_scc(rng, cfg, unsound):
 
 def _suite_stable_definition(rng, cfg, unsound):
     """Programs on 8 to 10 atoms with a part of 7 or 8 intensional atoms,
-    wider than a part with a slot per subset: a switched ring (`_gen_ring`)
-    whose switches and seeds read the other atoms, some seeds through `not
-    not`, a body that is compiled.  Those are its
-    context: extensional, choices, or derived, some from ring atoms, which
-    may pull them into the ring's unit or component.  Constraints are
-    added.  A quarter of the draws spoil the ring, so that it is not a
-    definition: a context atom w gets no rule of its own, and a clause
-    with a context body, or a fact, derives a ring atom or w, a
-    disjunctive head.  `enumerate_a_stable` then decides a definition part
-    by one fixpoint over its candidates, `modular_solve` a definition unit
-    by one fixpoint over its contexts; both must give the models of the
+    wider than a part with a slot per subset: a switched ring
+    (`_ring_program`) whose switches and seeds read the context atoms,
+    some seeds through `not not`, a body that is compiled.  Its context
+    atoms are extensional, choices, or derived, some from ring atoms,
+    which may pull them into the ring's unit and component; constraints
+    are added, and in half the draws a spoiler makes the ring no
+    definition.
+    `enumerate_a_stable` then decides a definition part by one fixpoint
+    over its candidates, `modular_solve` a definition unit by one
+    fixpoint over its contexts; both must give the models of the
     reference `is_a_stable`."""
-    pool = _atom_pool(rng.randint(8, 10))
-    rng.shuffle(pool)
-    width = rng.randint(7, min(8, len(pool) - 1))
-    ring = [AtomRef(x) for x in pool[:width]]
-    context = [AtomRef(x) for x in pool[width:]]
-    spoil = context[-1] if rng.random() < 0.25 else None
-    conjuncts = _gen_ring(rng, ring, context, True)
-    a = frozenset(pool[:width])
-    for x in context:
-        kind = rng.random()
-        if x is spoil or kind >= 0.3:
-            a |= {x.atom}
-        if x is spoil or kind < 0.3:
-            continue  # extensional, or derived only by the disjunctive head
-        if kind < 0.6:
-            conjuncts.append(disj((x, neg(x))))
-        else:
-            conjuncts.append(Impl(_literal(rng, ring + [y for y in context if y is not x], 0.5), x))
-    for _ in range(rng.randint(0, 2)):
-        conjuncts.append(neg(conj(_literal(rng, ring + context, 0.3) for _ in range(2))))
-    if spoil is not None:
-        head, others = disj((rng.choice(ring), spoil)), context[:-1]
-        conjuncts.append(Impl(_literal(rng, others), head) if others and rng.random() < 0.7 else head)
-    return _both_solvers(conjuncts, a, pool)
+    width = rng.randint(7, 8)
+    return _both_solvers(*_ring_program(rng, 1, width, rng.randint(1, 10 - width)))
 
 
 def _suite_stable_loops(rng, cfg, unsound):
@@ -768,52 +765,19 @@ def _split_reference(f: Formula, a: frozenset[Atom], pool: Sequence[Atom]) -> Mo
 
 def _suite_stable_projection(rng, cfg, unsound):
     """Programs with 1 to 3 definition parts of 7 atoms, each a switched
-    ring (`_gen_ring`), beside 1 to 3 context atoms: extensional, choices,
-    or derived from part atoms.  A part's switches and seeds read context
-    atoms and atoms of earlier parts, positively or through `not`, so
-    `enumerate_a_stable` derives its atoms after theirs instead of
-    sweeping them; in a quarter of the draws with
+    ring, beside 1 to 3 context atoms (`_ring_program`).  A part's
+    switches and seeds read context atoms and atoms of earlier parts,
+    positively or through `not`, so `enumerate_a_stable` derives its atoms
+    after theirs instead of sweeping them; in a quarter of the draws with
     two parts or more an earlier part also reads a later one through
     `not`, a cycle of reads that keeps both swept and compared with their
     fixpoints.  Constraints, some on part atoms, only the run of the whole
-    program checks.  A fifth of the draws give a part a disjunctive head,
-    so that it is no definition, and a third give a new intensional atom w
-    the piece `not not x -> w` for a ring atom x, which the ring reads
-    through `not w -> y`: w joins the ring's unit, and the piece, whose
-    body holds the unit atom x under `not`, is no clause of a definition
-    for it, so that unit is no definition and `modular_solve` derives the
-    part with the unit's context fixed.  Both solvers must give the models
-    of the reference `is_a_stable` (see `_split_reference`)."""
+    program checks.  A spoiler makes one part no definition: a
+    disjunctive head, or a new atom w in its unit, which `modular_solve`
+    then solves with the unit's context fixed.  Both solvers must give
+    the models of the reference `is_a_stable` (see `_split_reference`)."""
     n = rng.choice((1, 1, 2, 2, 3))  # three parts take the reference longest
-    pool = _atom_pool(7 * n + rng.randint(1, 4 - n if n > 1 else 3))
-    rng.shuffle(pool)
-    parts = [[AtomRef(x) for x in pool[7 * k : 7 * k + 7]] for k in range(n)]
-    context = [AtomRef(x) for x in pool[7 * n :]]
-    ring_atoms = [x for part in parts for x in part]
-    conjuncts = [c for k, part in enumerate(parts) for c in _gen_ring(rng, part, context + ring_atoms[: 7 * k])]
-    if n > 1 and rng.random() < 0.25:
-        j, k = sorted(rng.sample(range(n), 2))
-        conjuncts.append(Impl(neg(rng.choice(parts[k])), rng.choice(parts[j])))
-        conjuncts.append(Impl(neg(rng.choice(parts[j])), rng.choice(parts[k])))
-    a = frozenset(x.atom for x in ring_atoms)
-    for x in context:
-        kind = rng.random()
-        if kind < 0.3:
-            continue  # extensional
-        a |= {x.atom}
-        conjuncts.append(disj((x, neg(x))) if kind < 0.65 else Impl(_literal(rng, ring_atoms, 0.5), x))
-    everything = ring_atoms + context
-    for _ in range(rng.randint(0, 2)):
-        conjuncts.append(neg(conj(_literal(rng, everything, 0.3) for _ in range(2))))
-    if rng.random() < 0.2:
-        part = rng.choice(parts)
-        conjuncts.append(Impl(_literal(rng, everything), disj((rng.choice(part), rng.choice(part + context)))))
-    if rng.random() < 0.33:
-        ring, w = rng.choice(parts), AtomRef(_POOL[len(pool)])
-        pool.append(w.atom)
-        a |= {w.atom}
-        conjuncts += [Impl(neg(neg(rng.choice(ring))), w), Impl(neg(w), rng.choice(ring))]
-    return _both_solvers(conjuncts, a, pool, _split_reference)
+    return _both_solvers(*_ring_program(rng, n, 7, rng.randint(1, 4 - n if n > 1 else 3)), _split_reference)
 
 
 def _suite_sweep_kleene(rng, cfg, unsound):

@@ -198,10 +198,10 @@ def _digest(text: str) -> str:
 
 
 class TestDrawPins:
-    """The draws of every suite but the three that build the switched ring,
-    and the unsound counterexamples of the splitting suites, pinned by the
-    SHA-256 of their report text: a change to a generator, to the order of
-    its random calls or to the rendering of a case shows here."""
+    """The draws of every suite, and the unsound counterexamples of the
+    splitting suites, pinned by the SHA-256 of their report text: a change
+    to a generator, to the order of its random calls or to the rendering of
+    a case shows here."""
 
     DRAWS = {
         "definitions_theorem": "f55bb9e712ff027bd72c4e85c3764d1a2efee449867b97a5009306391cb1e815",
@@ -219,8 +219,11 @@ class TestDrawPins:
         "prop4_grounding": "954fb82c2829eae41c8ac1cafb8812c345b16ad6defa899707ddf80d40d0d9ea",
         "split_lemma": "9cd6911e8351bb5de8de1a826ad0be3618954702b5a8ee5872a540b4644d500c",
         "split_theorem": "4eb5e053dbe48d3f0d41a49a5320a1ceb3f376a0e77dc43a248497d0e0e5f663",
+        "stable_definition": "92816abb1f7d6326ee7f74cde178d931c1dfb0269d36caf67932ec99a8941cf6",
         "stable_kernel": "897022b94c45c57c771c30f0d0f657c06bd1da97a4c00ab3a0a0c04d7e47d4c0",
         "stable_loops": "3baa75df6e97fd96194b0e2b21aeb8aee3a7a2aec0e4a4836f6ed055e9bddd2a",
+        "stable_modular": "51363e5088266ab85d4e28ad402afdca64a607916ac5aee4e88abfd4bffd39b7",
+        "stable_projection": "eb88baaf83d4b19a55c2ca9b9efcd99c65144cd6f75e18c0e94f13dabf250388",
         "stable_scc": "6d3a6bc2102688bb21c861fc3c682c97de782679155e3d0b2d99cbda8e4ec5cb",
         "sweep_kleene": "d440acefbc0e13084abfe596dc008d650ee362e3c133308b2c9621da4511fe9c",
         "syntax_roundtrip": "8a7877ae7f03b4ea50a553a3e542a18a6318f3e13800a007715865bfa76a3ad6",
@@ -230,8 +233,8 @@ class TestDrawPins:
     def test_first_draws_render_as_pinned(self, name):
         assert _digest("\n".join(_rendered_draws(name, 30))) == self.DRAWS[name]
 
-    def test_pins_cover_every_suite_but_the_rings(self):
-        assert sorted(self.DRAWS) == [s for s in SUITE_NAMES if s not in ("stable_definition", "stable_modular", "stable_projection")]
+    def test_pins_cover_every_suite(self):
+        assert sorted(self.DRAWS) == list(SUITE_NAMES)
 
     @pytest.mark.parametrize("name, case, digest", [
         ("split_lemma", 297, "d27214315d8b724972957d51b493dfb76c6e0450a400df487867be539aecbd70"),
@@ -241,6 +244,32 @@ class TestDrawPins:
         text = run_suite(name, GenConfig(iterations=200), unsound=True).first_counterexample
         assert text.startswith(f"case {case}\nsuite: {name}\n")
         assert _digest(text) == digest
+
+
+class TestRingPrograms:
+    """The switched rings of `_ring_program` never merge: no positive path
+    leads from a ring into a later one, so no strongly connected component
+    of a draw is wider than one ring of 8 with its context of at most 3
+    atoms.  A merged component of 22 atoms would leave the reference of
+    `stable_projection` a call over 2**22 subsets per classical model."""
+
+    @pytest.mark.parametrize("suite", ["stable_definition", "stable_modular", "stable_projection"])
+    @pytest.mark.parametrize("seed", [1729, 1, 7, 2016])
+    def test_no_component_is_wider_than_one_ring_and_its_context(self, monkeypatch, suite, seed):
+        from astable import verifier
+        from astable.depgraph import dep_graph, sccs
+
+        widths = []
+
+        def record(conjuncts, a, pool, reference=None):
+            # each draw recorded, none solved
+            widths.append(max(map(len, sccs(dep_graph(conj(conjuncts), a))), default=0))
+            return True, dict
+
+        monkeypatch.setattr(verifier, "_both_solvers", record)
+        run_suite(suite, GenConfig(seed=seed, iterations=300))
+        assert len(widths) == 300
+        assert [w for w in widths if w > 11] == []
 
 
 # The routes each solver suite is named for.  The routes are those the
@@ -381,7 +410,7 @@ class TestStableDefinitionMutations:
     `stable_definition` suite: the suite sees the fixpoint, the lane
     layout and the clause recognition.  The order in which a run of
     definition units is filled shows where runs of several units are
-    drawn, on `stable_modular`."""
+    drawn, on `stable_modular` and `stable_projection`."""
 
     CFG = GenConfig(iterations=40)  # the first 40 of the route table's 100 draws, which pass
 
@@ -434,7 +463,10 @@ class TestStableDefinitionMutations:
         # earlier one before that one is complete
         reversed_run = _mutant(splitting, "_step", "_batches(contexts), derived, ", "_batches(contexts), derived[::-1], ")
         monkeypatch.setattr(splitting, "_step", reversed_run)
+        # few draws of either suite hold a run in which a later unit reads
+        # an earlier one, so the mutant must fail both
         assert run_suite("stable_modular", GenConfig(iterations=100)).fails > 0
+        assert run_suite("stable_projection", GenConfig(iterations=100)).fails > 0
 
     def test_accepting_a_disjunctive_head_fails(self, monkeypatch):
         from astable import stable
