@@ -19,7 +19,7 @@ from . import bench as bench_mod
 from . import fo
 from .definitions import DefinitionError, Rejection, check_conservativity, recognize_definition
 from .depgraph import PartitionError, Partition2, dep_graph, to_dot
-from .formula import Atom, CapExceeded, Formula, SignatureError, conj, format_program
+from .formula import Atom, CapExceeded, Formula, SignatureError, _clipped, conj, format_program
 from .splitting import PreconditionError, SplitPlanError, modular_solve, split_models_lemma
 from .stable import DEFAULT_MAX_ATOMS, ModelSet, enumerate_a_stable
 from .syntax import ParseError, parse_atom_list, parse_program
@@ -153,7 +153,7 @@ def _cmd_check_definition(args) -> int:
     q = frozenset(parse_atom_list(args.defined))
     recognized = recognize_definition(conj(module), q)
     if isinstance(recognized, Rejection):
-        print(f"not a definition: {recognized}", file=sys.stderr)
+        print(f"not a definition: {_clipped(str(recognized))}", file=sys.stderr)
         return PRECONDITION_EXIT
     f = conj(base)
     report = check_conservativity(f, recognized, max_atoms=args.max_atoms)

@@ -960,3 +960,14 @@ def format_formula(f: Formula) -> str:
 
 def format_program(formulas: Iterable[Formula]) -> str:
     return "".join(format_formula(f) + ".\n" for f in formulas)
+
+
+# an error message shows at most this many characters of a formula or of
+# a list of atoms, so that the fallback warning of `split-solve` and the
+# rejection line of `check-definition` stay one short line on a deep or
+# wide formula
+_SHOWN_CHARS = 200
+
+
+def _clipped(text: str) -> str:
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."

@@ -39,7 +39,7 @@ piece of its own and lands in its own unit.
 from __future__ import annotations
 
 import itertools
-from operator import or_
+from operator import itemgetter, or_
 from typing import AbstractSet, Callable, Sequence
 
 from .depgraph import (
@@ -58,6 +58,7 @@ from .formula import (
     Formula,
     Rule,
     _check_cap,
+    _clipped,
     atoms_of,
     conj,
     read_rules,
@@ -77,16 +78,6 @@ from .stable import (
     format_interpretation,
     is_a_stable,  # not called here; perfbench/spans.py wraps this name
 )
-
-# a SplitPlanError shows at most this many characters of its piece and
-# of its list of heads, so the CLI's fallback warning stays one short line
-# on a deep or wide formula
-_SHOWN_CHARS = 200
-
-
-def _clipped(text: str) -> str:
-    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
-
 
 class PreconditionError(ValueError):
     """One or more splitting preconditions are violated."""
@@ -281,56 +272,45 @@ def _step(units: Sequence[tuple[frozenset[Atom], Sequence[Rule], list | None]], 
     function that solves the step on distinct contexts, bitmasks over
     sigma, giving its stable extensions, bitmasks over sigma, as a list
     per context, or None when each context has exactly one, and as one
-    flat list in context order.  Positions and bits are gathered once,
-    whatever the contexts.
+    flat list in context order.
 
-    An enumerated unit is compiled and solved on each context
-    (`stable._unit_models`) over the positions of its atoms among the
-    sorted atoms of its rules, its extensions spread to the bits over
-    sigma by one `stable._decode` call.
-
-    A run of definition units, at any width, is a stratified program: each
-    unit reads only the units before it in the run and the context, so by
-    the paper's theorem on definitions its one extension per context is
-    the least fixpoint of each unit's clauses, taken in solve order once
-    the earlier units are complete (Lifschitz & Turner, ICLP 1994).  One
-    position map covers the run's atoms, its units' first; each unit's
-    clauses are placed on it (`stable._definition`), and one
-    `stable._lane_models` call fills the units in order on every context
-    at once, one byte lane each, with no compile of any unit; one `_decode`
-    spreads the run's atoms to sigma.
+    Both kinds of step share one position map, the sorted atoms of their
+    units and rules, which is also the order in which `stable` compiles an
+    enumerated unit, and gather from it once, whatever the contexts, the
+    positions of the units' atoms, their bits over sigma and the
+    (position, bit) pair of each context atom; an atom without a bit has a
+    position and reads false.  Only solving differs.  An enumerated unit
+    is compiled and solved on each context (`stable._unit_models`).  A run
+    of definition units, at any width, is a stratified program: each unit
+    reads only the units before it in the run and the context, so by the
+    paper's theorem on definitions its one extension per context is the
+    least fixpoint of each unit's clauses, taken in solve order once the
+    earlier units are complete (Lifschitz & Turner, ICLP 1994).  Each
+    unit's clauses are placed on the position map (`stable._definition`),
+    and one `stable._lane_models` call fills the units in order on every
+    context at once, one byte lane each, with no compile of any unit.
+    Either way one `stable._decode` call spreads the extensions of every
+    context to the bits over sigma.
     """
+    own = frozenset().union(*[unit_atoms for unit_atoms, _, _ in units])
+    atoms = sorted(own.union(*[r.atoms for _, rules, _ in units for r in rules]))
+    var = [b for b, x in enumerate(atoms) if x in own]
+    sig_bits = [bit[x] for x in atoms if x in own]
+    context = [(b, bit[x]) for b, x in enumerate(atoms) if x not in own and x in bit]  # (position over atoms, bit over sigma)
+    ctx_mask = sum(k for _, k in context)
     if units[0][2] is None:
-        ((unit_atoms, rules, _),) = units
-        atoms = sorted(unit_atoms.union(*[r.atoms for r in rules]))
-        unit: list[int] = []  # positions over atoms
-        sig_bits: list[int] = []
-        context: list[tuple[int, int]] = []  # (position over atoms, bit over sigma)
-        ctx_mask = 0
-        for b, x in enumerate(atoms):
-            k = bit.get(x, 0)
-            if x in unit_atoms:
-                unit.append(b)
-                sig_bits.append(k)
-            elif k:
-                context.append((b, k))
-                ctx_mask |= k
+        ((_, rules, _),) = units
 
         def solve(contexts: Sequence[int]) -> tuple[list[list[int]] | None, list[int]]:
-            found = _unit_models(rules, unit, context, contexts)
+            found = _unit_models(rules, var, context, contexts)
             return found, _decode([e for ext in found for e in ext], sig_bits, sum)
 
         return ctx_mask, solve
-    position = {x: k for k, x in enumerate(y for unit_atoms, _, _ in units for y in unit_atoms)}  # the units' atoms first
-    sig_bits = list(map(bit.__getitem__, position))
-    outside = frozenset().union(*[r.atoms for _, rules, _ in units for r in rules]).difference(position)
-    position.update(zip(outside, itertools.count(len(position))))
-    context = [(position[x], bit[x]) for x in outside if x in bit]
-    ctx_mask = sum(k for _, k in context)
+    position = dict(zip(atoms, itertools.count()))
     derived = [_definition(found, position) for _, _, found in units]
 
     def solve(contexts: Sequence[int]) -> tuple[None, list[int]]:
-        fixed = _lane_models(len(position), range(len(sig_bits)), 0, context, _batches(contexts), derived, (), None)
+        fixed = _lane_models(len(atoms), var, 0, context, _batches(contexts), derived, (), None)
         return None, _decode(fixed, sig_bits, sum)
 
     return ctx_mask, solve
@@ -382,8 +362,11 @@ def modular_solve(
     is the symmetric splitting theorem: units may depend on each other
     through negation, only positive dependency stays inside a unit.  Each
     conjunct is read once, by `plan_split`, and every later step reads the
-    records of its pieces (see `_step`), its clauses once per unit
-    (`stable._clauses`), which the cap reads too.  A unit that is a
+    records of its pieces (see `_step`).  One pass over the steps, once
+    each residual piece is placed, reads each step's clauses
+    (`stable._clauses`), keeps the widest enumerated unit for the cap and
+    groups the runs; each run is then handed to `_step` and dropped, so
+    its clause readings live no longer than its step.  A unit that is a
     definition for its atoms, at any width, is never compiled nor
     enumerated: by the paper's theorem on definitions its one extension per
     context is the least fixpoint of its clauses (Ferraris, Lee, Lifschitz
@@ -434,29 +417,32 @@ def modular_solve(
     steps = list(plan.blocks[::-1])
     if plan.residual:
         # each residual piece right after the unit that decides the last
-        # of its intensional atoms, so that it filters the frontier as
-        # soon as it can
-        step_of = {x: k for k, (atoms, _) in enumerate(steps, 1) for x in atoms}
-        placed: list[list] = [[] for _ in range(len(steps) + 1)]  # the pieces solved after the first k units
-        for r in plan.residual:
-            placed[max(map(step_of.__getitem__, r.atoms & a), default=0)].append((frozenset(), (r,)))
-        units, steps = steps, placed[0]
-        for unit, pieces in zip(units, placed[1:]):
-            steps += [unit, *pieces]
-    sig = a.union(*(r.atoms for _, rules in steps for r in rules)) if sigma is None else frozenset(sigma)
-    # The cap guards every exponential dimension: the extensional context
-    # enumerated up front and the widest enumerated unit here, the frontier
-    # in _extend_frontier.  Which units are enumerated is read off their
-    # rules, once per step (`stable._clauses`), and the steps read the
-    # same result, so nothing is solved before the cap is decided.
-    found = [_clauses(rules, atoms) for atoms, rules in steps]
-    wide = [len(atoms) for (atoms, _), clauses in zip(steps, found) if clauses is None and len(atoms) > max_atoms]
-    _check_cap(max([len(sig - a), *wide]), max_atoms)
-    runs: list[list] = []  # each enumerated unit alone, each maximal run of definition units together
-    for (atoms, rules), clauses in zip(steps, found):
+        # of its intensional atoms, or first when it reads none, so that it
+        # filters the frontier as soon as it can: unit k sorts at 2k, a
+        # piece after it at 2k + 1, and the sort keeps the pieces in order
+        step_of = {x: 2 * k for k, (atoms, _) in enumerate(steps, 1) for x in atoms}
+        pieces = [(max(map(step_of.__getitem__, r.atoms & a), default=0) + 1, (frozenset(), (r,))) for r in plan.residual]
+        steps = [step for _, step in sorted([*zip(itertools.count(2, 2), steps), *pieces], key=itemgetter(0))]
+    # One pass over the steps gathers the atoms of their pieces, for the
+    # default sigma, reads which units are enumerated off their rules
+    # (`stable._clauses`), keeps the widest for the cap and groups the
+    # steps into runs, each enumerated unit alone and each maximal run of
+    # definition units together; each run's step reads that same result,
+    # so nothing is solved before the cap is decided.  The cap guards every
+    # exponential dimension: the extensional context enumerated up front
+    # and the widest enumerated unit here, the frontier in _extend_frontier.
+    mentioned, widest, runs = [a], 0, []
+    for atoms, rules in steps:
+        mentioned += [r.atoms for r in rules]
+        clauses = _clauses(rules, atoms)
+        if clauses is None:
+            widest = max(widest, len(atoms))
         if clauses is None or not runs or runs[-1][-1][2] is None:
             runs.append([])
         runs[-1].append((atoms, rules, clauses))
+    sig = frozenset().union(*mentioned) if sigma is None else frozenset(sigma)
+    _check_cap(max(len(sig - a), widest), max_atoms)
+    runs.reverse()  # popped in solve order, so a run's clause readings die with its step
 
     # Partial interpretations are bitmasks over sigma (and over A, so that
     # a model leaving sigma reaches ModelSet's signature check); an atom a
@@ -469,8 +455,8 @@ def modular_solve(
     # is built.
     frontier, run = [0], [(0, bit[x]) for x in sig - a]
     size = 1 << len(run)
-    for units in runs:
-        ctx_mask, solve = _step(units, bit)
+    while runs:
+        ctx_mask, solve = _step(runs.pop(), bit)
         if ctx_mask:
             for extensions in run:
                 frontier = _shared(frontier, extensions)

@@ -640,11 +640,14 @@ def _parts(rules: Sequence[Rule], atoms: Sequence[Atom], a: AbstractSet[Atom]) -
         for k in {comp_of[x] for x in r.heads if x in comp_of}:
             defining[k].append(r)
     parts, loop_formulas = [], []
+    position = None  # built by the first definition part, and only then
     for comp, part_rules in zip(comps, defining):
         if len(comp) > _NARROW:
             found = _clauses(part_rules, comp)
-            position = {x: b for b, x in enumerate(atoms)}
-            parts.append((sum(map(bit.__getitem__, comp)), None if found is None else _definition(found, position)))
+            if found is not None:
+                position = position or {x: b for b, x in enumerate(atoms)}
+                found = _definition(found, position)
+            parts.append((sum(map(bit.__getitem__, comp)), found))
         else:
             loop_formulas += _loop_formulas(comp, [r.formula for r in part_rules], graph)
     return parts, loop_formulas

@@ -584,6 +584,18 @@ class TestCheckDefinition:
         assert code == 2
         assert "not a definition" in err
 
+    def test_rejection_of_a_deep_piece_is_one_short_line(self, capsys, tmp_path):
+        # the piece is clipped as the fallback warning clips its piece
+        base = tmp_path / "base.lp"
+        base.write_text("e | not e.\n")
+        module = tmp_path / "deep.lp"
+        module.write_text("not " * 3000 + "p.\n")
+        code, out, err = run(capsys, "check-definition", str(base), str(module), "--defined", "p")
+        assert (code, out) == (2, "")
+        assert err.endswith("...\n") and err.count("\n") == 1
+        assert len(err.encode()) <= 300
+        assert err.startswith("not a definition: consequent is not a defined atom: not not ")
+
 
 class TestVerifyCommand:
     def test_green_suite_exit_zero(self, capsys):
