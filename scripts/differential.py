@@ -19,19 +19,27 @@ trees.  The generator imports nothing from the package.
 
 With two trees, the script prints one digest per command over the exit
 codes, stdout and stderr of every case, and exits 1 at the first case
-whose bytes differ, which it prints.  With one tree, it checks that
-`solve` and `split-solve` print the same stdout on every case where both
-exit 0, and that no run ends in a traceback; it prints the digests and
-exits 1 at the first case that fails.
+whose bytes differ, which it prints.  With one tree, it checks every case
+against an oracle of its own, which imports nothing from the package
+either: it reads the program text (`_parse`), grounds a first-order one
+over its domain, takes sigma and A as the CLI flags give them and lists
+the A-stable models by brute force in here-and-there logic (`oracle`).
+Every `solve` and `split-solve` that exits 0 must print those models, as
+the README documents them, and every one that exits 2 must stop at a cap
+that its signature passes, or on an `--intensional-pred` that names no
+predicate of the program.  No run may end in a traceback.  It prints the
+digests and exits 1 at the first case that fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -144,6 +152,166 @@ def corpus(seed: int, count: int) -> list[dict]:
     return cases
 
 
+_TOKEN = re.compile(r"->|\w+|\S")
+_ATOM = re.compile(r"(\w+)(?:\(([^)]*)\))?")  # the name and arguments of an atom of a flag's list
+TOP, BOT = ("and", ()), ("or", ())
+
+
+def _parse(text: str) -> tuple[list[str], list[tuple]]:
+    """The domain, empty for a ground program, and the sentences of a
+    program text as trees: ("atom", name, args), ("and", parts), ("or",
+    parts), ("imp", lhs, rhs), ("forall" | "exists", variable, body).
+    `not f` is ("imp", f, BOT); `top` and `bot` are the empty "and" and
+    "or".  The grammar is the README's: `->` binds loosest and groups to
+    the right, then `|`, `&` and `not`; a quantifier takes a bracketed
+    formula."""
+    domain = re.findall(r"^#domain (.*)\.$", text, re.M)
+    tokens = _TOKEN.findall(re.sub(r"^#domain .*$", "", text, flags=re.M))
+    at = 0
+
+    def take() -> str:
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
+
+    def implication() -> tuple:
+        f = chain("or", "|", lambda: chain("and", "&", unary))
+        if tokens[at] == "->":
+            take()
+            return ("imp", f, implication())
+        return f
+
+    def chain(op: str, sep: str, part) -> tuple:
+        parts = [part()]
+        while tokens[at] == sep:
+            take()
+            parts.append(part())
+        return parts[0] if len(parts) == 1 else (op, tuple(parts))
+
+    def unary() -> tuple:
+        t = take()
+        if t == "not":
+            return ("imp", unary(), BOT)
+        if t in ("top", "bot"):
+            return TOP if t == "top" else BOT
+        if t in ("forall", "exists"):
+            variable = take()
+            return (t, variable, unary())  # its body in brackets
+        if t == "(":
+            f = implication()
+            take()  # ")"
+            return f
+        args = []
+        if tokens[at] == "(":
+            take()
+            args.append(take())
+            while take() == ",":
+                args.append(take())
+        return ("atom", t, tuple(args))
+
+    sentences = []
+    while at < len(tokens):
+        sentences.append(implication())
+        take()  # "."
+    return [d.strip() for d in domain[0].split(",")] if domain else [], sentences
+
+
+def _ground(f: tuple, domain: list[str], env: dict[str, str]) -> tuple:
+    """f with each quantifier expanded over the domain: a forall is the
+    conjunction of its instances, an exists their disjunction."""
+    op = f[0]
+    if op == "atom":
+        return ("atom", f[1], tuple(env.get(t, t) for t in f[2]))
+    if op in ("forall", "exists"):
+        return ("and" if op == "forall" else "or", tuple(_ground(f[2], domain, {**env, f[1]: d}) for d in domain))
+    if op == "imp":
+        return ("imp", _ground(f[1], domain, env), _ground(f[2], domain, env))
+    return (op, tuple(_ground(g, domain, env) for g in f[1]))
+
+
+def _atoms(f: tuple, found: set) -> set:
+    """The atoms of f, each as (name, args), added to `found`."""
+    if f[0] == "atom":
+        found.add(f[1:])
+    else:
+        for g in f[1:] if f[0] in ("imp", "forall", "exists") else f[1]:
+            if isinstance(g, tuple):
+                _atoms(g, found)
+    return found
+
+
+def _here_there(f: tuple, bit: dict):
+    """f as a function of H and T, bitmasks over the signature with H
+    inside T, true iff <H, T> satisfies f in here-and-there logic: an atom
+    iff H holds it; an implication iff, read as a classical implication,
+    it holds in <H, T> and T satisfies it."""
+    op = f[0]
+    if op == "atom":
+        b = bit[f[1:]]
+        return lambda h, t: h & b
+    if op == "imp":
+        lhs, rhs = _here_there(f[1], bit), _here_there(f[2], bit)
+        return lambda h, t: (not lhs(h, t) or rhs(h, t)) and (h == t or not lhs(t, t) or rhs(t, t))
+    parts = [_here_there(g, bit) for g in f[1]]
+    if op == "and":
+        return lambda h, t: all(p(h, t) for p in parts)
+    return lambda h, t: any(p(h, t) for p in parts)
+
+
+def _text(atom: tuple) -> str:
+    name, args = atom
+    return f"{name}({','.join(args)})" if args else name
+
+
+def oracle(case: dict, argv: list[str]) -> tuple[int, str | None]:
+    """The size of the signature that the command line argv of `solve` or
+    `split-solve` gives the case, and the text of its A-stable models,
+    None when the flags name a predicate the program has not.
+
+    The signature is the atoms of a ground program, or of every predicate
+    of a first-order one over its domain, with the `--sigma` extras and A.
+    A is that signature before the extras, or as `--intensional*` says.  I
+    is A-stable iff <I, I> satisfies the formula and no J with I - A
+    inside J, J a proper subset of I, has <J, I> satisfy it (Ferraris,
+    LPNMR 2005).  The models print one a line, atoms sorted, the lines in
+    the order of the sorted atom tuples."""
+    domain, sentences = _parse(case["first_order"] or case["program"])
+    f = ("and", tuple(_ground(s, domain, {}) for s in sentences))
+    sigma = _atoms(f, set())
+    if case["first_order"]:
+        arities = {name: len(args) for name, args in _atoms(("and", tuple(sentences)), set())}
+        sigma = {(p, args) for p, k in arities.items() for args in itertools.product(domain, repeat=k)}
+    flags = {t: value for t, value in zip(argv, [*argv[1:], ""]) if t.startswith("--")}
+    atoms_of = lambda text: {(m[0], tuple(m[1].split(",")) if m[1] else ()) for m in _ATOM.findall(text)}
+    a = set(sigma)
+    if "--intensional-pred" in flags:
+        preds = flags["--intensional-pred"].split(",")
+        if not set(preds) <= arities.keys():
+            return len(sigma), None
+        a = {x for x in sigma if x[0] in preds}
+    elif "--intensional" in flags:
+        a = atoms_of(flags["--intensional"])
+    elif "--intensional-none" in flags:
+        a = set()
+    sigma |= a | atoms_of(flags.get("--sigma", ""))
+    order = sorted(sigma)
+    bit = {x: 1 << k for k, x in enumerate(order)}
+    holds = _here_there(f, bit)
+    a_mask = sum(map(bit.__getitem__, a))
+    models = []
+    for i in range(1 << len(order)):
+        if not holds(i, i):
+            continue
+        free = j = i & a_mask
+        while j:
+            j = (j - 1) & free
+            if holds(i & ~a_mask | j, i):
+                break
+        else:
+            models.append(tuple(x for k, x in enumerate(order) if i >> k & 1))
+    return len(order), "".join("{" + ",".join(map(_text, m)) + "}\n" for m in sorted(models))
+
+
 def _worker(src: str) -> int:
     """Run the corpus read from stdin on the package under src, one JSON
     line per case and command on stdout: exit code, stdout and stderr, a
@@ -208,6 +376,38 @@ def _show(k: int, case: dict, command: str, runs: list[tuple[str, list]]) -> Non
         print(f"--- {label}: exit {code}\n{out[:_SHOWN]}--- {label} stderr\n{err[:_SHOWN]}", end="")
 
 
+def check_one_tree(cases: list[dict], results: list[dict], seed: int) -> int:
+    """The one-tree check of the results of one tree on the cases, each
+    run of `solve` and `split-solve` against `oracle`: 0 when every case
+    passes, else 1, once the first case that fails is printed."""
+    answered = capped = agreed = 0
+    for k, (case, got) in enumerate(zip(cases, results)):
+        for command in COMMANDS:
+            if got[command][0] is None or "Traceback (most recent call last)" in got[command][2]:
+                _show(k, case, command, [("traceback", got[command])])
+                return 1
+        argv = case["argv"]["solve"]
+        size, want = oracle(case, argv)
+        cap = int(argv[argv.index("--max-atoms") + 1])
+        for command in ("solve", "split-solve"):
+            code, out, err = got[command]
+            if want is None:  # the flags name a predicate the program has not
+                right = code == 2 and "error: unknown predicate" in err
+            else:
+                right = out == want if code == 0 else code == 2 and "exceeds the cap" in err and size > cap
+            if not right:
+                label = f"oracle, {size} atoms" if want is not None else "oracle: an unknown predicate"
+                _show(k, case, command, [(label, [0, want or "", ""]), (command, got[command])])
+                return 1
+            answered += code == 0
+            capped += code == 2 and want is not None
+        agreed += got["solve"][0] == got["split-solve"][0] == 0
+    print(f"oracle: the {answered} runs of solve and split-solve that exit 0 print its models, "
+          f"the {capped} that exit 2 do so at a cap their signature passes, and every other names an unknown predicate")
+    print(f"{len(cases)} cases, seed {seed}: solve and split-solve agree on the {agreed} where both exit 0; no traceback")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if args[:1] == ["--worker"]:
@@ -232,21 +432,7 @@ def main(argv: list[str] | None = None) -> int:
                     return 1
         print(f"{len(cases)} cases, seed {opts.seed}: every command prints the same bytes in both trees")
         return 0
-    agreed = 0
-    for k, (case, got) in enumerate(zip(cases, results[0])):
-        for command in COMMANDS:
-            if got[command][0] is None or "Traceback (most recent call last)" in got[command][2]:
-                _show(k, case, command, [("traceback", got[command])])
-                return 1
-        (code, out, _), (split_code, split_out, _) = got["solve"], got["split-solve"]
-        if code == split_code == 0:
-            if out != split_out:
-                _show(k, case, "split-solve", [("solve", got["solve"]), ("split-solve", got["split-solve"])])
-                return 1
-            agreed += 1
-    print(f"{len(cases)} cases, seed {opts.seed}: solve and split-solve agree on the {agreed} where both exit 0; no traceback")
-    return 0
-
+    return check_one_tree(cases, results[0], opts.seed)
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -13,13 +13,16 @@ inside a unit, as the symmetric splitting theorem asks.  Each conjunct is
 read once, by one walk, into one record per piece
 (`formula.read_rules`): its atoms, heads, dependency edges and clause-body
 atoms.  The planner, the cap and every step read the records, and no
-other walker runs.  Each enumerated unit, and each maximal run of
-consecutive definition units, takes one step (`_step`): a step that
-reads a decided atom gathers its distinct contexts once and joins the
-frontier with their extensions (`_extend_frontier`); one that reads none
-is solved once, on its one empty context, and joined with the frontier
-together with the next such steps.  A unit that is a definition for its
-atoms is never compiled: its clauses are read off the records
+other walker runs.  The solver numbers the signature once, sigma, A
+and every atom a piece mentions in sorted order, and passes indices
+into that order below it: partial interpretations are bitmasks over it,
+and no table holds a mask per atom of it.  Each enumerated unit, and each
+maximal run of consecutive definition units, takes one step (`_step`):
+a step that reads a decided atom gathers its distinct contexts once and
+joins the frontier with their extensions (`_extend_frontier`); one that
+reads none is solved once, on its one empty context, and joined with the
+frontier together with the next such steps.  A unit that is a
+definition for its atoms is never compiled: its clauses are read off the records
 (`stable._clauses`), placed on the run's columns (`stable._definition`)
 and their least fixpoint taken, unit after unit, over every context at
 once by the one lane runner (`stable._lane_models`); any other unit is
@@ -73,6 +76,7 @@ from .stable import (
     _decode,
     _definition,
     _lane_models,
+    _mask,
     _unit_models,
     enumerate_a_stable,
     format_interpretation,
@@ -262,48 +266,51 @@ def _shared(frontier: list[int], extensions: Sequence[int]) -> list[int]:
     return out
 
 
-def _step(units: Sequence[tuple[frozenset[Atom], Sequence[Rule], list | None]], bit: dict[Atom, int]) -> tuple[int, Callable]:
+def _step(units: Sequence[tuple[frozenset[Atom], Sequence[Rule], list | None]], index: dict[Atom, int]) -> tuple[int, Callable]:
     """The step of one enumerated unit or of a run of definition units,
     each unit given as its atoms, its rules and what `stable._clauses`
-    reads off them, None for an enumerated unit: the mask over sigma of
-    the step's context atoms, the atoms outside its units that its rules
-    mention and that have a bit (`bit` maps atoms to their bits; an atom
-    without one is always false), 0 for a context-free step; and a
-    function that solves the step on distinct contexts, bitmasks over
-    sigma, giving its stable extensions, bitmasks over sigma, as a list
-    per context, or None when each context has exactly one, and as one
-    flat list in context order.
+    reads off them, None for an enumerated unit: the mask, over the
+    solve's one numbering of the atoms (`index` maps each atom to the
+    number of its bit), of the step's context atoms, the atoms outside its units that
+    its rules mention, 0 for a context-free step; and a function that
+    solves the step on distinct contexts, bitmasks over that numbering,
+    giving its stable extensions, bitmasks over it too, as a list per
+    context, or None when each context has exactly one, and as one flat
+    list in context order.
 
-    Both kinds of step share one position map, the sorted atoms of their
-    units and rules, which is also the order in which `stable` compiles an
-    enumerated unit, and gather from it once, whatever the contexts, the
-    positions of the units' atoms, their bits over sigma and the
-    (position, bit) pair of each context atom; an atom without a bit has a
-    position and reads false.  Only solving differs.  An enumerated unit
-    is compiled and solved on each context (`stable._unit_models`).  A run
-    of definition units, at any width, is a stratified program: each unit
-    reads only the units before it in the run and the context, so by the
-    paper's theorem on definitions its one extension per context is the
-    least fixpoint of each unit's clauses, taken in solve order once the
-    earlier units are complete (Lifschitz & Turner, ICLP 1994).  Each
-    unit's clauses are placed on the position map (`stable._definition`),
-    and one `stable._lane_models` call fills the units in order on every
-    context at once, one byte lane each, with no compile of any unit.
-    Either way one `stable._decode` call spreads the extensions of every
-    context to the bits over sigma.
+    Both kinds of step share one position map, the atoms of their units
+    and rules in index order, which is their sorted order and the order
+    in which `stable` compiles an enumerated unit, and gather from it
+    once, whatever the contexts, the positions of the units' atoms, their
+    indices and the (position, bit) pair of each context atom.  Only
+    solving differs.  An enumerated unit is compiled and solved on each
+    context (`stable._unit_models`).  A run of definition units, at any
+    width, is a stratified program: each unit reads only the units before
+    it in the run and the context, so by the paper's theorem on
+    definitions its one extension per context is the least fixpoint of
+    each unit's clauses, taken in solve order once the earlier units are
+    complete (Lifschitz & Turner, ICLP 1994).  Each unit's clauses are
+    placed on the position map (`stable._definition`), and one
+    `stable._lane_models` call fills the units in order on every context
+    at once, one byte lane each, with no compile of any unit.  Either way
+    one `stable._decode` call spreads the extensions of every context to
+    the numbering, joining the indices of the atoms each sets into one
+    mask (`stable._mask`): the step keeps indices, not a mask per atom of
+    its units, though past `stable._FEW` contexts `_decode` joins them
+    through per-byte tables, 256 masks per 8 atoms of the step.
     """
     own = frozenset().union(*[unit_atoms for unit_atoms, _, _ in units])
-    atoms = sorted(own.union(*[r.atoms for _, rules, _ in units for r in rules]))
+    atoms = sorted(own.union(*[r.atoms for _, rules, _ in units for r in rules]), key=index.__getitem__)
     var = [b for b, x in enumerate(atoms) if x in own]
-    sig_bits = [bit[x] for x in atoms if x in own]
-    context = [(b, bit[x]) for b, x in enumerate(atoms) if x not in own and x in bit]  # (position over atoms, bit over sigma)
+    indices = [index[x] for x in atoms if x in own]
+    context = [(b, 1 << index[x]) for b, x in enumerate(atoms) if x not in own]  # (position over atoms, bit)
     ctx_mask = sum(k for _, k in context)
     if units[0][2] is None:
         ((_, rules, _),) = units
 
         def solve(contexts: Sequence[int]) -> tuple[list[list[int]] | None, list[int]]:
             found = _unit_models(rules, var, context, contexts)
-            return found, _decode([e for ext in found for e in ext], sig_bits, sum)
+            return found, _decode([e for ext in found for e in ext], indices, _mask)
 
         return ctx_mask, solve
     position = dict(zip(atoms, itertools.count()))
@@ -311,7 +318,7 @@ def _step(units: Sequence[tuple[frozenset[Atom], Sequence[Rule], list | None]], 
 
     def solve(contexts: Sequence[int]) -> tuple[None, list[int]]:
         fixed = _lane_models(len(atoms), var, 0, context, _batches(contexts), derived, (), None)
-        return None, _decode(fixed, sig_bits, sum)
+        return None, _decode(fixed, indices, _mask)
 
     return ctx_mask, solve
 
@@ -366,7 +373,14 @@ def modular_solve(
     each residual piece is placed, reads each step's clauses
     (`stable._clauses`), keeps the widest enumerated unit for the cap and
     groups the runs; each run is then handed to `_step` and dropped, so
-    its clause readings live no longer than its step.  A unit that is a
+    its clause readings live no longer than its step.  The solve then
+    numbers sigma, A and every atom the pieces mention once, in sorted
+    order, and hands each step that numbering: a partial interpretation
+    is a bitmask over it, and a mask is built only for a frontier entry,
+    a context, the doubling of an extensional atom or a context atom's
+    (position, bit) pair, never a table of one per atom of sigma.  An
+    atom outside sigma and A has its index too and is never set, so it
+    reads false.  A unit that is a
     definition for its atoms, at any width, is never compiled nor
     enumerated: by the paper's theorem on definitions its one extension per
     context is the least fixpoint of its clauses (Ferraris, Lee, Lifschitz
@@ -379,9 +393,9 @@ def modular_solve(
     compiled in its own step and solved once per distinct context
     (`stable._unit_models`), with A = the unit's atoms and the context
     fixed; it and residual pieces end a run.  A context-free step, whose
-    rules read no atom with a bit outside its own units, such as a free
-    choice, a residual piece that reads no atom of sigma, a run that
-    reads only its own atoms, or the doubling of an extensional atom that
+    rules read no atom outside its own units, such as a free choice, a
+    residual piece that reads no atom, a run that reads only its own
+    atoms, or the doubling of an extensional atom that
     starts the frontier, has the same extensions on every entry: it is
     solved once, on its one empty context, and a maximal run of such
     steps is joined with the frontier only when the next step reads a
@@ -444,19 +458,18 @@ def modular_solve(
     _check_cap(max(len(sig - a), widest), max_atoms)
     runs.reverse()  # popped in solve order, so a run's clause readings die with its step
 
-    # Partial interpretations are bitmasks over sigma (and over A, so that
-    # a model leaving sigma reaches ModelSet's signature check); an atom a
-    # unit mentions outside both stays false.
-    order = sorted(sig | a)
-    bit = {x: 1 << k for k, x in enumerate(order)}
-    # The extensions of the context-free steps since the frontier was last
+    # One numbering of sigma, A and every atom the pieces mention, in
+    # sorted order, and partial interpretations are bitmasks over it.  The
+    # extensions of the context-free steps since the frontier was last
     # built, each extensional atom's first, and the size of their product
     # with the frontier, which is checked at every factor before any entry
     # is built.
-    frontier, run = [0], [(0, bit[x]) for x in sig - a]
+    order = sorted(sig.union(*mentioned))
+    index = dict(zip(order, itertools.count()))
+    frontier, run = [0], [(0, 1 << index[x]) for x in sig - a]
     size = 1 << len(run)
     while runs:
-        ctx_mask, solve = _step(runs.pop(), bit)
+        ctx_mask, solve = _step(runs.pop(), index)
         if ctx_mask:
             for extensions in run:
                 frontier = _shared(frontier, extensions)

@@ -126,11 +126,18 @@ def _bit_table(g: int) -> list[int]:
     return _tables([1 << b for b in range(8 * g, 8 * g + 8)], sum)[0]
 
 
+def _mask(indices: Iterable[int]) -> int:
+    """The bitmask that sets bit i for each of the distinct `indices`: the
+    join of `_decode` that spreads bitmasks to other positions by their
+    indices there, so that no caller holds a mask per position."""
+    return sum(map((1).__lshift__, indices))
+
+
 def _decode(masks: Sequence[int], pieces: Sequence, join) -> list:
     """Per bitmask over len(pieces) atoms, in the order given, `join` of
     the pieces of the bits it sets, in increasing order: `join` takes an
-    iterable, such as `tuple`, `"".join` or `sum`, and adding two of its
-    results must give the join of their pieces.
+    iterable, such as `tuple`, `"".join`, `sum` or `_mask`, and adding two
+    of its results must give the join of their pieces.
 
     A handful of bitmasks are decoded one at a time; more through
     `_tables`, one lookup and one addition per 8 atoms, all in C.  The
@@ -425,8 +432,7 @@ def _candidate_models(prog: Program, var: Sequence[int], here: int) -> list[int]
             candidates += set_bits(chunk, offset)
         offset += step
     if order is not var:
-        position = {b: j for j, b in enumerate(var)}
-        candidates = _decode(candidates, [1 << position[b] for b in order], sum)
+        candidates = _decode(candidates, [1 << var.index(b) for b in order], sum)
     return candidates
 
 
@@ -797,9 +803,7 @@ def _lanes(masks: Sequence[int], bits: Sequence[int]) -> list[int]:
     bit j of that byte, shifted down to the listed bit's."""
     if len(masks) == 1 or not bits:
         return [1 if masks[0] & k else 0 for k in bits]
-    span = 0
-    for k in bits:
-        span |= k
+    span = sum(bits)  # distinct single bits
     low = ((span & -span).bit_length() - 1) & -8  # the first bit of the lowest byte that holds one
     width = (max(span, max(masks)).bit_length() - low + 7) >> 3  # bytes up to the highest a mask sets
     flat, stride = _packed(list(map(low.__rrshift__, masks)) if low else masks, width)
@@ -1121,8 +1125,9 @@ def enumerate_a_stable(
     Intensional atoms that never occur in f cannot appear in any A-stable
     model and are pruned up front.  Extensional atoms of sigma that do not
     occur are free: each stable bitmask is spread once to the sorted order
-    of all the atoms a model may hold, and every subset of the free atoms'
-    bits is joined to it, so the models reach `ModelSet.from_masks` as
+    of all the atoms a model may hold, by its atoms' indices in that order
+    (`_mask`), and every subset of the free atoms' bits is joined to it,
+    so the models reach `ModelSet.from_masks` as
     bitmasks in every case.  A given sigma wider than max_atoms raises
     CapExceeded before f is compiled, or SignatureError when it omits an
     atom of f or a, as any other sigma that omits one does.
@@ -1150,10 +1155,9 @@ def enumerate_a_stable(
     free = sig - a - occurring
     if free:
         order = sorted(occurring | free)
-        bit = {x: 1 << k for k, x in enumerate(order)}
-        core = [bit[x] for x in prog.atoms]
+        index = dict(zip(order, itertools.count()))
         joins = [0]
         for x in free:
-            joins += [j | bit[x] for j in joins]
-        masks = [m | j for m in _decode(masks, core, sum) for j in joins]
+            joins += [j | 1 << index[x] for j in joins]
+        masks = [m | j for m in _decode(masks, list(map(index.__getitem__, prog.atoms)), _mask) for j in joins]
     return ModelSet.from_masks(masks, order, sig)

@@ -50,3 +50,41 @@ def test_two_tree_mode_prints_one_digest_per_command_for_equal_trees():
     lines = done.stdout.splitlines()
     assert [len(line.split()) for line in lines[:3]] == [2, 2, 2]
     assert lines[-1] == "10 cases, seed 7: every command prints the same bytes in both trees"
+
+
+def _script():
+    sys.path.insert(0, str(SCRIPT.parent))
+    try:
+        import differential
+    finally:
+        sys.path.remove(str(SCRIPT.parent))
+    return differential
+
+
+def test_oracle_reads_programs_and_flags_itself():
+    differential = _script()
+    ground = {"program": "not not x_1 -> x_1.\nnot x_1 -> x_1.\n", "first_order": None}
+    assert differential.oracle(ground, ["solve", "prog.lp", "--max-atoms", "3"]) == (1, "{x_1}\n")
+    # with x_1 extensional both interpretations are tried, and only {x_1} is a model
+    argv = ["solve", "prog.lp", "--max-atoms", "3", "--sigma", "s", "--intensional-none"]
+    assert differential.oracle(ground, argv) == (2, "{s,x_1}\n{x_1}\n")
+    # a grounded exists is a disjunction; the signature is every atom of p over the domain
+    first_order = {"program": "", "first_order": "#domain a, b.\nexists X (p(X)).\nforall X (p(X) -> q(X)).\n"}
+    argv = ["solve", "prog.fo", "--max-atoms", "3", "--intensional-pred", "p,q"]
+    assert differential.oracle(first_order, argv) == (4, "{p(a),q(a)}\n{p(b),q(b)}\n")
+    assert differential.oracle(first_order, [*argv[:-1], "p,r"]) == (4, None)
+
+
+def test_oracle_agrees_on_ten_programs_and_reports_a_planted_line(capsys):
+    differential = _script()
+    cases = differential.corpus(1, 10)
+    results = differential._run(SRC, cases)
+    assert differential.check_one_tree(cases, results, 1) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("oracle: the ") and lines[-1].startswith("10 cases, seed 1: ")
+    k = next(k for k, got in enumerate(results) if got["split-solve"][0] == 0)
+    results[k]["split-solve"][1] += "{zz}\n"
+    assert differential.check_one_tree(cases, results, 1) == 1
+    shown = capsys.readouterr().out
+    assert shown.startswith(f"case {k}: astable split-solve ")
+    assert "--- oracle, " in shown and "{zz}\n--- split-solve stderr" in shown

@@ -655,6 +655,36 @@ class TestModularSolve:
         for body in (AtomRef(x), neg(neg(AtomRef(x)))):
             assert modular_solve([impl(body, AtomRef(p))], {p}, sigma).lines() == ["{}", "{q}"]
 
+    def test_steps_reading_atoms_outside_sigma_and_a_match_the_oracle(self, monkeypatch):
+        # x and y are in neither sigma nor A, so they have an index and are
+        # never set: the enumerated unit {p, q} of `not q & not x -> p` and
+        # `not p -> q` reads x, and the run of the definition units {r} and
+        # {s}, `not y -> r` and `r & not y -> s`, reads y
+        kinds = []
+        real = splitting._step
+        monkeypatch.setattr(
+            splitting, "_step", lambda units, index: kinds.append([c is None for _, _, c in units]) or real(units, index)
+        )
+        p, q, r, s, x, y = (AtomRef(Atom(n)) for n in "pqrsxy")
+        conjuncts = [
+            impl(conj([neg(q), neg(x)]), p),
+            impl(neg(p), q),
+            impl(neg(y), r),
+            impl(conj([r, neg(y)]), s),
+        ]
+        sigma = frozenset(a.atom for a in (p, q, r, s))
+        got = modular_solve(conjuncts, sigma, sigma)
+        assert kinds == [[True], [False, False]]
+        assert got.lines() == ["{p,r,s}", "{q,r,s}"]
+        assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, sigma)
+        # with r extensional, `not y -> r` is a residual piece, which reads y
+        # too, and the unit {s} is solved on both of r's values
+        kinds.clear()
+        a = sigma - {r.atom}
+        got = modular_solve(conjuncts, a, sigma)
+        assert kinds == [[True], [True], [False]]
+        assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, a)
+
     def test_constraints_across_extensional_contexts_match_the_oracle(self):
         # residual constraints over intensional and extensional atoms are
         # blocks with no atoms, each solved once per context it reads
