@@ -27,8 +27,14 @@ the A-stable models by brute force in here-and-there logic (`oracle`).
 Every `solve` and `split-solve` that exits 0 must print those models, as
 the README documents them, and every one that exits 2 must stop at a cap
 that its signature passes, or on an `--intensional-pred` that names no
-predicate of the program.  No run may end in a traceback.  It prints the
-digests and exits 1 at the first case that fails.
+predicate of the program.  Every `check-definition` that exits 0 must
+print the pairing that the oracle's own models give (`definition_oracle`):
+its head line with the count, then each model of the base plus the module
+with its projection, and every one that exits 2 at a cap must have a
+signature that passes it.  Its rejections, `not a definition`, a defined
+atom in the base and a counterexample, stay unchecked.  No run may end in
+a traceback.  It prints the digests and exits 1 at the first case that
+fails.
 """
 
 from __future__ import annotations
@@ -263,37 +269,20 @@ def _text(atom: tuple) -> str:
     return f"{name}({','.join(args)})" if args else name
 
 
-def oracle(case: dict, argv: list[str]) -> tuple[int, str | None]:
-    """The size of the signature that the command line argv of `solve` or
-    `split-solve` gives the case, and the text of its A-stable models,
-    None when the flags name a predicate the program has not.
+def _braces(model: tuple) -> str:
+    return "{" + ",".join(map(_text, model)) + "}"
 
-    The signature is the atoms of a ground program, or of every predicate
-    of a first-order one over its domain, with the `--sigma` extras and A.
-    A is that signature before the extras, or as `--intensional*` says.  I
-    is A-stable iff <I, I> satisfies the formula and no J with I - A
-    inside J, J a proper subset of I, has <J, I> satisfy it (Ferraris,
-    LPNMR 2005).  The models print one a line, atoms sorted, the lines in
-    the order of the sorted atom tuples."""
-    domain, sentences = _parse(case["first_order"] or case["program"])
-    f = ("and", tuple(_ground(s, domain, {}) for s in sentences))
-    sigma = _atoms(f, set())
-    if case["first_order"]:
-        arities = {name: len(args) for name, args in _atoms(("and", tuple(sentences)), set())}
-        sigma = {(p, args) for p, k in arities.items() for args in itertools.product(domain, repeat=k)}
-    flags = {t: value for t, value in zip(argv, [*argv[1:], ""]) if t.startswith("--")}
-    atoms_of = lambda text: {(m[0], tuple(m[1].split(",")) if m[1] else ()) for m in _ATOM.findall(text)}
-    a = set(sigma)
-    if "--intensional-pred" in flags:
-        preds = flags["--intensional-pred"].split(",")
-        if not set(preds) <= arities.keys():
-            return len(sigma), None
-        a = {x for x in sigma if x[0] in preds}
-    elif "--intensional" in flags:
-        a = atoms_of(flags["--intensional"])
-    elif "--intensional-none" in flags:
-        a = set()
-    sigma |= a | atoms_of(flags.get("--sigma", ""))
+
+def _flag_atoms(text: str) -> set:
+    """The atoms of a flag's comma-separated list, each as (name, args)."""
+    return {(m[0], tuple(m[1].split(",")) if m[1] else ()) for m in _ATOM.findall(text)}
+
+
+def _stable(f: tuple, sigma: set, a: set) -> list[tuple]:
+    """The A-stable models of the ground formula f over sigma, each as its
+    sorted atoms, in the order of those tuples.  I is A-stable iff <I, I>
+    satisfies f and no J with I - A inside J, J a proper subset of I, has
+    <J, I> satisfy it (Ferraris, LPNMR 2005)."""
     order = sorted(sigma)
     bit = {x: 1 << k for k, x in enumerate(order)}
     holds = _here_there(f, bit)
@@ -309,7 +298,63 @@ def oracle(case: dict, argv: list[str]) -> tuple[int, str | None]:
                 break
         else:
             models.append(tuple(x for k, x in enumerate(order) if i >> k & 1))
-    return len(order), "".join("{" + ",".join(map(_text, m)) + "}\n" for m in sorted(models))
+    return sorted(models)
+
+
+def oracle(case: dict, argv: list[str]) -> tuple[int, str | None]:
+    """The size of the signature that the command line argv of `solve` or
+    `split-solve` gives the case, and the text of its A-stable models,
+    None when the flags name a predicate the program has not.
+
+    The signature is the atoms of a ground program, or of every predicate
+    of a first-order one over its domain, with the `--sigma` extras and A.
+    A is that signature before the extras, or as `--intensional*` says.
+    The models (`_stable`) print one a line, atoms sorted, the lines in
+    the order of the sorted atom tuples."""
+    domain, sentences = _parse(case["first_order"] or case["program"])
+    f = ("and", tuple(_ground(s, domain, {}) for s in sentences))
+    sigma = _atoms(f, set())
+    if case["first_order"]:
+        arities = {name: len(args) for name, args in _atoms(("and", tuple(sentences)), set())}
+        sigma = {(p, args) for p, k in arities.items() for args in itertools.product(domain, repeat=k)}
+    flags = {t: value for t, value in zip(argv, [*argv[1:], ""]) if t.startswith("--")}
+    a = set(sigma)
+    if "--intensional-pred" in flags:
+        preds = flags["--intensional-pred"].split(",")
+        if not set(preds) <= arities.keys():
+            return len(sigma), None
+        a = {x for x in sigma if x[0] in preds}
+    elif "--intensional" in flags:
+        a = _flag_atoms(flags["--intensional"])
+    elif "--intensional-none" in flags:
+        a = set()
+    sigma |= a | _flag_atoms(flags.get("--sigma", ""))
+    return len(sigma), "".join(_braces(m) + "\n" for m in _stable(f, sigma, a))
+
+
+def definition_oracle(case: dict) -> tuple[int, str | None]:
+    """The size of the signature of the case's `check-definition` run, and
+    what that run prints when it exits 0, or None when the oracle finds
+    the module no conservative extension of the base.
+
+    As `check_conservativity` takes them, sigma is the atoms of the base,
+    of the module and the defined atoms, and A = sigma.  The module is
+    conservative iff dropping the defined atoms maps the A-stable models
+    of base plus module one-to-one onto those of the base; then the run
+    prints `definition for K atoms: conservative (N stable models)`, K the
+    defined atoms and N the models of both, and one line `{full} ->
+    {projection}` per model, in the order of the sorted atom tuples."""
+    argv = case["argv"]["check-definition"]
+    q = _flag_atoms(argv[argv.index("--defined") + 1])
+    base = ("and", tuple(_parse(case["program"])[1]))
+    both = ("and", (base, ("and", tuple(_parse(case["module"])[1]))))
+    sigma = _atoms(both, set()) | q
+    full = _stable(both, sigma, sigma)
+    projected = [tuple(x for x in m if x not in q) for m in full]
+    if sorted(projected) != _stable(base, sigma, sigma):
+        return len(sigma), None
+    head = f"definition for {len(q)} atoms: conservative ({len(full)} stable models)\n"
+    return len(sigma), head + "".join(f"{_braces(m)} -> {_braces(p)}\n" for m, p in zip(full, projected))
 
 
 def _worker(src: str) -> int:
@@ -378,9 +423,11 @@ def _show(k: int, case: dict, command: str, runs: list[tuple[str, list]]) -> Non
 
 def check_one_tree(cases: list[dict], results: list[dict], seed: int) -> int:
     """The one-tree check of the results of one tree on the cases, each
-    run of `solve` and `split-solve` against `oracle`: 0 when every case
-    passes, else 1, once the first case that fails is printed."""
-    answered = capped = agreed = 0
+    run of `solve` and `split-solve` against `oracle` and each run of
+    `check-definition` that exits 0 or at a cap against
+    `definition_oracle`: 0 when every case passes, else 1, once the first
+    case that fails is printed."""
+    answered = capped = agreed = certified = refused = unchecked = 0
     for k, (case, got) in enumerate(zip(cases, results)):
         for command in COMMANDS:
             if got[command][0] is None or "Traceback (most recent call last)" in got[command][2]:
@@ -402,8 +449,23 @@ def check_one_tree(cases: list[dict], results: list[dict], seed: int) -> int:
             answered += code == 0
             capped += code == 2 and want is not None
         agreed += got["solve"][0] == got["split-solve"][0] == 0
+        code, out, err = got["check-definition"]
+        if code == 0 or code == 2 and "exceeds the cap" in err:
+            argv = case["argv"]["check-definition"]
+            cap = int(argv[argv.index("--max-atoms") + 1])
+            size, want = definition_oracle(case)
+            if not (out == want and size <= cap if code == 0 else size > cap):
+                label = f"oracle, {size} atoms" if want is not None else f"oracle: not conservative, {size} atoms"
+                _show(k, case, "check-definition", [(label, [0, want or "", ""]), ("check-definition", got["check-definition"])])
+                return 1
+            certified += code == 0
+            refused += code == 2
+        else:
+            unchecked += 1
     print(f"oracle: the {answered} runs of solve and split-solve that exit 0 print its models, "
           f"the {capped} that exit 2 do so at a cap their signature passes, and every other names an unknown predicate")
+    print(f"oracle: the {certified} runs of check-definition that exit 0 print its pairs, the {refused} that exit 2 "
+          f"at a cap do so at a cap their signature passes; its {unchecked} rejections stay unchecked")
     print(f"{len(cases)} cases, seed {seed}: solve and split-solve agree on the {agreed} where both exit 0; no traceback")
     return 0
 

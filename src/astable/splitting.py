@@ -16,7 +16,9 @@ atoms.  The planner, the cap and every step read the records, and no
 other walker runs.  The solver numbers the signature once, sigma, A
 and every atom a piece mentions in sorted order, and passes indices
 into that order below it: partial interpretations are bitmasks over it,
-and no table holds a mask per atom of it.  Each enumerated unit, and each
+a step's context atoms reach `stable` as (position, index) pairs, every
+extension moves to the numbering by one `stable._spread`, and no table
+holds a mask per atom of it.  Each enumerated unit, and each
 maximal run of consecutive definition units, takes one step (`_step`):
 a step that reads a decided atom gathers its distinct contexts once and
 joins the frontier with their extensions (`_extend_frontier`); one that
@@ -73,10 +75,10 @@ from .stable import (
     ModelSet,
     _batches,
     _clauses,
-    _decode,
     _definition,
     _lane_models,
     _mask,
+    _spread,
     _unit_models,
     enumerate_a_stable,
     format_interpretation,
@@ -282,7 +284,7 @@ def _step(units: Sequence[tuple[frozenset[Atom], Sequence[Rule], list | None]], 
     and rules in index order, which is their sorted order and the order
     in which `stable` compiles an enumerated unit, and gather from it
     once, whatever the contexts, the positions of the units' atoms, their
-    indices and the (position, bit) pair of each context atom.  Only
+    indices and the (position, index) pair of each context atom.  Only
     solving differs.  An enumerated unit is compiled and solved on each
     context (`stable._unit_models`).  A run of definition units, at any
     width, is a stratified program: each unit reads only the units before
@@ -293,24 +295,24 @@ def _step(units: Sequence[tuple[frozenset[Atom], Sequence[Rule], list | None]], 
     placed on the position map (`stable._definition`), and one
     `stable._lane_models` call fills the units in order on every context
     at once, one byte lane each, with no compile of any unit.  Either way
-    one `stable._decode` call spreads the extensions of every context to
-    the numbering, joining the indices of the atoms each sets into one
-    mask (`stable._mask`): the step keeps indices, not a mask per atom of
-    its units, though past `stable._FEW` contexts `_decode` joins them
-    through per-byte tables, 256 masks per 8 atoms of the step.
+    one `stable._spread` call moves the extensions of every context to
+    the numbering by the indices of the units' atoms: the step holds
+    indices, never a mask per atom, and past `stable._FEW` contexts the
+    per-byte tables of `_spread` are relative to the least index of each
+    8 atoms, so no entry is wider than those atoms' span.
     """
     own = frozenset().union(*[unit_atoms for unit_atoms, _, _ in units])
     atoms = sorted(own.union(*[r.atoms for _, rules, _ in units for r in rules]), key=index.__getitem__)
     var = [b for b, x in enumerate(atoms) if x in own]
     indices = [index[x] for x in atoms if x in own]
-    context = [(b, 1 << index[x]) for b, x in enumerate(atoms) if x not in own]  # (position over atoms, bit)
-    ctx_mask = sum(k for _, k in context)
+    context = [(b, index[x]) for b, x in enumerate(atoms) if x not in own]  # (position over atoms, index)
+    ctx_mask = _mask(i for _, i in context)
     if units[0][2] is None:
         ((_, rules, _),) = units
 
         def solve(contexts: Sequence[int]) -> tuple[list[list[int]] | None, list[int]]:
             found = _unit_models(rules, var, context, contexts)
-            return found, _decode([e for ext in found for e in ext], indices, _mask)
+            return found, _spread([e for ext in found for e in ext], indices)
 
         return ctx_mask, solve
     position = dict(zip(atoms, itertools.count()))
@@ -318,7 +320,7 @@ def _step(units: Sequence[tuple[frozenset[Atom], Sequence[Rule], list | None]], 
 
     def solve(contexts: Sequence[int]) -> tuple[None, list[int]]:
         fixed = _lane_models(len(atoms), var, 0, context, _batches(contexts), derived, (), None)
-        return None, _decode(fixed, indices, _mask)
+        return None, _spread(fixed, indices)
 
     return ctx_mask, solve
 
@@ -377,8 +379,8 @@ def modular_solve(
     numbers sigma, A and every atom the pieces mention once, in sorted
     order, and hands each step that numbering: a partial interpretation
     is a bitmask over it, and a mask is built only for a frontier entry,
-    a context, the doubling of an extensional atom or a context atom's
-    (position, bit) pair, never a table of one per atom of sigma.  An
+    a context, the union of a step's context atoms and the doubling of an
+    extensional atom, never one per atom of sigma.  An
     atom outside sigma and A has its index too and is never set, so it
     reads false.  A unit that is a
     definition for its atoms, at any width, is never compiled nor

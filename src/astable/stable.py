@@ -97,15 +97,17 @@ def _packed(masks: Sequence[int], nbytes: int) -> tuple[bytes, int]:
     return struct.pack(f"<{len(masks)}{code}", *masks), struct.calcsize(code)
 
 
-def _lookup(masks: Sequence[int], tables: Sequence[list]) -> list:
+def _lookup(masks: Sequence[int], tables: Sequence[list], shifts: Sequence[int] = ()) -> list:
     """Per bitmask, the sum of its bytes' entries in `tables` (see
-    `_tables`), the bytes sliced out of one `_packed` run."""
-    if len(tables) == 1:
-        return list(map(tables[0].__getitem__, masks))
-    flat, stride = _packed(masks, len(tables))
-    out = map(tables[0].__getitem__, flat[::stride])
-    for g in range(1, len(tables)):
-        out = map(add, out, map(tables[g].__getitem__, flat[g::stride]))
+    `_tables`), each shifted left by its byte's entry of `shifts` when
+    given, the bytes sliced out of one `_packed` run."""
+    flat, stride = (masks, 1) if len(tables) == 1 else _packed(masks, len(tables))
+    out = None
+    for g, table in enumerate(tables):
+        values = map(table.__getitem__, flat[g::stride])
+        if shifts and shifts[g]:
+            values = map(shifts[g].__rlshift__, values)
+        out = values if out is None else map(add, out, values)
     return list(out)
 
 
@@ -120,33 +122,41 @@ def _rank_table(g: int) -> list[str]:
 [_rank_table(g) for g in range(-(-DEFAULT_MAX_ATOMS // 8))]
 
 
-@functools.cache  # one per 8 atoms of the widest assignment read off lanes
-def _bit_table(g: int) -> list[int]:
-    """`_tables` of the bits of atoms 8g to 8g + 7: entry m is m << 8g."""
-    return _tables([1 << b for b in range(8 * g, 8 * g + 8)], sum)[0]
-
-
 def _mask(indices: Iterable[int]) -> int:
-    """The bitmask that sets bit i for each of the distinct `indices`: the
-    join of `_decode` that spreads bitmasks to other positions by their
-    indices there, so that no caller holds a mask per position."""
+    """The bitmask that sets bit i for each of the distinct `indices`:
+    how `_spread` spreads a handful of bitmasks."""
     return sum(map((1).__lshift__, indices))
 
 
 def _decode(masks: Sequence[int], pieces: Sequence, join) -> list:
     """Per bitmask over len(pieces) atoms, in the order given, `join` of
     the pieces of the bits it sets, in increasing order: `join` takes an
-    iterable, such as `tuple`, `"".join`, `sum` or `_mask`, and adding two
-    of its results must give the join of their pieces.
+    iterable, `tuple` or `"".join`, and adding two of its results must
+    give the join of their pieces.
 
     A handful of bitmasks are decoded one at a time; more through
     `_tables`, one lookup and one addition per 8 atoms, all in C.  The
-    texts a model set prints, its rank strings and the spreading of
-    bitmasks to other atoms all come from here.
+    texts a model set prints, its rank strings and its atom tuples all
+    come from here; bitmasks move to another numbering by `_spread`.
     """
     if len(masks) > _FEW or not pieces:
         return _lookup(masks, _tables(pieces, join))
     return list(map(join, map(itertools.compress, itertools.repeat(pieces), _selectors(masks, len(pieces)))))
+
+
+def _spread(masks: Sequence[int], indices: Sequence[int]) -> list[int]:
+    """Per bitmask over len(indices) atoms, in the order given, the
+    bitmask that sets bit indices[j] for each bit j it sets, the indices
+    in any order (a repeated one adds its bits): the one way a bitmask
+    moves to another numbering.  A handful of bitmasks are spread one at
+    a time (`_mask`); more through one `_tables` table per 8 atoms, built
+    relative to the least index of those atoms and shifted up by it once
+    per bitmask, so no entry is wider than its group's span and nothing
+    built here grows with the numbering."""
+    if len(masks) <= _FEW:
+        return list(map(_mask, map(itertools.compress, itertools.repeat(indices), _selectors(masks, len(indices)))))
+    lows = [min(indices[g : g + 8]) for g in range(0, len(indices), 8)]
+    return _lookup(masks, _tables([1 << (i - lows[j >> 3]) for j, i in enumerate(indices)], sum), lows)
 
 
 def _rank_sorted(masks: Sequence[int], n: int) -> tuple[int, ...]:
@@ -316,12 +326,12 @@ class ModelSet(Record):
 
     def over(self, atoms: Sequence[Atom]) -> list[int]:
         """Each model, in canonical order, as a bitmask over the sorted
-        `atoms` (bit b <-> atoms[b]); an atom outside them sets bit
-        len(atoms), which no bitmask over them has."""
+        `atoms` (bit b <-> atoms[b]); an atom outside them adds bit
+        len(atoms), so such a model is no bitmask over them."""
         if tuple(atoms) == self.atoms:
             return list(self.masks)
-        bit = {x: 1 << b for b, x in enumerate(atoms)}
-        return _decode(self.masks, [bit.get(x, 1 << len(bit)) for x in self.atoms], sum)
+        index = {x: b for b, x in enumerate(atoms)}
+        return _spread(self.masks, [index.get(x, len(index)) for x in self.atoms])
 
     def intersection(self, other: "ModelSet") -> "ModelSet":
         """The models of both, in the canonical order of `self`."""
@@ -432,7 +442,7 @@ def _candidate_models(prog: Program, var: Sequence[int], here: int) -> list[int]
             candidates += set_bits(chunk, offset)
         offset += step
     if order is not var:
-        candidates = _decode(candidates, [1 << var.index(b) for b in order], sum)
+        candidates = _spread(candidates, list(map(var.index, order)))
     return candidates
 
 
@@ -793,24 +803,24 @@ def _fire(clauses: Iterable[Clause], columns: Sequence[int], ones: int) -> list[
     return out
 
 
-def _lanes(masks: Sequence[int], bits: Sequence[int]) -> list[int]:
-    """Per listed bit, distinct single bits, the vector whose byte k is 1
-    iff masks[k] sets that bit: the layout of a fixpoint run, one byte per
-    lane; the masks may set other bits too.  One bitmask gives each vector
-    as one bit.  More are joined as bytes once (`_packed`), from the lowest
-    byte that holds a listed bit up, and the byte of each listed bit,
-    sliced out of every lane, is one vector whose bit j of each byte is
-    bit j of that byte, shifted down to the listed bit's."""
-    if len(masks) == 1 or not bits:
-        return [1 if masks[0] & k else 0 for k in bits]
-    span = sum(bits)  # distinct single bits
-    low = ((span & -span).bit_length() - 1) & -8  # the first bit of the lowest byte that holds one
-    width = (max(span, max(masks)).bit_length() - low + 7) >> 3  # bytes up to the highest a mask sets
+def _lanes(masks: Sequence[int], indices: Sequence[int]) -> list[int]:
+    """Per listed index, the vector whose byte k is 1 iff masks[k] sets
+    the bit of that index: the layout of a fixpoint run, one byte per
+    lane; the masks may set other bits too, and one bitmask gives each
+    vector as one bit.  The masks are joined as bytes once (`_packed`),
+    from the lowest byte that holds a listed bit up, and the byte of each
+    listed bit, sliced out of every lane, is one vector whose bit j of
+    each byte is bit j of that byte, shifted down to the listed bit's:
+    one linear pass, with no mask built per index."""
+    if not indices:
+        return []
+    low = min(indices) & -8  # the first bit of the lowest byte that holds one
+    width = (max(max(indices) + 1, max(masks).bit_length()) - low + 7) >> 3  # bytes up to the highest a mask sets
     flat, stride = _packed(list(map(low.__rrshift__, masks)) if low else masks, width)
     ones = int.from_bytes(b"\1" * len(masks), "little")
     out = []
-    for k in bits:
-        j = k.bit_length() - 1 - low
+    for i in indices:
+        j = i - low
         out.append(int.from_bytes(flat[j >> 3 :: stride], "little") >> (j & 7) & ones)
     return out
 
@@ -824,8 +834,8 @@ def _read(columns: Sequence[int], lanes: int, keep: bytes | None) -> list[int]:
     lanes on which `keep`, one byte 0 or 1 per lane, is 1.  On one lane
     each column is 0 or 1, the binary digits of the bitmask, last column
     first.  On more, eight columns at a time are shifted into one vector,
-    whose bytes `_bit_table` turns into that byte's bits of each
-    bitmask."""
+    and each of its bytes, shifted up by the first of those columns, is
+    added to its lane's bitmask: no table, and no cache."""
     if lanes == 1:
         return [int(b"0" + bytes(columns[::-1]).translate(_DIGITS), 2)] if keep is None or keep[0] else []
     total = None
@@ -834,13 +844,13 @@ def _read(columns: Sequence[int], lanes: int, keep: bytes | None) -> list[int]:
         for j, v in enumerate(columns[g : g + 8]):
             byte |= v << j
         data = byte.to_bytes(lanes, "little")
-        values = map(_bit_table(g >> 3).__getitem__, data if keep is None else itertools.compress(data, keep))
+        values = map(g.__rlshift__, data if keep is None else itertools.compress(data, keep))
         total = values if total is None else map(add, total, values)
     return list(total)
 
 
 def _lane_models(
-    size: int, var: Sequence[int], here: int, bits: Sequence[tuple[int, int]], batches: Iterable[Sequence[int]],
+    size: int, var: Sequence[int], here: int, pairs: Sequence[tuple[int, int]], batches: Iterable[Sequence[int]],
     derived: Sequence[tuple[Clause, ...]], compared: Sequence[Part], check: Program | None,
 ) -> list[int]:
     """The lanes that pass, each as its assignment c to the atoms at
@@ -849,26 +859,26 @@ def _lane_models(
     and compared parts of `enumerate_a_stable` and for every run of
     definition units of `splitting.modular_solve`.
 
-    A lane is one interpretation: each (position, bit) pair of `bits`
+    A lane is one interpretation: each (position, index) pair of `pairs`
     sets the atom at that position iff the bitmask of `batches` that is
-    the lane sets that bit, the atoms of the bitmask `here` are true, the
-    atoms of each definition of `derived`, given as its clauses (see
-    `_definition`), are the least fixpoint of those clauses, filled in
-    the order given, and every other atom is false.  Each definition of
-    `derived` may read only the atoms set before it, and its own atoms
-    start false.  A lane passes when the atoms of each part of
+    the lane sets the bit of that index, the atoms of the bitmask `here`
+    are true, the atoms of each definition of `derived`, given as its
+    clauses (see `_definition`), are the least fixpoint of those clauses,
+    filled in the order given, and every other atom is false.  Each
+    definition of `derived` may read only the atoms set before it, and its
+    own atoms start false.  A lane passes when the atoms of each part of
     `compared`, a definition too, are the least fixpoint of its clauses
     there, and, given a `check` program over the same atoms, it is true
     there.  One run per batch, a batch at most `_RUN_BITS` lanes, one byte
     each (`_lanes`), read back by `_read`.
     """
-    listed = [k for _, k in bits]
+    listed = [i for _, i in pairs]
     out: list[int] = []
     for batch in batches:
         lanes = len(batch)
         ones = int.from_bytes(b"\1" * lanes, "little")
         columns = [ones if here >> b & 1 else 0 for b in range(size)] if here else [0] * size
-        for (b, _), v in zip(bits, _lanes(batch, listed)):
+        for (b, _), v in zip(pairs, _lanes(batch, listed)):
             columns[b] = v
         for clauses in derived:
             _least_fixpoint(_fire(clauses, columns, ones), columns)
@@ -986,7 +996,7 @@ def _stable_subset(
     atom of a part has no J below it for that part and is C-stable for it
     without a sweep.
     """
-    pairs = zip(candidates, _decode(candidates, [1 << b for b in var], sum))  # each with its mask over prog.atoms
+    pairs = zip(candidates, _spread(candidates, var))  # each with its mask over prog.atoms
     for a_mask, _ in parts:
         pairs = [(c, m) for c, m in pairs if not m & a_mask or _ht_minimal(prog, here | m, a_mask)]
     return [c for c, _ in pairs]
@@ -1037,13 +1047,13 @@ def _stable_models(
         unknown = [atoms[b] for b in var if fixed >> b & 1]
         true = {x for b, x in enumerate(atoms) if here >> b & 1}
         lanes = _live_batches(swept, unknown, [atoms[b] for b in kept], true)
-        bits = [(b, 1 << j) for j, b in enumerate(kept)]
-        candidates = _lane_models(len(atoms), var, here, bits, lanes, [c for _, c in derived], compared, swept)
+        pairs = list(zip(kept, itertools.count()))
+        candidates = _lane_models(len(atoms), var, here, pairs, lanes, [c for _, c in derived], compared, swept)
     else:
         candidates = _candidate_models(swept, var, here)
         if compared:
-            bits = [(b, 1 << j) for j, b in enumerate(var)]
-            candidates = _lane_models(len(prog.atoms), var, here, bits, _batches(candidates), (), compared, None)
+            pairs = list(zip(var, itertools.count()))
+            candidates = _lane_models(len(prog.atoms), var, here, pairs, _batches(candidates), (), compared, None)
     others = [part for part in parts if part[1] is None]
     return _stable_subset(prog, var, here, others, candidates) if others else candidates
 
@@ -1055,9 +1065,12 @@ def _unit_models(
     unit of `splitting.modular_solve`, one for which `_clauses` gives None,
     with these rules, A = the unit's atoms, at positions `unit` of the
     sorted atoms of the rules, with the context fixed: bit j of each for
-    the atom at position unit[j].  A context is a bitmask over sigma;
-    `context` pairs the position of each atom it may set with that atom's
-    bit over sigma, and every other position outside the unit reads false.
+    the atom at position unit[j].  A context is a bitmask over the
+    solve's numbering; `context` pairs the position of each atom it may
+    set with that atom's index there, and every other position outside
+    the unit reads false.  The contexts' bits are read in one linear
+    pass, as byte lanes (`_lanes`) read back to bitmasks over the
+    positions (`_read`), with no mask built per context atom.
 
     The conjunction of the rules' formulas, in the order given, is compiled
     by one walk (`formula.compile_extensible`), and each context is solved
@@ -1073,14 +1086,10 @@ def _unit_models(
         parts, loop_formulas = _parts(rules, prog.atoms, frozenset(map(prog.atoms.__getitem__, unit)))
         swept = conjoin(loop_formulas) if loop_formulas else None
     a = (1 << len(unit)) - 1
-    out = []
-    for ctx in contexts:
-        here = 0
-        for b, k in context:
-            if ctx & k:
-                here |= 1 << b
-        out.append(_stable_models(prog, unit, here, a, parts, swept))
-    return out
+    columns = [0] * len(prog.atoms)
+    for (b, _), v in zip(context, _lanes(contexts, [i for _, i in context])):
+        columns[b] = v
+    return [_stable_models(prog, unit, here, a, parts, swept) for here in _read(columns, len(contexts), None)]
 
 
 def enumerate_a_stable(
@@ -1126,7 +1135,7 @@ def enumerate_a_stable(
     model and are pruned up front.  Extensional atoms of sigma that do not
     occur are free: each stable bitmask is spread once to the sorted order
     of all the atoms a model may hold, by its atoms' indices in that order
-    (`_mask`), and every subset of the free atoms' bits is joined to it,
+    (`_spread`), and every subset of the free atoms' bits is joined to it,
     so the models reach `ModelSet.from_masks` as
     bitmasks in every case.  A given sigma wider than max_atoms raises
     CapExceeded before f is compiled, or SignatureError when it omits an
@@ -1159,5 +1168,5 @@ def enumerate_a_stable(
         joins = [0]
         for x in free:
             joins += [j | 1 << index[x] for j in joins]
-        masks = [m | j for m in _decode(masks, list(map(index.__getitem__, prog.atoms)), _mask) for j in joins]
+        masks = [m | j for m in _spread(masks, list(map(index.__getitem__, prog.atoms))) for j in joins]
     return ModelSet.from_masks(masks, order, sig)

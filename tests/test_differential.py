@@ -88,3 +88,36 @@ def test_oracle_agrees_on_ten_programs_and_reports_a_planted_line(capsys):
     shown = capsys.readouterr().out
     assert shown.startswith(f"case {k}: astable split-solve ")
     assert "--- oracle, " in shown and "{zz}\n--- split-solve stderr" in shown
+
+
+def test_definition_oracle_pairs_the_models_itself():
+    differential = _script()
+    # d is defined by x_1 over the choice of x_1: two models, each paired
+    # with its projection
+    case = {
+        "program": "x_1 | not x_1.\n",
+        "module": "x_1 -> d0.\n",
+        "argv": {"check-definition": ["check-definition", "prog.lp", "def.lp", "--defined", "d0", "--max-atoms", "5"]},
+    }
+    assert differential.definition_oracle(case) == (
+        2, "definition for 1 atoms: conservative (2 stable models)\n{} -> {}\n{d0,x_1} -> {x_1}\n"
+    )
+    # d0 from not d0 is no conservative extension: the base model {} has none
+    assert differential.definition_oracle({**case, "module": "not d0 -> d0.\n"}) == (2, None)
+
+
+def test_oracle_reports_a_planted_pair_line(capsys):
+    differential = _script()
+    cases = differential.corpus(1, 10)
+    results = differential._run(SRC, cases)
+    assert differential.check_one_tree(cases, results, 1) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("oracle: the ") and "runs of check-definition that exit 0 print its pairs" in lines[1]
+    k = next(k for k, got in enumerate(results) if got["check-definition"][0] == 0)
+    out = results[k]["check-definition"][1]
+    results[k]["check-definition"][1] = out.replace(" -> {", " -> {zz,", 1)
+    assert results[k]["check-definition"][1] != out
+    assert differential.check_one_tree(cases, results, 1) == 1
+    shown = capsys.readouterr().out
+    assert shown.startswith(f"case {k}: astable check-definition ")
+    assert "--- oracle, " in shown and " -> {zz," in shown

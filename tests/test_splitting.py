@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -910,11 +911,11 @@ class TestModularSolve:
     def test_each_step_decodes_its_contexts_in_one_call(self, monkeypatch):
         # the choices a and b, then the unit {p, q} of a & not q -> p and
         # b & not p -> q over the four contexts of a and b, with 2, 1, 1
-        # and 1 extensions: one decoding per step, of every context's
+        # and 1 extensions: one spread per step, of every context's
         # extensions at once
         decoded = []
-        real = splitting._decode
-        monkeypatch.setattr(splitting, "_decode", lambda masks, *rest: decoded.append(len(masks)) or real(masks, *rest))
+        real = splitting._spread
+        monkeypatch.setattr(splitting, "_spread", lambda masks, *rest: decoded.append(len(masks)) or real(masks, *rest))
         a, b, p, q = (AtomRef(Atom(x)) for x in "abpq")
         conjuncts = [
             disj([a, neg(a)]),
@@ -927,6 +928,53 @@ class TestModularSolve:
         assert decoded == [2, 2, 5]
         assert got.lines() == ["{}", "{a,b,p}", "{a,b,q}", "{a,p}", "{b,q}"]
         assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, sigma)
+
+    def test_context_pairs_carry_indices_into_the_numbering(self, monkeypatch):
+        # the choices c0..c3, a run of definition units that reads c0 and
+        # c3, and the enumerated unit {p, q} that reads c1 and the run:
+        # every context atom reaches the solvers as its position and its
+        # index in the solve's numbering, the index of that very atom
+        pairs = []
+        for name, at in (("_unit_models", 2), ("_lane_models", 3)):
+            real = getattr(splitting, name)
+            monkeypatch.setattr(splitting, name, lambda *args, real=real, at=at: pairs.append(args[at]) or real(*args))
+        c = [AtomRef(Atom(f"c{j}")) for j in range(4)]
+        d = [AtomRef(Atom(f"d{i}")) for i in range(6)]
+        p, q = AtomRef(Atom("p")), AtomRef(Atom("q"))
+        conjuncts = [disj([x, neg(x)]) for x in c]
+        conjuncts += [impl(conj([c[0], neg(c[3])]), x) for x in d]
+        conjuncts += [impl(conj([c[1], d[5], neg(q)]), p), impl(neg(p), q)]
+        sigma = atoms_of(conj(conjuncts))
+        got = modular_solve(conjuncts, sigma, sigma)
+        assert got.as_set() == brute_a_stable(conj(conjuncts), sigma, sigma)
+        read = {frozenset(got.atoms[i].name for _, i in context) for context in pairs if context}
+        assert read == {frozenset({"c0", "c3"}), frozenset({"c1", "d5"})}
+        assert all(0 <= i < len(got.atoms) for context in pairs for _, i in context)
+
+    def test_a_wide_run_leaves_no_table_behind(self):
+        # 2,000 definition units c0 & not c1 -> p_i, one run over the four
+        # contexts of the choices c0 and c1: once the solve returns,
+        # `stable` and `splitting` hold under 64 KB of what it allocated,
+        # its models included (about 17 KB); the cached per-byte tables
+        # that read its lanes back, each entry as wide as the numbering,
+        # held 10,974,676 bytes
+        c0, c1 = AtomRef(Atom("c0")), AtomRef(Atom("c1"))
+        conjuncts = [disj([c0, neg(c0)]), disj([c1, neg(c1)])]
+        conjuncts += [impl(conj([c0, neg(c1)]), AtomRef(Atom(f"p{i}"))) for i in range(2000)]
+        sigma = atoms_of(conj(conjuncts))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = modular_solve(conjuncts, sigma, sigma)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        files = [tracemalloc.Filter(True, module.__file__) for module in (stable, splitting)]
+        held = sum(stat.size for stat in snapshot.filter_traces(files).statistics("filename"))
+        lines = got.lines()
+        assert len(lines) == 4 and lines[0] == "{}" and max(line.count(",") for line in lines) == 2000
+        assert held < 64_000, held
 
     def test_random_frontiers_match_the_enumerator(self):
         # context-free choice units, units that read decided atoms and

@@ -569,7 +569,7 @@ class TestDefinitionParts:
             for contexts in ([0, 1 << 5], [0], [1 << 5]):
                 extensions = [with_x if c else whole for c in contexts]
                 batches = stable_module._batches(contexts)
-                assert stable_module._lane_models(len(atoms), unit, 0, [(x, 1 << 5)], batches, [found], (), None) == extensions
+                assert stable_module._lane_models(len(atoms), unit, 0, [(x, 5)], batches, [found], (), None) == extensions
 
     def test_narrow_programs_and_parts_are_never_recognized(self, monkeypatch):
         # no definition recognition on a program of at most _NARROW atoms,
@@ -785,20 +785,20 @@ class TestDerivedParts:
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 18, 30, 40, 64, 70])
     def test_lanes_read_back_to_their_bitmasks(self, n):
-        # every bit, then random subsets that skip the first byte or keep
-        # one bit, over 1,000 masks, over one mask, and over masks past one
-        # run, laid out run by run
+        # every index, then random subsets that skip the first byte or keep
+        # one index, over 1,000 masks, over one mask, and over masks past
+        # one run, laid out run by run
         rng = random.Random(n)
         masks = [rng.getrandbits(n) for _ in range(1000)]
-        every = [1 << b for b in range(n)]
-        subsets = [every] + [sorted(rng.sample(every, rng.randint(1, n)), key=lambda _: rng.random()) for _ in range(4)]
+        every = list(range(n))
+        subsets = [every] + [rng.sample(every, rng.randint(1, n)) for _ in range(4)]
         subsets += [every[8:] or every, [every[-1]]]
-        for bits in subsets:
+        for indices in subsets:
             for given in (masks, masks[:1]):
-                columns = stable_module._lanes(given, bits)
-                assert len(columns) == len(bits)
-                for k, column in zip(bits, columns):
-                    assert column.to_bytes(len(given), "little") == bytes(1 if m & k else 0 for m in given)
+                columns = stable_module._lanes(given, indices)
+                assert len(columns) == len(indices)
+                for i, column in zip(indices, columns):
+                    assert column.to_bytes(len(given), "little") == bytes(m >> i & 1 for m in given)
         columns = stable_module._lanes(masks, every)
         assert stable_module._read(columns, len(masks), None) == masks
         keep = bytes(rng.random() < 0.3 for _ in masks)
@@ -808,12 +808,12 @@ class TestDerivedParts:
             assert stable_module._read(one, 1, None) == stable_module._read(one, 1, b"\1") == [m]
             assert stable_module._read(one, 1, b"\0") == []
         runs = [rng.getrandbits(n) for _ in range(2 * stable_module._RUN_BITS + 5)]
-        bits = every[n // 2 :]
+        indices = every[n // 2 :]
         batches = list(stable_module._batches(runs))
         assert [len(batch) for batch in batches] == [stable_module._RUN_BITS] * 2 + [5]
         for batch in batches:
-            for k, column in zip(bits, stable_module._lanes(batch, bits)):
-                assert column.to_bytes(len(batch), "little") == bytes(1 if m & k else 0 for m in batch)
+            for i, column in zip(indices, stable_module._lanes(batch, indices)):
+                assert column.to_bytes(len(batch), "little") == bytes(m >> i & 1 for m in batch)
 
     def test_definition_lanes_slice_distant_context_atoms_over_several_runs(self, monkeypatch):
         # h from a & not z, with a at bit 3 and z at bit 2990 of a wide
@@ -826,7 +826,7 @@ class TestDerivedParts:
         contexts = [0, a, z, a | z] * (stable_module._RUN_BITS // 4 + 1)
         clauses = ((([1], [2]), [1, 2], (), 0),)  # positions: h 0, a 1, z 2
         batches = stable_module._batches(contexts)
-        got = stable_module._lane_models(3, [0], 0, [(1, a), (2, z)], batches, [clauses], (), None)
+        got = stable_module._lane_models(3, [0], 0, [(1, 3), (2, 2990)], batches, [clauses], (), None)
         assert got == [1 if c == a else 0 for c in contexts] and len(runs) == 2
 
     @pytest.mark.parametrize("high", [10, 20, 30, 45, 70, 100])
@@ -839,7 +839,7 @@ class TestDerivedParts:
         contexts = [rng.choice([0, a, z, a | z]) for _ in range(50)]
         clauses = ((([1], [2]), [1, 2], (), 0),)  # positions: h 0, a 1, z 2
         batches = stable_module._batches(contexts)
-        got = stable_module._lane_models(3, [0], 0, [(1, a), (2, z)], batches, [clauses], (), None)
+        got = stable_module._lane_models(3, [0], 0, [(1, 9), (2, high)], batches, [clauses], (), None)
         assert got == [1 if c == a else 0 for c in contexts]
 
     def test_fixpoint_firings_follow_the_derivation(self):
@@ -882,6 +882,20 @@ class TestDerivedParts:
         many = stable_module._decode(masks, pieces, tuple)
         assert [stable_module._decode([m], pieces, tuple)[0] for m in masks] == many
         assert many == [tuple(x for b, x in enumerate(pieces) if m >> b & 1) for m in masks]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 40])
+    def test_spread_moves_bitmasks_as_the_index_join_does(self, n):
+        # 1 to 40 bitmasks, on both sides of _FEW, spread to indices that
+        # are consecutive, sorted with gaps that pass 64 bits, or shuffled:
+        # the same masks as the join of the indices each one sets
+        rng = random.Random(n)
+        gapped = list(itertools.accumulate(rng.randint(1, 40) for _ in range(n)))
+        for indices in (list(range(n)), gapped, rng.sample(gapped, n), rng.sample(range(3 * n), n)):
+            for count in (1, 2, stable_module._FEW, stable_module._FEW + 1, 40):
+                masks = [rng.getrandbits(n) for _ in range(count)]
+                spread = stable_module._spread(masks, indices)
+                assert spread == stable_module._decode(masks, indices, stable_module._mask)
+                assert spread == [sum(1 << i for j, i in enumerate(indices) if m >> j & 1) for m in masks]
 
 
 class TestSupportSweep:
